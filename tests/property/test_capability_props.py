@@ -6,9 +6,13 @@ Three contracts:
 * :func:`build_capability_panel` renders any valid descriptor and gives
   every capability a locatable widget,
 * descriptor-derived DDI trees are semantically equivalent to the legacy
-  hand-authored :data:`DDI_SPECS` — every legacy command/state binding is
-  still reachable, with identical bounds and option sets.
+  hand-authored DDI specs frozen in ``tests/fixtures/legacy_surfaces.json``
+  — every legacy command/state binding is still reachable, with identical
+  bounds, steps and option sets.
 """
+
+import json
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,11 +29,11 @@ from repro.havi import (
     SoftwareElement,
 )
 from repro.havi.ddi import (
-    DDI_SPECS,
     DdiChoice,
     DdiRange,
     DdiToggle,
     ddi_elements_from_descriptor,
+    element_from_dict,
 )
 from repro.toolkit import Column, UIWindow
 from repro.util.ids import guid_from_seed
@@ -39,6 +43,10 @@ names = st.text(alphabet=name_chars, min_size=1, max_size=12)
 labels = st.text(alphabet=st.characters(min_codepoint=0x20,
                                         max_codepoint=0x7E), max_size=10)
 kinds = st.sampled_from(CAPABILITY_KINDS + ("hologram", "gesture"))
+
+#: The hand-authored DDI specs' contract, per FCM type.
+LEGACY_DDI = json.loads((Path(__file__).resolve().parents[1] / "fixtures"
+                         / "legacy_surfaces.json").read_text())["ddi_specs"]
 
 
 @st.composite
@@ -162,10 +170,11 @@ class TestDdiSemanticEquivalence:
         network.settle()
         for appliance in appliances:
             for fcm in appliance.dcm.fcms:
-                spec = DDI_SPECS.get(fcm.fcm_type.value)
+                spec = LEGACY_DDI.get(fcm.fcm_type.value)
                 if spec is None or not fcm.capabilities:
                     continue
-                legacy = spec("1:", fcm)
+                legacy = [element_from_dict({**data, "id": f"1:{data['id']}"})
+                          for data in spec]
                 dynamic = []
                 for element in ddi_elements_from_descriptor("1:", fcm):
                     if hasattr(element, "walk"):
@@ -211,6 +220,7 @@ class TestDdiSemanticEquivalence:
                         element.minimum, element.maximum), (
                         f"{fcm.fcm_type.value}: {element.element_id} "
                         f"bounds drifted")
+                    assert twin.step == element.step
                     assert twin.arg_name == element.arg_name
                 if isinstance(element, DdiChoice) and isinstance(
                         twin, DdiChoice):

@@ -1,19 +1,32 @@
 """Descriptor-generated panels: parity with the hand-written builders.
 
 The tentpole guarantee: :func:`repro.app.panels.build_capability_panel`
-must expose the same widget ids and drive the same FCM commands as the
-legacy per-type builders it replaces — asserted here per appliance — while
-appliances without any builder (the refrigerator) get a full panel from
-their descriptor alone.
+must expose the same widget ids, the same focus order and the same
+first-frame pixels as the legacy per-type builders it replaced — frozen
+per appliance in ``tests/fixtures/legacy_surfaces.json`` — while
+appliances that never had a builder (the refrigerator) get a full panel
+from their descriptor alone.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from repro import Home
 from repro.app import HomeApplianceApplication, build_fcm_panel
 from repro.app.composer import assign_guid_prefixes, compose_ui
 from repro.app.handles import ApplianceHandle, FcmHandle
 from repro.app.panels import PANEL_BUILDERS, build_capability_panel
-from repro.appliances import APPLIANCE_CLASSES, Refrigerator, Television
+from repro.appliances import (
+    APPLIANCE_CLASSES,
+    AirConditioner,
+    MicrowaveOven,
+    Refrigerator,
+    Television,
+)
+from repro.devices import Pda
 from repro.havi import (
     Capability,
     CapabilityDescriptor,
@@ -24,9 +37,13 @@ from repro.havi import (
 from repro.toolkit import Column, UIWindow
 from repro.util.ids import guid_from_seed, guid_prefixes
 
-#: Appliances with a hand-written legacy builder for every FCM (the
-#: refrigerator deliberately has none — it is descriptor-only).
-LEGACY_APPLIANCES = sorted(set(APPLIANCE_CLASSES) - {"fridge"})
+#: What the hand-written builders guaranteed, frozen before their removal.
+LEGACY = json.loads((Path(__file__).resolve().parents[1] / "fixtures"
+                     / "legacy_surfaces.json").read_text())
+
+#: Appliances that had a hand-written builder for every FCM (the
+#: refrigerator never had one — it is descriptor-only).
+LEGACY_APPLIANCES = sorted(LEGACY["panels"])
 
 
 def make_app(*appliances, dynamic=True):
@@ -60,27 +77,48 @@ def offline_handle(fcm_type="tuner", state=None):
     return network, handle
 
 
+def generic_ids(app, ids):
+    """Ids with the appliance's guid prefix written as the fixture does."""
+    guid8 = app.appliances[0].guid_prefix
+    return [wid.replace(guid8, "<guid8>") for wid in ids]
+
+
 class TestWidgetIdParity:
     @pytest.mark.parametrize("kind", LEGACY_APPLIANCES)
     def test_same_ids_as_legacy_builder(self, kind):
-        _, _, dynamic_app = make_app(APPLIANCE_CLASSES[kind](kind))
-        _, _, legacy_app = make_app(APPLIANCE_CLASSES[kind](kind),
-                                    dynamic=False)
-        assert widget_ids(dynamic_app.window.root) == \
-            widget_ids(legacy_app.window.root)
+        _, window, app = make_app(APPLIANCE_CLASSES[kind](kind))
+        assert sorted(generic_ids(app, widget_ids(window.root))) == \
+            LEGACY["panels"][kind]["widget_ids"]
 
     @pytest.mark.parametrize("kind", LEGACY_APPLIANCES)
     def test_focus_order_matches_legacy(self, kind):
         """Keypad Tab traversal (pre-order walk over focusable widgets)
-        must visit the same widgets in the same order on both paths."""
-        def focus_ids(app):
-            return [w.widget_id for w in app.window.root.walk()
-                    if w.focusable and w.widget_id is not None]
+        must visit the same widgets in the same order as the legacy
+        builder did."""
+        _, window, app = make_app(APPLIANCE_CLASSES[kind](kind))
+        focus = [w.widget_id for w in window.root.walk()
+                 if w.focusable and w.widget_id is not None]
+        assert generic_ids(app, focus) == \
+            LEGACY["panels"][kind]["focus_order"]
 
-        _, _, dynamic_app = make_app(APPLIANCE_CLASSES[kind](kind))
-        _, _, legacy_app = make_app(APPLIANCE_CLASSES[kind](kind),
-                                    dynamic=False)
-        assert focus_ids(dynamic_app) == focus_ids(legacy_app)
+    def test_pda_first_frame_matches_legacy(self):
+        """The composed TV + microwave + aircon home reaches a PDA as the
+        same number of bytes the hand-written panels produced, showing the
+        pixels the descriptor panels showed while both paths existed."""
+        home = Home(width=480, height=360)
+        for appliance in (Television("TV"), MicrowaveOven("Oven"),
+                          AirConditioner("Aircon")):
+            home.add_appliance(appliance)
+        home.settle()
+        pda = Pda("meter", home.scheduler)
+        pda.connect(home.proxy)
+        home.proxy.select_output("meter")
+        home.settle()
+        legacy = LEGACY["pda_first_frame"]
+        assert pda.frames_received == legacy["frames_received"]
+        assert pda.link_stats.bytes_received == legacy["bytes_received"]
+        assert hashlib.sha256(pda.screen_image.data).hexdigest() == \
+            LEGACY["pda_first_frame_descriptor"]["screen_sha256"]
 
 
 class TestCommandParity:
