@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-backpressure bench-broadcast bench-commands \
-	bench-dynamic-panels bench-encodings bench-encode-core bench-fleet \
+	bench-encodings bench-encode-core bench-fleet \
 	bench-home-scale bench-multiuser bench-resilience bench-surfaces \
 	bench-smoke
 
@@ -72,16 +72,6 @@ bench-resilience:
 	$(PYTHON) -m pytest benchmarks/bench_resilience.py -q \
 		--benchmark-disable
 
-# Descriptor-generated panels vs the hand-written builders: full panel
-# regeneration cost and first-frame wire bytes for the same appliance
-# mix, asserted at <=1.1x parity, plus the descriptor-only refrigerator.
-# Writes BENCH_DYNAMIC_PANELS.json — in smoke mode too, because the
-# parity acceptance rides on the recorded numbers.  Also runs in the CI
-# bench-smoke job.
-bench-dynamic-panels:
-	$(PYTHON) -m pytest benchmarks/bench_dynamic_panels.py -q \
-		--benchmark-disable
-
 # Command-spine dispatch overhead vs direct send_request on the real
 # home actuation path (asserted <=1.05x), the bare-bus tracking cost in
 # microseconds, and throughput under 8-user coalescible churn.  Writes
@@ -98,8 +88,10 @@ bench-backpressure:
 	$(PYTHON) -m pytest benchmarks/bench_backpressure.py -q \
 		--benchmark-json=BENCH_BACKPRESSURE_ROWS.json
 
-# Harness smoke: every benchmark at tiny workload, timings disabled, no
-# BENCH_*.json written.  CI runs this so refactors can't silently break
-# the bench harness.
+# Harness smoke: every benchmark at tiny workload, timings disabled.  CI
+# runs this so refactors can't silently break the bench harness.  The
+# records whose acceptance is asserted from the recorded numbers
+# (BENCH_FLEET, BENCH_ENCODE_CORE, BENCH_COMMANDS, BENCH_RESILIENCE) are
+# written in smoke mode too, marked "smoke": true; the others are not.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks -q --smoke --benchmark-disable

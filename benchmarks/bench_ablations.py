@@ -1,7 +1,7 @@
 """Ablations — quantifying the design choices DESIGN.md calls out.
 
 A1  incremental damage-tracked updates   vs full-frame refreshes
-A2  fixed HEXTILE                        vs adaptive per-rect best-of
+A2  fixed HEXTILE                        vs fixed RRE
 A3  Floyd-Steinberg vs ordered vs hard threshold on 1-bit screens
 A4  wire pixel format depth (RGB888/565/332) on session bytes
 """
@@ -17,13 +17,12 @@ from repro.net import ETHERNET_100, make_pipe
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
 from repro.toolkit import Column, Label, ToggleButton, UIWindow
-from repro.uip import HEXTILE, RAW, RRE, ZLIB, DESKTOP_SIZE
+from repro.uip import HEXTILE, RRE, DESKTOP_SIZE
 from repro.util import Scheduler
 from repro.windows import DisplayServer
 
 
-def _stack(adaptive=False, pixel_format=RGB888, encodings=None,
-           tile_diff=True):
+def _stack(pixel_format=RGB888, encodings=None, tile_diff=True):
     scheduler = Scheduler()
     display = DisplayServer(480, 360)
     window = UIWindow(480, 360)
@@ -34,8 +33,7 @@ def _stack(adaptive=False, pixel_format=RGB888, encodings=None,
         col.add(ToggleButton(f"Load {i}"))
     window.set_root(col)
     display.map_fullscreen(window)
-    server = UniIntServer(display, scheduler, adaptive=adaptive,
-                          tile_diff=tile_diff)
+    server = UniIntServer(display, scheduler, tile_diff=tile_diff)
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100)
     server.accept(pipe.a)
@@ -110,19 +108,16 @@ class TestA1IncrementalVsFullFrame:
             bytes_used / incremental, 2)
 
 
-class TestA2AdaptiveEncoding:
-    @pytest.mark.parametrize("mode", ["fixed-hextile", "fixed-rre",
-                                      "adaptive"])
+class TestA2FixedEncoding:
+    @pytest.mark.parametrize("mode", ["fixed-hextile", "fixed-rre"])
     def test_encoding_mode_bytes(self, benchmark, mode):
         encodings = {
             "fixed-hextile": (HEXTILE, DESKTOP_SIZE),
             "fixed-rre": (RRE, DESKTOP_SIZE),
-            "adaptive": (HEXTILE, RRE, RAW, DESKTOP_SIZE),
         }[mode]
 
         def run():
-            scheduler, window, session = _stack(
-                adaptive=(mode == "adaptive"), encodings=encodings)
+            scheduler, window, session = _stack(encodings=encodings)
             return _label_workload(scheduler, window, session)
 
         bytes_used = benchmark.pedantic(run, rounds=3, iterations=1)

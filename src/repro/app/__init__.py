@@ -23,11 +23,7 @@ from repro.app.commands import (
     CommandState,
 )
 from repro.app.handles import ApplianceHandle, FcmHandle
-from repro.app.panels import (
-    PANEL_BUILDERS,
-    build_capability_panel,
-    build_fcm_panel,
-)
+from repro.app.panels import build_capability_panel, build_fcm_panel
 from repro.app.composer import assign_guid_prefixes, compose_ui
 from repro.app.application import HomeApplianceApplication
 from repro.app.monitor import StatusMonitorApplication
@@ -41,7 +37,6 @@ __all__ = [
     "CommandState",
     "FcmHandle",
     "HomeApplianceApplication",
-    "PANEL_BUILDERS",
     "StatusMonitorApplication",
     "assign_guid_prefixes",
     "build_capability_panel",

@@ -29,14 +29,10 @@ class HomeApplianceApplication:
 
     def __init__(self, network: HomeNetwork, window: UIWindow,
                  app_name: str = "uniint-home-app",
-                 dynamic_panels: bool = True,
                  command_log: Optional[CommandLog] = None) -> None:
         self.network = network
         self.window = window
         self.app_name = app_name
-        #: False selects the legacy hand-written panel builders and DDI
-        #: specs instead of descriptor-generated surfaces.
-        self.dynamic_panels = dynamic_panels
         self.element = SoftwareElement(
             SEID(guid_from_seed(f"app/{app_name}"), 0), network.messaging)
         self.element.attach()
@@ -109,21 +105,20 @@ class HomeApplianceApplication:
     def rebuild(self) -> None:
         """Regenerate handles and the composed UI from the registry.
 
-        ``set_root`` relayouts and damages the whole window, so exactly
-        the surfaces showing *this* view repaint in full — other users'
-        views are untouched until their own application rebuilds.
+        Only appliances whose descriptors are all in hand are composed
+        (see :meth:`_attach_descriptors`).  ``set_root`` relayouts and
+        damages the whole window, so exactly the surfaces showing *this*
+        view repaint in full — other users' views are untouched until
+        their own application rebuilds.
         """
         previous_guid, previous_index = self._active_tab()
-        self.appliances = self._discover()
+        self.appliances = self._attach_descriptors(self._discover())
         self._handles_by_seid = {
             handle.seid: handle
             for appliance in self.appliances
             for handle in appliance.fcms
         }
-        if self.dynamic_panels:
-            self._attach_descriptors()
-        root = compose_ui(self.appliances,
-                          dynamic_panels=self.dynamic_panels)
+        root = compose_ui(self.appliances)
         self.window.set_root(root)
         self._restore_tab(previous_guid, previous_index)
         for handle in self._handles_by_seid.values():
@@ -132,25 +127,33 @@ class HomeApplianceApplication:
 
     # -- capability descriptors ------------------------------------------------
 
-    def _attach_descriptors(self) -> None:
+    def _attach_descriptors(self, appliances: list[ApplianceHandle]
+                            ) -> list[ApplianceHandle]:
         """Give every handle its cached descriptor; fetch the missing ones.
 
-        Fetches are asynchronous (``capabilities.get`` over HAVi
-        messaging); this rebuild proceeds with whatever the cache holds,
-        and ONE further rebuild fires when the last outstanding reply
-        lands, so N new appliances cost one regeneration, not N.
+        Returns the appliances whose descriptors are all in hand.  One
+        with a fetch still in flight stays out of the composed UI — no
+        placeholder page — until its reply lands.  Fetches are
+        asynchronous (``capabilities.get`` over HAVi messaging), and ONE
+        further rebuild fires when the last outstanding reply lands, so N
+        new appliances cost one regeneration, not N.  An FCM that declares
+        no capabilities, or whose fetch failed, does not hold its
+        appliance back: it gets the generic panel.
         """
-        missing = []
-        for handle in self._handles_by_seid.values():
-            if handle.capability_version <= 0:
-                continue
-            handle.descriptor = self.descriptors.get(
-                handle.device_guid, handle.seid.handle,
-                handle.capability_version)
-            if handle.descriptor is None:
-                missing.append(handle)
-        for handle in missing:
-            self._fetch_descriptor(handle)
+        ready = []
+        for appliance in appliances:
+            for handle in appliance.fcms:
+                if handle.capability_version <= 0:
+                    continue
+                handle.descriptor = self.descriptors.get(
+                    handle.device_guid, handle.seid.handle,
+                    handle.capability_version)
+                if handle.descriptor is None:
+                    self._fetch_descriptor(handle)
+            if not any(handle.seid in self._descriptor_fetches
+                       for handle in appliance.fcms):
+                ready.append(appliance)
+        return ready
 
     def _fetch_descriptor(self, handle: FcmHandle) -> None:
         key = (handle.device_guid, handle.seid.handle,

@@ -28,18 +28,16 @@ def assign_guid_prefixes(appliances: list[ApplianceHandle]) -> None:
             handle.guid_prefix = prefix
 
 
-def build_appliance_page(appliance: ApplianceHandle,
-                         dynamic_panels: bool = True) -> Widget:
+def build_appliance_page(appliance: ApplianceHandle) -> Widget:
     """One appliance's page: its FCM panels stacked vertically."""
     page = Column(padding=2, spacing=3)
     page.widget_id = f"page.{appliance.guid_prefix}"
     for handle in appliance.fcms:
-        page.add(build_fcm_panel(handle, dynamic=dynamic_panels))
+        page.add(build_fcm_panel(handle))
     return page
 
 
-def compose_ui(appliances: list[ApplianceHandle],
-               dynamic_panels: bool = True) -> Widget:
+def compose_ui(appliances: list[ApplianceHandle]) -> Widget:
     """The whole application UI for the currently available appliances."""
     assign_guid_prefixes(appliances)
     if not appliances:
@@ -49,10 +47,9 @@ def compose_ui(appliances: list[ApplianceHandle],
         empty.add(notice)
         return empty
     if len(appliances) == 1:
-        return build_appliance_page(appliances[0], dynamic_panels)
+        return build_appliance_page(appliances[0])
     tabs = TabPanel()
     tabs.widget_id = "appliance-tabs"
     for appliance in appliances:
-        tabs.add_page(appliance.name,
-                      build_appliance_page(appliance, dynamic_panels))
+        tabs.add_page(appliance.name, build_appliance_page(appliance))
     return tabs

@@ -1,16 +1,16 @@
-"""Per-FCM control panel builders.
+"""Per-FCM control panels, generated from capability descriptors.
 
-Each builder takes an :class:`~repro.app.handles.FcmHandle` and returns a
-toolkit :class:`~repro.toolkit.Panel` whose widgets
+:func:`build_fcm_panel` takes an :class:`~repro.app.handles.FcmHandle`
+and returns a toolkit :class:`~repro.toolkit.Panel` whose widgets
 
 * send FCM commands when the user operates them, and
 * follow the FCM's state via the handle's listeners (so a channel changed
   from *any* device updates every panel showing it).
 
-:func:`build_capability_panel` generates such a panel from the FCM's
-capability descriptor alone — the default path.  The hand-written
-per-type builders below it remain as the ``dynamic_panels=False`` legacy
-path and as the reference the parity tests compare against.
+Every panel is derived from the FCM's capability descriptor
+(:func:`build_capability_panel`); there is no per-appliance panel code.
+An FCM without a usable descriptor gets :func:`build_generic_panel`, an
+"unsupported" banner plus a live state dump.
 
 Widget ids follow ``<guid8>.<fcm_type>.<name>`` so tests and demos can
 locate live widgets deterministically (``<guid8>`` grows when two device
@@ -22,26 +22,20 @@ listeners instead of leaking them on the handle.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.app.handles import FcmHandle
 from repro.havi.capabilities import MAIN_COMPONENT, Capability
 from repro.toolkit import (
     Button,
-    Column,
     Label,
     ListBox,
     Panel,
     ProgressBar,
     Row,
     Slider,
-    Spacer,
     TextField,
     ToggleButton,
 )
 from repro.toolkit.widget import Widget
-
-PanelBuilder = Callable[[FcmHandle], Panel]
 
 #: Kinds whose widgets flow together into shared rows; range/choice/number
 #: always get a row of their own (sliders and lists want the width).
@@ -64,20 +58,6 @@ def _follow(widget: Widget, handle: FcmHandle, listener) -> None:
     """Subscribe a state listener and detach it with the widget."""
     handle.subscribe(listener)
     widget.on_teardown(lambda: handle.unsubscribe(listener))
-
-
-def _power_toggle(handle: FcmHandle) -> ToggleButton:
-    toggle = ToggleButton("Power", value=bool(handle.get("power", False)))
-    toggle.widget_id = _wid(handle, "power")
-    toggle.on_activate = lambda w: _act(handle, "power.set",
-                                                  {"on": w.value})
-
-    def follow(key: str, value: object) -> None:
-        if key == "power":
-            toggle.value = bool(value)
-
-    _follow(toggle, handle, follow)
-    return toggle
 
 
 # -- descriptor-driven panels -------------------------------------------------
@@ -235,8 +215,7 @@ def _fill_section(container: Widget, handle: FcmHandle, capabilities,
     """Lay capabilities out: flow kinds share rows, others get their own.
 
     Rows are populated detached and attached last — adding to an
-    attached row invalidates the whole ancestor chain per widget, which
-    the hand-written builders never paid.
+    attached row would invalidate the whole ancestor chain per widget.
     """
     rows: list[Row] = []
     row: Row | None = None
@@ -262,14 +241,11 @@ def _fill_section(container: Widget, handle: FcmHandle, capabilities,
 def build_capability_panel(handle: FcmHandle) -> Panel:
     """Generate a control panel purely from the FCM's descriptor.
 
-    Same widget ids and same FCM commands as the hand-written builder for
-    that type (the parity tests assert both), but zero per-type code:
-    appliances whose FCMs declare capabilities need no panel builder at
-    all.  Multi-component devices get one labelled section per component.
+    Zero per-type code: widget ids, commands and layout come from the
+    capabilities alone.  Multi-component devices get one labelled section
+    per component.
     """
     descriptor = handle.descriptor
-    if descriptor is None or not len(descriptor):
-        return build_generic_panel(handle)
     panel = Panel(title=f"{handle.device_name} {handle.fcm_type}")
     followers: dict[str, list] = {}
     components = descriptor.components()
@@ -292,381 +268,12 @@ def build_capability_panel(handle: FcmHandle) -> Panel:
     return panel
 
 
-# -- hand-written legacy builders ---------------------------------------------
-
-
-def build_tuner_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name} tuner")
-    top = Row(padding=0)
-    top.add(_power_toggle(handle))
-    station = Label(f"CH {handle.get('channel', 1)} "
-                    f"{handle.get('station', '')}")
-    station.widget_id = _wid(handle, "station")
-    top.add(station)
-    top.add(Spacer())
-    panel.add(top)
-
-    channels = Row(padding=0)
-    down = Button("CH-", on_click=lambda w: _act(handle, "channel.down"))
-    down.widget_id = _wid(handle, "ch-down")
-    up = Button("CH+", on_click=lambda w: _act(handle, "channel.up"))
-    up.widget_id = _wid(handle, "ch-up")
-    channels.add(down)
-    channels.add(up)
-    entry = TextField(max_length=2)
-    entry.widget_id = _wid(handle, "ch-entry")
-
-    def submit_channel(widget: Widget) -> None:
-        if widget.text.isdigit():
-            _act(handle, "channel.set", {"channel": int(widget.text)})
-        widget.clear()
-
-    entry.on_activate = submit_channel
-    channels.add(entry)
-    channels.add(Spacer())
-    panel.add(channels)
-
-    volume_row = Row(padding=0)
-    volume_row.add(Label("Vol"))
-    volume = Slider(0, 100, value=int(handle.get("volume", 0)), step=5)
-    volume.widget_id = _wid(handle, "volume")
-    volume.layout_stretch = 1
-    volume.on_activate = lambda w: _act(handle, "volume.set",
-                                                  {"volume": w.value})
-    volume_row.add(volume)
-    mute = ToggleButton("Mute", value=bool(handle.get("mute", False)))
-    mute.widget_id = _wid(handle, "mute")
-    mute.on_activate = lambda w: _act(handle, "mute.set", {"on": w.value})
-    volume_row.add(mute)
-    panel.add(volume_row)
-
-    def follow(key: str, value: object) -> None:
-        if key in ("channel", "station"):
-            station.text = (f"CH {handle.get('channel', 1)} "
-                            f"{handle.get('station', '')}")
-        elif key == "volume":
-            volume.value = int(value)  # type: ignore[arg-type]
-        elif key == "mute":
-            mute.value = bool(value)
-
-    _follow(panel, handle, follow)
-    return panel
-
-
-def build_display_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name} screen")
-    sources = ListBox(["tuner", "vcr", "dvd"])
-    sources.widget_id = _wid(handle, "source")
-    sources.on_activate = lambda w: _act(handle, 
-        "source.set", {"source": w.selected_item})
-    panel.add(sources)
-
-    bright_row = Row(padding=0)
-    bright_row.add(Label("Bright"))
-    brightness = Slider(0, 100, value=int(handle.get("brightness", 50)),
-                        step=10)
-    brightness.widget_id = _wid(handle, "brightness")
-    brightness.layout_stretch = 1
-    brightness.on_activate = lambda w: _act(handle, 
-        "brightness.set", {"brightness": w.value})
-    bright_row.add(brightness)
-    panel.add(bright_row)
-
-    def follow(key: str, value: object) -> None:
-        if key == "brightness":
-            brightness.value = int(value)  # type: ignore[arg-type]
-        elif key == "source":
-            items = sources.items
-            if value in items:
-                sources.selected = items.index(value)
-                sources.invalidate()
-
-    _follow(panel, handle, follow)
-    return panel
-
-
-def build_vcr_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name} deck")
-    top = Row(padding=0)
-    top.add(_power_toggle(handle))
-    status = Label(str(handle.get("transport", "stop")).upper())
-    status.widget_id = _wid(handle, "transport")
-    top.add(status)
-    counter = Label(f"{float(handle.get('counter', 0.0)):07.1f}")
-    counter.widget_id = _wid(handle, "counter")
-    top.add(counter)
-    top.add(Spacer())
-    panel.add(top)
-
-    transport = Row(padding=0)
-    for caption, opcode in (("<<", "transport.rew"), (">", "transport.play"),
-                            ("||", "transport.pause"), ("[]",
-                                                        "transport.stop"),
-                            (">>", "transport.ff"), ("REC",
-                                                     "transport.record")):
-        button = Button(caption,
-                        on_click=lambda w, op=opcode: _act(handle, op))
-        button.widget_id = _wid(handle, opcode.rsplit(".", 1)[1])
-        transport.add(button)
-    panel.add(transport)
-
-    eject = Button("Eject", on_click=lambda w: _act(handle, "tape.eject"))
-    eject.widget_id = _wid(handle, "eject")
-    panel.add(eject)
-
-    def follow(key: str, value: object) -> None:
-        if key == "transport":
-            status.text = str(value).upper()
-        elif key == "counter":
-            counter.text = f"{float(value):07.1f}"  # type: ignore[arg-type]
-        elif key == "tape_loaded":
-            eject.text = "Eject" if value else "No tape"
-
-    _follow(panel, handle, follow)
-    return panel
-
-
-def build_amplifier_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name}")
-    top = Row(padding=0)
-    top.add(_power_toggle(handle))
-    mute = ToggleButton("Mute", value=bool(handle.get("mute", False)))
-    mute.widget_id = _wid(handle, "mute")
-    mute.on_activate = lambda w: _act(handle, "mute.set", {"on": w.value})
-    top.add(mute)
-    top.add(Spacer())
-    panel.add(top)
-
-    volume_row = Row(padding=0)
-    volume_row.add(Label("Vol"))
-    volume = Slider(0, 100, value=int(handle.get("volume", 0)), step=5)
-    volume.widget_id = _wid(handle, "volume")
-    volume.layout_stretch = 1
-    volume.on_activate = lambda w: _act(handle, "volume.set",
-                                                  {"volume": w.value})
-    volume_row.add(volume)
-    panel.add(volume_row)
-
-    sources = ListBox(["cd", "tuner", "aux", "tv"])
-    sources.widget_id = _wid(handle, "source")
-    sources.on_activate = lambda w: _act(handle, 
-        "source.set", {"source": w.selected_item})
-    panel.add(sources)
-
-    def follow(key: str, value: object) -> None:
-        if key == "volume":
-            volume.value = int(value)  # type: ignore[arg-type]
-        elif key == "mute":
-            mute.value = bool(value)
-        elif key == "source":
-            items = sources.items
-            if value in items:
-                sources.selected = items.index(value)
-                sources.invalidate()
-
-    _follow(panel, handle, follow)
-    return panel
-
-
-def build_av_disc_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name}")
-    top = Row(padding=0)
-    top.add(_power_toggle(handle))
-    status = Label(str(handle.get("playback", "stop")).upper())
-    status.widget_id = _wid(handle, "playback")
-    top.add(status)
-    chapter = Label(f"Ch {handle.get('chapter', 1)}")
-    chapter.widget_id = _wid(handle, "chapter")
-    top.add(chapter)
-    top.add(Spacer())
-    panel.add(top)
-
-    transport = Row(padding=0)
-    for caption, opcode in (("|<", "chapter.prev"), (">", "playback.play"),
-                            ("||", "playback.pause"),
-                            ("[]", "playback.stop"), (">|", "chapter.next")):
-        button = Button(caption,
-                        on_click=lambda w, op=opcode: _act(handle, op))
-        button.widget_id = _wid(handle, opcode.replace(".", "-"))
-        transport.add(button)
-    panel.add(transport)
-
-    tray = Button("Open/Close")
-    tray.widget_id = _wid(handle, "tray")
-    tray.on_activate = lambda w: _act(handle, 
-        "tray.close" if handle.get("tray_open") else "tray.open")
-    panel.add(tray)
-
-    def follow(key: str, value: object) -> None:
-        if key == "playback":
-            status.text = str(value).upper()
-        elif key == "chapter":
-            chapter.text = f"Ch {value}"
-
-    _follow(panel, handle, follow)
-    return panel
-
-
-def build_aircon_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name}")
-    top = Row(padding=0)
-    top.add(_power_toggle(handle))
-    room = Label(f"Room {float(handle.get('room_temp', 0.0)):.1f}C")
-    room.widget_id = _wid(handle, "room")
-    top.add(room)
-    top.add(Spacer())
-    panel.add(top)
-
-    temp_row = Row(padding=0)
-    temp_row.add(Label("Set"))
-    target = Slider(16, 30, value=int(handle.get("target_temp", 25)))
-    target.widget_id = _wid(handle, "target")
-    target.layout_stretch = 1
-    target.on_activate = lambda w: _act(handle, "temp.set",
-                                                  {"temp": w.value})
-    temp_row.add(target)
-    target_label = Label(f"{handle.get('target_temp', 25)}C")
-    target_label.widget_id = _wid(handle, "target-label")
-    temp_row.add(target_label)
-    panel.add(temp_row)
-
-    modes = ListBox(["cool", "heat", "dry", "fan"])
-    modes.widget_id = _wid(handle, "mode")
-    modes.on_activate = lambda w: _act(handle, "mode.set",
-                                                 {"mode": w.selected_item})
-    panel.add(modes)
-
-    def follow(key: str, value: object) -> None:
-        if key == "room_temp":
-            room.text = f"Room {float(value):.1f}C"  # type: ignore[arg-type]
-        elif key == "target_temp":
-            target.value = int(value)  # type: ignore[arg-type]
-            target_label.text = f"{value}C"
-        elif key == "mode":
-            items = modes.items
-            if value in items:
-                modes.selected = items.index(value)
-                modes.invalidate()
-
-    _follow(panel, handle, follow)
-    return panel
-
-
-def build_light_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name}")
-    panel.add(_power_toggle(handle))
-    dim_row = Row(padding=0)
-    dim_row.add(Label("Dim"))
-    brightness = Slider(0, 100, value=int(handle.get("brightness", 100)),
-                        step=10)
-    brightness.widget_id = _wid(handle, "brightness")
-    brightness.layout_stretch = 1
-    brightness.on_activate = lambda w: _act(handle, 
-        "brightness.set", {"brightness": w.value})
-    dim_row.add(brightness)
-    panel.add(dim_row)
-
-    def follow(key: str, value: object) -> None:
-        if key == "brightness":
-            brightness.value = int(value)  # type: ignore[arg-type]
-
-    _follow(panel, handle, follow)
-    return panel
-
-
-def build_microwave_panel(handle: FcmHandle) -> Panel:
-    panel = Panel(title=f"{handle.device_name}")
-    status = Label("READY")
-    status.widget_id = _wid(handle, "status")
-    panel.add(status)
-
-    pending = {"seconds": 0}
-
-    time_row = Row(padding=0)
-    display = Label("0:00")
-    display.widget_id = _wid(handle, "time")
-
-    def refresh_display() -> None:
-        if handle.get("running"):
-            seconds = int(handle.get("remaining_s", 0))  # type: ignore[arg-type]
-        else:
-            seconds = pending["seconds"]
-        display.text = f"{seconds // 60}:{seconds % 60:02d}"
-
-    def add_time(amount: int) -> None:
-        pending["seconds"] = min(3600, pending["seconds"] + amount)
-        refresh_display()
-
-    for caption, amount in (("+10s", 10), ("+1m", 60), ("+10m", 600)):
-        button = Button(caption,
-                        on_click=lambda w, a=amount: add_time(a))
-        button.widget_id = _wid(handle, f"add{amount}")
-        time_row.add(button)
-    clear = Button("Clear")
-    clear.widget_id = _wid(handle, "clear")
-
-    def do_clear(widget: Widget) -> None:
-        pending["seconds"] = 0
-        refresh_display()
-
-    clear.on_activate = do_clear
-    time_row.add(clear)
-    time_row.add(display)
-    panel.add(time_row)
-
-    run_row = Row(padding=0)
-    start = Button("Start")
-    start.widget_id = _wid(handle, "start")
-
-    def do_start(widget: Widget) -> None:
-        if pending["seconds"] > 0:
-            _act(handle, "timer.start", {"seconds": pending["seconds"]})
-            pending["seconds"] = 0
-
-    start.on_activate = do_start
-    run_row.add(start)
-    stop = Button("Stop", on_click=lambda w: _act(handle, "timer.stop"))
-    stop.widget_id = _wid(handle, "stop")
-    run_row.add(stop)
-    door = Button("Door")
-    door.widget_id = _wid(handle, "door")
-    door.on_activate = lambda w: _act(handle, 
-        "door.close" if handle.get("door_open") else "door.open")
-    run_row.add(door)
-    panel.add(run_row)
-
-    power_row = Row(padding=0)
-    power_row.add(Label("Pwr"))
-    level = Slider(1, 10, value=int(handle.get("power_level", 7)))
-    level.widget_id = _wid(handle, "level")
-    level.layout_stretch = 1
-    level.on_activate = lambda w: _act(handle, "power_level.set",
-                                                 {"level": w.value})
-    power_row.add(level)
-    panel.add(power_row)
-
-    def follow(key: str, value: object) -> None:
-        if key == "running":
-            status.text = "COOKING" if value else "READY"
-            refresh_display()
-        elif key == "remaining_s":
-            refresh_display()
-        elif key == "door_open":
-            status.text = "DOOR OPEN" if value else (
-                "COOKING" if handle.get("running") else "READY")
-        elif key == "power_level":
-            level.value = int(value)  # type: ignore[arg-type]
-
-    _follow(panel, handle, follow)
-    return panel
-
-
 def build_generic_panel(handle: FcmHandle) -> Panel:
     """Fallback: an "unsupported" banner plus a live state dump.
 
-    Reached for FCM types with neither a capability descriptor nor a
-    hand-written builder — the panel says so instead of raising, so one
-    unknown device can never take the whole composed UI down.
+    Reached for FCMs that declare no capabilities, or whose descriptor
+    fetch failed — the panel says so instead of raising, so one unknown
+    device can never take the whole composed UI down.
     """
     panel = Panel(title=f"{handle.device_name} ({handle.fcm_type})")
     banner = Label(f"Unsupported appliance type: {handle.fcm_type}",
@@ -686,29 +293,10 @@ def build_generic_panel(handle: FcmHandle) -> Panel:
     return panel
 
 
-#: The legacy hand-written dispatch, kept for ``dynamic_panels=False``.
-PANEL_BUILDERS: dict[str, PanelBuilder] = {
-    "tuner": build_tuner_panel,
-    "display": build_display_panel,
-    "vcr": build_vcr_panel,
-    "amplifier": build_amplifier_panel,
-    "av_disc": build_av_disc_panel,
-    "aircon": build_aircon_panel,
-    "light": build_light_panel,
-    "microwave": build_microwave_panel,
-}
-
-
-def build_fcm_panel(handle: FcmHandle, dynamic: bool = True) -> Panel:
-    """Panel for any FCM.
-
-    Descriptor present (and ``dynamic`` on) -> generated panel; known
-    type -> legacy hand-written builder; anything else -> generic
-    fallback with an "unsupported" banner.
-    """
-    if dynamic and handle.descriptor is not None and len(handle.descriptor):
+def build_fcm_panel(handle: FcmHandle) -> Panel:
+    """Panel for any FCM: generated from its capability descriptor, or
+    the generic fallback for an FCM that declares no capabilities or whose
+    descriptor could not be fetched."""
+    if handle.descriptor is not None and len(handle.descriptor):
         return build_capability_panel(handle)
-    builder = PANEL_BUILDERS.get(handle.fcm_type)
-    if builder is not None:
-        return builder(handle)
     return build_generic_panel(handle)

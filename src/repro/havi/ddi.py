@@ -17,7 +17,9 @@ Components:
 * element model (:class:`DdiPanel`, :class:`DdiButton`, :class:`DdiToggle`,
   :class:`DdiRange`, :class:`DdiChoice`, :class:`DdiText`) with dict/JSON
   round-tripping,
-* per-FCM-type tree builders (:data:`DDI_SPECS`),
+* tree builders (:func:`build_tree`), which derive every FCM's elements
+  from its capability descriptor — the same metadata the GUI panels come
+  from — with a plain state dump for FCMs that declare none,
 * :class:`DdiServer` — one per DCM, answers ``ddi.get_tree`` /
   ``ddi.action``, posts ``ddi.changed`` events when FCM state moves,
 * :class:`DdiController` — client-side cache + action sender,
@@ -211,134 +213,12 @@ def element_from_dict(data: dict) -> DdiElement:
     raise HaviError(f"unknown DDI element kind {kind!r}")
 
 
-# -- per-FCM-type tree builders -------------------------------------------------
-
-
-def _tuner_spec(prefix, fcm):
-    return [
-        DdiToggle(f"{prefix}power", "Power", key="power",
-                  command="power.set", arg_name="on"),
-        DdiText(f"{prefix}station", "Station", key="station"),
-        DdiButton(f"{prefix}ch_up", "CH+", command="channel.up"),
-        DdiButton(f"{prefix}ch_down", "CH-", command="channel.down"),
-        DdiRange(f"{prefix}volume", "Volume", key="volume",
-                 command="volume.set", arg_name="volume",
-                 minimum=0, maximum=100, step=5),
-        DdiToggle(f"{prefix}mute", "Mute", key="mute",
-                  command="mute.set", arg_name="on"),
-    ]
-
-
-def _display_spec(prefix, fcm):
-    return [
-        DdiChoice(f"{prefix}source", "Source", key="source",
-                  command="source.set", arg_name="source",
-                  options=("tuner", "vcr", "dvd")),
-        DdiRange(f"{prefix}brightness", "Brightness", key="brightness",
-                 command="brightness.set", arg_name="brightness",
-                 minimum=0, maximum=100, step=10),
-    ]
-
-
-def _vcr_spec(prefix, fcm):
-    return [
-        DdiToggle(f"{prefix}power", "Power", key="power",
-                  command="power.set", arg_name="on"),
-        DdiText(f"{prefix}transport", "Transport", key="transport"),
-        DdiText(f"{prefix}counter", "Counter", key="counter"),
-        DdiButton(f"{prefix}play", "Play", command="transport.play"),
-        DdiButton(f"{prefix}stop", "Stop", command="transport.stop"),
-        DdiButton(f"{prefix}pause", "Pause", command="transport.pause"),
-        DdiButton(f"{prefix}rew", "Rew", command="transport.rew"),
-        DdiButton(f"{prefix}ff", "FF", command="transport.ff"),
-        DdiButton(f"{prefix}rec", "Rec", command="transport.record"),
-    ]
-
-
-def _amplifier_spec(prefix, fcm):
-    return [
-        DdiToggle(f"{prefix}power", "Power", key="power",
-                  command="power.set", arg_name="on"),
-        DdiRange(f"{prefix}volume", "Volume", key="volume",
-                 command="volume.set", arg_name="volume",
-                 minimum=0, maximum=100, step=5),
-        DdiToggle(f"{prefix}mute", "Mute", key="mute",
-                  command="mute.set", arg_name="on"),
-        DdiChoice(f"{prefix}source", "Source", key="source",
-                  command="source.set", arg_name="source",
-                  options=("cd", "tuner", "aux", "tv")),
-    ]
-
-
-def _av_disc_spec(prefix, fcm):
-    return [
-        DdiToggle(f"{prefix}power", "Power", key="power",
-                  command="power.set", arg_name="on"),
-        DdiText(f"{prefix}playback", "State", key="playback"),
-        DdiText(f"{prefix}chapter", "Chapter", key="chapter"),
-        DdiButton(f"{prefix}play", "Play", command="playback.play"),
-        DdiButton(f"{prefix}stop", "Stop", command="playback.stop"),
-        DdiButton(f"{prefix}next", "Next", command="chapter.next"),
-        DdiButton(f"{prefix}prev", "Prev", command="chapter.prev"),
-    ]
-
-
-def _aircon_spec(prefix, fcm):
-    return [
-        DdiToggle(f"{prefix}power", "Power", key="power",
-                  command="power.set", arg_name="on"),
-        DdiRange(f"{prefix}target", "Set temp", key="target_temp",
-                 command="temp.set", arg_name="temp",
-                 minimum=16, maximum=30),
-        DdiChoice(f"{prefix}mode", "Mode", key="mode",
-                  command="mode.set", arg_name="mode",
-                  options=("cool", "heat", "dry", "fan")),
-        DdiText(f"{prefix}room", "Room temp", key="room_temp"),
-    ]
-
-
-def _light_spec(prefix, fcm):
-    return [
-        DdiToggle(f"{prefix}power", "Power", key="power",
-                  command="power.set", arg_name="on"),
-        DdiRange(f"{prefix}brightness", "Dim", key="brightness",
-                 command="brightness.set", arg_name="brightness",
-                 minimum=0, maximum=100, step=10),
-    ]
-
-
-def _microwave_spec(prefix, fcm):
-    return [
-        DdiText(f"{prefix}running", "Cooking", key="running"),
-        DdiText(f"{prefix}remaining", "Remaining", key="remaining_s"),
-        DdiRange(f"{prefix}level", "Power", key="power_level",
-                 command="power_level.set", arg_name="level",
-                 minimum=1, maximum=10),
-        DdiButton(f"{prefix}cook30", "+30s cook", command="timer.start",
-                  args={"seconds": 30}),
-        DdiButton(f"{prefix}cook120", "2m cook", command="timer.start",
-                  args={"seconds": 120}),
-        DdiButton(f"{prefix}stop", "Stop", command="timer.stop"),
-    ]
+# -- tree builders ------------------------------------------------------------
 
 
 def _generic_spec(prefix, fcm):
     return [DdiText(f"{prefix}{key}", key, key=key)
             for key in sorted(fcm.state)]
-
-
-#: Hand-authored per-type specs, kept as the legacy path (and as the
-#: reference the descriptor-equivalence property test compares against).
-DDI_SPECS: dict[str, Callable] = {
-    "tuner": _tuner_spec,
-    "display": _display_spec,
-    "vcr": _vcr_spec,
-    "amplifier": _amplifier_spec,
-    "av_disc": _av_disc_spec,
-    "aircon": _aircon_spec,
-    "light": _light_spec,
-    "microwave": _microwave_spec,
-}
 
 
 def ddi_elements_from_descriptor(prefix: str, fcm: Fcm) -> list:
@@ -383,22 +263,21 @@ def ddi_elements_from_descriptor(prefix: str, fcm: Fcm) -> list:
     return sections
 
 
-def build_tree(dcm: Dcm, dynamic: bool = True) -> DdiPanel:
+def build_tree(dcm: Dcm) -> DdiPanel:
     """The DDI tree for one appliance, with current state filled in.
 
-    By default the tree derives from each FCM's capability descriptor;
-    ``dynamic=False`` selects the legacy hand-authored :data:`DDI_SPECS`.
+    Each FCM's elements derive from its capability descriptor; an FCM
+    that declares no capabilities exports its state keys as plain text.
     """
     root = DdiPanel(f"dcm:{dcm.guid[:8]}", dcm.name)
     for fcm in dcm.fcms:
         prefix = f"{fcm.seid.handle}:"
         panel = DdiPanel(f"{prefix}panel",
                          f"{dcm.name} {fcm.fcm_type.value}")
-        if dynamic and fcm.capabilities:
+        if fcm.capabilities:
             panel.children = ddi_elements_from_descriptor(prefix, fcm)
         else:
-            builder = DDI_SPECS.get(fcm.fcm_type.value, _generic_spec)
-            panel.children = builder(prefix, fcm)
+            panel.children = _generic_spec(prefix, fcm)
         for element in panel.walk():
             key = getattr(element, "key", "")
             if key:

@@ -202,8 +202,7 @@ class Home:
                  event_budget: int = DEFAULT_EVENT_BUDGET,
                  resilience: bool = False,
                  resume_grace_s: float = 30.0,
-                 heartbeat_s: float = 0.5,
-                 dynamic_panels: bool = True) -> None:
+                 heartbeat_s: float = 0.5) -> None:
         if transport not in TRANSPORT_KINDS:
             raise ValueError(f"unknown transport {transport!r} "
                              f"(expected one of {TRANSPORT_KINDS})")
@@ -220,8 +219,6 @@ class Home:
         self._resilience = resilience
         self._resume_grace_s = resume_grace_s
         self._heartbeat_s = heartbeat_s
-        #: False pins every view's app to the legacy hand-written panels.
-        self._dynamic_panels = dynamic_panels
         self.uniint_server = UniIntServer(None, self.scheduler,
                                           secret=secret,
                                           shared_encode=shared_encode,
@@ -301,7 +298,6 @@ class Home:
                     else f"uniint-home-app-{user_id}")
         app = HomeApplianceApplication(self.network, window,
                                        app_name=app_name,
-                                       dynamic_panels=self._dynamic_panels,
                                        command_log=self.command_log)
         display.map_fullscreen(window)
         surface = self.uniint_server.add_surface(display)

@@ -461,15 +461,14 @@ class ServerSession:
         ) or (enc.RAW,)
 
     def _encode_rect(self, packed) -> tuple[int, object]:
-        """(encoding, payload-array) for one rect, honouring adaptive modes.
+        """(encoding, payload-array) for one rect.
 
         Link-adaptive mode scores the tier's candidates with the bearer
         cost model (wire seconds + measured encode seconds); stateful
         codecs are trialled on stream clones, so losing trials never touch
         the live zlib stream.  Tier 0 skips the trials entirely — on a
         link where bytes are free, the first preferred codec wins outright.
-        Classic adaptive mode keeps its original smallest-of-stateless
-        behaviour.
+        Otherwise the client's first supported encoding is used.
         """
         if self.server.link_adaptive:
             candidates = self._candidates
@@ -479,12 +478,6 @@ class ServerSession:
             return (enc.best_encoding(self._encoder, packed, candidates,
                                       profile=profile,
                                       encode_costs=self._encode_costs),
-                    packed)
-        if self.server.adaptive:
-            candidates = tuple(
-                e for e in self.encodings
-                if e in (enc.RAW, enc.RRE, enc.HEXTILE)) or (enc.RAW,)
-            return (enc.best_encoding(self._encoder, packed, candidates),
                     packed)
         return (self._pick_encoding(), packed)
 
@@ -622,7 +615,6 @@ class UniIntServer:
                  scheduler: Scheduler,
                  name: str = "home-appliances",
                  secret: Optional[str] = None,
-                 adaptive: bool = False,
                  link_adaptive: bool = False,
                  shared_encode: bool = True,
                  tile_diff: bool = True,
@@ -648,8 +640,6 @@ class UniIntServer:
         self.sessions_resumed = 0
         self.sessions_expired = 0
         self.resume_misses = 0
-        #: Per-rect best-of trial encoding (ablation: see bench_ablations).
-        self.adaptive = adaptive
         #: Per-link adaptive encoder selection: each session seeds its
         #: compression tier and candidate order from its transport's
         #: LinkProfile, scores candidates with the bearer cost model

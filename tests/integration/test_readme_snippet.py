@@ -155,7 +155,7 @@ def test_readme_dynamic_panels_snippet():
     from repro.appliances import Refrigerator
     from repro.devices import Pda
 
-    home = Home()                               # dynamic_panels=True (default)
+    home = Home()
     home.add_appliance(Refrigerator("Fridge"))  # zero panel code, zero DDI spec
     home.add_device(Pda("pda", home.scheduler))
     home.settle()
@@ -169,14 +169,6 @@ def test_readme_dynamic_panels_snippet():
     assert fridge.get_state("ice_level") == 50  # generated button drove the FCM
     level = home.window.root.find(f"{guid8}.refrigerator.ice-level")
     assert level.value == 50                    # ...and the panel follows state
-
-    # the migration claim around the snippet: the legacy builders still
-    # compose the same ids when dynamic panels are pinned off
-    legacy = Home(dynamic_panels=False)
-    legacy.add_appliance(Television("TV"))
-    legacy.settle()
-    tv_guid8 = legacy.appliances["TV"].guid[:8]
-    assert legacy.window.root.find(f"{tv_guid8}.tuner.power") is not None
 
 
 def test_readme_adaptive_selection_snippet():

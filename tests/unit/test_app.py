@@ -3,14 +3,28 @@
 import pytest
 
 from repro.app import ApplianceHandle, FcmHandle, build_fcm_panel, compose_ui
-from repro.app.panels import PANEL_BUILDERS
+from repro.appliances import APPLIANCE_CLASSES
 from repro.havi import HomeNetwork, SEID, SoftwareElement
 from repro.havi.events import HaviEvent
 from repro.toolkit import Column, Label, Panel, TabPanel, UIWindow
 from repro.util.ids import guid_from_seed
 
 
-def make_handle(fcm_type="tuner", state=None):
+def shipped_fcms():
+    """fcm_type -> a live FCM, for every FCM a shipped appliance carries."""
+    network = HomeNetwork()
+    appliances = [cls(kind) for kind, cls in sorted(APPLIANCE_CLASSES.items())]
+    for appliance in appliances:
+        network.attach_device(appliance)
+    network.settle()
+    return {fcm.fcm_type.value: fcm
+            for appliance in appliances for fcm in appliance.dcm.fcms}
+
+
+SHIPPED_FCMS = shipped_fcms()
+
+
+def make_handle(fcm_type="tuner", state=None, described=False):
     network = HomeNetwork()
     app = SoftwareElement(SEID(guid_from_seed("test-app"), 0),
                           network.messaging)
@@ -22,6 +36,8 @@ def make_handle(fcm_type="tuner", state=None):
         "device.class": "tv",
     })
     handle.state.update(state or {})
+    if described:
+        handle.descriptor = SHIPPED_FCMS[fcm_type].capability_descriptor()
     return network, handle
 
 
@@ -66,11 +82,14 @@ class TestApplianceHandle:
 
 
 class TestPanelBuilders:
-    @pytest.mark.parametrize("fcm_type", sorted(PANEL_BUILDERS))
+    @pytest.mark.parametrize("fcm_type", sorted(SHIPPED_FCMS))
     def test_every_builder_produces_renderable_panel(self, fcm_type):
-        network, handle = make_handle(fcm_type)
+        network, handle = make_handle(
+            fcm_type, state=SHIPPED_FCMS[fcm_type].state, described=True)
         panel = build_fcm_panel(handle)
         assert isinstance(panel, Panel)
+        assert panel.find(f"{handle.guid_prefix}.{fcm_type}.unsupported") \
+            is None
         window = UIWindow(320, 400)
         root = Column()
         root.add(panel)
@@ -91,7 +110,8 @@ class TestPanelBuilders:
         assert "charge=3" in state_label.text
 
     def test_panel_widgets_follow_state(self):
-        network, handle = make_handle("tuner", state={"volume": 10})
+        network, handle = make_handle("tuner", state={"volume": 10},
+                                      described=True)
         panel = build_fcm_panel(handle)
         window = UIWindow(320, 200)
         root = Column()
@@ -103,7 +123,7 @@ class TestPanelBuilders:
         assert volume.value == 77
 
     def test_panel_widget_sends_command(self):
-        network, handle = make_handle("light")
+        network, handle = make_handle("light", described=True)
         panel = build_fcm_panel(handle)
         window = UIWindow(320, 200)
         root = Column()

@@ -85,12 +85,6 @@ class TestTreeModel:
         for capability in tuner.capabilities:
             assert f"1:{capability.name}" in ids
 
-    def test_legacy_tree_still_available(self):
-        tv = Television("TV")
-        home_with(tv)
-        tree = build_tree(tv.dcm, dynamic=False)
-        assert tree.find("1:ch_up") is not None  # legacy spec id
-
 
 class TestDdiServerLifecycle:
     def test_server_installed_per_appliance(self):

@@ -18,7 +18,7 @@ from repro import Home
 from repro.app import HomeApplianceApplication, build_fcm_panel
 from repro.app.composer import assign_guid_prefixes, compose_ui
 from repro.app.handles import ApplianceHandle, FcmHandle
-from repro.app.panels import PANEL_BUILDERS, build_capability_panel
+from repro.app.panels import build_capability_panel
 from repro.appliances import (
     APPLIANCE_CLASSES,
     AirConditioner,
@@ -30,6 +30,8 @@ from repro.devices import Pda
 from repro.havi import (
     Capability,
     CapabilityDescriptor,
+    FcmCommandError,
+    FcmType,
     HomeNetwork,
     SEID,
     SoftwareElement,
@@ -46,14 +48,13 @@ LEGACY = json.loads((Path(__file__).resolve().parents[1] / "fixtures"
 LEGACY_APPLIANCES = sorted(LEGACY["panels"])
 
 
-def make_app(*appliances, dynamic=True):
+def make_app(*appliances):
     network = HomeNetwork()
     for appliance in appliances:
         network.attach_device(appliance)
     network.settle()
     window = UIWindow(480, 420)
-    app = HomeApplianceApplication(network, window,
-                                   dynamic_panels=dynamic)
+    app = HomeApplianceApplication(network, window)
     network.settle()  # descriptor fetches land -> coalesced rebuild
     return network, window, app
 
@@ -128,14 +129,12 @@ class TestCommandParity:
         prefix = tv.guid[:8]
         window.root.find(f"{prefix}.tuner.power").toggle()
         network.settle()
-        from repro.havi import FcmType
         assert tv.dcm.fcm_by_type(FcmType.TUNER).get_state("power") is True
 
     def test_slider_drives_fcm_and_follows_state(self):
         tv = Television("TV")
         network, window, app = make_app(tv)
         prefix = tv.guid[:8]
-        from repro.havi import FcmType
         tuner = tv.dcm.fcm_by_type(FcmType.TUNER)
         tuner.invoke_local("power.set", {"on": True})
         network.settle()
@@ -155,7 +154,6 @@ class TestCommandParity:
         sources = window.root.find(f"{prefix}.display.source")
         sources._select(sources.items.index("dvd"), 3)
         network.settle()
-        from repro.havi import FcmType
         display = tv.dcm.fcm_by_type(FcmType.DISPLAY)
         assert display.get_state("source") == "dvd"
 
@@ -163,7 +161,6 @@ class TestCommandParity:
         tv = Television("TV")
         network, window, app = make_app(tv)
         prefix = tv.guid[:8]
-        from repro.havi import FcmType
         tuner = tv.dcm.fcm_by_type(FcmType.TUNER)
         tuner.invoke_local("power.set", {"on": True})
         entry = window.root.find(f"{prefix}.tuner.ch-entry")
@@ -218,13 +215,59 @@ class TestDescriptorFetch:
         network.settle()
         assert len(app.descriptors) == 0
 
-    def test_legacy_mode_never_fetches(self):
-        tv = Television("TV")
-        network, window, app = make_app(tv, dynamic=False)
-        assert app.rebuild_count == 1  # no descriptor replies, no rebuild
-        assert len(app.descriptors) == 0
-        for handle in app.appliances[0].fcms:
-            assert handle.descriptor is None
+
+class TestNoPlaceholderPanels:
+    """An appliance joins the composed UI only with every descriptor in
+    hand: while a ``capabilities.get`` is in flight there is no page for
+    it at all, never a generic "unsupported" stand-in."""
+
+    def test_no_generic_panel_while_descriptor_in_flight(self):
+        network = HomeNetwork()
+        fridge = Refrigerator("Fridge")
+        network.attach_device(fridge)
+        network.settle()
+        window = UIWindow(480, 420)
+        seen = []  # the "unsupported" widget ids of every composed root
+        set_root = window.set_root
+
+        def spy(root):
+            seen.append([w.widget_id for w in root.walk()
+                         if (w.widget_id or "").endswith(".unsupported")])
+            set_root(root)
+
+        window.set_root = spy
+        app = HomeApplianceApplication(network, window)
+        assert app.appliances == []  # descriptor in flight: no page yet
+        network.settle()
+        assert [a.name for a in app.appliances] == ["Fridge"]
+        for _ in range(4):  # hotplug swaps re-fetch every time
+            network.detach_device(fridge.guid)
+            network.settle()
+            fridge = Refrigerator("Fridge")
+            network.attach_device(fridge)
+            network.settle()
+            assert [a.name for a in app.appliances] == ["Fridge"]
+        assert len(seen) == app.rebuild_count > 4
+        assert seen == [[]] * len(seen)
+
+    def test_failed_fetch_still_gets_the_generic_panel(self):
+        network = HomeNetwork()
+        fridge = Refrigerator("Fridge")
+        network.attach_device(fridge)
+        network.settle()
+
+        def broken(payload):
+            raise FcmCommandError("EBROKEN", "descriptor store corrupt")
+
+        fcm = fridge.dcm.fcm_by_type(FcmType.REFRIGERATOR)
+        fcm._commands["capabilities.get"] = broken
+        window = UIWindow(480, 420)
+        app = HomeApplianceApplication(network, window)
+        network.settle()
+        assert [a.name for a in app.appliances] == ["Fridge"]
+        banner = window.root.find(
+            f"{fridge.guid[:8]}.refrigerator.unsupported")
+        assert banner is not None and "refrigerator" in banner.text
 
 
 class TestUnknownFcmFallback:
@@ -325,22 +368,9 @@ class TestListenerLifecycle:
         for handle in handles:
             assert handle.listeners == []
 
-    def test_legacy_builders_also_detach(self):
-        tv = Television("TV")
-        network, window, app = make_app(tv, dynamic=False)
-        before = {h.fcm_type: len(h.listeners)
-                  for h in app.appliances[0].fcms}
-        for _ in range(10):
-            app.rebuild()
-        for handle in app.appliances[0].fcms:
-            assert len(handle.listeners) == before[handle.fcm_type]
-
 
 class TestRefrigerator:
-    """The descriptor-only appliance: no panel builder, no DDI spec."""
-
-    def test_no_legacy_builder_registered(self):
-        assert "refrigerator" not in PANEL_BUILDERS
+    """The descriptor-only appliance: three labelled compartments."""
 
     def test_component_sections_render(self):
         fridge = Refrigerator("Fridge")
@@ -357,7 +387,6 @@ class TestRefrigerator:
         fridge = Refrigerator("Fridge")
         network, window, app = make_app(fridge)
         prefix = fridge.guid[:8]
-        from repro.havi import FcmType
         fcm = fridge.dcm.fcm_by_type(FcmType.REFRIGERATOR)
         target = window.root.find(f"{prefix}.refrigerator.freezer-target")
         target._set_and_notify(-20)
