@@ -30,7 +30,12 @@ import numpy as np
 
 from repro.graphics.pixelformat import RGB565
 from repro.graphics import ops
-from repro.net import TransportPair, make_transport_pair
+from repro.net import (
+    ReactorMember,
+    TransportPair,
+    make_pipe,
+    make_socket_transport_pair,
+)
 from repro.net.framing import FrameAssembler, encode_frame
 from repro.net.link import LOOPBACK
 from repro.net.transport import Transport, TransportStats
@@ -42,9 +47,6 @@ from repro.util.scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.proxy.proxy import UniIntProxy
-
-#: Back-compat alias for the factory's pair union.
-LinkPair = TransportPair
 
 
 class InteractionDevice:
@@ -67,7 +69,7 @@ class InteractionDevice:
         self.descriptor: DeviceDescriptor = self.build_descriptor()
         #: One transport pair per connected proxy, keyed by proxy id;
         #: ``pair.a`` is always the device-side endpoint.
-        self._pairs: dict[str, LinkPair] = {}
+        self._pairs: dict[str, TransportPair] = {}
         self._assemblers: dict[str, FrameAssembler] = {}
         #: Most recent frame shown on the device screen (if any).
         self.screen_image: Optional[DeviceImage] = None
@@ -88,11 +90,11 @@ class InteractionDevice:
         self.reconnect_max_attempts = 8
         self.link_reconnects = 0
         self.link_reconnects_failed = 0
-        #: Proxies we should redial (by proxy id), and the transport kind
-        #: each leg was dialed with.  Entries survive a link failure and
-        #: are removed only by a deliberate disconnect.
+        #: Proxies we should redial (by proxy id), and the reactor member
+        #: each leg was dialed on (None for a pipe).  Entries survive a
+        #: link failure and are removed only by a deliberate disconnect.
         self._proxies: dict[str, "UniIntProxy"] = {}
-        self._transports: dict[str, str] = {}
+        self._members: dict[str, Optional[ReactorMember]] = {}
         self._reconnect_rng = random.Random(
             repr(("device-reconnect", device_id, seed)))
 
@@ -111,7 +113,7 @@ class InteractionDevice:
         return tuple(sorted(self._pairs))
 
     @property
-    def _pipe(self) -> Optional[LinkPair]:
+    def _pipe(self) -> Optional[TransportPair]:
         """Legacy accessor: the transport pair of a singly-connected device.
 
         ``None`` when disconnected; ambiguous (and therefore also ``None``)
@@ -123,13 +125,14 @@ class InteractionDevice:
         return None
 
     def connect(self, proxy: "UniIntProxy",
-                transport: str = "pipe") -> None:
+                member: Optional[ReactorMember] = None) -> None:
         """Join a proxy over this device's bearer link.
 
         The leg rides the flow-controlled Transport stack: credit
         watermarks derive from the bearer's :class:`LinkProfile` whether
-        the bytes move over the simulated pipe (``transport="pipe"``) or a
-        real kernel socketpair (``transport="socket"``).
+        the bytes move over the simulated pipe (the default) or, given
+        the reactor ``member`` that drives this device's scheduler, a
+        real kernel socketpair on that reactor.
         """
         if proxy.scheduler is not self.scheduler:
             # events would fire on the wrong clock in a multi-scheduler
@@ -142,10 +145,10 @@ class InteractionDevice:
             raise ProxyError(f"device {self.device_id} already connected "
                              f"to proxy {proxy.proxy_id!r}")
         link = self.descriptor.link if self.descriptor.link else LOOPBACK
-        pair = make_transport_pair(
-            self.scheduler, link,
-            name=f"dev-{self.device_id}@{proxy.proxy_id}",
-            kind=transport, seed=self.seed)
+        name = f"dev-{self.device_id}@{proxy.proxy_id}"
+        pair = (make_pipe(self.scheduler, link, name=name, seed=self.seed)
+                if member is None
+                else make_socket_transport_pair(member, link, name=name))
         assembler = FrameAssembler(on_frame=self._on_frame_blob)
         pair.a.on_receive = assembler.feed
         pair.a.on_close = (
@@ -161,7 +164,7 @@ class InteractionDevice:
             pair.close()
             raise
         self._proxies[proxy.proxy_id] = proxy
-        self._transports[proxy.proxy_id] = transport
+        self._members[proxy.proxy_id] = member
 
     def disconnect(self, proxy_id: Optional[str] = None) -> None:
         """Drop the link to one proxy (or to all of them)."""
@@ -171,7 +174,7 @@ class InteractionDevice:
             pair = self._pairs.pop(pid, None)
             self._assemblers.pop(pid, None)
             self._proxies.pop(pid, None)
-            self._transports.pop(pid, None)
+            self._members.pop(pid, None)
             if pair is not None:
                 pair.a.on_close = None
                 pair.close()
@@ -200,7 +203,7 @@ class InteractionDevice:
                 or pid in self._pairs):
             return  # deliberately disconnected (or already relinked)
         try:
-            self.connect(proxy, transport=self._transports.get(pid, "pipe"))
+            self.connect(proxy, member=self._members.get(pid))
         except ProxyError:
             self._schedule_redial(proxy, attempt + 1)
             return

@@ -48,7 +48,7 @@ from repro.context.preferences import PreferenceStore
 from repro.devices.base import InteractionDevice
 from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.havi.manager import HomeNetwork
-from repro.net import TRANSPORT_KINDS, make_transport_pair
+from repro.net import make_pipe
 from repro.net.link import ETHERNET_100
 from repro.net.reactor import (
     DEFAULT_EVENT_BUDGET,
@@ -71,6 +71,10 @@ from repro.windows.server import DisplayServer
 #: The user every Home starts with (the classic single-user attributes
 #: — ``home.proxy``, ``home.context``, ... — resolve to this user).
 DEFAULT_USER = "resident"
+
+#: What a Home's UIP sessions ride: the virtual-time pipe, or real TCP on
+#: a reactor (whose device legs then ride reactor-registered socketpairs).
+TRANSPORTS = ("pipe", "tcp")
 
 
 class HomeView:
@@ -203,9 +207,9 @@ class Home:
                  resilience: bool = False,
                  resume_grace_s: float = 30.0,
                  heartbeat_s: float = 0.5) -> None:
-        if transport not in TRANSPORT_KINDS:
+        if transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r} "
-                             f"(expected one of {TRANSPORT_KINDS})")
+                             f"(expected one of {TRANSPORTS})")
         if reactor is not None and transport != "tcp":
             raise ValueError("a reactor only drives transport='tcp' homes")
         self.scheduler = scheduler if scheduler is not None else Scheduler()
@@ -229,12 +233,11 @@ class Home:
         self._secret = secret
         self._pixel_format = pixel_format
         self._transport = transport
-        # device legs of a TCP home ride real kernel socketpairs (devices
-        # are in-process peers, not TCP clients of the UIP listener)
-        self._leg_transport = "socket" if transport == "tcp" else transport
         self._backpressure = backpressure
         #: TCP mode: the I/O reactor, this home's membership in it, and
-        #: the real listening socket UIP clients dial.
+        #: the real listening socket UIP clients dial.  Device legs ride
+        #: socketpairs registered under the same membership (devices are
+        #: in-process peers, not TCP clients of the UIP listener).
         self.reactor: Optional[Reactor] = None
         self.reactor_member: Optional[ReactorMember] = None
         self.listener = None
@@ -358,7 +361,7 @@ class Home:
                             prefs, context, view)
             self.users[user_id] = user
             for device in self._shared_devices.values():
-                device.connect(proxy, transport=self._leg_transport)
+                device.connect(proxy, member=self.reactor_member)
             if self._shared_devices:
                 # the newcomer can use the shared pool right away (their
                 # situation decides what, the arbiter decides whether)
@@ -450,10 +453,9 @@ class Home:
         return found
 
     def _make_link(self, name: str):
-        # the simulated (or socketpair-backed) Ethernet backbone between
-        # the UniInt server and one user's proxy
-        return make_transport_pair(self.scheduler, ETHERNET_100,
-                                   name=name, kind=self._transport)
+        # the simulated Ethernet backbone between the UniInt server and
+        # one user's proxy
+        return make_pipe(self.scheduler, ETHERNET_100, name=name)
 
     def _dial(self, user_id: str, view: HomeView):
         """TCP mode: open the user's client leg to this home's listener.
@@ -587,12 +589,12 @@ class Home:
             device.auto_reconnect = True
         if shared:
             for home_user in self.users.values():
-                device.connect(home_user.proxy, transport=self._leg_transport)
+                device.connect(home_user.proxy, member=self.reactor_member)
             self._shared_devices[device.device_id] = device
             self._device_owner[device.device_id] = None
         else:
             owner = self.user(user if user is not None else DEFAULT_USER)
-            device.connect(owner.proxy, transport=self._leg_transport)
+            device.connect(owner.proxy, member=self.reactor_member)
             owner.devices[device.device_id] = device
             self._device_owner[device.device_id] = owner.user_id
         self.devices[device.device_id] = device
@@ -662,9 +664,10 @@ class Home:
 
         Disconnects every proxy and server session, closes the listener,
         then hard-closes whatever fds are still registered under this
-        home's member — deliberately *not* a graceful EOF drain, so one
-        stalled sibling on a shared reactor can never wedge another
-        home's teardown.  A home that owns its reactor closes it too.
+        home's member, device legs included — deliberately *not* a
+        graceful EOF drain, so one stalled sibling on a shared reactor
+        can never wedge another home's teardown.  A home that owns its
+        reactor closes it too.
         """
         if self.reactor is None:
             return

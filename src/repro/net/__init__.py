@@ -4,7 +4,9 @@ The 2002 prototype ran over a home LAN plus whatever bearer each interaction
 device had (802.11b for PDAs, PDC cellular links for phones, IrDA for
 remotes).  We model links as :class:`LinkProfile` objects (latency, bandwidth,
 jitter, loss) and move bytes over :class:`Pipe` endpoints scheduled on the
-virtual clock, so every delivery time is deterministic.
+virtual clock, so every delivery time is deterministic.  Real kernel
+byte streams — in-process socketpairs and TCP — ride
+:class:`SocketTransport` on a :class:`Reactor`.
 """
 
 from repro.net.link import (
@@ -42,43 +44,10 @@ from repro.net.transport import (
     make_socket_transport_pair,
 )
 from repro.util.errors import TransportError
-from repro.util.scheduler import Scheduler
 from typing import Union
 
-#: Both duplex transport pair flavours a leg can ride on.
+#: Both duplex transport pair flavours a device leg can ride on.
 TransportPair = Union[Pipe, SocketPair]
-
-#: Transport kinds a Home leg can ride on.  ``"pipe"`` and ``"socket"``
-#: are in-process pairs built by :func:`make_transport_pair`; ``"tcp"``
-#: is a real listener/connect leg driven by a :class:`Reactor` (built by
-#: :class:`TcpListener` + :func:`connect_tcp`, never as a pair).
-TRANSPORT_KINDS = ("pipe", "socket", "tcp")
-
-
-def make_transport_pair(scheduler: Scheduler,
-                        profile: LinkProfile = LOOPBACK,
-                        name: str = "link",
-                        kind: str = "pipe",
-                        seed: int = 0) -> TransportPair:
-    """One factory for every duplex transport leg in the stack.
-
-    ``kind="pipe"`` is the deterministic virtual-time pipe shaped by the
-    link profile's timing model; ``kind="socket"`` moves real bytes over a
-    kernel socketpair (no link timing, credit still sized from the
-    profile).  The Home facade and the device legs both dispatch here, so
-    a new transport kind lands in one place.
-    """
-    if kind == "pipe":
-        return make_pipe(scheduler, profile, name=name, seed=seed)
-    if kind == "socket":
-        return make_socket_transport_pair(scheduler, profile, name=name)
-    if kind == "tcp":
-        raise TransportError(
-            "tcp transports are not built as in-process pairs: accept one "
-            "side from a TcpListener and dial the other with connect_tcp "
-            "on a Reactor")
-    raise TransportError(f"unknown transport {kind!r} "
-                         f"(expected one of {TRANSPORT_KINDS})")
 
 
 __all__ = [
@@ -102,7 +71,6 @@ __all__ = [
     "ReactorMember",
     "SocketPair",
     "SocketTransport",
-    "TRANSPORT_KINDS",
     "TcpListener",
     "Transport",
     "TransportError",
@@ -116,5 +84,4 @@ __all__ = [
     "inject_socket_faults",
     "make_pipe",
     "make_socket_transport_pair",
-    "make_transport_pair",
 ]

@@ -15,8 +15,9 @@ first-class subsystem, usable from tests, benchmarks, and chaos drills:
   :class:`~repro.net.transport.SocketTransport` experiences EINTR /
   EAGAIN / ECONNRESET / partial writes exactly where the plan says.
 * :class:`FaultInjector` — reactor-level faults: RST a live transport,
-  partition a whole home (every fd it owns goes deaf, its clock keeps
-  running), crash a home inside its own event loop.
+  partition a whole home (every network fd it owns goes deaf while its
+  device legs stay live; its clock keeps running), crash a home inside
+  its own event loop.
 
 Everything is driven by explicit seeds and virtual-time schedulers, so a
 chaos run replays byte-for-byte: the same plan against the same fleet
@@ -387,7 +388,7 @@ class FaultInjector:
 
     def partition(self, reactor, member, seconds: Optional[float] = None,
                   scheduler: Optional[Scheduler] = None) -> None:
-        """Cut a reactor member off from all I/O (see
+        """Cut a reactor member off the network (see
         :meth:`~repro.net.reactor.Reactor.partition_member`); heal after
         ``seconds`` on the member's own clock if given."""
         self.log.append(("partition", member.name))

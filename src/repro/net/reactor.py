@@ -3,9 +3,10 @@ virtual-time :class:`~repro.util.scheduler.Scheduler`.
 
 One process, many homes.  Every :class:`Home` keeps its own deterministic
 scheduler and virtual clock; the :class:`Reactor` multiplexes all of them
-over one ``selectors.DefaultSelector`` (epoll on Linux) together with the
-real non-blocking sockets that carry UIP sessions in TCP mode.  A reactor
-*turn* is:
+over one ``selectors.DefaultSelector`` (epoll on Linux) together with
+every real non-blocking socket in the stack: the TCP legs that carry UIP
+sessions and the in-process socketpairs that carry device legs.  A
+reactor *turn* is:
 
 1. **Scheduler slice** — every registered :class:`ReactorMember` fires up
    to its *event budget* of events already due on its own clock
@@ -42,8 +43,13 @@ import traceback
 from typing import Callable, Optional
 
 from repro.net.link import ETHERNET_100, LinkProfile
+from repro.net.transport import SocketTransport
 from repro.util.errors import ReactorError, TransportError
 from repro.util.scheduler import Scheduler
+
+#: Address family of in-process socketpairs: such fds never cross a
+#: network, so a partition leaves them live.
+_LOCAL_FAMILY = getattr(socket, "AF_UNIX", None)
 
 #: Default per-member event budget per reactor turn.  Small enough that a
 #: runaway home yields the turn quickly, large enough that a healthy
@@ -125,6 +131,9 @@ class IOHandle:
         #: from the selector (fault injection: a partitioned home's sockets
         #: stay open, the kernel queues, nothing is dispatched).
         self.suspended = False
+        #: A network fd, which partitions cut.  An in-process socketpair
+        #: (a device's bearer leg) has no network to be cut from.
+        self.networked = getattr(fileobj, "family", None) != _LOCAL_FAMILY
 
     @property
     def events(self) -> int:
@@ -247,7 +256,8 @@ class Reactor:
             raise ReactorError(f"fd {fd} is already registered")
         handle = IOHandle(self, fileobj, on_readable, on_writable, member)
         self._handles[fd] = handle
-        if member is not None and id(member) in self._partitioned:
+        if (member is not None and id(member) in self._partitioned
+                and handle.networked):
             # fds born inside a partition are deaf until it heals: a
             # reconnect dialled across the cut must not sneak through.
             handle.suspended = True
@@ -304,13 +314,16 @@ class Reactor:
     # -- partitioning (fault injection) --------------------------------------
 
     def partition_member(self, member: ReactorMember) -> None:
-        """Cut a member off from I/O: every handle it owns (and any it
-        opens until :meth:`heal_member`) is suspended.  Its scheduler keeps
-        running — timers fire, heartbeats time out — but no byte crosses
-        the cut in either direction at the application layer."""
+        """Cut a member off the network: every network handle it owns (and
+        any it opens until :meth:`heal_member`) is suspended.  Its
+        scheduler keeps running — timers fire, heartbeats time out — but
+        no byte crosses the cut in either direction at the application
+        layer.  In-process socketpairs stay live: a device keeps talking
+        to its proxy, which is how the proxy notices the dead upstream."""
         self._partitioned.add(id(member))
         for handle in self.handles_of(member):
-            handle.suspend()
+            if handle.networked:
+                handle.suspend()
 
     def heal_member(self, member: ReactorMember) -> None:
         """Undo :meth:`partition_member`; queued kernel bytes dispatch on
@@ -559,16 +572,14 @@ def connect_tcp(reactor: Reactor, scheduler: Scheduler,
                 address: tuple[str, int],
                 profile: LinkProfile = ETHERNET_100,
                 name: str = "tcp-client",
-                member: Optional[ReactorMember] = None):
+                member: Optional[ReactorMember] = None) -> SocketTransport:
     """Open a non-blocking TCP client transport through the reactor.
 
-    Returns a reactor-registered
-    :class:`~repro.net.transport.SocketTransport` immediately; the connect
-    completes asynchronously (EPOLLOUT), and any bytes sent meanwhile wait
-    in the transport's outbox.  Drive the reactor to make progress.
+    Returns a reactor-registered :class:`SocketTransport` immediately; the
+    connect completes asynchronously (EPOLLOUT), and any bytes sent
+    meanwhile wait in the transport's outbox.  Drive the reactor to make
+    progress.
     """
-    from repro.net.transport import SocketTransport
-
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setblocking(False)
     try:
@@ -580,7 +591,5 @@ def connect_tcp(reactor: Reactor, scheduler: Scheduler,
         sock.close()
         raise TransportError(
             f"cannot connect to {address}: {error}") from error
-    transport = SocketTransport(scheduler, sock, profile, name,
-                                connecting=True)
-    transport.attach_reactor(reactor, member=member)
-    return transport
+    return SocketTransport(scheduler, sock, profile, name, reactor=reactor,
+                           member=member, connecting=True)

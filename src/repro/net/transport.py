@@ -21,11 +21,13 @@ Two implementations exist:
 * :class:`~repro.net.pipe.Endpoint` — the virtual-time simulated pipe
   (:func:`~repro.net.pipe.make_pipe`), where "queued" means scheduled but
   not yet delivered on the virtual clock;
-* :class:`SocketTransport` — an in-process ``socket.socketpair`` carrying
-  real bytes through the kernel, proving the stack runs over genuine byte
-  streams.  Writes use ``sendmsg`` with the chunk list as the iovec;
-  "queued" means written-but-not-yet-read-by-the-peer (plus any userspace
-  outbox backlog when the kernel buffer is full).
+* :class:`SocketTransport` — a real kernel byte stream, either an
+  in-process ``socket.socketpair`` (:func:`make_socket_transport_pair`)
+  or a TCP connection, pumped by I/O readiness on a
+  :class:`~repro.net.reactor.Reactor`.  Writes use ``sendmsg`` with the
+  chunk list as the iovec; "queued" means written-but-not-yet-read-by-
+  the-peer (plus any userspace outbox backlog when the kernel buffer is
+  full).
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ import socket
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.net.link import LOOPBACK, LinkProfile
 from repro.util.errors import TransportClosed, TransportError
 from repro.util.scheduler import Scheduler
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.reactor import Reactor, ReactorMember
 
 #: What :meth:`Transport.send` accepts: one bytes-like or a chunk list.
 Payload = Union[bytes, bytearray, memoryview, Sequence[bytes]]
@@ -259,29 +264,25 @@ class Transport:
 class SocketTransport(Transport):
     """One end of a real kernel byte stream (socketpair or TCP).
 
-    All I/O is non-blocking, so the virtual-time stack drives real
-    sockets without threads: a send writes what the kernel buffer takes
-    (via ``sendmsg`` with the chunk list as the iovec) and parks the rest
-    in a userspace outbox.  Two pumping modes exist:
-
-    * **scheduler-pumped** (the in-process socketpair of
-      :func:`make_socket_transport_pair`): pumps run as scheduler events;
-      the peer's receive pump drains the kernel buffer, releases the
-      sender's credit, and reschedules the sender's outbox flush.
-    * **reactor-registered** (:meth:`attach_reactor` — every TCP leg):
-      pumps run on I/O readiness.  Write interest is armed exactly while
-      the outbox is non-empty (or a connect is still in flight) and
-      disarmed once drained, so a full kernel buffer is an EPOLLOUT wait,
-      never a stall.
+    Every socket rides a :class:`~repro.net.reactor.Reactor`: the
+    constructor registers it, and its pumps run on I/O readiness, so the
+    virtual-time stack drives real sockets without threads.  A send
+    writes what the kernel buffer takes (via ``sendmsg`` with the chunk
+    list as the iovec) and parks the rest in a userspace outbox.  Read
+    interest is permanent while open; write interest is armed exactly
+    while the outbox is non-empty (or a connect is still in flight) and
+    disarmed once drained, so a full kernel buffer is an EPOLLOUT wait,
+    never a stall.  Both are level-triggered: a pump that stops early
+    (EINTR, EAGAIN, a spent receive budget) is polled again next turn.
 
     Unlike the simulated pipe there is no link timing model — bytes move
-    at whatever pace the pumps run — but the credit watermarks still come
-    from the declared :class:`LinkProfile`, so backpressure behaviour
-    matches a real deployment of that bearer.  With an in-process peer,
-    credit covers written-but-not-yet-read-by-the-peer bytes; without one
-    (a real TCP link) the kernel socket buffer *is* the wire, so credit
-    covers the userspace outbox and is released as the kernel accepts
-    bytes.
+    at whatever pace the reactor turns — but the credit watermarks still
+    come from the declared :class:`LinkProfile`, so backpressure
+    behaviour matches a real deployment of that bearer.  With an
+    in-process peer, credit covers written-but-not-yet-read-by-the-peer
+    bytes; without one (a real TCP link) the kernel socket buffer *is*
+    the wire, so credit covers the userspace outbox and is released as
+    the kernel accepts bytes.
     """
 
     #: Cap on iovec entries per sendmsg call (IOV_MAX is much larger, but
@@ -295,52 +296,44 @@ class SocketTransport(Transport):
 
     def __init__(self, scheduler: Scheduler, sock: socket.socket,
                  profile: LinkProfile = LOOPBACK,
-                 name: str = "socket",
+                 name: str = "socket", *,
+                 reactor: "Reactor",
+                 member: Optional["ReactorMember"] = None,
                  connecting: bool = False) -> None:
+        """Register ``sock`` with ``reactor``, attributing callback errors
+        to ``member`` for per-home containment.  ``scheduler`` runs the
+        deferred ``on_close`` callbacks."""
         super().__init__(profile, name)
         sock.setblocking(False)
         self._scheduler = scheduler
         self._sock = sock
         self._peer: Optional["SocketTransport"] = None
         self._outbox: deque[memoryview] = deque()
-        self._recv_scheduled = False
-        self._send_scheduled = False
         self._wr_shutdown = False
         #: Non-blocking connect still in flight (TCP client legs): sends
         #: wait in the outbox until EPOLLOUT confirms the connect.
         self._connecting = connecting
-        self._reactor_handle = None
         # Inbound message boundaries (in-process peers record each send's
         # length here) so messages_received counts framed messages, not
         # recv() syscalls — see TransportStats.
         self._rx_boundaries: deque[int] = deque()
         self._rx_into_head = 0
+        self._handle = reactor.register(
+            sock, on_readable=self._pump_recv,
+            on_writable=self._on_io_writable, member=member)
+        if connecting:
+            self._handle.set_write_interest(True)
 
     def _attach(self, peer: "SocketTransport") -> None:
         self._peer = peer
 
-    # -- reactor integration -------------------------------------------------
-
-    def attach_reactor(self, reactor, member=None) -> None:
-        """Drive the pumps from I/O readiness instead of scheduler events.
-
-        Registers the socket with ``reactor`` (attributing callback errors
-        to ``member`` for per-home containment).  Read interest is
-        permanent while open; write interest tracks the outbox.
-        """
-        if self._reactor_handle is not None:
-            raise TransportError(
-                f"transport {self.name} is already reactor-registered")
-        self._reactor_handle = reactor.register(
-            self._sock, on_readable=self._pump_recv,
-            on_writable=self._on_io_writable, member=member)
-        if self._connecting or self._outbox:
-            self._reactor_handle.set_write_interest(True)
-
-    def _release_reactor(self) -> None:
-        if self._reactor_handle is not None:
-            self._reactor_handle.unregister()
-            self._reactor_handle = None
+    def _release(self) -> None:
+        """Leave the reactor and close the fd (idempotent)."""
+        self._handle.unregister()
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover
+            pass
 
     def _on_io_writable(self) -> None:
         if self._connecting:
@@ -366,26 +359,11 @@ class SocketTransport(Transport):
         self._outbox.extend(memoryview(c) for c in chunks if len(c))
         self._pump_send()
 
-    def _schedule_send(self) -> None:
-        if self._reactor_handle is not None:
-            self._reactor_handle.set_write_interest(True)
-            return
-        # after close() the pump keeps running until the outbox drains
-        # (close() promises queued bytes still reach the peer)
-        if not self._send_scheduled and (self._outbox
-                                         or not self._wr_shutdown):
-            self._send_scheduled = True
-            self._scheduler.call_soon(self._pump_send_event)
-
-    def _pump_send_event(self) -> None:
-        self._send_scheduled = False
-        self._pump_send()
-
     def _pump_send(self) -> None:
         if self._connecting:
-            # nowhere to write yet: bytes wait in the outbox and EPOLLOUT
-            # (connect completion) re-enters here
-            self._arm_send_continuation()
+            # nowhere to write yet: bytes wait in the outbox, and the
+            # write interest armed at construction re-enters here once
+            # the connect completes
             return
         accepted = 0
         while self._outbox:
@@ -396,13 +374,7 @@ class SocketTransport(Transport):
                     break
             try:
                 sent = self._sock.sendmsg(iov)
-            except InterruptedError:
-                # EINTR: retry from our own event — the peer-drain
-                # continuation below only works once bytes have actually
-                # entered the kernel, which EINTR does not guarantee
-                self._schedule_send()
-                break
-            except BlockingIOError:
+            except (BlockingIOError, InterruptedError):
                 break
             except OSError:
                 self._on_reset()
@@ -421,60 +393,27 @@ class SocketTransport(Transport):
             # the kernel accepts them they have left our queue (the TCP
             # socket buffer is the wire)
             self._credit_release(accepted)
-        if self._outbox:
-            # kernel buffer full with frames still queued: arm a
-            # continuation *now* — readiness (reactor) or the peer's
-            # drain (scheduler) — so nothing depends on an unrelated
-            # write coming along to restart the flush
-            self._arm_send_continuation()
-        elif self._reactor_handle is not None:
-            self._reactor_handle.set_write_interest(False)
-        if self._peer is not None:
-            self._peer._schedule_recv()
+        # write interest tracks the outbox: a flush cut short by a full
+        # buffer, EAGAIN or EINTR resumes on EPOLLOUT, never waiting for
+        # an unrelated write to come along
+        self._handle.set_write_interest(bool(self._outbox))
         if not self._outbox and self._wr_shutdown:
             try:
                 self._sock.shutdown(socket.SHUT_WR)
             except OSError:  # pragma: no cover - already reset
                 pass
 
-    def _arm_send_continuation(self) -> None:
-        """Guarantee the outbox flush resumes once it can.
-
-        Reactor mode arms EPOLLOUT; scheduler mode schedules the peer's
-        receive pump, whose drain frees kernel buffer space and
-        reschedules this sender (see :meth:`_pump_recv`).
-        """
-        if self._reactor_handle is not None:
-            self._reactor_handle.set_write_interest(True)
-        elif self._peer is not None:
-            self._peer._schedule_recv()
-
     # -- receiving ------------------------------------------------------------
 
-    def _schedule_recv(self) -> None:
-        if self._reactor_handle is not None:
-            return  # level-triggered read interest covers it
-        if not self._recv_scheduled and self._open:
-            self._recv_scheduled = True
-            self._scheduler.call_soon(self._pump_recv)
-
     def _pump_recv(self) -> None:
-        self._recv_scheduled = False
         if not self._open:
-            if self._reactor_handle is not None:
-                self._reap_eof()
+            self._reap_eof()
             return
         budget = self.RECV_BUDGET
         while budget > 0:
             try:
                 data = self._sock.recv(min(65536, budget))
-            except InterruptedError:
-                # EINTR: bytes may already be waiting, so unlike EAGAIN
-                # this must retry without depending on a new readiness
-                # edge or peer send
-                self._schedule_recv()
-                break
-            except BlockingIOError:
+            except (BlockingIOError, InterruptedError):
                 break
             except OSError:
                 data = b""
@@ -486,18 +425,10 @@ class SocketTransport(Transport):
             self._note_received(len(data))
             if self._peer is not None:
                 self._peer._credit_release(len(data))
-                if self._peer._outbox:
-                    # arm the peer's stalled flush *before* dispatching:
-                    # the drain freed kernel buffer space, and that must
-                    # translate into a scheduled send even if the receive
-                    # callback below raises
-                    self._peer._schedule_send()
             self._dispatch(data)
-        else:
-            # budget spent with bytes possibly remaining: yield so other
-            # links' events interleave this turn, then resume.  (In
-            # reactor mode the level-triggered poll resumes on its own.)
-            self._schedule_recv()
+        # bytes left by EINTR or a spent budget stay readable: the
+        # level-triggered poll resumes the drain next turn, after every
+        # other link has had its go
 
     def _note_received(self, nbytes: int) -> None:
         """Advance the framed-message counter by ``nbytes`` of stream.
@@ -523,8 +454,8 @@ class SocketTransport(Transport):
                 self.stats.messages_received += 1
 
     def _reap_eof(self) -> None:
-        """Closed-side drain (reactor mode): discard the remote's last
-        bytes and release the fd once its EOF arrives."""
+        """Closed-side drain: discard the remote's last bytes and release
+        the fd once its EOF arrives."""
         while True:
             try:
                 data = self._sock.recv(65536)
@@ -533,11 +464,7 @@ class SocketTransport(Transport):
             except OSError:
                 data = b""
             if not data:
-                self._release_reactor()
-                try:
-                    self._sock.close()
-                except OSError:  # pragma: no cover
-                    pass
+                self._release()
                 return
 
     def _on_eof(self) -> None:
@@ -550,11 +477,7 @@ class SocketTransport(Transport):
         self._outbox.clear()
         self._rx_boundaries.clear()
         self._credit_release(self._queued)
-        self._release_reactor()
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._release()
         if self.on_close is not None:
             self.on_close()
 
@@ -565,24 +488,17 @@ class SocketTransport(Transport):
         *all* charged credit (not just the userspace outbox — bytes in
         the kernel buffer are equally undeliverable) and close this side,
         otherwise a backpressure-honouring sender would wait forever on
-        credit that cannot come back.
+        credit that cannot come back.  The peer learns of the reset from
+        its own readiness poll.
         """
         self._outbox.clear()
         self._rx_boundaries.clear()
         was_open = self._open
         self._open = False
         self._credit_release(self._queued)
-        self._release_reactor()
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._release()
         if was_open and self.on_close is not None:
             self._scheduler.call_soon(self.on_close)
-        if self._peer is not None:
-            # scheduler mode has no readiness poll: the peer only learns
-            # of the reset if its recv pump runs and reads the EOF/RST
-            self._peer._schedule_recv()
 
     # -- closing ------------------------------------------------------------
 
@@ -612,10 +528,9 @@ class SocketTransport(Transport):
 
         Mirrors :meth:`Endpoint.close`'s TCP-like semantics: data already
         queued toward the peer is flushed, then the write side shuts down
-        so the peer's pump sees EOF and fires its ``on_close``.  A
-        reactor-registered transport keeps its fd until the remote's EOF
-        arrives back (so the final flush is never cut short by a reset),
-        then releases it.
+        so the peer's pump sees EOF and fires its ``on_close``.  The fd
+        stays registered until the remote's EOF arrives back (so the
+        final flush is never cut short by a reset), then is released.
         """
         if not self._open:
             return
@@ -624,17 +539,14 @@ class SocketTransport(Transport):
         if self.on_close is not None:
             self._scheduler.call_soon(self.on_close)
         if self._outbox:
-            # flush what the kernel takes now; the armed continuation
-            # (readiness or the peer's drain) delivers the rest, and
-            # _pump_send issues SHUT_WR once the outbox empties
+            # flush what the kernel takes now; EPOLLOUT delivers the
+            # rest, and _pump_send issues SHUT_WR once the outbox empties
             self._pump_send()
         else:
             try:
                 self._sock.shutdown(socket.SHUT_WR)
             except OSError:
                 pass
-        if self._peer is not None:
-            self._peer._schedule_recv()
 
 
 @dataclass
@@ -653,13 +565,15 @@ class SocketPair:
 
 
 def make_socket_transport_pair(
-    scheduler: Scheduler,
+    member: "ReactorMember",
     profile: LinkProfile = LOOPBACK,
     name: str = "socket",
 ) -> SocketPair:
     """An in-process duplex byte stream over a real ``socketpair``.
 
-    Drop-in substitute for :func:`~repro.net.pipe.make_pipe` wherever the
+    Both halves register with ``member``'s reactor and serve its
+    scheduler, so a fault in either half's callbacks is that member's
+    fault.  Stands in for :func:`~repro.net.pipe.make_pipe` wherever the
     stack needs proving against genuine kernel byte streams (arbitrary
     chunk re-segmentation, EOF-based close) rather than the simulator's
     message-boundary-preserving delivery.
@@ -668,8 +582,10 @@ def make_socket_transport_pair(
         sock_a, sock_b = socket.socketpair()
     except OSError as error:  # pragma: no cover - platform without AF_UNIX
         raise TransportError(f"cannot create socketpair: {error}") from error
-    a = SocketTransport(scheduler, sock_a, profile, f"{name}.a")
-    b = SocketTransport(scheduler, sock_b, profile, f"{name}.b")
+    a = SocketTransport(member.scheduler, sock_a, profile, f"{name}.a",
+                        reactor=member.reactor, member=member)
+    b = SocketTransport(member.scheduler, sock_b, profile, f"{name}.b",
+                        reactor=member.reactor, member=member)
     a._attach(b)
     b._attach(a)
     return SocketPair(a=a, b=b)

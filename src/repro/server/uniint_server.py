@@ -796,8 +796,8 @@ class UniIntServer:
         def on_accept(conn, addr):
             transport = SocketTransport(
                 self.scheduler, conn, link_profile,
-                name=f"{self.name}-tcp-{addr[1]}")
-            transport.attach_reactor(reactor, member=member)
+                name=f"{self.name}-tcp-{addr[1]}",
+                reactor=reactor, member=member)
             surface = (surface_for(conn, addr)
                        if surface_for is not None else None)
             self.accept(transport, surface=surface)

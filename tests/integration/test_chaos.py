@@ -73,9 +73,10 @@ class TestSeededFaultSchedule:
         # RSTs: the user's upstream TCP leg dies with a hard reset
         for home in rst_homes:
             chaos.rst(home.session.upstream.endpoint)
-        # stalls: the whole home falls off the reactor for 2 s; stylus
-        # taps during the blackout wake the heartbeats, which is how the
-        # dead link is actually noticed (TCP alone would just buffer)
+        # stalls: the home's network sockets fall off the reactor for 2 s;
+        # stylus taps over the still-live device leg wake the heartbeats,
+        # which is how the dead link is actually noticed (TCP alone would
+        # just buffer)
         for home in stall_homes:
             chaos.partition_home(home, seconds=STALL_S)
             pda = sole_device(home)

@@ -48,7 +48,7 @@ class TestTcpHome:
         from repro.net import Reactor
         reactor = Reactor()
         with pytest.raises(ValueError):
-            Home(transport="socket", reactor=reactor)
+            Home(transport="pipe", reactor=reactor)
         reactor.close()
 
 

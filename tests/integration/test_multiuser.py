@@ -329,7 +329,8 @@ class TestOwnershipArbitration:
 
 class TestMultiUserSocketTransport:
     def test_two_users_over_real_socketpairs(self):
-        home = Home(transport="socket")
+        # device legs of a TCP home are socketpairs on the home's reactor
+        home = Home(transport="tcp")
         home.add_appliance(Television("TV"))
         home.add_user("guest")
         home.add_device(Pda("pda", home.scheduler))
@@ -339,3 +340,4 @@ class TestMultiUserSocketTransport:
         assert home.user("guest").session.upstream.ready
         assert home.devices["pda"].frames_received >= 1
         assert home.devices["guest-pda"].frames_received >= 1
+        home.close()

@@ -2,9 +2,9 @@
 
 The acceptance bar for the Transport abstraction: the server/proxy stack
 must behave identically whether bytes move over the simulated pipe or a
-genuine kernel byte stream (:func:`make_socket_transport_pair`), which
-re-segments chunks arbitrarily and signals close via EOF instead of a
-scheduler event.
+genuine kernel byte stream (:func:`make_socket_transport_pair` on a
+reactor), which re-segments chunks arbitrarily and signals close via EOF
+instead of a scheduler event.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro import Home
 from repro.appliances import Television
 from repro.devices import RemoteControl
 from repro.graphics import RGB565, RGB888
-from repro.net import make_socket_transport_pair
+from repro.net import Reactor, make_socket_transport_pair
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
 from repro.toolkit import Button, Column, Label, ToggleButton, UIWindow
@@ -24,7 +24,9 @@ from repro.windows import DisplayServer
 
 def build_stack(width=400, height=300, pixel_format=RGB888):
     """The test_thin_client stack, but over a socketpair transport."""
+    reactor = Reactor()
     scheduler = Scheduler()
+    member = reactor.add_scheduler(scheduler)
     display = DisplayServer(width, height)
     window = UIWindow(width, height)
     col = Column()
@@ -40,73 +42,75 @@ def build_stack(width=400, height=300, pixel_format=RGB888):
     display.map_fullscreen(window)
     server = UniIntServer(display, scheduler)
     proxy = UniIntProxy(scheduler)
-    pair = make_socket_transport_pair(scheduler, name="server-link")
+    pair = make_socket_transport_pair(member, name="server-link")
     server.accept(pair.a)
     session = proxy.connect(pair.b, pixel_format=pixel_format)
-    return scheduler, display, window, server, proxy, session
+    return reactor, display, window, server, proxy, session
 
 
 class TestSocketSession:
     def test_handshake_and_initial_frame(self):
-        scheduler, display, window, server, proxy, session = build_stack()
-        scheduler.run_until_idle()
+        reactor, display, window, server, proxy, session = build_stack()
+        reactor.run_until_idle()
         assert session.upstream.ready
         assert session.upstream.framebuffer is not None
         assert session.upstream.framebuffer == display.framebuffer
 
     def test_mirror_tracks_ui_changes(self):
-        scheduler, display, window, server, proxy, session = build_stack()
-        scheduler.run_until_idle()
+        reactor, display, window, server, proxy, session = build_stack()
+        reactor.run_until_idle()
         window.root.find("status").text = "CHANGED TEXT"
-        scheduler.run_until_idle()
+        reactor.run_until_idle()
         assert session.upstream.framebuffer == display.framebuffer
 
     def test_key_event_roundtrip_drives_widget(self):
-        scheduler, display, window, server, proxy, session = build_stack()
-        scheduler.run_until_idle()
+        reactor, display, window, server, proxy, session = build_stack()
+        reactor.run_until_idle()
         session.upstream.press_key(keysyms.RETURN)  # toggle has focus
-        scheduler.run_until_idle()
+        reactor.run_until_idle()
         assert window.root.find("status").text == "ON"
         assert session.upstream.framebuffer == display.framebuffer
 
     def test_rgb565_wire_format(self):
-        scheduler, display, window, server, proxy, session = build_stack(
+        reactor, display, window, server, proxy, session = build_stack(
             pixel_format=RGB565)
-        scheduler.run_until_idle()
+        reactor.run_until_idle()
         window.root.find("status").text = "565 WIRE"
-        scheduler.run_until_idle()
+        reactor.run_until_idle()
         # RGB565 is lossy; compare through the wire format's round trip
         mirror = session.upstream.framebuffer
         assert mirror is not None and mirror.size == display.framebuffer.size
 
     def test_close_propagates_to_server(self):
-        scheduler, display, window, server, proxy, session = build_stack()
-        scheduler.run_until_idle()
+        reactor, display, window, server, proxy, session = build_stack()
+        reactor.run_until_idle()
         assert len(server.sessions) == 1
         session.close()
-        scheduler.run_until_idle()
+        reactor.run_until_idle()
         assert len(server.sessions) == 0
 
     def test_server_side_close_reaches_client(self):
-        scheduler, display, window, server, proxy, session = build_stack()
-        scheduler.run_until_idle()
+        reactor, display, window, server, proxy, session = build_stack()
+        reactor.run_until_idle()
         server.sessions[0].close()
-        scheduler.run_until_idle()
+        reactor.run_until_idle()
         assert session.upstream.closed
 
     def test_many_churn_rounds_stay_pixel_identical(self):
-        scheduler, display, window, server, proxy, session = build_stack()
-        scheduler.run_until_idle()
+        reactor, display, window, server, proxy, session = build_stack()
+        reactor.run_until_idle()
         label = window.root.find("status")
         for round_no in range(25):
             label.text = f"round {round_no}"
-            scheduler.run_until_idle()
+            reactor.run_until_idle()
             assert session.upstream.framebuffer == display.framebuffer
 
 
 class TestSocketHome:
     def test_full_home_over_sockets(self):
-        home = Home(transport="socket")
+        # a TCP home: UIP over TCP, the remote's leg over a socketpair,
+        # every socket on the home's reactor
+        home = Home(transport="tcp")
         home.add_appliance(Television("TV"))
         remote = RemoteControl("clicker", home.scheduler)
         home.add_device(remote)
@@ -117,7 +121,9 @@ class TestSocketHome:
         home.settle()
         assert home.session.upstream.framebuffer == home.display.framebuffer
         assert home.server_session.key_events > 0
+        home.close()
 
     def test_rejects_unknown_transport(self):
-        with pytest.raises(ValueError):
-            Home(transport="carrier-pigeon")
+        for transport in ("carrier-pigeon", "socket"):
+            with pytest.raises(ValueError):
+                Home(transport=transport)

@@ -24,9 +24,10 @@ from repro.net import (
     FaultPlan,
     FaultyTransport,
     LOOPBACK,
+    Reactor,
     inject_socket_faults,
+    make_pipe,
     make_socket_transport_pair,
-    make_transport_pair,
 )
 from repro.net.framing import FrameAssembler, encode_frame
 from repro.uip import (
@@ -45,10 +46,11 @@ from tests.helpers import HostileSocket
 
 
 def hostile_faulted_pair(seed, offsets):
-    """A socket transport pair: side a gets the hostile kernel *and* a
-    scheduled fault plan; side b gets the hostile kernel."""
-    sched = Scheduler()
-    pair = make_socket_transport_pair(sched)
+    """A reactor and a socket transport pair on it: side a gets the
+    hostile kernel *and* a scheduled fault plan; side b gets the hostile
+    kernel."""
+    reactor = Reactor()
+    pair = make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
     rng = random.Random(seed)
     pair.a._sock = HostileSocket(pair.a._sock, rng)
     pair.b._sock = HostileSocket(pair.b._sock, rng)
@@ -58,7 +60,7 @@ def hostile_faulted_pair(seed, offsets):
         plan.errno_at(offset, errno.EINTR, side="recv")
     inject_socket_faults(pair.a, plan)
     inject_socket_faults(pair.b, plan)
-    return sched, pair
+    return reactor, pair
 
 
 @given(payloads=st.lists(st.binary(min_size=0, max_size=5000),
@@ -68,13 +70,14 @@ def hostile_faulted_pair(seed, offsets):
 @settings(max_examples=25, deadline=None)
 def test_framed_stream_survives_stacked_kernel_faults(payloads, seed,
                                                       offsets):
-    sched, pair = hostile_faulted_pair(seed, offsets)
+    reactor, pair = hostile_faulted_pair(seed, offsets)
     assembler = FrameAssembler()
     got = []
     pair.b.on_receive = lambda data: got.extend(assembler.feed(bytes(data)))
     for payload in payloads:
         pair.a.send(encode_frame(payload))
-    sched.run_until_idle()
+    reactor.run_until_idle()
+    reactor.close()
     assert got == payloads
     assert assembler.buffered_bytes == 0
     assert pair.a.queued_bytes == 0, "all credit must come back"
@@ -113,14 +116,15 @@ def test_uip_stream_decodes_identically_under_kernel_faults(stream, seed,
     """Kernel faults are just another re-segmentation of the UIP byte
     stream: the server decoder must yield exactly the sent updates."""
     fmt, messages = stream
-    sched, pair = hostile_faulted_pair(seed, offsets)
+    reactor, pair = hostile_faulted_pair(seed, offsets)
     encoder = EncoderState(fmt)
     decoder = ServerMessageDecoder(DecoderState(fmt))
     decoded = []
     pair.b.on_receive = lambda data: decoded.extend(decoder.feed(bytes(data)))
     for message in messages:
         pair.a.send(message.encode(encoder))
-    sched.run_until_idle()
+    reactor.run_until_idle()
+    reactor.close()
     assert len(decoded) == len(messages)
     for got, want in zip(decoded, messages):
         assert len(got.rects) == len(want.rects)
@@ -140,7 +144,7 @@ def test_frame_faults_never_corrupt_framing(payloads, seed):
     plan = FaultPlan(seed=seed, drop=0.25, duplicate=0.25, delay=0.25,
                      delay_s=0.01)
     sched = Scheduler()
-    pair = make_transport_pair(sched, LOOPBACK, name="leg", kind="pipe")
+    pair = make_pipe(sched, LOOPBACK, name="leg")
     faulty = FaultyTransport(pair.a, plan, sched)
     assembler = FrameAssembler()
     got = []
@@ -165,7 +169,7 @@ def test_truncation_yields_no_phantom_frames(payload, seed):
     torso forever, but it must never hallucinate a complete frame."""
     plan = FaultPlan(seed=seed, truncate=1.0)
     sched = Scheduler()
-    pair = make_transport_pair(sched, LOOPBACK, name="leg", kind="pipe")
+    pair = make_pipe(sched, LOOPBACK, name="leg")
     faulty = FaultyTransport(pair.a, plan, sched)
     assembler = FrameAssembler()
     got = []

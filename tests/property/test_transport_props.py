@@ -213,11 +213,11 @@ def test_server_decoder_split_point_invariant(stream, data):
 def test_socket_pumps_survive_eintr_and_partial_writes(messages, seed):
     import random
 
-    from repro.net import make_socket_transport_pair
+    from repro.net import Reactor, make_socket_transport_pair
     from repro.util import Scheduler
 
-    sched = Scheduler()
-    pair = make_socket_transport_pair(sched)
+    reactor = Reactor()
+    pair = make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
     rng = random.Random(seed)
     pair.a._sock = HostileSocket(pair.a._sock, rng)
     pair.b._sock = HostileSocket(pair.b._sock, rng)
@@ -225,7 +225,8 @@ def test_socket_pumps_survive_eintr_and_partial_writes(messages, seed):
     pair.b.on_receive = lambda data: got.append(bytes(data))
     for message in messages:
         pair.a.send(message)
-    sched.run_until_idle()
+    reactor.run_until_idle()
+    reactor.close()
     assert b"".join(got) == b"".join(messages)
     assert not pair.a._outbox
     assert pair.a.queued_bytes == 0, "all credit must come back"
@@ -238,11 +239,11 @@ def test_socket_pumps_survive_eintr_and_partial_writes(messages, seed):
 def test_hostile_kernel_duplex_big_transfer(seed):
     import random
 
-    from repro.net import make_socket_transport_pair
+    from repro.net import Reactor, make_socket_transport_pair
     from repro.util import Scheduler
 
-    sched = Scheduler()
-    pair = make_socket_transport_pair(sched)
+    reactor = Reactor()
+    pair = make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
     rng = random.Random(seed)
     pair.a._sock = HostileSocket(pair.a._sock, rng)
     pair.b._sock = HostileSocket(pair.b._sock, rng)
@@ -253,7 +254,8 @@ def test_hostile_kernel_duplex_big_transfer(seed):
     pair.b.on_receive = lambda data: got_b.append(bytes(data))
     pair.a.send(blob_ab)
     pair.b.send(blob_ba)
-    sched.run_until_idle()
+    reactor.run_until_idle()
+    reactor.close()
     assert b"".join(got_b) == blob_ab
     assert b"".join(got_a) == blob_ba
     assert pair.a.queued_bytes == 0 and pair.b.queued_bytes == 0

@@ -242,21 +242,18 @@ class TestDeviceTransportLeg:
         assert proxy.binding("k").endpoint.credit_limit == high
 
     def test_socket_transport_leg(self):
+        from repro.net import Reactor, SocketTransport
         proxy = self._proxy()
+        reactor = Reactor()
+        member = reactor.add_scheduler(proxy.scheduler)
         pda = Pda("p", proxy.scheduler)
-        pda.connect(proxy, transport="socket")
+        pda.connect(proxy, member=member)
         pda.send_event({"type": "touch", "action": "down", "x": 1, "y": 1})
-        proxy.scheduler.run_until_idle()
+        reactor.run_until_idle()
         binding = proxy.binding("p")
+        assert isinstance(binding.endpoint, SocketTransport)
         assert binding.endpoint.stats.bytes_received > 0
-
-    def test_unknown_transport_rejected(self):
-        from repro.util.errors import TransportError
-        proxy = self._proxy()
-        pda = Pda("p", proxy.scheduler)
-        with pytest.raises(TransportError, match="unknown transport"):
-            pda.connect(proxy, transport="carrier-pigeon")
-        assert not pda.connected
+        reactor.close()
 
     def test_multi_proxy_connect_and_broadcast(self):
         scheduler = Scheduler()

@@ -15,16 +15,16 @@ from repro.net import (
     TcpListener,
     connect_tcp,
     inject_socket_faults,
+    make_pipe,
     make_socket_transport_pair,
-    make_transport_pair,
 )
 from repro.util import Scheduler, TransportError
 
 
-def faulty_pair(plan, kind="pipe"):
+def faulty_pair(plan):
     """(faulty wrapper over a, b, scheduler) with received bytes captured."""
     sched = Scheduler()
-    pair = make_transport_pair(sched, LOOPBACK, name="chaos", kind=kind)
+    pair = make_pipe(sched, LOOPBACK, name="chaos")
     faulty = FaultyTransport(pair.a, plan, sched)
     got = []
     pair.b.on_receive = lambda data: got.append(bytes(data))
@@ -150,25 +150,35 @@ class TestFaultyTransport:
         assert seen == ["closed"]
 
 
+@pytest.fixture
+def reactor():
+    reactor = Reactor()
+    yield reactor
+    reactor.close()
+
+
+def socket_pair(reactor):
+    """A socketpair transport whose halves ride ``reactor``."""
+    return make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
+
+
 class TestFaultySocket:
-    def test_eintr_on_send_is_masked_by_the_pump(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_eintr_on_send_is_masked_by_the_pump(self, reactor):
+        pair = socket_pair(reactor)
         plan = FaultPlan().errno_at(0, errno.EINTR)
         wrapper = inject_socket_faults(pair.a, plan)
         got = []
         pair.b.on_receive = lambda data: got.append(bytes(data))
         pair.a.send(b"survives")
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got) == b"survives"
         assert wrapper.faults_fired == 1
 
-    def test_eagain_then_recovery(self):
-        # a spurious send-side EAGAIN parks the outbox until the next
-        # write stimulus (like a real full buffer would); recv-side EAGAIN
-        # is masked entirely by the level-style recv pump
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_eagain_then_recovery(self, reactor):
+        # a spurious send-side EAGAIN parks the outbox behind armed write
+        # interest, so EPOLLOUT resumes the flush without another send;
+        # a recv-side EAGAIN is masked by the level-triggered read poll
+        pair = socket_pair(reactor)
         wrapper = inject_socket_faults(
             pair.a, FaultPlan().errno_at(0, errno.EAGAIN))
         wrapper_b = inject_socket_faults(
@@ -176,48 +186,46 @@ class TestFaultySocket:
         got = []
         pair.b.on_receive = lambda data: got.append(bytes(data))
         pair.a.send(b"back")
-        sched.run_until_idle()
-        pair.a.send(b"off")   # next send re-pumps the parked outbox
-        sched.run_until_idle()
+        reactor.run_until_idle()
+        assert b"".join(got) == b"back"
+        pair.a.send(b"off")
+        reactor.run_until_idle()
         assert b"".join(got) == b"backoff"
         assert wrapper.faults_fired == 1
         assert wrapper_b.faults_fired == 1
 
-    def test_econnreset_surfaces_as_close(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_econnreset_surfaces_as_close(self, reactor):
+        pair = socket_pair(reactor)
         plan = FaultPlan().errno_at(0, errno.ECONNRESET, side="recv")
         inject_socket_faults(pair.b, plan)
         closed = []
         pair.b.on_close = lambda: closed.append(True)
         pair.a.send(b"doomed")
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert closed == [True]
         assert not pair.b.is_open
 
-    def test_partial_writes_preserve_byte_stream(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_partial_writes_preserve_byte_stream(self, reactor):
+        pair = socket_pair(reactor)
         inject_socket_faults(pair.a, FaultPlan(seed=11, partial=1.0))
         got = []
         pair.b.on_receive = lambda data: got.append(bytes(data))
         blob = bytes(range(256)) * 64
         pair.a.send(blob)
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got) == blob
         assert pair.a.queued_bytes == 0
 
-    def test_schedules_are_private_per_socket(self):
+    def test_schedules_are_private_per_socket(self, reactor):
         plan = FaultPlan().errno_at(0, errno.EINTR)
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+        pair = socket_pair(reactor)
         w1 = inject_socket_faults(pair.a, plan, name="a")
         w2 = inject_socket_faults(pair.b, plan, name="b")
         got = []
         pair.b.on_receive = lambda data: got.append(bytes(data))
         pair.a.send(b"hello")
         pair.b.send(b"yo")
-        sched.run_until_idle()
+        reactor.run_until_idle()
         # both wrappers fired their own copy of the same one-shot
         assert w1.faults_fired == 1
         assert w2.faults_fired == 1
@@ -226,7 +234,7 @@ class TestFaultySocket:
 class TestFaultInjector:
     def test_rst_kills_both_halves(self):
         sched = Scheduler()
-        pair = make_transport_pair(sched, ETHERNET_100, name="victim")
+        pair = make_pipe(sched, ETHERNET_100, name="victim")
         closed = []
         pair.a.on_close = lambda: closed.append("a")
         pair.b.on_close = lambda: closed.append("b")
@@ -245,10 +253,9 @@ class TestFaultInjector:
         accepted = []
 
         def on_accept(conn, addr):
-            transport = SocketTransport(server_sched, conn, ETHERNET_100,
-                                        "srv")
-            transport.attach_reactor(reactor, member=server_member)
-            accepted.append(transport)
+            accepted.append(SocketTransport(
+                server_sched, conn, ETHERNET_100, "srv", reactor=reactor,
+                member=server_member))
 
         listener = TcpListener(reactor, on_accept, member=server_member)
         client = connect_tcp(reactor, client_sched, listener.address,
@@ -269,6 +276,19 @@ class TestFaultInjector:
         assert [a for a, _ in chaos.log] == ["partition", "heal"]
         listener.close()
         reactor.close()
+
+    def test_partition_spares_in_process_socketpairs(self, reactor):
+        # a partition cuts the network: a device's socketpair leg to its
+        # proxy stays live, so taps still reach the proxy mid-partition
+        member = reactor.add_scheduler(Scheduler(), name="home")
+        pair = make_socket_transport_pair(member)
+        got = []
+        pair.b.on_receive = lambda data: got.append(bytes(data))
+        FaultInjector().partition(reactor, member)
+        pair.a.send(b"tap")
+        reactor.run_until_idle()
+        assert reactor.is_partitioned(member)
+        assert got == [b"tap"]
 
     def test_crash_detonates_in_the_targets_loop(self):
         reactor = Reactor()

@@ -12,7 +12,6 @@ from repro.net import (
     SocketTransport,
     TcpListener,
     connect_tcp,
-    make_transport_pair,
 )
 from repro.util import ReactorError, Scheduler, TransportError
 
@@ -23,9 +22,9 @@ def tcp_pair(reactor, server_sched, client_sched, server_member=None,
     accepted = []
 
     def on_accept(conn, addr):
-        transport = SocketTransport(server_sched, conn, ETHERNET_100, "srv")
-        transport.attach_reactor(reactor, member=server_member)
-        accepted.append(transport)
+        accepted.append(SocketTransport(server_sched, conn, ETHERNET_100,
+                                        "srv", reactor=reactor,
+                                        member=server_member))
 
     listener = TcpListener(reactor, on_accept, member=server_member)
     client = connect_tcp(reactor, client_sched, listener.address,
@@ -248,11 +247,11 @@ class TestTcpTransport:
         blob_len = 4 * 1024 * 1024
         client.send(b"z" * blob_len)
         assert client._outbox, "payload must exceed the kernel buffer"
-        assert client._reactor_handle.want_write, \
+        assert client._handle.want_write, \
             "continuation armed at stall time"
         assert reactor.run_until(lambda: total[0] == blob_len, timeout_s=30)
         assert not client._outbox
-        assert not client._reactor_handle.want_write, \
+        assert not client._handle.want_write, \
             "write interest disarmed once drained"
         assert client.queued_bytes == 0, \
             "kernel-accepted bytes release credit in unpeered mode"
@@ -300,22 +299,6 @@ class TestTcpTransport:
             connect_tcp(reactor, sched, ("not-a-host.invalid.", 1))
         reactor.close()
 
-    def test_double_attach_rejected(self):
-        reactor = Reactor()
-        sched = Scheduler()
-        reactor.add_scheduler(sched)
-        ssched = Scheduler()
-        reactor.add_scheduler(ssched)
-        server, client, listener = tcp_pair(reactor, ssched, sched)
-        with pytest.raises(TransportError):
-            client.attach_reactor(reactor)
-        listener.close()
-        reactor.close()
-
-    def test_tcp_kind_has_no_pair_factory(self):
-        with pytest.raises(TransportError):
-            make_transport_pair(Scheduler(), kind="tcp")
-
 
 class TestTcpListener:
     def test_accepts_many_clients(self):
@@ -325,9 +308,8 @@ class TestTcpListener:
         conns = []
 
         def on_accept(conn, addr):
-            transport = SocketTransport(ssched, conn, ETHERNET_100)
-            transport.attach_reactor(reactor)
-            conns.append(transport)
+            conns.append(SocketTransport(ssched, conn, ETHERNET_100,
+                                         reactor=reactor))
 
         listener = TcpListener(reactor, on_accept)
         clients = []

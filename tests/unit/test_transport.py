@@ -7,6 +7,7 @@ from repro.net import (
     ETHERNET_100,
     LOOPBACK,
     LinkProfile,
+    Reactor,
     Transport,
     credit_watermarks,
     encode_frame,
@@ -160,146 +161,150 @@ class TestPipeVectoredSend:
         assert pipe.b.stats.messages_received == 1
 
 
+@pytest.fixture
+def reactor():
+    reactor = Reactor()
+    yield reactor
+    reactor.close()
+
+
+def socket_pair(reactor, profile=LOOPBACK):
+    """A socketpair transport whose halves ride ``reactor``."""
+    member = reactor.add_scheduler(Scheduler(), "link")
+    return make_socket_transport_pair(member, profile)
+
+
 class TestSocketTransport:
-    def test_roundtrip(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_roundtrip(self, reactor):
+        pair = socket_pair(reactor)
         got = []
         pair.b.on_receive = got.append
         pair.a.send(b"hello")
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got) == b"hello"
         assert pair.b.stats.bytes_received == 5
 
-    def test_vectored_send(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_vectored_send(self, reactor):
+        pair = socket_pair(reactor)
         got = []
         pair.b.on_receive = got.append
         pair.a.send([b"ab", b"cd", b"ef"])
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got) == b"abcdef"
 
-    def test_duplex(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_duplex(self, reactor):
+        pair = socket_pair(reactor)
         got_a, got_b = [], []
         pair.a.on_receive = got_a.append
         pair.b.on_receive = got_b.append
         pair.a.send(b"to-b")
         pair.b.send(b"to-a")
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got_b) == b"to-b"
         assert b"".join(got_a) == b"to-a"
 
-    def test_large_transfer_exceeding_kernel_buffer(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_large_transfer_exceeding_kernel_buffer(self, reactor):
+        pair = socket_pair(reactor)
         blob = bytes(range(256)) * 8192  # 2 MiB, forces outbox spill
         got = []
         pair.b.on_receive = got.append
         pair.a.send(blob)
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got) == blob
         assert pair.a.queued_bytes == 0
 
-    def test_credit_released_as_peer_reads(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched, CELLULAR_PDC)
+    def test_credit_released_as_peer_reads(self, reactor):
+        pair = socket_pair(reactor, CELLULAR_PDC)
         pair.b.on_receive = lambda data: None
         pair.a.send(b"\x00" * (pair.a.credit_limit + 100))
         assert not pair.a.writable
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert pair.a.queued_bytes == 0
         assert pair.a.writable
 
-    def test_close_flushes_then_signals_peer(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_close_flushes_then_signals_peer(self, reactor):
+        pair = socket_pair(reactor)
         got, closed = [], []
         pair.b.on_receive = got.append
         pair.b.on_close = lambda: closed.append(True)
         pair.a.send(b"last words")
         pair.a.close()
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got) == b"last words"
         assert closed == [True]
         assert not pair.b.is_open
 
-    def test_close_flushes_outbox_backlog(self):
+    def test_close_flushes_outbox_backlog(self, reactor):
         # a payload far beyond the kernel socket buffer spills into the
         # userspace outbox; close() must still deliver every byte and
         # only then EOF the peer
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+        pair = socket_pair(reactor)
         blob = bytes(range(256)) * 4096  # 1 MiB
         got, closed = [], []
         pair.b.on_receive = got.append
         pair.b.on_close = lambda: closed.append(True)
         pair.a.send(blob)
         pair.a.close()
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert b"".join(got) == blob
         assert closed == [True]
         assert pair.a.queued_bytes == 0
 
-    def test_peer_hard_close_releases_credit_and_closes(self):
+    def test_peer_hard_close_releases_credit_and_closes(self, reactor):
         # the peer's socket dies outright (reset, not graceful EOF):
         # the sender must get all its credit back and learn it is closed,
         # not wedge forever waiting for a drain that cannot happen
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched, CELLULAR_PDC)
+        pair = socket_pair(reactor, CELLULAR_PDC)
         closed = []
         pair.a.on_close = lambda: closed.append(True)
         pair.a.send(b"\x00" * (pair.a.credit_limit * 100))
         assert not pair.a.writable
-        pair.b._sock.close()  # hard reset, no SHUT_WR handshake
+        pair.b._release()  # hard reset, no SHUT_WR handshake
         pair.a.send(b"more")  # next write hits EPIPE
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert pair.a.queued_bytes == 0
         assert not pair.a.is_open
         assert closed == [True]
 
-    def test_send_after_close_raises(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_send_after_close_raises(self, reactor):
+        pair = socket_pair(reactor)
         pair.a.close()
         with pytest.raises(TransportClosed):
             pair.a.send(b"nope")
 
-    def test_is_a_transport(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_is_a_transport(self, reactor):
+        pair = socket_pair(reactor)
         assert isinstance(pair.a, Transport)
         pair.a.close()
-        sched.run_until_idle()
+        reactor.run_until_idle()
 
 
 class TestSocketPumpFixes:
     """Regression suite for the socket-transport pump bugfix sweep."""
 
-    def test_blocked_outbox_has_continuation_armed_at_stall_time(self):
+    def test_blocked_outbox_has_continuation_armed_at_stall_time(
+            self, reactor):
         # sendmsg hit EAGAIN with bytes left in the outbox: the flush
-        # continuation must already be scheduled at that instant, not
+        # continuation must already be armed at that instant, not
         # depend on some unrelated later send coming along
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+        pair = socket_pair(reactor)
         blob = b"x" * (2 * 1024 * 1024)
         got = []
         pair.b.on_receive = got.append
         pair.a.send(blob)
         assert pair.a._outbox, "payload must exceed the kernel buffer"
-        assert sched.pending_count() > 0
-        sched.run_until_idle()
+        assert pair.a._handle.want_write
+        reactor.run_until_idle()
         assert not pair.a._outbox
+        assert not pair.a._handle.want_write, "disarmed once drained"
         assert b"".join(got) == blob
 
-    def test_raising_receive_callback_does_not_stall_peer_flush(self):
-        # the drain arms the sender's flush *before* dispatching, so a UI
-        # callback blowing up cannot strand the sender's outbox: recovery
-        # is just running the scheduler again
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_raising_receive_callback_does_not_stall_peer_flush(
+            self, reactor):
+        # the sender's flush waits on EPOLLOUT, not on the receiver, so a
+        # UI callback blowing up cannot strand the sender's outbox:
+        # recovery is just turning the reactor again
+        pair = socket_pair(reactor)
         blob = b"y" * (2 * 1024 * 1024)
         calls = []
 
@@ -310,93 +315,104 @@ class TestSocketPumpFixes:
         pair.b.on_receive = explode
         pair.a.send(blob)
         with pytest.raises(RuntimeError):
-            sched.run_until_idle()
+            pair.b._pump_recv()  # the read dispatch, minus containment
+        assert pair.a._handle.want_write
         pair.b.on_receive = lambda data: calls.append(bytes(data))
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert not pair.a._outbox
         assert b"".join(calls) == blob
         assert pair.a.queued_bytes == 0
 
-    def test_recv_pump_yields_at_byte_budget(self):
+    def test_recv_pump_yields_at_byte_budget(self, reactor):
         # an unbounded drain would hand one busy link the whole turn;
-        # the pump must stop at RECV_BUDGET and reschedule the remainder
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+        # the pump must stop at RECV_BUDGET and leave the remainder to
+        # the level-triggered poll
+        pair = socket_pair(reactor)
         pair.b.RECV_BUDGET = 8192
         pair.b.on_receive = lambda data: None
         pair.a.send(b"z" * 65536)
-        pair.b._recv_scheduled = True  # claim the slot; pump directly
         pair.b._pump_recv()
         assert pair.b.stats.bytes_received <= 8192
-        assert sched.pending_count() > 0  # remainder rescheduled
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert pair.b.stats.bytes_received == 65536
 
-    def test_recv_budget_interleaves_other_events(self):
+    def test_recv_budget_interleaves_other_events(self, reactor):
         # while one link drains a big transfer in budgeted slices, an
-        # unrelated event scheduled later at the same instant still gets
-        # to run before the drain finishes
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+        # event scheduled by the first slice still gets to run before
+        # the drain finishes
+        pair = socket_pair(reactor)
+        sched = pair.b._scheduler
         pair.b.RECV_BUDGET = 4096
         order = []
-        pair.b.on_receive = lambda data: order.append("chunk")
+
+        def on_chunk(data):
+            if not order:
+                sched.call_soon(lambda: order.append("other"))
+            order.append("chunk")
+
+        pair.b.on_receive = on_chunk
         pair.a.send(b"w" * 65536)
-        sched.call_soon(lambda: order.append("other"))
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert "other" in order
         assert order.index("other") < len(order) - 1, \
             "the budgeted drain must not monopolise the turn"
 
-    def test_messages_received_counts_frames_not_syscalls(self):
+    def test_messages_received_counts_frames_not_syscalls(self, reactor):
         # several back-to-back sends coalesce in the kernel buffer and
         # arrive in one recv() syscall; the counter must still match the
         # sender's messages_sent (framed-message parity)
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+        pair = socket_pair(reactor)
         pair.b.on_receive = lambda data: None
         for i in range(5):
             pair.a.send(bytes([i]) * (i + 1))
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert pair.a.stats.messages_sent == 5
         assert pair.b.stats.messages_received == 5
 
-    def test_messages_received_parity_when_stream_resegments(self):
+    def test_messages_received_parity_when_stream_resegments(self, reactor):
         # a message bigger than one recv() syscall: N syscalls, one frame
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+        pair = socket_pair(reactor)
         pair.b.on_receive = lambda data: None
         pair.a.send(b"a" * 300_000)  # several 64 KiB reads
         pair.a.send([b"tail", b"-bits"])
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert pair.a.stats.messages_sent == 2
         assert pair.b.stats.messages_received == 2
 
-    def test_empty_socket_message_counts_once(self):
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched)
+    def test_empty_socket_message_counts_once(self, reactor):
+        pair = socket_pair(reactor)
         pair.b.on_receive = lambda data: None
         pair.a.send([])
         pair.a.send([b"", b""])
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert pair.a.stats.messages_sent == 2
         assert pair.b.stats.messages_received == 2
 
-    def test_graceful_eof_with_queued_credit_releases_it(self):
+    def test_graceful_eof_with_queued_credit_releases_it(self, reactor):
         # the peer EOFs while this side still has charged credit (bytes
         # queued toward the peer that can now never drain): the credit
         # must come back, like the hard-reset path already guaranteed
-        sched = Scheduler()
-        pair = make_socket_transport_pair(sched, CELLULAR_PDC)
+        pair = socket_pair(reactor, CELLULAR_PDC)
         pair.a.on_receive = lambda data: None
         pair.b.on_receive = lambda data: None
         pair.b.send(b"\x00" * (pair.b.credit_limit * 50))  # b -> a backlog
         assert not pair.b.writable
         pair.a.close()   # a EOFs; b's pump sees it with credit charged
-        sched.run_until_idle()
+        reactor.run_until_idle()
         assert not pair.b.is_open
         assert pair.b.queued_bytes == 0
         assert pair.b.writable
+
+    def test_closed_half_releases_its_fd_once_the_peer_eofs(self, reactor):
+        # a graceful close keeps the fd until the remote's EOF comes back,
+        # then both halves leave the reactor and close their fds
+        pair = socket_pair(reactor)
+        pair.a.close()
+        reactor.run_until_idle()
+        assert not pair.b.is_open
+        assert pair.a._sock.fileno() == -1
+        assert pair.b._sock.fileno() == -1
+        assert reactor.handle_count == 0
 
 
 class TestFrameChunks:
