@@ -174,17 +174,30 @@ def _churn_throughput(bursts: int):
     }
 
 
+def _best_of_interleaved(direct, spine, commands: int, rounds: int):
+    """Best-of-``rounds`` for both sides, run direct, spine, direct, ...
+
+    Interleaving makes host speed drift hit both sides alike; running
+    all direct rounds first let it land on one side only.
+    """
+    direct_s, spine_s = [], []
+    for _ in range(rounds):
+        direct_s.append(direct(commands))
+        spine_s.append(spine(commands))
+    return min(direct_s), min(spine_s)
+
+
 def test_command_spine_overhead_and_throughput(smoke):
     home_commands = 40 if smoke else 200
     bus_commands = 200 if smoke else 2000
     rounds = 3 if smoke else 6
 
-    home_direct = min(_home_direct(home_commands) for _ in range(rounds))
-    home_spine = min(_home_spine(home_commands) for _ in range(rounds))
+    home_direct, home_spine = _best_of_interleaved(
+        _home_direct, _home_spine, home_commands, rounds)
     home_ratio = home_spine / max(home_direct, 1e-9)
 
-    bus_direct = min(_bus_direct(bus_commands) for _ in range(rounds))
-    bus_spine = min(_bus_spine(bus_commands) for _ in range(rounds))
+    bus_direct, bus_spine = _best_of_interleaved(
+        _bus_direct, _bus_spine, bus_commands, rounds)
 
     churn = _churn_throughput(bursts=10 if smoke else 100)
 
@@ -207,7 +220,8 @@ def test_command_spine_overhead_and_throughput(smoke):
             "smoke": bool(smoke),
         },
         "timing_method": "best-of-N wall-clock (time.perf_counter) for "
-                         "submit+settle round trips; home scale includes "
+                         "submit+settle round trips, direct and spine "
+                         "rounds interleaved; home scale includes "
                          "FCM handler, fcm.state fan-out and panel "
                          "refresh; bus floor is a bare echo element",
         "home_round_trip": {

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.devices.base import InteractionDevice
-from repro.graphics import ops
 from repro.graphics.bitmap import Bitmap
 from repro.graphics.region import Rect
 from repro.net.link import ETHERNET_100
@@ -22,19 +21,11 @@ class DisplayOutputPlugin(OutputPlugin):
     """Aspect-preserving fit to the panel, full RGB."""
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view = self.fit_view(frame)
-        target_w = max(1, int(frame.width * view.scale))
-        target_h = max(1, int(frame.height * view.scale))
-        if view.scale == 1.0:
-            scaled = frame
-        elif view.scale < 1.0:
-            scaled = ops.scale_box(frame, target_w, target_h)
-        else:
-            scaled = ops.scale_nearest(frame, target_w, target_h)
+        view, scaled = self.fit_frame(frame, dirty)
         canvas = np.zeros((self.screen.height, self.screen.width, 3),
                           dtype=np.uint8)
-        canvas[view.offset_y:view.offset_y + target_h,
-               view.offset_x:view.offset_x + target_w] = scaled.pixels
+        canvas[view.offset_y:view.offset_y + scaled.height,
+               view.offset_x:view.offset_x + scaled.width] = scaled.pixels
         return DeviceImage(self.screen.width, self.screen.height, "rgb888",
                            canvas.tobytes())
 

@@ -48,17 +48,12 @@ class PdaOutputPlugin(OutputPlugin):
     """
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view = self.fit_view(frame)
-        target_w = max(1, int(frame.width * view.scale))
-        target_h = max(1, int(frame.height * view.scale))
-        scaled = (ops.scale_box(frame, target_w, target_h)
-                  if view.scale < 1.0
-                  else ops.scale_nearest(frame, target_w, target_h))
+        view, scaled = self.fit_frame(frame, dirty)
         gray = ops.to_grayscale(scaled)
         dithered = ops.ordered_dither(gray, levels=4)
         canvas = np.zeros((self.screen.height, self.screen.width))
-        canvas[view.offset_y:view.offset_y + target_h,
-               view.offset_x:view.offset_x + target_w] = dithered
+        canvas[view.offset_y:view.offset_y + scaled.height,
+               view.offset_x:view.offset_x + scaled.width] = dithered
         return DeviceImage(self.screen.width, self.screen.height, "gray4",
                            ops.pack_gray4(canvas))
 

@@ -77,15 +77,12 @@ class PhoneOutputPlugin(OutputPlugin):
     """
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view = self.fit_view(frame)
-        target_w = max(1, int(frame.width * view.scale))
-        target_h = max(1, int(frame.height * view.scale))
-        scaled = ops.scale_box(frame, target_w, target_h)
+        view, scaled = self.fit_frame(frame, dirty)
         gray = ops.to_grayscale(scaled)
         dithered = ops.floyd_steinberg(gray, levels=2)
         canvas = np.zeros((self.screen.height, self.screen.width))
-        canvas[view.offset_y:view.offset_y + target_h,
-               view.offset_x:view.offset_x + target_w] = dithered
+        canvas[view.offset_y:view.offset_y + scaled.height,
+               view.offset_x:view.offset_x + scaled.width] = dithered
         return DeviceImage(self.screen.width, self.screen.height, "mono1",
                            ops.pack_mono(canvas))
 

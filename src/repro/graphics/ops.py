@@ -14,13 +14,20 @@ output device".  Concretely that is some composition of:
 
 Everything is numpy-vectorised except Floyd–Steinberg, whose error feedback
 is inherently serial per pixel (we vectorise per row where possible).
+Box-filter sums are exact integers, so a box average is the same float64
+quotient however the sums are formed — which lets :func:`scale_box` redo
+only the damaged boxes of a previous result.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Optional
+
 import numpy as np
 
 from repro.graphics.bitmap import Bitmap
+from repro.graphics.region import Rect
 from repro.util.errors import GraphicsError
 
 #: ITU-R BT.601 luma weights.
@@ -51,31 +58,79 @@ def scale_nearest(bitmap: Bitmap, width: int, height: int) -> Bitmap:
     return Bitmap.from_array(src[ys[:, None], xs[None, :]])
 
 
-def scale_box(bitmap: Bitmap, width: int, height: int) -> Bitmap:
+@functools.lru_cache(maxsize=64)
+def _box_edges(src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: the source span ``[lo, hi)`` of each of ``dst`` boxes.
+
+    Both arrays are non-decreasing.  Cached per (source, target) size and
+    shared by every caller, so they are read-only.
+    """
+    edges = np.linspace(0, src, dst + 1)
+    lo = np.floor(edges[:-1]).astype(np.intp)
+    hi = np.maximum(np.ceil(edges[1:]).astype(np.intp), lo + 1)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+def scale_box(bitmap: Bitmap, width: int, height: int,
+              out: Optional[Bitmap] = None,
+              dirty: Optional[Rect] = None) -> Bitmap:
     """Box-filter (area-average) resample; much better for downscaling text.
 
-    Fully vectorised: an integral image plus fancy indexing computes every
-    output pixel's source-box average in one shot (this sits on the per-
-    frame output-plug-in path, so it must be fast).
+    Each output pixel is the rounded mean of its source box.  The box sums
+    are exact integers, built separably: a cumsum down the source band, a
+    gather of each output row's box rows, a cumsum across and a gather of
+    each output column's box columns.  They stay in int32 unless the band
+    could overflow it.
+
+    With ``out``, a previous ``width`` x ``height`` result for this bitmap,
+    only the output pixels whose source box meets ``dirty`` (default: the
+    whole source) are recomputed, in place; a ``dirty`` that misses the
+    source leaves ``out`` untouched.  Without ``out`` the whole result is
+    computed into a new bitmap.  Returns the result.
     """
     if width <= 0 or height <= 0:
         raise GraphicsError(f"scale target must be positive: {width}x{height}")
-    src = bitmap.pixels.astype(np.float64)
-    sh, sw = src.shape[:2]
-    y_edges = np.linspace(0, sh, height + 1)
-    x_edges = np.linspace(0, sw, width + 1)
-    # Integral image lets each output pixel average its source box in O(1).
-    integral = np.zeros((sh + 1, sw + 1, 3), dtype=np.float64)
-    integral[1:, 1:] = src.cumsum(axis=0).cumsum(axis=1)
-    y0s = np.floor(y_edges[:-1]).astype(int)
-    y1s = np.maximum(np.ceil(y_edges[1:]).astype(int), y0s + 1)
-    x0s = np.floor(x_edges[:-1]).astype(int)
-    x1s = np.maximum(np.ceil(x_edges[1:]).astype(int), x0s + 1)
-    sums = (integral[np.ix_(y1s, x1s)] - integral[np.ix_(y0s, x1s)]
-            - integral[np.ix_(y1s, x0s)] + integral[np.ix_(y0s, x0s)])
-    areas = ((y1s - y0s)[:, None] * (x1s - x0s)[None, :]).astype(np.float64)
-    out = sums / areas[..., None]
-    return Bitmap.from_array(np.clip(np.rint(out), 0, 255).astype(np.uint8))
+    if out is None:
+        out, dirty = Bitmap(width, height), None
+    elif out.size != (width, height):
+        raise GraphicsError(
+            f"scale out is {out.width}x{out.height}, target {width}x{height}")
+    dirty = bitmap.bounds if dirty is None else dirty.intersect(bitmap.bounds)
+    if dirty.is_empty:
+        return out
+    src = bitmap.pixels
+    y0s, y1s = _box_edges(bitmap.height, height)
+    x0s, x1s = _box_edges(bitmap.width, width)
+    # boxes are monotone, so the ones meeting ``dirty`` are contiguous
+    r0 = np.searchsorted(y1s, dirty.y, side="right")
+    r1 = np.searchsorted(y0s, dirty.y2, side="left")
+    c0 = np.searchsorted(x1s, dirty.x, side="right")
+    c1 = np.searchsorted(x0s, dirty.x2, side="left")
+    y0, y1 = y0s[r0:r1], y1s[r0:r1]
+    x0, x1 = x0s[c0:c1], x1s[c0:c1]
+    top, left = y0[0], x0[0]
+    band = src[top:y1[-1], left:x1[-1]]
+    band_h, band_w = band.shape[:2]
+    dtype = np.int32 if band_h * band_w * 255 < 2 ** 31 else np.int64
+    # prefix sums down the band, row 0 zero (widen first: a cumsum that
+    # casts as it goes is about twice as slow)
+    down = np.empty((band_h + 1, band_w, 3), dtype=dtype)
+    down[0] = 0
+    down[1:] = band
+    np.cumsum(down, axis=0, out=down)
+    rows = down[y1 - top]
+    rows -= down[y0 - top]
+    across = np.empty((len(rows), band_w + 1, 3), dtype=dtype)
+    across[:, 0] = 0
+    np.cumsum(rows, axis=1, out=across[:, 1:])
+    sums = np.take(across, x1 - left, axis=1)
+    sums -= np.take(across, x0 - left, axis=1)
+    areas = ((y1 - y0)[:, None] * (x1 - x0)[None, :]).astype(np.float64)
+    means = np.divide(sums, areas[..., None])
+    # a mean of bytes rounds into 0..255, so the uint8 store is exact
+    out.pixels[r0:r1, c0:c1] = np.rint(means, out=means)
+    return out
 
 
 def scale_to_fit(bitmap: Bitmap, max_width: int, max_height: int,

@@ -17,6 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from repro.graphics import ops
 from repro.graphics.bitmap import Bitmap
 from repro.graphics.region import Rect
 from repro.proxy.descriptors import DeviceDescriptor, ScreenSpec
@@ -150,8 +151,17 @@ class OutputPlugin:
         self.context = context
         self.frames_out = 0
         self.bytes_out = 0
+        #: The frame object :attr:`_scaled` was last rescaled from.
+        self._scaled_from: Optional[Bitmap] = None
+        self._scaled: Optional[Bitmap] = None
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
+        """Convert ``frame`` into a device image.
+
+        ``dirty`` must cover every pixel of ``frame`` changed since the
+        previous call on the same frame object (the whole frame the first
+        time): :meth:`fit_frame` rescales only that footprint.
+        """
         raise NotImplementedError
 
     def process(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
@@ -182,3 +192,25 @@ class OutputPlugin:
         )
         self.context.view = view
         return view
+
+    def fit_frame(self, frame: Bitmap,
+                  dirty: Rect) -> tuple[ViewTransform, Bitmap]:
+        """:meth:`fit_view`, and ``frame`` box-scaled to the fitted size.
+
+        The last scaled bitmap is kept and only the output boxes whose
+        source boxes meet ``dirty`` are rescaled; a new frame object or
+        fitted size (resize, reconnect) rescales the whole frame.  At
+        scale 1.0 the result is ``frame`` itself.
+        """
+        view = self.fit_view(frame)
+        if view.scale == 1.0:
+            return view, frame
+        width = max(1, int(frame.width * view.scale))
+        height = max(1, int(frame.height * view.scale))
+        scaled = self._scaled
+        if frame is not self._scaled_from or scaled.size != (width, height):
+            scaled = None
+        self._scaled_from = frame
+        self._scaled = ops.scale_box(frame, width, height, out=scaled,
+                                     dirty=dirty)
+        return view, self._scaled

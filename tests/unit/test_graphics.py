@@ -514,3 +514,99 @@ class TestOps:
         gray = np.full((3, 3), 85.0)
         bmp = ops.gray_bitmap(gray)
         assert bmp.get_pixel(1, 1) == (85, 85, 85)
+
+
+def integral_scale_box(bitmap, width, height):
+    """The float64 integral-image box filter ``ops.scale_box`` replaced.
+
+    Kept here as the oracle: its sums are exact in float64, so the integer
+    rewrite must reproduce it byte for byte.
+    """
+    src = bitmap.pixels.astype(np.float64)
+    sh, sw = src.shape[:2]
+    y_edges = np.linspace(0, sh, height + 1)
+    x_edges = np.linspace(0, sw, width + 1)
+    integral = np.zeros((sh + 1, sw + 1, 3), dtype=np.float64)
+    integral[1:, 1:] = src.cumsum(axis=0).cumsum(axis=1)
+    y0s = np.floor(y_edges[:-1]).astype(int)
+    y1s = np.maximum(np.ceil(y_edges[1:]).astype(int), y0s + 1)
+    x0s = np.floor(x_edges[:-1]).astype(int)
+    x1s = np.maximum(np.ceil(x_edges[1:]).astype(int), x0s + 1)
+    sums = (integral[np.ix_(y1s, x1s)] - integral[np.ix_(y0s, x1s)]
+            - integral[np.ix_(y1s, x0s)] + integral[np.ix_(y0s, x0s)])
+    areas = ((y1s - y0s)[:, None] * (x1s - x0s)[None, :]).astype(np.float64)
+    out = sums / areas[..., None]
+    return Bitmap.from_array(np.clip(np.rint(out), 0, 255).astype(np.uint8))
+
+
+def _noise(rng, width, height):
+    return Bitmap.from_array(
+        rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
+
+
+def _random_rect(rng, width, height):
+    x, y = int(rng.integers(0, width)), int(rng.integers(0, height))
+    return Rect(x, y, int(rng.integers(1, width - x + 1)),
+                int(rng.integers(1, height - y + 1)))
+
+
+class TestScaleBoxParity:
+    SHAPES = [(1, 1, 1, 1), (1, 1, 7, 5), (9, 1, 1, 1), (1, 13, 1, 4),
+              (480, 360, 320, 240), (480, 360, 128, 96), (3, 2, 17, 11),
+              (64, 48, 64, 48), (101, 37, 1, 1), (37, 101, 200, 3)]
+
+    @pytest.mark.parametrize("sw,sh,tw,th", SHAPES)
+    def test_pinned_shapes_match_the_integral_image(self, sw, sh, tw, th):
+        src = _noise(np.random.default_rng(sw * 1000 + th), sw, sh)
+        assert ops.scale_box(src, tw, th) == integral_scale_box(src, tw, th)
+
+    def test_random_shapes_match_the_integral_image(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            sw, sh, tw, th = (int(v) for v in rng.integers(1, 160, 4))
+            src = _noise(rng, sw, sh)
+            assert ops.scale_box(src, tw, th) == integral_scale_box(
+                src, tw, th), (sw, sh, tw, th)
+
+    def test_partial_updates_match_a_full_rescale(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            sw, sh, tw, th = (int(v) for v in rng.integers(1, 120, 4))
+            src = _noise(rng, sw, sh)
+            out = ops.scale_box(src, tw, th)
+            for _ in range(4):
+                rect = _random_rect(rng, sw, sh)
+                src.view(rect)[:] = rng.integers(
+                    0, 256, (rect.h, rect.w, 3), dtype=np.uint8)
+                assert ops.scale_box(src, tw, th, out=out, dirty=rect) is out
+                assert out == integral_scale_box(src, tw, th), (
+                    sw, sh, tw, th, rect)
+
+    def test_dirty_recomputes_only_the_boxes_it_meets(self):
+        src = _noise(np.random.default_rng(16), 48, 36)
+        out = ops.scale_box(src, 32, 24)
+        stale = out.copy()
+        src.fill((7, 7, 7))  # everything changes; dirty claims one pixel
+        # source column 31 lies in the boxes [30, 32) and [31, 33) of
+        # output columns 20 and 21; row 16 likewise in output rows 10, 11
+        ops.scale_box(src, 32, 24, out=out, dirty=Rect(31, 16, 1, 1))
+        changed = np.argwhere((out.pixels != stale.pixels).any(axis=2))
+        assert {(int(y), int(x)) for y, x in changed} == {
+            (10, 20), (10, 21), (11, 20), (11, 21)}
+
+    @pytest.mark.parametrize("dirty", [Rect(0, 0, 0, 0), Rect(5, 5, 0, 3),
+                                       Rect(48, 0, 10, 10),
+                                       Rect(-20, -20, 20, 20),
+                                       Rect(0, 36, 48, 4)])
+    def test_empty_or_outside_dirty_leaves_out_untouched(self, dirty):
+        src = _noise(np.random.default_rng(17), 48, 36)
+        out = ops.scale_box(src, 32, 24)
+        before = out.copy()
+        src.fill((1, 2, 3))
+        assert ops.scale_box(src, 32, 24, out=out, dirty=dirty) is out
+        assert out == before
+
+    def test_out_must_match_the_target(self):
+        src = _noise(np.random.default_rng(18), 48, 36)
+        with pytest.raises(GraphicsError):
+            ops.scale_box(src, 32, 24, out=Bitmap(24, 32))
