@@ -54,9 +54,9 @@ bench-surfaces:
 
 # Many-home fleet on one selectors reactor: 128 homes over real TCP
 # loopback sockets under appliance churn, plus the one-home-stalled
-# isolation case.  Writes BENCH_FLEET.json — in smoke mode too (64
-# homes), because the 2x-p99 isolation acceptance rides on the recorded
-# numbers.  Also runs in the CI bench-smoke job.
+# isolation case.  Writes BENCH_FLEET.json (smoke mode, 64 homes, writes
+# benchmarks/.smoke/BENCH_FLEET.json instead).  Also runs in the CI
+# bench-smoke job.
 bench-fleet:
 	$(PYTHON) -m pytest benchmarks/bench_fleet.py -q \
 		--benchmark-disable
@@ -64,10 +64,9 @@ bench-fleet:
 # Self-healing under the seeded fault storm: a 32-home resilient TCP
 # fleet absorbs RSTs, 2 s partitions, device-leg frame drops and one
 # crashed home, then repeated RST rounds measure the warm-resume
-# reconnect distribution.  Writes BENCH_RESILIENCE.json — in smoke mode
-# too (8 homes), because the zero-lost-sessions / one-resync-per-
-# reconnect acceptance rides on the recorded numbers.  Also runs in the
-# CI chaos-smoke job.
+# reconnect distribution.  Writes BENCH_RESILIENCE.json (smoke mode, 8
+# homes, writes benchmarks/.smoke/BENCH_RESILIENCE.json instead, where
+# the CI chaos-smoke job checks it).
 bench-resilience:
 	$(PYTHON) -m pytest benchmarks/bench_resilience.py -q \
 		--benchmark-disable
@@ -75,9 +74,8 @@ bench-resilience:
 # Command-spine dispatch overhead vs direct send_request on the real
 # home actuation path (asserted <=1.05x), the bare-bus tracking cost in
 # microseconds, and throughput under 8-user coalescible churn.  Writes
-# BENCH_COMMANDS.json — in smoke mode too, because the overhead
-# acceptance rides on the recorded numbers.  Also runs in the CI
-# bench-smoke job.
+# BENCH_COMMANDS.json (smoke mode writes benchmarks/.smoke/ instead,
+# where the CI bench-smoke job checks the overhead budget).
 bench-commands:
 	$(PYTHON) -m pytest benchmarks/bench_commands.py -q \
 		--benchmark-disable
@@ -92,6 +90,7 @@ bench-backpressure:
 # runs this so refactors can't silently break the bench harness.  The
 # records whose acceptance is asserted from the recorded numbers
 # (BENCH_FLEET, BENCH_ENCODE_CORE, BENCH_COMMANDS, BENCH_RESILIENCE) are
-# written in smoke mode too, marked "smoke": true; the others are not.
+# written to the gitignored benchmarks/.smoke/, marked "smoke": true;
+# the committed records at the repo root are never touched.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks -q --smoke --benchmark-disable

@@ -28,7 +28,6 @@ import itertools
 import json
 import time
 from collections import deque
-from pathlib import Path
 
 import pytest
 
@@ -129,7 +128,8 @@ def test_slow_bearer_queue_depth(benchmark, mode, smoke):
     benchmark.extra_info["mode"] = mode
 
 
-def test_backpressure_bounds_queue_and_freshness_and_records(smoke):
+def test_backpressure_bounds_queue_and_freshness_and_records(smoke,
+                                                             record_dir):
     """The headline experiment: before/after + fast path, recorded to
     BENCH_BACKPRESSURE.json per the repo convention."""
     seconds = 3.0 if smoke else 30.0
@@ -159,7 +159,7 @@ def test_backpressure_bounds_queue_and_freshness_and_records(smoke):
     # hard guard looser than the ≤5% budget to keep timing-noise-proof;
     # the recorded JSON carries the actual measurement
     assert ratio < 1.15, f"fast-path regression {ratio:.3f}x"
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_BACKPRESSURE.json"
+    out_path = record_dir / "BENCH_BACKPRESSURE.json"
     out_path.write_text(json.dumps({
         "experiment": "credit backpressure + slow-client update coalescing",
         "workload": {

@@ -20,15 +20,14 @@ Two scales are recorded:
   hammering ``volume.set`` bursts at one appliance, plus the coalescing
   the spine buys on that workload.
 
-Records to ``BENCH_COMMANDS.json`` (written in smoke runs too, so CI
-keeps the record fresh and asserts the overhead budget).
+Records to ``BENCH_COMMANDS.json`` (smoke runs write theirs to
+``benchmarks/.smoke/``, where CI asserts the overhead budget).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro import Home
 from repro.app.commands import CommandSpine
@@ -187,7 +186,7 @@ def _best_of_interleaved(direct, spine, commands: int, rounds: int):
     return min(direct_s), min(spine_s)
 
 
-def test_command_spine_overhead_and_throughput(smoke):
+def test_command_spine_overhead_and_throughput(smoke, record_dir):
     home_commands = 40 if smoke else 200
     bus_commands = 200 if smoke else 2000
     rounds = 3 if smoke else 6
@@ -209,7 +208,7 @@ def test_command_spine_overhead_and_throughput(smoke):
     assert churn["coalesced"] > 0
     assert churn["wire_requests"] < churn["commands_submitted"]
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_COMMANDS.json"
+    out_path = record_dir / "BENCH_COMMANDS.json"
     out_path.write_text(json.dumps({
         "experiment": "command-spine dispatch overhead vs direct "
                       "send_request, and throughput under 8-user churn",

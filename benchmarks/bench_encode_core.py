@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,7 +284,7 @@ def _redraw_round(scheduler, labels) -> None:
     scheduler.run_until_idle()
 
 
-def test_encode_core_speedup_and_records(smoke):
+def test_encode_core_speedup_and_records(smoke, record_dir):
     """Vectorized encoders must beat the seed's scalar ones >= 3x (HEXTILE)
     and >= 2x (RRE) on panel churn with payloads no larger; the frame
     differ must cut unchanged-redraw wire bytes.  Results land in
@@ -390,9 +389,10 @@ def test_encode_core_speedup_and_records(smoke):
     assert (results["adaptive_selection"]["loopback"]["chosen"]
             != results["adaptive_selection"]["cellular-pdc"]["chosen"])
 
-    # written in smoke mode too (tiny workloads, still every key): the
-    # bench-smoke CI job asserts the compression keys are present
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_ENCODE_CORE.json"
+    # written in smoke mode too (tiny workloads, still every key, under
+    # benchmarks/.smoke/): the bench-smoke CI job asserts the compression
+    # keys are present
+    out_path = record_dir / "BENCH_ENCODE_CORE.json"
     out_path.write_text(json.dumps({
         "experiment": "vectorized encode core vs seed scalar encoders; "
                       "tile-grid frame differ ablation; tiered zrle "

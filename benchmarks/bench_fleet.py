@@ -8,8 +8,9 @@ latency from the toggle to that home's client pushing the resulting frame
 to its output device — the full pipeline (DDI redraw → damage → encode →
 real TCP → decode → device push) under fleet-wide contention.
 
-Metrics (recorded to ``BENCH_FLEET.json``; written in smoke runs too,
-flagged, because the isolation acceptance rides on the recorded numbers):
+Metrics (recorded to ``BENCH_FLEET.json``; smoke runs write a flagged
+record to ``benchmarks/.smoke/``, because the isolation acceptance rides
+on the recorded numbers):
 
 * p50/p99 frame latency across homes × rounds, healthy fleet,
 * the same with **one home stalled** in a self-perpetuating event storm —
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro import HomeFleet
 from repro.appliances import DimmableLight
@@ -97,7 +97,7 @@ def _run_rounds(fleet: HomeFleet, homes, rounds: int) -> dict:
     }
 
 
-def test_fleet_churn_capacity_and_stall_isolation(smoke):
+def test_fleet_churn_capacity_and_stall_isolation(smoke, record_dir):
     n_homes = 64 if smoke else 128
     rounds = 3 if smoke else 10
 
@@ -131,7 +131,7 @@ def test_fleet_churn_capacity_and_stall_isolation(smoke):
             f"exceeds isolation budget {budget:.4f}s "
             f"(healthy p99 {healthy['p99_frame_latency_s']:.4f}s)")
 
-        out_path = Path(__file__).resolve().parents[1] / "BENCH_FLEET.json"
+        out_path = record_dir / "BENCH_FLEET.json"
         out_path.write_text(json.dumps({
             "experiment": "many-home fleet reactor: capacity and "
                           "per-home stall isolation",

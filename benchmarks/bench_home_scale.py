@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -121,7 +120,7 @@ def test_framebuffer_broadcast(benchmark, sessions, mode):
     benchmark.extra_info["pack_hits"] = server.pack_hits
 
 
-def test_broadcast_beats_per_session_and_records(smoke):
+def test_broadcast_beats_per_session_and_records(smoke, record_dir):
     """Shared-encode broadcast must win at >= 4 sessions; results land in
     BENCH_BROADCAST.json for the trajectory record."""
     session_counts = (1, 4) if smoke else (1, 2, 4, 8)
@@ -158,7 +157,7 @@ def test_broadcast_beats_per_session_and_records(smoke):
         assert results[sessions]["shared_s"] < results[sessions][
             "per_session_s"], (
             f"shared encode not faster at {sessions} sessions: {results}")
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_BROADCAST.json"
+    out_path = record_dir / "BENCH_BROADCAST.json"
     out_path.write_text(json.dumps({
         "experiment": "shared-encode broadcast vs per-session encoding",
         "screen": "480x360, 12-label panel churn per round",
@@ -311,7 +310,7 @@ def test_multiuser_churn(benchmark, users, mode):
         home.uniint_server.shared_encode_hits)
 
 
-def test_multiuser_broadcast_scales_and_records(smoke):
+def test_multiuser_broadcast_scales_and_records(smoke, record_dir):
     """8-user broadcast must cost < 2x the 1-user cost per frame with
     shared-encode; results land in BENCH_MULTIUSER.json."""
     user_counts = (1, 2) if smoke else USER_COUNTS
@@ -358,7 +357,7 @@ def test_multiuser_broadcast_scales_and_records(smoke):
     assert scaling < 2.0, (
         f"{max_users}-user shared-encode broadcast cost {scaling:.2f}x "
         f"the 1-user cost per frame (must be < 2x): {results}")
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_MULTIUSER.json"
+    out_path = record_dir / "BENCH_MULTIUSER.json"
     out_path.write_text(json.dumps({
         "experiment": "multi-user home: per-user proxy fleet, "
                       "shared-encode broadcast",

@@ -9,9 +9,9 @@ Then repeated RST rounds measure the wall-clock reconnect distribution:
 from the reset to the session being warm-resumed (token handshake + one
 full-frame resync), sampled once per reactor turn.
 
-Metrics (recorded to ``BENCH_RESILIENCE.json``; written in smoke runs
-too, flagged, because the healing acceptance rides on the recorded
-numbers):
+Metrics (recorded to ``BENCH_RESILIENCE.json``; smoke runs write a
+flagged record to ``benchmarks/.smoke/``, because the healing acceptance
+rides on the recorded numbers):
 
 * storm outcome: sessions parked/resumed, resyncs per reconnect (must be
   exactly 1), device-leg redials, dropped frames, permanent losses (0),
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from pathlib import Path
 
 from repro import HomeFleet
 from repro.appliances import DimmableLight
@@ -218,7 +217,7 @@ def _run_crash_loop() -> dict:
     }
 
 
-def test_resilience_heal_and_reconnect_distribution(smoke):
+def test_resilience_heal_and_reconnect_distribution(smoke, record_dir):
     n_homes = 8 if smoke else 32
     rounds = 2 if smoke else 5
 
@@ -231,7 +230,7 @@ def test_resilience_heal_and_reconnect_distribution(smoke):
         fleet.close()
     crash_loop = _run_crash_loop()
 
-    out = Path(__file__).resolve().parents[1] / "BENCH_RESILIENCE.json"
+    out = record_dir / "BENCH_RESILIENCE.json"
     out.write_text(json.dumps({
         "experiment": "fault-injection storm healing and session "
                       "reconnect distribution",

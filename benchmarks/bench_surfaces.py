@@ -162,7 +162,7 @@ def test_cross_surface_churn_is_wire_silent(smoke):
     _assert_converged(home)
 
 
-def test_surface_multiplexing_scales_and_records(smoke):
+def test_surface_multiplexing_scales_and_records(smoke, record_dir):
     """Same-surface broadcast must stay at the PR 4 cost (~1.1x of the
     BENCH_MULTIUSER baseline) while isolated per-surface churn costs
     roughly the single-user price; results land in BENCH_SURFACES.json."""
@@ -241,7 +241,7 @@ def test_surface_multiplexing_scales_and_records(smoke):
         if baseline_8:
             baseline_ratio = (results["same_surface"]["server_cost_s"]
                               / baseline_8)
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_SURFACES.json"
+    out_path = record_dir / "BENCH_SURFACES.json"
     out_path.write_text(json.dumps({
         "experiment": "per-user surface multiplexing: same-surface "
                       "broadcast vs independent per-user views",

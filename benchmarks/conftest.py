@@ -9,6 +9,8 @@ the timing data.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import Home
@@ -20,6 +22,11 @@ from repro.server import UniIntServer
 from repro.toolkit import Column, Label, UIWindow
 from repro.util import Scheduler
 from repro.windows import DisplayServer
+
+#: Where full runs write the committed ``BENCH_*.json`` records.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+#: Where smoke runs write theirs instead (gitignored).
+SMOKE_RECORDS = Path(__file__).resolve().parent / ".smoke"
 
 
 def panel_frame(width: int, height: int) -> Bitmap:
@@ -118,7 +125,7 @@ def pytest_addoption(parser):
 
     CI runs every benchmark file with ``--smoke --benchmark-disable`` so a
     transport/pipeline refactor cannot silently break the bench harness;
-    record-writing tests skip their BENCH_*.json output in smoke mode.
+    records written in smoke mode land in ``benchmarks/.smoke/``.
     """
     parser.addoption(
         "--smoke", action="store_true", default=False,
@@ -128,6 +135,19 @@ def pytest_addoption(parser):
 @pytest.fixture
 def smoke(request) -> bool:
     return request.config.getoption("--smoke")
+
+
+@pytest.fixture
+def record_dir(smoke) -> Path:
+    """The directory a bench writes its ``BENCH_*.json`` record into.
+
+    The repo root on full runs; ``benchmarks/.smoke/`` under ``--smoke``,
+    so a smoke run never rewrites a committed record.
+    """
+    if not smoke:
+        return REPO_ROOT
+    SMOKE_RECORDS.mkdir(exist_ok=True)
+    return SMOKE_RECORDS
 
 
 def pytest_collection_modifyitems(items):

@@ -74,7 +74,6 @@ class InteractionDevice:
         #: Most recent frame shown on the device screen (if any).
         self.screen_image: Optional[DeviceImage] = None
         self.frames_received = 0
-        self.events_sent = 0
         self.bells_received = 0
         #: Test/demo hook fired when a new frame lands.
         self.on_frame: Optional[Callable[[DeviceImage], None]] = None
@@ -243,7 +242,6 @@ class InteractionDevice:
         """
         if not self._pairs:
             raise ProxyError(f"device {self.device_id} is not connected")
-        self.events_sent += 1
         payload = encode_frame(
             json.dumps(event, sort_keys=True).encode("utf-8"))
         for pair in self._pairs.values():

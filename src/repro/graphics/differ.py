@@ -46,8 +46,6 @@ class TileDiffer:
         # statistics for the bandwidth experiments / ablations
         self.tiles_checked = 0
         self.tiles_dropped = 0
-        self.rects_in = 0
-        self.rects_out = 0
 
     # -- shadow lifecycle ---------------------------------------------------
 
@@ -74,19 +72,14 @@ class TileDiffer:
         pixels = framebuffer.pixels
         if self._shadow is None or self._shadow.shape != pixels.shape:
             self._shadow = pixels.copy()
-            kept = [r for r in rects if not r.is_empty]
-            self.rects_in += len(kept)
-            self.rects_out += len(kept)
-            return kept
+            return [r for r in rects if not r.is_empty]
         out: list[Rect] = []
         bounds = framebuffer.bounds
         for rect in rects:
             clipped = rect.intersect(bounds)
             if clipped.is_empty:
                 continue
-            self.rects_in += 1
             out.extend(self._refine_one(pixels, clipped))
-        self.rects_out += len(out)
         return out
 
     def _refine_one(self, pixels: np.ndarray, rect: Rect) -> list[Rect]:

@@ -61,15 +61,11 @@ class PixelFormat:
 
     # -- conversion -------------------------------------------------------------
 
-    def pack_array(self, rgb: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """Pack an (H, W, 3) uint8 RGB array into an (H, W) wire array.
+    def pack_array(self, rgb: np.ndarray) -> np.ndarray:
+        """Pack an (H, W, 3) uint8 RGB array into a fresh (H, W) wire array.
 
         ``rgb`` may be any view, contiguous or not (framebuffer sub-rects
-        pack without an intermediate crop).  Passing ``out`` — an (H, W)
-        array of this format's dtype — reuses that buffer for the result
-        instead of allocating a fresh one (the server's per-rect pack
-        scratch on the hot path).
+        pack without an intermediate crop).
         """
         if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
             raise GraphicsError(f"expected (H, W, 3) uint8, got {rgb.shape} "
@@ -80,13 +76,6 @@ class PixelFormat:
         b = (wide[..., 2] * self.blue_max + 127) // 255
         packed = ((r << self.red_shift) | (g << self.green_shift)
                   | (b << self.blue_shift))
-        if out is not None:
-            if out.shape != packed.shape or out.dtype != self.dtype:
-                raise GraphicsError(
-                    f"pack_array out buffer is {out.shape} {out.dtype}, "
-                    f"expected {packed.shape} {self.dtype}")
-            np.copyto(out, packed, casting="unsafe")
-            return out
         return packed.astype(self.dtype)
 
     def pack(self, rgb: np.ndarray) -> bytes:

@@ -308,7 +308,6 @@ class DdiServer(SoftwareElement):
         self.registry = registry
         self._fcm_by_handle = {fcm.seid.handle: fcm for fcm in dcm.fcms}
         self._subscription: Optional[int] = None
-        self.actions_handled = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -360,7 +359,6 @@ class DdiServer(SoftwareElement):
         except FcmCommandError as error:
             self.reply(message, {"detail": str(error)}, status=error.status)
             return
-        self.actions_handled += 1
         self.reply(message, result)
 
     def _dispatch(self, fcm: Fcm, element: DdiElement, verb: str,
@@ -507,7 +505,6 @@ class DdiVoiceAssistant:
 
     def __init__(self, controller: DdiController) -> None:
         self.controller = controller
-        self.utterances_heard = 0
         self.utterances_matched = 0
 
     def interpret(self, utterance: str) -> Optional[tuple]:
@@ -552,7 +549,6 @@ class DdiVoiceAssistant:
             ) -> Optional[Command]:
         """Interpret and dispatch; returns the tracked Command (or None
         when nothing in the tree matches the utterance)."""
-        self.utterances_heard += 1
         parsed = self.interpret(utterance)
         if parsed is None:
             return None

@@ -45,7 +45,6 @@ class EventManager:
         self.latency = latency
         self._subs: dict[int, _Subscription] = {}
         self._ids = itertools.count(1)
-        self.events_posted = 0
 
     def subscribe(self, prefix: str, callback: Subscriber,
                   source: Optional[SEID] = None) -> int:
@@ -63,7 +62,6 @@ class EventManager:
 
     def post(self, event: HaviEvent) -> None:
         """Deliver the event to every matching subscriber, asynchronously."""
-        self.events_posted += 1
         for sub in list(self._subs.values()):
             if not event.opcode.startswith(sub.prefix):
                 continue

@@ -85,7 +85,6 @@ class MessageSystem:
         self._handlers: dict[SEID, Handler] = {}
         self._transactions = itertools.count(1)
         self._pending: dict[tuple[SEID, int], _Pending] = {}
-        self.messages_delivered = 0
         self.messages_dropped = 0
         #: Requests answered by a locally synthesized RESPONSE because the
         #: destination unregistered while the request was outstanding.
@@ -97,7 +96,6 @@ class MessageSystem:
         self._fault_rng = None
         self.messages_fault_dropped = 0
         self.messages_fault_delayed = 0
-        self.messages_fault_duplicated = 0
 
     # -- registration ------------------------------------------------------
 
@@ -159,22 +157,18 @@ class MessageSystem:
         """Queue a message for asynchronous delivery."""
         plan = self._fault_plan
         if plan is not None:
-            roll = self._fault_rng.random()
-            if roll < plan.drop:
+            # truncate is meaningless for structured messages: pass through
+            fate = plan.fate(self._fault_rng)
+            if fate == "drop":
                 self.messages_fault_dropped += 1
                 return
-            roll -= plan.drop
-            # truncate is meaningless for structured messages: pass through
-            roll -= plan.truncate
-            if 0 <= roll < plan.duplicate:
-                self.messages_fault_duplicated += 1
-                self.scheduler.call_later(self.latency, self._deliver, message)
-            roll -= plan.duplicate
-            if 0 <= roll < plan.delay:
+            if fate == "delay":
                 self.messages_fault_delayed += 1
                 self.scheduler.call_later(self.latency + plan.delay_s,
                                           self._deliver, message)
                 return
+            if fate == "duplicate":
+                self.scheduler.call_later(self.latency, self._deliver, message)
         self.scheduler.call_later(self.latency, self._deliver, message)
 
     def send_request(self, source: SEID, destination: SEID, opcode: str,
@@ -250,7 +244,6 @@ class MessageSystem:
                 )
                 self.scheduler.call_later(self.latency, self._deliver, error)
             return
-        self.messages_delivered += 1
         if message.msg_type is MessageType.RESPONSE:
             entry = self._pending.pop(
                 (message.destination, message.transaction), None)

@@ -199,7 +199,6 @@ class Home:
                  pixel_format: PixelFormat = RGB888,
                  preferences: Optional[PreferenceStore] = None,
                  transport: str = "pipe",
-                 backpressure: bool = True,
                  shared_encode: bool = True,
                  reactor: Optional[Reactor] = None,
                  name: str = "home",
@@ -226,14 +225,12 @@ class Home:
         self.uniint_server = UniIntServer(None, self.scheduler,
                                           secret=secret,
                                           shared_encode=shared_encode,
-                                          backpressure=backpressure,
                                           resume_grace_s=(resume_grace_s
                                                           if resilience
                                                           else 0.0))
         self._secret = secret
         self._pixel_format = pixel_format
         self._transport = transport
-        self._backpressure = backpressure
         #: TCP mode: the I/O reactor, this home's membership in it, and
         #: the real listening socket UIP clients dial.  Device legs ride
         #: socketpairs registered under the same membership (devices are
@@ -335,8 +332,7 @@ class Home:
         proxy = server_session = None
         try:
             proxy = UniIntProxy(self.scheduler,
-                                proxy_id=f"uniint-proxy-{user_id}",
-                                backpressure=self._backpressure)
+                                proxy_id=f"uniint-proxy-{user_id}")
             if self._transport == "tcp":
                 client_endpoint = self._dial(user_id, view)
             else:

@@ -114,6 +114,21 @@ class FaultPlan:
         """The wrapper-private RNG stream for ``name``."""
         return random.Random(repr((self.seed, name)))
 
+    def fate(self, rng: random.Random) -> str:
+        """One frame's outcome from exactly one draw of ``rng``.
+
+        Returns ``"drop"``, ``"truncate"``, ``"duplicate"``, ``"delay"``
+        (the exclusive rate slices of [0, 1), in that order) or
+        ``"pass"``.
+        """
+        roll = rng.random()
+        for outcome in ("drop", "truncate", "duplicate", "delay"):
+            rate = getattr(self, outcome)
+            if roll < rate:
+                return outcome
+            roll -= rate
+        return "pass"
+
 
 class FaultyTransport:
     """A :class:`Transport` wrapper that applies a plan's frame faults.
@@ -155,13 +170,10 @@ class FaultyTransport:
             self.frames_stalled += 1
             return
         chunks, total = as_chunks(data)
-        roll = self._rng.random()
-        plan = self.plan
-        if roll < plan.drop:
+        fate = self.plan.fate(self._rng)
+        if fate == "drop":
             self.frames_dropped += 1
-            return
-        roll -= plan.drop
-        if roll < plan.truncate and total > 1:
+        elif fate == "truncate" and total > 1:
             cut = self._rng.randrange(1, total)
             kept: list[bytes] = []
             for chunk in chunks:
@@ -171,20 +183,17 @@ class FaultyTransport:
                 cut -= len(chunk)
             self.frames_truncated += 1
             self.inner.send(kept)
-            return
-        roll -= plan.truncate
-        if roll < plan.duplicate:
+        elif fate == "duplicate":
             self.frames_duplicated += 1
             self.inner.send(chunks)
             self.inner.send(chunks)
-            return
-        roll -= plan.duplicate
-        if roll < plan.delay:
+        elif fate == "delay":
             self.frames_delayed += 1
-            self._scheduler.call_later(plan.delay_s, self._send_late, chunks)
-            return
-        self.frames_passed += 1
-        self.inner.send(chunks)
+            self._scheduler.call_later(self.plan.delay_s, self._send_late,
+                                       chunks)
+        else:  # passes, as does a frame too short to cut
+            self.frames_passed += 1
+            self.inner.send(chunks)
 
     def _send_late(self, chunks: list) -> None:
         if self.inner.is_open:

@@ -201,7 +201,6 @@ class Reactor:
         self._partitioned: set[int] = set()  # id(member)
         # reactor-wide diagnostics (bench_fleet reads these)
         self.turns = 0
-        self.io_events = 0
         self.errors: list[tuple[Optional[str], BaseException]] = []
         self._closed = False
 
@@ -398,7 +397,6 @@ class Reactor:
             handle: IOHandle = key.data
             if handle.closed:
                 continue
-            self.io_events += 1
             worked = True
             if handle.member is not None:
                 handle.member.io_dispatches += 1

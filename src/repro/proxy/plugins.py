@@ -149,8 +149,6 @@ class OutputPlugin:
         self.descriptor = descriptor
         self.screen: ScreenSpec = descriptor.screen
         self.context = context
-        self.frames_out = 0
-        self.bytes_out = 0
         #: The frame object :attr:`_scaled` was last rescaled from.
         self._scaled_from: Optional[Bitmap] = None
         self._scaled: Optional[Bitmap] = None
@@ -165,11 +163,13 @@ class OutputPlugin:
         raise NotImplementedError
 
     def process(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        """Bookkeeping wrapper around :meth:`transform`."""
-        image = self.transform(frame, dirty)
-        self.frames_out += 1
-        self.bytes_out += len(image.data)
-        return image
+        """The session's entry point: :meth:`transform` ``frame``.
+
+        The proxy session passes one bounding ``dirty`` rect: everything
+        the upstream mirror changed since the previous push to this
+        plug-in, merged across any pushes a saturated link deferred.
+        """
+        return self.transform(frame, dirty)
 
     def fit_view(self, frame: Bitmap) -> ViewTransform:
         """Standard letterboxed aspect-preserving fit; updates the context.

@@ -13,7 +13,7 @@ import json
 import random
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.graphics.region import Region
+from repro.graphics.region import Rect
 from repro.net.framing import frame_chunks
 from repro.net.transport import Transport
 from repro.proxy.plugins import (
@@ -29,6 +29,11 @@ from repro.util.scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.proxy.proxy import DeviceBinding, UniIntProxy
+
+#: How many recent rejected-event strings a session keeps.
+PLUGIN_ERRORS_KEPT = 32
+
+_NO_DAMAGE = Rect(0, 0, 0, 0)
 
 
 class SessionResilience:
@@ -195,8 +200,7 @@ class SessionResilience:
             return
         upstream = UniIntClient(
             endpoint, secret=old.secret, pixel_format=old.pixel_format,
-            encodings=old.encodings, damage_cap=old.damage_cap,
-            resume_from=old.resume_token)
+            encodings=old.encodings, resume_from=old.resume_token)
         upstream.on_error = self._on_attempt_error
         upstream.on_session_close = self._on_attempt_close
         upstream.on_ready = self._on_reconnected
@@ -285,21 +289,18 @@ class ProxySession:
         self.switch_count = 0
         self.frames_pushed = 0
         self.events_forwarded = 0
-        #: Coalesced damage rects observed on the upstream mirror, and the
-        #: pixel area actually pushed — the damage-tracking trajectory the
-        #: bandwidth benchmarks record.
-        self.damage_rects_seen = 0
-        self.damage_area_pushed = 0
-        #: Damage awaiting a saturated output link: merged here instead of
-        #: queueing stale frames, flushed when the transport drains.
-        self._deferred_push = Region()
+        #: Damage awaiting a saturated output link, as one bounding rect:
+        #: grown here instead of queueing stale frames, flushed when the
+        #: transport drains.
+        self._deferred_push = _NO_DAMAGE
         #: Frame pushes withheld by device-link backpressure, and the
         #: pixel area of the damage withheld at each deferral (an upper
         #: bound on the device-frame bytes a queued stale push would have
         #: cost — exact bytes depend on the output plug-in's format).
         self.updates_coalesced = 0
         self.bytes_suppressed = 0
-        #: Device events the input plug-in rejected (malformed payloads).
+        #: The newest :data:`PLUGIN_ERRORS_KEPT` device events the input
+        #: plug-in rejected (malformed payloads), oldest first.
         self.plugin_errors: list[str] = []
         #: Self-healing machinery; installed by :meth:`enable_resilience`.
         self.resilience: Optional[SessionResilience] = None
@@ -381,7 +382,7 @@ class ProxySession:
             self.switch_count += 1
             self.output_binding.endpoint.on_writable = None
         self.output_binding = binding
-        self._deferred_push.clear()
+        self._deferred_push = _NO_DAMAGE
         self.context.output_descriptor = (binding.descriptor
                                           if binding else None)
         self.context.view = None
@@ -419,6 +420,8 @@ class ProxySession:
         except (ValueError, ProxyError) as error:
             self.plugin_errors.append(
                 f"{binding.device_id}: {error}")
+            if len(self.plugin_errors) > PLUGIN_ERRORS_KEPT:
+                del self.plugin_errors[:-PLUGIN_ERRORS_KEPT]
             return
         for message in messages:
             self.events_forwarded += 1
@@ -427,26 +430,25 @@ class ProxySession:
 
     # -- upstream -> device -----------------------------------------------------------
 
-    def _on_update(self, region: Region) -> None:
+    def _on_update(self, dirty: Rect) -> None:
         if self.resilience is not None:
             self.resilience.wake()
-        self._push_frame(region)
+        self._push_frame(dirty)
 
     def _push_full_frame(self) -> None:
         if self.upstream.framebuffer is not None:
-            self._push_frame(Region([self.upstream.framebuffer.bounds]))
+            self._push_frame(self.upstream.framebuffer.bounds)
 
     def _on_output_writable(self) -> None:
         """The output device's link drained: flush any deferred damage."""
         if not self._deferred_push.is_empty:
-            self._push_frame(Region())
+            self._push_frame(_NO_DAMAGE)
 
-    def _push_frame(self, region: Region) -> None:
+    def _push_frame(self, dirty: Rect) -> None:
         if (self.output_plugin is None or self.output_binding is None
                 or self.upstream.framebuffer is None):
             return
-        for rect in region:
-            self._deferred_push.add(rect)
+        self._deferred_push = self._deferred_push.union_bounds(dirty)
         if self._deferred_push.is_empty:
             return
         endpoint = self.output_binding.endpoint
@@ -455,14 +457,10 @@ class ProxySession:
             # hold the damage merged in ``_deferred_push``; the endpoint's
             # on_writable flushes one fresh frame once the link drains.
             self.updates_coalesced += 1
-            self.bytes_suppressed += self._deferred_push.bounds().area
+            self.bytes_suppressed += self._deferred_push.area
             return
-        bounds = self._deferred_push.bounds()
-        self.damage_rects_seen += len(self._deferred_push)
-        self.damage_area_pushed += bounds.area
-        self._deferred_push = Region()
-        image = self.output_plugin.process(self.upstream.framebuffer,
-                                           bounds)
+        dirty, self._deferred_push = self._deferred_push, _NO_DAMAGE
+        image = self.output_plugin.process(self.upstream.framebuffer, dirty)
         if endpoint.is_open:
             endpoint.send(frame_chunks(
                 (bytes([LINK_TAG_IMAGE]), image.encode())))

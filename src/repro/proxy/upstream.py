@@ -1,9 +1,10 @@
 """The proxy's upstream face: a universal-interaction-protocol client.
 
 :class:`UniIntClient` replaces the stock thin-client *viewer* (paper §2.2):
-it keeps a faithful RGB mirror of the server framebuffer and reports which
-region changed after every update, but never draws to a screen itself — the
-output plug-in decides what the current output device sees.
+it keeps a faithful RGB mirror of the server framebuffer and reports the
+bounding rect of what changed after every update, but never draws to a
+screen itself — the output plug-in decides what the current output device
+sees.
 
 Flow control follows the thin-client convention: exactly one framebuffer
 update request is outstanding at any time, so a slow device link
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 from repro.graphics.bitmap import Bitmap
 from repro.graphics.pixelformat import RGB888, PixelFormat
-from repro.graphics.region import Rect, Region
+from repro.graphics.region import Rect
 from repro.net.transport import Transport
 from repro.uip import encodings as enc
 from repro.uip.handshake import VERSION_1_1, ClientHandshake
@@ -50,21 +51,17 @@ class UniIntClient:
     def __init__(self, endpoint: Transport, secret: Optional[str] = None,
                  pixel_format: PixelFormat = RGB888,
                  encodings: tuple[int, ...] = DEFAULT_ENCODINGS,
-                 damage_cap: int = 16,
                  resume_from: Optional[int] = None) -> None:
         self.endpoint = endpoint
         self.secret = secret
         self.pixel_format = pixel_format
         self.encodings = encodings
-        #: Fragmentation cap for the coalesced region handed to on_update.
-        self.damage_cap = damage_cap
         self._handshake = ClientHandshake(secret=secret)
         self._decoder: Optional[ServerMessageDecoder] = None
         self.framebuffer: Optional[Bitmap] = None
         self.server_name: Optional[str] = None
         self.closed = False
         self.updates_received = 0
-        self.rects_received = 0
         #: Resume a parked server session instead of renegotiating: after
         #: the handshake this client sends ResumeSession(resume_from) and
         #: one non-incremental update request (the single full-frame
@@ -77,12 +74,13 @@ class UniIntClient:
         # whole debt (sequence numbers are monotonic, a later answer
         # proves the link end-to-end).
         self.pings_sent = 0
-        self.pongs_received = 0
         self.outstanding_pings = 0
         #: Fired once after the handshake and the initial full update request.
         self.on_ready: Optional[Callable[[], None]] = None
-        #: Fired after each applied update with the changed region.
-        self.on_update: Optional[Callable[[Region], None]] = None
+        #: Fired after each update that changed the mirror, with the
+        #: bounding rect of every pixel it blitted or copied (inside the
+        #: framebuffer; the whole framebuffer after a desktop resize).
+        self.on_update: Optional[Callable[[Rect], None]] = None
         #: Fired when the server resizes the desktop.
         self.on_resize: Optional[Callable[[int, int], None]] = None
         #: Fired on a server bell (e.g. microwave ding surfaced by an app).
@@ -211,20 +209,16 @@ class UniIntClient:
 
     def _handle(self, message) -> None:
         if isinstance(message, FramebufferUpdate):
-            region = self._apply_update(message)
+            dirty = self._apply_update(message)
             self.updates_received += 1
-            if self.on_update is not None and not region.is_empty:
-                # coalesce only when someone listens: passive mirrors skip
-                # the cost on every applied update
-                region.coalesce(self.damage_cap)
-                self.on_update(region)
+            if self.on_update is not None and not dirty.is_empty:
+                self.on_update(dirty)
             # keep exactly one incremental request outstanding
             self.request_update(incremental=True)
         elif isinstance(message, Bell):
             if self.on_bell is not None:
                 self.on_bell()
         elif isinstance(message, Pong):
-            self.pongs_received += 1
             self.outstanding_pings = 0
             if self.on_pong is not None:
                 self.on_pong(message.seq)
@@ -235,28 +229,29 @@ class UniIntClient:
         else:  # pragma: no cover - decoder only yields the types above
             raise AssertionError(f"unexpected message {message!r}")
 
-    def _apply_update(self, update: FramebufferUpdate) -> Region:
+    def _apply_update(self, update: FramebufferUpdate) -> Rect:
+        """Apply ``update`` to the mirror; returns the changed bounds."""
         assert self.framebuffer is not None
-        region = Region()
-        self.rects_received += len(update.rects)
+        dirty = Rect(0, 0, 0, 0)
         for rect_update in update.rects:
             rect = rect_update.rect
             if rect_update.encoding == enc.DESKTOP_SIZE:
                 width, height = rect_update.payload  # type: ignore[misc]
                 self.framebuffer = Bitmap(max(width, 1), max(height, 1))
-                region = Region([self.framebuffer.bounds])
+                dirty = self.framebuffer.bounds
                 if self.on_resize is not None:
                     self.on_resize(width, height)
                 continue
             if rect_update.encoding == enc.COPYRECT:
                 src_x, src_y = rect_update.payload  # type: ignore[misc]
                 src = Rect(src_x, src_y, rect.w, rect.h)
-                dirty = self.framebuffer.copy_rect(src, rect.x, rect.y)
-                region.add(dirty)
+                dirty = dirty.union_bounds(
+                    self.framebuffer.copy_rect(src, rect.x, rect.y))
                 continue
             packed = rect_update.payload
             rgb = self.pixel_format.unpack(
                 packed.tobytes(), rect.w, rect.h)  # type: ignore[union-attr]
             patch = Bitmap.from_array(rgb)
-            region.add(self.framebuffer.blit(patch, rect.x, rect.y))
-        return region
+            dirty = dirty.union_bounds(
+                self.framebuffer.blit(patch, rect.x, rect.y))
+        return dirty

@@ -38,8 +38,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.graphics.differ import TileDiffer
 from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.graphics.region import Rect, Region
@@ -214,9 +212,8 @@ class ServerSurface:
         key = (pixel_format, rect)
         packed = self._pack_cache.get(key)
         if packed is None:
-            rgb = self.display.framebuffer.view(rect)  # zero-copy subarray
             packed = pixel_format.pack_array(
-                rgb, out=self.server._scratch_for(self.surface_id, key))
+                self.display.framebuffer.view(rect))
             self._pack_cache[key] = packed
             self.server.pack_misses += 1
         else:
@@ -320,7 +317,6 @@ class ServerSession:
         self.rects_sent = 0
         self.key_events = 0
         self.pointer_events = 0
-        self.pings_answered = 0
         # backpressure statistics (bench_backpressure): sends withheld
         # because the link was saturated, and the raw-equivalent bytes of
         # the damage folded back into ``_pending`` at each withholding.
@@ -429,7 +425,6 @@ class ServerSession:
         elif isinstance(message, ClientCutText):
             pass  # clipboard is accepted and ignored
         elif isinstance(message, Ping):
-            self.pings_answered += 1
             if self.endpoint.is_open:
                 self.endpoint.send(Pong(message.seq).encode())
         elif isinstance(message, ResumeSession):
@@ -572,7 +567,6 @@ class ServerSession:
             "rects_sent": self.rects_sent,
             "key_events": self.key_events,
             "pointer_events": self.pointer_events,
-            "pings_answered": self.pings_answered,
             "rects_by_encoding": dict(self.rects_by_encoding),
             "link_health": self.link_health(),
         }
@@ -667,18 +661,6 @@ class UniIntServer:
         self._next_session = 1
         self._next_surface = 1
         self._flush_scheduled = False
-        # Persistent per-(surface, pixel format, rect) pack output buffers:
-        # the same rects get damaged frame after frame (widget churn), so
-        # the pack result is written into a reused scratch array instead of
-        # a fresh allocation.  Entries outlive the surfaces' per-frame
-        # caches; the dict is emptied wholesale when either the entry or
-        # the byte cap would be exceeded (varying damage geometry must not
-        # accrete full-frame-sized buffers).  Server-wide so the memory
-        # ceiling does not multiply with the number of surfaces.
-        self._pack_scratch: dict[tuple, np.ndarray] = {}
-        self._pack_scratch_bytes = 0
-        self._pack_scratch_cap = 256
-        self._pack_scratch_max_bytes = 16 * 1024 * 1024
         # statistics for the scale experiments (bench_home_scale);
         # aggregated across surfaces so ablation benches read one number
         self.pack_hits = 0
@@ -714,11 +696,6 @@ class UniIntServer:
             session.close()
         if surface.display.on_damage == surface._on_display_damage:
             surface.display.on_damage = None
-        stale = [key for key in self._pack_scratch
-                 if key[0] == surface.surface_id]
-        for key in stale:
-            self._pack_scratch_bytes -= self._pack_scratch[key].nbytes
-            del self._pack_scratch[key]
 
     @property
     def default_surface(self) -> ServerSurface:
@@ -730,30 +707,6 @@ class UniIntServer:
     def display(self) -> DisplayServer:
         """The default surface's display (legacy single-display API)."""
         return self.default_surface.display
-
-    def _scratch_for(self, surface_id: int, key: tuple):
-        """The persistent pack output buffer for one (surface, format,
-        rect) key.
-
-        Safe to reuse across frames: packed arrays are only referenced
-        within the flush that packs them (payloads leave as bytes), and
-        each surface's per-frame ``_pack_cache`` is dropped on every
-        content change.  Surface ids are never reused, so keys of removed
-        surfaces can only go stale, not alias.
-        """
-        skey = (surface_id, *key)
-        scratch = self._pack_scratch.get(skey)
-        if scratch is None:
-            pixel_format, rect = key
-            scratch = np.empty((rect.h, rect.w), dtype=pixel_format.dtype)
-            if (len(self._pack_scratch) >= self._pack_scratch_cap
-                    or (self._pack_scratch_bytes + scratch.nbytes
-                        > self._pack_scratch_max_bytes)):
-                self._pack_scratch.clear()
-                self._pack_scratch_bytes = 0
-            self._pack_scratch[skey] = scratch
-            self._pack_scratch_bytes += scratch.nbytes
-        return scratch
 
     # -- accepting clients ------------------------------------------------------
 

@@ -170,7 +170,6 @@ class EncoderState:
         # only (reset per encode call) to keep rects independently decodable.
         self.cache = cache if cache is not None else (
             EncodeCache() if use_cache else None)
-        self._scratch: np.ndarray | None = None
 
     @property
     def level(self) -> int:
@@ -211,7 +210,6 @@ class EncoderState:
         self.pixel_format = pixel_format
         self._deflater = zlib.compressobj(self.level)
         self._deflate_started = False
-        self._scratch = None
 
     def trial_deflater(self):
         """A throwaway clone of the live deflate stream.
@@ -229,21 +227,6 @@ class EncoderState:
             self._deflate_started = True
         return deflater.compress(data) + deflater.flush(zlib.Z_SYNC_FLUSH)
 
-    def contiguous(self, packed: np.ndarray) -> np.ndarray:
-        """``packed`` as a C-contiguous array, reusing a scratch buffer.
-
-        Cropped framebuffer views are rarely contiguous; copying them into
-        a persistent per-session scratch avoids one fresh allocation per
-        rect on the hot encode path.
-        """
-        if packed.flags.c_contiguous:
-            return packed
-        if (self._scratch is None or self._scratch.shape != packed.shape
-                or self._scratch.dtype != packed.dtype):
-            self._scratch = np.empty(packed.shape, dtype=packed.dtype)
-        np.copyto(self._scratch, packed)
-        return self._scratch
-
     def cache_key(self, packed: np.ndarray, encoding: int) -> tuple:
         """The content key ``encode_rect`` caches payloads under.
 
@@ -252,7 +235,7 @@ class EncoderState:
         session sharing the same cache.
         """
         digest = hashlib.blake2b(
-            self.contiguous(packed).data, digest_size=16).digest()
+            np.ascontiguousarray(packed).data, digest_size=16).digest()
         if encoding in STATEFUL_ENCODINGS:
             return (encoding, self.tier, self.pixel_format, packed.shape,
                     digest)
@@ -691,11 +674,6 @@ def decode_hextile(cursor: Cursor, width: int, height: int,
 # -- ZLIB --------------------------------------------------------------------------
 
 
-def encode_zlib(state: EncoderState, packed: np.ndarray) -> bytes:
-    compressed = state.deflate(state.contiguous(packed).tobytes())
-    return Writer().u32(len(compressed)).raw(compressed).getvalue()
-
-
 def decode_zlib(state: DecoderState, cursor: Cursor, width: int,
                 height: int, pf: PixelFormat) -> np.ndarray:
     length = cursor.u32()
@@ -962,14 +940,6 @@ def decode_zrle_tiles(data: bytes, width: int, height: int,
     return out
 
 
-def encode_zrle(state: EncoderState, packed: np.ndarray,
-                deflater=None) -> bytes:
-    tiles = encode_zrle_tiles(state.contiguous(packed), state.pixel_format,
-                              rle=state.rle)
-    compressed = state.deflate(tiles, deflater)
-    return Writer().u32(len(compressed)).raw(compressed).getvalue()
-
-
 def decode_zrle(state: DecoderState, cursor: Cursor, width: int,
                 height: int, pf: PixelFormat) -> np.ndarray:
     length = cursor.u32()
@@ -1001,8 +971,7 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
     if encoding == ZLIB:
         # position-dependent persistent stream: the payload is never cached
         deflater = state.trial_deflater() if trial else None
-        compressed = state.deflate(state.contiguous(packed).tobytes(),
-                                   deflater)
+        compressed = state.deflate(packed.tobytes(), deflater)
         return Writer().u32(len(compressed)).raw(compressed).getvalue()
     if encoding == ZRLE:
         # The tile stream is position-independent and cached (key includes
@@ -1013,8 +982,8 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
         if cache is not None:
             tiles = cache.peek(key) if trial else cache.get(key)
         if tiles is None:
-            tiles = encode_zrle_tiles(state.contiguous(packed),
-                                      state.pixel_format, rle=state.rle)
+            tiles = encode_zrle_tiles(packed, state.pixel_format,
+                                      rle=state.rle)
             if cache is not None and not trial:
                 cache.put(key, tiles)
         deflater = state.trial_deflater() if trial else None
@@ -1027,7 +996,7 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
         if cached is not None:
             return cached
     if encoding == RAW:
-        payload = encode_raw(state.contiguous(packed))
+        payload = encode_raw(packed)
     elif encoding == RRE:
         payload = encode_rre(packed, state.pixel_format)
     elif encoding == HEXTILE:

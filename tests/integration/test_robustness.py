@@ -65,6 +65,22 @@ class TestMalformedDeviceTraffic:
         scheduler.run_until_idle()
         assert window.root.find("power").value is True
 
+    def test_rejected_events_keep_only_the_newest(self):
+        scheduler, display, window, server, proxy, session = stack()
+        phone = CellPhone("ph", scheduler)
+        phone.connect(proxy)
+        proxy.select_input("ph")
+        scheduler.run_until_idle()
+        for i in range(100):
+            phone._pipe.a.send(encode_frame(
+                json.dumps({"type": "key", "key": f"Z{i}"}).encode()))
+        scheduler.run_until_idle()
+        assert len(session.plugin_errors) <= 32
+        assert "'Z99'" in session.plugin_errors[-1]
+        phone.press("5")
+        scheduler.run_until_idle()
+        assert window.root.find("power").value is True
+
     def test_unselected_device_events_ignored_silently(self):
         scheduler, display, window, server, proxy, session = stack()
         a = CellPhone("a", scheduler)

@@ -1,6 +1,7 @@
 """Unit tests for the fault-injection harness (repro.net.faults)."""
 
 import errno
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.net import (
     make_pipe,
     make_socket_transport_pair,
 )
+from repro.havi import SEID, MessageSystem
 from repro.util import Scheduler, TransportError
 
 
@@ -58,6 +60,17 @@ class TestFaultPlan:
         assert a1 == a2
         assert a1 != b
 
+    def test_fate_is_one_draw_through_exclusive_slices(self):
+        plan = FaultPlan(drop=0.125, truncate=0.25, duplicate=0.25,
+                         delay=0.125)
+        edges = ((0.125, "drop"), (0.375, "truncate"), (0.625, "duplicate"),
+                 (0.75, "delay"), (1.0, "pass"))
+        rng, twin = random.Random(5), random.Random(5)
+        for _ in range(200):
+            roll = twin.random()
+            assert plan.fate(rng) == next(
+                fate for edge, fate in edges if roll < edge)
+
 
 class TestFaultyTransport:
     def test_drop_all(self):
@@ -94,6 +107,17 @@ class TestFaultyTransport:
         assert b"0123456789".startswith(got[0])
         assert 0 < len(got[0]) < 10
         assert faulty.frames_truncated == 1
+
+    def test_frame_too_short_to_truncate_passes_through(self):
+        # a UIP Bell is one byte: there is no strict prefix to cut
+        faulty, pair, sched, got = faulty_pair(
+            FaultPlan(seed=1, truncate=1.0))
+        for _ in range(5):
+            faulty.send(b"\x02")
+        sched.run_until_idle()
+        assert got == [b"\x02"] * 5
+        assert faulty.frames_duplicated == faulty.frames_truncated == 0
+        assert faulty.frames_passed == 5
 
     def test_clean_plan_passes_everything(self):
         faulty, pair, sched, got = faulty_pair(FaultPlan())
@@ -160,6 +184,25 @@ def reactor():
 def socket_pair(reactor):
     """A socketpair transport whose halves ride ``reactor``."""
     return make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
+
+
+class TestBusFaults:
+    @pytest.mark.parametrize("rates, copies", [
+        ({"truncate": 1.0}, 1),  # meaningless for a message: passes
+        ({"duplicate": 1.0}, 2),
+        ({"drop": 1.0}, 0),
+    ])
+    def test_each_message_meets_its_fate_once(self, rates, copies):
+        sched = Scheduler()
+        bus = MessageSystem(sched)
+        target = SEID("tv", 1)
+        got = []
+        bus.register(target, got.append)
+        bus.inject_faults(FaultPlan(seed=1, **rates))
+        for _ in range(3):
+            bus.send_event(SEID("remote", 1), target, "ping")
+        sched.run_until_idle()
+        assert len(got) == 3 * copies
 
 
 class TestFaultySocket:

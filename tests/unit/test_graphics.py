@@ -266,22 +266,6 @@ class TestPixelFormat:
         assert np.array_equal(fmt.pack_array(view),
                               fmt.pack_array(view.copy()))
 
-    @pytest.mark.parametrize("fmt", [RGB888, RGB565, RGB332])
-    def test_pack_array_out_buffer(self, fmt):
-        rng = np.random.default_rng(6)
-        rgb = rng.integers(0, 256, size=(6, 9, 3), dtype=np.uint8)
-        out = np.empty((6, 9), dtype=fmt.dtype)
-        result = fmt.pack_array(rgb, out=out)
-        assert result is out  # reused, not reallocated
-        assert np.array_equal(out, fmt.pack_array(rgb))
-
-    def test_pack_array_out_mismatch_rejected(self):
-        rgb = np.zeros((4, 4, 3), dtype=np.uint8)
-        with pytest.raises(GraphicsError):
-            RGB888.pack_array(rgb, out=np.empty((3, 3), dtype=RGB888.dtype))
-        with pytest.raises(GraphicsError):
-            RGB888.pack_array(rgb, out=np.empty((4, 4), dtype=RGB565.dtype))
-
 
 class TestDraw:
     def test_hline_vline(self):

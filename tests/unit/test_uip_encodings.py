@@ -352,15 +352,13 @@ class TestEncodeCache:
                           packed.shape[1], packed.shape[0], ZLIB)
         assert np.array_equal(out, packed)
 
-    def test_contiguous_reuses_scratch(self):
-        state = EncoderState(RGB888)
+    @pytest.mark.parametrize("encoding", PIXEL_CODECS)
+    def test_non_contiguous_view_encodes_like_a_copy(self, encoding):
         base = RGB888.pack_array(panel_bitmap(64, 64).pixels)
         view = base[::, 1:33]  # non-contiguous slice
         assert not view.flags.c_contiguous
-        out1 = state.contiguous(view)
-        out2 = state.contiguous(base[::, 2:34])
-        assert out1 is out2  # same scratch buffer reused
-        assert np.array_equal(out2, base[::, 2:34])
+        assert (encode_rect(EncoderState(RGB888), view, encoding)
+                == encode_rect(EncoderState(RGB888), view.copy(), encoding))
 
 
 class TestCompressionTiers:

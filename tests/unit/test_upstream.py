@@ -58,12 +58,12 @@ class TestApplyUpdates:
         patch = Bitmap(8, 8, fill=(200, 10, 10))
         server.push(FramebufferUpdate((RectUpdate(
             Rect(4, 4, 8, 8), RAW, RGB888.pack_array(patch.pixels)),)))
-        regions = []
-        client.on_update = regions.append
+        rects = []
+        client.on_update = rects.append
         scheduler.run_until_idle()
         assert client.framebuffer.get_pixel(4, 4) == (200, 10, 10)
         assert client.framebuffer.get_pixel(0, 0) == (0, 0, 0)
-        assert regions[-1].bounds() == Rect(4, 4, 8, 8)
+        assert rects[-1] == Rect(4, 4, 8, 8)
 
     def test_copyrect_moves_pixels(self):
         scheduler, server, client = connected_pair()
