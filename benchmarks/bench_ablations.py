@@ -1,4 +1,4 @@
-"""Ablations — quantifying the design choices DESIGN.md calls out.
+"""Ablations — quantifying the design choices of the README's pipeline.
 
 A1  incremental damage-tracked updates   vs full-frame refreshes
 A2  fixed HEXTILE                        vs fixed RRE
@@ -24,7 +24,6 @@ from repro.windows import DisplayServer
 
 def _stack(pixel_format=RGB888, encodings=None, tile_diff=True):
     scheduler = Scheduler()
-    display = DisplayServer(480, 360)
     window = UIWindow(480, 360)
     col = Column()
     label = col.add(Label("status: ----"))
@@ -32,8 +31,8 @@ def _stack(pixel_format=RGB888, encodings=None, tile_diff=True):
     for i in range(6):
         col.add(ToggleButton(f"Load {i}"))
     window.set_root(col)
-    display.map_fullscreen(window)
-    server = UniIntServer(display, scheduler, tile_diff=tile_diff)
+    server = UniIntServer(DisplayServer(window), scheduler,
+                          tile_diff=tile_diff)
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100)
     server.accept(pipe.a)

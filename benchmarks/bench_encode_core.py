@@ -263,12 +263,11 @@ def _sequence_cost(frames, encoding, tier) -> tuple[int, float]:
 
 def _unchanged_redraw_stack(tile_diff: bool):
     scheduler = Scheduler()
-    display = DisplayServer(480, 360)
     window = UIWindow(480, 360)
     column = Column()
     labels = [column.add(Label(f"panel row {i}")) for i in range(12)]
     window.set_root(column)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler, tile_diff=tile_diff)
     pipe = make_pipe(scheduler, ETHERNET_100, name="viewer")
     server.accept(pipe.a)

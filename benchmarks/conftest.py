@@ -1,10 +1,11 @@
 """Shared workload builders for the experiment benchmarks (E1-E7).
 
-The paper has no quantitative tables; DESIGN.md §4 defines the experiment
-set these benchmarks implement.  Every benchmark attaches the numbers that
-matter for the experiment's *shape* (bytes, ratios, virtual-time latencies)
-to ``benchmark.extra_info`` so ``--benchmark-json`` captures them alongside
-the timing data.
+The paper has no quantitative tables; each bench module's docstring names
+the experiments it implements, and the README's "Running tests and
+benchmarks" section lists the make targets that run them.  Every benchmark
+attaches the numbers that matter for the experiment's *shape* (bytes,
+ratios, virtual-time latencies) to ``benchmark.extra_info`` so
+``--benchmark-json`` captures them alongside the timing data.
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ def churn_panel_stack(profiles, *, shared: bool = True,
     ``clients[i]`` connected over ``profiles[i]``.
     """
     scheduler = Scheduler()
-    display = DisplayServer(480, 360)
     window = UIWindow(480, 360)
     column = Column()
     labels = [column.add(Label(f"row {i}")) for i in range(12)]
     window.set_root(column)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler, shared_encode=shared,
                           backpressure=backpressure)
     clients = []

@@ -16,7 +16,7 @@ break lexicographically on device id so selection is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.context.model import UserSituation

@@ -8,7 +8,7 @@ them additive makes policy decisions explainable — the score breakdown in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.context.model import UserSituation

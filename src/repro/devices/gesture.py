@@ -131,17 +131,6 @@ class GesturePad(InteractionDevice):
                          "points": [[round(x, 2), round(y, 2)]
                                     for x, y in noisy]})
 
-    def swipe(self, direction: str, length: float = 80.0) -> None:
-        """Convenience: a straight swipe ('left', 'right', 'up', 'down')."""
-        vectors = {"right": (1, 0), "left": (-1, 0),
-                   "up": (0, -1), "down": (0, 1)}
-        if direction not in vectors:
-            raise ValueError(f"unknown swipe direction {direction!r}")
-        dx, dy = vectors[direction]
-        points = [(50.0 + dx * length * i / 8, 50.0 + dy * length * i / 8)
-                  for i in range(9)]
-        self.stroke(points)
-
     def tap(self) -> None:
         self.stroke([(50.0, 50.0), (50.5, 50.2)])
 

@@ -81,17 +81,3 @@ class Pda(InteractionDevice):
         """Stylus tap at device coordinates (x, y)."""
         self.send_event({"type": "touch", "action": "down", "x": x, "y": y})
         self.send_event({"type": "touch", "action": "up", "x": x, "y": y})
-
-    def drag(self, points: list[tuple[int, int]]) -> None:
-        """Stylus drag through the given device-coordinate points."""
-        if not points:
-            return
-        first, *rest = points
-        self.send_event({"type": "touch", "action": "down",
-                         "x": first[0], "y": first[1]})
-        for x, y in rest:
-            self.send_event({"type": "touch", "action": "move",
-                             "x": x, "y": y})
-        last = points[-1]
-        self.send_event({"type": "touch", "action": "up",
-                         "x": last[0], "y": last[1]})

@@ -134,21 +134,10 @@ class HomeFleet:
                      if home.reactor_member is not None
                      and home.reactor_member.failed)
 
-    @property
-    def healthy_homes(self) -> tuple[Home, ...]:
-        return tuple(home for home in self.homes.values()
-                     if home.reactor_member is not None
-                     and not home.reactor_member.failed)
-
     def error_of(self, name: str) -> Optional[BaseException]:
         """The last contained exception of one home (None when healthy)."""
         member = self.home(name).reactor_member
         return member.last_error if member is not None else None
-
-    def traceback_of(self, name: str) -> Optional[str]:
-        """The formatted traceback of one home's last contained error."""
-        member = self.home(name).reactor_member
-        return member.last_traceback if member is not None else None
 
     # -- supervision --------------------------------------------------------
 

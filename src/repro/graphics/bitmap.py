@@ -1,6 +1,6 @@
 """The canonical in-memory image: an RGB888 numpy-backed bitmap.
 
-Everything inside the system (toolkit painting, window composition, UniInt
+Everything inside the system (toolkit painting, display framebuffers, UniInt
 server snapshots, output plug-in inputs) is a :class:`Bitmap`; wire formats
 and device formats only appear at the edges.
 """

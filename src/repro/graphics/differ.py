@@ -38,10 +38,7 @@ class TileDiffer:
     because sessions accumulate the refined region independently.
     """
 
-    def __init__(self, tile: int = _TILE) -> None:
-        if tile < 1:
-            raise ValueError(f"tile size must be positive: {tile}")
-        self.tile = tile
+    def __init__(self) -> None:
         self._shadow: Optional[np.ndarray] = None
         # statistics for the bandwidth experiments / ablations
         self.tiles_checked = 0
@@ -52,10 +49,6 @@ class TileDiffer:
     def reset(self) -> None:
         """Forget the shadow; the next refine passes damage through."""
         self._shadow = None
-
-    @property
-    def primed(self) -> bool:
-        return self._shadow is not None
 
     # -- refinement ---------------------------------------------------------
 
@@ -83,7 +76,7 @@ class TileDiffer:
         return out
 
     def _refine_one(self, pixels: np.ndarray, rect: Rect) -> list[Rect]:
-        tile = self.tile
+        tile = _TILE
         fresh = pixels[rect.y:rect.y2, rect.x:rect.x2]
         stale = self._shadow[rect.y:rect.y2, rect.x:rect.x2]
         core = (fresh != stale).any(axis=2)

@@ -33,10 +33,6 @@ class Font:
     # -- metrics ------------------------------------------------------------
 
     @property
-    def glyph_width(self) -> int:
-        return font5x7.GLYPH_WIDTH * self.scale
-
-    @property
     def glyph_height(self) -> int:
         return font5x7.GLYPH_HEIGHT * self.scale
 

@@ -1,7 +1,7 @@
 """Rectangle and region algebra.
 
 :class:`Rect` is the universal geometry currency of the reproduction: the
-toolkit damages rects, the window system composites rects, the UniInt server
+toolkit damages rects, the window system coalesces rects, the UniInt server
 encodes rects.  :class:`Region` maintains a set of *disjoint* rectangles
 under union, which is exactly what incremental framebuffer updates need —
 overlapping damage must not be encoded twice.
@@ -113,10 +113,6 @@ class Rect:
         w = max(0, self.w - 2 * margin)
         h = max(0, self.h - 2 * margin)
         return Rect(self.x + margin, self.y + margin, w, h)
-
-    def clamp_inside(self, bounds: "Rect") -> "Rect":
-        """Clip this rect to ``bounds``."""
-        return self.intersect(bounds)
 
     def split_tiles(self, tile_w: int, tile_h: int) -> Iterator["Rect"]:
         """Yield the tile grid covering this rect, row-major.

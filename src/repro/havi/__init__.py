@@ -23,7 +23,6 @@ depends on:
 from repro.havi.seid import SEID, SOFTWARE_ELEMENT_TYPES
 from repro.havi.messaging import HaviMessage, MessageSystem, MessageType
 from repro.havi.registry import (
-    Attribute,
     Comparison,
     Query,
     QueryAnd,
@@ -48,7 +47,6 @@ from repro.havi.manager import DcmManager, HomeNetwork
 from repro.havi.streams import Plug, StreamConnection, StreamManager
 
 __all__ = [
-    "Attribute",
     "CAPABILITY_KINDS",
     "Capability",
     "CapabilityDescriptor",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.havi.bus import BusDevice, DeviceInfo, HomeBus
 from repro.havi.dcm import Dcm
@@ -45,9 +45,6 @@ class DcmManager:
     @property
     def dcms(self) -> dict[str, Dcm]:
         return dict(self._dcms)
-
-    def dcm_for(self, guid: str) -> Optional[Dcm]:
-        return self._dcms.get(guid)
 
     def _uninstall(self, guid: str) -> None:
         dcm = self._dcms.pop(guid)

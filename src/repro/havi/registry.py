@@ -19,14 +19,6 @@ from repro.util.errors import RegistryError
 AttrValue = object
 
 
-@dataclass(frozen=True)
-class Attribute:
-    """One (name, value) attribute in a registration."""
-
-    name: str
-    value: AttrValue
-
-
 class Query:
     """Base query node; subclasses implement :meth:`matches`."""
 

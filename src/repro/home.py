@@ -290,7 +290,6 @@ class Home:
 
     def _make_view(self, user_id: str) -> HomeView:
         """Provision one UI surface: display + window + per-view app."""
-        display = DisplayServer(self._width, self._height)
         suffix = "" if user_id == DEFAULT_USER else f" [{user_id}]"
         window = UIWindow(self._width, self._height,
                           title=f"home appliances{suffix}")
@@ -299,7 +298,7 @@ class Home:
         app = HomeApplianceApplication(self.network, window,
                                        app_name=app_name,
                                        command_log=self.command_log)
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         surface = self.uniint_server.add_surface(display)
         view = HomeView(self, display, window, app, surface)
         app.on_bell = lambda event, v=view: self._route_bell(v, event)

@@ -147,9 +147,6 @@ class IOHandle:
         """Arm/disarm EPOLLOUT for this fd (idempotent)."""
         self._set(selectors.EVENT_WRITE, want)
 
-    def set_read_interest(self, want: bool) -> None:
-        self._set(selectors.EVENT_READ, want)
-
     def _set(self, bit: int, want: bool) -> None:
         if self.closed:
             return

@@ -9,7 +9,7 @@ voice input is ``hands_free``, a TV display is ``fixed`` and ``shared``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.link import LinkProfile

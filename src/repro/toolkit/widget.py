@@ -61,10 +61,6 @@ class Widget:
         self.children.remove(child)
         self.invalidate()
 
-    def remove_all(self) -> None:
-        for child in list(self.children):
-            self.remove(child)
-
     def on_teardown(self, hook: Callable[[], None]) -> None:
         """Register a cleanup hook run when this subtree is discarded.
 

@@ -620,12 +620,6 @@ class TabPanel(Widget):
     def titles(self) -> list[str]:
         return list(self._titles)
 
-    @property
-    def active_page(self) -> Optional[Widget]:
-        if 0 <= self.active < len(self.children):
-            return self.children[self.active]
-        return None
-
     def set_active(self, index: int) -> None:
         if not self._titles:
             return

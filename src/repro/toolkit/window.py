@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graphics.bitmap import Bitmap
-from repro.graphics.region import Rect, Region
+from repro.graphics.region import Region
 from repro.toolkit.canvas import Canvas
 from repro.toolkit.events import KeyPress, Pointer, PointerKind
 from repro.toolkit.theme import DEFAULT_THEME, Theme
@@ -89,9 +89,9 @@ class UIWindow:
     def render(self) -> Region:
         """Repaint damaged areas; returns the region that changed.
 
-        The whole tree is painted through a canvas clipped to the damage
-        bounds — correct and simple; panels are small enough that damage-
-        bounded painting is not the bottleneck (the encoders are).
+        The whole tree is painted through a canvas clipped to the bounding
+        box of the damage, so pixels inside that box but outside the
+        damage are repainted unchanged.
         """
         if self.damage.is_empty:
             return Region()

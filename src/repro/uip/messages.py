@@ -38,7 +38,7 @@ received message once more bytes arrive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

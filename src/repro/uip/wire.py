@@ -55,11 +55,6 @@ class Cursor:
         self.pos += n
         return chunk
 
-    def peek_u8(self) -> int:
-        if self.remaining() < 1:
-            raise NeedMore(self.pos + 1)
-        return self.data[self.pos]
-
     def u8(self) -> int:
         return _U8.unpack(self.take(1))[0]
 

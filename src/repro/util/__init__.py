@@ -5,7 +5,7 @@ benchmarks are deterministic: network latency, device think time and context
 changes are scheduled events, not wall-clock sleeps.
 """
 
-from repro.util.clock import ManualClock, MonotonicClock, VirtualClock
+from repro.util.clock import MonotonicClock, VirtualClock
 from repro.util.errors import (
     ProtocolError,
     ReactorError,
@@ -20,7 +20,6 @@ from repro.util.scheduler import Event, Scheduler
 __all__ = [
     "Event",
     "IdAllocator",
-    "ManualClock",
     "MonotonicClock",
     "ProtocolError",
     "ReactorError",

@@ -46,10 +46,6 @@ class VirtualClock(Clock):
         self._now += dt
 
 
-class ManualClock(VirtualClock):
-    """Alias of :class:`VirtualClock` kept for expressiveness in tests."""
-
-
 class MonotonicClock(Clock):
     """Wall-clock time via :func:`time.monotonic`, offset to start at zero."""
 

@@ -54,10 +54,6 @@ class FcmError(HaviError):
     """An FCM rejected a command (unsupported or invalid in this state)."""
 
 
-class ApplianceError(ReproError):
-    """Simulated appliance driven outside its state machine."""
-
-
 class ProxyError(ReproError):
     """UniInt proxy misuse (unknown device, no active session)."""
 

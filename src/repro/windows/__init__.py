@@ -3,11 +3,11 @@
 The UniInt server (paper §2.2) attaches to "a window system": it ships the
 window system's framebuffer out and injects key/pointer events in, with the
 applications none the wiser.  :class:`DisplayServer` is that window system:
-it hosts :class:`~repro.toolkit.UIWindow` instances, composites them into
-one screen framebuffer with damage tracking, and routes injected universal
-input events to the right window.
+each display shows one full-screen :class:`~repro.toolkit.UIWindow`, whose
+bitmap is the framebuffer.  It reports the window's damage and routes
+injected universal input events into the window.
 """
 
-from repro.windows.server import DisplayServer, ManagedWindow
+from repro.windows.server import DisplayServer
 
-__all__ = ["DisplayServer", "ManagedWindow"]
+__all__ = ["DisplayServer"]

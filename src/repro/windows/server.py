@@ -1,231 +1,98 @@
-"""The display server: window stacking, composition, input routing."""
+"""The display server: one full-screen window, its damage, input routing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.graphics.bitmap import Bitmap, Color
-from repro.graphics.region import Rect, Region
+from repro.graphics.bitmap import Bitmap
+from repro.graphics.region import Region
 from repro.toolkit.events import Pointer, PointerKind
 from repro.toolkit.window import UIWindow
 from repro.util.errors import ToolkitError
 
-
-@dataclass
-class ManagedWindow:
-    """A mapped window: the UI window plus its screen position."""
-
-    ui: UIWindow
-    x: int
-    y: int
-    visible: bool = True
-
-    @property
-    def rect(self) -> Rect:
-        return Rect(self.x, self.y, self.ui.bitmap.width,
-                    self.ui.bitmap.height)
+#: Fragmentation cap for the coalesced damage a composite reports.
+_DAMAGE_CAP = 32
 
 
 class DisplayServer:
-    """Composites windows into a framebuffer; injects universal input.
+    """One display showing one full-screen window; injects universal input.
 
     Key properties the UniInt server relies on:
 
-    * :attr:`framebuffer` always holds the current composited screen,
+    * :attr:`framebuffer` is the window's bitmap, so it always holds the
+      current screen once :meth:`composite` has run,
     * :meth:`composite` returns the damage region since the last call,
     * :meth:`inject_key` / :meth:`inject_pointer` accept exactly the
       universal input event vocabulary (keysym+down, position+button mask).
     """
 
-    def __init__(self, width: int, height: int,
-                 wallpaper: Color = (0, 24, 64),
-                 damage_cap: int = 32) -> None:
-        if width <= 0 or height <= 0:
-            raise ToolkitError(f"display size must be positive: "
-                               f"{width}x{height}")
-        if damage_cap < 1:
-            raise ToolkitError(f"damage cap must be >= 1: {damage_cap}")
-        self.wallpaper = wallpaper
-        #: Fragmentation cap for the coalesced damage a composite reports.
-        self.damage_cap = damage_cap
+    def __init__(self, window: UIWindow) -> None:
+        self.window = window
         #: Monotonic content version: bumps whenever the framebuffer pixels
         #: change (composite with damage, resize).  Consumers caching
         #: derived data (the UniInt server's pack/encode caches) compare
         #: against it to invalidate.
         self.frame_version = 0
-        self.framebuffer = Bitmap(width, height, fill=wallpaper)
-        self._windows: list[ManagedWindow] = []  # bottom -> top
-        self._damage = Region([self.framebuffer.bounds])
         self._pointer_buttons = 0
-        self._pointer_window: Optional[ManagedWindow] = None
-        #: Fired after damage is produced; the UniInt server hooks this to
-        #: schedule update pushes.
+        #: Fired when the window is damaged; the UniInt server hooks this
+        #: to schedule update pushes.
         self.on_damage: Optional[Callable[[], None]] = None
-
-    # -- window management ---------------------------------------------------
+        window.on_damage = self._window_damaged
 
     @property
-    def windows(self) -> list[ManagedWindow]:
-        return list(self._windows)
-
-    def map_window(self, window: UIWindow, x: int = 0,
-                   y: int = 0) -> ManagedWindow:
-        """Add a window at (x, y); it becomes the top (focused) window."""
-        managed = ManagedWindow(window, x, y)
-        self._windows.append(managed)
-        window.on_damage = self._window_damaged
-        self._note_damage(managed.rect)
-        return managed
+    def framebuffer(self) -> Bitmap:
+        return self.window.bitmap
 
     def _window_damaged(self) -> None:
         if self.on_damage is not None:
             self.on_damage()
 
-    def map_fullscreen(self, window: UIWindow) -> ManagedWindow:
-        """Map a window resized to cover the whole screen."""
-        if window.bitmap.size != self.framebuffer.size:
-            window.resize(self.framebuffer.width, self.framebuffer.height)
-        return self.map_window(window, 0, 0)
-
-    def unmap_window(self, managed: ManagedWindow) -> None:
-        if managed not in self._windows:
-            raise ToolkitError("window is not mapped")
-        self._windows.remove(managed)
-        managed.ui.on_damage = None
-        if self._pointer_window is managed:
-            self._pointer_window = None
-        self._note_damage(managed.rect)
-
-    def raise_window(self, managed: ManagedWindow) -> None:
-        if managed not in self._windows:
-            raise ToolkitError("window is not mapped")
-        self._windows.remove(managed)
-        self._windows.append(managed)
-        self._note_damage(managed.rect)
-
-    def move_window(self, managed: ManagedWindow, x: int, y: int) -> None:
-        if managed not in self._windows:
-            raise ToolkitError("window is not mapped")
-        old = managed.rect
-        managed.x = x
-        managed.y = y
-        self._note_damage(old)
-        self._note_damage(managed.rect)
-
-    @property
-    def top_window(self) -> Optional[ManagedWindow]:
-        for managed in reversed(self._windows):
-            if managed.visible:
-                return managed
-        return None
-
-    # -- damage & composition ---------------------------------------------------
-
-    def _note_damage(self, rect: Rect) -> None:
-        clipped = rect.intersect(self.framebuffer.bounds)
-        if clipped.is_empty:
-            return
-        self._damage.add(clipped)
-        if self.on_damage is not None:
-            self.on_damage()
+    # -- damage ------------------------------------------------------------------
 
     def has_pending_damage(self) -> bool:
-        if not self._damage.is_empty:
-            return True
-        return any(not m.ui.damage.is_empty for m in self._windows
-                   if m.visible)
+        return not self.window.damage.is_empty
 
     def composite(self) -> Region:
-        """Render dirty windows, recompose, return the changed screen region.
+        """Render the window's damage; return the changed screen region.
 
-        Accumulated damage is coalesced first (adjacent fragments fused,
-        at most :attr:`damage_cap` rects), and only those rects are
-        recomposed — two small damages in opposite corners no longer force
-        a full-screen recompose through their joint bounding box.
+        The damage is coalesced (adjacent fragments fused, at most
+        ``_DAMAGE_CAP`` rects) so two small damages in opposite corners
+        do not reach the encoders as their joint bounding box.
         """
-        # collect per-window damage (in screen coordinates)
-        for managed in self._windows:
-            if not managed.visible:
-                continue
-            window_damage = managed.ui.render()
-            for rect in window_damage:
-                self._note_damage(rect.translate(managed.x, managed.y))
-        if self._damage.is_empty:
-            return Region()
-        damage, self._damage = self._damage, Region()
-        coalesced = damage.coalesced(self.damage_cap)
-        for clip in coalesced:
-            self._recompose(clip)
+        damage = self.window.render()
+        if damage.is_empty:
+            return damage
         self.frame_version += 1
-        return Region.from_disjoint(coalesced)
-
-    def _recompose(self, clip: Rect) -> None:
-        """Rebuild the framebuffer content inside one damaged rect."""
-        self.framebuffer.fill_rect(clip, self.wallpaper)
-        for managed in self._windows:
-            if not managed.visible:
-                continue
-            overlap = managed.rect.intersect(clip)
-            if overlap.is_empty:
-                continue
-            # zero-copy: blit straight from a window-bitmap view (overlap
-            # is already clipped to both the window and the framebuffer)
-            source = managed.ui.bitmap.view(
-                overlap.translate(-managed.x, -managed.y))
-            self.framebuffer.pixels[overlap.y:overlap.y2,
-                                    overlap.x:overlap.x2] = source
+        return Region.from_disjoint(damage.coalesced(_DAMAGE_CAP))
 
     def resize(self, width: int, height: int) -> None:
-        self.framebuffer = Bitmap(width, height, fill=self.wallpaper)
-        self._damage = Region([self.framebuffer.bounds])
+        """Resize the window to a new screen size (relayout, full damage)."""
+        if width <= 0 or height <= 0:
+            raise ToolkitError(f"display size must be positive: "
+                               f"{width}x{height}")
+        self.window.resize(width, height)
         self.frame_version += 1
-        if self.on_damage is not None:
-            self.on_damage()
 
     # -- input injection -----------------------------------------------------------
 
     def inject_key(self, keysym: int, down: bool) -> bool:
-        """Route a universal key event to the top window."""
-        top = self.top_window
-        if top is None:
-            return False
-        return top.ui.dispatch_key_event(keysym, down)
+        """Route a universal key event to the window."""
+        return self.window.dispatch_key_event(keysym, down)
 
     def inject_pointer(self, x: int, y: int, buttons: int) -> bool:
         """Route a universal pointer event (absolute position + mask).
 
-        Button transitions are synthesised into DOWN/UP events; while any
-        button is held the original window keeps receiving events (grab).
+        Button transitions are synthesised into DOWN/UP events.  While a
+        button is held, the window's pointer grab keeps delivering to the
+        pressed widget, even when the pointer leaves the screen.
         """
         pressed = buttons & ~self._pointer_buttons
         released = self._pointer_buttons & ~buttons
         self._pointer_buttons = buttons
-
-        target = self._pointer_window
-        if target is None:
-            target = self._window_at(x, y)
-        if target is None:
-            return False
-
-        consumed = False
-        local_x, local_y = x - target.x, y - target.y
         if pressed:
-            self._pointer_window = target
-            consumed |= target.ui.dispatch_pointer(
-                Pointer(PointerKind.DOWN, local_x, local_y, buttons))
+            kind = PointerKind.DOWN
         elif released:
-            consumed |= target.ui.dispatch_pointer(
-                Pointer(PointerKind.UP, local_x, local_y, buttons))
-            if buttons == 0:
-                self._pointer_window = None
+            kind = PointerKind.UP
         else:
-            consumed |= target.ui.dispatch_pointer(
-                Pointer(PointerKind.MOVE, local_x, local_y, buttons))
-        return consumed
-
-    def _window_at(self, x: int, y: int) -> Optional[ManagedWindow]:
-        for managed in reversed(self._windows):
-            if managed.visible and managed.rect.contains_point(x, y):
-                return managed
-        return None
+            kind = PointerKind.MOVE
+        return self.window.dispatch_pointer(Pointer(kind, x, y, buttons))

@@ -20,12 +20,11 @@ from repro.windows import DisplayServer
 
 def adaptive_stack(profile, *, width=320, height=240, rows=10):
     scheduler = Scheduler()
-    display = DisplayServer(width, height)
     window = UIWindow(width, height)
     column = Column()
     labels = [column.add(Label(f"row {i}")) for i in range(rows)]
     window.set_root(column)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler, backpressure=True,
                           link_adaptive=True)
     pipe = make_pipe(scheduler, profile, name=f"{profile.name}-link")

@@ -54,12 +54,11 @@ def check_every_push(session, device):
 def panel_stack(width=160, height=120, rows=3):
     """A labelled panel served to a proxy with a phone and a PDA."""
     scheduler = Scheduler()
-    display = DisplayServer(width, height)
     window = UIWindow(width, height)
     column = Column()
     labels = [column.add(Label(f"row {i}")) for i in range(rows)]
     window.set_root(column)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler)
     proxy = UniIntProxy(scheduler, backpressure=True)
     pipe = make_pipe(scheduler, ETHERNET_100, name="server-link")
@@ -102,7 +101,6 @@ class TestDirtyContract:
         # 960x720 fits the PDA at 320x240 too: only the frame object
         # tells the plug-in its cached bitmap is stale
         display.resize(960, 720)
-        display.map_fullscreen(window)
         scheduler.run_until_idle()
         assert session.upstream.framebuffer is not before
         assert session.upstream.framebuffer.size == (960, 720)

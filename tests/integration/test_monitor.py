@@ -82,8 +82,7 @@ class TestMonitorThroughDevices:
         tv.dcm.fcm_by_type(FcmType.TUNER).invoke_local(
             "power.set", {"on": True})
         network.settle()
-        display = DisplayServer(320, 240)
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, scheduler)
         proxy = UniIntProxy(scheduler)
         pipe = make_pipe(scheduler, ETHERNET_100)

@@ -182,12 +182,11 @@ def test_readme_adaptive_selection_snippet():
     from repro.windows import DisplayServer
 
     scheduler = Scheduler()
-    display = DisplayServer(320, 240)
     window = UIWindow(320, 240)
     column = Column()
     labels = [column.add(Label(f"row {i}")) for i in range(10)]
     window.set_root(column)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
 
     server = UniIntServer(display, scheduler, backpressure=True,
                           link_adaptive=True)

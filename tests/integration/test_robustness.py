@@ -19,14 +19,13 @@ from repro.windows import DisplayServer
 
 def stack(width=200, height=150, link_adaptive=False, profile=LOOPBACK):
     scheduler = Scheduler()
-    display = DisplayServer(width, height)
     window = UIWindow(width, height)
     col = Column()
     toggle = col.add(ToggleButton("Power"))
     toggle.widget_id = "power"
     col.add(Label("panel"))
     window.set_root(col)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler, link_adaptive=link_adaptive)
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, profile, name="up")
@@ -193,13 +192,12 @@ class TestMultiUser:
     def test_two_proxies_one_home(self):
         """One home server, two users with their own proxies and devices."""
         scheduler = Scheduler()
-        display = DisplayServer(200, 150)
         window = UIWindow(200, 150)
         col = Column()
         toggle = col.add(ToggleButton("Power"))
         toggle.widget_id = "power"
         window.set_root(col)
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, scheduler)
 
         proxies = []

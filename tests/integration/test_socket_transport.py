@@ -27,7 +27,6 @@ def build_stack(width=400, height=300, pixel_format=RGB888):
     reactor = Reactor()
     scheduler = Scheduler()
     member = reactor.add_scheduler(scheduler)
-    display = DisplayServer(width, height)
     window = UIWindow(width, height)
     col = Column()
     label = col.add(Label("READY"))
@@ -39,7 +38,7 @@ def build_stack(width=400, height=300, pixel_format=RGB888):
     button = col.add(Button("Next"))
     button.widget_id = "next"
     window.set_root(col)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler)
     proxy = UniIntProxy(scheduler)
     pair = make_socket_transport_pair(member, name="server-link")

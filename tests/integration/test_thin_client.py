@@ -17,7 +17,6 @@ from repro.windows import DisplayServer
 def build_stack(width=400, height=300, pixel_format=RGB888):
     """A display server with one window, a UniInt server, and a proxy."""
     scheduler = Scheduler()
-    display = DisplayServer(width, height)
     window = UIWindow(width, height)
     col = Column()
     label = col.add(Label("READY"))
@@ -29,7 +28,7 @@ def build_stack(width=400, height=300, pixel_format=RGB888):
     button = col.add(Button("Next"))
     button.widget_id = "next"
     window.set_root(col)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler)
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100, name="server-link")
@@ -116,7 +115,6 @@ class TestMultiSessionBroadcast:
 
     def _build_multi(self, configs):
         scheduler = Scheduler()
-        display = DisplayServer(400, 300)
         window = UIWindow(400, 300)
         col = Column()
         label = col.add(Label("READY"))
@@ -124,7 +122,7 @@ class TestMultiSessionBroadcast:
         toggle = col.add(ToggleButton("Power"))
         toggle.widget_id = "power"
         window.set_root(col)
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, scheduler)
         sessions = []
         for kwargs in configs:

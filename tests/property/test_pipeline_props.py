@@ -29,7 +29,6 @@ from repro.windows import DisplayServer
 
 def build(encodings):
     scheduler = Scheduler()
-    display = DisplayServer(240, 200)
     window = UIWindow(240, 200)
     col = Column()
     label = col.add(Label("status"))
@@ -39,7 +38,7 @@ def build(encodings):
     col.add(Slider(0, 100, value=50))
     col.add(ListBox(["one", "two", "three", "four"]))
     window.set_root(col)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler)
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100)
@@ -106,14 +105,13 @@ class TestMirrorInvariant:
         """Two clients with different encodings both track the server."""
         from repro.proxy.upstream import UniIntClient
         scheduler = Scheduler()
-        display = DisplayServer(240, 200)
         window = UIWindow(240, 200)
         col = Column()
         label = col.add(Label("status"))
         label.widget_id = "status"
         col.add(ToggleButton("Power"))
         window.set_root(col)
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, scheduler)
         clients = []
         for encodings in ((RAW,), (ZLIB, HEXTILE, RAW)):

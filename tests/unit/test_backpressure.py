@@ -22,12 +22,11 @@ from repro.windows import DisplayServer
 
 def phone_stack(backpressure: bool):
     scheduler = Scheduler()
-    display = DisplayServer(480, 360)
     window = UIWindow(480, 360)
     column = Column()
     labels = [column.add(Label(f"row {i}")) for i in range(12)]
     window.set_root(column)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler, backpressure=backpressure)
     pipe = make_pipe(scheduler, CELLULAR_PDC, name="phone-link")
     session = server.accept(pipe.a)
@@ -102,12 +101,11 @@ class TestServerSessionBackpressure:
 
     def test_fast_link_never_coalesces(self):
         scheduler = Scheduler()
-        display = DisplayServer(480, 360)
         window = UIWindow(480, 360)
         column = Column()
         labels = [column.add(Label(f"row {i}")) for i in range(12)]
         window.set_root(column)
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, scheduler, backpressure=True)
         pipe = make_pipe(scheduler, ETHERNET_100, name="lan-link")
         session = server.accept(pipe.a)
@@ -126,12 +124,11 @@ class TestProxyPushBackpressure:
         # server + proxy over Ethernet, with a cellular phone as the
         # output device: the slow bearer is the *device* link
         scheduler = Scheduler()
-        display = DisplayServer(160, 120)
         window = UIWindow(160, 120)
         column = Column()
         label = column.add(Label("tick"))
         window.set_root(column)
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, scheduler)
         proxy = UniIntProxy(scheduler, backpressure=backpressure)
         pipe = make_pipe(scheduler, ETHERNET_100, name="server-link")

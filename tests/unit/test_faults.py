@@ -288,6 +288,23 @@ class TestFaultInjector:
         assert not pair.a.is_open and not pair.b.is_open
         assert chaos.log == [("rst", "victim.a")]
 
+    def test_stall_link_holds_frames_for_its_seconds(self):
+        faulty, pair, sched, got = faulty_pair(FaultPlan())
+        chaos = FaultInjector()
+        chaos.stall_link(faulty, 2.0)
+        assert chaos.log == [("stall", "chaos.a")]
+        faulty.send(b"one")
+        faulty.send(b"two")
+        sched.run_until(1.9)
+        assert got == [] and faulty.stalled
+        assert faulty.frames_stalled == 2
+        sched.run_until_idle()   # the unstall fires at t=2
+        assert got == [b"one", b"two"]
+        assert not faulty.stalled
+        faulty.send(b"after")
+        sched.run_until_idle()
+        assert got == [b"one", b"two", b"after"]
+
     def test_partition_goes_deaf_then_heals_on_schedule(self):
         reactor = Reactor()
         server_sched, client_sched = Scheduler(), Scheduler()

@@ -185,10 +185,9 @@ class TestProxyRegistration:
         from repro.toolkit import Column, UIWindow
         from repro.windows import DisplayServer
         scheduler = Scheduler()
-        display = DisplayServer(100, 100)
         window = UIWindow(100, 100)
         window.set_root(Column())
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, scheduler)
         proxy = UniIntProxy(scheduler)
         pipe = make_pipe(scheduler, ETHERNET_100)
@@ -211,10 +210,9 @@ class TestProxyRegistration:
         from repro.server import UniIntServer
         from repro.toolkit import Column, UIWindow
         from repro.windows import DisplayServer
-        display = DisplayServer(100, 100)
         window = UIWindow(100, 100)
         window.set_root(Column())
-        display.map_fullscreen(window)
+        display = DisplayServer(window)
         server = UniIntServer(display, proxy.scheduler)
         pipe = make_pipe(proxy.scheduler, ETHERNET_100)
         server.accept(pipe.a)

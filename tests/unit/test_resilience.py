@@ -23,13 +23,12 @@ from repro.appliances import Television
 
 def make_server(width=160, height=120, **server_kwargs):
     scheduler = Scheduler()
-    display = DisplayServer(width, height)
     window = UIWindow(width, height)
     col = Column()
     col.add(Label("hello"))
     col.add(Button("Go"))
     window.set_root(col)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler, name="test-home",
                           **server_kwargs)
     return scheduler, display, window, server

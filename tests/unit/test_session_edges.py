@@ -15,14 +15,13 @@ from repro.windows import DisplayServer
 
 def stack():
     scheduler = Scheduler()
-    display = DisplayServer(200, 150)
     window = UIWindow(200, 150)
     col = Column()
     col.add(ToggleButton("Power")).widget_id = "power"
     col.add(Slider(0, 100, value=50)).widget_id = "slider"
     col.add(Label("label"))
     window.set_root(col)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler)
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler)

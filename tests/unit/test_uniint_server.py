@@ -13,16 +13,36 @@ from repro.util import Scheduler
 from repro.windows import DisplayServer
 
 
-def make_server(width=160, height=120, secret=None, **server_kwargs):
+class SpotColumn(Column):
+    """A column that also paints coloured spots over its children."""
+
+    def __init__(self):
+        super().__init__()
+        self.spots = []
+
+    def paint_spot(self, rect, color):
+        """Draw one more spot and report its rect as window damage."""
+        self.spots.append((rect, color))
+        window = self.window
+        window.damage.add(rect)
+        window.on_damage()
+
+    def paint_tree(self, canvas, theme):
+        super().paint_tree(canvas, theme)
+        for rect, color in self.spots:
+            canvas.fill(rect, color)
+
+
+def make_server(width=160, height=120, secret=None, root_type=Column,
+                **server_kwargs):
     scheduler = Scheduler()
-    display = DisplayServer(width, height)
     window = UIWindow(width, height)
-    col = Column()
+    col = root_type()
     label = col.add(Label("hello"))
     label.widget_id = "label"
     col.add(Button("Go"))
     window.set_root(col)
-    display.map_fullscreen(window)
+    display = DisplayServer(window)
     server = UniIntServer(display, scheduler, name="test-home",
                           secret=secret, **server_kwargs)
     return scheduler, display, window, server
@@ -246,15 +266,15 @@ class TestSharedEncodeBroadcast:
         assert client.framebuffer == display.framebuffer
 
     def test_update_rect_count_capped(self):
-        scheduler, display, window, server = make_server(max_update_rects=4)
+        scheduler, display, window, server = make_server(
+            max_update_rects=4, root_type=SpotColumn)
         client = connect(scheduler, server)
         scheduler.run_until_idle()
         rects_before = server.sessions[0].rects_sent
         # scatter damage widely: many disjoint fragments of real change
         for i in range(12):
             spot = Rect(i * 13 % 140, (i * 29) % 100, 5, 5)
-            window.bitmap.fill_rect(spot, (255, 40, (i * 20) % 255))
-            display._note_damage(spot)
+            window.root.paint_spot(spot, (255, 40, (i * 20) % 255))
         scheduler.run_until_idle()
         sent = server.sessions[0].rects_sent - rects_before
         assert 0 < sent <= 4
@@ -298,12 +318,11 @@ class TestTileDiffIntegration:
         assert client.framebuffer == display.framebuffer
 
     def test_mixed_changed_and_unchanged_damage(self):
-        scheduler, display, window, server = make_server()
+        scheduler, display, window, server = make_server(root_type=SpotColumn)
         client = connect(scheduler, server)
         scheduler.run_until_idle()
         # one real change and one identical repaint in the same flush
-        window.bitmap.fill_rect(Rect(100, 80, 10, 10), (9, 200, 30))
-        display._note_damage(Rect(100, 80, 10, 10))
+        window.root.paint_spot(Rect(100, 80, 10, 10), (9, 200, 30))
         window.root.find("label").invalidate()
         scheduler.run_until_idle()
         assert client.framebuffer == display.framebuffer
@@ -315,7 +334,6 @@ class TestTileDiffIntegration:
                          encodings=(HEXTILE, RAW, DESKTOP_SIZE))
         scheduler.run_until_idle()
         display.resize(208, 144)
-        display.map_fullscreen(window)
         scheduler.run_until_idle()
         assert client.framebuffer.size == (208, 144)
         assert client.framebuffer == display.framebuffer
@@ -330,7 +348,6 @@ class TestDesktopResize:
         sizes = []
         client.on_resize = lambda w, h: sizes.append((w, h))
         display.resize(200, 160)
-        display.map_fullscreen(window)
         scheduler.run_until_idle()
         assert sizes == [(200, 160)]
         assert client.framebuffer.size == (200, 160)
@@ -341,7 +358,6 @@ class TestDesktopResize:
         client = connect(scheduler, server, encodings=(RAW,))
         scheduler.run_until_idle()
         display.resize(200, 160)
-        display.map_fullscreen(window)
         scheduler.run_until_idle()
         # client was never told about the resize; it keeps the old geometry
         assert client.framebuffer.size == (160, 120)

@@ -1,4 +1,4 @@
-"""Unit tests for the display server (window system substrate)."""
+"""Unit tests for the display server: one full-screen window per display."""
 
 import pytest
 
@@ -19,73 +19,59 @@ def simple_window(width=100, height=80, label="win"):
 
 
 class TestMapping:
+    def test_framebuffer_is_the_window_bitmap(self):
+        window = simple_window()
+        server = DisplayServer(window)
+        assert server.framebuffer is window.bitmap
+        server.resize(200, 150)
+        assert server.framebuffer is window.bitmap
+        assert server.framebuffer.size == (200, 150)
+
     def test_initial_composite_covers_screen(self):
-        server = DisplayServer(320, 240)
+        server = DisplayServer(simple_window(320, 240))
         region = server.composite()
         assert region.bounds() == server.framebuffer.bounds
 
-    def test_map_window_draws_content(self):
-        server = DisplayServer(320, 240)
-        server.composite()
-        window = simple_window()
-        server.map_window(window, 10, 10)
-        region = server.composite()
-        assert not region.is_empty
-        # window face colour shows at its position
-        assert server.framebuffer.get_pixel(50, 50) != server.wallpaper
-
-    def test_unmap_restores_wallpaper(self):
-        server = DisplayServer(320, 240)
-        window = simple_window()
-        managed = server.map_window(window, 10, 10)
-        server.composite()
-        server.unmap_window(managed)
-        server.composite()
-        assert server.framebuffer.get_pixel(50, 50) == server.wallpaper
-
-    def test_unmap_unknown_raises(self):
-        server = DisplayServer(100, 100)
-        window = simple_window()
-        managed = server.map_window(window)
-        server.unmap_window(managed)
-        with pytest.raises(ToolkitError):
-            server.unmap_window(managed)
-
     def test_fullscreen_resizes_window(self):
-        server = DisplayServer(320, 240)
         window = simple_window(50, 50)
-        server.map_fullscreen(window)
+        server = DisplayServer(window)
+        server.resize(320, 240)
         assert window.bitmap.size == (320, 240)
-
-    def test_stacking_top_window_wins(self):
-        server = DisplayServer(200, 200)
-        bottom = server.map_window(simple_window(100, 100, "a"), 0, 0)
-        top = server.map_window(simple_window(100, 100, "b"), 0, 0)
-        server.composite()
-        assert server.top_window is top
-        server.raise_window(bottom)
-        assert server.top_window is bottom
-
-    def test_move_window_damages_both_areas(self):
-        server = DisplayServer(300, 200)
-        managed = server.map_window(simple_window(), 0, 0)
-        server.composite()
-        server.move_window(managed, 150, 50)
-        region = server.composite()
-        assert region.contains_point(5, 5)        # old position
-        assert region.contains_point(155, 55)     # new position
-        assert server.framebuffer.get_pixel(5, 5) == server.wallpaper
+        assert window.root.rect == window.bitmap.bounds
 
     def test_composite_idempotent(self):
-        server = DisplayServer(100, 100)
-        server.map_window(simple_window())
+        server = DisplayServer(simple_window())
         server.composite()
+        version = server.frame_version
         assert server.composite().is_empty
+        assert server.frame_version == version
+
+    def test_composite_bumps_frame_version_on_damage(self):
+        window = simple_window()
+        server = DisplayServer(window)
+        server.composite()
+        version = server.frame_version
+        window.root.children[0].text = "changed"
+        assert not server.composite().is_empty
+        assert server.frame_version == version + 1
+
+    def test_composite_caps_fragmented_damage(self):
+        window = simple_window(200, 200)
+        server = DisplayServer(window)
+        server.composite()
+        spots = [Rect(x * 20, y * 20, 5, 5)
+                 for x in range(10) for y in range(4)]
+        for spot in spots:
+            window.damage.add(spot)
+        region = server.composite()
+        assert len(region) <= 32
+        assert all(region.contains_point(x, y) for spot in spots
+                   for x in range(spot.x, spot.x2)
+                   for y in range(spot.y, spot.y2))
 
     def test_has_pending_damage(self):
-        server = DisplayServer(100, 100)
         window = simple_window()
-        server.map_window(window)
+        server = DisplayServer(window)
         assert server.has_pending_damage()
         server.composite()
         assert not server.has_pending_damage()
@@ -93,80 +79,82 @@ class TestMapping:
         assert server.has_pending_damage()
 
     def test_damage_callback_fires(self):
-        server = DisplayServer(100, 100)
+        window = simple_window()
+        server = DisplayServer(window)
         calls = []
         server.on_damage = lambda: calls.append(1)
-        server.map_window(simple_window())
+        window.root.children[0].text = "changed"
         assert calls
+
+    def test_composite_does_not_fire_damage_callback(self):
+        window = simple_window()
+        server = DisplayServer(window)
+        calls = []
+        server.on_damage = lambda: calls.append(1)
+        assert not server.composite().is_empty
+        assert calls == []
 
 
 class TestInput:
-    def test_key_goes_to_top_window(self):
-        server = DisplayServer(200, 200)
-        w1 = simple_window(100, 100, "a")
-        w2 = simple_window(100, 100, "b")
-        server.map_window(w1, 0, 0)
-        server.map_window(w2, 100, 100)
-        server.composite()
-        # w2 is top; its button has focus
+    def test_key_reaches_focused_widget(self):
+        window = simple_window()
+        server = DisplayServer(window)
         clicked = []
-        button = w2.root.children[1]
-        button.on_activate = lambda w: clicked.append("b")
-        server.inject_key(keysyms.RETURN, True)
+        window.root.children[1].on_activate = lambda w: clicked.append(1)
+        assert server.inject_key(keysyms.RETURN, True) is True
         server.inject_key(keysyms.RETURN, False)
-        assert clicked == ["b"]
+        assert clicked == [1]
 
     def test_pointer_routed_by_position(self):
-        server = DisplayServer(300, 100)
-        w1 = simple_window(100, 100, "a")
-        w2 = simple_window(100, 100, "b")
-        server.map_window(w1, 0, 0)
-        server.map_window(w2, 200, 0)
+        window = UIWindow(100, 100)
+        col = Column()
+        first = col.add(Button("A"))
+        second = col.add(Button("B"))
+        window.set_root(col)
+        server = DisplayServer(window)
         server.composite()
         clicked = []
-        w1.root.children[1].on_activate = lambda w: clicked.append("a")
-        w2.root.children[1].on_activate = lambda w: clicked.append("b")
-        bx = w1.root.children[1].abs_rect().center
-        server.inject_pointer(bx[0], bx[1], 1)
-        server.inject_pointer(bx[0], bx[1], 0)
-        assert clicked == ["a"]
+        first.on_activate = lambda w: clicked.append("a")
+        second.on_activate = lambda w: clicked.append("b")
+        bx, by = second.abs_rect().center
+        assert server.inject_pointer(bx, by, 1) is True
+        server.inject_pointer(bx, by, 0)
+        assert clicked == ["b"]
 
     def test_pointer_miss_returns_false(self):
-        server = DisplayServer(300, 100)
-        server.map_window(simple_window(100, 100), 0, 0)
+        server = DisplayServer(simple_window(100, 100))
         server.composite()
         assert server.inject_pointer(250, 50, 1) is False
         server.inject_pointer(250, 50, 0)
 
     def test_pointer_grab_follows_window(self):
-        server = DisplayServer(300, 100)
-        w1 = simple_window(100, 100, "a")
-        server.map_window(w1, 0, 0)
+        window = simple_window(100, 100, "a")
+        server = DisplayServer(window)
         server.composite()
-        slider_like = w1.root.children[1]
+        slider_like = window.root.children[1]
         events = []
         slider_like.handle_pointer = lambda e: events.append(e.kind) or True
         center = slider_like.abs_rect().center
         server.inject_pointer(center[0], center[1], 1)
-        # drag outside the window: still delivered to w1 (grab)
+        # drag off the screen: still delivered to the pressed widget
         server.inject_pointer(250, 50, 1)
         server.inject_pointer(250, 50, 0)
         kinds = [k.value for k in events]
         assert kinds == ["down", "move", "up"]
 
-    def test_key_with_no_windows(self):
-        server = DisplayServer(100, 100)
-        assert server.inject_key(keysyms.RETURN, True) is False
-
     def test_resize_damages_everything(self):
-        server = DisplayServer(100, 100)
-        server.map_window(simple_window())
+        window = simple_window()
+        server = DisplayServer(window)
         server.composite()
+        version = server.frame_version
         server.resize(200, 150)
+        assert server.frame_version > version
         assert server.framebuffer.size == (200, 150)
         region = server.composite()
         assert region.bounds() == server.framebuffer.bounds
 
     def test_bad_display_size(self):
+        server = DisplayServer(simple_window())
         with pytest.raises(ToolkitError):
-            DisplayServer(0, 100)
+            server.resize(0, 100)
+        assert server.framebuffer.size == (100, 80)
