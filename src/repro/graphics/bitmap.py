@@ -7,6 +7,7 @@ and device formats only appear at the edges.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -20,13 +21,35 @@ BLACK: Color = (0, 0, 0)
 WHITE: Color = (255, 255, 255)
 
 
-def _validate_color(color: Color) -> np.ndarray:
+def _check_color(color: Color) -> np.ndarray:
     if len(color) != 3:
         raise GraphicsError(f"colour must be an RGB triple: {color!r}")
     arr = np.asarray(color, dtype=np.int64)
     if (arr < 0).any() or (arr > 255).any():
         raise GraphicsError(f"colour components out of range: {color!r}")
     return arr.astype(np.uint8)
+
+
+@lru_cache(maxsize=256)
+def _cached_color(color: Color) -> np.ndarray:
+    arr = _check_color(color)
+    arr.flags.writeable = False  # shared by every caller of this colour
+    return arr
+
+
+def _validate_color(color: Color) -> np.ndarray:
+    """``color`` as a (3,) uint8 array; memoized per hashable colour."""
+    try:
+        return _cached_color(color)
+    except TypeError:  # unhashable (a list, an array): check it uncached
+        return _check_color(color)
+
+
+def _fill(view: np.ndarray, color: Color) -> None:
+    """Fill an (h, w, 3) view: one row of pixels, then that row copied
+    down, so no copy loops over the 3 bytes of a single pixel."""
+    view[0] = _validate_color(color)
+    view[1:] = view[0]
 
 
 class Bitmap:
@@ -40,7 +63,7 @@ class Bitmap:
             raise GraphicsError(f"bitmap size must be positive: "
                                 f"{width}x{height}")
         self.pixels = np.empty((height, width, 3), dtype=np.uint8)
-        self.pixels[:] = _validate_color(fill)
+        _fill(self.pixels, fill)
 
     # -- constructors -----------------------------------------------------------
 
@@ -97,15 +120,13 @@ class Bitmap:
     # -- rect operations ----------------------------------------------------------
 
     def fill(self, color: Color) -> None:
-        self.pixels[:] = _validate_color(color)
+        _fill(self.pixels, color)
 
     def fill_rect(self, rect: Rect, color: Color) -> None:
         clipped = rect.intersect(self.bounds)
         if clipped.is_empty:
             return
-        self.pixels[clipped.y:clipped.y2, clipped.x:clipped.x2] = (
-            _validate_color(color)
-        )
+        _fill(self.pixels[clipped.y:clipped.y2, clipped.x:clipped.x2], color)
 
     def crop(self, rect: Rect) -> "Bitmap":
         """A copy of the given sub-rectangle (clipped to bounds)."""
@@ -179,20 +200,6 @@ class Bitmap:
 
     def __hash__(self) -> int:  # bitmaps are mutable; identity hash
         return id(self)
-
-    def diff_rect(self, other: "Bitmap") -> Rect:
-        """Bounding box of pixels that differ from ``other`` (empty if equal)."""
-        if self.size != other.size:
-            raise GraphicsError(
-                f"cannot diff {self.size} against {other.size}"
-            )
-        changed = (self.pixels != other.pixels).any(axis=2)
-        ys, xs = np.nonzero(changed)
-        if len(xs) == 0:
-            return Rect(0, 0, 0, 0)
-        x1, x2 = int(xs.min()), int(xs.max()) + 1
-        y1, y2 = int(ys.min()), int(ys.max()) + 1
-        return Rect(x1, y1, x2 - x1, y2 - y1)
 
     # -- serialisation ------------------------------------------------------------
 

@@ -5,8 +5,10 @@ dirty whether or not any pixel actually changed.  Blinking clocks, focus
 churn and full-panel redraws therefore push identical pixels down every
 session's encode path.  :class:`TileDiffer` closes that gap: it retains a
 shadow copy of the framebuffer and, before damage is distributed, compares
-the damaged rects against the shadow at 16x16-tile granularity with one
-vectorised block-equality pass per rect.  Only tiles whose pixels truly
+each damaged rect against the shadow at 16x16-tile granularity.  The rect
+is compared as rows of bytes (an RGB pixel is 3 of them), and the change
+mask is reduced over 16-row bands, then over 48-byte tile columns, so no
+pass loops over the 3 bytes of one pixel.  Only tiles whose pixels truly
 changed survive; rows of surviving tiles are merged into rects and clipped
 back to the original damage.
 
@@ -79,18 +81,22 @@ class TileDiffer:
         tile = _TILE
         fresh = pixels[rect.y:rect.y2, rect.x:rect.x2]
         stale = self._shadow[rect.y:rect.y2, rect.x:rect.x2]
-        core = (fresh != stale).any(axis=2)
-        # the shadow absorbs the damaged rect's content, kept or dropped
-        stale[...] = fresh
-        # place the comparison into the tile grid the rect overlaps
+        # compare byte rows straight into the tile grid the rect overlaps
+        # (a tile column is 3 * tile bytes wide)
         gx0 = rect.x - rect.x % tile
         gy0 = rect.y - rect.y % tile
         tiles_x = -(-(rect.x2 - gx0) // tile)
         tiles_y = -(-(rect.y2 - gy0) // tile)
-        changed = np.zeros((tiles_y * tile, tiles_x * tile), dtype=bool)
-        ry0, rx0 = rect.y - gy0, rect.x - gx0
-        changed[ry0:ry0 + rect.h, rx0:rx0 + rect.w] = core
-        hot = changed.reshape(tiles_y, tile, tiles_x, tile).any(axis=(1, 3))
+        row = 3 * tile
+        changed = np.zeros((tiles_y * tile, tiles_x * row), dtype=bool)
+        ry0, rx0 = rect.y - gy0, 3 * (rect.x - gx0)
+        np.not_equal(fresh.reshape(rect.h, 3 * rect.w),
+                     stale.reshape(rect.h, 3 * rect.w),
+                     out=changed[ry0:ry0 + rect.h, rx0:rx0 + 3 * rect.w])
+        # the shadow absorbs the damaged rect's content, kept or dropped
+        stale[...] = fresh
+        bands = changed.reshape(tiles_y, tile, tiles_x * row).any(axis=1)
+        hot = bands.reshape(tiles_y, tiles_x, row).any(axis=2)
         self.tiles_checked += tiles_y * tiles_x
         self.tiles_dropped += int(hot.size - np.count_nonzero(hot))
         if not hot.any():

@@ -1,14 +1,17 @@
 """Bitmap font rendering.
 
 :class:`Font` renders the 5x7 glyph table at an integer scale factor; the
-toolkit uses scale 1 for captions and scale 2 for headings.  Glyph masks are
-cached as numpy boolean arrays, so drawing text is a handful of vectorised
-assignments per character.
+toolkit uses scale 1 for captions and scale 2 for headings.  A whole
+string is rendered as one boolean mask, cached per (text, scale,
+tracking), so drawing text is one masked assignment per string; a string
+clipped by the bitmap edge or a canvas is drawn through a slice of the
+same mask.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -54,32 +57,23 @@ class Font:
 
     # -- rendering -----------------------------------------------------------
 
-    def _mask(self, char: str) -> np.ndarray:
-        return _glyph_mask(char, self.scale)
-
     def draw(self, bitmap: Bitmap, x: int, y: int, text: str,
-             color: Color) -> Rect:
+             color: Color, clip: Optional[Rect] = None) -> Rect:
         """Draw ``text`` with its top-left corner at (x, y).
 
-        Returns the dirty rect (clipped to the bitmap).  Characters outside
-        the bitmap are clipped, not errors.
+        Returns the dirty rect: the text's box clipped to the bitmap and,
+        when given, to ``clip``.  Pixels outside are clipped, not errors.
         """
-        pen_x = x
-        color_arr = np.asarray(color, dtype=np.uint8)
-        bounds = bitmap.bounds
-        for char in text:
-            mask = self._mask(char)
-            gh, gw = mask.shape
-            target = Rect(pen_x, y, gw, gh).intersect(bounds)
-            if not target.is_empty:
-                mx = target.x - pen_x
-                my = target.y - y
-                sub = mask[my:my + target.h, mx:mx + target.w]
-                view = bitmap.pixels[target.y:target.y2, target.x:target.x2]
-                view[sub] = color_arr
-            pen_x += self.advance
-        w, h = self.measure(text)
-        return Rect(x, y, w, h).intersect(bounds)
+        area = bitmap.bounds if clip is None else clip.intersect(
+            bitmap.bounds)
+        target = Rect(x, y, *self.measure(text)).intersect(area)
+        if not target.is_empty:
+            mask = _text_mask(text, self.scale, self.tracking)
+            visible = mask[target.y - y:target.y2 - y,
+                           target.x - x:target.x2 - x]
+            bitmap.pixels[target.y:target.y2, target.x:target.x2][visible] = (
+                np.asarray(color, dtype=np.uint8))
+        return target
 
     def render(self, text: str, color: Color,
                background: Color = (0, 0, 0)) -> Bitmap:
@@ -90,17 +84,30 @@ class Font:
         return bitmap
 
 
-@lru_cache(maxsize=1024)
-def _glyph_mask(char: str, scale: int) -> np.ndarray:
-    """Boolean (H, W) mask of one glyph at the given scale."""
+@lru_cache(maxsize=128)
+def _glyph_mask(char: str) -> np.ndarray:
+    """Boolean (H, W) mask of one unscaled glyph."""
     columns = font5x7.GLYPHS.get(char, font5x7.REPLACEMENT)
     mask = np.zeros((font5x7.GLYPH_HEIGHT, font5x7.GLYPH_WIDTH), dtype=bool)
     for cx, bits in enumerate(columns):
         for cy in range(font5x7.GLYPH_HEIGHT):
             if bits & (1 << cy):
                 mask[cy, cx] = True
+    return mask
+
+
+@lru_cache(maxsize=512)
+def _text_mask(text: str, scale: int, tracking: int) -> np.ndarray:
+    """Read-only boolean mask of non-empty ``text`` on one line."""
+    advance = font5x7.GLYPH_WIDTH + tracking
+    mask = np.zeros((font5x7.GLYPH_HEIGHT, len(text) * advance - tracking),
+                    dtype=bool)
+    for i, char in enumerate(text):
+        mask[:, i * advance:i * advance + font5x7.GLYPH_WIDTH] = (
+            _glyph_mask(char))
     if scale > 1:
         mask = np.repeat(np.repeat(mask, scale, axis=0), scale, axis=1)
+    mask.flags.writeable = False  # shared by every draw of this text
     return mask
 
 

@@ -73,25 +73,8 @@ class Canvas:
 
     def text(self, x: int, y: int, string: str, color: Color,
              font: Font) -> None:
-        if not string:
-            return
-        target = Rect(x, y, *font.measure(string)).translate(self._ox,
-                                                             self._oy)
-        visible = target.intersect(self._clip)
-        if visible.is_empty:
-            return
-        if visible == target:
-            font.draw(self._bitmap, target.x, target.y, string, color)
-            return
-        # Partially visible: render off-screen over a snapshot of the
-        # visible pixels, then blit only the visible patch back.
-        patch_x = visible.x - target.x
-        patch_y = visible.y - target.y
-        scratch = Bitmap(max(target.w, 1), max(target.h, 1))
-        scratch.blit(self._bitmap.crop(visible), patch_x, patch_y)
-        font.draw(scratch, 0, 0, string, color)
-        patch = scratch.crop(Rect(patch_x, patch_y, visible.w, visible.h))
-        self._bitmap.blit(patch, visible.x, visible.y)
+        font.draw(self._bitmap, x + self._ox, y + self._oy, string, color,
+                  clip=self._clip)
 
     def text_centered(self, rect: Rect, string: str, color: Color,
                       font: Font) -> None:

@@ -138,11 +138,15 @@ class Widget:
         """Draw this widget (not children) in local coordinates."""
 
     def paint_tree(self, canvas: Canvas, theme: Theme) -> None:
+        """Paint this subtree; children the clip cannot reach are skipped
+        (every primitive paints through the clipping canvas)."""
         if not self.visible:
             return
         self.paint(canvas, theme)
         for child in self.children:
-            child.paint_tree(canvas.offset(child.rect), theme)
+            sub = canvas.offset(child.rect)
+            if not sub.clip.is_empty:
+                child.paint_tree(sub, theme)
 
     # -- input -------------------------------------------------------------------
 

@@ -634,40 +634,79 @@ def encode_hextile(packed: np.ndarray, pf: PixelFormat) -> bytes:
 
 def decode_hextile(cursor: Cursor, width: int, height: int,
                    pf: PixelFormat) -> np.ndarray:
-    out = np.zeros((height, width), dtype=pf.dtype)
+    """Parse the whole payload, then paint it.
+
+    Parsing reads through a local offset into ``cursor.data`` and moves
+    ``cursor.pos`` only once every tile has parsed.  Painting expands the
+    tile backgrounds as one grid, then lays raw tiles and subrects over it
+    in stream order; each stays inside its own tile, so this equals
+    painting tile by tile.
+    """
+    data, pos, end = cursor.data, cursor.pos, len(cursor.data)
+    ps = pf.bytes_per_pixel
+    order = "big" if pf.big_endian else "little"
+    backgrounds: list[int] = []
+    patches: list[tuple] = []  # (y, x, h, w, value or raw pixels)
     background = 0
     foreground = 0
     for ty in range(0, height, _TILE):
+        th = min(_TILE, height - ty)
         for tx in range(0, width, _TILE):
             tw = min(_TILE, width - tx)
-            th = min(_TILE, height - ty)
-            subenc = cursor.u8()
+            if pos >= end:
+                raise NeedMore(pos + 1)
+            subenc = data[pos]
+            pos += 1
             if subenc & _HEX_RAW:
-                data = cursor.take(tw * th * pf.bytes_per_pixel)
-                out[ty:ty + th, tx:tx + tw] = np.frombuffer(
-                    data, dtype=pf.dtype).reshape(th, tw)
+                n = tw * th * ps
+                if pos + n > end:
+                    raise NeedMore(pos + n)
+                patches.append((ty, tx, th, tw, np.frombuffer(
+                    data[pos:pos + n], dtype=pf.dtype).reshape(th, tw)))
+                backgrounds.append(0)
+                pos += n
                 continue
             if subenc & _HEX_BG:
-                background = _read_pixel(cursor, pf)
+                if pos + ps > end:
+                    raise NeedMore(pos + ps)
+                background = int.from_bytes(data[pos:pos + ps], order)
+                pos += ps
             if subenc & _HEX_FG:
-                foreground = _read_pixel(cursor, pf)
-            out[ty:ty + th, tx:tx + tw] = background
-            if subenc & _HEX_SUBRECTS:
-                count = cursor.u8()
-                coloured = bool(subenc & _HEX_COLOURED)
-                for _ in range(count):
-                    value = (_read_pixel(cursor, pf) if coloured
-                             else foreground)
-                    xy = cursor.u8()
-                    wh = cursor.u8()
-                    sx, sy = xy >> 4, xy & 0x0F
-                    sw, sh = (wh >> 4) + 1, (wh & 0x0F) + 1
-                    if sx + sw > tw or sy + sh > th:
-                        raise ProtocolError(
-                            f"hextile subrect {(sx, sy, sw, sh)} exceeds "
-                            f"tile {tw}x{th}"
-                        )
-                    out[ty + sy:ty + sy + sh, tx + sx:tx + sx + sw] = value
+                if pos + ps > end:
+                    raise NeedMore(pos + ps)
+                foreground = int.from_bytes(data[pos:pos + ps], order)
+                pos += ps
+            backgrounds.append(background)
+            if not subenc & _HEX_SUBRECTS:
+                continue
+            if pos >= end:
+                raise NeedMore(pos + 1)
+            size = ps + 2 if subenc & _HEX_COLOURED else 2
+            block_end = pos + 1 + data[pos] * size
+            if block_end > end:
+                raise NeedMore(block_end)
+            block = data[pos + 1:block_end]
+            pos = block_end
+            value = foreground
+            for i in range(size - 2, len(block), size):
+                if size > 2:
+                    value = int.from_bytes(block[i - ps:i], order)
+                xy, wh = block[i], block[i + 1]
+                sx, sy = xy >> 4, xy & 0x0F
+                sw, sh = (wh >> 4) + 1, (wh & 0x0F) + 1
+                if sx + sw > tw or sy + sh > th:
+                    raise ProtocolError(
+                        f"hextile subrect {(sx, sy, sw, sh)} exceeds "
+                        f"tile {tw}x{th}"
+                    )
+                patches.append((ty + sy, tx + sx, sh, sw, value))
+    cursor.pos = pos
+    grid = np.array(backgrounds, dtype=pf.dtype).reshape(
+        -(-height // _TILE), -(-width // _TILE))
+    out = np.ascontiguousarray(np.repeat(np.repeat(
+        grid, _TILE, axis=0), _TILE, axis=1)[:height, :width])
+    for y, x, h, w, value in patches:
+        out[y:y + h, x:x + w] = value
     return out
 
 

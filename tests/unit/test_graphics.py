@@ -124,18 +124,6 @@ class TestBitmap:
         b.set_pixel(0, 0, (0, 0, 0))
         assert a != b
 
-    def test_diff_rect(self):
-        a = Bitmap(10, 10)
-        b = a.copy()
-        assert a.diff_rect(b).is_empty
-        b.set_pixel(3, 4, (1, 1, 1))
-        b.set_pixel(6, 8, (1, 1, 1))
-        assert a.diff_rect(b) == Rect(3, 4, 4, 5)
-
-    def test_diff_rect_size_mismatch(self):
-        with pytest.raises(GraphicsError):
-            Bitmap(2, 2).diff_rect(Bitmap(3, 3))
-
     def test_ppm_roundtrip(self):
         bmp = Bitmap(7, 5)
         bmp.fill_rect(Rect(1, 1, 3, 2), (200, 100, 50))
