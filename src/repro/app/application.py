@@ -105,19 +105,30 @@ class HomeApplianceApplication:
     def rebuild(self) -> None:
         """Regenerate handles and the composed UI from the registry.
 
-        Only appliances whose descriptors are all in hand are composed
+        Each new handle starts from the state of the previous rebuild's
+        handle for the same FCM, so the first frame after a rebuild shows
+        the settled values, not defaults.  Only appliances whose
+        descriptors are all in hand are composed
         (see :meth:`_attach_descriptors`).  ``set_root`` relayouts and
         damages the whole window, so exactly the surfaces showing *this*
         view repaint in full — other users' views are untouched until
         their own application rebuilds.
         """
         previous_guid, previous_index = self._active_tab()
+        previous = self._handles_by_seid
         self.appliances = self._attach_descriptors(self._discover())
         self._handles_by_seid = {
             handle.seid: handle
             for appliance in self.appliances
             for handle in appliance.fcms
         }
+        # the new panels start from the state the old ones showed; the
+        # refresh below then repaints only what really changed
+        for handle in self._handles_by_seid.values():
+            old = previous.get(handle.seid)
+            if (old is not None and old.device_guid == handle.device_guid
+                    and old.fcm_type == handle.fcm_type):
+                handle.state = dict(old.state)
         root = compose_ui(self.appliances)
         self.window.set_root(root)
         self._restore_tab(previous_guid, previous_index)
@@ -257,6 +268,10 @@ class HomeApplianceApplication:
                 self._descriptor_failed = {
                     key for key in self._descriptor_failed
                     if key[0] != guid}
+                self._handles_by_seid = {
+                    seid: handle
+                    for seid, handle in self._handles_by_seid.items()
+                    if handle.device_guid != guid}
         self.rebuild()
 
     def _on_fcm_state(self, event: HaviEvent) -> None:

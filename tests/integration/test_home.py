@@ -1,11 +1,14 @@
 """Integration tests: the full Home facade, app layer and context switching."""
 
+import numpy as np
 import pytest
 
 from repro import Home
 from repro.appliances import (
+    AirConditioner,
     DimmableLight,
     MicrowaveOven,
+    Refrigerator,
     Television,
     VideoRecorder,
 )
@@ -156,6 +159,51 @@ class TestApplicationUI:
         assert phone.bells_received == 1
         assert len(bells) == 1
         assert bells[0].payload["device_name"] == "Oven"
+
+
+def _watch_tv_display(home):
+    """A TV display showing the home; returns the list of its frames."""
+    display = TvDisplay("tv-display", home.scheduler)
+    display.connect(home.proxy)
+    home.proxy.select_output("tv-display")
+    home.settle()
+    frames = []
+    display.on_frame = frames.append
+    return frames
+
+
+def _page_pixels(home, image, appliance_name):
+    """The device pixels of one appliance's page in a TV display frame."""
+    appliance = home.app.appliance_by_name(appliance_name)
+    rect = home.window.root.find(f"page.{appliance.guid_prefix}").abs_rect()
+    view = home.session.context.view
+    x0, y0 = view.to_device(rect.x, rect.y)
+    x1, y1 = view.to_device(rect.x2, rect.y2)
+    pixels = np.frombuffer(image.data, dtype=np.uint8).reshape(
+        image.height, image.width, 3)
+    return pixels[y0:y1, x0:x1]
+
+
+class TestRebuildKeepsState:
+    """A UI rebuild seeds each new handle with its FCM's last state, so
+    the first frame after hotplug shows settled values, not defaults."""
+
+    def test_first_frame_after_a_swap_shows_the_settled_page(self):
+        home = make_home(Television("TV"), DimmableLight("Lamp"),
+                         AirConditioner("Aircon"), VideoRecorder("VCR"),
+                         MicrowaveOven("Microwave"))
+        assert home.window.root.titles[home.window.root.active] == "Aircon"
+        frames = _watch_tv_display(home)
+        home.remove_appliance("Microwave")
+        home.add_appliance(Refrigerator("Fridge"))
+        home.settle()
+        assert len(frames) >= 2
+        first = _page_pixels(home, frames[0], "Aircon")
+        settled = _page_pixels(home, frames[-1], "Aircon")
+        assert np.array_equal(first, settled)
+        aircon = home.app.handle_for("Aircon", "aircon")
+        assert aircon.get("target_temp") == 25
+        assert aircon.get("room_temp") == 28.0
 
 
 class TestEndToEndThroughDevices:

@@ -215,6 +215,26 @@ class TestDescriptorFetch:
         network.settle()
         assert len(app.descriptors) == 0
 
+    def test_uninstall_forgets_the_guids_handles(self):
+        """A rebuild seeds new handles from the previous ones; a departed
+        GUID's handles must not seed whatever appears behind it next."""
+        tv = Television("TV")
+        network, window, app = make_app(tv)
+        remembered = []
+        rebuild = app.rebuild
+
+        def spy():
+            remembered.append({handle.device_guid for handle
+                               in app._handles_by_seid.values()})
+            rebuild()
+
+        app.rebuild = spy
+        app.rebuild()
+        assert remembered == [{tv.guid}]
+        network.detach_device(tv.guid)
+        network.settle()
+        assert len(remembered) == 2 and tv.guid not in remembered[1]
+
 
 class TestNoPlaceholderPanels:
     """An appliance joins the composed UI only with every descriptor in
