@@ -11,7 +11,14 @@ Two scales are recorded:
 
 * **home round trip** (the asserted one) — wall-clock for one actuation
   through a real home: widget-layer command, FCM handler, ``fcm.state``
-  event fan-out, panel refresh.  Spine vs direct must be ≤1.05x.
+  event fan-out, panel refresh.  Direct and spine actuations run in one
+  home, one command at a time, alternating which side goes first, and
+  their summed times are compared: spine vs direct must be ≤1.05x.
+  Untimed warm-up pairs go first, and the garbage collector is off
+  while timing (as in ``timeit``), so neither one-time set-up nor a
+  collector pause lands on one side.  (Comparing the best of N rounds,
+  each round a separate home, let the spread between homes and between
+  rounds decide the gate.)
 * **bus floor** (recorded, not asserted) — the same comparison against a
   bare echo element with no application attached.  This isolates the
   spine's absolute per-command cost in microseconds; a fixed tracking
@@ -26,6 +33,8 @@ Records to ``BENCH_COMMANDS.json`` (smoke runs write theirs to
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import time
 
@@ -39,6 +48,8 @@ from repro.util.ids import guid_from_seed
 
 OVERHEAD_BUDGET = 1.05
 USERS = 8
+#: Untimed direct/spine pairs first, so one-time set-up lands on neither.
+WARMUP_PAIRS = 10
 
 
 class EchoFcm(SoftwareElement):
@@ -65,36 +76,47 @@ def _home_rig():
     return home, home.app.handle_for("TV", "tuner")
 
 
-def _home_direct(commands: int) -> float:
-    """N direct send_request actuations in a full home (pre-spine path)."""
+def _home_round_trips(commands: int) -> tuple[float, float]:
+    """Summed seconds of ``commands`` direct send_request actuations (the
+    pre-spine path) and ``commands`` tracked spine actuations, run one at
+    a time in one home; each pair alternates which side goes first.
+    Every actuation moves the volume, so each one repaints the panel."""
     home, handle = _home_rig()
-    replies = []
-    start = time.perf_counter()
-    for i in range(commands):
+    direct_replies, spine_replies = [], []
+    volume = itertools.count()
+
+    def direct() -> None:
         handle.app.send_request(handle.seid, "volume.set",
-                                {"volume": i % 100},
-                                on_reply=replies.append)
+                                {"volume": next(volume) % 100},
+                                on_reply=direct_replies.append)
         home.settle()
-    elapsed = time.perf_counter() - start
-    assert len(replies) == commands
-    assert replies[-1].status == "SUCCESS"
-    return elapsed
 
-
-def _home_spine(commands: int) -> float:
-    """N tracked actuations through the handle's spine, same home."""
-    home, handle = _home_rig()
-    replies = []
-    start = time.perf_counter()
-    for i in range(commands):
-        handle.command("volume.set", {"volume": i % 100},
-                       on_reply=replies.append, origin="widget")
+    def spine() -> None:
+        handle.command("volume.set", {"volume": next(volume) % 100},
+                       on_reply=spine_replies.append, origin="widget")
         home.settle()
-    elapsed = time.perf_counter() - start
-    assert len(replies) == commands
-    stats = home.command_log.stats()
-    assert stats["terminal"]["done"] >= commands
-    return elapsed
+
+    for _ in range(WARMUP_PAIRS):
+        direct()
+        spine()
+    del direct_replies[:], spine_replies[:]
+    spent = {direct: 0.0, spine: 0.0}
+    # as timeit does: a collector pause would land on one side at random
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(commands):
+            for side in ((direct, spine) if i % 2 == 0
+                         else (spine, direct)):
+                start = time.perf_counter()
+                side()
+                spent[side] += time.perf_counter() - start
+    finally:
+        gc.enable()
+    assert len(direct_replies) == len(spine_replies) == commands
+    assert all(r.status == "SUCCESS" for r in direct_replies + spine_replies)
+    assert home.command_log.stats()["terminal"]["done"] >= commands
+    return spent[direct], spent[spine]
 
 
 # -- bus floor (recorded, not asserted) -------------------------------------
@@ -187,12 +209,11 @@ def _best_of_interleaved(direct, spine, commands: int, rounds: int):
 
 
 def test_command_spine_overhead_and_throughput(smoke, record_dir):
-    home_commands = 40 if smoke else 200
+    home_commands = 120 if smoke else 600
     bus_commands = 200 if smoke else 2000
     rounds = 3 if smoke else 6
 
-    home_direct, home_spine = _best_of_interleaved(
-        _home_direct, _home_spine, home_commands, rounds)
+    home_direct, home_spine = _home_round_trips(home_commands)
     home_ratio = home_spine / max(home_direct, 1e-9)
 
     bus_direct, bus_spine = _best_of_interleaved(
@@ -218,11 +239,16 @@ def test_command_spine_overhead_and_throughput(smoke, record_dir):
             "rounds": rounds,
             "smoke": bool(smoke),
         },
-        "timing_method": "best-of-N wall-clock (time.perf_counter) for "
-                         "submit+settle round trips, direct and spine "
-                         "rounds interleaved; home scale includes "
-                         "FCM handler, fcm.state fan-out and panel "
-                         "refresh; bus floor is a bare echo element",
+        "timing_method": "wall-clock (time.perf_counter) per "
+                         "submit+settle round trip; home scale: direct "
+                         "and spine actuations one at a time in one "
+                         "home, alternating which goes first, after "
+                         f"{WARMUP_PAIRS} untimed pairs and with the "
+                         "garbage collector off, summed times compared "
+                         "(includes FCM handler, fcm.state fan-out and "
+                         "panel refresh); bus floor: best-of-N rounds "
+                         "on a bare echo element, direct and spine "
+                         "rounds interleaved",
         "home_round_trip": {
             "direct_s_per_cmd": home_direct / home_commands,
             "spine_s_per_cmd": home_spine / home_commands,
