@@ -46,8 +46,8 @@ def _validate_color(color: Color) -> np.ndarray:
 
 
 def _fill(view: np.ndarray, color: Color) -> None:
-    """Fill an (h, w, 3) view: one row of pixels, then that row copied
-    down, so no copy loops over the 3 bytes of a single pixel."""
+    """Fill an (h, w, 3) view: the colour into its first row, then that
+    row copied down, so only one row is written pixel by pixel."""
     view[0] = _validate_color(color)
     view[1:] = view[0]
 

@@ -433,7 +433,9 @@ class TestHextileDecodeParity:
         rng = np.random.default_rng(40 + pf.bits_per_pixel)
         width, height = 37, 21
         packed = _panel_packed(rng, pf, width, height)
+        packed[:16, 16:32] = rng.integers(0, 256, (16, 16)).astype(pf.dtype)
         payload = encode_hextile(packed, pf) + b"\xff"
+        assert "raw" in _subencodings(payload, width, height, pf)
         full = len(payload) - 1
         for cut in range(full):
             buffer = bytearray(payload[:cut])
