@@ -5,8 +5,11 @@ device by its uploaded plug-in (scale + colour-reduce + dither + pack).
 Expected shape: cost scales with device pixel count; the phone (tiny,
 error-diffused) and the wall display (huge, full colour) bracket the range;
 per-frame output bytes reflect each screen's native depth.  The damage
-case changes one 64x24 rect between pushes: a plug-in rescales only that
-footprint, so it shows what the full-frame stages (dither, pack) cost.
+case changes one 64x24 rect between pushes: every plug-in rescales only
+that footprint, and the PDA also greys, dithers and packs only the rows
+it reaches.  For the phone (whole-frame error diffusion) and the
+displays (whole-frame RGB canvas) it shows what their full-frame stages
+cost.
 """
 
 from __future__ import annotations

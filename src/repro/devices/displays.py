@@ -21,7 +21,7 @@ class DisplayOutputPlugin(OutputPlugin):
     """Aspect-preserving fit to the panel, full RGB."""
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view, scaled = self.fit_frame(frame, dirty)
+        view, scaled, _ = self.fit_frame(frame, dirty)
         canvas = np.zeros((self.screen.height, self.screen.width, 3),
                           dtype=np.uint8)
         canvas[view.offset_y:view.offset_y + scaled.height,

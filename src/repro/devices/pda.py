@@ -14,6 +14,7 @@ from repro.proxy.plugins import (
     DeviceImage,
     InputPlugin,
     OutputPlugin,
+    SessionContext,
     UniversalEvent,
 )
 from repro.uip.messages import PointerEvent
@@ -44,18 +45,35 @@ class PdaOutputPlugin(OutputPlugin):
     """Letterboxed box-filter downscale, 4-grey ordered dither, 2-bit pack.
 
     Ordered dithering is chosen over error diffusion because its pattern is
-    stable frame-to-frame — interactive updates do not shimmer.
+    stable frame-to-frame — interactive updates do not shimmer.  It is also
+    local, so the plug-in keeps its packed screen rows and converts only
+    the full-width scaled rows :meth:`fit_frame` rescaled, from a multiple
+    of 4 so each row keeps its Bayer phase.  A rescale of every row (a new
+    frame object or size) rebuilds the whole screen, letterbox included.
     """
 
+    def __init__(self, descriptor: DeviceDescriptor,
+                 context: SessionContext) -> None:
+        super().__init__(descriptor, context)
+        #: The packed 2-bit screen the last push produced.
+        self._rows = bytearray((self.screen.width + 3) // 4
+                               * self.screen.height)
+
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view, scaled = self.fit_frame(frame, dirty)
-        gray = ops.to_grayscale(scaled)
-        dithered = ops.ordered_dither(gray, levels=4)
-        canvas = np.zeros((self.screen.height, self.screen.width))
-        canvas[view.offset_y:view.offset_y + scaled.height,
-               view.offset_x:view.offset_x + scaled.width] = dithered
+        view, scaled, (first, end) = self.fit_frame(frame, dirty)
+        if end - first == scaled.height:  # the letterbox may have moved
+            self._rows = bytearray(len(self._rows))
+        first -= first % 4  # keep the Bayer phase
+        if first < end:
+            band = scaled.crop(Rect(0, first, scaled.width, end - first))
+            dithered = ops.ordered_dither(ops.to_grayscale(band), levels=4)
+            canvas = np.zeros((end - first, self.screen.width))
+            canvas[:, view.offset_x:view.offset_x + scaled.width] = dithered
+            packed = ops.pack_gray4(canvas)
+            start = (view.offset_y + first) * (len(packed) // (end - first))
+            self._rows[start:start + len(packed)] = packed
         return DeviceImage(self.screen.width, self.screen.height, "gray4",
-                           ops.pack_gray4(canvas))
+                           bytes(self._rows))
 
 
 class Pda(InteractionDevice):

@@ -77,7 +77,7 @@ class PhoneOutputPlugin(OutputPlugin):
     """
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view, scaled = self.fit_frame(frame, dirty)
+        view, scaled, _ = self.fit_frame(frame, dirty)
         gray = ops.to_grayscale(scaled)
         dithered = ops.floyd_steinberg(gray, levels=2)
         canvas = np.zeros((self.screen.height, self.screen.width))

@@ -4,8 +4,7 @@ An output plug-in "contains a code to convert bitmap images received from a
 UniInt server to images that can be displayed on the screen of the target
 output device".  Concretely that is some composition of:
 
-* resampling to the device resolution (:func:`scale_nearest`,
-  :func:`scale_box`, :func:`scale_to_fit`),
+* resampling to the device resolution (:func:`scale_box`),
 * colour reduction (:func:`to_grayscale`, :func:`quantize_levels`),
 * dithering for 1-bit / 2-bit panels (:func:`ordered_dither`,
   :func:`floyd_steinberg`),
@@ -13,7 +12,7 @@ output device".  Concretely that is some composition of:
   (:func:`pack_mono`, :func:`pack_gray4`).
 
 Everything is numpy-vectorised except Floyd–Steinberg, whose error feedback
-is inherently serial per pixel (we vectorise per row where possible).
+is inherently serial per pixel: it runs one loop over plain Python floats.
 Box-filter sums are exact integers, so a box average is the same float64
 quotient however the sums are formed — which lets :func:`scale_box` redo
 only the damaged boxes of a previous result.
@@ -48,16 +47,6 @@ BAYER_4X4 = np.asarray(
 # -- resampling -------------------------------------------------------------
 
 
-def scale_nearest(bitmap: Bitmap, width: int, height: int) -> Bitmap:
-    """Nearest-neighbour resample to exactly ``width`` x ``height``."""
-    if width <= 0 or height <= 0:
-        raise GraphicsError(f"scale target must be positive: {width}x{height}")
-    src = bitmap.pixels
-    ys = (np.arange(height) * bitmap.height) // height
-    xs = (np.arange(width) * bitmap.width) // width
-    return Bitmap.from_array(src[ys[:, None], xs[None, :]])
-
-
 @functools.lru_cache(maxsize=64)
 def _box_edges(src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
     """``(lo, hi)``: the source span ``[lo, hi)`` of each of ``dst`` boxes.
@@ -70,6 +59,17 @@ def _box_edges(src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
     hi = np.maximum(np.ceil(edges[1:]).astype(np.intp), lo + 1)
     lo.flags.writeable = hi.flags.writeable = False
     return lo, hi
+
+
+def box_span(src: int, dst: int, start: int, stop: int) -> tuple[int, int]:
+    """``(first, end)``: the boxes of a ``src`` -> ``dst`` box resample
+    whose source spans meet the non-empty source span ``[start, stop)``.
+
+    Boxes are monotone, so the ones meeting a span are contiguous.
+    """
+    lo, hi = _box_edges(src, dst)
+    return (int(np.searchsorted(hi, start, side="right")),
+            int(np.searchsorted(lo, stop, side="left")))
 
 
 def scale_box(bitmap: Bitmap, width: int, height: int,
@@ -102,11 +102,8 @@ def scale_box(bitmap: Bitmap, width: int, height: int,
     src = bitmap.pixels
     y0s, y1s = _box_edges(bitmap.height, height)
     x0s, x1s = _box_edges(bitmap.width, width)
-    # boxes are monotone, so the ones meeting ``dirty`` are contiguous
-    r0 = np.searchsorted(y1s, dirty.y, side="right")
-    r1 = np.searchsorted(y0s, dirty.y2, side="left")
-    c0 = np.searchsorted(x1s, dirty.x, side="right")
-    c1 = np.searchsorted(x0s, dirty.x2, side="left")
+    r0, r1 = box_span(bitmap.height, height, dirty.y, dirty.y2)
+    c0, c1 = box_span(bitmap.width, width, dirty.x, dirty.x2)
     y0, y1 = y0s[r0:r1], y1s[r0:r1]
     x0, x1 = x0s[c0:c1], x1s[c0:c1]
     top, left = y0[0], x0[0]
@@ -131,21 +128,6 @@ def scale_box(bitmap: Bitmap, width: int, height: int,
     # a mean of bytes rounds into 0..255, so the uint8 store is exact
     out.pixels[r0:r1, c0:c1] = np.rint(means, out=means)
     return out
-
-
-def scale_to_fit(bitmap: Bitmap, max_width: int, max_height: int,
-                 smooth: bool = True) -> Bitmap:
-    """Resample preserving aspect ratio to fit in a bounding box."""
-    if max_width <= 0 or max_height <= 0:
-        raise GraphicsError("fit box must be positive")
-    ratio = min(max_width / bitmap.width, max_height / bitmap.height)
-    width = max(1, int(bitmap.width * ratio))
-    height = max(1, int(bitmap.height * ratio))
-    if ratio == 1.0:
-        return bitmap.copy()
-    if smooth and ratio < 1.0:
-        return scale_box(bitmap, width, height)
-    return scale_nearest(bitmap, width, height)
 
 
 # -- colour reduction -----------------------------------------------------------
@@ -193,40 +175,57 @@ def floyd_steinberg(gray: np.ndarray, levels: int = 2) -> np.ndarray:
     """Floyd–Steinberg error-diffusion dither to ``levels`` grey levels.
 
     Higher quality on static panels; the phone output plug-in uses it for
-    its 1-bit screen.  Error feedback is serial by nature, so the inner
-    loop runs on plain Python floats (an order of magnitude faster than
-    per-element numpy indexing).
+    its 1-bit screen.  Error feedback is serial by nature, so one loop runs
+    on plain Python floats.  The right neighbour's error rides in a local,
+    and each pixel of the row below is summed in locals and written once,
+    in the same float order as pushing each error as it is made: the three
+    pushes from above (1/16, 5/16, 3/16), then 7/16 from the left.  Rows
+    carry one trailing pad slot (it takes the write from column -1) and a
+    pad row follows the last, so the loop tests no edge.
+
+    At 2 levels the quantum is ``old > 127.5``: exactly when
+    ``round(old / 255)``, clamped to 0..1, is 1, since the next double
+    above 127.5 is ``127.5 + 2**-46`` and a 255th of that gap is more than
+    half an ulp of 0.5.
     """
     if levels < 2:
         raise GraphicsError(f"need at least 2 levels: {levels}")
     steps = levels - 1
     scale = 255.0 / steps
+    binary = steps == 1
     h, w = gray.shape
-    work = gray.astype(np.float64).tolist()
-    out = [[0.0] * w for _ in range(h)]
+    padded = np.zeros((h + 1, w + 1))
+    padded[:h, :w] = gray
+    rows = padded.tolist()
+    quanta = bytearray(h * w)
     for y in range(h):
-        row = work[y]
-        out_row = out[y]
-        below = work[y + 1] if y + 1 < h else None
+        row = rows[y]
+        below = rows[y + 1]
+        base = y * w
+        carry = left = 0.0  # 7/16 of the last error; below[x - 1] so far
+        under = below[0]    # below[x] so far
         for x in range(w):
-            old = row[x]
-            quantum = round(old / scale)
-            if quantum < 0:
-                quantum = 0
-            elif quantum > steps:
-                quantum = steps
-            new = quantum * scale
-            out_row[x] = new
-            err = old - new
-            if x + 1 < w:
-                row[x + 1] += err * 0.4375        # 7/16
-            if below is not None:
-                if x > 0:
-                    below[x - 1] += err * 0.1875  # 3/16
-                below[x] += err * 0.3125          # 5/16
-                if x + 1 < w:
-                    below[x + 1] += err * 0.0625  # 1/16
-    return np.asarray(out)
+            old = row[x] + carry
+            if binary:
+                if old > 127.5:
+                    quanta[base + x] = 1
+                    err = old - scale
+                else:
+                    err = old
+            else:
+                quantum = round(old / scale)
+                if quantum < 0:
+                    quantum = 0
+                elif quantum > steps:
+                    quantum = steps
+                quanta[base + x] = quantum
+                err = old - quantum * scale
+            carry = err * 0.4375                  # 7/16
+            below[x - 1] = left + err * 0.1875    # 3/16
+            left = under + err * 0.3125           # 5/16
+            under = below[x + 1] + err * 0.0625   # 1/16
+        below[w - 1] = left
+    return np.frombuffer(quanta, dtype=np.uint8).reshape(h, w) * scale
 
 
 # -- device bit-packing ------------------------------------------------------------

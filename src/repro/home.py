@@ -659,10 +659,10 @@ class Home:
 
         Disconnects every proxy and server session, closes the listener,
         then hard-closes whatever fds are still registered under this
-        home's member, device legs included — deliberately *not* a
-        graceful EOF drain, so one stalled sibling on a shared reactor
-        can never wedge another home's teardown.  A home that owns its
-        reactor closes it too.
+        home's member, device legs included, and those a quarantine
+        unregistered — deliberately *not* a graceful EOF drain, so one
+        stalled sibling on a shared reactor can never wedge another
+        home's teardown.  A home that owns its reactor closes it too.
         """
         if self.reactor is None:
             return
@@ -675,14 +675,16 @@ class Home:
         if self.listener is not None:
             self.listener.close()
             self.listener = None
-        if self.reactor_member is not None:
-            for handle in self.reactor.handles_of(self.reactor_member):
+        member = self.reactor_member
+        if member is not None:
+            for handle in self.reactor.handles_of(member) + tuple(
+                    member.dropped):
                 handle.unregister()
                 try:
                     handle.fileobj.close()
                 except OSError:  # pragma: no cover
                     pass
-            self.reactor.remove_scheduler(self.reactor_member)
+            self.reactor.remove_scheduler(member)
         if self._owns_reactor:
             self.reactor.close()
         self.reactor = None

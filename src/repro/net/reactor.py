@@ -82,6 +82,9 @@ class ReactorMember:
         self.errors: list[BaseException] = []
         #: Formatted traceback for each entry in :attr:`errors`.
         self.tracebacks: list[str] = []
+        #: Handles quarantine unregistered; their owner must still close
+        #: them (see :meth:`repro.home.Home.close`).
+        self.dropped: list[IOHandle] = []
         self.events_fired = 0
         self.io_dispatches = 0
 
@@ -344,6 +347,7 @@ class Reactor:
             member.errors.append(error)
             member.tracebacks.append("".join(traceback.format_exception(
                 type(error), error, error.__traceback__)))
+            member.dropped.extend(self.handles_of(member))
             self._drop_member_handles(member)
             if member.on_error is not None:
                 member.on_error(error)

@@ -193,24 +193,30 @@ class OutputPlugin:
         self.context.view = view
         return view
 
-    def fit_frame(self, frame: Bitmap,
-                  dirty: Rect) -> tuple[ViewTransform, Bitmap]:
-        """:meth:`fit_view`, and ``frame`` box-scaled to the fitted size.
+    def fit_frame(self, frame: Bitmap, dirty: Rect
+                  ) -> tuple[ViewTransform, Bitmap, tuple[int, int]]:
+        """:meth:`fit_view`, ``frame`` box-scaled to the fitted size, and
+        ``(first, end)``: the span of scaled rows this call rescaled.
 
         The last scaled bitmap is kept and only the output boxes whose
-        source boxes meet ``dirty`` are rescaled; a new frame object or
-        fitted size (resize, reconnect) rescales the whole frame.  At
-        scale 1.0 the result is ``frame`` itself.
+        source boxes meet ``dirty`` are rescaled; the span is their rows,
+        ``(0, 0)`` when ``dirty`` misses the frame.  A new frame object or
+        fitted size (first call, resize, reconnect) rescales the whole
+        frame, and the span is every row.  At scale 1.0 the result is
+        ``frame`` itself and the span is the rows ``dirty`` meets.
         """
         view = self.fit_view(frame)
-        if view.scale == 1.0:
-            return view, frame
         width = max(1, int(frame.width * view.scale))
         height = max(1, int(frame.height * view.scale))
         scaled = self._scaled
         if frame is not self._scaled_from or scaled.size != (width, height):
-            scaled = None
+            scaled, dirty = None, frame.bounds
         self._scaled_from = frame
-        self._scaled = ops.scale_box(frame, width, height, out=scaled,
-                                     dirty=dirty)
-        return view, self._scaled
+        dirty = dirty.intersect(frame.bounds)
+        if view.scale == 1.0:
+            self._scaled, rows = frame, (dirty.y, dirty.y2)
+        else:
+            self._scaled = ops.scale_box(frame, width, height, out=scaled,
+                                         dirty=dirty)
+            rows = ops.box_span(frame.height, height, dirty.y, dirty.y2)
+        return view, self._scaled, (0, 0) if dirty.is_empty else rows

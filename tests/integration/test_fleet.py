@@ -2,6 +2,8 @@
 per-home isolation (budget fairness, crash quarantine), and the reset
 paths that keep credit sane when clients vanish mid-broadcast."""
 
+import gc
+import os
 import socket
 
 import pytest
@@ -43,6 +45,23 @@ class TestTcpHome:
             assert user.server_session.ready
             assert user.server_session.surface is user.view.surface
         home.close()
+
+    def test_close_closes_the_sockets_a_quarantine_dropped(self):
+        home = populate(Home(width=160, height=120, transport="tcp"), "q")
+        home.settle()
+        member = home.reactor_member
+        sockets = [handle.fileobj for handle in
+                   home.reactor.handles_of(member)]
+        assert len(sockets) >= 4  # listener, both TCP ends, device leg
+
+        def boom():
+            raise RuntimeError("appliance handler crashed")
+
+        home.scheduler.call_soon(boom)
+        home.settle()
+        assert member.failed and not home.reactor.handles_of(member)
+        home.close()
+        assert [s for s in sockets if s.fileno() != -1] == []
 
     def test_reactor_requires_tcp_transport(self):
         from repro.net import Reactor
@@ -106,6 +125,36 @@ class TestFleet:
         assert sent_bytes(survivor) > before, \
             "a crashed sibling must not stop this home's frames"
         fleet.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts fds through /proc")
+    def test_supervised_restarts_leave_no_fd_after_close(self):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def boom():
+            raise RuntimeError("appliance handler crashed")
+
+        gc.collect()
+        gc.disable()  # only close() may release a socket here
+        try:
+            baseline = open_fds()
+            fleet = HomeFleet()
+            fleet.enable_supervision(
+                max_restarts=5, rebuild=lambda f, name, h: populate(h, name))
+            populate(fleet.add_home("h0"), 0)
+            fleet.settle()
+            held = open_fds()
+            for _ in range(3):
+                fleet.home("h0").scheduler.call_soon(boom)
+                fleet.settle()
+                assert fleet.supervise() == ["h0"]
+                fleet.settle()
+                assert open_fds() == held, "a restart kept the old fds"
+            fleet.close()
+            assert open_fds() == baseline
+        finally:
+            gc.enable()
 
     def test_storming_home_cannot_starve_siblings(self):
         # a home stuck in a self-perpetuating event loop burns only its

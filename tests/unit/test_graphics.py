@@ -371,15 +371,6 @@ class TestOps:
         bmp.pixels[:] = ramp[None, :, None]
         return bmp
 
-    def test_scale_nearest_dimensions(self):
-        out = ops.scale_nearest(self._gradient(), 8, 6)
-        assert out.size == (8, 6)
-
-    def test_scale_nearest_identity(self):
-        src = self._gradient()
-        out = ops.scale_nearest(src, src.width, src.height)
-        assert out == src
-
     def test_scale_box_dimensions(self):
         out = ops.scale_box(self._gradient(), 4, 3)
         assert out.size == (4, 3)
@@ -393,21 +384,7 @@ class TestOps:
         out = ops.scale_box(self._gradient(4, 4), 8, 8)
         assert out.size == (8, 8)
 
-    def test_scale_to_fit_aspect(self):
-        src = Bitmap(100, 50)
-        out = ops.scale_to_fit(src, 40, 40)
-        assert out.size == (40, 20)
-
-    def test_scale_to_fit_never_upscales_identity(self):
-        src = Bitmap(10, 10, fill=(3, 3, 3))
-        out = ops.scale_to_fit(src, 100, 100)
-        assert out.size == (100, 100)  # ratio 10 upscale allowed
-        out2 = ops.scale_to_fit(src, 10, 10)
-        assert out2 == src
-
     def test_bad_scale_target(self):
-        with pytest.raises(GraphicsError):
-            ops.scale_nearest(self._gradient(), 0, 5)
         with pytest.raises(GraphicsError):
             ops.scale_box(self._gradient(), 5, 0)
 

@@ -1,15 +1,18 @@
 """Parity of the frame-path kernels with the implementations they replaced.
 
 Each kernel that every frame crosses (colour fills, the tile change mask,
-text drawing and HEXTILE decoding) was rewritten to work on whole byte
-rows.  The implementation each rewrite replaced is kept here as its
+text drawing, HEXTILE decoding, Floyd–Steinberg and the PDA output
+plug-in's conversion) was rewritten to work on whole byte rows or plain
+locals.  The implementation each rewrite replaced is kept here as its
 oracle, and the rewrite must reproduce it exactly: same pixels, same
-rects and counters, same decoded arrays and the same errors.
+rects and counters, same decoded arrays, same device bytes and the same
+errors.
 """
 
 import numpy as np
 import pytest
 
+from repro.devices import Pda
 from repro.graphics import (
     RGB332,
     RGB565,
@@ -20,11 +23,15 @@ from repro.graphics import (
     TileDiffer,
     font5x7,
 )
+from repro.graphics import ops
 from repro.graphics.bitmap import _validate_color
 from repro.graphics.font import Font
+from repro.proxy import DeviceImage, SessionContext
+from repro.proxy.plugins import OutputPlugin
 from repro.toolkit.canvas import Canvas
 from repro.uip.encodings import decode_hextile, encode_hextile
 from repro.uip.wire import Cursor, NeedMore
+from repro.util import Scheduler
 from repro.util.errors import GraphicsError, ProtocolError
 
 BE565 = PixelFormat(16, 16, True, 31, 63, 31, 11, 5, 0)
@@ -509,3 +516,253 @@ def _subencodings(payload, width, height, pf):
             kinds.add("coloured" if subenc & 16 else "mono")
             cursor.skip(count * ((ps + 2) if subenc & 16 else 2))
     return kinds
+
+
+# -- Floyd–Steinberg ------------------------------------------------------------
+
+
+def per_push_floyd_steinberg(gray, levels=2):
+    """The loop ``ops.floyd_steinberg`` replaced: each error is pushed
+    into its four neighbours as it is made, each push behind an edge
+    test, and every level quantises with ``round(old / scale)``."""
+    steps = levels - 1
+    scale = 255.0 / steps
+    h, w = gray.shape
+    work = gray.astype(np.float64).tolist()
+    out = [[0.0] * w for _ in range(h)]
+    for y in range(h):
+        row = work[y]
+        out_row = out[y]
+        below = work[y + 1] if y + 1 < h else None
+        for x in range(w):
+            old = row[x]
+            quantum = round(old / scale)
+            if quantum < 0:
+                quantum = 0
+            elif quantum > steps:
+                quantum = steps
+            new = quantum * scale
+            out_row[x] = new
+            err = old - new
+            if x + 1 < w:
+                row[x + 1] += err * 0.4375
+            if below is not None:
+                if x > 0:
+                    below[x - 1] += err * 0.1875
+                below[x] += err * 0.3125
+                if x + 1 < w:
+                    below[x + 1] += err * 0.0625
+    return np.asarray(out)
+
+
+def assert_same_dither(gray, levels):
+    got = ops.floyd_steinberg(gray, levels)
+    expected = per_push_floyd_steinberg(gray, levels)
+    assert got.dtype == expected.dtype == np.float64
+    assert got.shape == expected.shape == gray.shape
+    assert np.array_equal(got, expected), (gray.shape, levels)
+
+
+def quantum_edges(levels):
+    """Every quantum boundary ``(k + 0.5) * scale`` of ``levels`` (127.5
+    at 2 levels) with its two float neighbours."""
+    scale = 255.0 / (levels - 1)
+    values = []
+    for k in range(levels - 1):
+        edge = (k + 0.5) * scale
+        values += [np.nextafter(edge, -np.inf), edge,
+                   np.nextafter(edge, np.inf)]
+    return values
+
+
+LEVELS = range(2, 9)
+
+
+class TestFloydSteinbergParity:
+    @pytest.mark.parametrize("levels", LEVELS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 53), (41, 1), (96, 128)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_random_luma_matches_per_push_diffusion(self, levels, shape):
+        rng = np.random.default_rng(1000 * levels + shape[0] + shape[1])
+        # past both ends of 0..255, as a sharpened or synthetic source is
+        assert_same_dither(rng.uniform(-80.0, 335.0, shape), levels)
+
+    @pytest.mark.parametrize("levels", LEVELS)
+    def test_quantum_edges_and_their_neighbours(self, levels):
+        values = quantum_edges(levels)
+        assert np.nextafter(127.5, np.inf) == 127.5 + 2.0 ** -46
+        for value in values:
+            assert_same_dither(np.full((1, 1), value), levels)
+        row = np.asarray([values])
+        assert_same_dither(row, levels)
+        assert_same_dither(row.T.copy(), levels)
+        assert_same_dither(np.tile(row, (7, 3)), levels)
+
+    @pytest.mark.parametrize("levels", LEVELS)
+    def test_diffused_sums_one_ulp_either_side_of_an_edge(self, levels):
+        # A second-row pixel adds up to four pushed errors to its source.
+        # Stepping that source ulp by ulp across the point where the pixel
+        # changes quantum catches any order of the sum that rounds
+        # differently there.
+        rng = np.random.default_rng(levels)
+        scale = 255.0 / (levels - 1)
+        for trial in range(24):
+            gray = rng.uniform(0.0, 255.0, (2, 3))
+            x = trial % 3
+            level = int(rng.integers(1, levels)) * scale
+
+            def reaches_level(source):
+                gray[1, x] = source
+                return per_push_floyd_steinberg(gray, levels)[1, x] >= level
+
+            below, above = -400.0, 700.0
+            assert not reaches_level(below) and reaches_level(above)
+            while True:
+                middle = below + (above - below) / 2
+                if middle in (below, above):
+                    break
+                if reaches_level(middle):
+                    above = middle
+                else:
+                    below = middle
+            source = above
+            for _ in range(16):
+                source = np.nextafter(source, -np.inf)
+            for _ in range(33):
+                gray[1, x] = source
+                assert_same_dither(gray, levels)
+                source = np.nextafter(source, np.inf)
+
+    @pytest.mark.parametrize("levels", LEVELS)
+    def test_flat_panels_of_exact_levels(self, levels):
+        # flat blocks at the exact quantum levels and midpoints, where
+        # diffused errors cancel to exact ties
+        rng = np.random.default_rng(levels)
+        shades = np.asarray([0.0, 63.75, 85.0, 127.5, 170.0, 191.25,
+                             255.0])
+        blocks = rng.choice(shades, (12, 16))
+        gray = np.kron(blocks, np.ones((8, 8)))
+        assert_same_dither(gray, levels)
+
+    def test_integer_luma(self):
+        rng = np.random.default_rng(9)
+        gray = rng.integers(0, 256, (17, 23), dtype=np.uint8)
+        for levels in (2, 4):
+            assert_same_dither(gray, levels)
+
+
+# -- the PDA output plug-in -----------------------------------------------------
+
+
+class WholeFramePdaPlugin(OutputPlugin):
+    """The transform ``PdaOutputPlugin`` replaced: grey, dither, letterbox
+    and pack the whole fitted frame on every push."""
+
+    def transform(self, frame, dirty):
+        view, scaled, _ = self.fit_frame(frame, dirty)
+        gray = ops.to_grayscale(scaled)
+        dithered = ops.ordered_dither(gray, levels=4)
+        canvas = np.zeros((self.screen.height, self.screen.width))
+        canvas[view.offset_y:view.offset_y + scaled.height,
+               view.offset_x:view.offset_x + scaled.width] = dithered
+        return DeviceImage(self.screen.width, self.screen.height, "gray4",
+                           ops.pack_gray4(canvas))
+
+
+def pda_plugin(factory=Pda.output_plugin_factory):
+    return factory(Pda("pda", Scheduler()).descriptor, SessionContext())
+
+
+def whole_frame_image(frame):
+    """The oracle on a fresh plug-in: the whole frame rescaled."""
+    return pda_plugin(WholeFramePdaPlugin).transform(frame, frame.bounds)
+
+
+#: Frame sizes shown 1:1 and scaled down, each with a letterbox offset
+#: that is not a multiple of 4 on at least one axis.
+PDA_FRAMES = [(314, 230), (301, 239), (203, 97), (480, 330), (700, 410),
+              (333, 251), (640, 201)]
+
+
+class TestPdaOutputParity:
+    @pytest.mark.parametrize("size", PDA_FRAMES,
+                             ids=lambda size: "x".join(map(str, size)))
+    def test_every_push_matches_the_whole_frame_transform(self, size):
+        width, height = size
+        rng = np.random.default_rng(width * height)
+        frame = _noise(rng, width, height)
+        plugin = pda_plugin()
+        assert plugin.process(frame, frame.bounds) == whole_frame_image(frame)
+        view = plugin.context.view
+        assert view.offset_x % 4 or view.offset_y % 4
+        scaled_h = max(1, int(height * view.scale))
+        unaligned = 0
+        for step in range(40):
+            rect = _rect(rng, width, height)
+            if step % 5 == 0:  # a band starting off the Bayer period
+                y = 4 * int(rng.integers(0, height // 4)) + 1 + step % 3
+                rect = Rect(int(rng.integers(0, width)), y,
+                            int(rng.integers(1, 40)), int(rng.integers(1, 9)))
+            changed = rect.intersect(frame.bounds)
+            if not changed.is_empty:
+                frame.view(changed)[:] = rng.integers(
+                    0, 256, (changed.h, changed.w, 3), dtype=np.uint8)
+                first, _ = ops.box_span(height, scaled_h, changed.y,
+                                        changed.y2)
+                unaligned += first % 4 != 0
+            assert plugin.process(frame, rect) == whole_frame_image(frame), \
+                (size, step, rect)
+        assert unaligned > 0
+
+    @pytest.mark.parametrize("size", [(314, 230), (480, 330)],
+                             ids=lambda size: "x".join(map(str, size)))
+    def test_empty_and_off_frame_damage(self, size):
+        width, height = size
+        rng = np.random.default_rng(width)
+        frame = _noise(rng, width, height)
+        plugin = pda_plugin()
+        expected = plugin.process(frame, frame.bounds)
+        assert expected == whole_frame_image(frame)
+        for rect in (Rect(0, 0, 0, 0), Rect(7, 9, 0, 30), Rect(7, 9, 30, 0),
+                     Rect(-40, -40, 30, 30), Rect(width, 0, 9, height),
+                     Rect(0, height, width, 5)):
+            assert plugin.process(frame, rect) == expected, rect
+
+    @pytest.mark.parametrize("sizes", [((314, 230), (314, 230)),
+                                       ((480, 330), (480, 330)),
+                                       ((480, 330), (203, 97)),
+                                       ((203, 97), (700, 410))],
+                             ids=str)
+    def test_a_new_frame_object_is_converted_whole(self, sizes):
+        rng = np.random.default_rng(len(str(sizes)))
+        plugin = pda_plugin()
+        for width, height in sizes:
+            frame = _noise(rng, width, height)
+            # a new frame object: its dirty says nothing of the old one
+            assert plugin.process(frame, Rect(1, 1, 1, 1)) == \
+                whole_frame_image(frame)
+            frame.view(Rect(3, 6, 20, 3))[:] = 255
+            assert plugin.process(frame, Rect(3, 6, 20, 3)) == \
+                whole_frame_image(frame)
+
+    def test_small_damage_converts_only_its_rows(self, monkeypatch):
+        rows_dithered = []
+        dither = ops.ordered_dither
+
+        def counting(gray, levels=2):
+            rows_dithered.append(gray.shape[0])
+            return dither(gray, levels)
+
+        monkeypatch.setattr(ops, "ordered_dither", counting)
+        rng = np.random.default_rng(4)
+        frame = _noise(rng, 314, 230)
+        plugin = pda_plugin()
+        plugin.process(frame, frame.bounds)
+        frame.view(Rect(10, 101, 30, 6))[:] = 0
+        image = plugin.process(frame, Rect(10, 101, 30, 6))
+        plugin.process(frame, Rect(0, 0, 0, 0))
+        # every row, then rows 100..106 for the damage at rows 101..106,
+        # then none
+        assert rows_dithered == [230, 7]
+        monkeypatch.undo()
+        assert image == whole_frame_image(frame)

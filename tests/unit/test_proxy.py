@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices import CellPhone, Pda, TvDisplay, VoiceInput
-from repro.graphics import Bitmap
+from repro.graphics import Bitmap, Rect
 from repro.net import make_pipe
 from repro.proxy import (
     DeviceDescriptor,
@@ -129,6 +129,35 @@ class TestOutputPluginGeometry:
         # and the rendered device image keeps the frame at native size
         image = plugin.process(frame, frame.bounds)
         assert (image.width, image.height) == (1024, 768)
+
+    def test_fit_frame_reports_the_rescaled_rows(self):
+        device = Pda("p", Scheduler())
+        plugin = device.output_plugin_factory(device.descriptor,
+                                              SessionContext())
+        frame = Bitmap(480, 360)  # scale 2/3
+        _, scaled, rows = plugin.fit_frame(frame, Rect(0, 0, 1, 1))
+        assert scaled.size == (320, 240) and rows == (0, 240)
+        # scaled row i boxes source rows [floor(1.5 i), ceil(1.5 i + 1.5)),
+        # so rows 20 and 21 meet source rows 30..32
+        assert plugin.fit_frame(frame, Rect(9, 30, 5, 3))[2] == (20, 22)
+        assert plugin.fit_frame(frame, Rect(0, 0, 0, 0))[2] == (0, 0)
+        assert plugin.fit_frame(frame, Rect(480, 0, 9, 9))[2] == (0, 0)
+        fresh = Bitmap(480, 360)
+        assert plugin.fit_frame(fresh, Rect(9, 30, 5, 3))[2] == (0, 240)
+
+    def test_fit_frame_at_scale_one_reports_the_dirty_rows(self):
+        device = Pda("p", Scheduler())
+        plugin = device.output_plugin_factory(device.descriptor,
+                                              SessionContext())
+        frame = Bitmap(320, 200)
+        view, scaled, rows = plugin.fit_frame(frame, Rect(5, 7, 3, 4))
+        assert view.scale == 1.0 and scaled is frame and rows == (0, 200)
+        assert plugin.fit_frame(frame, Rect(5, 7, 3, 4))[2] == (7, 11)
+        assert plugin.fit_frame(frame, Rect(-9, 190, 20, 50))[2] == (190,
+                                                                      200)
+        assert plugin.fit_frame(frame, Rect(0, -9, 9, 9))[2] == (0, 0)
+        fresh = Bitmap(320, 200)
+        assert plugin.fit_frame(fresh, Rect(5, 7, 3, 4))[2] == (0, 200)
 
     def test_output_plugin_requires_screen(self):
         voice = VoiceInput("v", Scheduler())
