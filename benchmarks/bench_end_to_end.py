@@ -1,20 +1,25 @@
-"""E4 — end-to-end interaction latency across device pairs and links.
+"""E4 — end-to-end interaction latency for the pairings e2e does not time.
 
 Claim operationalised: interaction through the universal pipeline (device
 event -> input plug-in -> UIP -> window system -> widget -> HAVi command ->
 appliance, and the repaint all the way back to the device screen) is
 tolerable on every device pairing.
 
-Two numbers per pairing:
+``benchmarks/e2e`` times the pda/pda, phone/phone and remote/tv pairings
+(pda-tap, phone-tap and remote-browse) with checked outputs and bounds.
+E4 keeps what e2e does not cover:
+
+* the voice/tv pairing — no e2e workload drives voice input;
+* the assertion that the phone's modelled latency is dominated by its
+  9600 bps bearer, not by the proxy.
+
+Two numbers per case:
 
 * wall time of simulating one full round trip (the benchmark statistic) —
   the *processing* cost;
 * ``virtual_latency_ms`` in ``extra_info`` — the modelled wall-clock the
   user would experience, dominated by the device's bearer (the cellular
   phone pays ~1-2 s for a frame on 9600 bps; wired paths are milliseconds).
-
-Expected shape: virtual latency ordered phone >> pda > tv/remote; the
-proxy's own processing is negligible against the slow links.
 """
 
 from __future__ import annotations
@@ -23,19 +28,15 @@ import pytest
 
 from repro import Home
 from repro.appliances import Television
-from repro.devices import CellPhone, Pda, RemoteControl, TvDisplay, VoiceInput
+from repro.devices import CellPhone, TvDisplay, VoiceInput
 from repro.havi import FcmType
 
 PAIRINGS = {
-    "pda/pda": (Pda, None),
-    "phone/phone": (CellPhone, None),
     "voice/tv": (VoiceInput, TvDisplay),
-    "remote/tv": (RemoteControl, TvDisplay),
 }
 
 
-def _build(pairing):
-    input_cls, output_cls = PAIRINGS[pairing]
+def _build(input_cls, output_cls):
     home = Home(width=480, height=360)
     tv = home.add_appliance(Television("TV"))
     home.settle()
@@ -53,34 +54,16 @@ def _build(pairing):
     return home, tv, input_device, output_device
 
 
-def _activate(device) -> None:
-    """Press 'select' in whatever way this device does it."""
-    if isinstance(device, CellPhone):
-        device.press("5")
-    elif isinstance(device, RemoteControl):
-        device.press("ok")
-    elif isinstance(device, VoiceInput):
-        device.say("select")
-    else:  # Pda: the power toggle is the first focusable; tap its centre
-        raise AssertionError("unsupported input device")
-
-
 @pytest.mark.parametrize("pairing", PAIRINGS)
 def test_roundtrip_latency(benchmark, pairing):
-    home, tv, input_device, output_device = _build(pairing)
+    home, tv, voice, output_device = _build(*PAIRINGS[pairing])
     tuner = tv.dcm.fcm_by_type(FcmType.TUNER)
     toggles = {"count": 0}
 
     def roundtrip():
         start = home.scheduler.now()
         frames_before = output_device.frames_received
-        if isinstance(input_device, Pda):
-            power = home.window.root.find(f"{tv.guid[:8]}.tuner.power")
-            cx, cy = power.abs_rect().center
-            dx, dy = home.session.context.view.to_device(cx, cy)
-            input_device.tap(dx, dy)
-        else:
-            _activate(input_device)
+        voice.say("select")  # the power toggle has the focus
         home.settle()
         toggles["count"] += 1
         assert output_device.frames_received > frames_before
@@ -91,13 +74,13 @@ def test_roundtrip_latency(benchmark, pairing):
     expected = bool(toggles["count"] % 2)
     assert tuner.get_state("power") is expected
     benchmark.extra_info["virtual_latency_ms"] = round(latency * 1000, 2)
-    benchmark.extra_info["input_link"] = input_device.descriptor.link.name
+    benchmark.extra_info["input_link"] = voice.descriptor.link.name
     benchmark.extra_info["output_link"] = output_device.descriptor.link.name
 
 
 def test_proxy_overhead_vs_link(benchmark):
     """The modelled latency must be link-dominated, not proxy-dominated."""
-    home, tv, phone, _ = _build("phone/phone")
+    home, tv, phone, _ = _build(CellPhone, None)
 
     def roundtrip():
         start = home.scheduler.now()

@@ -32,9 +32,8 @@ Layered architecture (each layer importable on its own):
 ``repro.server``          the UniInt server
 ``repro.proxy``           the UniInt proxy, plug-ins, upstream client
 ``repro.devices``         PDA, phone, voice, remote, displays, gesture pad
-``repro.context``         situations, preferences, profiles, selection policy
-``repro.app``             the appliance application (composed GUIs) and the
-                          status-monitor application
+``repro.context``         situations, preferences, selection policy
+``repro.app``             the appliance application (composed GUIs)
 ``repro.home``            the one-call Home facade
 ``repro.tools``           ASCII rendering, event traces, experiment reports
 ========================  ====================================================

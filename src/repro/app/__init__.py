@@ -26,7 +26,6 @@ from repro.app.handles import ApplianceHandle, FcmHandle
 from repro.app.panels import build_capability_panel, build_fcm_panel
 from repro.app.composer import assign_guid_prefixes, compose_ui
 from repro.app.application import HomeApplianceApplication
-from repro.app.monitor import StatusMonitorApplication
 
 __all__ = [
     "ApplianceHandle",
@@ -37,7 +36,6 @@ __all__ = [
     "CommandState",
     "FcmHandle",
     "HomeApplianceApplication",
-    "StatusMonitorApplication",
     "assign_guid_prefixes",
     "build_capability_panel",
     "build_fcm_panel",

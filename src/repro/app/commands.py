@@ -200,13 +200,6 @@ class CommandLog:
 
     # -- queries ------------------------------------------------------------
 
-    def journal(self, origin: Optional[str] = None,
-                opcode: Optional[str] = None) -> list[Command]:
-        """Most-recent-last commands still in the ring, filtered."""
-        return [c for c in self._ring
-                if (origin is None or c.origin == origin)
-                and (opcode is None or c.opcode == opcode)]
-
     def open_commands(self) -> list[Command]:
         return [c for c in self._ring if not c.done]
 
@@ -246,8 +239,8 @@ class CommandSpine:
     """The single dispatch point turning actuations into tracked jobs.
 
     One spine per requesting software element (an application, a DDI
-    controller, the status monitor); all spines in a home usually share
-    the home's :class:`CommandLog`.
+    controller); all spines in a home usually share the home's
+    :class:`CommandLog`.
     """
 
     def __init__(self, element: SoftwareElement,

@@ -7,8 +7,7 @@ spaces".
 
 * :class:`UserSituation` — where the user is and what they are doing
   (hands/eyes busy, seated, ambient noise),
-* :class:`PreferenceStore` — per-user base device weights plus situational
-  rules,
+* :class:`PreferenceStore` — per-user situational device rules,
 * :class:`SelectionPolicy` — deterministic scoring of registered devices
   against the situation and preferences,
 * :class:`ContextManager` — watches the situation and drives the proxy's
@@ -20,7 +19,6 @@ from repro.context.preferences import PreferenceRule, PreferenceStore
 from repro.context.policy import ScoredDevice, SelectionPolicy
 from repro.context.manager import ContextManager, SwitchRecord
 from repro.context.arbiter import DeviceArbiter, HandoffRecord
-from repro.context.profiles import UserProfile, declarative_rule
 
 __all__ = [
     "Activity",
@@ -32,7 +30,5 @@ __all__ = [
     "ScoredDevice",
     "SelectionPolicy",
     "SwitchRecord",
-    "UserProfile",
     "UserSituation",
-    "declarative_rule",
 ]

@@ -80,9 +80,6 @@ class DeviceArbiter:
         if released:
             self._wake_others(user_id)
 
-    def holder_of(self, device_id: str) -> Optional[str]:
-        return self.holders.get(device_id)
-
     # -- arbitration --------------------------------------------------------
 
     def arbitrate(self, manager: "ContextManager",

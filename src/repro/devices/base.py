@@ -111,18 +111,6 @@ class InteractionDevice:
         """Ids of the proxies this device currently has a link to."""
         return tuple(sorted(self._pairs))
 
-    @property
-    def _pipe(self) -> Optional[TransportPair]:
-        """Legacy accessor: the transport pair of a singly-connected device.
-
-        ``None`` when disconnected; ambiguous (and therefore also ``None``)
-        once the device is shared between several proxies — use
-        :meth:`endpoint_for` / :meth:`link_stats_for` there.
-        """
-        if len(self._pairs) == 1:
-            return next(iter(self._pairs.values()))
-        return None
-
     def connect(self, proxy: "UniIntProxy",
                 member: Optional[ReactorMember] = None) -> None:
         """Join a proxy over this device's bearer link.
@@ -224,12 +212,9 @@ class InteractionDevice:
         if len(self._pairs) > 1:
             raise ProxyError(
                 f"device {self.device_id} is connected to "
-                f"{len(self._pairs)} proxies; use link_stats_for()")
+                f"{len(self._pairs)} proxies; use "
+                f"endpoint_for(proxy_id).stats")
         return next(iter(self._pairs.values())).a.stats
-
-    def link_stats_for(self, proxy_id: str) -> TransportStats:
-        """Traffic counters of the device side of one proxy leg."""
-        return self.endpoint_for(proxy_id).stats
 
     # -- device -> proxy events ----------------------------------------------------
 

@@ -133,11 +133,3 @@ class GesturePad(InteractionDevice):
 
     def tap(self) -> None:
         self.stroke([(50.0, 50.0), (50.5, 50.2)])
-
-    def circle(self, radius: float = 20.0) -> None:
-        points = [
-            (50.0 + radius * math.cos(2 * math.pi * i / 16),
-             50.0 + radius * math.sin(2 * math.pi * i / 16))
-            for i in range(17)
-        ]
-        self.stroke(points)

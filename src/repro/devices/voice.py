@@ -77,12 +77,6 @@ class VoiceInput(InteractionDevice):
         self._rng = random.Random(("voice", device_id, seed).__repr__())
         self.utterances = 0
         self.misrecognitions = 0
-        #: Optional DDI speech front-end
-        #: (:class:`repro.havi.ddi.DdiVoiceAssistant`): utterances outside
-        #: the key-event vocabulary are forwarded to it, so free-form
-        #: appliance phrases ("volume 40") ride the command spine with
-        #: origin ``voice`` instead of being dropped.
-        self.assistant = None
         super().__init__(device_id, scheduler, seed)
 
     def build_descriptor(self) -> DeviceDescriptor:
@@ -106,9 +100,6 @@ class VoiceInput(InteractionDevice):
             return  # recogniser produced nothing
         if heard != word.lower():
             self.misrecognitions += 1
-        if heard not in VOCABULARY and self.assistant is not None:
-            self.assistant.say(heard)
-            return
         self.send_event({"type": "voice", "word": heard})
 
     def _recognise(self, word: str) -> str | None:

@@ -104,14 +104,6 @@ class HomeFleet:
                                       **home_kwargs)
         return home
 
-    def remove_home(self, name: str) -> None:
-        """Evict a tenant: tear down its sockets and reactor membership."""
-        home = self.home(name)
-        del self.homes[name]
-        self._home_specs.pop(name, None)
-        self._failures.pop(name, None)
-        home.close()
-
     def home(self, name: str) -> Home:
         found = self.homes.get(name)
         if found is None:
@@ -198,12 +190,6 @@ class HomeFleet:
     def failure_of(self, name: str) -> Optional[HomeFailureRecord]:
         """The supervisor's crash record for one home (None if clean)."""
         return self._failures.get(name)
-
-    @property
-    def permanently_failed(self) -> tuple[str, ...]:
-        """Names of homes the supervisor has given up on."""
-        return tuple(sorted(name for name, record in self._failures.items()
-                            if record.permanent))
 
     # -- driving ------------------------------------------------------------
 

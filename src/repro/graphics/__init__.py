@@ -11,7 +11,6 @@ plug-ins use to adapt images to weak displays.
 from repro.graphics.bitmap import Bitmap
 from repro.graphics.differ import TileDiffer
 from repro.graphics.pixelformat import (
-    PIXEL_FORMATS,
     RGB332,
     RGB565,
     RGB888,
@@ -24,7 +23,6 @@ from repro.graphics.font import Font, default_font
 __all__ = [
     "Bitmap",
     "Font",
-    "PIXEL_FORMATS",
     "PixelFormat",
     "RGB332",
     "RGB565",

@@ -8,7 +8,6 @@ and device formats only appear at the edges.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from repro.util.errors import GraphicsError
 Color = tuple[int, int, int]
 
 BLACK: Color = (0, 0, 0)
-WHITE: Color = (255, 255, 255)
 
 
 def _check_color(color: Color) -> np.ndarray:
@@ -112,11 +110,6 @@ class Bitmap:
         r, g, b = self.pixels[y, x]
         return (int(r), int(g), int(b))
 
-    def set_pixel(self, x: int, y: int, color: Color) -> None:
-        if not self.bounds.contains_point(x, y):
-            raise GraphicsError(f"pixel ({x}, {y}) outside {self.size}")
-        self.pixels[y, x] = _validate_color(color)
-
     # -- rect operations ----------------------------------------------------------
 
     def fill(self, color: Color) -> None:
@@ -208,52 +201,9 @@ class Bitmap:
         header = f"P6\n{self.width} {self.height}\n255\n".encode("ascii")
         return header + self.pixels.tobytes()
 
-    @classmethod
-    def from_ppm(cls, data: bytes) -> "Bitmap":
-        if not data.startswith(b"P6"):
-            raise GraphicsError("not a binary PPM (P6) file")
-        fields: list[bytes] = []
-        pos = 2
-        while len(fields) < 3:
-            while pos < len(data) and data[pos:pos + 1].isspace():
-                pos += 1
-            if data[pos:pos + 1] == b"#":  # comment line
-                pos = data.index(b"\n", pos) + 1
-                continue
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            fields.append(data[start:pos])
-        width, height, maxval = (int(f) for f in fields)
-        if maxval != 255:
-            raise GraphicsError(f"unsupported PPM maxval {maxval}")
-        pos += 1  # single whitespace after maxval
-        expected = width * height * 3
-        raster = data[pos:pos + expected]
-        if len(raster) != expected:
-            raise GraphicsError("PPM raster truncated")
-        array = np.frombuffer(raster, dtype=np.uint8).reshape(
-            height, width, 3)
-        return cls.from_array(array)
-
     def save_ppm(self, path: str) -> None:
         with open(path, "wb") as handle:
             handle.write(self.to_ppm())
 
-    @classmethod
-    def load_ppm(cls, path: str) -> "Bitmap":
-        with open(path, "rb") as handle:
-            return cls.from_ppm(handle.read())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Bitmap {self.width}x{self.height}>"
-
-
-def average_color(bitmaps: Iterable[Bitmap]) -> Color:
-    """Mean colour over one or more bitmaps (diagnostics, tests)."""
-    stacks = [bitmap.pixels.reshape(-1, 3) for bitmap in bitmaps]
-    if not stacks:
-        raise GraphicsError("average_color of no bitmaps")
-    merged = np.concatenate(stacks, axis=0)
-    mean = merged.mean(axis=0)
-    return (int(mean[0]), int(mean[1]), int(mean[2]))

@@ -1,8 +1,8 @@
 """Drawing primitives over :class:`~repro.graphics.bitmap.Bitmap`.
 
 These are the operations the widget toolkit paints with: lines, rectangle
-outlines, filled/raised/sunken boxes (the classic 2002-era bevel look) and
-circles.  All primitives clip against the bitmap bounds.
+outlines and filled/raised/sunken boxes (the classic 2002-era bevel look).
+All primitives clip against the bitmap bounds.
 """
 
 from __future__ import annotations
@@ -68,50 +68,3 @@ def bevel_box(bitmap: Bitmap, rect: Rect, face: Color, light: Color,
     vline(bitmap, rect.x, rect.y, rect.h, top_left)
     hline(bitmap, rect.x, rect.y2 - 1, rect.w, bottom_right)
     vline(bitmap, rect.x2 - 1, rect.y, rect.h, bottom_right)
-
-
-def circle_outline(bitmap: Bitmap, cx: int, cy: int, radius: int,
-                   color: Color) -> None:
-    """Midpoint circle outline."""
-    if radius < 0:
-        return
-    bounds = bitmap.bounds
-    x, y = radius, 0
-    err = 1 - radius
-
-    def plot(px: int, py: int) -> None:
-        if bounds.contains_point(px, py):
-            bitmap.pixels[py, px] = color
-
-    while x >= y:
-        for sx, sy in ((x, y), (y, x), (-y, x), (-x, y),
-                       (-x, -y), (-y, -x), (y, -x), (x, -y)):
-            plot(cx + sx, cy + sy)
-        y += 1
-        if err < 0:
-            err += 2 * y + 1
-        else:
-            x -= 1
-            err += 2 * (y - x) + 1
-
-
-def circle_fill(bitmap: Bitmap, cx: int, cy: int, radius: int,
-                color: Color) -> None:
-    """Filled circle via per-scanline spans."""
-    if radius < 0:
-        return
-    for dy in range(-radius, radius + 1):
-        half = int((radius * radius - dy * dy) ** 0.5)
-        hline(bitmap, cx - half, cy + dy, 2 * half + 1, color)
-
-
-def checkerboard(bitmap: Bitmap, rect: Rect, cell: int, a: Color,
-                 b: Color) -> None:
-    """Checkerboard fill — a worst-case pattern for the encoders (E1)."""
-    clipped = rect.intersect(bitmap.bounds)
-    for ty in range(clipped.y, clipped.y2, cell):
-        for tx in range(clipped.x, clipped.x2, cell):
-            parity = ((tx - clipped.x) // cell + (ty - clipped.y) // cell) % 2
-            color = a if parity == 0 else b
-            tile = Rect(tx, ty, cell, cell).intersect(clipped)
-            bitmap.fill_rect(tile, color)

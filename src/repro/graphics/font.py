@@ -44,10 +44,6 @@ class Font:
         """Horizontal distance between glyph origins."""
         return (font5x7.GLYPH_WIDTH + self.tracking) * self.scale
 
-    @property
-    def line_height(self) -> int:
-        return (font5x7.GLYPH_HEIGHT + 1) * self.scale
-
     def measure(self, text: str) -> tuple[int, int]:
         """(width, height) of ``text`` rendered on one line."""
         if not text:

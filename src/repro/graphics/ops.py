@@ -275,10 +275,3 @@ def unpack_gray4(data: bytes, width: int, height: int) -> np.ndarray:
     levels[:, 2::4] = (rows >> 2) & 3
     levels[:, 3::4] = rows & 3
     return levels[:, :width].astype(np.float64) * 85.0
-
-
-def mean_abs_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean absolute luma error between two images (dither quality metric)."""
-    if a.shape != b.shape:
-        raise GraphicsError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a.astype(np.float64) - b.astype(np.float64)).mean())

@@ -7,7 +7,8 @@ a little/big-endian integer of ``bits_per_pixel`` bits; :meth:`pack` and
 :meth:`unpack` convert whole numpy image arrays at once.
 
 Pack/unpack are exact inverses up to channel quantisation, which the
-property tests pin down: ``unpack(pack(x)) == quantise(x)``.
+property tests pin down: ``unpack(pack(x))`` is idempotent and stays
+within one quantisation step of ``x``.
 """
 
 from __future__ import annotations
@@ -100,10 +101,6 @@ class PixelFormat:
         rgb[..., 2] = (b * 255 + self.blue_max // 2) // self.blue_max
         return rgb
 
-    def quantise(self, rgb: np.ndarray) -> np.ndarray:
-        """The colour loss a round-trip through this format causes."""
-        return self.unpack(self.pack(rgb), rgb.shape[1], rgb.shape[0])
-
     # -- wire form ---------------------------------------------------------------
 
     def encode(self) -> bytes:
@@ -135,6 +132,3 @@ RGB565 = PixelFormat(16, 16, False, 31, 63, 31, 11, 5, 0)
 
 #: 8bpp 3:3:2 — lowest-end colour wire format (phones, wearables).
 RGB332 = PixelFormat(8, 8, False, 7, 7, 3, 5, 2, 0)
-
-#: Formats by name, for config files and tests.
-PIXEL_FORMATS = {"rgb888": RGB888, "rgb565": RGB565, "rgb332": RGB332}

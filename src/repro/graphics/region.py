@@ -114,18 +114,6 @@ class Rect:
         h = max(0, self.h - 2 * margin)
         return Rect(self.x + margin, self.y + margin, w, h)
 
-    def split_tiles(self, tile_w: int, tile_h: int) -> Iterator["Rect"]:
-        """Yield the tile grid covering this rect, row-major.
-
-        Edge tiles are trimmed; used by the HEXTILE encoder.
-        """
-        if tile_w <= 0 or tile_h <= 0:
-            raise ValueError("tile size must be positive")
-        for ty in range(self.y, self.y2, tile_h):
-            for tx in range(self.x, self.x2, tile_w):
-                yield Rect(tx, ty, min(tile_w, self.x2 - tx),
-                           min(tile_h, self.y2 - ty))
-
 
 def _coalesce_exact(rects: list[Rect]) -> list[Rect]:
     """Re-cover a disjoint rect set with fewer rects, exactly.
@@ -292,10 +280,6 @@ class Region:
         if cap is not None and len(out) > cap:
             out = _merge_to_cap(out, cap)
         return out
-
-    def coalesce(self, cap: int | None = None) -> None:
-        """Re-cover this region in place with :meth:`coalesced` rects."""
-        self._rects = self.coalesced(cap)
 
     def bounds(self) -> Rect:
         """Bounding box of the whole region (empty rect if empty)."""

@@ -20,7 +20,7 @@ depends on:
   DCM manager that installs/uninstalls DCMs as devices come and go.
 """
 
-from repro.havi.seid import SEID, SOFTWARE_ELEMENT_TYPES
+from repro.havi.seid import SEID
 from repro.havi.messaging import HaviMessage, MessageSystem, MessageType
 from repro.havi.registry import (
     Comparison,
@@ -74,7 +74,6 @@ __all__ = [
     "QueryOr",
     "Registry",
     "SEID",
-    "SOFTWARE_ELEMENT_TYPES",
     "SoftwareElement",
     "StreamConnection",
     "StreamManager",

@@ -84,11 +84,6 @@ class HomeBus:
     def observe_resets(self, observer: ResetObserver) -> None:
         self._observers.append(observer)
 
-    def unobserve_resets(self, observer: ResetObserver) -> None:
-        """Stop notifying ``observer`` (safe to call mid-reset)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
-
     def _schedule_reset(self) -> None:
         # rapid attach/detach bursts coalesce into a single reset,
         # as on a real 1394 bus

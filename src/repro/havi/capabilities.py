@@ -183,12 +183,6 @@ class CapabilityDescriptor:
     def __len__(self) -> int:
         return len(self.capabilities)
 
-    def by_name(self, name: str) -> Optional[Capability]:
-        for capability in self.capabilities:
-            if capability.name == name:
-                return capability
-        return None
-
     def components(self) -> list[str]:
         """Component ids in first-declared order."""
         order: list[str] = []

@@ -61,10 +61,6 @@ class Dcm(SoftwareElement):
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def installed(self) -> bool:
-        return self._installed
-
     def capabilities(self) -> dict[int, "object"]:
         """Descriptors of every FCM, keyed by the FCM's SEID handle."""
         return {fcm.seid.handle: fcm.capability_descriptor()

@@ -486,78 +486,6 @@ class DdiController(SoftwareElement):
                             event.payload.get("value"))
 
 
-# -- voice dispatch over DDI trees -----------------------------------------------
-
-
-class DdiVoiceAssistant:
-    """Speech front-end over a DDI tree: free-form utterances become
-    semantic actions (origin ``voice`` on the command spine).
-
-    The grammar is label-driven — whatever the appliance exports is
-    speakable, with no per-device vocabulary:
-
-    * ``"power on"`` / ``"mute off"``   — toggle labels + on/off
-    * ``"play"`` / ``"stop"``           — button labels press
-    * ``"volume 40"``                   — range labels + a number
-    * ``"source tuner"``                — choice labels + an option
-    * a bare toggle label               — flips it
-    """
-
-    def __init__(self, controller: DdiController) -> None:
-        self.controller = controller
-        self.utterances_matched = 0
-
-    def interpret(self, utterance: str) -> Optional[tuple]:
-        """``(element_id, verb, value)`` for an utterance, else None."""
-        tree = self.controller.tree
-        if tree is None:
-            return None
-        words = utterance.lower().split()
-        if not words:
-            return None
-        # longest label first, so "power level" beats "power"
-        elements = sorted(
-            (e for e in tree.walk() if e.label and not
-             isinstance(e, (DdiPanel, DdiText))),
-            key=lambda e: -len(e.label.split()))
-        for element in elements:
-            label_words = element.label.lower().split()
-            if words[:len(label_words)] != label_words:
-                continue
-            rest = words[len(label_words):]
-            if isinstance(element, DdiButton) and not rest:
-                return element.element_id, "press", None
-            if isinstance(element, DdiToggle):
-                if rest == ["on"]:
-                    return element.element_id, "set", True
-                if rest == ["off"]:
-                    return element.element_id, "set", False
-                if not rest:
-                    return element.element_id, "toggle", None
-            if isinstance(element, DdiRange) and len(rest) == 1 \
-                    and rest[0].lstrip("-").isdigit():
-                return element.element_id, "set", int(rest[0])
-            if isinstance(element, DdiChoice) and len(rest) == 1:
-                option = rest[0]
-                for candidate in element.options:
-                    if candidate.lower() == option:
-                        return element.element_id, "set", candidate
-        return None
-
-    def say(self, utterance: str,
-            on_reply: Optional[Callable[[HaviMessage], None]] = None
-            ) -> Optional[Command]:
-        """Interpret and dispatch; returns the tracked Command (or None
-        when nothing in the tree matches the utterance)."""
-        parsed = self.interpret(utterance)
-        if parsed is None:
-            return None
-        self.utterances_matched += 1
-        element_id, verb, value = parsed
-        return self.controller.action(element_id, verb, value,
-                                      on_reply=on_reply, origin="voice")
-
-
 _WIRE_HEADER = 24  # SEIDs, type, transaction, status
 
 

@@ -86,12 +86,11 @@ class DcmManager:
             # recorded only after a successful install, so the two dicts
             # can never disagree about which device a guid belongs to
             self._dcm_devices[info.guid] = device
-            if self.network.ddi_enabled:
-                from repro.havi.ddi import DdiServer
-                ddi = DdiServer(dcm, self.network.messaging,
-                                self.network.events, self.network.registry)
-                ddi.install()
-                self._ddi_servers[info.guid] = ddi
+            from repro.havi.ddi import DdiServer
+            ddi = DdiServer(dcm, self.network.messaging,
+                            self.network.events, self.network.registry)
+            ddi.install()
+            self._ddi_servers[info.guid] = ddi
             self.network.events.post(HaviEvent(
                 source=INFRA_SEID,
                 opcode="dcm.installed",
@@ -108,12 +107,8 @@ class HomeNetwork:
     and DCM manager over one shared virtual-time scheduler.
     """
 
-    def __init__(self, scheduler: Optional[Scheduler] = None,
-                 ddi_enabled: bool = True) -> None:
+    def __init__(self, scheduler: Optional[Scheduler] = None) -> None:
         self.scheduler = scheduler if scheduler is not None else Scheduler()
-        #: Export a DDI server per appliance (HAVi level-1 UI; see
-        #: :mod:`repro.havi.ddi`).
-        self.ddi_enabled = ddi_enabled
         self.messaging = MessageSystem(self.scheduler)
         self.registry = Registry()
         self.events = EventManager(self.scheduler)

@@ -137,23 +137,11 @@ class Registry:
         for observer in list(self.on_change):
             observer("unregistered", entry)
 
-    def update_attributes(self, seid: SEID,
-                          attributes: dict[str, AttrValue]) -> None:
-        entry = self._entries.get(seid)
-        if entry is None:
-            raise RegistryError(f"SEID {seid} not in registry")
-        entry.attributes.update(attributes)
-        for observer in list(self.on_change):
-            observer("updated", entry)
-
     def get_attributes(self, seid: SEID) -> dict[str, AttrValue]:
         entry = self._entries.get(seid)
         if entry is None:
             raise RegistryError(f"SEID {seid} not in registry")
         return dict(entry.attributes)
-
-    def contains(self, seid: SEID) -> bool:
-        return seid in self._entries
 
     def query(self, query: Optional[Query] = None) -> list[SEID]:
         """SEIDs matching the query (all entries when query is None)."""

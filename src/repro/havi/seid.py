@@ -10,17 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Well-known software element type names (subset of the HAVi table).
-SOFTWARE_ELEMENT_TYPES = (
-    "messaging_system",
-    "registry",
-    "event_manager",
-    "dcm_manager",
-    "dcm",
-    "fcm",
-    "application",
-)
-
 
 @dataclass(frozen=True, order=True)
 class SEID:

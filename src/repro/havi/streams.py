@@ -141,10 +141,6 @@ class StreamManager:
         return sorted(self._connections.values(),
                       key=lambda c: c.connection_id)
 
-    def connections_of(self, seid: SEID) -> list[StreamConnection]:
-        return [c for c in self.connections
-                if c.source == seid or c.sink == seid]
-
     # -- hotplug cleanup ---------------------------------------------------------------
 
     def _on_registry_change(self, kind: str, entry) -> None:

@@ -18,7 +18,7 @@ from repro.net.link import (
     WIFI_11B,
     LinkProfile,
 )
-from repro.net.pipe import Endpoint, Pipe, PipeStats, make_pipe
+from repro.net.pipe import Endpoint, Pipe, make_pipe
 from repro.net.faults import (
     FaultInjector,
     FaultPlan,
@@ -66,7 +66,6 @@ __all__ = [
     "LOOPBACK",
     "LinkProfile",
     "Pipe",
-    "PipeStats",
     "Reactor",
     "ReactorMember",
     "SocketPair",

@@ -22,12 +22,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.link import LOOPBACK, LinkProfile
-from repro.net.transport import Transport, TransportStats
+from repro.net.transport import Transport
 from repro.util.errors import TransportClosed
 from repro.util.scheduler import Scheduler
-
-#: Back-compat alias: pipe stats predate the Transport abstraction.
-PipeStats = TransportStats
 
 
 class Endpoint(Transport):
@@ -158,11 +155,6 @@ class Pipe:
 
     def close(self) -> None:
         self.a.close()
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes sent over the pipe in both directions."""
-        return self.a.stats.bytes_sent + self.b.stats.bytes_sent
 
 
 def make_pipe(

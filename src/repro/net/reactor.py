@@ -232,10 +232,6 @@ class Reactor:
         self._drop_member_handles(member)
 
     @property
-    def members(self) -> tuple[ReactorMember, ...]:
-        return tuple(self._members)
-
-    @property
     def failed_members(self) -> tuple[ReactorMember, ...]:
         return tuple(m for m in self._members if m.failed)
 

@@ -559,10 +559,6 @@ class SocketPair:
     def close(self) -> None:
         self.a.close()
 
-    @property
-    def total_bytes(self) -> int:
-        return self.a.stats.bytes_sent + self.b.stats.bytes_sent
-
 
 def make_socket_transport_pair(
     member: "ReactorMember",

@@ -44,14 +44,9 @@ class UniIntProxy:
     """
 
     def __init__(self, scheduler: Scheduler,
-                 proxy_id: str = "uniint-proxy",
-                 backpressure: bool = True) -> None:
+                 proxy_id: str = "uniint-proxy") -> None:
         self.scheduler = scheduler
         self.proxy_id = proxy_id
-        #: Honour device-link credit when pushing frames (ablation toggle):
-        #: a saturated output device gets one merged, freshest frame once
-        #: its link drains instead of a queue of stale ones.
-        self.backpressure = backpressure
         self.devices: dict[str, DeviceBinding] = {}
         self.session: Optional[ProxySession] = None
         #: Fired after every device registration.  The self-healing home

@@ -452,7 +452,7 @@ class ProxySession:
         if self._deferred_push.is_empty:
             return
         endpoint = self.output_binding.endpoint
-        if self.proxy.backpressure and not endpoint.writable:
+        if not endpoint.writable:
             # The device bearer is saturated (a phone link mid-frame):
             # hold the damage merged in ``_deferred_push``; the endpoint's
             # on_writable flushes one fresh frame once the link drains.

@@ -77,6 +77,9 @@ SUPPORTED_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW)
 SHAREABLE_ENCODINGS = frozenset(
     (enc.RAW, enc.RRE, enc.HEXTILE, enc.DESKTOP_SIZE))
 
+#: Fragmentation cap applied when coalescing damage into one update.
+MAX_UPDATE_RECTS = 16
+
 #: Link-adaptive candidate preference per compression tier, best first.
 #: Intersected with the client's offered encodings; cost-model ties
 #: resolve to this order.  Tier 0 (wire is free) never trials — the first
@@ -171,8 +174,6 @@ class ServerSurface:
 
     def _composite_and_distribute(self) -> None:
         """Composite this surface once and note damage to its sessions."""
-        if not self.display.has_pending_damage():
-            return
         region = self.display.composite()
         if region.is_empty:
             return
@@ -181,7 +182,7 @@ class ServerSurface:
             rects = self._differ.refine(self.display.framebuffer, rects)
             if not rects:
                 return
-            if len(rects) > self.server.max_update_rects:
+            if len(rects) > MAX_UPDATE_RECTS:
                 # Tile refinement can shatter one damaged label row into
                 # dozens of 16x16 shards.  The merged cover is identical
                 # for every session on this surface, so coalesce once here
@@ -189,7 +190,7 @@ class ServerSurface:
                 # in their _try_send — per-session coalescing then only
                 # handles cross-frame deferral leftovers (a multi-session
                 # surface pays one merge per frame, not one per viewer).
-                rects = Region(rects).coalesced(self.server.max_update_rects)
+                rects = Region(rects).coalesced(MAX_UPDATE_RECTS)
         for session in self.sessions:
             session._note_damage(rects)
 
@@ -517,7 +518,7 @@ class ServerSession:
             self._known_size = display.framebuffer.size
             self._pending = Region([display.framebuffer.bounds])
         bounds = display.framebuffer.bounds
-        for rect in self._pending.coalesced(self.server.max_update_rects):
+        for rect in self._pending.coalesced(MAX_UPDATE_RECTS):
             clipped = rect.intersect(bounds)
             if clipped.is_empty:
                 continue
@@ -613,7 +614,6 @@ class UniIntServer:
                  shared_encode: bool = True,
                  tile_diff: bool = True,
                  backpressure: bool = True,
-                 max_update_rects: int = 16,
                  resume_grace_s: float = 0.0) -> None:
         self.scheduler = scheduler
         self.name = name
@@ -653,8 +653,6 @@ class UniIntServer:
         #: fold new damage into their pending region instead of queueing
         #: ever-staler updates behind a slow link.
         self.backpressure = backpressure
-        #: Fragmentation cap applied when coalescing per-session damage.
-        self.max_update_rects = max_update_rects
         #: The multiplexed surfaces, in attach order; ``surfaces[0]`` is
         #: the default surface legacy single-display entry points use.
         self.surfaces: list[ServerSurface] = []

@@ -6,7 +6,7 @@ universal interaction for free, because the toolkit renders to a framebuffer
 and consumes keyboard/mouse events — exactly the universal event vocabulary.
 
 This package provides that traditional toolkit: a retained widget tree
-(buttons, labels, sliders, toggles, lists, tabs) with box/grid layout,
+(buttons, labels, sliders, toggles, lists, tabs) with box layout,
 keyboard focus traversal, pointer capture and damage tracking, painting into
 a :class:`~repro.graphics.Bitmap` through a clipped :class:`Canvas`.
 """
@@ -15,7 +15,7 @@ from repro.toolkit.canvas import Canvas
 from repro.toolkit.events import KeyPress, Pointer, PointerKind
 from repro.toolkit.theme import DEFAULT_THEME, Theme
 from repro.toolkit.widget import Widget
-from repro.toolkit.layout import Column, Grid, Row
+from repro.toolkit.layout import Column, Row
 from repro.toolkit.widgets import (
     Button,
     Label,
@@ -23,7 +23,6 @@ from repro.toolkit.widgets import (
     Panel,
     ProgressBar,
     Slider,
-    Spacer,
     TabPanel,
     TextField,
     ToggleButton,
@@ -35,7 +34,6 @@ __all__ = [
     "Canvas",
     "Column",
     "DEFAULT_THEME",
-    "Grid",
     "KeyPress",
     "Label",
     "ListBox",
@@ -45,7 +43,6 @@ __all__ = [
     "ProgressBar",
     "Row",
     "Slider",
-    "Spacer",
     "TabPanel",
     "TextField",
     "Theme",

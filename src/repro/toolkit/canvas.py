@@ -81,9 +81,3 @@ class Canvas:
         w, h = font.measure(string)
         self.text(rect.x + (rect.w - w) // 2, rect.y + (rect.h - h) // 2,
                   string, color, font)
-
-    def hline(self, x: int, y: int, length: int, color: Color) -> None:
-        self.fill(Rect(x, y, max(length, 0), 1), color)
-
-    def vline(self, x: int, y: int, length: int, color: Color) -> None:
-        self.fill(Rect(x, y, 1, max(length, 0)), color)

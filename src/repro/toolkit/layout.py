@@ -1,11 +1,10 @@
-"""Container widgets with deterministic box and grid layout."""
+"""Container widgets with deterministic box layout."""
 
 from __future__ import annotations
 
 from repro.graphics.region import Rect
 from repro.toolkit.theme import Theme
 from repro.toolkit.widget import Widget
-from repro.util.errors import ToolkitError
 
 
 class _Box(Widget):
@@ -97,58 +96,3 @@ class Column(_Box):
     """Lays children out top to bottom."""
 
     axis = 1
-
-
-class Grid(Widget):
-    """Fixed-column grid; cells get equal widths, rows take the tallest
-    preferred height in that row."""
-
-    def __init__(self, columns: int, padding: int | None = None,
-                 spacing: int | None = None) -> None:
-        super().__init__()
-        if columns < 1:
-            raise ToolkitError(f"grid needs at least one column: {columns}")
-        self.columns = columns
-        self.padding = padding
-        self.spacing = spacing
-
-    def _metrics(self, theme: Theme) -> tuple[int, int]:
-        padding = self.padding if self.padding is not None else theme.padding
-        spacing = self.spacing if self.spacing is not None else theme.spacing
-        return padding, spacing
-
-    def _rows(self) -> list[list[Widget]]:
-        visible = [c for c in self.children if c.visible]
-        return [visible[i:i + self.columns]
-                for i in range(0, len(visible), self.columns)]
-
-    def preferred_size(self, theme: Theme) -> tuple[int, int]:
-        padding, spacing = self._metrics(theme)
-        rows = self._rows()
-        if not rows:
-            return (2 * padding, 2 * padding)
-        col_width = 0
-        height = 0
-        for row in rows:
-            for child in row:
-                col_width = max(col_width, child.preferred_size(theme)[0])
-            height += max(child.preferred_size(theme)[1] for child in row)
-        width = self.columns * col_width + (self.columns - 1) * spacing
-        height += spacing * (len(rows) - 1)
-        return (width + 2 * padding, height + 2 * padding)
-
-    def perform_layout(self, theme: Theme) -> None:
-        padding, spacing = self._metrics(theme)
-        rows = self._rows()
-        if not rows:
-            return
-        inner_w = self.rect.w - 2 * padding - (self.columns - 1) * spacing
-        col_w = max(1, inner_w // self.columns)
-        y = padding
-        for row in rows:
-            row_h = max(child.preferred_size(theme)[1] for child in row)
-            for i, child in enumerate(row):
-                x = padding + i * (col_w + spacing)
-                child.rect = Rect(x, y, col_w, row_h)
-                child.perform_layout(theme)
-            y += row_h + spacing

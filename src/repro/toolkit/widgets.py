@@ -15,17 +15,6 @@ from repro.uip import keysyms
 from repro.util.errors import ToolkitError
 
 
-class Spacer(Widget):
-    """Invisible filler, typically given ``layout_stretch``."""
-
-    def __init__(self, stretch: int = 1) -> None:
-        super().__init__()
-        self.layout_stretch = stretch
-
-    def preferred_size(self, theme: Theme) -> tuple[int, int]:
-        return (0, 0)
-
-
 class Label(Widget):
     """Static text, optionally centred, optionally title-sized."""
 
@@ -346,12 +335,6 @@ class ListBox(Bindable):
     def items(self) -> list[str]:
         return list(self._items)
 
-    def set_items(self, items: Sequence[str]) -> None:
-        self._items = list(items)
-        self.selected = 0 if self._items else -1
-        self.scroll_top = 0
-        self.invalidate()
-
     @property
     def selected_item(self) -> Optional[str]:
         if 0 <= self.selected < len(self._items):
@@ -605,16 +588,6 @@ class TabPanel(Widget):
             self.active = 0
         self._sync_visibility()
         return page
-
-    def remove_page(self, index: int) -> None:
-        if not 0 <= index < len(self._titles):
-            raise ToolkitError(f"no tab page {index}")
-        page = self.children[index]
-        self._titles.pop(index)
-        self.remove(page)
-        if self.active >= len(self._titles):
-            self.active = len(self._titles) - 1
-        self._sync_visibility()
 
     @property
     def titles(self) -> list[str]:

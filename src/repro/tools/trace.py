@@ -3,13 +3,11 @@
 An :class:`EventTrace` subscribes to everything observable (HAVi events,
 context switches) and produces a timestamped, deterministic log — useful
 for debugging scenarios, diffing behaviour across versions, and the
-examples' narratives.  Records are plain dicts; :meth:`to_jsonl` writes a
-machine-readable transcript.
+examples' narratives.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -87,17 +85,8 @@ class EventTrace:
 
     # -- output ---------------------------------------------------------------
 
-    def filter(self, prefix: str) -> list:
-        return [r for r in self.records if r.category.startswith(prefix)]
-
     def format(self) -> str:
         return "\n".join(record.format() for record in self.records)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps({"t": record.time, "category": record.category,
-                        **record.detail}, sort_keys=True, default=str)
-            for record in self.records)
 
     def __len__(self) -> int:
         return len(self.records)

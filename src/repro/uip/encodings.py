@@ -49,9 +49,6 @@ ZLIB = 6
 ZRLE = 16
 DESKTOP_SIZE = -223
 
-#: Encodings that carry pixel payloads (i.e. not pseudo-encodings).
-PIXEL_ENCODINGS = (RAW, COPYRECT, RRE, HEXTILE, ZLIB, ZRLE)
-
 #: Encodings whose wire payload rides a persistent per-session zlib
 #: stream: position-dependent, so the final payload is never cacheable
 #: and real (non-trial) encodes advance the stream.
@@ -197,9 +194,6 @@ class EncoderState:
         if not self._deflate_started:
             self._deflater = zlib.compressobj(self.level)
 
-    def reset_pixel_format(self, pixel_format: PixelFormat) -> None:
-        self.pixel_format = pixel_format
-
     def renegotiate(self, pixel_format: PixelFormat) -> None:
         """Adopt a renegotiated wire pixel format, keeping the encode cache.
 
@@ -248,9 +242,6 @@ class DecoderState:
     def __init__(self, pixel_format: PixelFormat) -> None:
         self.pixel_format = pixel_format
         self._inflater = zlib.decompressobj()
-
-    def reset_pixel_format(self, pixel_format: PixelFormat) -> None:
-        self.pixel_format = pixel_format
 
     def inflate(self, data: bytes) -> bytes:
         return self._inflater.decompress(data)

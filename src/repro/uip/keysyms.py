@@ -72,18 +72,6 @@ NAMES: dict[int, str] = {
     DELETE: "Delete",
 }
 
-_NAME_TO_SYM = {name.lower(): sym for sym, name in NAMES.items()}
-
-
-def keysym_for_char(char: str) -> int:
-    """Keysym for a printable character (identity for Latin-1)."""
-    if len(char) != 1:
-        raise ValueError(f"expected one character, got {char!r}")
-    code = ord(char)
-    if 0x20 <= code <= 0xFF:
-        return code
-    raise ValueError(f"no keysym for non-Latin-1 character {char!r}")
-
 
 def char_for_keysym(keysym: int) -> str | None:
     """Printable character for a keysym, or None for control keys."""
@@ -98,16 +86,6 @@ def name_for_keysym(keysym: int) -> str:
     if char is not None:
         return char
     return NAMES.get(keysym, f"keysym-0x{keysym:04X}")
-
-
-def keysym_for_name(name: str) -> int:
-    """Inverse of :func:`name_for_keysym` (printable chars and names)."""
-    if len(name) == 1:
-        return keysym_for_char(name)
-    try:
-        return _NAME_TO_SYM[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown keysym name {name!r}") from None
 
 
 # -- pointer buttons -----------------------------------------------------------

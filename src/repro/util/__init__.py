@@ -5,7 +5,7 @@ benchmarks are deterministic: network latency, device think time and context
 changes are scheduled events, not wall-clock sleeps.
 """
 
-from repro.util.clock import MonotonicClock, VirtualClock
+from repro.util.clock import VirtualClock
 from repro.util.errors import (
     ProtocolError,
     ReactorError,
@@ -14,13 +14,11 @@ from repro.util.errors import (
     TransportClosed,
     TransportError,
 )
-from repro.util.ids import IdAllocator, guid_from_seed
+from repro.util.ids import guid_from_seed
 from repro.util.scheduler import Event, Scheduler
 
 __all__ = [
     "Event",
-    "IdAllocator",
-    "MonotonicClock",
     "ProtocolError",
     "ReactorError",
     "ReproError",

@@ -1,24 +1,14 @@
-"""Clock abstractions.
+"""The virtual clock.
 
-The whole system is written against the :class:`Clock` interface so the same
-code runs under a deterministic :class:`VirtualClock` (tests, simulation) or
-a :class:`MonotonicClock` (interactive demos, benchmarks that want wall
-time).  Times are float seconds.
+The whole system reads time from a deterministic :class:`VirtualClock`,
+which only the scheduler moves, so every run of a simulation is exact and
+reproducible.  Times are float seconds.
 """
 
 from __future__ import annotations
 
-import time
 
-
-class Clock:
-    """Interface: something that can tell the current time in seconds."""
-
-    def now(self) -> float:
-        raise NotImplementedError
-
-
-class VirtualClock(Clock):
+class VirtualClock:
     """A clock that only moves when told to.
 
     The :class:`~repro.util.scheduler.Scheduler` advances it as events fire,
@@ -44,13 +34,3 @@ class VirtualClock(Clock):
         if dt < 0:
             raise ValueError(f"negative clock advance: {dt}")
         self._now += dt
-
-
-class MonotonicClock(Clock):
-    """Wall-clock time via :func:`time.monotonic`, offset to start at zero."""
-
-    def __init__(self) -> None:
-        self._origin = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._origin

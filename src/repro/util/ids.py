@@ -8,26 +8,6 @@ identifiers, which keeps golden-file tests and trace diffs meaningful.
 from __future__ import annotations
 
 import hashlib
-import itertools
-
-
-class IdAllocator:
-    """Hands out ``prefix-N`` strings with a monotonically increasing N.
-
-    >>> ids = IdAllocator("dev")
-    >>> ids.next(), ids.next()
-    ('dev-1', 'dev-2')
-    """
-
-    def __init__(self, prefix: str, start: int = 1) -> None:
-        self.prefix = prefix
-        self._counter = itertools.count(start)
-
-    def next(self) -> str:
-        return f"{self.prefix}-{next(self._counter)}"
-
-    def next_int(self) -> int:
-        return next(self._counter)
 
 
 def guid_prefixes(guids, start: int = 8) -> dict[str, str]:

@@ -49,19 +49,17 @@ class DisplayServer:
 
     # -- damage ------------------------------------------------------------------
 
-    def has_pending_damage(self) -> bool:
-        return not self.window.damage.is_empty
-
     def composite(self) -> Region:
         """Render the window's damage; return the changed screen region.
 
-        The damage is coalesced (adjacent fragments fused, at most
+        An undamaged window is not rendered: the region is empty.  The
+        damage is coalesced (adjacent fragments fused, at most
         ``_DAMAGE_CAP`` rects) so two small damages in opposite corners
         do not reach the encoders as their joint bounding box.
         """
+        if self.window.damage.is_empty:
+            return Region()
         damage = self.window.render()
-        if damage.is_empty:
-            return damage
         self.frame_version += 1
         return Region.from_disjoint(damage.coalesced(_DAMAGE_CAP))
 

@@ -160,8 +160,9 @@ class TestSeededFaultSchedule:
         assert reborn.user().current_output is not None
 
         # -- nothing was permanently lost, fleet-wide -----------------------
-        assert fleet.permanently_failed == ()
         for home in fleet:
+            failure = fleet.failure_of(home.name)
+            assert failure is None or not failure.permanent, home.name
             assert home.session.upstream.ready, home.name
             assert not home.session.resilience.failed_permanently
         for home in untouched:
@@ -207,7 +208,7 @@ class TestCrashLoopSupervision:
         assert record.restarts == 2
         assert "crash loop: restart budget of 2 spent" in record.reason
         assert "still broken" in record.reason
-        assert fleet.permanently_failed == ("flaky",)
+        assert fleet.failure_of("stable") is None
         assert len(record.tracebacks) == len(record.errors) == 3
         # the stable sibling never noticed
         stable = fleet.home("stable")

@@ -12,9 +12,9 @@ from repro import Home
 from repro.app.commands import CommandState
 from repro.app.handles import FcmHandle
 from repro.appliances import MicrowaveOven, Television
-from repro.devices import Pda, VoiceInput
+from repro.devices import Pda
 from repro.havi import FcmType, SEID
-from repro.havi.ddi import DdiController, DdiVoiceAssistant
+from repro.havi.ddi import DdiController
 from repro.net.faults import FaultPlan
 from repro.toolkit import Slider, ToggleButton
 from repro.tools.report import render_command_journal
@@ -92,7 +92,7 @@ class TestSubmitCommand:
         home.settle()
         home.network.messaging.clear_faults()
         assert ok.ok and bad.state is CommandState.TIMED_OUT
-        journal = [c for c in home.command_log.journal(origin="api")]
+        journal = [c for c in home.command_log if c.origin == "api"]
         assert [c.state for c in journal] == [
             CommandState.DONE, CommandState.TIMED_OUT]
         text = render_command_journal(home.command_log)
@@ -103,8 +103,8 @@ class TestSubmitCommand:
 
 class TestOriginCoverage:
     def test_every_origin_reaches_the_home_journal(self):
-        """Widget click, DDI action, voice utterance and the programmatic
-        API all surface in ``home.command_log`` with their origin."""
+        """Widget click, DDI action and the programmatic API all surface
+        in ``home.command_log`` with their origin."""
         tv = Television("TV")
         home = make_home(tv, MicrowaveOven("Oven"))
 
@@ -115,8 +115,8 @@ class TestOriginCoverage:
         power.toggle()
         home.settle()
 
-        # ddi + voice: a native DDI controller over the TV's tree,
-        # sharing the home journal, with the speech front-end on top
+        # ddi: a native DDI controller over the TV's tree, sharing the
+        # home journal
         controller = DdiController(
             SEID(guid_from_seed("spine-ddi"), 0), home.network.messaging,
             home.network.events, command_log=home.command_log)
@@ -128,22 +128,13 @@ class TestOriginCoverage:
         home.settle()
         assert ddi_cmd.ok
 
-        # voice: the microphone device forwards out-of-vocabulary speech
-        # to the assistant, which actuates with origin "voice"
-        mic = VoiceInput("mic", home.scheduler)
-        home.add_device(mic)
-        mic.assistant = DdiVoiceAssistant(controller)
-        mic.say("vol 40")
-        home.settle()
-        assert mic.assistant.utterances_matched == 1
-
         # api: the programmatic seam
         api_cmd = home.submit_command("Oven", "timer.add", {"seconds": 60})
         home.settle()
         assert api_cmd.ok
 
         origins = home.command_log.stats()["by_origin"]
-        for origin in ("widget", "ddi", "voice", "api"):
+        for origin in ("widget", "ddi", "api"):
             assert origins.get(origin, 0) >= 1, origins
         # and the whole history partitions cleanly
         stats = home.command_log.stats()

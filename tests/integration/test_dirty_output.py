@@ -60,7 +60,7 @@ def panel_stack(width=160, height=120, rows=3):
     window.set_root(column)
     display = DisplayServer(window)
     server = UniIntServer(display, scheduler)
-    proxy = UniIntProxy(scheduler, backpressure=True)
+    proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100, name="server-link")
     server.accept(pipe.a)
     session = proxy.connect(pipe.b)

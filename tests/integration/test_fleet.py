@@ -91,20 +91,6 @@ class TestFleet:
             fleet.add_home("h0")
         fleet.close()
 
-    def test_remove_home_releases_its_fds(self):
-        fleet = HomeFleet()
-        populate(fleet.add_home("h0"), 0)
-        populate(fleet.add_home("h1"), 1)
-        fleet.settle()
-        handles_before = fleet.reactor.handle_count
-        fleet.remove_home("h0")
-        assert len(fleet) == 1
-        assert fleet.reactor.handle_count < handles_before
-        fleet.home("h1").add_appliance(Television("tv-1"))
-        fleet.settle()
-        assert fleet.home("h1").server_session.ready
-        fleet.close()
-
     def test_crashing_home_is_quarantined_and_siblings_keep_painting(self):
         fleet = HomeFleet()
         for i in range(4):

@@ -92,18 +92,18 @@ class TestMultiUserProvisioning:
         home, alice, bob = two_user_home()
         alice.set_situation(UserSituation.on_the_sofa())
         home.settle()
-        assert home.arbiter.holder_of("tv-panel") == "alice"
+        assert home.arbiter.holders.get("tv-panel") == "alice"
         sessions_before = len(home.uniint_server.sessions)
         home.remove_user("alice")
         home.settle()
         assert "alice" not in home.users
         assert "alice-pda" not in home.devices
-        assert home.arbiter.holder_of("tv-panel") != "alice"
+        assert home.arbiter.holders.get("tv-panel") != "alice"
         assert len(home.uniint_server.sessions) == sessions_before - 1
         # the freed panel is re-arbitrated to bob on the next tick
         bob.set_situation(UserSituation.on_the_sofa())
         home.settle()
-        assert home.arbiter.holder_of("tv-panel") == "bob"
+        assert home.arbiter.holders.get("tv-panel") == "bob"
 
     def test_bell_beeps_on_every_users_output_device(self):
         home = Home()
@@ -260,12 +260,12 @@ class TestOwnershipArbitration:
         home, alice, bob = two_user_home()
         alice.set_situation(UserSituation.on_the_sofa())
         home.settle()
-        assert home.arbiter.holder_of("tv-panel") == "alice"
+        assert home.arbiter.holders.get("tv-panel") == "alice"
         # bob wants the same panel with an identical situation: tie ->
         # alice keeps it, bob falls back to his own pda
         bob.set_situation(UserSituation.on_the_sofa())
         home.settle()
-        assert home.arbiter.holder_of("tv-panel") == "alice"
+        assert home.arbiter.holders.get("tv-panel") == "alice"
         assert alice.current_output == "tv-panel"
         assert bob.current_output == "bob-pda"
 
@@ -281,7 +281,7 @@ class TestOwnershipArbitration:
         # reselect grabs it without bob's situation changing at all
         alice.set_situation(UserSituation.cooking())
         home.settle()
-        assert home.arbiter.holder_of("tv-panel") == "bob"
+        assert home.arbiter.holders.get("tv-panel") == "bob"
         assert bob.current_output == "tv-panel"
         assert panel.frames_received > frames_before  # fresh full frame
 
@@ -292,13 +292,13 @@ class TestOwnershipArbitration:
         # bob holds the panel while merely standing around in the room
         bob.set_situation(UserSituation())
         home.settle()
-        assert home.arbiter.holder_of("tv-panel") == "bob"
+        assert home.arbiter.holders.get("tv-panel") == "bob"
         preemptions_before = home.arbiter.preemptions
         # alice sits down to watch TV: she outscores bob for the panel
         alice.set_situation(UserSituation.on_the_sofa())
         home.settle()
         assert home.arbiter.preemptions == preemptions_before + 1
-        assert home.arbiter.holder_of("tv-panel") == "alice"
+        assert home.arbiter.holders.get("tv-panel") == "alice"
         assert alice.current_output == "tv-panel"
         # the loser was released and re-selected his next-best device
         assert bob.current_output == "bob-pda"

@@ -42,7 +42,8 @@ class TestMalformedDeviceTraffic:
         proxy.select_input("ph")
         scheduler.run_until_idle()
         # raw garbage framed as an event
-        phone._pipe.a.send(encode_frame(b"\xFF\xFEnot json"))
+        phone.endpoint_for(proxy.proxy_id).send(
+            encode_frame(b"\xFF\xFEnot json"))
         scheduler.run_until_idle()
         assert len(session.plugin_errors) == 1
         # session still works afterwards
@@ -56,7 +57,7 @@ class TestMalformedDeviceTraffic:
         phone.connect(proxy)
         proxy.select_input("ph")
         scheduler.run_until_idle()
-        phone._pipe.a.send(encode_frame(
+        phone.endpoint_for(proxy.proxy_id).send(encode_frame(
             json.dumps({"type": "key", "key": "Z"}).encode()))
         scheduler.run_until_idle()
         assert "ph" in session.plugin_errors[0]
@@ -71,7 +72,7 @@ class TestMalformedDeviceTraffic:
         proxy.select_input("ph")
         scheduler.run_until_idle()
         for i in range(100):
-            phone._pipe.a.send(encode_frame(
+            phone.endpoint_for(proxy.proxy_id).send(encode_frame(
                 json.dumps({"type": "key", "key": f"Z{i}"}).encode()))
         scheduler.run_until_idle()
         assert len(session.plugin_errors) <= 32

@@ -13,7 +13,7 @@ from repro import Home
 from repro.appliances import Television
 from repro.devices import RemoteControl
 from repro.graphics import RGB565, RGB888
-from repro.net import Reactor, make_socket_transport_pair
+from repro.net import make_socket_transport_pair
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
 from repro.toolkit import Button, Column, Label, ToggleButton, UIWindow
@@ -22,47 +22,54 @@ from repro.util import Scheduler
 from repro.windows import DisplayServer
 
 
-def build_stack(width=400, height=300, pixel_format=RGB888):
-    """The test_thin_client stack, but over a socketpair transport."""
-    reactor = Reactor()
-    scheduler = Scheduler()
-    member = reactor.add_scheduler(scheduler)
-    window = UIWindow(width, height)
-    col = Column()
-    label = col.add(Label("READY"))
-    label.widget_id = "status"
-    toggle = col.add(ToggleButton("Power"))
-    toggle.widget_id = "power"
-    toggle.on_activate = lambda w: setattr(
-        label, "text", "ON" if w.value else "OFF")
-    button = col.add(Button("Next"))
-    button.widget_id = "next"
-    window.set_root(col)
-    display = DisplayServer(window)
-    server = UniIntServer(display, scheduler)
-    proxy = UniIntProxy(scheduler)
-    pair = make_socket_transport_pair(member, name="server-link")
-    server.accept(pair.a)
-    session = proxy.connect(pair.b, pixel_format=pixel_format)
-    return reactor, display, window, server, proxy, session
+@pytest.fixture
+def build_stack(reactor, closing):
+    """``build_stack(...)``: the test_thin_client stack, but over a
+    socketpair transport on ``reactor``, both halves closed at teardown."""
+
+    def build(width=400, height=300, pixel_format=RGB888):
+        scheduler = Scheduler()
+        member = reactor.add_scheduler(scheduler)
+        window = UIWindow(width, height)
+        col = Column()
+        label = col.add(Label("READY"))
+        label.widget_id = "status"
+        toggle = col.add(ToggleButton("Power"))
+        toggle.widget_id = "power"
+        toggle.on_activate = lambda w: setattr(
+            label, "text", "ON" if w.value else "OFF")
+        button = col.add(Button("Next"))
+        button.widget_id = "next"
+        window.set_root(col)
+        display = DisplayServer(window)
+        server = UniIntServer(display, scheduler)
+        proxy = UniIntProxy(scheduler)
+        pair = make_socket_transport_pair(member, name="server-link")
+        closing(pair.a)
+        closing(pair.b)
+        server.accept(pair.a)
+        session = proxy.connect(pair.b, pixel_format=pixel_format)
+        return reactor, display, window, server, proxy, session
+
+    return build
 
 
 class TestSocketSession:
-    def test_handshake_and_initial_frame(self):
+    def test_handshake_and_initial_frame(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack()
         reactor.run_until_idle()
         assert session.upstream.ready
         assert session.upstream.framebuffer is not None
         assert session.upstream.framebuffer == display.framebuffer
 
-    def test_mirror_tracks_ui_changes(self):
+    def test_mirror_tracks_ui_changes(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack()
         reactor.run_until_idle()
         window.root.find("status").text = "CHANGED TEXT"
         reactor.run_until_idle()
         assert session.upstream.framebuffer == display.framebuffer
 
-    def test_key_event_roundtrip_drives_widget(self):
+    def test_key_event_roundtrip_drives_widget(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack()
         reactor.run_until_idle()
         session.upstream.press_key(keysyms.RETURN)  # toggle has focus
@@ -70,7 +77,7 @@ class TestSocketSession:
         assert window.root.find("status").text == "ON"
         assert session.upstream.framebuffer == display.framebuffer
 
-    def test_rgb565_wire_format(self):
+    def test_rgb565_wire_format(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack(
             pixel_format=RGB565)
         reactor.run_until_idle()
@@ -80,7 +87,7 @@ class TestSocketSession:
         mirror = session.upstream.framebuffer
         assert mirror is not None and mirror.size == display.framebuffer.size
 
-    def test_close_propagates_to_server(self):
+    def test_close_propagates_to_server(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack()
         reactor.run_until_idle()
         assert len(server.sessions) == 1
@@ -88,14 +95,14 @@ class TestSocketSession:
         reactor.run_until_idle()
         assert len(server.sessions) == 0
 
-    def test_server_side_close_reaches_client(self):
+    def test_server_side_close_reaches_client(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack()
         reactor.run_until_idle()
         server.sessions[0].close()
         reactor.run_until_idle()
         assert session.upstream.closed
 
-    def test_many_churn_rounds_stay_pixel_identical(self):
+    def test_many_churn_rounds_stay_pixel_identical(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack()
         reactor.run_until_idle()
         label = window.root.find("status")

@@ -91,7 +91,7 @@ class TestDifferSoundness:
         fb = Bitmap(64, 64)
         differ = TileDiffer()
         differ.refine(fb, [fb.bounds])
-        fb.set_pixel(20, 20, (255, 0, 0))
+        fb.fill_rect(Rect(20, 20, 1, 1), (255, 0, 0))
         refined = differ.refine(fb, [fb.bounds])
         assert refined == [Rect(16, 16, 16, 16)]
 

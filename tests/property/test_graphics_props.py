@@ -59,15 +59,6 @@ class TestRectProperties:
             assert piece.intersect(b).is_empty
             assert a.contains_rect(piece)
 
-    @given(small_rect, st.integers(3, 17), st.integers(3, 17))
-    @settings(deadline=None)
-    def test_tiles_partition_rect(self, r, tw, th):
-        tiles = list(r.split_tiles(tw, th))
-        assert sum(t.area for t in tiles) == r.area
-        for i, a in enumerate(tiles):
-            for b in tiles[i + 1:]:
-                assert not a.intersects(b)
-
 
 class TestRegionProperties:
     @given(st.lists(small_rect, max_size=8))
@@ -170,13 +161,14 @@ class TestPixelFormatProperties:
     @given(rgb_arrays, st.sampled_from([RGB565, RGB332]))
     @settings(max_examples=40)
     def test_quantise_idempotent(self, rgb, fmt):
-        once = fmt.quantise(rgb)
-        assert np.array_equal(fmt.quantise(once), once)
+        h, w = rgb.shape[:2]
+        once = fmt.unpack(fmt.pack(rgb), w, h)
+        assert np.array_equal(fmt.unpack(fmt.pack(once), w, h), once)
 
     @given(rgb_arrays, st.sampled_from([RGB888, RGB565, RGB332]))
     @settings(max_examples=40)
     def test_quantise_error_bounded(self, rgb, fmt):
-        out = fmt.quantise(rgb)
+        out = fmt.unpack(fmt.pack(rgb), rgb.shape[1], rgb.shape[0])
         max_err = np.abs(out.astype(int) - rgb.astype(int)).max()
         # worst channel step: 255 / min_channel_max, half-step rounding
         step = 255 / min(fmt.red_max, fmt.green_max, fmt.blue_max)

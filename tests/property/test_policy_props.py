@@ -76,7 +76,7 @@ class TestPolicyProperties:
         """Raising a kind's weight never lowers its rank."""
         plain = SelectionPolicy()
         prefs = PreferenceStore()
-        prefs.prefer(kind, boost)
+        prefs.rule("standing weight", lambda s: True, **{kind: boost})
         boosted = SelectionPolicy(prefs)
 
         def rank(policy):

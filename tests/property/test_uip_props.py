@@ -173,7 +173,7 @@ class TestEncodeCacheRoundTrip:
         packed = data.draw(packed_arrays(RGB565))
         state = EncoderState(RGB565)
         first = encode_rect(state, packed, encoding)
-        state.reset_pixel_format(RGB332)
+        state.renegotiate(RGB332)
         key_565 = (encoding, RGB565, packed.shape)
         key_332 = (encoding, RGB332, packed.shape)
         assert state.cache_key(packed, encoding)[:3] == key_332 != key_565

@@ -33,10 +33,9 @@ class TestHotplug:
         tv = Television("Living Room TV")
         network = installed(tv)
         assert tv.dcm is not None
-        assert tv.dcm.installed
         dcms = network.registry.query(Comparison("element.type", "==", "dcm"))
         fcms = network.registry.query(Comparison("element.type", "==", "fcm"))
-        assert len(dcms) == 1
+        assert dcms == [tv.dcm.seid]
         assert len(fcms) == 2  # tuner + display
 
     def test_detach_uninstalls(self):
@@ -44,7 +43,6 @@ class TestHotplug:
         network = installed(tv)
         network.detach_device(tv.guid)
         network.settle()
-        assert not tv.dcm.installed
         assert len(network.registry) == 0
 
     def test_install_events_posted(self):

@@ -120,7 +120,7 @@ class TestServerSessionBackpressure:
 
 
 class TestProxyPushBackpressure:
-    def _stack(self, backpressure: bool):
+    def _stack(self):
         # server + proxy over Ethernet, with a cellular phone as the
         # output device: the slow bearer is the *device* link
         scheduler = Scheduler()
@@ -130,7 +130,7 @@ class TestProxyPushBackpressure:
         window.set_root(column)
         display = DisplayServer(window)
         server = UniIntServer(display, scheduler)
-        proxy = UniIntProxy(scheduler, backpressure=backpressure)
+        proxy = UniIntProxy(scheduler)
         pipe = make_pipe(scheduler, ETHERNET_100, name="server-link")
         server.accept(pipe.a)
         session = proxy.connect(pipe.b)
@@ -147,7 +147,7 @@ class TestProxyPushBackpressure:
             scheduler.run_for(step)
 
     def test_device_push_coalesces_on_saturated_bearer(self):
-        scheduler, label, session = self._stack(True)
+        scheduler, label, session = self._stack()
         self._churn(scheduler, label)
         device_ep = session.output_binding.endpoint
         assert session.updates_coalesced > 0
@@ -155,11 +155,3 @@ class TestProxyPushBackpressure:
         # draining the link flushes the deferred damage as one fresh frame
         scheduler.run_until_idle()
         assert session._deferred_push.is_empty
-
-    def test_device_push_floods_without_backpressure(self):
-        scheduler, label, session = self._stack(False)
-        self._churn(scheduler, label)
-        device_ep = session.output_binding.endpoint
-        assert session.updates_coalesced == 0
-        assert (device_ep.stats.peak_queued_bytes
-                > 4 * device_ep.credit_limit)

@@ -108,8 +108,6 @@ class TestDescriptor:
 
     def test_lookup_helpers(self):
         descriptor = self._descriptor()
-        assert descriptor.by_name("power").kind == "switch"
-        assert descriptor.by_name("nope") is None
         assert descriptor.commands() == {"power.set"}
         assert descriptor.attributes() == {"power", "station"}
         assert descriptor.components() == [MAIN_COMPONENT]

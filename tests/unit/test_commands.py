@@ -188,7 +188,7 @@ class TestCommandLog:
         spine.submit(responder.seid, "a.op", origin="widget")
         spine.submit(responder.seid, "b.op", origin="voice")
         scheduler.run_until_idle()
-        assert [c.opcode for c in spine.log.journal(origin="voice")] \
+        assert [c.opcode for c in spine.log if c.origin == "voice"] \
             == ["b.op"]
         assert spine.log.stats()["by_origin"] == {"widget": 1, "voice": 1}
 

@@ -16,8 +16,8 @@ from repro.havi.ddi import (
 from repro.util.ids import guid_from_seed
 
 
-def home_with(*appliances, ddi=True):
-    network = HomeNetwork(ddi_enabled=ddi)
+def home_with(*appliances):
+    network = HomeNetwork()
     for appliance in appliances:
         network.attach_device(appliance)
     network.settle()
@@ -104,11 +104,6 @@ class TestDdiServerLifecycle:
         from repro.havi import Comparison
         assert network.registry.query(
             Comparison("element.type", "==", "ddi")) == []
-
-    def test_ddi_can_be_disabled(self):
-        tv = Television("TV")
-        network = home_with(tv, ddi=False)
-        assert network.dcm_manager.ddi_server_for(tv.guid) is None
 
 
 class TestControllerActions:

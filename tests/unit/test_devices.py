@@ -241,19 +241,19 @@ class TestDeviceTransportLeg:
         assert phone.endpoint_for("uniint-proxy").credit_limit == high
         assert proxy.binding("k").endpoint.credit_limit == high
 
-    def test_socket_transport_leg(self):
-        from repro.net import Reactor, SocketTransport
+    def test_socket_transport_leg(self, reactor, closing):
+        from repro.net import SocketTransport
         proxy = self._proxy()
-        reactor = Reactor()
         member = reactor.add_scheduler(proxy.scheduler)
         pda = Pda("p", proxy.scheduler)
         pda.connect(proxy, member=member)
+        closing(pda.endpoint_for(proxy.proxy_id))
+        closing(proxy.binding("p").endpoint)
         pda.send_event({"type": "touch", "action": "down", "x": 1, "y": 1})
         reactor.run_until_idle()
         binding = proxy.binding("p")
         assert isinstance(binding.endpoint, SocketTransport)
         assert binding.endpoint.stats.bytes_received > 0
-        reactor.close()
 
     def test_multi_proxy_connect_and_broadcast(self):
         scheduler = Scheduler()
@@ -263,15 +263,14 @@ class TestDeviceTransportLeg:
         pda.connect(proxy_a)
         pda.connect(proxy_b)
         assert pda.connected_proxies == ("proxy-a", "proxy-b")
-        assert pda._pipe is None  # legacy accessor is ambiguous now
         pda.send_event({"type": "touch", "action": "down", "x": 1, "y": 1})
         scheduler.run_until_idle()
         # both proxies heard the event on their own leg
         assert proxy_a.binding("p").endpoint.stats.bytes_received > 0
         assert proxy_b.binding("p").endpoint.stats.bytes_received > 0
-        assert pda.link_stats_for("proxy-a").bytes_sent > 0
+        assert pda.endpoint_for("proxy-a").stats.bytes_sent > 0
         from repro.util.errors import ProxyError
-        with pytest.raises(ProxyError, match="use link_stats_for"):
+        with pytest.raises(ProxyError, match="use endpoint_for"):
             pda.link_stats
 
     def test_disconnect_single_leg_keeps_the_other(self):

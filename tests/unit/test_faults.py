@@ -11,7 +11,6 @@ from repro.net import (
     FaultPlan,
     FaultyTransport,
     LOOPBACK,
-    Reactor,
     SocketTransport,
     TcpListener,
     connect_tcp,
@@ -174,18 +173,6 @@ class TestFaultyTransport:
         assert seen == ["closed"]
 
 
-@pytest.fixture
-def reactor():
-    reactor = Reactor()
-    yield reactor
-    reactor.close()
-
-
-def socket_pair(reactor):
-    """A socketpair transport whose halves ride ``reactor``."""
-    return make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
-
-
 class TestBusFaults:
     @pytest.mark.parametrize("rates, copies", [
         ({"truncate": 1.0}, 1),  # meaningless for a message: passes
@@ -206,8 +193,8 @@ class TestBusFaults:
 
 
 class TestFaultySocket:
-    def test_eintr_on_send_is_masked_by_the_pump(self, reactor):
-        pair = socket_pair(reactor)
+    def test_eintr_on_send_is_masked_by_the_pump(self, reactor, socket_pair):
+        pair = socket_pair()
         plan = FaultPlan().errno_at(0, errno.EINTR)
         wrapper = inject_socket_faults(pair.a, plan)
         got = []
@@ -217,11 +204,11 @@ class TestFaultySocket:
         assert b"".join(got) == b"survives"
         assert wrapper.faults_fired == 1
 
-    def test_eagain_then_recovery(self, reactor):
+    def test_eagain_then_recovery(self, reactor, socket_pair):
         # a spurious send-side EAGAIN parks the outbox behind armed write
         # interest, so EPOLLOUT resumes the flush without another send;
         # a recv-side EAGAIN is masked by the level-triggered read poll
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         wrapper = inject_socket_faults(
             pair.a, FaultPlan().errno_at(0, errno.EAGAIN))
         wrapper_b = inject_socket_faults(
@@ -237,8 +224,8 @@ class TestFaultySocket:
         assert wrapper.faults_fired == 1
         assert wrapper_b.faults_fired == 1
 
-    def test_econnreset_surfaces_as_close(self, reactor):
-        pair = socket_pair(reactor)
+    def test_econnreset_surfaces_as_close(self, reactor, socket_pair):
+        pair = socket_pair()
         plan = FaultPlan().errno_at(0, errno.ECONNRESET, side="recv")
         inject_socket_faults(pair.b, plan)
         closed = []
@@ -248,8 +235,8 @@ class TestFaultySocket:
         assert closed == [True]
         assert not pair.b.is_open
 
-    def test_partial_writes_preserve_byte_stream(self, reactor):
-        pair = socket_pair(reactor)
+    def test_partial_writes_preserve_byte_stream(self, reactor, socket_pair):
+        pair = socket_pair()
         inject_socket_faults(pair.a, FaultPlan(seed=11, partial=1.0))
         got = []
         pair.b.on_receive = lambda data: got.append(bytes(data))
@@ -259,9 +246,9 @@ class TestFaultySocket:
         assert b"".join(got) == blob
         assert pair.a.queued_bytes == 0
 
-    def test_schedules_are_private_per_socket(self, reactor):
+    def test_schedules_are_private_per_socket(self, reactor, socket_pair):
         plan = FaultPlan().errno_at(0, errno.EINTR)
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         w1 = inject_socket_faults(pair.a, plan, name="a")
         w2 = inject_socket_faults(pair.b, plan, name="b")
         got = []
@@ -305,21 +292,22 @@ class TestFaultInjector:
         sched.run_until_idle()
         assert got == [b"one", b"two", b"after"]
 
-    def test_partition_goes_deaf_then_heals_on_schedule(self):
-        reactor = Reactor()
+    def test_partition_goes_deaf_then_heals_on_schedule(self, reactor,
+                                                        closing):
         server_sched, client_sched = Scheduler(), Scheduler()
         server_member = reactor.add_scheduler(server_sched, name="srv")
         client_member = reactor.add_scheduler(client_sched, name="cli")
         accepted = []
 
         def on_accept(conn, addr):
-            accepted.append(SocketTransport(
+            accepted.append(closing(SocketTransport(
                 server_sched, conn, ETHERNET_100, "srv", reactor=reactor,
-                member=server_member))
+                member=server_member)))
 
-        listener = TcpListener(reactor, on_accept, member=server_member)
-        client = connect_tcp(reactor, client_sched, listener.address,
-                             member=client_member)
+        listener = closing(
+            TcpListener(reactor, on_accept, member=server_member))
+        client = closing(connect_tcp(reactor, client_sched, listener.address,
+                                     member=client_member))
         assert reactor.run_until(lambda: len(accepted) == 1)
         got = []
         accepted[0].on_receive = lambda data: got.append(bytes(data))
@@ -334,14 +322,15 @@ class TestFaultInjector:
         assert not reactor.is_partitioned(client_member)
         assert b"".join(got) == b"through the wall"
         assert [a for a, _ in chaos.log] == ["partition", "heal"]
-        listener.close()
-        reactor.close()
 
-    def test_partition_spares_in_process_socketpairs(self, reactor):
+    def test_partition_spares_in_process_socketpairs(self, reactor,
+                                                     closing):
         # a partition cuts the network: a device's socketpair leg to its
         # proxy stays live, so taps still reach the proxy mid-partition
         member = reactor.add_scheduler(Scheduler(), name="home")
         pair = make_socket_transport_pair(member)
+        closing(pair.a)
+        closing(pair.b)
         got = []
         pair.b.on_receive = lambda data: got.append(bytes(data))
         FaultInjector().partition(reactor, member)
@@ -350,8 +339,7 @@ class TestFaultInjector:
         assert reactor.is_partitioned(member)
         assert got == [b"tap"]
 
-    def test_crash_detonates_in_the_targets_loop(self):
-        reactor = Reactor()
+    def test_crash_detonates_in_the_targets_loop(self, reactor):
         sched = Scheduler()
         member = reactor.add_scheduler(sched, name="bomb")
         chaos = FaultInjector()
@@ -360,4 +348,3 @@ class TestFaultInjector:
         assert member.failed
         assert isinstance(member.last_error, ValueError)
         assert "boom" in str(member.last_error)
-        reactor.close()

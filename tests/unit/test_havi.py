@@ -176,10 +176,6 @@ class TestRegistryQueries:
         with pytest.raises(RegistryError):
             self.registry.unregister(seid(2))
 
-    def test_update_attributes(self):
-        self.registry.update_attributes(seid(1), {"volume": 55})
-        assert self.registry.get_attributes(seid(1))["volume"] == 55
-
     def test_change_observers(self):
         changes = []
         self.registry.on_change.append(
@@ -311,8 +307,11 @@ class TestHomeBusResetIsolation:
     def test_reset_pending_not_wedged_after_observer_error(self):
         scheduler, bus = self._bus()
 
+        errors = [RuntimeError("boom")]
+
         def bad(devices):
-            raise RuntimeError("boom")
+            if errors:
+                raise errors.pop()
 
         bus.observe_resets(bad)
         bus.attach(self._device("g1"))
@@ -320,7 +319,6 @@ class TestHomeBusResetIsolation:
             scheduler.run_until_idle()
         # the coalescing flag dropped before observers ran: the next
         # topology change fires a fresh reset
-        bus.unobserve_resets(bad)
         seen = []
         bus.observe_resets(lambda devices: seen.append(len(devices)))
         bus.attach(self._device("g2"))
@@ -344,23 +342,6 @@ class TestHomeBusResetIsolation:
         # first reset saw 1 device, the re-entrant attach fired a second
         assert sizes == [1, 2]
         assert bus.reset_count == 2
-
-    def test_observer_detaching_itself_mid_reset_is_safe(self):
-        scheduler, bus = self._bus()
-        calls = []
-
-        def one_shot(devices):
-            calls.append("one-shot")
-            bus.unobserve_resets(one_shot)
-
-        bus.observe_resets(one_shot)
-        bus.observe_resets(lambda devices: calls.append("steady"))
-        bus.attach(self._device("g1"))
-        scheduler.run_until_idle()
-        assert calls == ["one-shot", "steady"]
-        bus.attach(self._device("g2"))
-        scheduler.run_until_idle()
-        assert calls == ["one-shot", "steady", "steady"]
 
     def test_observer_subscribing_mid_reset_joins_next_reset_only(self):
         scheduler, bus = self._bus()

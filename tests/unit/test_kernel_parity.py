@@ -119,8 +119,6 @@ class TestFillParity:
             bmp.fill(color)
         with pytest.raises(GraphicsError):
             bmp.fill_rect(Rect(0, 0, 1, 1), color)
-        with pytest.raises(GraphicsError):
-            bmp.set_pixel(0, 0, color)
         # an empty fill checks nothing, as before
         bmp.fill_rect(Rect(5, 5, 1, 1), color)
         assert bmp == Bitmap(2, 2)

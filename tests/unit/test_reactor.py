@@ -16,21 +16,26 @@ from repro.net import (
 from repro.util import ReactorError, Scheduler, TransportError
 
 
-def tcp_pair(reactor, server_sched, client_sched, server_member=None,
-             client_member=None):
-    """A connected (server_transport, client_transport, listener) triple."""
-    accepted = []
+@pytest.fixture
+def tcp_pair(reactor, closing):
+    """``tcp_pair(server_sched, client_sched)``: a connected
+    (server_transport, client_transport, listener) triple on ``reactor``,
+    all three closed at teardown."""
 
-    def on_accept(conn, addr):
-        accepted.append(SocketTransport(server_sched, conn, ETHERNET_100,
-                                        "srv", reactor=reactor,
-                                        member=server_member))
+    def connect(server_sched, client_sched):
+        accepted = []
 
-    listener = TcpListener(reactor, on_accept, member=server_member)
-    client = connect_tcp(reactor, client_sched, listener.address,
-                         member=client_member)
-    assert reactor.run_until(lambda: len(accepted) == 1)
-    return accepted[0], client, listener
+        def on_accept(conn, addr):
+            accepted.append(closing(SocketTransport(
+                server_sched, conn, ETHERNET_100, "srv", reactor=reactor)))
+
+        listener = closing(TcpListener(reactor, on_accept))
+        client = closing(connect_tcp(reactor, client_sched,
+                                     listener.address))
+        assert reactor.run_until(lambda: len(accepted) == 1)
+        return accepted[0], client, listener
+
+    return connect
 
 
 class TestMembership:
@@ -221,27 +226,24 @@ class TestContainment:
 
 
 class TestTcpTransport:
-    def test_roundtrip_over_real_tcp(self):
-        reactor = Reactor()
+    def test_roundtrip_over_real_tcp(self, reactor, tcp_pair):
         ssched, csched = Scheduler(), Scheduler()
         reactor.add_scheduler(ssched)
         reactor.add_scheduler(csched)
-        server, client, listener = tcp_pair(reactor, ssched, csched)
+        server, client, listener = tcp_pair(ssched, csched)
         got = []
         server.on_receive = lambda d: got.append(bytes(d))
         client.send([b"uni", b"int"])
         assert reactor.run_until(lambda: b"".join(got) == b"uniint")
-        listener.close()
-        reactor.close()
 
-    def test_blocked_send_arms_write_interest_and_drains(self):
+    def test_blocked_send_arms_write_interest_and_drains(self, reactor,
+                                                         tcp_pair):
         # the regression the reactor mode exists for: a kernel buffer
         # full mid-send becomes an EPOLLOUT wait, never a silent stall
-        reactor = Reactor()
         ssched, csched = Scheduler(), Scheduler()
         reactor.add_scheduler(ssched)
         reactor.add_scheduler(csched)
-        server, client, listener = tcp_pair(reactor, ssched, csched)
+        server, client, listener = tcp_pair(ssched, csched)
         total = [0]
         server.on_receive = lambda d: total.__setitem__(0, total[0] + len(d))
         blob_len = 4 * 1024 * 1024
@@ -255,15 +257,12 @@ class TestTcpTransport:
             "write interest disarmed once drained"
         assert client.queued_bytes == 0, \
             "kernel-accepted bytes release credit in unpeered mode"
-        listener.close()
-        reactor.close()
 
-    def test_graceful_close_propagates_eof(self):
-        reactor = Reactor()
+    def test_graceful_close_propagates_eof(self, reactor, tcp_pair):
         ssched, csched = Scheduler(), Scheduler()
         reactor.add_scheduler(ssched)
         reactor.add_scheduler(csched)
-        server, client, listener = tcp_pair(reactor, ssched, csched)
+        server, client, listener = tcp_pair(ssched, csched)
         closed = []
         server.on_close = lambda: closed.append(True)
         got = []
@@ -272,11 +271,9 @@ class TestTcpTransport:
         client.close()
         assert reactor.run_until(lambda: closed == [True])
         assert b"".join(got) == b"goodbye", "flush-before-EOF ordering"
-        listener.close()
-        reactor.close()
 
-    def test_connection_refused_resets_and_releases_credit(self):
-        reactor = Reactor()
+    def test_connection_refused_resets_and_releases_credit(self, reactor,
+                                                           closing):
         sched = Scheduler()
         reactor.add_scheduler(sched)
         # grab an ephemeral port, then close it so nobody listens there
@@ -284,12 +281,11 @@ class TestTcpTransport:
         probe.bind(("127.0.0.1", 0))
         dead_address = probe.getsockname()
         probe.close()
-        client = connect_tcp(reactor, sched, dead_address)
+        client = closing(connect_tcp(reactor, sched, dead_address))
         client.send(b"into the void")
         assert client.queued_bytes > 0
         assert reactor.run_until(lambda: not client.is_open, timeout_s=10)
         assert client.queued_bytes == 0, "reset returns all charged credit"
-        reactor.close()
 
     def test_connect_to_unroutable_name_raises(self):
         reactor = Reactor()
@@ -301,30 +297,28 @@ class TestTcpTransport:
 
 
 class TestTcpListener:
-    def test_accepts_many_clients(self):
-        reactor = Reactor()
+    def test_accepts_many_clients(self, reactor, closing):
         ssched = Scheduler()
         reactor.add_scheduler(ssched)
         conns = []
 
         def on_accept(conn, addr):
-            conns.append(SocketTransport(ssched, conn, ETHERNET_100,
-                                         reactor=reactor))
+            conns.append(closing(SocketTransport(ssched, conn, ETHERNET_100,
+                                                 reactor=reactor)))
 
-        listener = TcpListener(reactor, on_accept)
+        listener = closing(TcpListener(reactor, on_accept))
         clients = []
         for i in range(5):
             csched = Scheduler()
             reactor.add_scheduler(csched, f"c{i}")
-            clients.append(connect_tcp(reactor, csched, listener.address))
+            clients.append(closing(
+                connect_tcp(reactor, csched, listener.address)))
         assert reactor.run_until(lambda: len(conns) == 5)
         assert listener.accepted == 5
         for client in clients:
             client.close()
         assert reactor.run_until(
             lambda: all(not t.is_open for t in conns))
-        listener.close()
-        reactor.close()
 
     def test_listen_failure_raises_transport_error(self):
         reactor = Reactor()

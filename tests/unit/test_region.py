@@ -75,18 +75,6 @@ class TestRect:
         assert Rect(0, 0, 10, 10).inset(2) == Rect(2, 2, 6, 6)
         assert Rect(0, 0, 3, 3).inset(2).is_empty
 
-    def test_split_tiles_covers_exactly(self):
-        r = Rect(0, 0, 37, 21)
-        tiles = list(r.split_tiles(16, 16))
-        assert sum(t.area for t in tiles) == r.area
-        assert all(r.contains_rect(t) for t in tiles)
-        widths = {t.w for t in tiles}
-        assert widths == {16, 5}
-
-    def test_split_tiles_bad_size(self):
-        with pytest.raises(ValueError):
-            list(Rect(0, 0, 10, 10).split_tiles(0, 4))
-
     def test_center(self):
         assert Rect(0, 0, 10, 10).center == (5, 5)
 
@@ -232,9 +220,3 @@ class TestCoalesce:
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             Region([Rect(0, 0, 1, 1)]).coalesced(cap=0)
-
-    def test_coalesce_in_place(self):
-        region = Region([Rect(0, y, 8, 1) for y in range(8)])
-        region.coalesce()
-        assert region.rects() == [Rect(0, 0, 8, 8)]
-        assert region.area == 64

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.util import Scheduler, SchedulerError, VirtualClock
-from repro.util.clock import MonotonicClock
 
 
 class TestVirtualClock:
@@ -31,14 +30,6 @@ class TestVirtualClock:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-1.0)
-
-
-class TestMonotonicClock:
-    def test_starts_near_zero_and_increases(self):
-        clock = MonotonicClock()
-        first = clock.now()
-        assert first >= 0.0
-        assert clock.now() >= first
 
 
 class TestScheduler:

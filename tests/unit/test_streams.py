@@ -70,7 +70,8 @@ class TestConnect:
             self.deck.seid, "video-out", self.display.seid, "video-in")
         self.network.streams.connect(
             self.deck.seid, "video-out", amp_fcm.seid, "audio-in")
-        assert len(self.network.streams.connections_of(self.deck.seid)) == 2
+        assert [c.source for c in self.network.streams.connections] \
+            == [self.deck.seid, self.deck.seid]
         assert amp_fcm.get_state("source") == "aux"
 
     def test_dvd_to_display(self):

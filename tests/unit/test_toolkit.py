@@ -7,7 +7,6 @@ from repro.toolkit import (
     Button,
     Column,
     DEFAULT_THEME,
-    Grid,
     KeyPress,
     Label,
     ListBox,
@@ -17,7 +16,6 @@ from repro.toolkit import (
     ProgressBar,
     Row,
     Slider,
-    Spacer,
     TabPanel,
     ToggleButton,
     UIWindow,
@@ -29,6 +27,13 @@ from repro.util.errors import ToolkitError
 
 def make_window(width=200, height=150):
     return UIWindow(width, height, title="test")
+
+
+def filler(stretch=1):
+    """A bare 10x10 widget that takes a share of the leftover space."""
+    widget = Widget()
+    widget.layout_stretch = stretch
+    return widget
 
 
 class TestWidgetTree:
@@ -122,7 +127,7 @@ class TestLayout:
         window = make_window(200, 200)
         col = Column(padding=0, spacing=0)
         a = col.add(Button("A"))
-        spacer = col.add(Spacer())
+        spacer = col.add(filler())
         b = col.add(Button("B"))
         window.set_root(col)
         assert b.rect.y2 == 200
@@ -131,11 +136,11 @@ class TestLayout:
     def test_stretch_shares_proportionally(self):
         window = make_window(100, 100)
         row = Row(padding=0, spacing=0)
-        a = row.add(Spacer(stretch=1))
-        b = row.add(Spacer(stretch=3))
+        a = row.add(filler(stretch=1))
+        b = row.add(filler(stretch=3))
         window.set_root(row)
-        assert a.rect.w + b.rect.w == 100
-        assert b.rect.w == pytest.approx(3 * a.rect.w, abs=2)
+        # past their 10 px each, the 80 px left over split 1:3
+        assert (a.rect.w, b.rect.w) == (10 + 20, 10 + 60)
 
     def test_hidden_children_skipped(self):
         window = make_window()
@@ -145,20 +150,6 @@ class TestLayout:
         b = col.add(Button("B"))
         window.set_root(col)
         assert b.rect.y == 0
-
-    def test_grid_places_cells(self):
-        window = make_window(220, 150)
-        grid = Grid(columns=3, padding=0, spacing=0)
-        buttons = [grid.add(Button(str(i))) for i in range(7)]
-        window.set_root(grid)
-        assert buttons[0].rect.y == buttons[2].rect.y
-        assert buttons[3].rect.y > buttons[0].rect.y
-        assert buttons[6].rect.y > buttons[3].rect.y
-        assert buttons[1].rect.x > buttons[0].rect.x
-
-    def test_grid_needs_columns(self):
-        with pytest.raises(ToolkitError):
-            Grid(columns=0)
 
     def test_preferred_size_aggregates(self):
         col = Column(padding=2, spacing=1)
@@ -216,7 +207,7 @@ class TestRendering:
         window = make_window(100, 100)
         col = Column(padding=0, spacing=0)
         col.add(Button("A"))
-        col.add(Spacer())
+        col.add(filler())
         window.set_root(col)
         window.render()
         # bottom area is untouched background
@@ -239,7 +230,7 @@ class TestButton:
         clicks = []
         col = Column(padding=0, spacing=0)
         button = col.add(Button("Go", on_click=lambda w: clicks.append(w)))
-        col.add(Spacer())
+        col.add(filler())
         window.set_root(col)
         cx, cy = button.abs_rect().center
         window.dispatch_pointer(Pointer(PointerKind.DOWN, cx, cy, 1))
@@ -383,13 +374,6 @@ class TestListBox:
             window.press_key(keysyms.DOWN)
         assert listbox.selected == 1
 
-    def test_set_items_resets(self):
-        listbox = ListBox(["a", "b"])
-        listbox.selected = 1
-        listbox.set_items(["x"])
-        assert listbox.selected == 0
-        assert listbox.selected_item == "x"
-
     def test_empty_list(self):
         listbox = ListBox()
         assert listbox.selected_item is None
@@ -442,18 +426,6 @@ class TestTabPanel:
         tab_w = tabs._tab_width(DEFAULT_THEME)
         window.click(rect.x + tab_w + 5, rect.y + 5)
         assert tabs.active == 1
-
-    def test_remove_page(self):
-        window, tabs = self._tabbed_window()
-        tabs.set_active(1)
-        tabs.remove_page(1)
-        assert tabs.titles == ["TV"]
-        assert tabs.active == 0
-
-    def test_remove_bad_page(self):
-        window, tabs = self._tabbed_window()
-        with pytest.raises(ToolkitError):
-            tabs.remove_page(5)
 
     def test_tab_change_callback(self):
         window, tabs = self._tabbed_window()

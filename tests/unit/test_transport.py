@@ -7,13 +7,11 @@ from repro.net import (
     ETHERNET_100,
     LOOPBACK,
     LinkProfile,
-    Reactor,
     Transport,
     credit_watermarks,
     encode_frame,
     frame_chunks,
     make_pipe,
-    make_socket_transport_pair,
 )
 from repro.net.transport import MIN_CREDIT, as_chunks
 from repro.uip.wire import Writer
@@ -161,22 +159,9 @@ class TestPipeVectoredSend:
         assert pipe.b.stats.messages_received == 1
 
 
-@pytest.fixture
-def reactor():
-    reactor = Reactor()
-    yield reactor
-    reactor.close()
-
-
-def socket_pair(reactor, profile=LOOPBACK):
-    """A socketpair transport whose halves ride ``reactor``."""
-    member = reactor.add_scheduler(Scheduler(), "link")
-    return make_socket_transport_pair(member, profile)
-
-
 class TestSocketTransport:
-    def test_roundtrip(self, reactor):
-        pair = socket_pair(reactor)
+    def test_roundtrip(self, reactor, socket_pair):
+        pair = socket_pair()
         got = []
         pair.b.on_receive = got.append
         pair.a.send(b"hello")
@@ -184,16 +169,16 @@ class TestSocketTransport:
         assert b"".join(got) == b"hello"
         assert pair.b.stats.bytes_received == 5
 
-    def test_vectored_send(self, reactor):
-        pair = socket_pair(reactor)
+    def test_vectored_send(self, reactor, socket_pair):
+        pair = socket_pair()
         got = []
         pair.b.on_receive = got.append
         pair.a.send([b"ab", b"cd", b"ef"])
         reactor.run_until_idle()
         assert b"".join(got) == b"abcdef"
 
-    def test_duplex(self, reactor):
-        pair = socket_pair(reactor)
+    def test_duplex(self, reactor, socket_pair):
+        pair = socket_pair()
         got_a, got_b = [], []
         pair.a.on_receive = got_a.append
         pair.b.on_receive = got_b.append
@@ -203,8 +188,9 @@ class TestSocketTransport:
         assert b"".join(got_b) == b"to-b"
         assert b"".join(got_a) == b"to-a"
 
-    def test_large_transfer_exceeding_kernel_buffer(self, reactor):
-        pair = socket_pair(reactor)
+    def test_large_transfer_exceeding_kernel_buffer(self, reactor,
+                                                    socket_pair):
+        pair = socket_pair()
         blob = bytes(range(256)) * 8192  # 2 MiB, forces outbox spill
         got = []
         pair.b.on_receive = got.append
@@ -213,8 +199,8 @@ class TestSocketTransport:
         assert b"".join(got) == blob
         assert pair.a.queued_bytes == 0
 
-    def test_credit_released_as_peer_reads(self, reactor):
-        pair = socket_pair(reactor, CELLULAR_PDC)
+    def test_credit_released_as_peer_reads(self, reactor, socket_pair):
+        pair = socket_pair(CELLULAR_PDC)
         pair.b.on_receive = lambda data: None
         pair.a.send(b"\x00" * (pair.a.credit_limit + 100))
         assert not pair.a.writable
@@ -222,8 +208,8 @@ class TestSocketTransport:
         assert pair.a.queued_bytes == 0
         assert pair.a.writable
 
-    def test_close_flushes_then_signals_peer(self, reactor):
-        pair = socket_pair(reactor)
+    def test_close_flushes_then_signals_peer(self, reactor, socket_pair):
+        pair = socket_pair()
         got, closed = [], []
         pair.b.on_receive = got.append
         pair.b.on_close = lambda: closed.append(True)
@@ -234,11 +220,11 @@ class TestSocketTransport:
         assert closed == [True]
         assert not pair.b.is_open
 
-    def test_close_flushes_outbox_backlog(self, reactor):
+    def test_close_flushes_outbox_backlog(self, reactor, socket_pair):
         # a payload far beyond the kernel socket buffer spills into the
         # userspace outbox; close() must still deliver every byte and
         # only then EOF the peer
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         blob = bytes(range(256)) * 4096  # 1 MiB
         got, closed = [], []
         pair.b.on_receive = got.append
@@ -250,11 +236,12 @@ class TestSocketTransport:
         assert closed == [True]
         assert pair.a.queued_bytes == 0
 
-    def test_peer_hard_close_releases_credit_and_closes(self, reactor):
+    def test_peer_hard_close_releases_credit_and_closes(self, reactor,
+                                                        socket_pair):
         # the peer's socket dies outright (reset, not graceful EOF):
         # the sender must get all its credit back and learn it is closed,
         # not wedge forever waiting for a drain that cannot happen
-        pair = socket_pair(reactor, CELLULAR_PDC)
+        pair = socket_pair(CELLULAR_PDC)
         closed = []
         pair.a.on_close = lambda: closed.append(True)
         pair.a.send(b"\x00" * (pair.a.credit_limit * 100))
@@ -266,14 +253,14 @@ class TestSocketTransport:
         assert not pair.a.is_open
         assert closed == [True]
 
-    def test_send_after_close_raises(self, reactor):
-        pair = socket_pair(reactor)
+    def test_send_after_close_raises(self, reactor, socket_pair):
+        pair = socket_pair()
         pair.a.close()
         with pytest.raises(TransportClosed):
             pair.a.send(b"nope")
 
-    def test_is_a_transport(self, reactor):
-        pair = socket_pair(reactor)
+    def test_is_a_transport(self, reactor, socket_pair):
+        pair = socket_pair()
         assert isinstance(pair.a, Transport)
         pair.a.close()
         reactor.run_until_idle()
@@ -283,11 +270,11 @@ class TestSocketPumpFixes:
     """Regression suite for the socket-transport pump bugfix sweep."""
 
     def test_blocked_outbox_has_continuation_armed_at_stall_time(
-            self, reactor):
+            self, reactor, socket_pair):
         # sendmsg hit EAGAIN with bytes left in the outbox: the flush
         # continuation must already be armed at that instant, not
         # depend on some unrelated later send coming along
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         blob = b"x" * (2 * 1024 * 1024)
         got = []
         pair.b.on_receive = got.append
@@ -300,11 +287,11 @@ class TestSocketPumpFixes:
         assert b"".join(got) == blob
 
     def test_raising_receive_callback_does_not_stall_peer_flush(
-            self, reactor):
+            self, reactor, socket_pair):
         # the sender's flush waits on EPOLLOUT, not on the receiver, so a
         # UI callback blowing up cannot strand the sender's outbox:
         # recovery is just turning the reactor again
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         blob = b"y" * (2 * 1024 * 1024)
         calls = []
 
@@ -323,11 +310,11 @@ class TestSocketPumpFixes:
         assert b"".join(calls) == blob
         assert pair.a.queued_bytes == 0
 
-    def test_recv_pump_yields_at_byte_budget(self, reactor):
+    def test_recv_pump_yields_at_byte_budget(self, reactor, socket_pair):
         # an unbounded drain would hand one busy link the whole turn;
         # the pump must stop at RECV_BUDGET and leave the remainder to
         # the level-triggered poll
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         pair.b.RECV_BUDGET = 8192
         pair.b.on_receive = lambda data: None
         pair.a.send(b"z" * 65536)
@@ -336,11 +323,11 @@ class TestSocketPumpFixes:
         reactor.run_until_idle()
         assert pair.b.stats.bytes_received == 65536
 
-    def test_recv_budget_interleaves_other_events(self, reactor):
+    def test_recv_budget_interleaves_other_events(self, reactor, socket_pair):
         # while one link drains a big transfer in budgeted slices, an
         # event scheduled by the first slice still gets to run before
         # the drain finishes
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         sched = pair.b._scheduler
         pair.b.RECV_BUDGET = 4096
         order = []
@@ -357,11 +344,12 @@ class TestSocketPumpFixes:
         assert order.index("other") < len(order) - 1, \
             "the budgeted drain must not monopolise the turn"
 
-    def test_messages_received_counts_frames_not_syscalls(self, reactor):
+    def test_messages_received_counts_frames_not_syscalls(self, reactor,
+                                                          socket_pair):
         # several back-to-back sends coalesce in the kernel buffer and
         # arrive in one recv() syscall; the counter must still match the
         # sender's messages_sent (framed-message parity)
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         pair.b.on_receive = lambda data: None
         for i in range(5):
             pair.a.send(bytes([i]) * (i + 1))
@@ -369,9 +357,10 @@ class TestSocketPumpFixes:
         assert pair.a.stats.messages_sent == 5
         assert pair.b.stats.messages_received == 5
 
-    def test_messages_received_parity_when_stream_resegments(self, reactor):
+    def test_messages_received_parity_when_stream_resegments(self, reactor,
+                                                             socket_pair):
         # a message bigger than one recv() syscall: N syscalls, one frame
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         pair.b.on_receive = lambda data: None
         pair.a.send(b"a" * 300_000)  # several 64 KiB reads
         pair.a.send([b"tail", b"-bits"])
@@ -379,8 +368,8 @@ class TestSocketPumpFixes:
         assert pair.a.stats.messages_sent == 2
         assert pair.b.stats.messages_received == 2
 
-    def test_empty_socket_message_counts_once(self, reactor):
-        pair = socket_pair(reactor)
+    def test_empty_socket_message_counts_once(self, reactor, socket_pair):
+        pair = socket_pair()
         pair.b.on_receive = lambda data: None
         pair.a.send([])
         pair.a.send([b"", b""])
@@ -388,11 +377,12 @@ class TestSocketPumpFixes:
         assert pair.a.stats.messages_sent == 2
         assert pair.b.stats.messages_received == 2
 
-    def test_graceful_eof_with_queued_credit_releases_it(self, reactor):
+    def test_graceful_eof_with_queued_credit_releases_it(self, reactor,
+                                                         socket_pair):
         # the peer EOFs while this side still has charged credit (bytes
         # queued toward the peer that can now never drain): the credit
         # must come back, like the hard-reset path already guaranteed
-        pair = socket_pair(reactor, CELLULAR_PDC)
+        pair = socket_pair(CELLULAR_PDC)
         pair.a.on_receive = lambda data: None
         pair.b.on_receive = lambda data: None
         pair.b.send(b"\x00" * (pair.b.credit_limit * 50))  # b -> a backlog
@@ -403,10 +393,11 @@ class TestSocketPumpFixes:
         assert pair.b.queued_bytes == 0
         assert pair.b.writable
 
-    def test_closed_half_releases_its_fd_once_the_peer_eofs(self, reactor):
+    def test_closed_half_releases_its_fd_once_the_peer_eofs(self, reactor,
+                                                            socket_pair):
         # a graceful close keeps the fd until the remote's EOF comes back,
         # then both halves leave the reactor and close their fds
-        pair = socket_pair(reactor)
+        pair = socket_pair()
         pair.a.close()
         reactor.run_until_idle()
         assert not pair.b.is_open

@@ -53,6 +53,14 @@ def noise_bitmap(width=64, height=48, seed=3):
         rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
 
 
+def checkerboard(width, height, cell, a, b):
+    """``cell``-pixel squares of ``a`` and ``b``, ``a`` at the origin: a
+    worst case for the run-based encoders."""
+    ys, xs = np.indices((height, width))
+    odd = (ys // cell + xs // cell) % 2 == 1
+    return Bitmap.from_array(np.where(odd[..., None], b, a))
+
+
 def roundtrip(bitmap, fmt, encoding):
     packed = fmt.pack_array(bitmap.pixels)
     enc_state = EncoderState(fmt)
@@ -94,9 +102,7 @@ class TestRoundTrips:
     def test_edge_tile_sizes(self, size, encoding):
         """Widths/heights straddling the 16-pixel tile grid."""
         width, height = size
-        bmp = Bitmap(width, height, fill=(32, 32, 32))
-        draw.checkerboard(bmp, Rect(0, 0, width, height), 5,
-                          (32, 32, 32), (220, 80, 10))
+        bmp = checkerboard(width, height, 5, (32, 32, 32), (220, 80, 10))
         bmp.fill_rect(Rect(width // 3, height // 3, width // 2, 3),
                       (0, 255, 0))
         packed, _, out = roundtrip(bmp, RGB888, encoding)
@@ -118,8 +124,7 @@ class TestRoundTrips:
         assert len(payload) == 4 + 4  # count + background pixel
 
     def test_checkerboard_roundtrip_hextile(self):
-        bmp = Bitmap(64, 64)
-        draw.checkerboard(bmp, bmp.bounds, 1, (0, 0, 0), (255, 255, 255))
+        bmp = checkerboard(64, 64, 1, (0, 0, 0), (255, 255, 255))
         packed, _, out = roundtrip(bmp, RGB888, HEXTILE)
         assert np.array_equal(out, packed)
 
@@ -292,7 +297,7 @@ class TestEncodeCache:
         state = EncoderState(RGB565)
         packed = RGB565.pack_array(panel_bitmap().pixels)
         k565 = state.cache_key(packed, RRE)
-        state.reset_pixel_format(RGB332)
+        state.renegotiate(RGB332)
         assert state.cache_key(packed, RRE) != k565
 
     def test_trial_encode_not_stored(self):

@@ -6,6 +6,7 @@ from repro.graphics import RGB332, RGB888, Rect
 from repro.net import ETHERNET_100, make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
+from repro.server.uniint_server import MAX_UPDATE_RECTS
 from repro.toolkit import Button, Column, Label, UIWindow
 from repro.uip import DESKTOP_SIZE, HEXTILE, RAW, RRE, ZLIB, ZRLE
 from repro.uip.messages import SetEncodings
@@ -203,7 +204,7 @@ class TestSharedEncodeBroadcast:
         scheduler.run_until_idle()
         assert server.pack_hits >= 2
         # the damaged rects were packed once, not once per session
-        assert server.pack_misses - packs_before <= server.max_update_rects
+        assert server.pack_misses - packs_before <= MAX_UPDATE_RECTS
 
     def test_mixed_pixel_formats_group_separately(self):
         import numpy as np
@@ -267,17 +268,17 @@ class TestSharedEncodeBroadcast:
 
     def test_update_rect_count_capped(self):
         scheduler, display, window, server = make_server(
-            max_update_rects=4, root_type=SpotColumn)
+            320, 240, root_type=SpotColumn)
         client = connect(scheduler, server)
         scheduler.run_until_idle()
         rects_before = server.sessions[0].rects_sent
-        # scatter damage widely: many disjoint fragments of real change
-        for i in range(12):
-            spot = Rect(i * 13 % 140, (i * 29) % 100, 5, 5)
+        # scatter damage widely: 40 spots, each in its own 16x16 tile
+        for i in range(40):
+            spot = Rect((i % 8) * 40 + 5, (i // 8) * 48 + 5, 5, 5)
             window.root.paint_spot(spot, (255, 40, (i * 20) % 255))
         scheduler.run_until_idle()
         sent = server.sessions[0].rects_sent - rects_before
-        assert 0 < sent <= 4
+        assert 0 < sent <= MAX_UPDATE_RECTS
         assert client.framebuffer == display.framebuffer
 
 

@@ -2,27 +2,8 @@
 
 import pytest
 
-from repro.graphics import Bitmap, default_font
-from repro.graphics.bitmap import average_color
-from repro.util import IdAllocator, guid_from_seed
-from repro.util.errors import GraphicsError
-
-
-class TestIdAllocator:
-    def test_sequential(self):
-        ids = IdAllocator("dev")
-        assert ids.next() == "dev-1"
-        assert ids.next() == "dev-2"
-        assert ids.next_int() == 3
-
-    def test_custom_start(self):
-        assert IdAllocator("x", start=10).next() == "x-10"
-
-    def test_independent_allocators(self):
-        a = IdAllocator("a")
-        b = IdAllocator("b")
-        a.next()
-        assert b.next() == "b-1"
+from repro.graphics import default_font
+from repro.util import guid_from_seed
 
 
 class TestGuids:
@@ -46,22 +27,6 @@ class TestGuids:
             guid_from_seed("x", length=100)
 
 
-class TestAverageColor:
-    def test_single_bitmap(self):
-        assert average_color([Bitmap(4, 4, fill=(10, 20, 30))]) == (
-            10, 20, 30)
-
-    def test_multiple_bitmaps_weighted_by_pixels(self):
-        small_dark = Bitmap(1, 1, fill=(0, 0, 0))
-        big_bright = Bitmap(3, 3, fill=(200, 200, 200))
-        r, g, b = average_color([small_dark, big_bright])
-        assert r == g == b == 180  # 9/10 of pixels are bright
-
-    def test_empty_rejected(self):
-        with pytest.raises(GraphicsError):
-            average_color([])
-
-
 class TestFontRender:
     def test_render_produces_exact_size(self):
         font = default_font(2)
@@ -71,7 +36,3 @@ class TestFontRender:
     def test_empty_string_has_min_width(self):
         image = default_font(1).render("", (0, 0, 0))
         assert image.width == 1
-
-    def test_line_height_exceeds_glyph_height(self):
-        font = default_font(1)
-        assert font.line_height > font.glyph_height

@@ -69,14 +69,16 @@ class TestMapping:
                    for x in range(spot.x, spot.x2)
                    for y in range(spot.y, spot.y2))
 
-    def test_has_pending_damage(self):
+    def test_composite_without_damage_skips_render(self):
         window = simple_window()
         server = DisplayServer(window)
-        assert server.has_pending_damage()
-        server.composite()
-        assert not server.has_pending_damage()
-        window.root.children[0].text = "changed"
-        assert server.has_pending_damage()
+        assert not server.composite().is_empty
+        version = server.frame_version
+        renders = []
+        window.render = lambda: renders.append(1)  # must not be entered
+        assert server.composite().is_empty
+        assert server.frame_version == version
+        assert renders == []
 
     def test_damage_callback_fires(self):
         window = simple_window()
