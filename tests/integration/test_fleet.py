@@ -11,6 +11,7 @@ import pytest
 from repro import Home, HomeFleet
 from repro.appliances import DimmableLight, MicrowaveOven, Television
 from repro.devices import Pda
+from repro.havi import FcmType
 from repro.util.errors import ProxyError
 
 
@@ -35,6 +36,21 @@ class TestTcpHome:
         reactor = home.reactor
         home.close()
         assert reactor.handle_count == 0, "all fds released on close"
+
+    def test_run_for_advances_a_tcp_homes_clock(self):
+        home = populate(Home(width=160, height=120, transport="tcp"), "t")
+        home.settle()
+        start = home.scheduler.now()
+        home.run_for(30.0)
+        assert home.scheduler.now() == pytest.approx(start + 30.0)
+        # the home still serves after the jump
+        lamp = home.appliances["lamp-t"].dcm.fcm_by_type(FcmType.LIGHT)
+        pda = home.devices["pda-t"]
+        frames = pda.frames_received
+        lamp.invoke_local("power.toggle")
+        home.settle()
+        assert pda.frames_received > frames
+        home.close()
 
     def test_multi_user_tcp_home_binds_surfaces_correctly(self):
         home = Home(width=160, height=120, transport="tcp")
@@ -197,6 +213,19 @@ class TestFleet:
         after = [s.endpoint.stats.bytes_sent for s in survivor_sessions]
         assert all(a > b for a, b in zip(after, before)), \
             "all surviving sessions kept receiving the broadcast"
+        fleet.close()
+
+    def test_turn_reports_whether_any_work_happened(self):
+        fleet = HomeFleet()
+        home = populate(fleet.add_home("h0"), 0)
+        fleet.settle()
+        assert fleet.turn() is False
+        pda = home.devices["pda-0"]
+        frames = pda.frames_received
+        lamp = home.appliances["lamp-0"].dcm.fcm_by_type(FcmType.LIGHT)
+        lamp.invoke_local("power.toggle")
+        assert fleet.turn() is True
+        assert fleet.run_until(lambda: pda.frames_received > frames)
         fleet.close()
 
     def test_close_is_idempotent_and_releases_everything(self):

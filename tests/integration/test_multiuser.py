@@ -105,6 +105,73 @@ class TestMultiUserProvisioning:
         home.settle()
         assert home.arbiter.holders.get("tv-panel") == "bob"
 
+    def test_remove_shared_device_drops_every_users_leg(self):
+        home, alice, bob = two_user_home()
+        alice.set_situation(UserSituation.on_the_sofa())
+        home.settle()
+        assert alice.current_output == "tv-panel"
+        panel = home.devices["tv-panel"]
+        home.remove_device("tv-panel")
+        home.settle()
+        assert "tv-panel" not in home.devices
+        assert "tv-panel" not in alice.proxy.devices
+        assert "tv-panel" not in bob.proxy.devices
+        assert panel.connected_proxies == ()
+        # alice's session fell back to one of her own devices
+        assert alice.current_output in ("alice-pda", "alice-phone")
+        # a resident who arrives later never gets a leg to it
+        home.add_user("carol")
+        home.settle()
+        assert panel.connected_proxies == ()
+
+    def test_remove_personal_device_reselects_only_its_owner(self):
+        home, alice, bob = two_user_home()
+        alice.context.reselect()
+        bob.context.reselect()
+        home.settle()
+        bob_output = bob.current_output
+        home.remove_device("alice-pda")
+        home.settle()
+        assert "alice-pda" not in home.devices
+        assert "alice-pda" not in alice.devices
+        assert "alice-pda" not in alice.proxy.devices
+        assert alice.current_output != "alice-pda"
+        assert alice.current_input != "alice-pda"
+        assert bob.current_output == bob_output
+
+    def test_failed_add_user_leaves_no_resident_behind(self):
+        home, alice, bob = two_user_home()
+        panel = home.devices["tv-panel"]
+        wall = home.add_device(WallDisplay("kitchen-wall", home.scheduler),
+                               shared=True)
+        home.settle()
+        views = list(home.views)
+        surfaces = list(home.uniint_server.surfaces)
+        legs = panel.connected_proxies
+        real_connect = wall.connect
+
+        def refuse(proxy, member=None):
+            raise ProxyError("wall refuses new proxies")
+
+        # the panel grows a leg to the newcomer's proxy, then the wall
+        # fails: provisioning must take the panel's leg back too
+        wall.connect = refuse
+        with pytest.raises(ProxyError, match="refuses"):
+            home.add_user("carol")
+        home.settle()
+        assert "carol" not in home.users
+        assert home.views == views
+        assert home.uniint_server.surfaces == surfaces
+        assert len(home.uniint_server.sessions) == 3
+        assert panel.connected_proxies == legs
+        # nothing of carol lingers: she can move in once the wall relents
+        wall.connect = real_connect
+        carol = home.add_user("carol")
+        home.settle()
+        assert carol.session.upstream.ready
+        assert "uniint-proxy-carol" in panel.connected_proxies
+        assert "uniint-proxy-carol" in wall.connected_proxies
+
     def test_bell_beeps_on_every_users_output_device(self):
         home = Home()
         home.add_appliance(MicrowaveOven("Oven"))

@@ -183,6 +183,19 @@ class TestCommandLog:
         assert sum(stats["terminal"].values()) == stats["submitted"] == 4
         assert stats["terminal"]["superseded"] == 1
 
+    def test_open_commands_lists_only_unfinished(self):
+        scheduler, _, _, responder, spine = rig(mode="silent")
+        first = spine.submit(responder.seid, "timer.add", {"n": 1},
+                             timeout_s=1.0)
+        second = spine.submit(responder.seid, "timer.add", {"n": 2},
+                              timeout_s=3.0)
+        assert spine.log.open_commands() == [first, second]
+        scheduler.run_for(2.0)
+        assert first.state is CommandState.TIMED_OUT
+        assert spine.log.open_commands() == [second]
+        scheduler.run_until_idle()
+        assert spine.log.open_commands() == []
+
     def test_journal_filters_by_origin(self):
         scheduler, _, _, responder, spine = rig()
         spine.submit(responder.seid, "a.op", origin="widget")

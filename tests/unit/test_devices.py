@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 import pytest
 
 from repro.devices import (
@@ -213,6 +215,36 @@ class TestDeviceBase:
         pda = Pda("p", Scheduler())
         with pytest.raises(ProxyError):
             pda.screen_luma()
+
+    def test_screen_luma_of_a_mono_phone_is_black_or_white(self):
+        from repro import Home
+        from repro.appliances import Television
+        home = Home()
+        home.add_appliance(Television("TV"))
+        phone = home.add_device(CellPhone("keitai", home.scheduler))
+        home.settle()
+        image = phone.screen_image
+        assert image.format == "mono1"
+        luma = phone.screen_luma()
+        assert luma.shape == (image.height, image.width)
+        assert set(np.unique(luma)) == {0.0, 255.0}
+
+    def test_screen_luma_of_an_rgb_panel_matches_the_frame(self):
+        from repro import Home
+        from repro.appliances import Television
+        from repro.devices import WallDisplay
+        from repro.graphics import ops
+        home = Home()
+        home.add_appliance(Television("TV"))
+        wall = home.add_device(WallDisplay("wall", home.scheduler))
+        home.default_user.move_to("kitchen")
+        home.settle()
+        assert wall.screen_image.format == "rgb888"
+        luma = wall.screen_luma()
+        assert luma.shape == (768, 1024)
+        # the 480x360 frame sits centred on the 1024x768 panel
+        frame = ops.to_grayscale(home.screenshot().bitmap)
+        assert np.allclose(luma[204:204 + 360, 272:272 + 480], frame)
 
 
 class TestDeviceTransportLeg:

@@ -32,6 +32,15 @@ class TestBitmap:
         with pytest.raises(GraphicsError):
             Bitmap(2, 2, fill=(300, 0, 0))
 
+    def test_get_pixel_takes_column_then_row(self):
+        bmp = Bitmap(4, 3)
+        bmp.pixels[1, 2] = (1, 2, 3)  # row 1, column 2
+        assert bmp.get_pixel(2, 1) == (1, 2, 3)
+        assert bmp.get_pixel(1, 2) == (0, 0, 0)
+        # plain ints: arithmetic on them does not wrap like uint8
+        r, _, _ = bmp.get_pixel(2, 1)
+        assert type(r) is int and r - 2 == -1
+
     def test_pixel_out_of_bounds(self):
         bmp = Bitmap(4, 4)
         with pytest.raises(GraphicsError):

@@ -238,6 +238,76 @@ class TestSessionSelfHealing:
         assert all(gap <= res.backoff_cap_s * 1.5 + 1e-9 for gap in gaps)
         assert max(gaps) > gaps[0]
 
+    def _redial_once_via(self, home, make_endpoint):
+        """Arm the next redial to dial ``make_endpoint`` once, then the
+        real server again."""
+        res = home.default_user.session.resilience
+        real_dial = res.dial
+
+        def dial():
+            res.dial = real_dial
+            return make_endpoint()
+
+        res.dial = dial
+        return res
+
+    def test_silent_redial_times_out_then_recovers(self):
+        home, pda = resilient_home()
+        user = home.default_user
+        silent = []
+
+        def into_silence():
+            pipe = make_pipe(home.scheduler, ETHERNET_100, name="silent")
+            silent.append(pipe)  # nobody serves the far end
+            return pipe.b
+
+        res = self._redial_once_via(home, into_silence)
+        user.session.upstream.endpoint.abort()
+        home.scheduler.run_until_idle()
+        assert res.attempt_failures == ["attempt 1: attempt timed out"]
+        assert res.reconnect_count == 1
+        assert user.session.upstream.ready
+        # the abandoned attempt was torn down, not left half-open
+        assert not silent[0].b.is_open
+        assert home.uniint_server.sessions_resumed == 1
+
+    def test_redial_dropped_mid_handshake_retries(self):
+        home, pda = resilient_home()
+        user = home.default_user
+
+        def hung_up():
+            pipe = make_pipe(home.scheduler, ETHERNET_100, name="hangup")
+            home.scheduler.call_later(0.01, pipe.a.close)
+            return pipe.b
+
+        res = self._redial_once_via(home, hung_up)
+        user.session.upstream.endpoint.abort()
+        home.scheduler.run_until_idle()
+        assert res.attempt_failures == [
+            "attempt 1: connection died mid-handshake"]
+        assert res.reconnect_count == 1
+        assert user.session.upstream.ready
+
+    def test_garbled_redial_is_one_more_retry(self):
+        home, pda = resilient_home()
+        user = home.default_user
+
+        def stranger():
+            pipe = make_pipe(home.scheduler, ETHERNET_100, name="stranger")
+            home.scheduler.call_later(
+                0.01, lambda: pipe.a.send(b"HTTP/1.1 400\n"))
+            return pipe.b
+
+        res = self._redial_once_via(home, stranger)
+        user.session.upstream.endpoint.abort()
+        home.scheduler.run_until_idle()
+        assert len(res.attempt_failures) == 1
+        assert res.attempt_failures[0].startswith(
+            "attempt 1: handshake failed: ")
+        assert res.reconnect_count == 1
+        assert not res.failed_permanently
+        assert user.session.upstream.ready
+
     def test_close_disables_resilience(self):
         home, pda = resilient_home()
         user = home.default_user

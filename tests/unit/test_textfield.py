@@ -3,6 +3,7 @@
 import pytest
 
 from repro.toolkit import Column, TextField, UIWindow
+from repro.toolkit.theme import DEFAULT_THEME
 from repro.uip import keysyms
 from repro.util.errors import ToolkitError
 
@@ -81,6 +82,33 @@ class TestTextField:
         window, field = field_window(text="abc")
         field.clear()
         assert field.text == ""
+        assert field.cursor == 0
+
+    def test_click_takes_focus_and_places_cursor(self):
+        window = UIWindow(200, 60)
+        col = Column()
+        first = col.add(TextField(text="first"))
+        field = col.add(TextField(text="hello"))
+        window.set_root(col)
+        window.layout()
+        assert window.focus is first
+        box = field.abs_rect()
+        advance = DEFAULT_THEME.font.advance
+        # text starts 4 px in: a click inside the third glyph puts the
+        # cursor before it
+        window.click(box.x + 4 + 2 * advance + 1, box.y + 2)
+        assert window.focus is field
+        assert field.cursor == 2
+        window.press_key(ord("X"))
+        assert field.text == "heXllo"
+
+    def test_click_outside_the_text_clamps_cursor(self):
+        window, field = field_window(text="abc")
+        window.layout()
+        box = field.abs_rect()
+        window.click(box.x + box.w - 2, box.y + 2)
+        assert field.cursor == 3
+        window.click(box.x + 1, box.y + 2)
         assert field.cursor == 0
 
     def test_bad_max_length(self):

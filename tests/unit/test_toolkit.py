@@ -374,6 +374,27 @@ class TestListBox:
             window.press_key(keysyms.DOWN)
         assert listbox.selected == 1
 
+    def test_page_keys_scroll_the_selection_into_view(self):
+        window = make_window()
+        col = Column()
+        listbox = col.add(ListBox([f"item{i}" for i in range(20)]))
+        window.set_root(col)
+        rows = listbox._visible_rows(DEFAULT_THEME)
+        assert rows < 20
+        window.press_key(keysyms.PAGE_DOWN)
+        assert listbox.selected == rows
+        assert listbox.scroll_top == 1  # the new row is the last visible
+        for _ in range(20):
+            window.press_key(keysyms.PAGE_DOWN)
+        assert listbox.selected == 19
+        assert listbox.scroll_top == 20 - rows
+        window.press_key(keysyms.PAGE_UP)
+        assert listbox.selected == 19 - rows
+        assert listbox.scroll_top == 19 - rows  # scrolled up to it
+        for _ in range(20):
+            window.press_key(keysyms.PAGE_UP)
+        assert (listbox.selected, listbox.scroll_top) == (0, 0)
+
     def test_empty_list(self):
         listbox = ListBox()
         assert listbox.selected_item is None

@@ -71,6 +71,23 @@ class TestPipeCredit:
         assert pipe.a.queued_bytes == 0
         assert pipe.a.stats.peak_queued_bytes == 1000
 
+    def test_stats_reset_starts_a_fresh_measurement(self):
+        sched = Scheduler()
+        pipe = make_pipe(sched, CELLULAR_PDC)
+        pipe.b.on_receive = lambda data: None
+        pipe.a.send(b"\x00" * 1000)
+        sched.run_until_idle()
+        pipe.a.stats.reset()
+        pipe.b.stats.reset()
+        assert pipe.a.stats == type(pipe.a.stats)()
+        pipe.a.send(b"\x00" * 300)
+        assert pipe.a.stats.peak_queued_bytes == 300
+        sched.run_until_idle()
+        assert (pipe.a.stats.bytes_sent, pipe.a.stats.messages_sent) == (
+            300, 1)
+        assert (pipe.b.stats.bytes_received,
+                pipe.b.stats.messages_received) == (300, 1)
+
     def test_writable_goes_false_at_high_watermark(self):
         sched = Scheduler()
         pipe = make_pipe(sched, CELLULAR_PDC)
