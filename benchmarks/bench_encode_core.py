@@ -1,4 +1,4 @@
-"""E9 — the vectorized encode core, frame differ, and tiered compression.
+"""E9 — the vectorized encode core, frame differ, and ZRLE compression.
 
 Claim operationalised: rebuilding RRE/HEXTILE around whole-array numpy
 operations makes the hot encode loop run at numpy speed instead of
@@ -9,8 +9,9 @@ The *before* side is the seed's scalar implementation (per-tile
 ``np.unique``, per-row run generator), embedded below verbatim so the
 comparison stays honest on any machine.  ``test_encode_core_speedup_and_
 records`` writes BENCH_ENCODE_CORE.json with before/after timings for the
-solid, panel-churn and noise workloads at 480x360 and 1280x720, plus the
-frame differ's bytes-on-wire ablation for the unchanged-redraw workload.
+solid, panel-churn and noise workloads at 480x360 and 1280x720, the
+frame differ's bytes-on-wire ablation for the unchanged-redraw workload,
+and ZRLE against HEXTILE over a churn sequence on the phone bearer.
 """
 
 from __future__ import annotations
@@ -24,23 +25,19 @@ import pytest
 
 from benchmarks.conftest import panel_frame
 from repro.graphics import Bitmap, RGB888, default_font
-from repro.net import CELLULAR_PDC, ETHERNET_100, LOOPBACK, make_pipe
-from repro.net.link import compression_tier
+from repro.net import CELLULAR_PDC, ETHERNET_100, make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
-from repro.server.uniint_server import _TIER_CANDIDATES
 from repro.toolkit import Column, Label, UIWindow
 from repro.uip import (
     HEXTILE,
-    RAW,
     RRE,
-    ZLIB,
     ZRLE,
     EncoderState,
-    best_encoding,
     encode_rect,
 )
 from repro.uip.encodings import (
+    ZLIB_LEVEL,
     _HEX_BG,
     _HEX_COLOURED,
     _HEX_FG,
@@ -215,11 +212,7 @@ def test_encode_core(benchmark, size, workload, codec):
     benchmark.extra_info["raw_bytes"] = packed.nbytes
 
 
-# -- tiered compression workloads --------------------------------------------
-
-
-_ENC_NAMES = {RAW: "raw", RRE: "rre", HEXTILE: "hextile", ZLIB: "zlib",
-              ZRLE: "zrle"}
+# -- compression workload ----------------------------------------------------
 
 
 def _churn_frames(width: int, height: int, rounds: int = 8) -> list:
@@ -242,12 +235,12 @@ def _churn_frames(width: int, height: int, rounds: int = 8) -> list:
     return frames
 
 
-def _sequence_cost(frames, encoding, tier) -> tuple[int, float]:
+def _sequence_cost(frames, encoding) -> tuple[int, float]:
     """(total wire bytes, best-of-3 encode seconds) over the sequence."""
     total = 0
     best = None
     for _ in range(3):
-        state = EncoderState(RGB888, use_cache=False, tier=tier)
+        state = EncoderState(RGB888, use_cache=False)
         run_total = 0
         start = time.perf_counter()
         for packed in frames:
@@ -343,16 +336,15 @@ def test_encode_core_speedup_and_records(smoke, record_dir):
     assert with_diff["bytes_per_round"] < without["bytes_per_round"]
     assert with_diff["tiles_dropped"] > 0
 
-    # the tiered-compression experiment: an 8-frame churn sequence over
-    # the phone bearer, hextile vs zrle through persistent session state
+    # the compression experiment: an 8-frame churn sequence over the
+    # phone bearer, hextile vs zrle through persistent session state
     frames = _churn_frames(480, 360, rounds=3 if smoke else 8)
-    tier = compression_tier(CELLULAR_PDC)
-    hex_bytes, hex_s = _sequence_cost(frames, HEXTILE, tier)
-    zrle_bytes, zrle_s = _sequence_cost(frames, ZRLE, tier)
+    hex_bytes, hex_s = _sequence_cost(frames, HEXTILE)
+    zrle_bytes, zrle_s = _sequence_cost(frames, ZRLE)
     results["compression"] = {
         "panel-churn/480x360/cellular-pdc": {
             "frames": len(frames),
-            "tier": tier,
+            "zlib_level": ZLIB_LEVEL,
             "hextile_bytes": hex_bytes,
             "zrle_bytes": zrle_bytes,
             "wire_reduction": hex_bytes / zrle_bytes,
@@ -368,34 +360,14 @@ def test_encode_core_speedup_and_records(smoke, record_dir):
     if not smoke:
         assert row["encode_cost_ratio"] <= 1.2, row
 
-    # adaptive selection: what each bearer's session actually picks,
-    # mirroring ServerSession's tier seeding and cost-model scoring
-    results["adaptive_selection"] = {}
-    for profile in (LOOPBACK, CELLULAR_PDC):
-        link_tier = compression_tier(profile)
-        candidates = _TIER_CANDIDATES[link_tier]
-        state = EncoderState(RGB888, use_cache=False, tier=link_tier)
-        if link_tier == 0:
-            chosen = candidates[0]  # cheap link: static pick, no trials
-        else:
-            costs: dict = {}
-            chosen = best_encoding(state, frames[-1], candidates,
-                                   profile=profile, encode_costs=costs)
-        results["adaptive_selection"][profile.name] = {
-            "tier": link_tier,
-            "chosen": _ENC_NAMES[chosen],
-        }
-    assert (results["adaptive_selection"]["loopback"]["chosen"]
-            != results["adaptive_selection"]["cellular-pdc"]["chosen"])
-
     # written in smoke mode too (tiny workloads, still every key, under
     # benchmarks/.smoke/): the bench-smoke CI job asserts the compression
     # keys are present
     out_path = record_dir / "BENCH_ENCODE_CORE.json"
     out_path.write_text(json.dumps({
         "experiment": "vectorized encode core vs seed scalar encoders; "
-                      "tile-grid frame differ ablation; tiered zrle "
-                      "compression + adaptive per-link selection",
+                      "tile-grid frame differ ablation; zrle vs hextile "
+                      "wire bytes on the phone bearer",
         "pixel_format": "rgb888",
         "workloads": ["solid", "panel-churn", "noise",
                       "unchanged-redraw (480x360, 12-label panel)",

@@ -46,12 +46,6 @@ class TileDiffer:
         self.tiles_checked = 0
         self.tiles_dropped = 0
 
-    # -- shadow lifecycle ---------------------------------------------------
-
-    def reset(self) -> None:
-        """Forget the shadow; the next refine passes damage through."""
-        self._shadow = None
-
     # -- refinement ---------------------------------------------------------
 
     def refine(self, framebuffer: Bitmap,

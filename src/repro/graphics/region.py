@@ -243,9 +243,6 @@ class Region:
             result.extend(existing.subtract(rect))
         self._rects = result
 
-    def clear(self) -> None:
-        self._rects = []
-
     # -- queries ------------------------------------------------------------------
 
     @property
@@ -290,9 +287,6 @@ class Region:
 
     def contains_point(self, px: int, py: int) -> bool:
         return any(rect.contains_point(px, py) for rect in self._rects)
-
-    def intersects(self, rect: Rect) -> bool:
-        return any(rect.intersects(existing) for existing in self._rects)
 
     def copy(self) -> "Region":
         region = Region()

@@ -257,7 +257,3 @@ class DescriptorCache:
             del self._entries[key]
         self.invalidations += len(doomed)
         return len(doomed)
-
-    def clear(self) -> None:
-        self.invalidations += len(self._entries)
-        self._entries.clear()

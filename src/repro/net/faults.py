@@ -248,10 +248,6 @@ class FaultyTransport:
         return self.inner.stats
 
     @property
-    def profile(self):
-        return self.inner.profile
-
-    @property
     def on_receive(self):
         return self.inner.on_receive
 

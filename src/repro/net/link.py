@@ -54,26 +54,6 @@ class LinkProfile:
         return rng.random() < self.loss
 
 
-def compression_tier(profile: LinkProfile) -> int:
-    """The compression effort a bearer is worth, from its byte cost.
-
-    Tier 0: wire time is negligible next to encode time (Ethernet,
-    loopback) — spend no extra CPU.  Tier 1: bytes have a visible cost
-    (Bluetooth-class) — balanced compression.  Tier 2: every byte hurts
-    (the paper's 9600 bps phone leg, IrDA) — maximum compression.
-
-    Thresholds are seconds of line time per kilobyte: one KB at 50 ms is
-    already user-visible latency on an interactive panel, at 5 ms it is
-    borderline, below that it is free.
-    """
-    seconds_per_kb = profile.transmission_time(1024)
-    if seconds_per_kb >= 0.05:
-        return 2
-    if seconds_per_kb >= 0.005:
-        return 1
-    return 0
-
-
 #: In-process control path; effectively instantaneous.
 LOOPBACK = LinkProfile("loopback", latency_s=5e-6, bandwidth_bps=8e9)
 

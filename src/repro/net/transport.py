@@ -162,10 +162,6 @@ class Transport:
     def is_open(self) -> bool:
         return self._open
 
-    @property
-    def profile(self) -> LinkProfile:
-        return self._profile
-
     def send(self, data: Payload) -> None:
         """Queue ``data`` (one bytes-like or a chunk list) for the peer."""
         if not self._open:
@@ -205,15 +201,6 @@ class Transport:
     def credit_limit(self) -> int:
         """The high watermark: :attr:`writable` is false at/above it."""
         return self._high_water
-
-    def backlog_seconds(self) -> float:
-        """Seconds of line time the queued backlog represents.
-
-        The adaptive encoder selection's "how far behind is this link"
-        cost input: queued bytes divided through the bearer's bandwidth.
-        Zero on an idle (or infinitely fast) link.
-        """
-        return self._profile.transmission_time(self._queued)
 
     @property
     def writable(self) -> bool:

@@ -38,9 +38,10 @@ from repro.uip.messages import (
 )
 from repro.util.errors import ProtocolError
 
-#: Default encodings offered, best first.  HEXTILE stays first (the
-#: non-adaptive server honours client order), with the zlib-stream family
-#: behind it for link-adaptive servers to promote when the bearer warrants.
+#: Default encodings offered, best first.  The server encodes with the
+#: first one it supports, so HEXTILE leads: cheap to encode, and bytes are
+#: cheap on the home LAN the UIP leg rides.  A client on a slow bearer
+#: offers ZRLE first instead.
 DEFAULT_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW,
                      enc.DESKTOP_SIZE)
 

@@ -18,7 +18,11 @@ Update pipeline (the damage-tracking fast path):
    update is never concatenated.  Sessions on different surfaces never
    share (or pay for) each other's frames; ZLIB sessions keep per-session
    streams and skip the shared path.
-4. Sessions honour transport credit (*backpressure*): while a slow link
+4. Each session encodes every rect with the first encoding its client
+   offered (``SetEncodings``) that the server supports — RFB's own
+   negotiation.  The client knows its leg: one on a slow bearer offers
+   ZRLE first, one on the home LAN offers HEXTILE first.
+5. Sessions honour transport credit (*backpressure*): while a slow link
    is saturated past its bandwidth-delay-derived watermark, new damage is
    folded back into the session's pending region instead of queueing a
    stale update, and one merged freshest update goes out when the link
@@ -34,14 +38,12 @@ frames stay isolated per user.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.graphics.differ import TileDiffer
 from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.graphics.region import Rect, Region
-from repro.net.link import compression_tier
 from repro.net.transport import Transport
 from repro.uip import encodings as enc
 from repro.uip.handshake import VERSION_1_1, ServerHandshake
@@ -65,7 +67,8 @@ from repro.util.errors import ProtocolError
 from repro.util.scheduler import Scheduler
 from repro.windows.server import DisplayServer
 
-#: Encodings the server can produce, in its own preference order.
+#: Encodings the server can produce.  A session encodes with the first of
+#: its client's offered encodings that appears here.
 SUPPORTED_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW)
 
 #: Encodings whose payload depends only on (pixel format, pixels) — safe to
@@ -79,40 +82,6 @@ SHAREABLE_ENCODINGS = frozenset(
 
 #: Fragmentation cap applied when coalescing damage into one update.
 MAX_UPDATE_RECTS = 16
-
-#: Link-adaptive candidate preference per compression tier, best first.
-#: Intersected with the client's offered encodings; cost-model ties
-#: resolve to this order.  Tier 0 (wire is free) never trials — the first
-#: match wins outright; tier 2 leads with the heavy compressors.
-_TIER_CANDIDATES = {
-    0: (enc.HEXTILE, enc.RRE, enc.RAW),
-    1: (enc.HEXTILE, enc.ZRLE, enc.RRE, enc.ZLIB, enc.RAW),
-    2: (enc.ZRLE, enc.ZLIB, enc.HEXTILE, enc.RRE, enc.RAW),
-}
-
-#: Sends withheld at one tier before a link-adaptive session escalates.
-_ESCALATE_AFTER = 3
-
-
-@dataclass(frozen=True)
-class LinkHealth:
-    """One session's link condition, in one structure.
-
-    The adaptive re-evaluation reads this to decide whether to shift
-    toward heavier compression, and it is what dashboards should export:
-    the bearer's identity, the session's current compression posture, and
-    the accumulated backpressure evidence (sends withheld, raw-equivalent
-    bytes kept off the wire, seconds of line time currently queued).
-    """
-
-    profile: str
-    bandwidth_bps: float
-    tier: int
-    active_encoding: Optional[int]
-    updates_coalesced: int
-    bytes_suppressed: int
-    backlog_s: float
-    reevaluations: int
 
 
 @dataclass
@@ -161,9 +130,8 @@ class ServerSurface:
         self._update_cache: dict[tuple, list[bytes]] = {}
         # One content-keyed encode cache shared by every session on this
         # surface: stateless payloads and ZRLE tile streams (keys include
-        # pixel format and, for tiered codecs, the tier) are encoded once
-        # per surface, however many sessions — and at whatever tiers —
-        # watch it.
+        # the pixel format) are encoded once per surface, however many
+        # sessions watch it.
         self.encode_cache = enc.EncodeCache()
         display.on_damage = self._on_display_damage
 
@@ -240,11 +208,7 @@ class ServerSurface:
         if not shareable:
             return update.encode_chunks(session._encoder)
         self._sync_caches()
-        # The tier keys the group: sessions at different compression tiers
-        # never alias each other's chunk lists (today's shareable payloads
-        # are tier-independent, but the grouping is (surface, pixel format,
-        # encoding tier) by contract).
-        key = (session.pixel_format, session._encoder.tier,
+        key = (session.pixel_format,
                tuple((r.rect, r.encoding) for r in update.rects))
         chunks = self._update_cache.get(key)
         if chunks is None:
@@ -268,41 +232,17 @@ class ServerSession:
     surface's damage reaches it."""
 
     def __init__(self, server: "UniIntServer", endpoint: Transport,
-                 session_id: int, surface: ServerSurface) -> None:
+                 surface: ServerSurface) -> None:
         self.server = server
         self.endpoint = endpoint
-        self.session_id = session_id
         self.surface = surface
         display = surface.display
         self._handshake = ServerHandshake(
             display.framebuffer.width, display.framebuffer.height,
             RGB888, server.name, secret=server.secret)
         self.pixel_format: PixelFormat = RGB888
-        #: The bearer this session rides — the adaptive cost model's input.
-        self.link_profile = endpoint.profile
-        #: Compression tier (see enc.COMPRESSION_TIERS).  Link-adaptive
-        #: servers seed it from the bearer: cheap CPU on Ethernet/loopback,
-        #: max compression on the 9600 bps phone leg; otherwise the
-        #: tier-1 default preserves the classic level-6 zlib stream.
-        self._tier = (compression_tier(self.link_profile)
-                      if server.link_adaptive else 1)
-        self._encoder = enc.EncoderState(RGB888, cache=surface.encode_cache,
-                                         tier=self._tier)
+        self._encoder = enc.EncoderState(RGB888, cache=surface.encode_cache)
         self.encodings: tuple[int, ...] = (enc.RAW,)
-        #: Link-adaptive candidate order (tier preference ∩ client offer).
-        self._candidates: tuple[int, ...] = (enc.RAW,)
-        #: Measured per-encoding encode seconds (EMA), the cost model's
-        #: CPU term.
-        self._encode_costs: dict[int, float] = {}
-        #: True once backpressure proved the declared profile optimistic:
-        #: selection then minimises wire bytes outright.
-        self._wire_constrained = False
-        #: updates_coalesced watermark the escalation logic last acted at.
-        self._tier_baseline = 0
-        #: Times the adaptive selection re-seeded (tier escalations).
-        self.reevaluations = 0
-        #: Rects sent per encoding (what the link actually got).
-        self.rects_by_encoding: Counter[int] = Counter()
         self._decoder = ClientMessageDecoder()
         self._pending = Region()
         self._update_requested = False
@@ -339,9 +279,6 @@ class ServerSession:
         if self.closed:
             return
         if not self._handshake.done:
-            if self._handshake.failed is not None:
-                self.close()
-                return
             self._handshake.feed(data)
             self._flush_handshake()
             if self._handshake.failed is not None:
@@ -404,7 +341,6 @@ class ServerSession:
                 # a 001.000 peer cannot decode ZRLE, whatever it offered
                 wanted = [e for e in wanted if e != enc.ZRLE]
             self.encodings = tuple(wanted) if wanted else (enc.RAW,)
-            self._seed_candidates()
         elif isinstance(message, FramebufferUpdateRequest):
             if not message.incremental:
                 self._pending.add(message.rect.intersect(
@@ -445,38 +381,6 @@ class ServerSession:
                 return encoding
         return enc.RAW
 
-    def _seed_candidates(self) -> None:
-        """Re-derive the link-adaptive candidate order.
-
-        Tier preference intersected with what the client offered; called
-        whenever either side changes (SetEncodings, resume, escalation).
-        """
-        offered = set(self.encodings)
-        self._candidates = tuple(
-            e for e in _TIER_CANDIDATES[self._tier] if e in offered
-        ) or (enc.RAW,)
-
-    def _encode_rect(self, packed) -> tuple[int, object]:
-        """(encoding, payload-array) for one rect.
-
-        Link-adaptive mode scores the tier's candidates with the bearer
-        cost model (wire seconds + measured encode seconds); stateful
-        codecs are trialled on stream clones, so losing trials never touch
-        the live zlib stream.  Tier 0 skips the trials entirely — on a
-        link where bytes are free, the first preferred codec wins outright.
-        Otherwise the client's first supported encoding is used.
-        """
-        if self.server.link_adaptive:
-            candidates = self._candidates
-            if len(candidates) == 1 or self._tier == 0:
-                return (candidates[0], packed)
-            profile = (None if self._wire_constrained else self.link_profile)
-            return (enc.best_encoding(self._encoder, packed, candidates,
-                                      profile=profile,
-                                      encode_costs=self._encode_costs),
-                    packed)
-        return (self._pick_encoding(), packed)
-
     def _on_writable(self) -> None:
         """Link credit freed up: retry a send deferred by backpressure."""
         self._try_send()
@@ -507,8 +411,6 @@ class ServerSession:
             # queue of stale intermediates.
             self.updates_coalesced += 1
             self.bytes_suppressed += self._suppressed_estimate()
-            if self.server.link_adaptive:
-                self._maybe_escalate()
             return
         rects: list[RectUpdate] = []
         if resized:
@@ -518,13 +420,13 @@ class ServerSession:
             self._known_size = display.framebuffer.size
             self._pending = Region([display.framebuffer.bounds])
         bounds = display.framebuffer.bounds
+        encoding = self._pick_encoding()
         for rect in self._pending.coalesced(MAX_UPDATE_RECTS):
             clipped = rect.intersect(bounds)
             if clipped.is_empty:
                 continue
             packed = self.surface._packed_for(clipped, self.pixel_format)
-            encoding, payload = self._encode_rect(packed)
-            rects.append(RectUpdate(clipped, encoding, payload))
+            rects.append(RectUpdate(clipped, encoding, packed))
         self._pending = Region()
         self._update_requested = False
         if not rects:
@@ -535,66 +437,6 @@ class ServerSession:
             self.endpoint.send(chunks)
             self.updates_sent += 1
             self.rects_sent += len(rects)
-            for rect_update in rects:
-                self.rects_by_encoding[rect_update.encoding] += 1
-
-    # -- link health & adaptive re-evaluation -----------------------------------
-
-    def link_health(self) -> LinkHealth:
-        """This session's bearer condition as one snapshot (see
-        :class:`LinkHealth`)."""
-        active = None
-        if self.rects_by_encoding:
-            active = max(self.rects_by_encoding,
-                         key=self.rects_by_encoding.__getitem__)
-        backlog = (self.endpoint.backlog_seconds()
-                   if self.endpoint.is_open else 0.0)
-        return LinkHealth(
-            profile=self.link_profile.name,
-            bandwidth_bps=self.link_profile.bandwidth_bps,
-            tier=self._tier,
-            active_encoding=active,
-            updates_coalesced=self.updates_coalesced,
-            bytes_suppressed=self.bytes_suppressed,
-            backlog_s=backlog,
-            reevaluations=self.reevaluations,
-        )
-
-    def stats(self) -> dict:
-        """Session counters plus the :class:`LinkHealth` snapshot."""
-        return {
-            "session_id": self.session_id,
-            "updates_sent": self.updates_sent,
-            "rects_sent": self.rects_sent,
-            "key_events": self.key_events,
-            "pointer_events": self.pointer_events,
-            "rects_by_encoding": dict(self.rects_by_encoding),
-            "link_health": self.link_health(),
-        }
-
-    def _maybe_escalate(self) -> None:
-        """Shift toward heavier compression when the link keeps choking.
-
-        Reads the :class:`LinkHealth` snapshot the stats surface exposes:
-        once enough sends have been withheld since the last decision, the
-        session climbs one tier, re-seeds its candidate order, and marks
-        itself wire-constrained — the declared bearer profile evidently
-        understates the real byte cost, so selection now minimises wire
-        bytes outright.
-        """
-        health = self.link_health()
-        if health.updates_coalesced - self._tier_baseline < _ESCALATE_AFTER:
-            return
-        self._tier_baseline = health.updates_coalesced
-        changed = not self._wire_constrained
-        self._wire_constrained = True
-        if self._tier < max(enc.COMPRESSION_TIERS):
-            self._tier += 1
-            self._encoder.set_tier(self._tier)
-            changed = True
-        if changed:
-            self.reevaluations += 1
-            self._seed_candidates()
 
 
 class UniIntServer:
@@ -610,7 +452,6 @@ class UniIntServer:
                  scheduler: Scheduler,
                  name: str = "home-appliances",
                  secret: Optional[str] = None,
-                 link_adaptive: bool = False,
                  shared_encode: bool = True,
                  tile_diff: bool = True,
                  backpressure: bool = True,
@@ -634,13 +475,6 @@ class UniIntServer:
         self.sessions_resumed = 0
         self.sessions_expired = 0
         self.resume_misses = 0
-        #: Per-link adaptive encoder selection: each session seeds its
-        #: compression tier and candidate order from its transport's
-        #: LinkProfile, scores candidates with the bearer cost model
-        #: (trialling stateful codecs on stream clones), and escalates
-        #: tiers as backpressure accumulates.  Off by default: wire
-        #: behaviour is then bit-identical to the pre-tier server.
-        self.link_adaptive = link_adaptive
         #: Encode each update once per (surface, pixel format, rect list)
         #: and fan the bytes out to every session sharing that config
         #: (ablation toggle).
@@ -656,7 +490,6 @@ class UniIntServer:
         #: The multiplexed surfaces, in attach order; ``surfaces[0]`` is
         #: the default surface legacy single-display entry points use.
         self.surfaces: list[ServerSurface] = []
-        self._next_session = 1
         self._next_surface = 1
         self._flush_scheduled = False
         # statistics for the scale experiments (bench_home_scale);
@@ -721,14 +554,12 @@ class UniIntServer:
         elif surface not in self.surfaces:
             raise ProtocolError(f"surface #{surface.surface_id} "
                                 f"is not attached to this server")
-        session = ServerSession(self, endpoint, self._next_session, surface)
-        self._next_session += 1
+        session = ServerSession(self, endpoint, surface)
         surface.sessions.append(session)
         return session
 
     def listen(self, reactor, member=None, surface_for=None,
-               host: str = "127.0.0.1", port: int = 0,
-               profile=None):
+               host: str = "127.0.0.1", port: int = 0):
         """Accept UIP clients over a real TCP listening socket.
 
         Each accepted connection becomes a reactor-registered
@@ -742,11 +573,9 @@ class UniIntServer:
         from repro.net.reactor import TcpListener
         from repro.net.transport import SocketTransport
 
-        link_profile = profile if profile is not None else ETHERNET_100
-
         def on_accept(conn, addr):
             transport = SocketTransport(
-                self.scheduler, conn, link_profile,
+                self.scheduler, conn, ETHERNET_100,
                 name=f"{self.name}-tcp-{addr[1]}",
                 reactor=reactor, member=member)
             surface = (surface_for(conn, addr)
@@ -825,7 +654,6 @@ class UniIntServer:
         session.pixel_format = parked.pixel_format
         session._encoder.renegotiate(parked.pixel_format)
         session.encodings = parked.encodings
-        session._seed_candidates()
         target = parked.surface
         if target is not session.surface and target in self.surfaces:
             session.surface.sessions.remove(session)
@@ -902,13 +730,3 @@ class UniIntServer:
     @property
     def diff_tiles_checked(self) -> int:
         return sum(s._differ.tiles_checked for s in self.surfaces)
-
-    @property
-    def updates_coalesced(self) -> int:
-        """Sends withheld by backpressure across live sessions."""
-        return sum(s.updates_coalesced for s in self.sessions)
-
-    @property
-    def bytes_suppressed(self) -> int:
-        """Raw-equivalent bytes kept off saturated links (live sessions)."""
-        return sum(s.bytes_suppressed for s in self.sessions)

@@ -9,7 +9,7 @@ back.  This package is a complete RFB-class binary protocol:
   (:mod:`repro.uip.handshake`),
 * pixel-format negotiation (:mod:`repro.graphics.pixelformat`),
 * framebuffer-update encodings RAW / COPYRECT / RRE / HEXTILE / ZLIB /
-  ZRLE, with tiered compression (:mod:`repro.uip.encodings`),
+  ZRLE (:mod:`repro.uip.encodings`),
 * the client and server message vocabularies with incremental byte-stream
   decoders (:mod:`repro.uip.messages`),
 * X11-style keysyms for the universal input events (:mod:`repro.uip.keysyms`).
@@ -21,7 +21,6 @@ server, bitmap output, key/pointer input) without claiming interoperability.
 
 from repro.uip import keysyms
 from repro.uip.encodings import (
-    COMPRESSION_TIERS,
     COPYRECT,
     DESKTOP_SIZE,
     HEXTILE,
@@ -33,7 +32,6 @@ from repro.uip.encodings import (
     DecoderState,
     EncodeCache,
     EncoderState,
-    best_encoding,
     decode_rect,
     decode_zrle_tiles,
     encode_rect,
@@ -67,7 +65,6 @@ from repro.uip.messages import (
 
 __all__ = [
     "Bell",
-    "COMPRESSION_TIERS",
     "COPYRECT",
     "ClientCutText",
     "ClientHandshake",
@@ -99,7 +96,6 @@ __all__ = [
     "VERSION_1_1",
     "ZLIB",
     "ZRLE",
-    "best_encoding",
     "decode_rect",
     "decode_zrle_tiles",
     "encode_rect",

@@ -31,7 +31,6 @@ Implemented encodings (numbered as in RFB for familiarity):
 from __future__ import annotations
 
 import hashlib
-import time
 import zlib
 from collections import OrderedDict
 
@@ -51,19 +50,11 @@ DESKTOP_SIZE = -223
 
 #: Encodings whose wire payload rides a persistent per-session zlib
 #: stream: position-dependent, so the final payload is never cacheable
-#: and real (non-trial) encodes advance the stream.
+#: and every encode advances the stream.
 STATEFUL_ENCODINGS = frozenset((ZLIB, ZRLE))
 
-#: Compression tiers: tier -> (zlib level, consider RLE subencodings).
-#: Tier 1 is the default and matches the pre-tier behaviour (level 6);
-#: tier 0 trades bytes for CPU on fast links, tier 2 squeezes hardest
-#: for the phone/IrDA bearers.  ``repro.net.link.compression_tier`` maps
-#: a LinkProfile onto this table.
-COMPRESSION_TIERS = {
-    0: (2, False),
-    1: (6, True),
-    2: (9, True),
-}
+#: The deflate level of every session's persistent zlib stream.
+ZLIB_LEVEL = 6
 
 _TILE = 16
 _ZRLE_TILE = 64
@@ -79,14 +70,13 @@ _HEX_COLOURED = 16
 class EncodeCache:
     """Content-keyed LRU of encoded rect payloads.
 
-    Keys are ``(encoding, pixel_format, shape, digest-of-pixels)`` — plus
-    the compression tier for tiered codecs — so a hit is only possible when
-    the exact same pixels are re-encoded with the same parameters:
-    re-damaged-but-unchanged tiles (blinking widgets, toggling panels) skip
-    the whole encode.  ZLIB payloads are never cached (the persistent
-    deflate stream makes each encode position-dependent); ZRLE caches its
-    position-*independent* tile stream and pays only the per-session
-    deflate on a hit.
+    Keys are ``(encoding, pixel_format, shape, digest-of-pixels)``, so a
+    hit is only possible when the exact same pixels are re-encoded with
+    the same parameters: re-damaged-but-unchanged tiles (blinking widgets,
+    toggling panels) skip the whole encode.  ZLIB payloads are never
+    cached (the persistent deflate stream makes each encode
+    position-dependent); ZRLE caches its position-*independent* tile
+    stream and pays only the per-session deflate on a hit.
 
     Bounded both by entry count and by total payload bytes so one huge RAW
     frame cannot evict an entire panel's worth of small RRE payloads.
@@ -119,15 +109,6 @@ class EncodeCache:
         self.hits += 1
         return payload
 
-    def peek(self, key: tuple) -> bytes | None:
-        """Like :meth:`get` but stats-neutral and without LRU promotion.
-
-        Trial encodes (adaptive mode's ``best_encoding``) use this so that
-        probing candidates neither inflates the miss count nor reorders the
-        eviction queue.
-        """
-        return self._entries.get(key)
-
     def put(self, key: tuple, payload: bytes) -> None:
         if len(payload) > self.max_bytes:
             return  # would evict everything for one entry
@@ -141,58 +122,20 @@ class EncodeCache:
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= len(evicted)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-
 
 class EncoderState:
-    """Per-session encoder state: pixel format, compression tier,
-    persistent zlib stream, and the content-keyed encode cache."""
+    """Per-session encoder state: pixel format, persistent zlib stream,
+    and the content-keyed encode cache."""
 
     def __init__(self, pixel_format: PixelFormat,
                  cache: EncodeCache | None = None,
-                 use_cache: bool = True,
-                 tier: int = 1) -> None:
+                 use_cache: bool = True) -> None:
         self.pixel_format = pixel_format
-        if tier not in COMPRESSION_TIERS:
-            raise ProtocolError(f"unknown compression tier {tier}")
-        self.tier = tier
-        self._deflater = zlib.compressobj(self.level)
-        # True once the live stream has emitted bytes: the peer's
-        # persistent inflater is then mid-stream and the deflate level is
-        # pinned until the next renegotiation.
-        self._deflate_started = False
+        self._deflater = zlib.compressobj(ZLIB_LEVEL)
         # Hextile background/foreground persist across tiles of one rect
         # only (reset per encode call) to keep rects independently decodable.
         self.cache = cache if cache is not None else (
             EncodeCache() if use_cache else None)
-
-    @property
-    def level(self) -> int:
-        """The zlib level of this tier."""
-        return COMPRESSION_TIERS[self.tier][0]
-
-    @property
-    def rle(self) -> bool:
-        """Whether ZRLE considers the RLE subencodings at this tier."""
-        return COMPRESSION_TIERS[self.tier][1]
-
-    def set_tier(self, tier: int) -> None:
-        """Adopt a compression tier (adaptive escalation path).
-
-        The ZRLE subencoding search follows the new tier immediately; the
-        deflate level can only follow while the live stream is untouched —
-        once bytes have flowed, the peer's inflater is committed to the
-        stream and the level stays pinned until :meth:`renegotiate`.
-        """
-        if tier not in COMPRESSION_TIERS:
-            raise ProtocolError(f"unknown compression tier {tier}")
-        if tier == self.tier:
-            return
-        self.tier = tier
-        if not self._deflate_started:
-            self._deflater = zlib.compressobj(self.level)
 
     def renegotiate(self, pixel_format: PixelFormat) -> None:
         """Adopt a renegotiated wire pixel format, keeping the encode cache.
@@ -202,37 +145,16 @@ class EncoderState:
         back); only the position-dependent zlib stream must restart.
         """
         self.pixel_format = pixel_format
-        self._deflater = zlib.compressobj(self.level)
-        self._deflate_started = False
+        self._deflater = zlib.compressobj(ZLIB_LEVEL)
 
-    def trial_deflater(self):
-        """A throwaway clone of the live deflate stream.
-
-        Trial encodes (``best_encoding`` sizing a stateful candidate)
-        compress through the clone, so a losing trial never advances the
-        live stream — the subsequent real encode is byte-identical to one
-        with no trial at all.
-        """
-        return self._deflater.copy()
-
-    def deflate(self, data: bytes, deflater=None) -> bytes:
-        if deflater is None:
-            deflater = self._deflater
-            self._deflate_started = True
-        return deflater.compress(data) + deflater.flush(zlib.Z_SYNC_FLUSH)
+    def deflate(self, data: bytes) -> bytes:
+        return (self._deflater.compress(data)
+                + self._deflater.flush(zlib.Z_SYNC_FLUSH))
 
     def cache_key(self, packed: np.ndarray, encoding: int) -> tuple:
-        """The content key ``encode_rect`` caches payloads under.
-
-        Tiered codecs get the tier in the key: a ZRLE tile stream built
-        with tier-0 parameters (no RLE search) must never satisfy a tier-2
-        session sharing the same cache.
-        """
+        """The content key ``encode_rect`` caches payloads under."""
         digest = hashlib.blake2b(
             np.ascontiguousarray(packed).data, digest_size=16).digest()
-        if encoding in STATEFUL_ENCODINGS:
-            return (encoding, self.tier, self.pixel_format, packed.shape,
-                    digest)
         return (encoding, self.pixel_format, packed.shape, digest)
 
 
@@ -795,13 +717,15 @@ def _zrle_unpack_indices(cursor: Cursor, height: int, width: int,
     return idx[:, :width]
 
 
-def _zrle_encode_tile(out: bytearray, tile: np.ndarray, pf: PixelFormat,
-                      rle: bool) -> None:
-    """Append one tile's cheapest subencoding to the stream.
+def _zrle_encode_tile(out: bytearray, tile: np.ndarray,
+                      pf: PixelFormat) -> None:
+    """Append one non-solid tile's cheapest subencoding to the stream.
 
     Candidate sizes are computed arithmetically *before* any body is
     built, so noise tiles go straight to raw without ever materialising
     an RLE body, and panel tiles build exactly one representation.
+    Solid tiles never get here: :func:`encode_zrle_tiles` emits them
+    from its min/max pass.
     """
     th, tw = tile.shape
     ps = pf.bytes_per_pixel
@@ -813,10 +737,6 @@ def _zrle_encode_tile(out: bytearray, tile: np.ndarray, pf: PixelFormat,
     run_values, run_lengths = _flat_runs(flat)
     uniques = np.unique(run_values)
     palette_size = int(uniques.size)
-    if palette_size == 1:
-        out.append(_ZRLE_SOLID)
-        out += _pixel_bytes(int(uniques[0]), pf)
-        return
     best = _ZRLE_RAW
     best_size = area * ps
     if palette_size <= 16:
@@ -824,18 +744,16 @@ def _zrle_encode_tile(out: bytearray, tile: np.ndarray, pf: PixelFormat,
                        + th * ((tw * _zrle_bpp(palette_size) + 7) // 8))
         if packed_size < best_size:
             best, best_size = palette_size, packed_size
-    extra_ff = tail = None
-    if rle:
-        extra_ff, tail = np.divmod(run_lengths - 1, 255)
-        length_bytes = extra_ff + 1
-        plain_size = run_values.size * ps + int(length_bytes.sum())
-        if plain_size < best_size:
-            best, best_size = _ZRLE_PLAIN_RLE, plain_size
-        if palette_size <= 127:
-            pal_size = palette_size * ps + int(
-                np.where(run_lengths == 1, 1, 1 + length_bytes).sum())
-            if pal_size < best_size:
-                best, best_size = _ZRLE_PLAIN_RLE + palette_size, pal_size
+    extra_ff, tail = np.divmod(run_lengths - 1, 255)
+    length_bytes = extra_ff + 1
+    plain_size = run_values.size * ps + int(length_bytes.sum())
+    if plain_size < best_size:
+        best, best_size = _ZRLE_PLAIN_RLE, plain_size
+    if palette_size <= 127:
+        pal_size = palette_size * ps + int(
+            np.where(run_lengths == 1, 1, 1 + length_bytes).sum())
+        if pal_size < best_size:
+            best, best_size = _ZRLE_PLAIN_RLE + palette_size, pal_size
     if best == _ZRLE_RAW:
         out.append(_ZRLE_RAW)
         out += np.ascontiguousarray(tile).tobytes()
@@ -923,12 +841,11 @@ def _zrle_decode_tile(cursor: Cursor, th: int, tw: int,
     raise ProtocolError(f"invalid ZRLE subencoding {subenc}")
 
 
-def encode_zrle_tiles(packed: np.ndarray, pf: PixelFormat,
-                      rle: bool = True) -> bytes:
+def encode_zrle_tiles(packed: np.ndarray, pf: PixelFormat) -> bytes:
     """The position-independent ZRLE tile stream (pre-deflate).
 
     This is the expensive, *cacheable* half of a ZRLE encode: it depends
-    only on (pixels, pixel format, rle flag), so sessions sharing an
+    only on (pixels, pixel format), so sessions sharing an
     :class:`EncodeCache` share it and pay only their own deflate.
     """
     height, width = packed.shape
@@ -946,7 +863,7 @@ def encode_zrle_tiles(packed: np.ndarray, pf: PixelFormat,
                 out += _pixel_bytes(int(tile_min[tyi, txi]), pf)
                 continue
             _zrle_encode_tile(
-                out, packed[ty:ty + _ZRLE_TILE, tx:tx + _ZRLE_TILE], pf, rle)
+                out, packed[ty:ty + _ZRLE_TILE, tx:tx + _ZRLE_TILE], pf)
     return bytes(out)
 
 
@@ -981,48 +898,34 @@ def decode_zrle(state: DecoderState, cursor: Cursor, width: int,
 
 
 def encode_rect(state: EncoderState, packed: np.ndarray,
-                encoding: int, *, trial: bool = False) -> bytes:
+                encoding: int) -> bytes:
     """Encode one rectangle's packed pixels as the given encoding's payload.
 
     For the stateless encodings (everything but ZLIB) the result is served
     from ``state.cache`` when the same pixels were encoded before — damage
     that re-exposes unchanged content costs one hash instead of a full
     encode.
-
-    ``trial=True`` marks a speculative encode (adaptive mode sizing the
-    candidates): the cache is consulted stats-neutrally and losing payloads
-    are never stored, so trials cannot evict live entries or skew hit/miss
-    counters.  For the stateful encodings (ZLIB, ZRLE) a trial compresses
-    through a throwaway clone of the live stream, so the real encode after
-    a trial is byte-identical to one with no trial at all.
     """
     if packed.ndim != 2:
         raise ProtocolError(f"packed array must be 2-D, got {packed.shape}")
     if encoding == ZLIB:
         # position-dependent persistent stream: the payload is never cached
-        deflater = state.trial_deflater() if trial else None
-        compressed = state.deflate(packed.tobytes(), deflater)
-        return Writer().u32(len(compressed)).raw(compressed).getvalue()
-    if encoding == ZRLE:
-        # The tile stream is position-independent and cached (key includes
-        # the tier); only the final deflate is per-session and per-position.
-        cache = state.cache
-        key = state.cache_key(packed, ZRLE) if cache is not None else None
-        tiles = None
-        if cache is not None:
-            tiles = cache.peek(key) if trial else cache.get(key)
-        if tiles is None:
-            tiles = encode_zrle_tiles(packed, state.pixel_format,
-                                      rle=state.rle)
-            if cache is not None and not trial:
-                cache.put(key, tiles)
-        deflater = state.trial_deflater() if trial else None
-        compressed = state.deflate(tiles, deflater)
+        compressed = state.deflate(packed.tobytes())
         return Writer().u32(len(compressed)).raw(compressed).getvalue()
     cache = state.cache
     key = state.cache_key(packed, encoding) if cache is not None else None
+    if encoding == ZRLE:
+        # The tile stream is position-independent and cached; only the
+        # final deflate is per-session and per-position.
+        tiles = cache.get(key) if cache is not None else None
+        if tiles is None:
+            tiles = encode_zrle_tiles(packed, state.pixel_format)
+            if cache is not None:
+                cache.put(key, tiles)
+        compressed = state.deflate(tiles)
+        return Writer().u32(len(compressed)).raw(compressed).getvalue()
     if cache is not None:
-        cached = cache.peek(key) if trial else cache.get(key)
+        cached = cache.get(key)
         if cached is not None:
             return cached
     if encoding == RAW:
@@ -1033,7 +936,7 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
         payload = encode_hextile(packed, state.pixel_format)
     else:
         raise ProtocolError(f"cannot encode pixels as encoding {encoding}")
-    if cache is not None and not trial:
+    if cache is not None:
         cache.put(key, payload)
     return payload
 
@@ -1060,49 +963,3 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
     if encoding == ZRLE:
         return decode_zrle(state, cursor, width, height, pf)
     raise ProtocolError(f"cannot decode encoding {encoding}")
-
-
-def best_encoding(state: EncoderState, packed: np.ndarray,
-                  candidates: tuple[int, ...] = (RAW, RRE, HEXTILE), *,
-                  profile=None, encode_costs: dict | None = None) -> int:
-    """Pick the best candidate encoding for this rect.
-
-    Without ``profile`` the smallest payload wins (ties resolve to the
-    lowest encoding number) — the legacy byte-greedy mode.  With a
-    ``profile`` (anything with ``transmission_time(nbytes)``, normally a
-    :class:`~repro.net.link.LinkProfile`) candidates are scored by a cost
-    model: estimated bearer seconds for the payload plus the measured
-    per-candidate encode seconds; ties resolve to candidate order, so the
-    caller's preference seeding decides between equivalent codecs.
-
-    ``encode_costs`` is a caller-owned ``{encoding: seconds}`` dict; when
-    passed, every trial is timed and folded in as an exponential moving
-    average, so the cost model learns each codec's real CPU price on this
-    session's content.
-
-    Stateful codecs (ZLIB, ZRLE) are sized on a throwaway clone of the
-    live deflate stream, so trialling them is non-destructive.  Candidates
-    are sized as no-store *trials*; only a stateless winner's payload
-    enters the cache (a stateful winner's payload is position-dependent —
-    its real encode re-populates the ZRLE tile-stream cache instead).
-    """
-    payloads = {}
-    for encoding in candidates:
-        began = time.perf_counter() if encode_costs is not None else 0.0
-        payloads[encoding] = encode_rect(state, packed, encoding, trial=True)
-        if encode_costs is not None:
-            elapsed = time.perf_counter() - began
-            prior = encode_costs.get(encoding)
-            encode_costs[encoding] = (elapsed if prior is None
-                                      else 0.7 * prior + 0.3 * elapsed)
-    if profile is None:
-        winner = min(payloads, key=lambda e: (len(payloads[e]), e))
-    else:
-        costs = encode_costs if encode_costs is not None else {}
-        order = {e: i for i, e in enumerate(candidates)}
-        winner = min(payloads, key=lambda e: (
-            profile.transmission_time(len(payloads[e])) + costs.get(e, 0.0),
-            order[e]))
-    if winner not in STATEFUL_ENCODINGS and state.cache is not None:
-        state.cache.put(state.cache_key(packed, winner), payloads[winner])
-    return winner

@@ -4,6 +4,13 @@ Requires ``pythonpath = .`` in pytest.ini so the repo root is on
 ``sys.path`` during collection.
 """
 
-from tests.helpers.hostile import HostileSocket, partition, split_points
+from tests.helpers.hostile import (
+    HostileSocket,
+    partition,
+    socket_pair_on_reactor,
+    split_points,
+)
+from tests.helpers.wire import received_encodings
 
-__all__ = ["HostileSocket", "partition", "split_points"]
+__all__ = ["HostileSocket", "partition", "received_encodings",
+           "socket_pair_on_reactor", "split_points"]

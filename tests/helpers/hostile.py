@@ -10,9 +10,17 @@ property suite reuses it alongside the deterministic, schedule-driven
 ``split_points`` / ``partition`` are the stream re-segmentation
 primitives for split-point-invariance properties: a byte stream has no
 message boundaries, so any partition of it must decode identically.
+
+``socket_pair_on_reactor`` gives each example its own socket pair and
+releases its fds when the example ends.
 """
 
+from contextlib import contextmanager
+
 from hypothesis import strategies as st
+
+from repro.net import Reactor, make_socket_transport_pair
+from repro.util import Scheduler
 
 
 def split_points(data_len):
@@ -66,3 +74,24 @@ class HostileSocket:
 
     def __getattr__(self, name):
         return getattr(self._real, name)
+
+
+@contextmanager
+def socket_pair_on_reactor():
+    """A fresh reactor and a socketpair transport on it, torn down on exit.
+
+    Hypothesis examples cannot share pytest's function-scoped fixtures, so
+    each example opens its own pair here.  On exit both halves are closed
+    and the reactor turns until each closed socket has reaped its peer's
+    EOF before it is closed, as the ``closing`` fixture does, so no fd is
+    left for the garbage collector.
+    """
+    reactor = Reactor()
+    pair = make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
+    try:
+        yield reactor, pair
+    finally:
+        pair.a.close()
+        pair.b.close()
+        reactor.run_until_idle()
+        reactor.close()

@@ -171,58 +171,35 @@ def test_readme_dynamic_panels_snippet():
     assert level.value == 50                    # ...and the panel follows state
 
 
-def test_readme_adaptive_selection_snippet():
-    """The 'Tiered compression & adaptive selection' snippet, verbatim."""
-    from repro.net import CELLULAR_PDC, LOOPBACK, make_pipe
+def test_readme_client_order_snippet():
+    """The 'ZRLE, chosen by the client' snippet, verbatim."""
+    from repro.net import CELLULAR_PDC, make_pipe
     from repro.proxy.upstream import UniIntClient
     from repro.server import UniIntServer
     from repro.toolkit import Column, Label, UIWindow
-    from repro.uip import HEXTILE, ZRLE
+    from repro.uip import HEXTILE, RAW, ZRLE
     from repro.util import Scheduler
     from repro.windows import DisplayServer
 
     scheduler = Scheduler()
     window = UIWindow(320, 240)
     column = Column()
-    labels = [column.add(Label(f"row {i}")) for i in range(10)]
+    for i in range(10):
+        column.add(Label(f"row {i}"))
     window.set_root(column)
     display = DisplayServer(window)
+    server = UniIntServer(display, scheduler)
 
-    server = UniIntServer(display, scheduler, backpressure=True,
-                          link_adaptive=True)
-    phone_pipe = make_pipe(scheduler, CELLULAR_PDC, name="phone")
-    panel_pipe = make_pipe(scheduler, LOOPBACK, name="panel")
-    phone = server.accept(phone_pipe.a)
-    local = server.accept(panel_pipe.a)
-
-    # "... clients connect, the panel churns ..."
-    clients = [UniIntClient(phone_pipe.b), UniIntClient(panel_pipe.b)]
+    zrle_leg = make_pipe(scheduler, CELLULAR_PDC, name="zrle")
+    hextile_leg = make_pipe(scheduler, CELLULAR_PDC, name="hextile")
+    server.accept(zrle_leg.a)
+    server.accept(hextile_leg.a)
+    small = UniIntClient(zrle_leg.b, encodings=(ZRLE, HEXTILE, RAW))
+    plain = UniIntClient(hextile_leg.b)  # the default offer: HEXTILE first
     scheduler.run_until_idle()
-    deadline = scheduler.now() + 8.0
-
-    def poll():
-        for client in clients:
-            if client.ready:
-                client.request_update(True)
-        if scheduler.now() + 0.05 <= deadline:
-            scheduler.call_later(0.05, poll)
-
-    rounds = {"n": 0}
-
-    def churn():
-        rounds["n"] += 1
-        for i, label in enumerate(labels):
-            label.text = f"round {rounds['n']} v{i}"
-        if scheduler.now() + 0.1 <= deadline:
-            scheduler.call_later(0.1, churn)
-
-    scheduler.call_later(0.05, poll)
-    scheduler.call_later(0.1, churn)
-    scheduler.run_for(8.0)
-    scheduler.run_until_idle()
-
-    assert phone.link_health().active_encoding == ZRLE     # wire bytes win
-    assert local.link_health().active_encoding == HEXTILE  # cheap CPU wins
+    assert small.framebuffer == plain.framebuffer == display.framebuffer
+    assert (2 * small.endpoint.stats.bytes_received
+            < plain.endpoint.stats.bytes_received)
 
 
 def test_readme_command_spine_snippet():

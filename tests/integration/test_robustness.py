@@ -8,7 +8,7 @@ from repro import Home
 from repro.appliances import Television
 from repro.devices import CellPhone, Pda, TvDisplay, VoiceInput
 from repro.havi import FcmType
-from repro.net import INFRARED_IRDA, LOOPBACK, LinkProfile, make_pipe
+from repro.net import LOOPBACK, LinkProfile, make_pipe
 from repro.net.framing import encode_frame
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
@@ -17,7 +17,7 @@ from repro.util import Scheduler
 from repro.windows import DisplayServer
 
 
-def stack(width=200, height=150, link_adaptive=False, profile=LOOPBACK):
+def stack(width=200, height=150):
     scheduler = Scheduler()
     window = UIWindow(width, height)
     col = Column()
@@ -26,9 +26,9 @@ def stack(width=200, height=150, link_adaptive=False, profile=LOOPBACK):
     col.add(Label("panel"))
     window.set_root(col)
     display = DisplayServer(window)
-    server = UniIntServer(display, scheduler, link_adaptive=link_adaptive)
+    server = UniIntServer(display, scheduler)
     proxy = UniIntProxy(scheduler)
-    pipe = make_pipe(scheduler, profile, name="up")
+    pipe = make_pipe(scheduler, LOOPBACK, name="up")
     server.accept(pipe.a)
     session = proxy.connect(pipe.b)
     return scheduler, display, window, server, proxy, session
@@ -162,31 +162,6 @@ class TestDisconnects:
         scheduler.run_until_idle()
         assert new_session.upstream.ready
         assert new_session.upstream.framebuffer == display.framebuffer
-
-
-class TestAdaptiveEncoding:
-    """Link-adaptive encoder selection on a constrained (IrDA) bearer."""
-
-    def test_adaptive_mirror_is_exact(self):
-        scheduler, display, window, server, proxy, session = stack(
-            link_adaptive=True, profile=INFRARED_IRDA)
-        scheduler.run_until_idle()
-        assert session.upstream.framebuffer == display.framebuffer
-        window.root.find("power").toggle()
-        scheduler.run_until_idle()
-        assert session.upstream.framebuffer == display.framebuffer
-
-    def test_adaptive_beats_fixed_raw_bytes(self):
-        results = {}
-        for link_adaptive in (False, True):
-            scheduler, display, window, server, proxy, session = stack(
-                link_adaptive=link_adaptive, profile=INFRARED_IRDA)
-            scheduler.run_until_idle()
-            results[link_adaptive] = \
-                session.upstream.endpoint.stats.bytes_received
-        # fixed mode sends the client's first choice; on a slow bearer the
-        # adaptive session scores heavier codecs and ships fewer bytes
-        assert results[True] < results[False]
 
 
 class TestMultiUser:

@@ -14,6 +14,7 @@ must never corrupt framing: every received frame is a sent frame.
 
 import errno
 import random
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,10 +25,8 @@ from repro.net import (
     FaultPlan,
     FaultyTransport,
     LOOPBACK,
-    Reactor,
     inject_socket_faults,
     make_pipe,
-    make_socket_transport_pair,
 )
 from repro.net.framing import FrameAssembler, encode_frame
 from repro.uip import (
@@ -42,25 +41,25 @@ from repro.uip import (
 from repro.uip.messages import FramebufferUpdate, RectUpdate
 from repro.util import Scheduler
 
-from tests.helpers import HostileSocket
+from tests.helpers import HostileSocket, socket_pair_on_reactor
 
 
+@contextmanager
 def hostile_faulted_pair(seed, offsets):
-    """A reactor and a socket transport pair on it: side a gets the
-    hostile kernel *and* a scheduled fault plan; side b gets the hostile
-    kernel."""
-    reactor = Reactor()
-    pair = make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
-    rng = random.Random(seed)
-    pair.a._sock = HostileSocket(pair.a._sock, rng)
-    pair.b._sock = HostileSocket(pair.b._sock, rng)
-    plan = FaultPlan(seed=seed, partial=0.5)
-    for offset in offsets:
-        plan.errno_at(offset, errno.EINTR)
-        plan.errno_at(offset, errno.EINTR, side="recv")
-    inject_socket_faults(pair.a, plan)
-    inject_socket_faults(pair.b, plan)
-    return reactor, pair
+    """A reactor and a socket transport pair on it: both sides get the
+    hostile kernel *and* a scheduled fault plan.  Both are torn down when
+    the ``with`` block ends."""
+    with socket_pair_on_reactor() as (reactor, pair):
+        rng = random.Random(seed)
+        pair.a._sock = HostileSocket(pair.a._sock, rng)
+        pair.b._sock = HostileSocket(pair.b._sock, rng)
+        plan = FaultPlan(seed=seed, partial=0.5)
+        for offset in offsets:
+            plan.errno_at(offset, errno.EINTR)
+            plan.errno_at(offset, errno.EINTR, side="recv")
+        inject_socket_faults(pair.a, plan)
+        inject_socket_faults(pair.b, plan)
+        yield reactor, pair
 
 
 @given(payloads=st.lists(st.binary(min_size=0, max_size=5000),
@@ -70,17 +69,17 @@ def hostile_faulted_pair(seed, offsets):
 @settings(max_examples=25, deadline=None)
 def test_framed_stream_survives_stacked_kernel_faults(payloads, seed,
                                                       offsets):
-    reactor, pair = hostile_faulted_pair(seed, offsets)
-    assembler = FrameAssembler()
-    got = []
-    pair.b.on_receive = lambda data: got.extend(assembler.feed(bytes(data)))
-    for payload in payloads:
-        pair.a.send(encode_frame(payload))
-    reactor.run_until_idle()
-    reactor.close()
-    assert got == payloads
-    assert assembler.buffered_bytes == 0
-    assert pair.a.queued_bytes == 0, "all credit must come back"
+    with hostile_faulted_pair(seed, offsets) as (reactor, pair):
+        assembler = FrameAssembler()
+        got = []
+        pair.b.on_receive = lambda data: got.extend(
+            assembler.feed(bytes(data)))
+        for payload in payloads:
+            pair.a.send(encode_frame(payload))
+        reactor.run_until_idle()
+        assert got == payloads
+        assert assembler.buffered_bytes == 0
+        assert pair.a.queued_bytes == 0, "all credit must come back"
 
 
 @st.composite
@@ -116,15 +115,15 @@ def test_uip_stream_decodes_identically_under_kernel_faults(stream, seed,
     """Kernel faults are just another re-segmentation of the UIP byte
     stream: the server decoder must yield exactly the sent updates."""
     fmt, messages = stream
-    reactor, pair = hostile_faulted_pair(seed, offsets)
     encoder = EncoderState(fmt)
     decoder = ServerMessageDecoder(DecoderState(fmt))
     decoded = []
-    pair.b.on_receive = lambda data: decoded.extend(decoder.feed(bytes(data)))
-    for message in messages:
-        pair.a.send(message.encode(encoder))
-    reactor.run_until_idle()
-    reactor.close()
+    with hostile_faulted_pair(seed, offsets) as (reactor, pair):
+        pair.b.on_receive = lambda data: decoded.extend(
+            decoder.feed(bytes(data)))
+        for message in messages:
+            pair.a.send(message.encode(encoder))
+        reactor.run_until_idle()
     assert len(decoded) == len(messages)
     for got, want in zip(decoded, messages):
         assert len(got.rects) == len(want.rects)

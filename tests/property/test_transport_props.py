@@ -43,7 +43,12 @@ from repro.uip import (
 from repro.uip.messages import FramebufferUpdate, RectUpdate
 from repro.util.errors import TransportError
 
-from tests.helpers import HostileSocket, partition, split_points
+from tests.helpers import (
+    HostileSocket,
+    partition,
+    socket_pair_on_reactor,
+    split_points,
+)
 
 
 # -- FrameAssembler ----------------------------------------------------------
@@ -213,25 +218,20 @@ def test_server_decoder_split_point_invariant(stream, data):
 def test_socket_pumps_survive_eintr_and_partial_writes(messages, seed):
     import random
 
-    from repro.net import Reactor, make_socket_transport_pair
-    from repro.util import Scheduler
-
-    reactor = Reactor()
-    pair = make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
-    rng = random.Random(seed)
-    pair.a._sock = HostileSocket(pair.a._sock, rng)
-    pair.b._sock = HostileSocket(pair.b._sock, rng)
-    got = []
-    pair.b.on_receive = lambda data: got.append(bytes(data))
-    for message in messages:
-        pair.a.send(message)
-    reactor.run_until_idle()
-    reactor.close()
-    assert b"".join(got) == b"".join(messages)
-    assert not pair.a._outbox
-    assert pair.a.queued_bytes == 0, "all credit must come back"
-    assert pair.a.stats.messages_sent == len(messages)
-    assert pair.b.stats.messages_received == len(messages)
+    with socket_pair_on_reactor() as (reactor, pair):
+        rng = random.Random(seed)
+        pair.a._sock = HostileSocket(pair.a._sock, rng)
+        pair.b._sock = HostileSocket(pair.b._sock, rng)
+        got = []
+        pair.b.on_receive = lambda data: got.append(bytes(data))
+        for message in messages:
+            pair.a.send(message)
+        reactor.run_until_idle()
+        assert b"".join(got) == b"".join(messages)
+        assert not pair.a._outbox
+        assert pair.a.queued_bytes == 0, "all credit must come back"
+        assert pair.a.stats.messages_sent == len(messages)
+        assert pair.b.stats.messages_received == len(messages)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -239,26 +239,21 @@ def test_socket_pumps_survive_eintr_and_partial_writes(messages, seed):
 def test_hostile_kernel_duplex_big_transfer(seed):
     import random
 
-    from repro.net import Reactor, make_socket_transport_pair
-    from repro.util import Scheduler
-
-    reactor = Reactor()
-    pair = make_socket_transport_pair(reactor.add_scheduler(Scheduler()))
-    rng = random.Random(seed)
-    pair.a._sock = HostileSocket(pair.a._sock, rng)
-    pair.b._sock = HostileSocket(pair.b._sock, rng)
-    blob_ab = bytes(range(256)) * 2048  # 512 KiB each way
-    blob_ba = bytes(reversed(range(256))) * 2048
-    got_a, got_b = [], []
-    pair.a.on_receive = lambda data: got_a.append(bytes(data))
-    pair.b.on_receive = lambda data: got_b.append(bytes(data))
-    pair.a.send(blob_ab)
-    pair.b.send(blob_ba)
-    reactor.run_until_idle()
-    reactor.close()
-    assert b"".join(got_b) == blob_ab
-    assert b"".join(got_a) == blob_ba
-    assert pair.a.queued_bytes == 0 and pair.b.queued_bytes == 0
+    with socket_pair_on_reactor() as (reactor, pair):
+        rng = random.Random(seed)
+        pair.a._sock = HostileSocket(pair.a._sock, rng)
+        pair.b._sock = HostileSocket(pair.b._sock, rng)
+        blob_ab = bytes(range(256)) * 2048  # 512 KiB each way
+        blob_ba = bytes(reversed(range(256))) * 2048
+        got_a, got_b = [], []
+        pair.a.on_receive = lambda data: got_a.append(bytes(data))
+        pair.b.on_receive = lambda data: got_b.append(bytes(data))
+        pair.a.send(blob_ab)
+        pair.b.send(blob_ba)
+        reactor.run_until_idle()
+        assert b"".join(got_b) == blob_ab
+        assert b"".join(got_a) == blob_ba
+        assert pair.a.queued_bytes == 0 and pair.b.queued_bytes == 0
 
 
 @given(stream=server_streams())

@@ -23,6 +23,7 @@ from repro.uip import (
     decode_rect,
     encode_rect,
 )
+from repro.uip.encodings import encode_zrle_tiles
 from repro.uip.messages import (
     FramebufferUpdate,
     RectUpdate,
@@ -50,6 +51,41 @@ def packed_arrays(draw, fmt):
     indices = rng.integers(0, palette_size, size=(height, width))
     rgb = palette[indices]
     return fmt.pack_array(rgb)
+
+
+#: Palette and mean run sizes the ZRLE round-trip samples.
+ZRLE_PALETTES = [1, 2, 3, 5, 17, 64, 200]
+ZRLE_RUNS = [1, 8, 400]
+
+
+def zrle_pixels(fmt, width, height, palette_size, mean_run, seed):
+    """Packed pixels laid out as runs of palette colours in raster order.
+
+    One colour gives solid tiles.  Single-pixel runs give packed
+    palettes over a few colours and raw tiles over a big palette; runs
+    of about 8 give palette RLE, and runs of hundreds plain RLE.
+    """
+    rng = np.random.default_rng(seed)
+    palette = rng.integers(0, 256, size=(palette_size, 3), dtype=np.uint8)
+    area = width * height
+    runs = 2 * area // mean_run + 2
+    lengths = rng.integers(1, 2 * mean_run, size=runs)
+    colours = rng.integers(0, palette_size, size=runs)
+    indices = np.resize(np.repeat(colours, lengths), area)
+    return fmt.pack_array(palette[indices.reshape(height, width)])
+
+
+def zrle_kind(subencoding):
+    """The name of one ZRLE tile subencoding byte."""
+    if subencoding == 0:
+        return "raw"
+    if subencoding == 1:
+        return "solid"
+    if subencoding <= 16:
+        return "packed-palette"
+    if subencoding == 128:
+        return "plain-rle"
+    return "palette-rle"
 
 
 class TestEncodingRoundTrip:
@@ -92,27 +128,34 @@ class TestEncodingRoundTrip:
            st.sampled_from([RGB888, RGB565, RGB332, BE565, BE888]),
            st.sampled_from([1, 7, 63, 64, 65, 127, 128, 130]),
            st.sampled_from([1, 63, 64, 65, 129]),
-           st.booleans())
+           st.sampled_from(ZRLE_PALETTES),
+           st.sampled_from(ZRLE_RUNS),
+           st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_zrle_roundtrip_at_tile_boundaries(self, data, fmt, width,
-                                               height, rle):
+                                               height, palette_size,
+                                               mean_run, seed):
         """Every ZRLE subencoding, at sizes straddling the 64-pixel grid,
-        in both byte orders.  Palette size drives the subencoding choice:
-        1 colour -> solid, few -> packed palette / palette RLE, many ->
-        plain RLE or raw."""
-        seed = data.draw(st.integers(0, 2**31))
-        palette_size = data.draw(st.sampled_from([1, 2, 3, 5, 17, 64]))
-        rng = np.random.default_rng(seed)
-        palette = rng.integers(0, 256, size=(palette_size, 3),
-                               dtype=np.uint8)
-        rgb = palette[rng.integers(0, palette_size, size=(height, width))]
-        packed = fmt.pack_array(rgb)
-        state = EncoderState(fmt, use_cache=False, tier=1 if rle else 0)
+        in both byte orders (see ``zrle_pixels`` for which draw favours
+        which subencoding)."""
+        packed = zrle_pixels(fmt, width, height, palette_size, mean_run,
+                             seed)
+        state = EncoderState(fmt, use_cache=False)
         payload = encode_rect(state, packed, ZRLE)
         out = decode_rect(DecoderState(fmt), Cursor(payload), width, height,
                           ZRLE)
         assert out.dtype == packed.dtype
         assert np.array_equal(out, packed)
+
+    def test_zrle_draws_reach_every_subencoding(self):
+        """The round-trip above draws all five tile kinds: on one 64x64
+        tile the palette and run sizes it samples pick each of them."""
+        kinds = {zrle_kind(encode_zrle_tiles(
+                     zrle_pixels(RGB888, 64, 64, palette_size, mean_run, 7),
+                     RGB888)[0])
+                 for palette_size in ZRLE_PALETTES for mean_run in ZRLE_RUNS}
+        assert kinds == {"solid", "packed-palette", "plain-rle",
+                         "palette-rle", "raw"}
 
     @given(st.data(), formats)
     @settings(max_examples=30, deadline=None)

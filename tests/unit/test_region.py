@@ -131,11 +131,6 @@ class TestRegion:
         assert not region.contains_point(2, 2)
         assert region.contains_point(7, 2)
 
-    def test_clear(self):
-        region = Region([Rect(0, 0, 5, 5)])
-        region.clear()
-        assert region.is_empty
-
     def test_copy_is_independent(self):
         region = Region([Rect(0, 0, 5, 5)])
         clone = region.copy()

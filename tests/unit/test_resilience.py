@@ -150,6 +150,42 @@ class TestSessionParking:
         assert server.parked_count == 0
         assert server.sessions_parked == 0
 
+    def test_unknown_token_is_a_miss_and_a_cold_session(self):
+        scheduler, display, window, server = make_server(resume_grace_s=30.0)
+        client = connect(scheduler, server, resume_from=4242)
+        scheduler.run_until_idle()
+        assert server.resume_misses == 1
+        assert server.sessions_resumed == 0
+        assert not server.sessions[0].resumed
+        assert client.framebuffer == display.framebuffer
+
+    def test_resume_returns_the_session_to_its_parked_surface(self):
+        """A reconnect lands on the default surface; its token moves it
+        back to the surface (and encode cache) it was parked from."""
+        scheduler, display, window, server = make_server(resume_grace_s=30.0)
+        other = UIWindow(160, 120)
+        other.set_root(Label("second view"))
+        second_display = DisplayServer(other)
+        second = server.add_surface(second_display)
+        pipe = make_pipe(scheduler, ETHERNET_100, name="c2")
+        server.accept(pipe.a, surface=second)
+        client = UniIntClient(pipe.b)
+        scheduler.run_until_idle()
+        token = client.resume_token
+        client.endpoint.abort()
+        scheduler.run_until_idle()
+
+        revived = connect(scheduler, server, resume_from=token)
+        scheduler.run_until_idle()
+        session = server.sessions[0]
+        assert session.resumed
+        assert session.surface is second
+        assert second.sessions == [session]
+        assert server.default_surface.sessions == []
+        assert session._encoder.cache is second.encode_cache
+        assert revived.framebuffer == second_display.framebuffer
+        assert revived.framebuffer != display.framebuffer
+
 
 class TestSessionSelfHealing:
     def test_rst_recovers_with_one_resync(self):

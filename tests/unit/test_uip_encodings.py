@@ -5,7 +5,6 @@ import pytest
 
 from repro.graphics import RGB332, RGB565, RGB888, Bitmap, Rect, draw
 from repro.uip import (
-    COMPRESSION_TIERS,
     COPYRECT,
     HEXTILE,
     RAW,
@@ -18,7 +17,7 @@ from repro.uip import (
     encode_rect,
 )
 from repro.uip.encodings import (
-    best_encoding,
+    decode_zrle_tiles,
     encode_copyrect,
     encode_zrle_tiles,
 )
@@ -165,61 +164,6 @@ class TestCompression:
         assert np.array_equal(out1, packed)
         assert np.array_equal(out2, packed)
 
-    def test_best_encoding_prefers_rre_on_flat(self):
-        bmp = Bitmap(64, 64, fill=(1, 2, 3))
-        state = EncoderState(RGB888)
-        assert best_encoding(state, RGB888.pack_array(bmp.pixels)) == RRE
-
-    def test_best_encoding_prefers_raw_on_noise(self):
-        state = EncoderState(RGB888)
-        packed = RGB888.pack_array(noise_bitmap(48, 48).pixels)
-        assert best_encoding(state, packed) == RAW
-
-    def test_best_encoding_trials_stateful_candidates(self):
-        """ZLIB-family candidates are sized on stream clones, not refused."""
-        state = EncoderState(RGB888)
-        packed = RGB888.pack_array(Bitmap(4, 4).pixels)
-        winner = best_encoding(state, packed, candidates=(RAW, ZLIB, ZRLE))
-        assert winner in (RAW, ZLIB, ZRLE)
-
-    def test_best_encoding_trial_then_encode_byte_identical(self):
-        """The satellite-1 regression: a losing (or winning) trial must
-        never advance the live zlib stream — encoding after a trial gives
-        the exact bytes an untrialled stream would."""
-        frames = [RGB888.pack_array(panel_bitmap(64, 48 + 16 * i).pixels)
-                  for i in range(3)]
-        trialled = EncoderState(RGB888, use_cache=False)
-        control = EncoderState(RGB888, use_cache=False)
-        for packed in frames:
-            best_encoding(trialled, packed, candidates=(HEXTILE, ZLIB, ZRLE))
-            assert (encode_rect(trialled, packed, ZRLE)
-                    == encode_rect(control, packed, ZRLE))
-
-    def test_best_encoding_cost_model_follows_bearer(self):
-        """Same pixels, different bearers, different winners: the phone
-        leg minimises wire bytes, the fast link minimises encode cost."""
-        from repro.net.link import CELLULAR_PDC, LOOPBACK
-        packed = RGB888.pack_array(panel_bitmap(128, 128).pixels)
-        state = EncoderState(RGB888, use_cache=False, tier=2)
-        phone = best_encoding(state, packed,
-                              candidates=(ZRLE, ZLIB, HEXTILE, RAW),
-                              profile=CELLULAR_PDC)
-        assert phone == ZRLE  # smallest wire payload wins at 9600 bps
-        # on loopback the wire is free; a pre-learned CPU price dominates
-        costs = {ZRLE: 10.0, ZLIB: 10.0}
-        fast = best_encoding(state, packed,
-                             candidates=(HEXTILE, ZRLE, ZLIB, RAW),
-                             profile=LOOPBACK, encode_costs=costs)
-        assert fast in (HEXTILE, RAW)  # priced-out codecs lose the fast leg
-
-    def test_best_encoding_measures_encode_costs(self):
-        state = EncoderState(RGB888, use_cache=False)
-        packed = RGB888.pack_array(panel_bitmap(64, 64).pixels)
-        costs = {}
-        best_encoding(state, packed, candidates=(RAW, HEXTILE),
-                      encode_costs=costs)
-        assert set(costs) == {RAW, HEXTILE}
-        assert all(v >= 0.0 for v in costs.values())
 
 
 class TestCopyRect:
@@ -300,39 +244,6 @@ class TestEncodeCache:
         state.renegotiate(RGB332)
         assert state.cache_key(packed, RRE) != k565
 
-    def test_trial_encode_not_stored(self):
-        state = EncoderState(RGB888)
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        encode_rect(state, packed, RRE, trial=True)
-        assert len(state.cache) == 0
-        assert state.cache.misses == 0  # trials are stats-neutral
-
-    def test_trial_zlib_uses_throwaway_clone(self):
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        trialled = EncoderState(RGB888)
-        control = EncoderState(RGB888)
-        trial = encode_rect(trialled, packed, ZLIB, trial=True)
-        real = encode_rect(trialled, packed, ZLIB)
-        assert trial == real  # the clone saw the same stream position
-        assert real == encode_rect(control, packed, ZLIB)
-
-    def test_trial_zrle_does_not_warm_cache(self):
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888)
-        encode_rect(state, packed, ZRLE, trial=True)
-        assert len(state.cache) == 0
-        assert state.cache.misses == 0
-
-    def test_best_encoding_caches_only_winner(self):
-        state = EncoderState(RGB888)
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        winner = best_encoding(state, packed)
-        assert len(state.cache) == 1  # losing candidates stayed out
-        assert state.cache.misses == 0
-        hits = state.cache.hits
-        encode_rect(state, packed, winner)  # the real encode hits
-        assert state.cache.hits == hits + 1
-
     def test_renegotiate_preserves_cache(self):
         packed888 = RGB888.pack_array(panel_bitmap().pixels)
         packed332 = RGB332.pack_array(panel_bitmap().pixels)
@@ -366,67 +277,7 @@ class TestEncodeCache:
                 == encode_rect(EncoderState(RGB888), view.copy(), encoding))
 
 
-class TestCompressionTiers:
-    def test_invalid_tier_rejected(self):
-        with pytest.raises(ProtocolError):
-            EncoderState(RGB888, tier=7)
-
-    def test_tier_sets_zlib_level_and_rle(self):
-        for tier, (level, rle) in COMPRESSION_TIERS.items():
-            state = EncoderState(RGB888, tier=tier)
-            assert (state.level, state.rle) == (level, rle)
-
-    def test_set_tier_before_stream_start_changes_level(self):
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        moved = EncoderState(RGB888, use_cache=False, tier=0)
-        moved.set_tier(2)
-        born = EncoderState(RGB888, use_cache=False, tier=2)
-        assert encode_rect(moved, packed, ZRLE) == encode_rect(
-            born, packed, ZRLE)
-
-    def test_set_tier_mid_stream_keeps_level(self):
-        """zlib cannot change level mid-stream; the deflater must survive
-        an escalation untouched so the peer's inflater stays in sync."""
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        escalated = EncoderState(RGB888, use_cache=False, tier=1)
-        control = EncoderState(RGB888, use_cache=False, tier=1)
-        encode_rect(escalated, packed, ZRLE)
-        encode_rect(control, packed, ZRLE)
-        escalated.set_tier(2)
-        second = encode_rect(escalated, packed, ZRLE)
-        assert second == encode_rect(control, packed, ZRLE)
-        # the escalated stream still decodes end to end
-        dec = DecoderState(RGB888)
-        h, w = packed.shape[0], packed.shape[1]
-        fresh = EncoderState(RGB888, use_cache=False, tier=1)
-        first = encode_rect(fresh, packed, ZRLE)
-        fresh.set_tier(2)
-        later = encode_rect(fresh, packed, ZRLE)
-        assert np.array_equal(
-            decode_rect(dec, Cursor(first), w, h, ZRLE), packed)
-        assert np.array_equal(
-            decode_rect(dec, Cursor(later), w, h, ZRLE), packed)
-
-    def test_renegotiate_unpins_level(self):
-        state = EncoderState(RGB888, use_cache=False, tier=1)
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        encode_rect(state, packed, ZRLE)
-        state.set_tier(2)
-        state.renegotiate(RGB888)  # stream restarts: new level may apply
-        assert state.level == COMPRESSION_TIERS[2][0]
-
-    def test_cache_key_includes_tier(self):
-        from repro.uip.encodings import EncodeCache
-        cache = EncodeCache()
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        low = EncoderState(RGB888, cache=cache, tier=0)
-        high = EncoderState(RGB888, cache=cache, tier=2)
-        encode_rect(low, packed, ZRLE)
-        encode_rect(high, packed, ZRLE)
-        # tier 0 (no RLE) and tier 2 (RLE) built different tile streams;
-        # a shared key would have served tier 0's stream to tier 2
-        assert len(cache) == 2
-
+class TestZrle:
     def test_zrle_caches_tile_stream_not_payload(self):
         """Unlike ZLIB (never cached), ZRLE caches the position-independent
         tile stream: a second session on the same cache reuses it even
@@ -459,7 +310,7 @@ class TestCompressionTiers:
 
     def test_zrle_panel_much_smaller_than_hextile(self):
         packed = RGB888.pack_array(panel_bitmap(192, 192).pixels)
-        state = EncoderState(RGB888, use_cache=False, tier=2)
+        state = EncoderState(RGB888, use_cache=False)
         zrle = encode_rect(state, packed, ZRLE)
         hextile = encode_rect(EncoderState(RGB888, use_cache=False),
                               packed, HEXTILE)
@@ -470,7 +321,7 @@ class TestCompressionTiers:
         bitmap.fill((10, 20, 30))
         packed = RGB888.pack_array(bitmap.pixels)
         packed[0, 0] = 0xFFFFFF  # break the solid-tile shortcut
-        stream = encode_zrle_tiles(packed, RGB888, rle=True)
+        stream = encode_zrle_tiles(packed, RGB888)
         state = EncoderState(RGB888, use_cache=False)
         payload = encode_rect(state, packed, ZRLE)
         out = decode_rect(DecoderState(RGB888), Cursor(payload), 64, 10, ZRLE)
@@ -499,3 +350,73 @@ class TestErrors:
         state = EncoderState(RGB888)
         with pytest.raises(ProtocolError):
             encode_rect(state, np.zeros((2, 2, 3)), RAW)
+
+
+class TestMalformedZrleStreams:
+    """The client inflates whatever the wire brings; a bad tile stream must
+    raise ProtocolError, never a numpy error or a silently short mirror."""
+
+    PX = b"\x10\x20\x30\x00"  # one RGB888 pixel (4 bytes)
+
+    def decode(self, stream, width=4, height=4):
+        return decode_zrle_tiles(stream, width, height, RGB888)
+
+    def test_well_formed_tile_decodes(self):
+        # palette RLE, 2 colours: a run of 15 of colour 1, then colour 0
+        stream = bytes([130]) + self.PX + b"\x40\x50\x60\x00" + bytes(
+            [0x81, 14, 0x00])
+        out = self.decode(stream)
+        assert out.reshape(-1)[-1] == int.from_bytes(self.PX, "little")
+        assert (out.reshape(-1)[:15] == 0x00605040).all()
+
+    def test_packed_palette_index_out_of_range(self):
+        # 3 colours at 2 bits per index; index 3 names no colour
+        stream = bytes([3]) + self.PX * 3 + bytes([0b11000000, 0, 0, 0])
+        with pytest.raises(ProtocolError, match="palette index"):
+            self.decode(stream)
+
+    def test_plain_rle_run_longer_than_the_tile(self):
+        stream = bytes([128]) + self.PX + bytes([16])  # a run of 17 > 16
+        with pytest.raises(ProtocolError, match="run exceeds tile"):
+            self.decode(stream)
+
+    def test_palette_rle_index_out_of_range(self):
+        stream = bytes([130]) + self.PX * 2 + bytes([0x05])
+        with pytest.raises(ProtocolError, match="palette index 5"):
+            self.decode(stream)
+
+    def test_palette_rle_run_longer_than_the_tile(self):
+        stream = bytes([130]) + self.PX * 2 + bytes([0x80, 16])
+        with pytest.raises(ProtocolError, match="run exceeds tile"):
+            self.decode(stream)
+
+    @pytest.mark.parametrize("subencoding", [17, 127, 129])
+    def test_unassigned_subencoding(self, subencoding):
+        with pytest.raises(ProtocolError, match="invalid ZRLE subencoding"):
+            self.decode(bytes([subencoding]) + self.PX * 16)
+
+    def test_truncated_tile_stream(self):
+        with pytest.raises(ProtocolError, match="truncated"):
+            self.decode(bytes([1]) + self.PX[:2])  # solid, half a pixel
+
+    def test_trailing_bytes_after_the_last_tile(self):
+        with pytest.raises(ProtocolError, match="trailing"):
+            self.decode(bytes([1]) + self.PX + b"\xff")
+
+
+class TestEncodeCacheLimits:
+    @pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5)])
+    def test_non_positive_limits_rejected(self, limits):
+        from repro.uip import EncodeCache
+        with pytest.raises(ValueError):
+            EncodeCache(*limits)
+
+    def test_replacing_an_entry_counts_its_bytes_once(self):
+        from repro.uip import EncodeCache
+        cache = EncodeCache(max_entries=4, max_bytes=100)
+        cache.put(("k",), b"a" * 60)
+        cache.put(("k",), b"b" * 30)
+        assert len(cache) == 1
+        assert cache.stored_bytes == 30
+        cache.put(("j",), b"c" * 60)  # fits only if "k" counts 30, not 90
+        assert len(cache) == 2

@@ -308,3 +308,54 @@ class TestVersionNegotiation:
         client = ClientHandshake()
         client.feed(b"HTTP/1.1 200\n")
         assert client.failed is not None
+
+
+class TestHandshakeRefusals:
+    """Each side refuses a peer that breaks the security exchange, and
+    says why."""
+
+    def test_secured_server_refuses_a_client_choosing_no_security(self):
+        from repro.uip.handshake import SECURITY_NONE
+        server = ServerHandshake(100, 100, RGB888, "x", secret="s")
+        server.outgoing()
+        server.feed(PROTOCOL_VERSION + bytes([SECURITY_NONE]))
+        assert "requires shared secret" in server.failed
+        assert server.outgoing() == b""  # no challenge went out
+
+    def test_open_server_refuses_an_unknown_security_type(self):
+        server = ServerHandshake(100, 100, RGB888, "x")
+        server.outgoing()
+        server.feed(PROTOCOL_VERSION + bytes([9]))
+        assert "unknown security 9" in server.failed
+
+    def test_client_refuses_a_prehistoric_server(self):
+        client = ClientHandshake()
+        client.feed(b"UIP 000.009\n")
+        assert "unsupported" in client.failed
+        assert client.outgoing() == b""  # never replied with a version
+
+    def test_client_refuses_a_server_offering_no_security(self):
+        client = ClientHandshake()
+        client.feed(PROTOCOL_VERSION + bytes([0]))
+        assert client.failed == "server offered no security types"
+
+    def test_client_refuses_when_no_security_type_is_shared(self):
+        client = ClientHandshake()
+        client.feed(PROTOCOL_VERSION + bytes([1, 9]))
+        assert client.failed == "no mutual security type in [9]"
+
+    def test_server_challenge_must_be_sixteen_bytes(self):
+        with pytest.raises(ProtocolError, match="challenge"):
+            ServerHandshake(100, 100, RGB888, "x", challenge=b"short")
+
+
+class TestMalformedServerStream:
+    def test_zlib_rect_inflating_to_the_wrong_size(self):
+        """A ZLIB rect whose header promises 8x4 pixels but whose stream
+        holds 8x8 must not be reshaped into the mirror."""
+        packed = RGB888.pack_array(Bitmap(8, 8, fill=(9, 8, 7)).pixels)
+        lying = FramebufferUpdate(
+            (RectUpdate(Rect(0, 0, 8, 4), ZLIB, packed),))
+        decoder = ServerMessageDecoder(DecoderState(RGB888))
+        with pytest.raises(ProtocolError, match="inflated to"):
+            decoder.feed(lying.encode(EncoderState(RGB888)))

@@ -12,6 +12,7 @@ from repro.uip import DESKTOP_SIZE, HEXTILE, RAW, RRE, ZLIB, ZRLE
 from repro.uip.messages import SetEncodings
 from repro.util import Scheduler
 from repro.windows import DisplayServer
+from tests.helpers import received_encodings
 
 
 class SpotColumn(Column):
@@ -147,38 +148,96 @@ class TestEncodingsNegotiation:
                      - display.framebuffer.pixels.astype(int))
         assert err.max() <= 40  # half an RGB332 blue step
 
-
-class TestSessionStats:
-    def test_stats_carries_link_health(self):
+    @pytest.mark.parametrize("offer, sent", [
+        ((ZRLE, RAW), ZRLE),
+        ((RRE, HEXTILE, RAW), RRE),
+        ((777, ZLIB, ZRLE), ZLIB),
+        ((DESKTOP_SIZE,), RAW),
+    ])
+    def test_server_encodes_with_first_supported_offer(self, offer, sent):
         scheduler, display, window, server = make_server()
-        client = connect(scheduler, server)
+        client = connect(scheduler, server, encodings=offer)
+        seen = received_encodings(client)
         scheduler.run_until_idle()
-        session = server.sessions[0]
-        window.root.find("label").text = "changed!"
-        scheduler.run_until_idle()
-        stats = session.stats()
-        assert stats["session_id"] == session.session_id
-        assert stats["updates_sent"] == session.updates_sent >= 1
-        assert stats["rects_sent"] == session.rects_sent
-        assert sum(stats["rects_by_encoding"].values()) == session.rects_sent
-        health = stats["link_health"]
-        assert health.profile == ETHERNET_100.name
-        assert health.tier == 1  # non-adaptive servers stay on the default
-        assert health.active_encoding in session.encodings
-        assert health.updates_coalesced == 0
-        assert health.bytes_suppressed == 0
-        assert health.backlog_s == 0.0
-
-    def test_zrle_session_mirror_and_accounting(self):
-        scheduler, display, window, server = make_server()
-        client = connect(scheduler, server, encodings=(ZRLE, RAW))
-        scheduler.run_until_idle()
-        session = server.sessions[0]
         window.root.find("label").text = "changed!"
         scheduler.run_until_idle()
         assert client.framebuffer == display.framebuffer
-        assert session.stats()["rects_by_encoding"].get(ZRLE, 0) > 0
-        assert session.link_health().active_encoding == ZRLE
+        assert client.updates_received == 2
+        assert set(seen) == {sent}
+
+
+class TestOldPeersNeverSeeZrle:
+    """ZRLE needs protocol 001.001; both ends strip it from a 001.000
+    session on their own."""
+
+    def test_server_strips_zrle_from_an_old_client_offer(self):
+        from repro.uip.handshake import SECURITY_NONE
+        scheduler, display, window, server = make_server()
+        pipe = make_pipe(scheduler, ETHERNET_100, name="old")
+        session = server.accept(pipe.a)
+        pipe.b.send(b"UIP 001.000\n" + bytes([SECURITY_NONE, 1])
+                    + SetEncodings((ZRLE, HEXTILE, RAW)).encode())
+        scheduler.run_until_idle()
+        assert session.ready
+        assert session.encodings == (HEXTILE, RAW)
+
+    def test_client_offers_no_zrle_to_an_old_server(self, monkeypatch):
+        from repro.uip import handshake
+        monkeypatch.setattr(handshake, "PROTOCOL_VERSION",
+                            b"UIP 001.000\n")
+        scheduler, display, window, server = make_server()
+        client = connect(scheduler, server, encodings=(ZRLE, HEXTILE, RAW))
+        session = server.sessions[0]
+        offers = []
+        handle = session._handle
+
+        def recording(message):
+            if isinstance(message, SetEncodings):
+                offers.append(message.encodings)
+            handle(message)
+
+        session._handle = recording
+        scheduler.run_until_idle()
+        assert offers == [(HEXTILE, RAW)]
+        assert client.framebuffer == display.framebuffer
+
+
+class TestServerEdges:
+    def test_client_cut_text_is_accepted_and_ignored(self):
+        from repro.uip.messages import ClientCutText
+        scheduler, display, window, server = make_server()
+        client = connect(scheduler, server)
+        scheduler.run_until_idle()
+        client.endpoint.send(ClientCutText("clipboard").encode())
+        window.root.find("label").text = "after the paste"
+        scheduler.run_until_idle()
+        assert server.sessions[0].ready
+        assert client.framebuffer == display.framebuffer
+
+    def test_a_display_gets_one_surface(self):
+        from repro.util.errors import ProtocolError
+        scheduler, display, window, server = make_server()
+        with pytest.raises(ProtocolError, match="already has a surface"):
+            server.add_surface(display)
+        assert len(server.surfaces) == 1
+
+    def test_foreign_surfaces_are_refused(self):
+        from repro.util.errors import ProtocolError
+        scheduler, display, window, server = make_server()
+        _, _, _, other = make_server()
+        foreign = other.default_surface
+        with pytest.raises(ProtocolError, match="not attached"):
+            server.remove_surface(foreign)
+        pipe = make_pipe(scheduler, ETHERNET_100, name="stray")
+        with pytest.raises(ProtocolError, match="not attached"):
+            server.accept(pipe.a, surface=foreign)
+        assert foreign.sessions == [] and server.sessions == []
+
+    def test_a_server_without_surfaces_has_no_display(self):
+        from repro.util.errors import ProtocolError
+        server = UniIntServer(None, Scheduler())
+        with pytest.raises(ProtocolError, match="no surfaces"):
+            server.display
 
 
 class TestSharedEncodeBroadcast:
