@@ -7,11 +7,9 @@ from typing import Optional
 from repro.app.commands import CommandLog, CommandSpine
 from repro.app.composer import compose_ui
 from repro.app.handles import ApplianceHandle, FcmHandle
-from repro.havi.capabilities import CapabilityDescriptor, DescriptorCache
 from repro.havi.element import SoftwareElement
 from repro.havi.events import HaviEvent
 from repro.havi.manager import HomeNetwork
-from repro.havi.messaging import HaviMessage
 from repro.havi.registry import Comparison
 from repro.havi.seid import SEID
 from repro.toolkit import TabPanel, UIWindow
@@ -21,10 +19,11 @@ from repro.util.ids import guid_from_seed
 class HomeApplianceApplication:
     """The GUI application controlling every appliance on the network.
 
-    Lifecycle: on every ``dcm.installed`` / ``dcm.uninstalled`` event the
-    application re-queries the registry, rebuilds its appliance handles and
-    regenerates the composed UI; ``fcm.state.*`` events keep panel widgets
-    synchronised with appliance state regardless of who changed it.
+    Lifecycle: each burst of ``dcm.installed`` / ``dcm.uninstalled``
+    events (one bus reset) costs one rebuild, which re-queries the
+    registry and regenerates the composed UI; ``fcm.state.*`` events keep
+    panel widgets synchronised with appliance state regardless of who
+    changed it.
     """
 
     def __init__(self, network: HomeNetwork, window: UIWindow,
@@ -44,11 +43,7 @@ class HomeApplianceApplication:
         self.spine = CommandSpine(self.element, self.command_log)
         self.appliances: list[ApplianceHandle] = []
         self._handles_by_seid: dict[SEID, FcmHandle] = {}
-        #: Descriptors keyed by (guid, handle, version); survives rebuilds
-        #: so a UI regeneration normally needs zero descriptor round-trips.
-        self.descriptors = DescriptorCache()
-        self._descriptor_fetches: set[SEID] = set()
-        self._descriptor_failed: set[tuple] = set()
+        self._rebuild_due = False
         self.rebuild_count = 0
         self.closed = False
         self.on_bell = None  # demo hook for appliance.bell events
@@ -97,100 +92,39 @@ class HomeApplianceApplication:
             appliance = appliances.get(guid)
             if appliance is None:
                 continue  # FCM without its DCM mid-hotplug; skip
-            handle = FcmHandle(self.element, fcm_seid, attributes,
-                               spine=self.spine)
+            handle = self._handles_by_seid.get(fcm_seid)
+            if handle is None:
+                handle = FcmHandle(self.element, fcm_seid, attributes,
+                                   spine=self.spine)
             appliance.add(handle)
         return sorted(appliances.values(), key=lambda a: (a.name, a.guid))
 
     def rebuild(self) -> None:
-        """Regenerate handles and the composed UI from the registry.
+        """Regenerate the composed UI from the registry.
 
-        Each new handle starts from the state of the previous rebuild's
-        handle for the same FCM, so the first frame after a rebuild shows
-        the settled values, not defaults.  Only appliances whose
-        descriptors are all in hand are composed
-        (see :meth:`_attach_descriptors`).  ``set_root`` relayouts and
+        Each FCM keeps its handle, and so its state, for as long as it
+        stays installed, so the panels of a rebuild show settled values,
+        not defaults.  Only a new FCM gets a new handle, which reads its
+        state with one ``fcm.get_state``.  ``set_root`` relayouts and
         damages the whole window, so exactly the surfaces showing *this*
         view repaint in full — other users' views are untouched until
         their own application rebuilds.
         """
         previous_guid, previous_index = self._active_tab()
-        previous = self._handles_by_seid
-        self.appliances = self._attach_descriptors(self._discover())
+        known = self._handles_by_seid
+        self.appliances = self._discover()
         self._handles_by_seid = {
             handle.seid: handle
             for appliance in self.appliances
             for handle in appliance.fcms
         }
-        # the new panels start from the state the old ones showed; the
-        # refresh below then repaints only what really changed
-        for handle in self._handles_by_seid.values():
-            old = previous.get(handle.seid)
-            if (old is not None and old.device_guid == handle.device_guid
-                    and old.fcm_type == handle.fcm_type):
-                handle.state = dict(old.state)
         root = compose_ui(self.appliances)
         self.window.set_root(root)
         self._restore_tab(previous_guid, previous_index)
-        for handle in self._handles_by_seid.values():
-            handle.refresh()
+        for seid, handle in self._handles_by_seid.items():
+            if seid not in known:
+                handle.refresh()
         self.rebuild_count += 1
-
-    # -- capability descriptors ------------------------------------------------
-
-    def _attach_descriptors(self, appliances: list[ApplianceHandle]
-                            ) -> list[ApplianceHandle]:
-        """Give every handle its cached descriptor; fetch the missing ones.
-
-        Returns the appliances whose descriptors are all in hand.  One
-        with a fetch still in flight stays out of the composed UI — no
-        placeholder page — until its reply lands.  Fetches are
-        asynchronous (``capabilities.get`` over HAVi messaging), and ONE
-        further rebuild fires when the last outstanding reply lands, so N
-        new appliances cost one regeneration, not N.  An FCM that declares
-        no capabilities, or whose fetch failed, does not hold its
-        appliance back: it gets the generic panel.
-        """
-        ready = []
-        for appliance in appliances:
-            for handle in appliance.fcms:
-                if handle.capability_version <= 0:
-                    continue
-                handle.descriptor = self.descriptors.get(
-                    handle.device_guid, handle.seid.handle,
-                    handle.capability_version)
-                if handle.descriptor is None:
-                    self._fetch_descriptor(handle)
-            if not any(handle.seid in self._descriptor_fetches
-                       for handle in appliance.fcms):
-                ready.append(appliance)
-        return ready
-
-    def _fetch_descriptor(self, handle: FcmHandle) -> None:
-        key = (handle.device_guid, handle.seid.handle,
-               handle.capability_version)
-        if handle.seid in self._descriptor_fetches:
-            return
-        if key in self._descriptor_failed:
-            return  # don't re-fetch (and re-rebuild) a known-bad source
-        self._descriptor_fetches.add(handle.seid)
-
-        def absorb(message: HaviMessage) -> None:
-            self._descriptor_fetches.discard(handle.seid)
-            if self.closed:
-                return
-            if message.status == "SUCCESS":
-                descriptor = CapabilityDescriptor.from_dict(
-                    message.payload["descriptor"])
-                self.descriptors.put(handle.device_guid,
-                                     handle.seid.handle,
-                                     descriptor.version, descriptor)
-            else:
-                self._descriptor_failed.add(key)
-            if not self._descriptor_fetches:
-                self.rebuild()
-
-        handle.command("capabilities.get", on_reply=absorb, origin="app")
 
     def _active_tab(self) -> tuple[Optional[str], Optional[int]]:
         """(guid, index) of the active tab before a rebuild, if any."""
@@ -258,21 +192,26 @@ class HomeApplianceApplication:
     # -- event plumbing ----------------------------------------------------------------
 
     def _on_dcm_change(self, event: HaviEvent) -> None:
+        """One rebuild per burst: a bus reset posts its ``dcm.*`` events
+        at one instant, so a rebuild scheduled for that instant runs
+        after the last of them."""
         if event.opcode == "dcm.uninstalled":
-            # hot-unplug / bus reset: a device re-appearing behind this
-            # guid may be a different appliance entirely (guid reuse), so
-            # its cached descriptors must not survive the departure
+            # a device re-appearing behind this guid may be a different
+            # appliance entirely (guid reuse): drop the departed one's
+            # handles now, so the rebuild cannot hand them its FCMs
             guid = str(event.payload.get("guid", ""))
-            if guid:
-                self.descriptors.invalidate_guid(guid)
-                self._descriptor_failed = {
-                    key for key in self._descriptor_failed
-                    if key[0] != guid}
-                self._handles_by_seid = {
-                    seid: handle
-                    for seid, handle in self._handles_by_seid.items()
-                    if handle.device_guid != guid}
-        self.rebuild()
+            self._handles_by_seid = {
+                seid: handle
+                for seid, handle in self._handles_by_seid.items()
+                if handle.device_guid != guid}
+        if not self._rebuild_due:
+            self._rebuild_due = True
+            self.network.scheduler.call_soon(self._rebuild_when_due)
+
+    def _rebuild_when_due(self) -> None:
+        self._rebuild_due = False
+        if not self.closed:
+            self.rebuild()
 
     def _on_fcm_state(self, event: HaviEvent) -> None:
         seid_text = event.payload.get("seid")

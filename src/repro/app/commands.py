@@ -348,10 +348,3 @@ class CommandSpine:
                             detail=str(message.payload.get("detail", "")))
         if on_reply is not None:
             on_reply(message)
-
-    def stats(self) -> dict:
-        return {
-            "dispatched": self.dispatched,
-            "coalesced": self.coalesced,
-            "lanes_open": len(self._lanes),
-        }

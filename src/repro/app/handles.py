@@ -1,8 +1,9 @@
 """Client-side handles: the application's view of remote FCMs.
 
-A :class:`FcmHandle` wraps one FCM's SEID: it caches the FCM's state
-(refreshed via ``fcm.get_state`` and kept live by ``fcm.state.*`` events)
-and issues commands through the message system.  An
+A :class:`FcmHandle` wraps one FCM's SEID: it holds the capability
+descriptor from the FCM's registry entry, caches the FCM's state (read
+once via ``fcm.get_state`` and kept live by ``fcm.state.*`` events) and
+issues commands through the message system.  An
 :class:`ApplianceHandle` groups the FCM handles of one device.
 """
 
@@ -39,14 +40,12 @@ class FcmHandle:
         self.device_guid: str = str(attributes.get("device.guid", ""))
         self.device_name: str = str(attributes.get("device.name", "?"))
         self.device_class: str = str(attributes.get("device.class", "?"))
-        #: Descriptor version advertised through the registry; the
-        #: application uses it as a cache key for the full descriptor.
-        self.capability_version: int = int(
-            attributes.get("capability.version", 0) or 0)
-        #: Filled in by the application from its descriptor cache (None
-        #: until the ``capabilities.get`` reply lands, or for pre-
-        #: capability FCMs that declare nothing).
-        self.descriptor: Optional[CapabilityDescriptor] = None
+        #: The descriptor the FCM registered (None for an entry that
+        #: carries none).
+        descriptor = attributes.get("capability.descriptor")
+        self.descriptor: Optional[CapabilityDescriptor] = (
+            CapabilityDescriptor.from_dict(descriptor)
+            if descriptor is not None else None)
         #: GUID prefix for widget ids; the composer may lengthen it when
         #: two devices' GUIDs collide on the first 8 digits.
         self.guid_prefix: str = self.device_guid[:8]

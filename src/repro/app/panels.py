@@ -271,8 +271,8 @@ def build_capability_panel(handle: FcmHandle) -> Panel:
 def build_generic_panel(handle: FcmHandle) -> Panel:
     """Fallback: an "unsupported" banner plus a live state dump.
 
-    Reached for FCMs that declare no capabilities, or whose descriptor
-    fetch failed — the panel says so instead of raising, so one unknown
+    Reached for an FCM whose registry entry carries no descriptor or an
+    empty one — the panel says so instead of raising, so one unknown
     device can never take the whole composed UI down.
     """
     panel = Panel(title=f"{handle.device_name} ({handle.fcm_type})")
@@ -294,9 +294,9 @@ def build_generic_panel(handle: FcmHandle) -> Panel:
 
 
 def build_fcm_panel(handle: FcmHandle) -> Panel:
-    """Panel for any FCM: generated from its capability descriptor, or
-    the generic fallback for an FCM that declares no capabilities or whose
-    descriptor could not be fetched."""
+    """Panel for any FCM: generated from the capability descriptor its
+    registry entry carries, or the generic fallback for an FCM that
+    declares no capabilities."""
     if handle.descriptor is not None and len(handle.descriptor):
         return build_capability_panel(handle)
     return build_generic_panel(handle)

@@ -238,9 +238,9 @@ class InteractionDevice:
     def _on_frame_blob(self, blob: bytes) -> None:
         if not blob:
             raise ProxyError("empty device-link frame")
-        tag, payload = blob[0], blob[1:]
+        tag = blob[0]
         if tag == LINK_TAG_IMAGE:
-            image = DeviceImage.decode(payload)
+            image = DeviceImage.decode(memoryview(blob)[1:])
             self.screen_image = image
             self.frames_received += 1
             if self.on_frame is not None:

@@ -110,8 +110,3 @@ class CellPhone(InteractionDevice):
     def press(self, key: str) -> None:
         """Press one keypad key ('0'-'9', '*', '#')."""
         self.send_event({"type": "key", "key": key})
-
-    def dial(self, keys: str) -> None:
-        """Press a sequence of keypad keys."""
-        for key in keys:
-            self.press(key)

@@ -38,7 +38,6 @@ from repro.havi.capabilities import (
     Capability,
     CapabilityDescriptor,
     CapabilityError,
-    DescriptorCache,
 )
 from repro.havi.fcm import Fcm, FcmCommandError, FcmType
 from repro.havi.dcm import Dcm
@@ -53,7 +52,6 @@ __all__ = [
     "CapabilityError",
     "Comparison",
     "Dcm",
-    "DescriptorCache",
     "MAIN_COMPONENT",
     "DcmManager",
     "DeviceInfo",

@@ -29,10 +29,11 @@ Multi-component devices (fridge + freezer + ice maker) tag capabilities
 with a ``component`` id; surfaces render one labelled section per
 component.
 
-Descriptors are queryable over HAVi messaging (``capabilities.get`` on
-any FCM or DCM) and versioned; the :class:`DescriptorCache` memoises them
-keyed by ``(guid, fcm handle, version)`` so controllers re-fetch only when
-a device actually changes shape.
+At DCM install each FCM registers its descriptor, in plain
+:meth:`CapabilityDescriptor.to_dict` form, as the ``capability.descriptor``
+attribute of its registry entry, so a controller that discovers the FCM
+through the registry has its descriptor in the same lookup: no bus round
+trip and no cache.
 """
 
 from __future__ import annotations
@@ -165,7 +166,6 @@ class CapabilityDescriptor:
     """Everything a surface needs to build a UI for one FCM."""
 
     fcm_type: str
-    version: int = 1
     capabilities: tuple = ()
 
     def __post_init__(self) -> None:
@@ -203,7 +203,6 @@ class CapabilityDescriptor:
     def to_dict(self) -> dict:
         return {
             "fcm_type": self.fcm_type,
-            "version": self.version,
             "capabilities": [c.to_dict() for c in self.capabilities],
         }
 
@@ -211,49 +210,7 @@ class CapabilityDescriptor:
     def from_dict(cls, data: dict) -> "CapabilityDescriptor":
         return cls(
             fcm_type=str(data["fcm_type"]),
-            version=int(data.get("version", 1)),
             capabilities=tuple(Capability.from_dict(c)
                                for c in data.get("capabilities", ())),
         )
 
-
-class DescriptorCache:
-    """Memoised descriptors keyed by ``(guid, fcm handle, version)``.
-
-    The version rides in the FCM's registry attributes, so a cache user
-    knows the current key *before* deciding whether to fetch; a stale
-    version simply misses.  :meth:`invalidate_guid` drops every entry of
-    one device — called on ``dcm.uninstalled`` (bus reset, hot-unplug,
-    guid reuse), so a new device instance behind a recycled guid can
-    never be served the departed instance's descriptor.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, CapabilityDescriptor] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, guid: str, handle: int,
-            version: int) -> Optional[CapabilityDescriptor]:
-        descriptor = self._entries.get((guid, handle, version))
-        if descriptor is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return descriptor
-
-    def put(self, guid: str, handle: int, version: int,
-            descriptor: CapabilityDescriptor) -> None:
-        self._entries[(guid, handle, version)] = descriptor
-
-    def invalidate_guid(self, guid: str) -> int:
-        """Drop every entry of one device; returns how many were dropped."""
-        doomed = [key for key in self._entries if key[0] == guid]
-        for key in doomed:
-            del self._entries[key]
-        self.invalidations += len(doomed)
-        return len(doomed)

@@ -61,11 +61,6 @@ class Dcm(SoftwareElement):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def capabilities(self) -> dict[int, "object"]:
-        """Descriptors of every FCM, keyed by the FCM's SEID handle."""
-        return {fcm.seid.handle: fcm.capability_descriptor()
-                for fcm in self.fcms}
-
     def install(self) -> None:
         if self._installed:
             raise HaviError(f"DCM {self.name} already installed")
@@ -105,15 +100,7 @@ class Dcm(SoftwareElement):
                 "model": self.model,
                 "name": self.name,
                 "fcm_seids": [str(fcm.seid) for fcm in self.fcms],
-                "capability_versions": {
-                    str(fcm.seid.handle): fcm.descriptor_version
-                    for fcm in self.fcms},
             })
-            return
-        if message.opcode == "capabilities.get":
-            self.reply(message, {"descriptors": {
-                str(handle): descriptor.to_dict()
-                for handle, descriptor in self.capabilities().items()}})
             return
         super().handle_request(message)
 

@@ -78,14 +78,10 @@ class Fcm(SoftwareElement):
         self._state: dict[str, object] = {}
         self._commands: dict[str, CommandHandler] = {}
         self._capabilities: list[Capability] = []
-        #: Bumped whenever the capability set changes, so descriptor
-        #: caches keyed by (guid, handle, version) miss on a new shape.
-        self.descriptor_version = 0
         #: Media plugs (see :mod:`repro.havi.streams`); subclasses append.
         self.plugs: tuple = ()
         self.register_command("fcm.describe", self._cmd_describe)
         self.register_command("fcm.get_state", self._cmd_get_state)
-        self.register_command("capabilities.get", self._cmd_capabilities)
 
     def add_plug(self, name: str, direction: str, media: str = "av") -> None:
         """Declare a media plug on this FCM."""
@@ -145,7 +141,6 @@ class Fcm(SoftwareElement):
         if capability.command and handler is not None:
             self.register_command(capability.command, handler)
         self._capabilities.append(capability)
-        self.descriptor_version += 1
         return capability
 
     def declare_switch(self, name: str, *, command: str, arg: str = "on",
@@ -231,7 +226,6 @@ class Fcm(SoftwareElement):
     def capability_descriptor(self) -> CapabilityDescriptor:
         return CapabilityDescriptor(
             fcm_type=self.fcm_type.value,
-            version=self.descriptor_version,
             capabilities=tuple(self._capabilities))
 
     def validate_capabilities(self) -> None:
@@ -294,25 +288,22 @@ class Fcm(SoftwareElement):
             "device_name": self.device_name,
             "commands": self.commands,
             "state": self.state,
-            "capability_version": self.descriptor_version,
         }
 
     def _cmd_get_state(self, payload: dict) -> dict:
         return {"state": self.state}
 
-    def _cmd_capabilities(self, payload: dict) -> dict:
-        return {"descriptor": self.capability_descriptor().to_dict(),
-                "version": self.descriptor_version}
-
     # -- registry ------------------------------------------------------------------
 
     def registry_attributes(self) -> dict[str, object]:
+        """The registry entry; it carries the descriptor, so discovery
+        needs no further round trip to build a panel."""
         return {
             "element.type": "fcm",
             "fcm.type": self.fcm_type.value,
             "device.guid": self.device_guid,
             "device.name": self.device_name,
-            "capability.version": self.descriptor_version,
+            "capability.descriptor": self.capability_descriptor().to_dict(),
         }
 
     # -- guards ---------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The HAVi registry: attribute-based software element lookup.
 
 Software elements register a table of attributes (device class, FCM type,
-manufacturer, ...).  Clients find them with a query tree of comparisons
-combined with AND/OR/NOT — this is how the home appliance application
-discovers "every FCM currently on the network" to build its control panel
-(paper §2.2).
+manufacturer, an FCM's capability descriptor, ...).  Clients find them with
+a query tree of comparisons combined with AND/OR/NOT — this is how the home
+appliance application discovers "every FCM currently on the network" and
+reads what it needs to build its control panel (paper §2.2).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Optional
 from repro.havi.seid import SEID
 from repro.util.errors import RegistryError
 
-#: Attribute values are plain scalars or strings.
+#: Attribute values are plain data: scalars, strings, or lists and dicts
+#: of them (an FCM's ``capability.descriptor``).
 AttrValue = object
 
 

@@ -153,10 +153,6 @@ class HomeUser:
 
     # -- situation ----------------------------------------------------------
 
-    @property
-    def situation(self) -> UserSituation:
-        return self.context.situation
-
     def set_situation(self, situation: UserSituation) -> SwitchRecord:
         """Replace this user's situation and re-select their devices."""
         return self.context.set_situation(situation)

@@ -46,16 +46,18 @@ class DeviceImage:
     format: str
     data: bytes
 
-    def encode(self) -> bytes:
-        """Wire form for the proxy -> device link."""
+    def encode(self) -> tuple[bytes, bytes]:
+        """Wire form for the proxy -> device link: the header and the
+        pixels as two chunks, for a vectored send that never joins them."""
         code = _FORMAT_CODES.get(self.format)
         if code is None:
             raise PluginError(f"unknown image format {self.format!r}")
-        return _IMAGE_HEADER.pack(self.width, self.height, code,
-                                  len(self.data)) + self.data
+        return (_IMAGE_HEADER.pack(self.width, self.height, code,
+                                   len(self.data)), self.data)
 
     @classmethod
-    def decode(cls, blob: bytes) -> "DeviceImage":
+    def decode(cls, blob: Union[bytes, memoryview]) -> "DeviceImage":
+        """Parse the wire form; the pixels are copied once, into bytes."""
         if len(blob) < _IMAGE_HEADER.size:
             raise PluginError("device image blob truncated")
         width, height, code, length = _IMAGE_HEADER.unpack_from(blob)
@@ -67,7 +69,7 @@ class DeviceImage:
         name = _FORMAT_NAMES.get(code)
         if name is None:
             raise PluginError(f"unknown image format code {code}")
-        return cls(width, height, name, data)
+        return cls(width, height, name, bytes(data))
 
 
 @dataclass(frozen=True)

@@ -463,7 +463,7 @@ class ProxySession:
         image = self.output_plugin.process(self.upstream.framebuffer, dirty)
         if endpoint.is_open:
             endpoint.send(frame_chunks(
-                (bytes([LINK_TAG_IMAGE]), image.encode())))
+                (bytes([LINK_TAG_IMAGE]), *image.encode())))
             self.frames_pushed += 1
 
     def _on_bell(self) -> None:

@@ -86,8 +86,6 @@ class UniIntClient:
         self.on_resize: Optional[Callable[[int, int], None]] = None
         #: Fired on a server bell (e.g. microwave ding surfaced by an app).
         self.on_bell: Optional[Callable[[], None]] = None
-        #: Fired when a pong lands (the heartbeat loop listens here).
-        self.on_pong: Optional[Callable[[int], None]] = None
         #: Fired when the transport closes under the session (the
         #: reconnect machinery listens here; distinct from the deliberate
         #: :meth:`close`, which never fires it).
@@ -221,8 +219,6 @@ class UniIntClient:
                 self.on_bell()
         elif isinstance(message, Pong):
             self.outstanding_pings = 0
-            if self.on_pong is not None:
-                self.on_pong(message.seq)
         elif isinstance(message, SessionGrant):
             self.resume_token = message.token
         elif isinstance(message, ServerCutText):

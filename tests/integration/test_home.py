@@ -162,14 +162,14 @@ class TestApplicationUI:
 
 
 def _watch_tv_display(home):
-    """A TV display showing the home; returns the list of its frames."""
+    """A TV display showing the home: ``(display, its new frames)``."""
     display = TvDisplay("tv-display", home.scheduler)
     display.connect(home.proxy)
     home.proxy.select_output("tv-display")
     home.settle()
     frames = []
     display.on_frame = frames.append
-    return frames
+    return display, frames
 
 
 def _page_pixels(home, image, appliance_name):
@@ -184,26 +184,46 @@ def _page_pixels(home, image, appliance_name):
     return pixels[y0:y1, x0:x1]
 
 
+def _swap_home():
+    """Five appliances on a TV display, the Aircon tab in front."""
+    home = make_home(Television("TV"), DimmableLight("Lamp"),
+                     AirConditioner("Aircon"), VideoRecorder("VCR"),
+                     MicrowaveOven("Microwave"))
+    assert home.window.root.titles[home.window.root.active] == "Aircon"
+    return (home, *_watch_tv_display(home))
+
+
 class TestRebuildKeepsState:
-    """A UI rebuild seeds each new handle with its FCM's last state, so
-    the first frame after hotplug shows settled values, not defaults."""
+    """A rebuild keeps each installed FCM's handle and its state, so
+    every frame after hotplug shows settled values, not defaults."""
 
     def test_first_frame_after_a_swap_shows_the_settled_page(self):
-        home = make_home(Television("TV"), DimmableLight("Lamp"),
-                         AirConditioner("Aircon"), VideoRecorder("VCR"),
-                         MicrowaveOven("Microwave"))
-        assert home.window.root.titles[home.window.root.active] == "Aircon"
-        frames = _watch_tv_display(home)
+        home, display, frames = _swap_home()
         home.remove_appliance("Microwave")
         home.add_appliance(Refrigerator("Fridge"))
         home.settle()
-        assert len(frames) >= 2
-        first = _page_pixels(home, frames[0], "Aircon")
-        settled = _page_pixels(home, frames[-1], "Aircon")
-        assert np.array_equal(first, settled)
+        assert frames
+        settled = _page_pixels(home, display.screen_image, "Aircon")
+        for frame in frames:
+            assert np.array_equal(_page_pixels(home, frame, "Aircon"),
+                                  settled)
         aircon = home.app.handle_for("Aircon", "aircon")
         assert aircon.get("target_temp") == 25
         assert aircon.get("room_temp") == 28.0
+
+    def test_a_swap_costs_one_rebuild_and_one_update(self):
+        home, _, frames = _swap_home()
+        rebuilds = home.app.rebuild_count
+        updates = home.server_session.updates_sent
+        for leaving, arriving in (("Microwave", Refrigerator("Fridge")),
+                                  ("Fridge", MicrowaveOven("Microwave"))):
+            home.remove_appliance(leaving)
+            home.add_appliance(arriving)
+            home.settle()
+            assert home.app.rebuild_count == rebuilds + 1
+            assert home.server_session.updates_sent == updates + 1
+            rebuilds, updates = rebuilds + 1, updates + 1
+        assert len(frames) == 2
 
 
 class TestEndToEndThroughDevices:

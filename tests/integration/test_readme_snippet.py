@@ -34,6 +34,29 @@ def test_readme_quickstart_snippet():
     assert tv.dcm.fcm_by_type(FcmType.TUNER).get_state("power") is True
 
 
+def test_readme_preference_snippet():
+    """The 'Multi-user homes & follow-me migration' preference snippet,
+    verbatim."""
+    from repro.appliances import MicrowaveOven
+    from repro.devices import Pda
+
+    home = Home()
+    home.add_appliance(MicrowaveOven("Oven"))
+    home.add_device(Pda("pda", home.scheduler))
+    home.add_device(VoiceInput("mic", home.scheduler))
+    home.settle()
+
+    home.context.update(hands_busy=True)   # cooking: the situation picks voice
+    home.settle()
+    assert home.proxy.current_input == "mic"
+
+    home.preferences.rule("never talk to the oven", lambda s: True,
+                          voice=-10.0)
+    home.context.reselect()                # the preference outweighs it
+    home.settle()
+    assert home.proxy.current_input == "pda"
+
+
 def test_readme_multiuser_snippet():
     """The 'Multi-user homes & follow-me migration' snippet, verbatim."""
     from repro.devices import Pda, TvDisplay

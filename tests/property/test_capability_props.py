@@ -83,7 +83,7 @@ def descriptors(draw):
     unique_names = draw(st.lists(names, min_size=1, max_size=6,
                                  unique=True))
     return CapabilityDescriptor(
-        fcm_type=draw(names), version=draw(st.integers(1, 99)),
+        fcm_type=draw(names),
         capabilities=tuple(draw(capabilities(name=n))
                            for n in unique_names))
 

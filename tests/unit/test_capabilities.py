@@ -1,4 +1,4 @@
-"""Unit tests for typed capability descriptors and their cache."""
+"""Unit tests for typed capability descriptors and their registry entry."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.havi import (
     Capability,
     CapabilityDescriptor,
     CapabilityError,
-    DescriptorCache,
     FcmType,
     HomeNetwork,
     MAIN_COMPONENT,
@@ -85,8 +84,7 @@ class TestCapabilityRoundTrip:
 
 class TestDescriptor:
     def _descriptor(self):
-        return CapabilityDescriptor(fcm_type="tuner", version=3,
-                                    capabilities=(
+        return CapabilityDescriptor(fcm_type="tuner", capabilities=(
             Capability(kind="switch", name="power", command="power.set",
                        attribute="power"),
             Capability(kind="text", name="station", attribute="station",
@@ -104,7 +102,6 @@ class TestDescriptor:
         descriptor = self._descriptor()
         again = CapabilityDescriptor.from_dict(descriptor.to_dict())
         assert again == descriptor
-        assert again.version == 3
 
     def test_lookup_helpers(self):
         descriptor = self._descriptor()
@@ -141,13 +138,14 @@ class TestDeclarationApi:
         with pytest.raises(FcmError):
             tuner.declare_switch("power", command="power.set")
 
-    def test_version_bumps_per_declaration(self):
+    def test_each_declaration_extends_the_descriptor(self):
         tv = Television("TV")
         home_with(tv)
         tuner = tv.dcm.fcm_by_type(FcmType.TUNER)
-        before = tuner.descriptor_version
-        tuner.declare_text("extra", initial="x")
-        assert tuner.descriptor_version == before + 1
+        before = tuner.capability_descriptor()
+        extra = tuner.declare_text("extra", initial="x")
+        after = tuner.capability_descriptor()
+        assert after.capabilities == before.capabilities + (extra,)
 
     def test_validate_catches_drift(self):
         tv = Television("TV")
@@ -166,7 +164,7 @@ class TestDeclarationApi:
             for fcm in appliance.dcm.fcms:
                 fcm.validate_capabilities()
 
-    def test_registry_advertises_version(self):
+    def test_registry_entry_carries_the_descriptor(self):
         tv = Television("TV")
         network = home_with(tv)
         from repro.havi import Comparison
@@ -174,56 +172,8 @@ class TestDeclarationApi:
             Comparison("fcm.type", "==", "tuner"))
         attrs = network.registry.get_attributes(seids[0])
         tuner = tv.dcm.fcm_by_type(FcmType.TUNER)
-        assert attrs["capability.version"] == tuner.descriptor_version > 0
-
-
-class TestCapabilitiesGetOpcode:
-    def test_fetch_over_messaging(self):
-        tv = Television("TV")
-        network = home_with(tv)
-        from repro.havi import SEID, SoftwareElement
-        from repro.util.ids import guid_from_seed
-        client = SoftwareElement(SEID(guid_from_seed("cap-client"), 0),
-                                 network.messaging)
-        client.attach()
-        tuner = tv.dcm.fcm_by_type(FcmType.TUNER)
-        replies = []
-        client.send_request(tuner.seid, "capabilities.get", {},
-                            on_reply=replies.append)
-        network.settle()
-        assert replies[0].status == "SUCCESS"
         descriptor = CapabilityDescriptor.from_dict(
-            replies[0].payload["descriptor"])
+            attrs["capability.descriptor"])
         assert descriptor == tuner.capability_descriptor()
-        assert replies[0].payload["version"] == tuner.descriptor_version
+        assert len(descriptor) > 0
 
-
-class TestDescriptorCache:
-    def _descriptor(self, version=1):
-        return CapabilityDescriptor(fcm_type="light", version=version,
-                                    capabilities=(
-            Capability(kind="switch", name="power", command="power.set",
-                       attribute="power"),
-        ))
-
-    def test_miss_then_hit(self):
-        cache = DescriptorCache()
-        assert cache.get("g", 1, 1) is None
-        cache.put("g", 1, 1, self._descriptor())
-        assert cache.get("g", 1, 1) is not None
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_version_is_part_of_the_key(self):
-        cache = DescriptorCache()
-        cache.put("g", 1, 1, self._descriptor(1))
-        assert cache.get("g", 1, 2) is None  # new shape misses
-
-    def test_invalidate_guid_drops_all_handles(self):
-        cache = DescriptorCache()
-        cache.put("g", 1, 1, self._descriptor())
-        cache.put("g", 2, 1, self._descriptor())
-        cache.put("other", 1, 1, self._descriptor())
-        assert cache.invalidate_guid("g") == 2
-        assert len(cache) == 1
-        assert cache.invalidations == 2
-        assert cache.get("other", 1, 1) is not None

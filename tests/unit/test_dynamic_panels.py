@@ -30,7 +30,6 @@ from repro.devices import Pda
 from repro.havi import (
     Capability,
     CapabilityDescriptor,
-    FcmCommandError,
     FcmType,
     HomeNetwork,
     SEID,
@@ -55,7 +54,7 @@ def make_app(*appliances):
     network.settle()
     window = UIWindow(480, 420)
     app = HomeApplianceApplication(network, window)
-    network.settle()  # descriptor fetches land -> coalesced rebuild
+    network.settle()  # state reads land
     return network, window, app
 
 
@@ -189,35 +188,68 @@ class TestCommandParity:
                             f"{capability.command}")
 
 
-class TestDescriptorFetch:
-    def test_descriptor_arrives_and_rebuild_coalesces(self):
-        tv = Television("TV")
-        network, window, app = make_app(tv)
-        # initial build + exactly one coalesced rebuild once every
-        # outstanding capabilities.get reply has landed
-        assert app.rebuild_count == 2
-        for handle in app.appliances[0].fcms:
-            if handle.capability_version > 0:
-                assert handle.descriptor is not None
+class TestRegistryDescriptors:
+    """Each handle reads its descriptor from the FCM's registry entry, and
+    a rebuild keeps every handle whose FCM stays installed."""
 
-    def test_cache_survives_rebuild(self):
-        tv = Television("TV")
-        network, window, app = make_app(tv)
-        misses = app.descriptors.misses
-        app.rebuild()
-        assert app.descriptors.misses == misses  # all hits, no refetch
-
-    def test_uninstall_invalidates_cache(self):
-        tv = Television("TV")
-        network, window, app = make_app(tv)
-        assert len(app.descriptors) > 0
-        network.detach_device(tv.guid)
+    def test_one_settle_of_arrivals_costs_one_rebuild(self):
+        network, window, app = make_app()
+        rebuilds = app.rebuild_count
+        for appliance in (Television("TV"), MicrowaveOven("Oven"),
+                          Refrigerator("Fridge")):
+            network.attach_device(appliance)
         network.settle()
-        assert len(app.descriptors) == 0
+        assert app.rebuild_count == rebuilds + 1
+        handles = [h for a in app.appliances for h in a.fcms]
+        assert len(app.appliances) == 3
+        assert all(h.descriptor is not None and len(h.descriptor)
+                   for h in handles)
+        # no descriptor travels the bus: the only traffic is one state
+        # read per new FCM
+        assert [c.opcode for c in app.command_log] == (
+            ["fcm.get_state"] * len(handles))
+
+    def test_rebuild_keeps_handles_and_rereads_none(self):
+        tv = Television("TV")
+        network, window, app = make_app(tv)
+        handles = list(app.appliances[0].fcms)
+        sent = len(app.command_log)
+        app.rebuild()
+        network.settle()
+        network.attach_device(MicrowaveOven("Oven"))  # a rebuild by event
+        network.settle()
+        # the same objects (a handle compares by identity)
+        assert app.appliance_by_name("TV").fcms == handles
+        oven = app.appliance_by_name("Oven").fcms
+        assert [(c.seid, c.opcode) for c in app.command_log][sent:] == [
+            (h.seid, "fcm.get_state") for h in oven]
+
+    def test_recycled_guid_gets_a_fresh_handle_and_its_own_descriptor(self):
+        class Impostor(Refrigerator):
+            """A fridge that reports the oven's model, so its guid."""
+
+            manufacturer = MicrowaveOven.manufacturer
+            model = MicrowaveOven.model
+
+        oven = MicrowaveOven("Oven")
+        network, window, app = make_app(oven)
+        departed = app.appliances[0].fcms[0]
+        impostor = Impostor("Oven")
+        assert impostor.guid == oven.guid
+        network.detach_device(oven.guid)  # one bus reset swaps the two
+        network.attach_device(impostor)
+        network.settle()
+        handle = app.appliances[0].fcms[0]
+        assert handle.seid == departed.seid and handle is not departed
+        assert handle.fcm_type == "refrigerator"
+        fcm = impostor.dcm.fcm_by_type(FcmType.REFRIGERATOR)
+        assert handle.descriptor == fcm.capability_descriptor()
+        assert window.root.find(
+            f"{impostor.guid[:8]}.refrigerator.ice-dispense") is not None
 
     def test_uninstall_forgets_the_guids_handles(self):
-        """A rebuild seeds new handles from the previous ones; a departed
-        GUID's handles must not seed whatever appears behind it next."""
+        """A rebuild reuses the handles it knows; a departed GUID's
+        handles must not serve whatever appears behind it next."""
         tv = Television("TV")
         network, window, app = make_app(tv)
         remembered = []
@@ -235,13 +267,24 @@ class TestDescriptorFetch:
         network.settle()
         assert len(remembered) == 2 and tv.guid not in remembered[1]
 
+    def test_rebuild_due_at_close_does_nothing(self):
+        network, window, app = make_app()
+        rebuilds = app.rebuild_count
+        # dispatched after the application's own handler, in the same
+        # burst: the rebuild it scheduled is still due
+        network.events.subscribe("dcm.installed", lambda event: app.close())
+        network.attach_device(Television("TV"))
+        network.settle()
+        assert app.closed
+        assert app.rebuild_count == rebuilds
+        assert app.appliances == []
+
 
 class TestNoPlaceholderPanels:
-    """An appliance joins the composed UI only with every descriptor in
-    hand: while a ``capabilities.get`` is in flight there is no page for
-    it at all, never a generic "unsupported" stand-in."""
+    """An appliance is composed with its descriptor from the moment it is
+    discovered: never a generic "unsupported" stand-in."""
 
-    def test_no_generic_panel_while_descriptor_in_flight(self):
+    def test_no_generic_panel_across_swaps(self):
         network = HomeNetwork()
         fridge = Refrigerator("Fridge")
         network.attach_device(fridge)
@@ -257,37 +300,16 @@ class TestNoPlaceholderPanels:
 
         window.set_root = spy
         app = HomeApplianceApplication(network, window)
-        assert app.appliances == []  # descriptor in flight: no page yet
-        network.settle()
         assert [a.name for a in app.appliances] == ["Fridge"]
-        for _ in range(4):  # hotplug swaps re-fetch every time
+        for _ in range(4):
             network.detach_device(fridge.guid)
             network.settle()
             fridge = Refrigerator("Fridge")
             network.attach_device(fridge)
             network.settle()
             assert [a.name for a in app.appliances] == ["Fridge"]
-        assert len(seen) == app.rebuild_count > 4
+        assert len(seen) == app.rebuild_count == 9
         assert seen == [[]] * len(seen)
-
-    def test_failed_fetch_still_gets_the_generic_panel(self):
-        network = HomeNetwork()
-        fridge = Refrigerator("Fridge")
-        network.attach_device(fridge)
-        network.settle()
-
-        def broken(payload):
-            raise FcmCommandError("EBROKEN", "descriptor store corrupt")
-
-        fcm = fridge.dcm.fcm_by_type(FcmType.REFRIGERATOR)
-        fcm._commands["capabilities.get"] = broken
-        window = UIWindow(480, 420)
-        app = HomeApplianceApplication(network, window)
-        network.settle()
-        assert [a.name for a in app.appliances] == ["Fridge"]
-        banner = window.root.find(
-            f"{fridge.guid[:8]}.refrigerator.unsupported")
-        assert banner is not None and "refrigerator" in banner.text
 
 
 class TestUnknownFcmFallback:
@@ -302,7 +324,7 @@ class TestUnknownFcmFallback:
     def test_unmapped_kind_gets_send_command_button(self):
         network, handle = offline_handle("tuner")
         handle.descriptor = CapabilityDescriptor(
-            fcm_type="tuner", version=1, capabilities=(
+            fcm_type="tuner", capabilities=(
                 Capability(kind="gesture", name="wave",
                            command="gesture.wave"),
             ))
@@ -315,7 +337,7 @@ class TestUnknownFcmFallback:
     def test_unmapped_readonly_kind_gets_label(self):
         network, handle = offline_handle("tuner", {"aura": "calm"})
         handle.descriptor = CapabilityDescriptor(
-            fcm_type="tuner", version=1, capabilities=(
+            fcm_type="tuner", capabilities=(
                 Capability(kind="hologram", name="aura", attribute="aura",
                            read_only=True),
             ))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.devices import CellPhone, Pda, TvDisplay, VoiceInput
 from repro.graphics import Bitmap, Rect
-from repro.net import make_pipe
+from repro.net import frame_chunks, make_pipe
 from repro.proxy import (
     DeviceDescriptor,
     DeviceImage,
@@ -13,6 +13,7 @@ from repro.proxy import (
     UniIntProxy,
     ViewTransform,
 )
+from repro.proxy.plugins import LINK_TAG_IMAGE
 from repro.util import Scheduler
 from repro.util.errors import PluginError, ProxyError
 
@@ -53,13 +54,28 @@ class TestDeviceDescriptor:
 class TestDeviceImage:
     def test_roundtrip(self):
         image = DeviceImage(4, 3, "gray4", b"\x12" * 6)
-        again = DeviceImage.decode(image.encode())
+        again = DeviceImage.decode(b"".join(image.encode()))
         assert again == image
 
     @pytest.mark.parametrize("fmt", ["mono1", "gray4", "rgb565", "rgb888"])
     def test_all_formats(self, fmt):
         image = DeviceImage(2, 2, fmt, b"\x00" * 12)
-        assert DeviceImage.decode(image.encode()).format == fmt
+        assert DeviceImage.decode(b"".join(image.encode())).format == fmt
+
+    @pytest.mark.parametrize("fmt", ["mono1", "gray4", "rgb565", "rgb888"])
+    def test_device_link_delivers_bytes(self, fmt):
+        """Over a device link the pixels arrive as ``bytes`` equal to the
+        ones sent, not as a view into the receive buffer."""
+        scheduler = Scheduler()
+        proxy = UniIntProxy(scheduler)
+        pda = Pda("p", scheduler)
+        pda.connect(proxy)
+        image = DeviceImage(2, 2, fmt, bytes(range(12)))
+        proxy.binding("p").endpoint.send(frame_chunks(
+            (bytes([LINK_TAG_IMAGE]), *image.encode())))
+        scheduler.run_until_idle()
+        assert type(pda.screen_image.data) is bytes
+        assert pda.screen_image == image
 
     def test_unknown_format_rejected(self):
         with pytest.raises(PluginError):
@@ -67,7 +83,7 @@ class TestDeviceImage:
 
     def test_truncated_rejected(self):
         image = DeviceImage(4, 3, "mono1", b"\xFF" * 3)
-        blob = image.encode()
+        blob = b"".join(image.encode())
         with pytest.raises(PluginError):
             DeviceImage.decode(blob[:-1])
 
