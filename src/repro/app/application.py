@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.app.commands import CommandLog, CommandSpine
-from repro.app.composer import compose_ui
+from repro.app.composer import compose_ui, recompose_tabs
 from repro.app.handles import ApplianceHandle, FcmHandle
 from repro.havi.element import SoftwareElement
 from repro.havi.events import HaviEvent
@@ -105,22 +105,33 @@ class HomeApplianceApplication:
         Each FCM keeps its handle, and so its state, for as long as it
         stays installed, so the panels of a rebuild show settled values,
         not defaults.  Only a new FCM gets a new handle, which reads its
-        state with one ``fcm.get_state``.  ``set_root`` relayouts and
-        damages the whole window, so exactly the surfaces showing *this*
-        view repaint in full — other users' views are untouched until
-        their own application rebuilds.
+        state with one ``fcm.get_state``.  While the UI stays tabbed (two
+        or more appliances before and after), :func:`recompose_tabs`
+        updates the tab panel in place, so a hotplug of a background
+        appliance repaints just the tab bar.  The first build and every
+        change between zero, one and many appliances replace the root,
+        which damages the whole window.  Either way only the surfaces
+        showing *this* view repaint — other users' views are untouched
+        until their own application rebuilds.
         """
         previous_guid, previous_index = self._active_tab()
         known = self._handles_by_seid
+        shown = self.appliances
         self.appliances = self._discover()
         self._handles_by_seid = {
             handle.seid: handle
             for appliance in self.appliances
             for handle in appliance.fcms
         }
-        root = compose_ui(self.appliances)
-        self.window.set_root(root)
-        self._restore_tab(previous_guid, previous_index)
+        active = self._tab_index(previous_guid, previous_index)
+        root = self.window.root
+        if isinstance(root, TabPanel) and len(self.appliances) > 1:
+            recompose_tabs(root, shown, self.appliances, active)
+        else:
+            root = compose_ui(self.appliances)
+            self.window.set_root(root)
+            if isinstance(root, TabPanel):
+                root.set_active(active)
         for seid, handle in self._handles_by_seid.items():
             if seid not in known:
                 handle.refresh()
@@ -135,22 +146,18 @@ class HomeApplianceApplication:
             return None, None
         return self.appliances[tabs.active].guid, tabs.active
 
-    def _restore_tab(self, guid: Optional[str],
-                     fallback_index: Optional[int] = None) -> None:
-        tabs = self._tabs()
-        if tabs is None:
-            return
-        if guid is not None:
-            for index, appliance in enumerate(self.appliances):
-                if appliance.guid == guid:
-                    tabs.set_active(index)
-                    return
-        if fallback_index is not None:
-            # The appliance whose tab was active is gone (hot-unplugged):
-            # fall back to the tab that slid into its slot — the next
-            # appliance in order, or the new last tab (set_active clamps) —
-            # instead of silently jumping home to tab 0.
-            tabs.set_active(fallback_index)
+    def _tab_index(self, guid: Optional[str],
+                   fallback_index: Optional[int]) -> int:
+        """The tab to show after a rebuild: the appliance that was in
+        front, wherever it now sits."""
+        for index, appliance in enumerate(self.appliances):
+            if appliance.guid == guid:
+                return index
+        # The appliance whose tab was active is gone (hot-unplugged):
+        # fall back to the tab that slid into its slot — the next
+        # appliance in order, or the new last tab (the panel clamps) —
+        # instead of silently jumping home to tab 0.
+        return fallback_index if fallback_index is not None else 0
 
     def _tabs(self) -> Optional[TabPanel]:
         root = self.window.root

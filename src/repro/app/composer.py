@@ -53,3 +53,26 @@ def compose_ui(appliances: list[ApplianceHandle]) -> Widget:
     for appliance in appliances:
         tabs.add_page(appliance.name, build_appliance_page(appliance))
     return tabs
+
+
+def recompose_tabs(tabs: TabPanel, shown: list[ApplianceHandle],
+                   appliances: list[ApplianceHandle], active: int) -> None:
+    """Update a composed tab panel in place.
+
+    ``shown`` are the appliances whose pages ``tabs`` holds, in tab
+    order; ``appliances`` are the ones to show now, tab ``active`` in
+    front.  An appliance that keeps its GUID prefix and its FCM handles
+    keeps its page; every other appliance gets a new page, and the pages
+    left over are torn down (:meth:`TabPanel.replace_pages`).
+    """
+    assign_guid_prefixes(appliances)
+    before = {appliance.guid: (appliance, page)
+              for appliance, page in zip(shown, tabs.children)}
+    pages = []
+    for appliance in appliances:
+        old, page = before.get(appliance.guid, (None, None))
+        if (old is None or old.guid_prefix != appliance.guid_prefix
+                or old.fcms != appliance.fcms):
+            page = build_appliance_page(appliance)
+        pages.append((appliance.name, page))
+    tabs.replace_pages(pages, active)

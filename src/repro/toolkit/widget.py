@@ -126,11 +126,24 @@ class Widget:
 
     # -- damage ----------------------------------------------------------------
 
-    def invalidate(self) -> None:
-        """Mark this widget's area as needing repaint."""
-        window = self.window
-        if window is not None:
-            window.damage_widget(self)
+    def invalidate(self, rect: Optional[Rect] = None) -> None:
+        """Mark this widget's area, or ``rect`` of it in local
+        coordinates, as needing repaint.
+
+        A hidden widget, or one under a hidden ancestor, adds no damage:
+        it paints nothing, so whatever shows or hides it damages the
+        area through a visible ancestor (a
+        :class:`~repro.toolkit.TabPanel` damages the whole panel when it
+        switches pages).
+        """
+        node: Optional[Widget] = self
+        while node is not None:
+            if not node.visible:
+                return
+            if node._window is not None:
+                node._window.damage_widget(self, rect)
+                return
+            node = node.parent
 
     # -- painting ----------------------------------------------------------------
 

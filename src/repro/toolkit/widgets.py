@@ -570,7 +570,10 @@ class TabPanel(Widget):
     """Tab bar plus a content area showing one child page at a time.
 
     This is the paper's *composed GUI*: one page per currently available
-    appliance, composition changing as appliances come and go.
+    appliance, composition changing as appliances come and go.  Only the
+    shown page adds damage: a hidden page paints nothing, and showing it
+    damages the whole panel.  :meth:`replace_pages` changes the
+    composition in place, damaging only what the change alters.
     """
 
     focusable = True
@@ -588,6 +591,59 @@ class TabPanel(Widget):
             self.active = 0
         self._sync_visibility()
         return page
+
+    def replace_pages(self, pages: Sequence[tuple[str, Widget]],
+                      active: int) -> None:
+        """Show ``(title, page)`` pairs, tab ``active`` in front.
+
+        A page already in the panel keeps its widgets, their state and
+        focus; a page that leaves is torn down, and focus inside it falls
+        to the window's first focusable widget.  The panel lays its pages
+        out again within its rect.  Unlike :meth:`add_page`, it damages
+        only what changed: the tab bar when the titles or the active tab
+        change, the content area when the shown page changes, and each
+        widget of the shown page that the layout moved.
+        """
+        new = [page for _, page in pages]
+        if any(page.parent not in (None, self) for page in new):
+            raise ToolkitError("widget already has a parent")
+        window = self.window
+        titles, active_before, shown = self._titles, self.active, self._shown()
+        focused = window.focus if window is not None else None
+        for child in self.children:
+            if child not in new:
+                if window is not None:
+                    window.forget_widget(child)
+                child.teardown()
+                child.parent = None
+        for page in new:
+            page.parent = self
+        self.children = new
+        self._titles = [title for title, _ in pages]
+        self.active = max(0, min(len(new) - 1, active)) if new else -1
+        for i, child in enumerate(new):
+            child.visible = (i == self.active)
+        if window is None:
+            return
+        kept = self._shown() is shown and shown is not None
+        before = [(w, w.rect) for w in shown.walk()] if kept else []
+        theme = window.theme
+        self.perform_layout(theme)
+        if self._titles != titles or self.active != active_before:
+            self.invalidate(Rect(0, 0, self.rect.w, self._tab_height(theme)))
+        if not kept:
+            self.invalidate(self._content_rect(theme))
+        for widget, rect in before:
+            if widget.rect != rect:
+                widget.parent.invalidate(rect)
+                widget.invalidate()
+        if focused is not None and window.focus is None:
+            window.focus_next()
+
+    def _shown(self) -> Optional[Widget]:
+        if 0 <= self.active < len(self.children):
+            return self.children[self.active]
+        return None
 
     @property
     def titles(self) -> list[str]:
@@ -626,10 +682,13 @@ class TabPanel(Widget):
             page_h = max(page_h, ph)
         return (max(width, page_w) + 4, tab_h + page_h + 4)
 
-    def perform_layout(self, theme: Theme) -> None:
+    def _content_rect(self, theme: Theme) -> Rect:
         tab_h = self._tab_height(theme)
-        content = Rect(2, tab_h + 2, max(0, self.rect.w - 4),
-                       max(0, self.rect.h - tab_h - 4))
+        return Rect(2, tab_h + 2, max(0, self.rect.w - 4),
+                    max(0, self.rect.h - tab_h - 4))
+
+    def perform_layout(self, theme: Theme) -> None:
+        content = self._content_rect(theme)
         for child in self.children:
             child.rect = content
             child.perform_layout(theme)

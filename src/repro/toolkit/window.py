@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graphics.bitmap import Bitmap
-from repro.graphics.region import Region
+from repro.graphics.region import Rect, Region
 from repro.toolkit.canvas import Canvas
 from repro.toolkit.events import KeyPress, Pointer, PointerKind
 from repro.toolkit.theme import DEFAULT_THEME, Theme
@@ -82,8 +82,14 @@ class UIWindow:
 
     # -- damage & painting -------------------------------------------------------
 
-    def damage_widget(self, widget: Widget) -> None:
-        self.damage.add(widget.abs_rect().intersect(self.bitmap.bounds))
+    def damage_widget(self, widget: Widget,
+                      rect: Optional[Rect] = None) -> None:
+        """Damage ``widget``'s area, or ``rect`` of it (local coordinates,
+        clipped to the widget, as its painting is)."""
+        area = widget.abs_rect()
+        if rect is not None:
+            area = rect.translate(area.x, area.y).intersect(area)
+        self.damage.add(area.intersect(self.bitmap.bounds))
         self._ping_damage()
 
     def render(self) -> Region:

@@ -21,6 +21,7 @@ from repro.devices import (
     VoiceInput,
     WallDisplay,
 )
+from repro.graphics import Rect
 from repro.havi import FcmType
 from repro.toolkit import Label, ListBox, Slider, TabPanel, ToggleButton
 from repro.uip import keysyms
@@ -213,6 +214,22 @@ class TestRebuildKeepsState:
 
     def test_a_swap_costs_one_rebuild_and_one_update(self):
         home, _, frames = _swap_home()
+        window, tabs = home.window, home.window.root
+        painted, render = [], window.render
+
+        def counted_render():
+            painted.append(render())
+            return painted[-1]
+
+        window.render = counted_render
+        tab_bar = Rect(0, 0, tabs.rect.w, tabs._tab_height(window.theme))
+        # The first build lays the room label out before its state
+        # arrives, 2 px wide (the open layout bug in ROADMAP.md); the
+        # first swap's relayout widens it, so that swap repaints it too.
+        aircon = home.app.appliance_by_name("Aircon")
+        room = tabs.find(f"{aircon.guid_prefix}.aircon.room")
+        assert room.rect.w == 2
+        moved = [room]
         rebuilds = home.app.rebuild_count
         updates = home.server_session.updates_sent
         for leaving, arriving in (("Microwave", Refrigerator("Fridge")),
@@ -223,6 +240,13 @@ class TestRebuildKeepsState:
             assert home.app.rebuild_count == rebuilds + 1
             assert home.server_session.updates_sent == updates + 1
             rebuilds, updates = rebuilds + 1, updates + 1
+            assert len(painted) == 1, "a swap renders the window once"
+            allowed = [tab_bar] + [widget.abs_rect() for widget in moved]
+            assert all(any(area.contains_rect(rect) for area in allowed)
+                       for rect in painted.pop().rects())
+            moved = []
+        assert room.rect.w > 2
+        assert window.root is tabs
         assert len(frames) == 2
 
 

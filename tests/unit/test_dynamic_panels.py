@@ -410,6 +410,63 @@ class TestListenerLifecycle:
         for handle in handles:
             assert handle.listeners == []
 
+    def test_swap_churn_in_a_tabbed_home(self):
+        """A tabbed home keeps its panel and the pages that stay: each
+        staying handle keeps its listeners, a departed page's handles
+        end with none, and close() still detaches every one."""
+        visitor = MicrowaveOven("Oven")
+        network, window, app = make_app(Television("TV"),
+                                        AirConditioner("Aircon"), visitor)
+        tabs = window.root
+        staying = {handle: len(handle.listeners)
+                   for appliance in app.appliances if appliance.name != "Oven"
+                   for handle in appliance.fcms}
+        assert all(staying.values())
+        departed = []
+        for swap in range(10):
+            departed += app.appliance_by_name(visitor.name).fcms
+            network.detach_device(visitor.guid)
+            visitor = (Refrigerator("Fridge") if swap % 2 == 0
+                       else MicrowaveOven("Oven"))
+            network.attach_device(visitor)
+            network.settle()
+            assert window.root is tabs
+            for handle, count in staying.items():
+                assert len(handle.listeners) == count
+            assert all(handle.listeners == [] for handle in departed)
+        assert set(staying) <= {handle for appliance in app.appliances
+                                for handle in appliance.fcms}
+        visiting = app.appliance_by_name(visitor.name).fcms
+        assert all(handle.listeners for handle in visiting)
+        app.close()
+        for handle in [*staying, *visiting]:
+            assert handle.listeners == []
+
+    def _focus_home(self):
+        tv, oven = Television("TV"), MicrowaveOven("Oven")
+        network, window, app = make_app(tv, AirConditioner("Aircon"), oven)
+        return network, window, app, tv, oven
+
+    def test_focus_stays_through_an_unrelated_swap(self):
+        network, window, app, tv, oven = self._focus_home()
+        app.show_appliance("TV")
+        power = window.root.find(f"{tv.guid[:8]}.tuner.power")
+        assert power.request_focus()
+        network.detach_device(oven.guid)
+        network.attach_device(Refrigerator("Fridge"))
+        network.settle()
+        assert window.focus is power and power.has_focus
+
+    def test_focus_in_a_departed_page_falls_to_the_first_focusable(self):
+        network, window, app, tv, oven = self._focus_home()
+        app.show_appliance("Oven")
+        start = window.root.find(f"{oven.guid[:8]}.microwave.start")
+        assert start.request_focus()
+        network.detach_device(oven.guid)
+        network.settle()
+        assert window.focus is window._focus_order()[0] is window.root
+        assert window.root.has_focus
+
 
 class TestRefrigerator:
     """The descriptor-only appliance: three labelled compartments."""

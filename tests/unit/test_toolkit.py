@@ -463,6 +463,115 @@ class TestTabPanel:
         names = [type(w).__name__ for w in focusables]
         assert names.count("Button") == 1
 
+    def test_hidden_page_change_waits_until_the_page_is_shown(self):
+        window, tabs = self._tabbed_window()
+        label = tabs.children[1].add(Label("old"))
+        window.layout()
+        window.render()
+        label.text = "new text"
+        assert window.damage.is_empty
+        tabs.set_active(1)
+        window.render()
+        assert window.bitmap.copy() == _full_repaint(window)
+        expected, expected_tabs = self._tabbed_window()
+        expected_tabs.children[1].add(Label("new text"))
+        expected.layout()
+        expected_tabs.set_active(1)
+        expected.render()
+        assert window.bitmap == expected.bitmap
+
+
+def _full_repaint(window):
+    """The window as a render of its whole area paints it."""
+    window.damage.add(window.bitmap.bounds)
+    window.render()
+    return window.bitmap.copy()
+
+
+class TestTabPanelReplacePages:
+    """``TabPanel.replace_pages`` keeps the pages that stay and damages
+    only what the change alters."""
+
+    def _window(self):
+        window = make_window(300, 200)
+        tabs = TabPanel()
+        pages = {}
+        for title in ("TV", "VCR"):
+            page = pages[title] = Row()
+            page.add(Label(f"{title} text"))
+            page.add(Button(f"{title} go"))
+            tabs.add_page(title, page)
+        window.set_root(tabs)
+        window.render()
+        return window, tabs, pages
+
+    def _tab_bar(self, tabs):
+        return Rect(0, 0, tabs.rect.w, tabs._tab_height(DEFAULT_THEME))
+
+    def test_new_title_repaints_only_the_tab_bar(self):
+        window, tabs, pages = self._window()
+        dvd = Row()
+        dvd.add(Button("DVD go"))
+        tabs.replace_pages([("DVD", dvd), ("TV", pages["TV"])], 1)
+        assert tabs.active == 1 and tabs.children[1] is pages["TV"]
+        assert dvd.parent is tabs and not dvd.visible
+        assert window.damage.rects() == [self._tab_bar(tabs)]
+        window.render()
+        assert window.bitmap.copy() == _full_repaint(window)
+
+    def test_unchanged_pages_add_no_damage(self):
+        window, tabs, pages = self._window()
+        tabs.replace_pages([("TV", pages["TV"]), ("VCR", pages["VCR"])], 0)
+        assert window.damage.is_empty
+
+    def test_new_shown_page_repaints_the_content_area(self):
+        window, tabs, pages = self._window()
+        tabs.replace_pages([("VCR", pages["VCR"])], 0)
+        content = tabs._content_rect(DEFAULT_THEME)
+        assert window.damage.bounds() == self._tab_bar(tabs).union_bounds(
+            content)
+        window.render()
+        assert window.bitmap.copy() == _full_repaint(window)
+
+    def test_moved_widget_repaints_where_it_was_and_is(self):
+        window, tabs, pages = self._window()
+        label, button = pages["TV"].children
+        old = button.abs_rect()
+        label.text = "TV text, now much longer"
+        window.render()
+        tabs.replace_pages([("TV", pages["TV"]), ("VCR", pages["VCR"])], 0)
+        new = button.abs_rect()
+        assert new.x > old.x
+        assert window.damage.bounds() == label.abs_rect().union_bounds(
+            old).union_bounds(new)
+        window.render()
+        assert window.bitmap.copy() == _full_repaint(window)
+
+    def test_departed_page_is_torn_down_and_drops_focus(self):
+        window, tabs, pages = self._window()
+        torn = []
+        pages["TV"].on_teardown(lambda: torn.append("TV"))
+        pages["TV"].children[1].request_focus()
+        tabs.replace_pages([("VCR", pages["VCR"])], 0)
+        assert torn == ["TV"]
+        assert pages["TV"].parent is None
+        assert window.focus is tabs
+
+    def test_focus_stays_on_a_surviving_widget(self):
+        window, tabs, pages = self._window()
+        button = pages["TV"].children[1]
+        button.request_focus()
+        dvd = Row()
+        tabs.replace_pages([("DVD", dvd), ("TV", pages["TV"])], 1)
+        assert window.focus is button and button.has_focus
+
+    def test_page_of_another_parent_is_rejected(self):
+        window, tabs, pages = self._window()
+        elsewhere = Column()
+        stray = elsewhere.add(Row())
+        with pytest.raises(ToolkitError):
+            tabs.replace_pages([("TV", pages["TV"]), ("X", stray)], 0)
+
 
 class TestFocusTraversal:
     def test_tab_cycles_focus(self):
