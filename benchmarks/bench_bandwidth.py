@@ -1,14 +1,21 @@
 """E7 — session bandwidth per device class.
 
 Claim operationalised: thin-client output events fit each device's bearer
-because the proxy adapts depth and resolution per device.  A scripted
+because the proxy adapts depth and resolution per device, and then ships
+only the box of screen bytes each update changed.  A scripted
 10-interaction session runs against a phone, a PDA and a TV panel; we
-record the bytes moved on the device link (down = frames, up = events) and
-on the upstream UIP link.
+record the link bytes of the one full frame the device gets when
+selected, and the bytes the session then moves on the device link (down
+= boxes, up = events) and on the upstream UIP link.
 
-Expected shape: device-link bytes ordered phone << pda << tv (1-bit 128^2
-vs 2-bit 320x240 vs 24-bit 720x480), upstream bytes identical across
-devices (same UI activity), and event traffic negligible vs frames.
+Expected shape: full frames ordered phone << pda << tv (1-bit 128^2 vs
+2-bit 320x240 vs 24-bit 720x480), upstream bytes identical across devices
+(same UI activity), and on every device the session's boxes outweigh its
+events yet cost less than a full frame per update.  The session bytes of
+the phone and the PDA both stay below the TV's, but their order depends
+on the dither as much as on the depth: the PDA's ordered dither keeps a
+change local, while the phone's error diffusion spreads it down the
+screen.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ def _session_bytes(device_name):
     home.proxy.select_input("driver")
     home.proxy.select_output(device_name)
     home.settle()
+    assert output.frames_received == 1  # the full frame of the selection
+    full_frame = output.link_stats.bytes_received
     output.link_stats.reset()
     remote.link_stats.reset()
     upstream = home.session.upstream.endpoint.stats
@@ -52,6 +61,7 @@ def _session_bytes(device_name):
         home.settle()
 
     return {
+        "full_frame": full_frame,
         "frames": output.frames_received,
         "device_down": output.link_stats.bytes_received,
         "device_up": remote.link_stats.bytes_sent,
@@ -68,22 +78,28 @@ def test_session_bandwidth(benchmark, device_name):
     for key, value in stats.items():
         benchmark.extra_info[key] = (round(value, 3)
                                      if isinstance(value, float) else value)
-    # frames dominate events by an order of magnitude on every device
-    assert stats["device_down"] > 10 * stats["device_up"]
+    # frames outweigh the events that cause them, and the session's boxes
+    # cost less than a full frame per update (frame 1 is the selection's)
+    assert (stats["device_up"] < stats["device_down"]
+            < (stats["frames"] - 1) * stats["full_frame"])
 
 
 def test_bandwidth_shape_phone_pda_tv(benchmark):
     """The cross-device ordering the adaptation exists to produce."""
 
     def collect():
-        return {name: _session_bytes(name)["device_down"]
-                for name in DEVICES}
+        return {name: _session_bytes(name) for name in DEVICES}
 
-    down = benchmark.pedantic(collect, rounds=1, iterations=1)
-    assert down["phone"] < down["pda"] < down["tv-panel"]
+    stats = benchmark.pedantic(collect, rounds=1, iterations=1)
+    full = {name: stats[name]["full_frame"] for name in DEVICES}
+    down = {name: stats[name]["device_down"] for name in DEVICES}
+    assert full["phone"] < full["pda"] < full["tv-panel"]
+    assert down["phone"] < down["tv-panel"]
+    assert down["pda"] < down["tv-panel"]
+    benchmark.extra_info["full_frame_bytes"] = full
     benchmark.extra_info["device_down_bytes"] = down
     benchmark.extra_info["tv_over_phone"] = round(
-        down["tv-panel"] / down["phone"], 1)
+        full["tv-panel"] / full["phone"], 1)
 
 
 def _multi_session_stats(extra_viewers: int):

@@ -4,12 +4,14 @@ Claim operationalised: any server bitmap can be adapted to any output
 device by its uploaded plug-in (scale + colour-reduce + dither + pack).
 Expected shape: cost scales with device pixel count; the phone (tiny,
 error-diffused) and the wall display (huge, full colour) bracket the range;
-per-frame output bytes reflect each screen's native depth.  The damage
-case changes one 64x24 rect between pushes: every plug-in rescales only
-that footprint, and the PDA also greys, dithers and packs only the rows
-it reaches.  For the phone (whole-frame error diffusion) and the
-displays (whole-frame RGB canvas) it shows what their full-frame stages
-cost.
+per-frame output bytes reflect each screen's native depth.  A plug-in's
+first push is a full frame and every later one a box of what changed, so
+the full-frame cases time a fresh plug-in's first push.  The damage case
+changes one 64x24 rect between pushes: every plug-in rescales only that
+footprint, the PDA also greys, dithers and packs only the rows it
+reaches, and the displays copy out only the rescaled rect.  For the
+phone it shows what whole-frame error diffusion and the diff against
+the rows it last sent cost.
 """
 
 from __future__ import annotations
@@ -32,14 +34,24 @@ DEVICES = {
 }
 
 
+def _first_push(device):
+    """A fresh plug-in's first push of a panel frame: a full frame."""
+    frame = panel_frame(480, 360)
+
+    def push():
+        plugin = device.output_plugin_factory(device.descriptor,
+                                              SessionContext())
+        return plugin.transform(frame, frame.bounds)
+
+    return push
+
+
 @pytest.mark.parametrize("device_name", DEVICES)
 def test_output_plugin_transform(benchmark, device_name):
     device = DEVICES[device_name](device_name, Scheduler())
-    context = SessionContext()
-    plugin = device.output_plugin_factory(device.descriptor, context)
-    frame = panel_frame(480, 360)
 
-    image = benchmark(lambda: plugin.transform(frame, frame.bounds))
+    image = benchmark(_first_push(device))
+    assert image.is_full
     screen = device.descriptor.screen
     benchmark.extra_info["screen"] = f"{screen.width}x{screen.height}"
     benchmark.extra_info["format"] = image.format
@@ -69,13 +81,11 @@ def test_output_plugin_damage(benchmark, device_name):
 
 @pytest.mark.parametrize("device_name", ["phone-mono1", "pda-gray4"])
 def test_transform_wire_image_fits_link_second(benchmark, device_name):
-    """Device frame bytes vs the bearer's one-second byte budget."""
+    """Full device frame bytes vs the bearer's one-second byte budget."""
     device = DEVICES[device_name](device_name, Scheduler())
-    context = SessionContext()
-    plugin = device.output_plugin_factory(device.descriptor, context)
-    frame = panel_frame(480, 360)
 
-    image = benchmark(lambda: plugin.transform(frame, frame.bounds))
+    image = benchmark(_first_push(device))
+    assert image.is_full
     link = device.descriptor.link
     budget = link.bandwidth_bps / 8.0
     benchmark.extra_info["frame_bytes"] = len(image.data)

@@ -39,7 +39,7 @@ def main() -> None:
     print(f"selected output: {home.proxy.current_output}")
     print(f"PDA screen: {pda.screen_image.width}x"
           f"{pda.screen_image.height} {pda.screen_image.format}, "
-          f"{len(pda.screen_image.data)} bytes/frame")
+          f"{len(pda.screen_image.data)} bytes per full frame")
 
     # 3. Tap the TV's power toggle on the PDA (through the view transform).
     tuner = tv.dcm.fcm_by_type(FcmType.TUNER)

@@ -20,7 +20,7 @@ Devices never touch appliance state directly: every interaction flows
 through the proxy as universal events, which is the paper's whole point.
 """
 
-from repro.devices.base import InteractionDevice
+from repro.devices.base import DeviceScreen, InteractionDevice
 from repro.devices.pda import Pda, PdaOutputPlugin, PdaTouchPlugin
 from repro.devices.phone import CellPhone, PhoneKeypadPlugin, PhoneOutputPlugin
 from repro.devices.voice import VoiceInput, VoiceCommandPlugin, VOCABULARY
@@ -34,6 +34,7 @@ from repro.devices.gesture import GesturePad, GesturePlugin
 
 __all__ = [
     "CellPhone",
+    "DeviceScreen",
     "DisplayOutputPlugin",
     "GesturePad",
     "GesturePlugin",

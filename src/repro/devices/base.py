@@ -13,18 +13,29 @@ from the proxy's push path:
   bandwidth) and bell notifications (tag 0x02, e.g. the microwave ding
   surfaced as a device beep).
 
+An image is a *box*: a rectangle of whole bytes of the screen's packed
+rows, given by its byte offset and byte width within a row and its first
+row (the payload length gives the row count).  A full frame is the box of
+every byte; the output plug-in sends one on its first push, after a
+resize and after a reconnect, and a box (possibly empty) of what changed
+on every other push.  The device keeps one screen buffer, a
+:class:`DeviceScreen`: a full frame replaces it and a box is copied over
+it.
+
 A device may be connected to several proxies at once (a shared wall panel
 every resident's proxy can select): each connection is its own transport
 pair plus frame assembler, and native events are broadcast to every
 connected proxy — sessions that have not selected the device ignore them,
-so at most one user's session acts on any event.
+so at most one user's session acts on any event.  The leg whose full
+frame the screen shows owns it: a box from any other leg (a session that
+lost the device, its last pushes still in flight) is dropped.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -49,6 +60,46 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.proxy.proxy import UniIntProxy
 
 
+class DeviceScreen:
+    """The packed rows a device screen shows, built by the images that
+    reach it: a full frame replaces them and a box is copied over them.
+
+    ``name`` labels the errors: a box before any full frame, or a box of
+    a screen of another size or format, raises :class:`ProxyError`.
+    """
+
+    def __init__(self, name: str = "screen") -> None:
+        self.name = name
+        #: The last full frame's bytes, until a box makes them a bytearray
+        #: (so a full frame is copied once, when one is first changed).
+        self._rows: Union[bytes, bytearray, None] = None
+        #: ``(width, height, format)``, or None before the first frame.
+        self._geometry: Optional[tuple[int, int, str]] = None
+
+    @property
+    def image(self) -> Optional[DeviceImage]:
+        """The whole screen as a full frame (built when read), or None
+        before the first frame."""
+        if self._geometry is None:
+            return None
+        return DeviceImage(*self._geometry, bytes(self._rows))
+
+    def show(self, image: DeviceImage) -> None:
+        """Apply ``image``, a decoded (so valid) full frame or box."""
+        geometry = (image.width, image.height, image.format)
+        if image.is_full:
+            self._rows, self._geometry = image.data, geometry
+            return
+        if self._geometry is None:
+            raise ProxyError(f"{self.name} got a box before any full frame")
+        if geometry != self._geometry:
+            raise ProxyError(f"{self.name} got a box of a {geometry} screen "
+                             f"over a {self._geometry} one")
+        if isinstance(self._rows, bytes):
+            self._rows = bytearray(self._rows)
+        image.blit(self._rows)
+
+
 class InteractionDevice:
     """A simulated interaction device.
 
@@ -71,11 +122,14 @@ class InteractionDevice:
         #: ``pair.a`` is always the device-side endpoint.
         self._pairs: dict[str, TransportPair] = {}
         self._assemblers: dict[str, FrameAssembler] = {}
-        #: Most recent frame shown on the device screen (if any).
-        self.screen_image: Optional[DeviceImage] = None
+        #: What the screen shows, and the proxy id of the leg its last
+        #: full frame came on.
+        self._screen = DeviceScreen(f"device {device_id}")
+        self._screen_leg: Optional[str] = None
         self.frames_received = 0
         self.bells_received = 0
-        #: Test/demo hook fired when a new frame lands.
+        #: Test/demo hook fired with each image shown, as it arrived (a
+        #: box, or a full frame).
         self.on_frame: Optional[Callable[[DeviceImage], None]] = None
         #: Test/demo hook fired when the proxy forwards a bell (beep!).
         self.on_bell: Optional[Callable[[], None]] = None
@@ -136,7 +190,9 @@ class InteractionDevice:
         pair = (make_pipe(self.scheduler, link, name=name, seed=self.seed)
                 if member is None
                 else make_socket_transport_pair(member, link, name=name))
-        assembler = FrameAssembler(on_frame=self._on_frame_blob)
+        assembler = FrameAssembler(
+            on_frame=lambda blob, proxy_id=proxy.proxy_id:
+            self._on_frame_blob(proxy_id, blob))
         pair.a.on_receive = assembler.feed
         pair.a.on_close = (
             lambda proxy_id=proxy.proxy_id: self._on_link_closed(proxy_id))
@@ -235,13 +291,23 @@ class InteractionDevice:
 
     # -- proxy -> device frames -------------------------------------------------------
 
-    def _on_frame_blob(self, blob: bytes) -> None:
+    @property
+    def screen_image(self) -> Optional[DeviceImage]:
+        """The whole screen as a full frame (built when read), or None
+        before the first frame."""
+        return self._screen.image
+
+    def _on_frame_blob(self, proxy_id: str, blob: bytes) -> None:
         if not blob:
             raise ProxyError("empty device-link frame")
         tag = blob[0]
         if tag == LINK_TAG_IMAGE:
             image = DeviceImage.decode(memoryview(blob)[1:])
-            self.screen_image = image
+            if image.is_full:
+                self._screen_leg = proxy_id
+            elif self._screen_leg not in (None, proxy_id):
+                return  # another leg's full frame owns the screen now
+            self._screen.show(image)
             self.frames_received += 1
             if self.on_frame is not None:
                 self.on_frame(image)

@@ -18,16 +18,25 @@ from repro.proxy.plugins import DeviceImage, OutputPlugin
 
 
 class DisplayOutputPlugin(OutputPlugin):
-    """Aspect-preserving fit to the panel, full RGB."""
+    """Aspect-preserving fit to the panel, full RGB.
+
+    The plug-in keeps no canvas: a full frame letterboxes the fitted
+    frame, and every later push ships the rect of it that
+    :meth:`fit_frame` rescaled.
+    """
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view, scaled, _ = self.fit_frame(frame, dirty)
-        canvas = np.zeros((self.screen.height, self.screen.width, 3),
-                          dtype=np.uint8)
-        canvas[view.offset_y:view.offset_y + scaled.height,
-               view.offset_x:view.offset_x + scaled.width] = scaled.pixels
-        return DeviceImage(self.screen.width, self.screen.height, "rgb888",
-                           canvas.tobytes())
+        view, scaled, box = self.fit_frame(frame, dirty)
+        height, width = self.screen.height, self.screen.width
+        if box is None:
+            canvas = np.zeros((height, width, 3), dtype=np.uint8)
+            canvas[view.offset_y:view.offset_y + scaled.height,
+                   view.offset_x:view.offset_x + scaled.width] = scaled.pixels
+            return self.box_image(canvas.reshape(height, width * 3))
+        pixels = scaled.pixels[box.y:box.y2, box.x:box.x2]
+        return self.box_image(pixels.reshape(box.h, box.w * 3),
+                              (view.offset_x + box.x) * 3,
+                              view.offset_y + box.y)
 
 
 class TvDisplay(InteractionDevice):

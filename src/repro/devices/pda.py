@@ -16,6 +16,7 @@ from repro.proxy.plugins import (
     OutputPlugin,
     SessionContext,
     UniversalEvent,
+    ViewTransform,
 )
 from repro.uip.messages import PointerEvent
 from repro.util.errors import PluginError
@@ -46,34 +47,47 @@ class PdaOutputPlugin(OutputPlugin):
 
     Ordered dithering is chosen over error diffusion because its pattern is
     stable frame-to-frame — interactive updates do not shimmer.  It is also
-    local, so the plug-in keeps its packed screen rows and converts only
-    the full-width scaled rows :meth:`fit_frame` rescaled, from a multiple
-    of 4 so each row keeps its Bayer phase.  A rescale of every row (a new
-    frame object or size) rebuilds the whole screen, letterbox included.
+    local, so the plug-in keeps the packed screen rows it last sent and
+    converts only the full-width scaled rows :meth:`fit_frame` rescaled,
+    from a multiple of 4 so each row keeps its Bayer phase; it ships the
+    box of bytes those rows changed.  A rescale of every row (a new frame
+    object or size) rebuilds the whole screen, letterbox included, and
+    ships it as a full frame.
     """
 
     def __init__(self, descriptor: DeviceDescriptor,
                  context: SessionContext) -> None:
         super().__init__(descriptor, context)
-        #: The packed 2-bit screen the last push produced.
-        self._rows = bytearray((self.screen.width + 3) // 4
-                               * self.screen.height)
+        #: The packed 2-bit screen rows the device was last sent.
+        self._rows = np.zeros((self.screen.height,
+                               (self.screen.width + 3) // 4), dtype=np.uint8)
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view, scaled, (first, end) = self.fit_frame(frame, dirty)
-        if end - first == scaled.height:  # the letterbox may have moved
-            self._rows = bytearray(len(self._rows))
-        first -= first % 4  # keep the Bayer phase
-        if first < end:
-            band = scaled.crop(Rect(0, first, scaled.width, end - first))
-            dithered = ops.ordered_dither(ops.to_grayscale(band), levels=4)
-            canvas = np.zeros((end - first, self.screen.width))
-            canvas[:, view.offset_x:view.offset_x + scaled.width] = dithered
-            packed = ops.pack_gray4(canvas)
-            start = (view.offset_y + first) * (len(packed) // (end - first))
-            self._rows[start:start + len(packed)] = packed
-        return DeviceImage(self.screen.width, self.screen.height, "gray4",
-                           bytes(self._rows))
+        view, scaled, box = self.fit_frame(frame, dirty)
+        if box is None:  # the letterbox may have moved
+            self._rows[:] = 0
+            self._convert(view, scaled, 0, scaled.height)
+            return self.box_image(self._rows)
+        first = box.y - box.y % 4  # keep the Bayer phase
+        if first >= box.y2:
+            return self.box_image(self._rows[:0, :0])
+        top = view.offset_y + first
+        band = slice(top, top + box.y2 - first)
+        sent = self._rows[band].copy()
+        self._convert(view, scaled, first, box.y2)
+        return self.diff_image(sent, self._rows[band], top)
+
+    def _convert(self, view: ViewTransform, scaled: Bitmap, first: int,
+                 end: int) -> None:
+        """Grey, dither, letterbox and pack scaled rows ``[first, end)``
+        into the kept screen rows."""
+        band = scaled.crop(Rect(0, first, scaled.width, end - first))
+        dithered = ops.ordered_dither(ops.to_grayscale(band), levels=4)
+        canvas = np.zeros((end - first, self.screen.width))
+        canvas[:, view.offset_x:view.offset_x + scaled.width] = dithered
+        top = view.offset_y + first
+        self._rows[top:top + end - first] = np.frombuffer(
+            ops.pack_gray4(canvas), dtype=np.uint8).reshape(end - first, -1)
 
 
 class Pda(InteractionDevice):

@@ -8,6 +8,8 @@ client controls unmodified applications.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.devices.base import InteractionDevice
@@ -20,6 +22,7 @@ from repro.proxy.plugins import (
     DeviceImage,
     InputPlugin,
     OutputPlugin,
+    SessionContext,
     UniversalEvent,
 )
 from repro.uip import keysyms
@@ -73,18 +76,31 @@ class PhoneOutputPlugin(OutputPlugin):
     """Downscale to 128x128, Floyd-Steinberg to 1 bit, pack to bytes.
 
     Error diffusion wins on this tiny static screen: panel text stays far
-    more legible than with ordered dithering at 1 bit.
+    more legible than with ordered dithering at 1 bit.  It also spreads
+    every change down and across the screen, so the plug-in dithers the
+    whole fitted frame, keeps the packed rows it last sent and ships the
+    box of bytes that differ from them.
     """
 
+    def __init__(self, descriptor: DeviceDescriptor,
+                 context: SessionContext) -> None:
+        super().__init__(descriptor, context)
+        #: The packed 1-bit screen rows the device was last sent.
+        self._sent: Optional[np.ndarray] = None
+
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
-        view, scaled, _ = self.fit_frame(frame, dirty)
+        view, scaled, box = self.fit_frame(frame, dirty)
         gray = ops.to_grayscale(scaled)
         dithered = ops.floyd_steinberg(gray, levels=2)
         canvas = np.zeros((self.screen.height, self.screen.width))
         canvas[view.offset_y:view.offset_y + scaled.height,
                view.offset_x:view.offset_x + scaled.width] = dithered
-        return DeviceImage(self.screen.width, self.screen.height, "mono1",
-                           ops.pack_mono(canvas))
+        rows = np.frombuffer(ops.pack_mono(canvas), dtype=np.uint8).reshape(
+            self.screen.height, -1)
+        sent, self._sent = self._sent, rows
+        if box is None:
+            return self.box_image(rows)
+        return self.diff_image(sent, rows, 0)
 
 
 class CellPhone(InteractionDevice):

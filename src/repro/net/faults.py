@@ -26,8 +26,13 @@ numbers.
 
 A word on what is safe to inject where: frame drops/duplicates/delays
 assume the wrapped channel carries *self-delimiting* frames (the framed
-device legs, where every send is one length-prefixed message).  The raw
-UIP byte stream is not self-delimiting — dropping bytes from it desyncs
+device legs, where every send is one length-prefixed message).  On a
+device leg, wrap the device side (``pair.a``), so the faults hit the
+device -> proxy events, each of which stands alone.  The proxy -> device
+direction carries boxes that build on the screen the device already
+shows: a dropped or reordered box leaves stale pixels until something
+repaints them, so frame faults stay off that direction.  The raw UIP
+byte stream is not self-delimiting — dropping bytes from it desyncs
 the decoder permanently, which is exactly what ``truncate`` is for when
 corruption-robustness is the point.  Syscall faults (:class:`FaultySocket`)
 are always safe: they model the kernel, not the wire, and the pumps must

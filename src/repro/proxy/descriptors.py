@@ -15,8 +15,9 @@ from typing import Optional
 from repro.net.link import LinkProfile
 from repro.util.errors import ProxyError
 
-#: Device-side image formats an output plug-in may produce.
-IMAGE_FORMATS = ("mono1", "gray4", "rgb565", "rgb888")
+#: Device-side image formats an output plug-in may produce, and the bits
+#: each packs a pixel into (rows are padded to whole bytes).
+BITS_PER_PIXEL = {"mono1": 1, "gray4": 2, "rgb565": 16, "rgb888": 24}
 
 
 @dataclass(frozen=True)
@@ -25,19 +26,18 @@ class ScreenSpec:
 
     width: int
     height: int
-    format: str  # one of IMAGE_FORMATS
+    format: str  # a key of BITS_PER_PIXEL
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ProxyError(f"screen size must be positive: "
                              f"{self.width}x{self.height}")
-        if self.format not in IMAGE_FORMATS:
+        if self.format not in BITS_PER_PIXEL:
             raise ProxyError(f"unknown image format {self.format!r}")
 
     @property
     def bits_per_pixel(self) -> int:
-        return {"mono1": 1, "gray4": 2, "rgb565": 16, "rgb888": 24}[
-            self.format]
+        return BITS_PER_PIXEL[self.format]
 
 
 @dataclass(frozen=True)

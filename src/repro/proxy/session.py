@@ -293,12 +293,8 @@ class ProxySession:
         #: grown here instead of queueing stale frames, flushed when the
         #: transport drains.
         self._deferred_push = _NO_DAMAGE
-        #: Frame pushes withheld by device-link backpressure, and the
-        #: pixel area of the damage withheld at each deferral (an upper
-        #: bound on the device-frame bytes a queued stale push would have
-        #: cost — exact bytes depend on the output plug-in's format).
+        #: Frame pushes withheld by device-link backpressure.
         self.updates_coalesced = 0
-        self.bytes_suppressed = 0
         #: The newest :data:`PLUGIN_ERRORS_KEPT` device events the input
         #: plug-in rejected (malformed payloads), oldest first.
         self.plugin_errors: list[str] = []
@@ -457,7 +453,6 @@ class ProxySession:
             # hold the damage merged in ``_deferred_push``; the endpoint's
             # on_writable flushes one fresh frame once the link drains.
             self.updates_coalesced += 1
-            self.bytes_suppressed += self._deferred_push.area
             return
         dirty, self._deferred_push = self._deferred_push, _NO_DAMAGE
         image = self.output_plugin.process(self.upstream.framebuffer, dirty)

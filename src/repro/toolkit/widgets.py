@@ -573,7 +573,8 @@ class TabPanel(Widget):
     appliance, composition changing as appliances come and go.  Only the
     shown page adds damage: a hidden page paints nothing, and showing it
     damages the whole panel.  :meth:`replace_pages` changes the
-    composition in place, damaging only what the change alters.
+    composition in place, damaging only what the change alters, and lays
+    out only the shown page: the others are laid out when shown.
     """
 
     focusable = True
@@ -583,6 +584,8 @@ class TabPanel(Widget):
         self._titles: list[str] = []
         self.active = -1
         self.on_tab_change: Optional[Callable[[int], None]] = None
+        #: Hidden pages :meth:`replace_pages` did not lay out.
+        self._stale: set[Widget] = set()
 
     def add_page(self, title: str, page: Widget) -> Widget:
         self.add(page)
@@ -598,11 +601,13 @@ class TabPanel(Widget):
 
         A page already in the panel keeps its widgets, their state and
         focus; a page that leaves is torn down, and focus inside it falls
-        to the window's first focusable widget.  The panel lays its pages
-        out again within its rect.  Unlike :meth:`add_page`, it damages
-        only what changed: the tab bar when the titles or the active tab
-        change, the content area when the shown page changes, and each
-        widget of the shown page that the layout moved.
+        to the window's first focusable widget.  The panel lays the shown
+        page out again within its rect; a hidden page gets its rect and
+        is laid out when :meth:`set_active` shows it.  Unlike
+        :meth:`add_page`, it damages only what changed: the tab bar when
+        the titles or the active tab change, the content area when the
+        shown page changes, and each widget of the shown page that the
+        layout moved.
         """
         new = [page for _, page in pages]
         if any(page.parent not in (None, self) for page in new):
@@ -628,7 +633,11 @@ class TabPanel(Widget):
         kept = self._shown() is shown and shown is not None
         before = [(w, w.rect) for w in shown.walk()] if kept else []
         theme = window.theme
-        self.perform_layout(theme)
+        content = self._content_rect(theme)
+        for child in new:
+            child.rect = content
+        self._stale = set(new)
+        self._lay_out_if_stale(self._shown(), theme)
         if self._titles != titles or self.active != active_before:
             self.invalidate(Rect(0, 0, self.rect.w, self._tab_height(theme)))
         if not kept:
@@ -655,9 +664,18 @@ class TabPanel(Widget):
         index = max(0, min(len(self._titles) - 1, index))
         if index != self.active:
             self.active = index
+            window = self.window
+            if window is not None:
+                self._lay_out_if_stale(self.children[index], window.theme)
             self._sync_visibility()
             if self.on_tab_change is not None:
                 self.on_tab_change(index)
+
+    def _lay_out_if_stale(self, page: Optional[Widget],
+                          theme: Theme) -> None:
+        if page in self._stale:
+            self._stale.discard(page)
+            page.perform_layout(theme)
 
     def _sync_visibility(self) -> None:
         for i, child in enumerate(self.children):
@@ -689,6 +707,7 @@ class TabPanel(Widget):
 
     def perform_layout(self, theme: Theme) -> None:
         content = self._content_rect(theme)
+        self._stale.clear()
         for child in self.children:
             child.rect = content
             child.perform_layout(theme)

@@ -10,7 +10,8 @@ from tests.helpers.hostile import (
     socket_pair_on_reactor,
     split_points,
 )
+from tests.helpers.screens import ScreenReplay
 from tests.helpers.wire import received_encodings
 
-__all__ = ["HostileSocket", "partition", "received_encodings",
-           "socket_pair_on_reactor", "split_points"]
+__all__ = ["HostileSocket", "ScreenReplay", "partition",
+           "received_encodings", "socket_pair_on_reactor", "split_points"]

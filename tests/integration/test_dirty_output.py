@@ -1,11 +1,12 @@
 """The dirty-rect contract the output plug-ins' scale cache relies on.
 
 An output plug-in keeps its last scaled bitmap and rescales only the
-``dirty`` footprint of each push, so every path by which a session's
-upstream mirror changes must reach the plug-in as damage (or as a new
-frame object).  Each test drives one such path through a real
-``ProxySession`` and then requires the device's last frame to be byte-
-identical to what a fresh plug-in makes of the whole mirror.
+``dirty`` footprint of each push, and ships the device a box of what
+changed, so every path by which a session's upstream mirror changes must
+reach the plug-in as damage (or as a new frame object).  Each test drives
+one such path through a real ``ProxySession`` and then requires the
+device's screen to be byte-identical to what a fresh plug-in makes of the
+whole mirror.
 """
 
 from repro.appliances import Television
@@ -18,6 +19,7 @@ from repro.server import UniIntServer
 from repro.toolkit import Column, Label, UIWindow
 from repro.util import Scheduler
 from repro.windows import DisplayServer
+from tests.helpers import ScreenReplay
 
 
 def fresh_image(device, frame):
@@ -32,18 +34,21 @@ def assert_device_shows_mirror(session, device):
 
 
 def check_every_push(session, device):
-    """Compare each image the session's plug-in makes with a fresh one.
+    """Apply each image the session's plug-in makes to a copy of the
+    device's screen, and compare that screen with a fresh plug-in's full
+    image.
 
     Returns the list of dirty rects seen, so a test can show that pushes
     really were partial.
     """
     plugin = session.output_plugin
     transform = plugin.transform
+    screen = ScreenReplay(device.screen_image)
     dirties = []
 
     def checked(frame, dirty):
         image = transform(frame, dirty)
-        assert image == fresh_image(device, frame)
+        assert screen.show(image) == fresh_image(device, frame)
         dirties.append(dirty)
         return image
 

@@ -23,7 +23,14 @@ from repro.devices import (
 )
 from repro.graphics import Rect
 from repro.havi import FcmType
-from repro.toolkit import Label, ListBox, Slider, TabPanel, ToggleButton
+from repro.toolkit import (
+    Column,
+    Label,
+    ListBox,
+    Slider,
+    TabPanel,
+    ToggleButton,
+)
 from repro.uip import keysyms
 
 
@@ -163,13 +170,14 @@ class TestApplicationUI:
 
 
 def _watch_tv_display(home):
-    """A TV display showing the home: ``(display, its new frames)``."""
+    """A TV display showing the home: ``(display, its whole screen after
+    each new frame)``."""
     display = TvDisplay("tv-display", home.scheduler)
     display.connect(home.proxy)
     home.proxy.select_output("tv-display")
     home.settle()
     frames = []
-    display.on_frame = frames.append
+    display.on_frame = lambda image: frames.append(display.screen_image)
     return display, frames
 
 
@@ -248,6 +256,49 @@ class TestRebuildKeepsState:
         assert room.rect.w > 2
         assert window.root is tabs
         assert len(frames) == 2
+
+
+class TestSwapLaysOutOnlyTheShownPage:
+    """A swap lays out the shown page; a hidden page is laid out when it
+    is shown.  ``full_repaint`` paints whatever layout a page has, so
+    these tests compare rects with a fresh layout instead."""
+
+    def _swap(self, home):
+        home.remove_appliance("Microwave")
+        home.add_appliance(Refrigerator("Fridge"))
+        home.settle()
+
+    def test_a_swap_lays_out_only_the_shown_page(self, monkeypatch):
+        home, _, _ = _swap_home()
+        tabs = home.window.root
+        laid_out = []
+        for owner in (Column, TabPanel):
+            def recording(widget, theme, _layout=owner.perform_layout):
+                if widget is tabs or widget.parent is tabs:
+                    laid_out.append(widget)
+                return _layout(widget, theme)
+            monkeypatch.setattr(owner, "perform_layout", recording)
+        self._swap(home)
+        assert tabs.titles[tabs.active] == "Aircon"
+        assert laid_out == [tabs.children[tabs.active]]
+        fridge = tabs.children[tabs.titles.index("Fridge")]
+        assert fridge.rect == tabs.children[tabs.active].rect
+        assert all(w.rect.is_empty for w in fridge.walk() if w is not fridge)
+
+    def test_a_page_shown_after_a_swap_has_fresh_rects(self):
+        home, _, _ = _swap_home()
+        tabs = home.window.root
+        content = tabs.children[tabs.active].rect
+        self._swap(home)
+        for title in ("TV", "Fridge", "Lamp", "VCR", "Aircon"):
+            assert home.app.show_appliance(title)
+            home.settle()
+            page = tabs.children[tabs.active]
+            shown = [(w, w.rect) for w in page.walk()]
+            assert page.rect == content
+            page.perform_layout(home.window.theme)  # from scratch
+            assert [(w, w.rect) for w in page.walk()] == shown, title
+            assert any(not rect.is_empty for _, rect in shown[1:])
 
 
 class TestEndToEndThroughDevices:

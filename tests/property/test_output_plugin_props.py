@@ -1,11 +1,13 @@
 """Property: a dirty-rect output plug-in matches a full transform.
 
 Each plug-in keeps its last scaled bitmap and rescales only the ``dirty``
-footprint of a push.  Whatever the frame size (scaled down, or shown 1:1)
-and whatever in-place damage happens between pushes, as long as ``dirty``
-covers it, every image must be byte-identical to what a fresh plug-in
-makes of the whole frame — and a new frame object must be rescaled whole,
-whatever ``dirty`` says.
+footprint of a push, and ships a box of the screen.  Whatever the frame
+size (scaled down, or shown 1:1) and whatever in-place damage happens
+between pushes, as long as ``dirty`` covers it, the screen the pushed
+images build must be byte-identical after every push to what a fresh
+plug-in makes of the whole frame, and every box must lie inside the
+screen — and a new frame object must be rescaled whole and sent as a
+full frame, whatever ``dirty`` says.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.devices import CellPhone, Pda, TvDisplay, WallDisplay
 from repro.graphics import Bitmap, Rect
 from repro.proxy import SessionContext
 from repro.util import Scheduler
+from tests.helpers import ScreenReplay
 
 DEVICES = (CellPhone, Pda, TvDisplay, WallDisplay)
 
@@ -84,14 +87,17 @@ def test_every_push_equals_a_full_transform(kind, data):
     frame = Bitmap.from_array(
         rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
     plugin = make_plugin(device)
-    assert plugin.process(frame, frame.bounds) == full_image(device, frame)
+    screen = ScreenReplay()
+    assert screen.show(plugin.process(frame, frame.bounds)) == full_image(
+        device, frame)
     for changed, dirty in steps:
         for rect in changed:
             frame.view(rect)[:] = rng.integers(
                 0, 256, (rect.h, rect.w, 3), dtype=np.uint8)
-        assert plugin.process(frame, dirty) == full_image(device, frame)
+        assert screen.show(plugin.process(frame, dirty)) == full_image(
+            device, frame)
     # a new frame object is rescaled whole, whatever ``dirty`` says
     fresh = Bitmap.from_array(
         rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
-    assert plugin.process(fresh, Rect(0, 0, 1, 1)) == full_image(device,
-                                                                 fresh)
+    image = plugin.process(fresh, Rect(0, 0, 1, 1))
+    assert image.is_full and image == full_image(device, fresh)

@@ -12,13 +12,16 @@ from repro.devices import (
     Pda,
     RemoteControl,
     VoiceInput,
+    WallDisplay,
 )
 from repro.devices.gesture import classify_stroke
-from repro.proxy.plugins import SessionContext, ViewTransform
+from repro.net import frame_chunks
+from repro.proxy import DeviceImage, UniIntProxy
+from repro.proxy.plugins import LINK_TAG_IMAGE, SessionContext, ViewTransform
 from repro.uip import keysyms
 from repro.uip.messages import KeyEvent, PointerEvent
 from repro.util import Scheduler
-from repro.util.errors import PluginError
+from repro.util.errors import PluginError, ProxyError
 
 
 def plugin_for(device, view=True):
@@ -245,6 +248,98 @@ class TestDeviceBase:
         # the 480x360 frame sits centred on the 1024x768 panel
         frame = ops.to_grayscale(home.screenshot().bitmap)
         assert np.allclose(luma[204:204 + 360, 272:272 + 480], frame)
+
+
+def send_image(proxy, device_id, image):
+    """Push ``image`` down ``proxy``'s leg to the device."""
+    proxy.binding(device_id).endpoint.send(frame_chunks(
+        (bytes([LINK_TAG_IMAGE]), *image.encode())))
+    proxy.scheduler.run_until_idle()
+
+
+class TestDeviceScreen:
+    """A device keeps one screen: a full frame replaces it, and a box from
+    the leg of that full frame is copied over it."""
+
+    def test_boxes_are_copied_over_the_full_frame(self):
+        scheduler = Scheduler()
+        proxy = UniIntProxy(scheduler)
+        pda = Pda("p", scheduler)
+        pda.connect(proxy)
+        shown = []
+        pda.on_frame = shown.append
+        full = DeviceImage(320, 240, "gray4", bytes(80 * 240))
+        box = DeviceImage(320, 240, "gray4", b"\x01\x02\x03\x04", x=78,
+                          y=238, span=2)
+        empty = DeviceImage(320, 240, "gray4", b"", span=0)
+        for image in (full, box, empty):
+            send_image(proxy, "p", image)
+        assert shown == [full, box, empty]  # each as it arrived
+        assert pda.frames_received == 3
+        screen = bytearray(80 * 240)
+        screen[80 * 239 - 2:80 * 239] = b"\x01\x02"
+        screen[-2:] = b"\x03\x04"
+        assert pda.screen_image == DeviceImage(320, 240, "gray4",
+                                               bytes(screen))
+        # a full frame replaces the screen whole
+        send_image(proxy, "p", DeviceImage(320, 240, "gray4",
+                                           b"\x55" * (80 * 240)))
+        assert pda.screen_image.data == b"\x55" * (80 * 240)
+
+    def test_a_box_before_any_full_frame_is_rejected(self):
+        scheduler = Scheduler()
+        proxy = UniIntProxy(scheduler)
+        pda = Pda("p", scheduler)
+        pda.connect(proxy)
+        with pytest.raises(ProxyError, match="before any full frame"):
+            send_image(proxy, "p", DeviceImage(320, 240, "gray4",
+                                               b"\x55" * 4, x=3, y=7, span=2))
+        assert pda.screen_image is None and pda.frames_received == 0
+
+    def test_a_box_of_another_screen_is_rejected(self):
+        scheduler = Scheduler()
+        proxy = UniIntProxy(scheduler)
+        pda = Pda("p", scheduler)
+        pda.connect(proxy)
+        send_image(proxy, "p", DeviceImage(320, 240, "gray4", bytes(19200)))
+        with pytest.raises(ProxyError, match="box of a"):
+            send_image(proxy, "p", DeviceImage(128, 128, "mono1",
+                                               b"\xff" * 2, span=2))
+        assert pda.screen_image.data == bytes(19200)
+
+    def test_a_shared_wall_drops_a_box_from_the_leg_it_left(self):
+        """Two residents' proxies share a wall: once the second one's full
+        frame owns the screen, a box still in flight on the first leg
+        would paint one resident's pixels into the other's screen."""
+        scheduler = Scheduler()
+        alice = UniIntProxy(scheduler, proxy_id="alice")
+        bob = UniIntProxy(scheduler, proxy_id="bob")
+        wall = WallDisplay("wall", scheduler)
+        wall.connect(alice)
+        wall.connect(bob)
+        shown = []
+        wall.on_frame = shown.append
+        size = 1024 * 3 * 768
+
+        def box(fill):
+            return DeviceImage(1024, 768, "rgb888", fill * 6, x=30, y=40,
+                               span=3)
+
+        send_image(alice, "wall", DeviceImage(1024, 768, "rgb888",
+                                              b"\x01" * size))
+        send_image(alice, "wall", box(b"\xaa"))
+        bob_frame = DeviceImage(1024, 768, "rgb888", b"\x02" * size)
+        send_image(bob, "wall", bob_frame)
+        assert wall.screen_image == bob_frame
+        send_image(alice, "wall", box(b"\xbb"))
+        assert wall.screen_image == bob_frame
+        assert wall.frames_received == 3 and len(shown) == 3
+        # the owning leg's boxes still land
+        send_image(bob, "wall", box(b"\xcc"))
+        pixels = np.frombuffer(wall.screen_image.data, dtype=np.uint8)
+        rows = pixels.reshape(768, 1024 * 3)
+        assert rows[40:42, 30:33].tolist() == [[0xcc] * 3] * 2
+        assert (rows == 0xcc).sum() == 6 and wall.frames_received == 4
 
 
 class TestDeviceTransportLeg:

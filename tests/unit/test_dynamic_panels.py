@@ -10,6 +10,7 @@ from their descriptor alone.
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,16 @@ from repro.havi import (
     SEID,
     SoftwareElement,
 )
+from repro.proxy.plugins import _IMAGE_HEADER
 from repro.toolkit import Column, UIWindow
 from repro.util.ids import guid_from_seed, guid_prefixes
 
 #: What the hand-written builders guaranteed, frozen before their removal.
 LEGACY = json.loads((Path(__file__).resolve().parents[1] / "fixtures"
                      / "legacy_surfaces.json").read_text())
+#: The device-image header when the fixture was frozen: width, height,
+#: format code and payload length, without the box fields.
+LEGACY_IMAGE_HEADER = struct.Struct(">HHBI")
 
 #: Appliances that had a hand-written builder for every FCM (the
 #: refrigerator never had one — it is descriptor-only).
@@ -104,7 +109,11 @@ class TestWidgetIdParity:
     def test_pda_first_frame_matches_legacy(self):
         """The composed TV + microwave + aircon home reaches a PDA as the
         same number of bytes the hand-written panels produced, showing the
-        pixels the descriptor panels showed while both paths existed."""
+        pixels the descriptor panels showed while both paths existed.
+
+        The fixture's byte count predates boxed device images: their
+        header has grown by the box fields since, so the link carries the
+        legacy bytes plus that growth per frame."""
         home = Home(width=480, height=360)
         for appliance in (Television("TV"), MicrowaveOven("Oven"),
                           AirConditioner("Aircon")):
@@ -116,7 +125,9 @@ class TestWidgetIdParity:
         home.settle()
         legacy = LEGACY["pda_first_frame"]
         assert pda.frames_received == legacy["frames_received"]
-        assert pda.link_stats.bytes_received == legacy["bytes_received"]
+        growth = _IMAGE_HEADER.size - LEGACY_IMAGE_HEADER.size
+        assert pda.link_stats.bytes_received == (
+            legacy["bytes_received"] + growth * legacy["frames_received"])
         assert hashlib.sha256(pda.screen_image.data).hexdigest() == \
             LEGACY["pda_first_frame_descriptor"]["screen_sha256"]
 

@@ -33,6 +33,7 @@ from repro.uip.encodings import decode_hextile, encode_hextile
 from repro.uip.wire import Cursor, NeedMore
 from repro.util import Scheduler
 from repro.util.errors import GraphicsError, ProtocolError
+from tests.helpers import ScreenReplay
 
 BE565 = PixelFormat(16, 16, True, 31, 63, 31, 11, 5, 0)
 BE888 = PixelFormat(32, 24, True, 255, 255, 255, 16, 8, 0)
@@ -654,7 +655,7 @@ class TestFloydSteinbergParity:
 
 class WholeFramePdaPlugin(OutputPlugin):
     """The transform ``PdaOutputPlugin`` replaced: grey, dither, letterbox
-    and pack the whole fitted frame on every push."""
+    and pack the whole fitted frame on every push, and ship it whole."""
 
     def transform(self, frame, dirty):
         view, scaled, _ = self.fit_frame(frame, dirty)
@@ -683,6 +684,9 @@ PDA_FRAMES = [(314, 230), (301, 239), (203, 97), (480, 330), (700, 410),
 
 
 class TestPdaOutputParity:
+    """Each image the plug-in pushes is applied to a screen, which must
+    then equal the oracle's whole frame."""
+
     @pytest.mark.parametrize("size", PDA_FRAMES,
                              ids=lambda size: "x".join(map(str, size)))
     def test_every_push_matches_the_whole_frame_transform(self, size):
@@ -690,7 +694,9 @@ class TestPdaOutputParity:
         rng = np.random.default_rng(width * height)
         frame = _noise(rng, width, height)
         plugin = pda_plugin()
-        assert plugin.process(frame, frame.bounds) == whole_frame_image(frame)
+        screen = ScreenReplay()
+        assert screen.show(plugin.process(frame, frame.bounds)) == \
+            whole_frame_image(frame)
         view = plugin.context.view
         assert view.offset_x % 4 or view.offset_y % 4
         scaled_h = max(1, int(height * view.scale))
@@ -708,8 +714,8 @@ class TestPdaOutputParity:
                 first, _ = ops.box_span(height, scaled_h, changed.y,
                                         changed.y2)
                 unaligned += first % 4 != 0
-            assert plugin.process(frame, rect) == whole_frame_image(frame), \
-                (size, step, rect)
+            assert screen.show(plugin.process(frame, rect)) == \
+                whole_frame_image(frame), (size, step, rect)
         assert unaligned > 0
 
     @pytest.mark.parametrize("size", [(314, 230), (480, 330)],
@@ -719,12 +725,15 @@ class TestPdaOutputParity:
         rng = np.random.default_rng(width)
         frame = _noise(rng, width, height)
         plugin = pda_plugin()
-        expected = plugin.process(frame, frame.bounds)
+        screen = ScreenReplay()
+        expected = screen.show(plugin.process(frame, frame.bounds))
         assert expected == whole_frame_image(frame)
         for rect in (Rect(0, 0, 0, 0), Rect(7, 9, 0, 30), Rect(7, 9, 30, 0),
                      Rect(-40, -40, 30, 30), Rect(width, 0, 9, height),
                      Rect(0, height, width, 5)):
-            assert plugin.process(frame, rect) == expected, rect
+            image = plugin.process(frame, rect)
+            assert image.rows == 0, rect
+            assert screen.show(image) == expected, rect
 
     @pytest.mark.parametrize("sizes", [((314, 230), (314, 230)),
                                        ((480, 330), (480, 330)),
@@ -734,13 +743,16 @@ class TestPdaOutputParity:
     def test_a_new_frame_object_is_converted_whole(self, sizes):
         rng = np.random.default_rng(len(str(sizes)))
         plugin = pda_plugin()
+        screen = ScreenReplay()
         for width, height in sizes:
             frame = _noise(rng, width, height)
-            # a new frame object: its dirty says nothing of the old one
-            assert plugin.process(frame, Rect(1, 1, 1, 1)) == \
-                whole_frame_image(frame)
+            # a new frame object: its dirty says nothing of the old one,
+            # and the device gets a full frame
+            image = plugin.process(frame, Rect(1, 1, 1, 1))
+            assert image.is_full
+            assert screen.show(image) == whole_frame_image(frame)
             frame.view(Rect(3, 6, 20, 3))[:] = 255
-            assert plugin.process(frame, Rect(3, 6, 20, 3)) == \
+            assert screen.show(plugin.process(frame, Rect(3, 6, 20, 3))) == \
                 whole_frame_image(frame)
 
     def test_small_damage_converts_only_its_rows(self, monkeypatch):
@@ -755,12 +767,15 @@ class TestPdaOutputParity:
         rng = np.random.default_rng(4)
         frame = _noise(rng, 314, 230)
         plugin = pda_plugin()
-        plugin.process(frame, frame.bounds)
+        screen = ScreenReplay(plugin.process(frame, frame.bounds))
         frame.view(Rect(10, 101, 30, 6))[:] = 0
         image = plugin.process(frame, Rect(10, 101, 30, 6))
         plugin.process(frame, Rect(0, 0, 0, 0))
         # every row, then rows 100..106 for the damage at rows 101..106,
         # then none
         assert rows_dithered == [230, 7]
+        # the frame sits at (3, 5) on the screen: the box is device rows
+        # 106..111 and the bytes of columns 13..42, 4 pixels a byte
+        assert (image.y, image.rows, image.x, image.span) == (106, 6, 3, 8)
         monkeypatch.undo()
-        assert image == whole_frame_image(frame)
+        assert screen.show(image) == whole_frame_image(frame)

@@ -51,18 +51,64 @@ class TestDeviceDescriptor:
                              input_modes=frozenset({"touch"}))
 
 
+#: A screen size per format for the wire tests; the widths leave mono1
+#: and gray4 rows a padded last byte.
+WIRE_SCREENS = {"mono1": (13, 5), "gray4": (10, 4), "rgb565": (3, 4),
+                "rgb888": (4, 3)}
+
+
+def wire(image):
+    return b"".join(image.encode())
+
+
+def wire_screen(fmt):
+    """``(width, height, bytes per packed row)`` of ``fmt``'s screen."""
+    width, height = WIRE_SCREENS[fmt]
+    return width, height, DeviceImage(width, height, fmt, b"").row_bytes
+
+
 class TestDeviceImage:
     def test_roundtrip(self):
-        image = DeviceImage(4, 3, "gray4", b"\x12" * 6)
-        again = DeviceImage.decode(b"".join(image.encode()))
+        image = DeviceImage(4, 3, "gray4", b"\x12" * 3)
+        again = DeviceImage.decode(wire(image))
         assert again == image
+        assert (again.x, again.y, again.span, again.rows) == (0, 0, 1, 3)
+        assert again.is_full
 
-    @pytest.mark.parametrize("fmt", ["mono1", "gray4", "rgb565", "rgb888"])
+    @pytest.mark.parametrize("fmt", WIRE_SCREENS)
     def test_all_formats(self, fmt):
-        image = DeviceImage(2, 2, fmt, b"\x00" * 12)
-        assert DeviceImage.decode(b"".join(image.encode())).format == fmt
+        """A full frame, a box in the bottom-right corner and an empty box
+        round-trip with their boxes."""
+        width, height, row = wire_screen(fmt)
+        full = DeviceImage(width, height, fmt, bytes(range(row * height)))
+        assert full.span == row and full.rows == height and full.is_full
+        assert DeviceImage.decode(wire(full)) == full
+        box = DeviceImage(width, height, fmt, b"\x07\x08\x09\x0a",
+                          x=row - 2, y=height - 2, span=2)
+        again = DeviceImage.decode(wire(box))
+        assert again == box and again.format == fmt
+        assert (again.x, again.y, again.span, again.rows) == (
+            row - 2, height - 2, 2, 2)
+        assert not again.is_full
+        empty = DeviceImage(width, height, fmt, b"", span=0)
+        assert DeviceImage.decode(wire(empty)) == empty
+        assert empty.rows == 0 and not empty.is_full
 
-    @pytest.mark.parametrize("fmt", ["mono1", "gray4", "rgb565", "rgb888"])
+    @pytest.mark.parametrize("fmt", WIRE_SCREENS)
+    def test_blit_writes_only_the_box(self, fmt):
+        width, height, row = wire_screen(fmt)
+        screen = bytearray(b"\xee" * (row * height))
+        DeviceImage(width, height, fmt, b"\x01\x02\x03\x04", x=row - 2, y=1,
+                    span=2).blit(screen)
+        expected = bytearray(b"\xee" * (row * height))
+        expected[2 * row - 2:2 * row] = b"\x01\x02"
+        expected[3 * row - 2:3 * row] = b"\x03\x04"
+        assert screen == expected
+        band = bytes(range(row))
+        DeviceImage(width, height, fmt, band, y=height - 1).blit(screen)
+        assert screen[-row:] == band
+
+    @pytest.mark.parametrize("fmt", WIRE_SCREENS)
     def test_device_link_delivers_bytes(self, fmt):
         """Over a device link the pixels arrive as ``bytes`` equal to the
         ones sent, not as a view into the receive buffer."""
@@ -70,11 +116,15 @@ class TestDeviceImage:
         proxy = UniIntProxy(scheduler)
         pda = Pda("p", scheduler)
         pda.connect(proxy)
-        image = DeviceImage(2, 2, fmt, bytes(range(12)))
+        images = []
+        pda.on_frame = images.append
+        width, height, row = wire_screen(fmt)
+        image = DeviceImage(width, height, fmt, bytes(range(row * height)))
         proxy.binding("p").endpoint.send(frame_chunks(
             (bytes([LINK_TAG_IMAGE]), *image.encode())))
         scheduler.run_until_idle()
-        assert type(pda.screen_image.data) is bytes
+        assert type(images[0].data) is bytes
+        assert images == [image]
         assert pda.screen_image == image
 
     def test_unknown_format_rejected(self):
@@ -83,13 +133,42 @@ class TestDeviceImage:
 
     def test_truncated_rejected(self):
         image = DeviceImage(4, 3, "mono1", b"\xFF" * 3)
-        blob = b"".join(image.encode())
+        blob = wire(image)
         with pytest.raises(PluginError):
             DeviceImage.decode(blob[:-1])
 
     def test_garbage_rejected(self):
         with pytest.raises(PluginError):
             DeviceImage.decode(b"\x00\x01")
+
+    @pytest.mark.parametrize("fmt", WIRE_SCREENS)
+    def test_a_box_outside_the_screen_rejected(self, fmt):
+        width, height, row = wire_screen(fmt)
+        inside = DeviceImage(width, height, fmt, b"\x00" * 4, x=row - 2,
+                             y=height - 2, span=2)
+        DeviceImage.decode(wire(inside))
+        for outside in (
+                # past the last column
+                DeviceImage(width, height, fmt, b"\x00" * 4, x=row - 1,
+                            y=height - 2, span=2),
+                DeviceImage(width, height, fmt, b"\x00" * (row + 1),
+                            span=row + 1),
+                # past the last row
+                DeviceImage(width, height, fmt, b"\x00" * 4, x=row - 2,
+                            y=height - 1, span=2),
+                DeviceImage(width, height, fmt, b"\x00" * row * (height + 1)),
+                # an empty box that starts past the end of a row
+                DeviceImage(width, height, fmt, b"", x=row + 1, span=0)):
+            with pytest.raises(PluginError, match="outside"):
+                DeviceImage.decode(wire(outside))
+
+    @pytest.mark.parametrize("fmt", WIRE_SCREENS)
+    def test_a_payload_of_part_rows_rejected(self, fmt):
+        width, height, _ = wire_screen(fmt)
+        for ragged in (DeviceImage(width, height, fmt, b"\x00" * 3, span=2),
+                       DeviceImage(width, height, fmt, b"\x00", span=0)):
+            with pytest.raises(PluginError, match="whole rows"):
+                DeviceImage.decode(wire(ragged))
 
 
 class TestViewTransform:
@@ -146,34 +225,37 @@ class TestOutputPluginGeometry:
         image = plugin.process(frame, frame.bounds)
         assert (image.width, image.height) == (1024, 768)
 
-    def test_fit_frame_reports_the_rescaled_rows(self):
+    def test_fit_frame_reports_the_rescaled_rect(self):
         device = Pda("p", Scheduler())
         plugin = device.output_plugin_factory(device.descriptor,
                                               SessionContext())
         frame = Bitmap(480, 360)  # scale 2/3
-        _, scaled, rows = plugin.fit_frame(frame, Rect(0, 0, 1, 1))
-        assert scaled.size == (320, 240) and rows == (0, 240)
+        _, scaled, box = plugin.fit_frame(frame, Rect(0, 0, 1, 1))
+        assert scaled.size == (320, 240) and box is None
         # scaled row i boxes source rows [floor(1.5 i), ceil(1.5 i + 1.5)),
-        # so rows 20 and 21 meet source rows 30..32
-        assert plugin.fit_frame(frame, Rect(9, 30, 5, 3))[2] == (20, 22)
-        assert plugin.fit_frame(frame, Rect(0, 0, 0, 0))[2] == (0, 0)
-        assert plugin.fit_frame(frame, Rect(480, 0, 9, 9))[2] == (0, 0)
+        # so rows 20 and 21 meet source rows 30..32 and columns 6..9 meet
+        # source columns 9..13
+        assert plugin.fit_frame(frame, Rect(9, 30, 5, 3))[2] == Rect(
+            6, 20, 4, 2)
+        assert plugin.fit_frame(frame, Rect(0, 0, 0, 0))[2].is_empty
+        assert plugin.fit_frame(frame, Rect(480, 0, 9, 9))[2].is_empty
         fresh = Bitmap(480, 360)
-        assert plugin.fit_frame(fresh, Rect(9, 30, 5, 3))[2] == (0, 240)
+        assert plugin.fit_frame(fresh, Rect(9, 30, 5, 3))[2] is None
 
-    def test_fit_frame_at_scale_one_reports_the_dirty_rows(self):
+    def test_fit_frame_at_scale_one_reports_the_dirty_rect(self):
         device = Pda("p", Scheduler())
         plugin = device.output_plugin_factory(device.descriptor,
                                               SessionContext())
         frame = Bitmap(320, 200)
-        view, scaled, rows = plugin.fit_frame(frame, Rect(5, 7, 3, 4))
-        assert view.scale == 1.0 and scaled is frame and rows == (0, 200)
-        assert plugin.fit_frame(frame, Rect(5, 7, 3, 4))[2] == (7, 11)
-        assert plugin.fit_frame(frame, Rect(-9, 190, 20, 50))[2] == (190,
-                                                                      200)
-        assert plugin.fit_frame(frame, Rect(0, -9, 9, 9))[2] == (0, 0)
+        view, scaled, box = plugin.fit_frame(frame, Rect(5, 7, 3, 4))
+        assert view.scale == 1.0 and scaled is frame and box is None
+        assert plugin.fit_frame(frame, Rect(5, 7, 3, 4))[2] == Rect(5, 7, 3,
+                                                                    4)
+        assert plugin.fit_frame(frame, Rect(-9, 190, 20, 50))[2] == Rect(
+            0, 190, 11, 10)
+        assert plugin.fit_frame(frame, Rect(0, -9, 9, 9))[2].is_empty
         fresh = Bitmap(320, 200)
-        assert plugin.fit_frame(fresh, Rect(5, 7, 3, 4))[2] == (0, 200)
+        assert plugin.fit_frame(fresh, Rect(5, 7, 3, 4))[2] is None
 
     def test_output_plugin_requires_screen(self):
         voice = VoiceInput("v", Scheduler())
