@@ -17,7 +17,7 @@ from repro.net import ETHERNET_100, make_pipe
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
 from repro.toolkit import Column, Label, ToggleButton, UIWindow
-from repro.uip import HEXTILE, RRE, DESKTOP_SIZE
+from repro.uip import HEXTILE, RRE
 from repro.util import Scheduler
 from repro.windows import DisplayServer
 
@@ -111,8 +111,8 @@ class TestA2FixedEncoding:
     @pytest.mark.parametrize("mode", ["fixed-hextile", "fixed-rre"])
     def test_encoding_mode_bytes(self, benchmark, mode):
         encodings = {
-            "fixed-hextile": (HEXTILE, DESKTOP_SIZE),
-            "fixed-rre": (RRE, DESKTOP_SIZE),
+            "fixed-hextile": (HEXTILE,),
+            "fixed-rre": (RRE,),
         }[mode]
 
         def run():

@@ -16,11 +16,10 @@ from the proxy's push path:
 An image is a *box*: a rectangle of whole bytes of the screen's packed
 rows, given by its byte offset and byte width within a row and its first
 row (the payload length gives the row count).  A full frame is the box of
-every byte; the output plug-in sends one on its first push, after a
-resize and after a reconnect, and a box (possibly empty) of what changed
-on every other push.  The device keeps one screen buffer, a
-:class:`DeviceScreen`: a full frame replaces it and a box is copied over
-it.
+every byte; the output plug-in sends one on its first push and after a
+reconnect, and a box (possibly empty) of what changed on every other
+push.  The device keeps one screen buffer, a :class:`DeviceScreen`: a
+full frame replaces it and a box is copied over it.
 
 A device may be connected to several proxies at once (a shared wall panel
 every resident's proxy can select): each connection is its own transport
@@ -39,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
-from repro.graphics.pixelformat import RGB565
 from repro.graphics import ops
 from repro.net import (
     ReactorMember,
@@ -327,9 +325,6 @@ class InteractionDevice:
             return ops.unpack_mono(image.data, image.width, image.height)
         if image.format == "gray4":
             return ops.unpack_gray4(image.data, image.width, image.height)
-        if image.format == "rgb565":
-            rgb = RGB565.unpack(image.data, image.width, image.height)
-            return rgb.astype(np.float64) @ np.asarray([0.299, 0.587, 0.114])
         if image.format == "rgb888":
             rgb = np.frombuffer(image.data, dtype=np.uint8).reshape(
                 image.height, image.width, 3)

@@ -2,14 +2,13 @@
 
 Stands in for the paper's "control appliances by his/her gesture by
 navigating augmented real world generated by wearable devices": the device
-reports raw strokes (point sequences, with sensor jitter); the uploaded
-plug-in runs a small geometric recogniser and emits universal key events.
+reports raw strokes (point sequences); the uploaded plug-in runs a small
+geometric recogniser and emits universal key events.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 from repro.devices.base import InteractionDevice
 from repro.net.link import BLUETOOTH_1
@@ -99,12 +98,6 @@ class GesturePad(InteractionDevice):
     input_plugin_factory = GesturePlugin
     output_plugin_factory = None
 
-    def __init__(self, device_id: str, scheduler, seed: int = 0,
-                 jitter: float = 1.0) -> None:
-        self.jitter = jitter
-        self._rng = random.Random(("gesture", device_id, seed).__repr__())
-        super().__init__(device_id, scheduler, seed)
-
     def build_descriptor(self) -> DeviceDescriptor:
         return DeviceDescriptor(
             device_id=self.device_id,
@@ -114,22 +107,3 @@ class GesturePad(InteractionDevice):
             link=BLUETOOTH_1,
             tags=frozenset({"wearable", "hands_free", "personal"}),
         )
-
-    # -- user actions --------------------------------------------------------
-
-    def _noisy(self, points: list[tuple[float, float]]):
-        return [
-            (x + self._rng.uniform(-self.jitter, self.jitter),
-             y + self._rng.uniform(-self.jitter, self.jitter))
-            for x, y in points
-        ]
-
-    def stroke(self, points: list[tuple[float, float]]) -> None:
-        """Perform a raw stroke (sensor jitter is applied)."""
-        noisy = self._noisy(points)
-        self.send_event({"type": "stroke",
-                         "points": [[round(x, 2), round(y, 2)]
-                                    for x, y in noisy]})
-
-    def tap(self) -> None:
-        self.stroke([(50.0, 50.0), (50.5, 50.2)])

@@ -134,9 +134,8 @@ class Bitmap:
         """A zero-copy (h, w, 3) subarray of ``rect`` (clipped to bounds).
 
         The returned array shares storage with the bitmap: writes through
-        either are visible in both, and it is only valid until the bitmap
-        is replaced (resize).  The encode hot path packs damaged rects
-        through views to skip the :meth:`crop` copy.
+        either are visible in both.  The encode hot path packs damaged
+        rects through views to skip the :meth:`crop` copy.
         """
         clipped = rect.intersect(self.bounds)
         if clipped.is_empty:
@@ -159,29 +158,6 @@ class Bitmap:
             source.pixels[sy:sy + clipped.h, sx:sx + clipped.w]
         )
         return clipped
-
-    def copy_rect(self, src: Rect, dst_x: int, dst_y: int) -> Rect:
-        """Move a rectangle within this bitmap (the COPYRECT primitive)."""
-        clipped_src = src.intersect(self.bounds)
-        if clipped_src.is_empty:
-            return clipped_src
-        data = self.pixels[clipped_src.y:clipped_src.y2,
-                           clipped_src.x:clipped_src.x2].copy()
-        # clipping the source must shift the destination by the same amount,
-        # or the surviving pixels land at the wrong offset
-        dst = Rect(dst_x + (clipped_src.x - src.x),
-                   dst_y + (clipped_src.y - src.y),
-                   clipped_src.w, clipped_src.h)
-        clipped_dst = dst.intersect(self.bounds)
-        if clipped_dst.is_empty:
-            return clipped_dst
-        ox = clipped_dst.x - dst.x
-        oy = clipped_dst.y - dst.y
-        self.pixels[clipped_dst.y:clipped_dst.y2,
-                    clipped_dst.x:clipped_dst.x2] = (
-            data[oy:oy + clipped_dst.h, ox:ox + clipped_dst.w]
-        )
-        return clipped_dst
 
     # -- comparison --------------------------------------------------------------
 

@@ -54,12 +54,11 @@ class TileDiffer:
 
         The shadow is brought up to date over every input rect, so damage
         dropped here is damage whose content downstream consumers already
-        have.  On the first call (or after a framebuffer resize) there is
-        no shadow yet: the rects pass through unrefined and the shadow is
-        primed.
+        have.  On the first call there is no shadow yet: the rects pass
+        through unrefined and the shadow is primed.
         """
         pixels = framebuffer.pixels
-        if self._shadow is None or self._shadow.shape != pixels.shape:
+        if self._shadow is None:
             self._shadow = pixels.copy()
             return [r for r in rects if not r.is_empty]
         out: list[Rect] = []

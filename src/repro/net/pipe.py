@@ -90,7 +90,6 @@ class Endpoint(Transport):
         peer = self._peer
         if peer is not None and peer._open:
             peer.stats.bytes_received += total
-            peer.stats.messages_received += 1
             for chunk in chunks:
                 peer._dispatch(chunk)
         # Credit returns even when the peer vanished mid-flight: the bytes

@@ -86,7 +86,6 @@ class ReactorMember:
         #: them (see :meth:`repro.home.Home.close`).
         self.dropped: list[IOHandle] = []
         self.events_fired = 0
-        self.io_dispatches = 0
 
     @property
     def last_error(self) -> Optional[BaseException]:
@@ -395,10 +394,8 @@ class Reactor:
             if handle.closed:
                 continue
             worked = True
-            if handle.member is not None:
-                handle.member.io_dispatches += 1
-                if id(handle.member) in turn_work:
-                    turn_work[id(handle.member)] += 1
+            if handle.member is not None and id(handle.member) in turn_work:
+                turn_work[id(handle.member)] += 1
             try:
                 if mask & selectors.EVENT_WRITE and handle.on_writable:
                     handle.on_writable()

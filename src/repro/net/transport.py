@@ -54,18 +54,11 @@ MIN_CREDIT = 4096
 
 @dataclass
 class TransportStats:
-    """Per-transport traffic counters.
-
-    ``messages_received`` counts *framed messages* (one per peer
-    ``send()``), not receive syscalls, so it stays in parity with the
-    sending half's ``messages_sent`` even when a kernel byte stream
-    re-segments the traffic arbitrarily.
-    """
+    """Per-transport traffic counters: bytes each way, the messages a
+    lossy link dropped, and the deepest the send queue got."""
 
     bytes_sent: int = 0
     bytes_received: int = 0
-    messages_sent: int = 0
-    messages_received: int = 0
     messages_dropped: int = 0
     #: High-water mark of :attr:`Transport.queued_bytes` over the
     #: transport's lifetime — the backpressure experiments' key number.
@@ -74,8 +67,6 @@ class TransportStats:
     def reset(self) -> None:
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.messages_sent = 0
-        self.messages_received = 0
         self.messages_dropped = 0
         self.peak_queued_bytes = 0
 
@@ -168,7 +159,6 @@ class Transport:
             raise TransportClosed(f"transport {self.name} is closed")
         chunks, total = as_chunks(data)
         self.stats.bytes_sent += total
-        self.stats.messages_sent += 1
         self._write(chunks, total)
 
     def close(self) -> None:
@@ -300,11 +290,6 @@ class SocketTransport(Transport):
         #: Non-blocking connect still in flight (TCP client legs): sends
         #: wait in the outbox until EPOLLOUT confirms the connect.
         self._connecting = connecting
-        # Inbound message boundaries (in-process peers record each send's
-        # length here) so messages_received counts framed messages, not
-        # recv() syscalls — see TransportStats.
-        self._rx_boundaries: deque[int] = deque()
-        self._rx_into_head = 0
         self._handle = reactor.register(
             sock, on_readable=self._pump_recv,
             on_writable=self._on_io_writable, member=member)
@@ -336,13 +321,6 @@ class SocketTransport(Transport):
 
     def _write(self, chunks: list[bytes], total: int) -> None:
         self._credit_charge(total)
-        if self._peer is not None:
-            if total:
-                self._peer._rx_boundaries.append(total)
-            else:
-                # a zero-byte message never produces readable bytes; it is
-                # "delivered" the instant it is sent (pipe parity)
-                self._peer.stats.messages_received += 1
         self._outbox.extend(memoryview(c) for c in chunks if len(c))
         self._pump_send()
 
@@ -409,36 +387,12 @@ class SocketTransport(Transport):
                 return
             budget -= len(data)
             self.stats.bytes_received += len(data)
-            self._note_received(len(data))
             if self._peer is not None:
                 self._peer._credit_release(len(data))
             self._dispatch(data)
         # bytes left by EINTR or a spent budget stay readable: the
         # level-triggered poll resumes the drain next turn, after every
         # other link has had its go
-
-    def _note_received(self, nbytes: int) -> None:
-        """Advance the framed-message counter by ``nbytes`` of stream.
-
-        With recorded boundaries (an in-process peer) a message counts
-        exactly when its last byte arrives.  Without them (a real TCP
-        link) boundaries are unknowable at this layer: each delivered
-        chunk counts as one message and exact parity is the framing
-        layer's business.
-        """
-        if not self._rx_boundaries:
-            self.stats.messages_received += 1
-            return
-        n = nbytes
-        while n > 0 and self._rx_boundaries:
-            head = self._rx_boundaries[0]
-            take = min(n, head - self._rx_into_head)
-            self._rx_into_head += take
-            n -= take
-            if self._rx_into_head >= head:
-                self._rx_boundaries.popleft()
-                self._rx_into_head = 0
-                self.stats.messages_received += 1
 
     def _reap_eof(self) -> None:
         """Closed-side drain: discard the remote's last bytes and release
@@ -462,7 +416,6 @@ class SocketTransport(Transport):
         # dies with this close: return the charged credit so an upstream
         # backpressure-honouring sender is not wedged forever
         self._outbox.clear()
-        self._rx_boundaries.clear()
         self._credit_release(self._queued)
         self._release()
         if self.on_close is not None:
@@ -479,7 +432,6 @@ class SocketTransport(Transport):
         its own readiness poll.
         """
         self._outbox.clear()
-        self._rx_boundaries.clear()
         was_open = self._open
         self._open = False
         self._credit_release(self._queued)

@@ -17,7 +17,7 @@ from repro.util.errors import ProxyError
 
 #: Device-side image formats an output plug-in may produce, and the bits
 #: each packs a pixel into (rows are padded to whole bytes).
-BITS_PER_PIXEL = {"mono1": 1, "gray4": 2, "rgb565": 16, "rgb888": 24}
+BITS_PER_PIXEL = {"mono1": 1, "gray4": 2, "rgb888": 24}
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ UniversalEvent = Union[KeyEvent, PointerEvent]
 #: pixels and its format code; the box's byte offset within a packed row,
 #: its byte width and its first row; the payload length.
 _IMAGE_HEADER = struct.Struct(">HHBHHHI")
-_FORMAT_CODES = {"mono1": 1, "gray4": 2, "rgb565": 3, "rgb888": 4}
+_FORMAT_CODES = {"mono1": 1, "gray4": 2, "rgb888": 4}
 _FORMAT_NAMES = {v: k for k, v in _FORMAT_CODES.items()}
 
 #: Device-link frame tags (proxy -> device direction): a frame is one tag
@@ -298,18 +298,16 @@ class OutputPlugin:
         The last scaled bitmap is kept and only the output boxes whose
         source boxes meet ``dirty`` are rescaled; the rect bounds them,
         and is empty when ``dirty`` misses the frame.  A new frame object
-        or fitted size (first call, resize, reconnect) rescales the whole
-        frame and returns ``None`` for the rect: the letterbox may have
-        moved too, so the device needs a full frame.  At scale 1.0 the
-        result is ``frame`` itself and the rect is ``dirty`` clipped to
-        it.
+        (first call, reconnect) rescales the whole frame and returns
+        ``None`` for the rect: the letterbox may have moved too, so the
+        device needs a full frame.  At scale 1.0 the result is ``frame``
+        itself and the rect is ``dirty`` clipped to it.
         """
         view = self.fit_view(frame)
         width = max(1, int(frame.width * view.scale))
         height = max(1, int(frame.height * view.scale))
         scaled = self._scaled
-        whole = (frame is not self._scaled_from
-                 or scaled.size != (width, height))
+        whole = frame is not self._scaled_from
         if whole:
             scaled, dirty = None, frame.bounds
         self._scaled_from = frame

@@ -302,7 +302,6 @@ class ProxySession:
         self.resilience: Optional[SessionResilience] = None
         upstream.on_update = self._on_update
         upstream.on_ready = self._push_full_frame
-        upstream.on_resize = lambda w, h: self._push_full_frame()
         upstream.on_bell = self._on_bell
 
     # -- self-healing --------------------------------------------------------
@@ -332,12 +331,10 @@ class ProxySession:
         if old is not upstream:
             old.on_update = None
             old.on_ready = None
-            old.on_resize = None
             old.on_bell = None
             old.on_session_close = None
         self.upstream = upstream
         upstream.on_update = self._on_update
-        upstream.on_resize = lambda w, h: self._push_full_frame()
         upstream.on_bell = self._on_bell
 
     # -- device selection ----------------------------------------------------

@@ -20,7 +20,7 @@ from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.graphics.region import Rect
 from repro.net.transport import Transport
 from repro.uip import encodings as enc
-from repro.uip.handshake import VERSION_1_1, ClientHandshake
+from repro.uip.handshake import ClientHandshake
 from repro.uip.messages import (
     Bell,
     FramebufferUpdate,
@@ -30,7 +30,6 @@ from repro.uip.messages import (
     PointerEvent,
     Pong,
     ResumeSession,
-    ServerCutText,
     ServerMessageDecoder,
     SessionGrant,
     SetEncodings,
@@ -42,8 +41,7 @@ from repro.util.errors import ProtocolError
 #: first one it supports, so HEXTILE leads: cheap to encode, and bytes are
 #: cheap on the home LAN the UIP leg rides.  A client on a slow bearer
 #: offers ZRLE first instead.
-DEFAULT_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW,
-                     enc.DESKTOP_SIZE)
+DEFAULT_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW)
 
 
 class UniIntClient:
@@ -79,11 +77,9 @@ class UniIntClient:
         #: Fired once after the handshake and the initial full update request.
         self.on_ready: Optional[Callable[[], None]] = None
         #: Fired after each update that changed the mirror, with the
-        #: bounding rect of every pixel it blitted or copied (inside the
-        #: framebuffer; the whole framebuffer after a desktop resize).
+        #: bounding rect of every pixel it blitted (inside the
+        #: framebuffer).
         self.on_update: Optional[Callable[[Rect], None]] = None
-        #: Fired when the server resizes the desktop.
-        self.on_resize: Optional[Callable[[int, int], None]] = None
         #: Fired on a server bell (e.g. microwave ding surfaced by an app).
         self.on_bell: Optional[Callable[[], None]] = None
         #: Fired when the transport closes under the session (the
@@ -161,11 +157,7 @@ class UniIntClient:
         else:
             if self.pixel_format != result.pixel_format:
                 self._send(SetPixelFormat(self.pixel_format).encode())
-            offered = self.encodings
-            if result.version < VERSION_1_1:
-                # a 001.000 server would reject (or worse, ignore) ZRLE
-                offered = tuple(e for e in offered if e != enc.ZRLE)
-            self._send(SetEncodings(offered).encode())
+            self._send(SetEncodings(self.encodings).encode())
         self.request_update(incremental=False)
         if self.on_ready is not None:
             self.on_ready()
@@ -221,8 +213,6 @@ class UniIntClient:
             self.outstanding_pings = 0
         elif isinstance(message, SessionGrant):
             self.resume_token = message.token
-        elif isinstance(message, ServerCutText):
-            pass  # clipboard ignored
         else:  # pragma: no cover - decoder only yields the types above
             raise AssertionError(f"unexpected message {message!r}")
 
@@ -232,22 +222,8 @@ class UniIntClient:
         dirty = Rect(0, 0, 0, 0)
         for rect_update in update.rects:
             rect = rect_update.rect
-            if rect_update.encoding == enc.DESKTOP_SIZE:
-                width, height = rect_update.payload  # type: ignore[misc]
-                self.framebuffer = Bitmap(max(width, 1), max(height, 1))
-                dirty = self.framebuffer.bounds
-                if self.on_resize is not None:
-                    self.on_resize(width, height)
-                continue
-            if rect_update.encoding == enc.COPYRECT:
-                src_x, src_y = rect_update.payload  # type: ignore[misc]
-                src = Rect(src_x, src_y, rect.w, rect.h)
-                dirty = dirty.union_bounds(
-                    self.framebuffer.copy_rect(src, rect.x, rect.y))
-                continue
-            packed = rect_update.payload
             rgb = self.pixel_format.unpack(
-                packed.tobytes(), rect.w, rect.h)  # type: ignore[union-attr]
+                rect_update.payload.tobytes(), rect.w, rect.h)
             patch = Bitmap.from_array(rgb)
             dirty = dirty.union_bounds(
                 self.framebuffer.blit(patch, rect.x, rect.y))

@@ -46,10 +46,9 @@ from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.graphics.region import Rect, Region
 from repro.net.transport import Transport
 from repro.uip import encodings as enc
-from repro.uip.handshake import VERSION_1_1, ServerHandshake
+from repro.uip.handshake import ServerHandshake
 from repro.uip.messages import (
     Bell,
-    ClientCutText,
     ClientMessageDecoder,
     FramebufferUpdate,
     FramebufferUpdateRequest,
@@ -63,7 +62,7 @@ from repro.uip.messages import (
     SetEncodings,
     SetPixelFormat,
 )
-from repro.util.errors import ProtocolError
+from repro.util.errors import GraphicsError, ProtocolError
 from repro.util.scheduler import Scheduler
 from repro.windows.server import DisplayServer
 
@@ -77,8 +76,7 @@ SUPPORTED_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW)
 #: still shares its tile-stream analysis through the surface's
 #: :class:`~repro.uip.encodings.EncodeCache`, so only the deflate is paid
 #: per session.
-SHAREABLE_ENCODINGS = frozenset(
-    (enc.RAW, enc.RRE, enc.HEXTILE, enc.DESKTOP_SIZE))
+SHAREABLE_ENCODINGS = frozenset((enc.RAW, enc.RRE, enc.HEXTILE))
 
 #: Fragmentation cap applied when coalescing damage into one update.
 MAX_UPDATE_RECTS = 16
@@ -242,11 +240,13 @@ class ServerSession:
             RGB888, server.name, secret=server.secret)
         self.pixel_format: PixelFormat = RGB888
         self._encoder = enc.EncoderState(RGB888, cache=surface.encode_cache)
+        #: The client's offer, in its order, less what the server cannot
+        #: produce (RAW if nothing is left); every rect goes out in the
+        #: first.
         self.encodings: tuple[int, ...] = (enc.RAW,)
         self._decoder = ClientMessageDecoder()
         self._pending = Region()
         self._update_requested = False
-        self._known_size = display.framebuffer.size
         self.closed = False
         #: Token under which this session's state may be resumed after a
         #: transport fault (granted post-handshake when parking is on).
@@ -296,7 +296,15 @@ class ServerSession:
                     return
             else:
                 return
-        for message in self._decoder.feed(data):
+        try:
+            messages = self._decoder.feed(data)
+        except (ProtocolError, GraphicsError):
+            # a malformed message ends this session alone: the error
+            # must not escape into the transport, which would take the
+            # whole home down with it
+            self.close()
+            return
+        for message in messages:
             self._handle(message)
 
     def _on_close(self) -> None:
@@ -334,12 +342,7 @@ class ServerSession:
             self._encoder.renegotiate(message.pixel_format)
             self._pending.add(self.surface.display.framebuffer.bounds)
         elif isinstance(message, SetEncodings):
-            wanted = [e for e in message.encodings
-                      if e in SUPPORTED_ENCODINGS or e == enc.DESKTOP_SIZE]
-            if (self._handshake.result is not None
-                    and self._handshake.result.version < VERSION_1_1):
-                # a 001.000 peer cannot decode ZRLE, whatever it offered
-                wanted = [e for e in wanted if e != enc.ZRLE]
+            wanted = [e for e in message.encodings if e in SUPPORTED_ENCODINGS]
             self.encodings = tuple(wanted) if wanted else (enc.RAW,)
         elif isinstance(message, FramebufferUpdateRequest):
             if not message.incremental:
@@ -359,8 +362,6 @@ class ServerSession:
                                                 message.buttons)
             self.surface._composite_and_distribute()
             self._try_send()
-        elif isinstance(message, ClientCutText):
-            pass  # clipboard is accepted and ignored
         elif isinstance(message, Ping):
             if self.endpoint.is_open:
                 self.endpoint.send(Pong(message.seq).encode())
@@ -374,12 +375,6 @@ class ServerSession:
     def _note_damage(self, rects) -> None:
         for rect in rects:
             self._pending.add(rect)
-
-    def _pick_encoding(self) -> int:
-        for encoding in self.encodings:
-            if encoding in SUPPORTED_ENCODINGS:
-                return encoding
-        return enc.RAW
 
     def _on_writable(self) -> None:
         """Link credit freed up: retry a send deferred by backpressure."""
@@ -395,12 +390,8 @@ class ServerSession:
         return self._pending.area * self.pixel_format.bytes_per_pixel
 
     def _try_send(self) -> None:
-        if not self.ready or not self._update_requested:
-            return
-        display = self.surface.display
-        resized = (display.framebuffer.size != self._known_size
-                   and enc.DESKTOP_SIZE in self.encodings)
-        if self._pending.is_empty and not resized:
+        if (not self.ready or not self._update_requested
+                or self._pending.is_empty):
             return
         if self.server.backpressure and not self.endpoint.writable:
             # The link is saturated past its credit: withhold this update
@@ -413,14 +404,8 @@ class ServerSession:
             self.bytes_suppressed += self._suppressed_estimate()
             return
         rects: list[RectUpdate] = []
-        if resized:
-            width, height = display.framebuffer.size
-            rects.append(RectUpdate(Rect(0, 0, width, height),
-                                    enc.DESKTOP_SIZE))
-            self._known_size = display.framebuffer.size
-            self._pending = Region([display.framebuffer.bounds])
-        bounds = display.framebuffer.bounds
-        encoding = self._pick_encoding()
+        bounds = self.surface.display.framebuffer.bounds
+        encoding = self.encodings[0]
         for rect in self._pending.coalesced(MAX_UPDATE_RECTS):
             clipped = rect.intersect(bounds)
             if clipped.is_empty:

@@ -67,11 +67,6 @@ class UIWindow:
         self.damage.add(self.bitmap.bounds)
         self._ping_damage()
 
-    def resize(self, width: int, height: int) -> None:
-        self.bitmap = Bitmap(width, height, fill=self.theme.background)
-        self.damage = Region([self.bitmap.bounds])
-        self.layout()
-
     def forget_widget(self, widget: Widget) -> None:
         """Drop focus/grab references into a subtree being removed."""
         doomed = set(widget.walk())

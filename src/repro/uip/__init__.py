@@ -3,13 +3,14 @@
 The paper adopts the stateless thin-client protocol family (VNC/RFB, Citrix,
 Sun Ray) as its *universal interaction protocol*: bitmap rectangles flow from
 the UniInt server to whoever renders them; keyboard and pointer events flow
-back.  This package is a complete RFB-class binary protocol:
+back.  This package is an RFB-class binary protocol that carries only
+what the program sends:
 
-* versioned handshake with optional shared-secret authentication
+* a one-version handshake with optional shared-secret authentication
   (:mod:`repro.uip.handshake`),
 * pixel-format negotiation (:mod:`repro.graphics.pixelformat`),
-* framebuffer-update encodings RAW / COPYRECT / RRE / HEXTILE / ZLIB /
-  ZRLE (:mod:`repro.uip.encodings`),
+* framebuffer-update encodings RAW / RRE / HEXTILE / ZLIB / ZRLE
+  (:mod:`repro.uip.encodings`),
 * the client and server message vocabularies with incremental byte-stream
   decoders (:mod:`repro.uip.messages`),
 * X11-style keysyms for the universal input events (:mod:`repro.uip.keysyms`).
@@ -21,8 +22,6 @@ server, bitmap output, key/pointer input) without claiming interoperability.
 
 from repro.uip import keysyms
 from repro.uip.encodings import (
-    COPYRECT,
-    DESKTOP_SIZE,
     HEXTILE,
     RAW,
     RRE,
@@ -42,11 +41,9 @@ from repro.uip.handshake import (
     HandshakeResult,
     ServerHandshake,
     PROTOCOL_VERSION,
-    VERSION_1_1,
 )
 from repro.uip.messages import (
     Bell,
-    ClientCutText,
     ClientMessageDecoder,
     FramebufferUpdate,
     FramebufferUpdateRequest,
@@ -56,7 +53,6 @@ from repro.uip.messages import (
     Pong,
     RectUpdate,
     ResumeSession,
-    ServerCutText,
     ServerMessageDecoder,
     SessionGrant,
     SetEncodings,
@@ -65,11 +61,8 @@ from repro.uip.messages import (
 
 __all__ = [
     "Bell",
-    "COPYRECT",
-    "ClientCutText",
     "ClientHandshake",
     "ClientMessageDecoder",
-    "DESKTOP_SIZE",
     "DecoderState",
     "EncodeCache",
     "EncoderState",
@@ -87,13 +80,11 @@ __all__ = [
     "RectUpdate",
     "ResumeSession",
     "STATEFUL_ENCODINGS",
-    "ServerCutText",
     "ServerHandshake",
     "ServerMessageDecoder",
     "SessionGrant",
     "SetEncodings",
     "SetPixelFormat",
-    "VERSION_1_1",
     "ZLIB",
     "ZRLE",
     "decode_rect",

@@ -13,7 +13,6 @@ whose dtype matches the negotiated :class:`~repro.graphics.PixelFormat`
 Implemented encodings (numbered as in RFB for familiarity):
 
 * ``RAW`` (0)      — pixels, row-major.
-* ``COPYRECT`` (1) — source x, y within the remote framebuffer.
 * ``RRE`` (2)      — background + coloured subrectangles (vertically merged
   row runs).
 * ``HEXTILE`` (5)  — 16x16 tiles, persistent background/foreground,
@@ -24,8 +23,6 @@ Implemented encodings (numbered as in RFB for familiarity):
   packed palette (1/2/4 bpp) / plain RLE / palette RLE / raw, the whole
   tile stream then deflated through the per-session persistent zlib
   stream.  The workhorse for the paper's 9600 bps phone leg.
-* ``DESKTOP_SIZE`` (-223) — pseudo-encoding announcing a framebuffer
-  resize (used when the proxy switches output devices).
 """
 
 from __future__ import annotations
@@ -41,12 +38,10 @@ from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
 
 RAW = 0
-COPYRECT = 1
 RRE = 2
 HEXTILE = 5
 ZLIB = 6
 ZRLE = 16
-DESKTOP_SIZE = -223
 
 #: Encodings whose wire payload rides a persistent per-session zlib
 #: stream: position-dependent, so the final payload is never cacheable
@@ -270,17 +265,6 @@ def decode_raw(cursor: Cursor, width: int, height: int,
                pf: PixelFormat) -> np.ndarray:
     data = cursor.take(width * height * pf.bytes_per_pixel)
     return np.frombuffer(data, dtype=pf.dtype).reshape(height, width).copy()
-
-
-# -- COPYRECT ----------------------------------------------------------------------
-
-
-def encode_copyrect(src_x: int, src_y: int) -> bytes:
-    return Writer().u16(src_x).u16(src_y).getvalue()
-
-
-def decode_copyrect(cursor: Cursor) -> tuple[int, int]:
-    return (cursor.u16(), cursor.u16())
 
 
 # -- RRE ---------------------------------------------------------------------------
@@ -942,18 +926,15 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
 
 
 def decode_rect(state: DecoderState, cursor: Cursor, width: int,
-                height: int, encoding: int):
-    """Decode one rectangle payload.
+                height: int, encoding: int) -> np.ndarray:
+    """Decode one rectangle payload into a packed (height, width) array.
 
-    Returns a packed (height, width) array, or an (src_x, src_y) tuple for
-    COPYRECT.  Raises :class:`~repro.uip.wire.NeedMore` if the cursor runs
-    out of bytes (the caller retries with a fuller buffer).
+    Raises :class:`~repro.uip.wire.NeedMore` if the cursor runs out of
+    bytes (the caller retries with a fuller buffer).
     """
     pf = state.pixel_format
     if encoding == RAW:
         return decode_raw(cursor, width, height, pf)
-    if encoding == COPYRECT:
-        return decode_copyrect(cursor)
     if encoding == RRE:
         return decode_rre(cursor, width, height, pf)
     if encoding == HEXTILE:

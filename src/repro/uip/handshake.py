@@ -2,8 +2,9 @@
 
 Mirrors the RFB opening sequence the paper's thin-client systems use:
 
-1. Server sends its protocol version string; client replies with the
-   version it will speak (must not exceed the server's).
+1. Server sends its protocol version string; client replies with its
+   own.  There is one version, :data:`PROTOCOL_VERSION`: each end
+   refuses a peer that announces any other.
 2. Server offers security types; client picks one.  ``NONE`` or a
    shared-secret challenge (server sends a 16-byte nonce, client answers
    with SHA-256(secret || nonce)).
@@ -18,7 +19,6 @@ and trivially testable.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,29 +26,10 @@ from repro.graphics.pixelformat import PixelFormat
 from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
 
-#: The newest dialect this implementation speaks.  001.001 added the
-#: ZRLE encoding; both ends negotiate down to the older peer's version
-#: (RFB-style), so 001.000 peers interoperate and simply never see ZRLE.
+#: The protocol version both ends send; a peer announcing another is
+#: refused.
 PROTOCOL_VERSION = b"UIP 001.001\n"
 _VERSION_LEN = len(PROTOCOL_VERSION)
-
-#: The version this codebase spoke before ZRLE existed.
-VERSION_1_0 = (1, 0)
-#: ZRLE (and nothing else, yet) requires at least this negotiated version.
-VERSION_1_1 = (1, 1)
-
-_VERSION_RE = re.compile(rb"UIP (\d{3})\.(\d{3})\n")
-
-
-def _parse_version(raw: bytes) -> Optional[tuple[int, int]]:
-    match = _VERSION_RE.fullmatch(raw)
-    if match is None:
-        return None
-    return (int(match.group(1)), int(match.group(2)))
-
-
-def _version_bytes(version: tuple[int, int]) -> bytes:
-    return b"UIP %03d.%03d\n" % version
 
 SECURITY_NONE = 1
 SECURITY_SHARED_SECRET = 2
@@ -78,9 +59,6 @@ class HandshakeResult:
     pixel_format: PixelFormat
     name: str
     shared: bool
-    #: The protocol dialect both ends agreed on: min(client, server).
-    #: Gates version-dependent encodings (ZRLE needs >= (1, 1)).
-    version: tuple[int, int] = VERSION_1_0
 
 
 class _HandshakeBase:
@@ -147,8 +125,6 @@ class ServerHandshake(_HandshakeBase):
         if len(challenge) != _CHALLENGE_LEN:
             raise ProtocolError(f"challenge must be {_CHALLENGE_LEN} bytes")
         self._challenge = challenge
-        #: The dialect the client replied with (== the negotiated one).
-        self.version = VERSION_1_0
         self._out.extend(PROTOCOL_VERSION)
         security = (SECURITY_SHARED_SECRET if secret is not None
                     else SECURITY_NONE)
@@ -156,14 +132,8 @@ class ServerHandshake(_HandshakeBase):
 
     def _start(self, cursor: Cursor) -> bool:
         raw = cursor.take(_VERSION_LEN)
-        version = _parse_version(raw)
-        if version is None:
+        if raw != PROTOCOL_VERSION:
             return self._fail(f"client version {raw!r} unsupported")
-        if not VERSION_1_0 <= version <= _parse_version(PROTOCOL_VERSION):
-            # The client must reply with a version at or below ours; a
-            # well-behaved one already clamped (see ClientHandshake).
-            return self._fail(f"client version {raw!r} unsupported")
-        self.version = version
         self._state = self._security_choice
         return True
 
@@ -201,8 +171,7 @@ class ServerHandshake(_HandshakeBase):
             .u32(len(name_bytes)).raw(name_bytes).getvalue()
         )
         self.result = HandshakeResult(self.width, self.height,
-                                      self.pixel_format, self.name, shared,
-                                      version=self.version)
+                                      self.pixel_format, self.name, shared)
         return False
 
 
@@ -214,18 +183,12 @@ class ClientHandshake(_HandshakeBase):
         super().__init__()
         self._secret = secret
         self._shared = shared
-        #: The dialect agreed with the server: min(ours, server's).
-        self.version = VERSION_1_0
 
     def _start(self, cursor: Cursor) -> bool:
         raw = cursor.take(_VERSION_LEN)
-        server_version = _parse_version(raw)
-        if server_version is None:
-            return self._fail(f"not a UIP server: {raw!r}")
-        if server_version < VERSION_1_0:
+        if raw != PROTOCOL_VERSION:
             return self._fail(f"server version {raw!r} unsupported")
-        self.version = min(server_version, _parse_version(PROTOCOL_VERSION))
-        self._out.extend(_version_bytes(self.version))
+        self._out.extend(PROTOCOL_VERSION)
         self._state = self._security_offer
         return True
 
@@ -270,5 +233,5 @@ class ClientHandshake(_HandshakeBase):
                               f"{MAX_NAME_LEN} (corrupt ServerInit?)")
         name = cursor.take(name_len).decode("latin-1")
         self.result = HandshakeResult(width, height, pixel_format, name,
-                                      self._shared, version=self.version)
+                                      self._shared)
         return False

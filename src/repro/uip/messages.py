@@ -10,7 +10,6 @@ type  message                     payload
 3     FramebufferUpdateRequest    u8 incremental, u16 x, y, w, h
 4     KeyEvent                    u8 down, 2 pad, u32 keysym
 5     PointerEvent                u8 button mask, u16 x, u16 y
-6     ClientCutText               3 pad, u32 length, latin-1 text
 7     Ping                        3 pad, u32 sequence (liveness probe)
 8     ResumeSession               3 pad, u32 resume token
 ====  ==========================  =======================================
@@ -20,7 +19,6 @@ Server -> client (the *universal output events*):
 ====  ==========================  =======================================
 0     FramebufferUpdate           1 pad, u16 nrects, rect headers+payloads
 2     Bell                        —
-3     ServerCutText               3 pad, u32 length, latin-1 text
 4     Pong                        3 pad, u32 sequence (liveness answer)
 5     SessionGrant                3 pad, u32 resume token
 ====  ==========================  =======================================
@@ -67,14 +65,12 @@ MSG_SET_ENCODINGS = 2
 MSG_FRAMEBUFFER_UPDATE_REQUEST = 3
 MSG_KEY_EVENT = 4
 MSG_POINTER_EVENT = 5
-MSG_CLIENT_CUT_TEXT = 6
 MSG_PING = 7
 MSG_RESUME_SESSION = 8
 
 # Server message types.
 MSG_FRAMEBUFFER_UPDATE = 0
 MSG_BELL = 2
-MSG_SERVER_CUT_TEXT = 3
 MSG_PONG = 4
 MSG_SESSION_GRANT = 5
 
@@ -141,16 +137,6 @@ class PointerEvent:
 
 
 @dataclass(frozen=True)
-class ClientCutText:
-    text: str
-
-    def encode(self) -> bytes:
-        data = self.text.encode("latin-1")
-        return (Writer().u8(MSG_CLIENT_CUT_TEXT).pad(3)
-                .u32(len(data)).raw(data).getvalue())
-
-
-@dataclass(frozen=True)
 class Ping:
     """Liveness probe: the proxy asks "is this session still alive?"."""
 
@@ -183,15 +169,12 @@ class ResumeSession:
 
 @dataclass(frozen=True)
 class RectUpdate:
-    """One rectangle of a framebuffer update.
-
-    ``payload`` is a packed pixel array for pixel encodings, an (src_x,
-    src_y) tuple for COPYRECT, or a (width, height) tuple for DESKTOP_SIZE.
-    """
+    """One rectangle of a framebuffer update: its packed pixels, in the
+    negotiated pixel format, and the encoding they travel in."""
 
     rect: Rect
     encoding: int
-    payload: object = None
+    payload: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -212,14 +195,8 @@ class FramebufferUpdate:
             rect = update.rect
             writer.u16(rect.x).u16(rect.y).u16(rect.w).u16(rect.h)
             writer.s32(update.encoding)
-            if update.encoding == enc.COPYRECT:
-                src_x, src_y = update.payload  # type: ignore[misc]
-                writer.raw(enc.encode_copyrect(src_x, src_y))
-            elif update.encoding == enc.DESKTOP_SIZE:
-                pass  # size travels in the rect header itself
-            else:
-                writer.raw(enc.encode_rect(
-                    state, update.payload, update.encoding))
+            writer.raw(enc.encode_rect(state, update.payload,
+                                       update.encoding))
         return writer.chunks()
 
     def encode(self, state: enc.EncoderState) -> bytes:
@@ -230,16 +207,6 @@ class FramebufferUpdate:
 class Bell:
     def encode(self) -> bytes:
         return Writer().u8(MSG_BELL).getvalue()
-
-
-@dataclass(frozen=True)
-class ServerCutText:
-    text: str
-
-    def encode(self) -> bytes:
-        data = self.text.encode("latin-1")
-        return (Writer().u8(MSG_SERVER_CUT_TEXT).pad(3)
-                .u32(len(data)).raw(data).getvalue())
 
 
 @dataclass(frozen=True)
@@ -347,10 +314,6 @@ class ClientMessageDecoder(_StreamDecoder):
         if msg_type == MSG_POINTER_EVENT:
             buttons = cursor.u8()
             return PointerEvent(buttons, cursor.u16(), cursor.u16())
-        if msg_type == MSG_CLIENT_CUT_TEXT:
-            cursor.skip(3)
-            length = cursor.u32()
-            return ClientCutText(cursor.take(length).decode("latin-1"))
         if msg_type == MSG_PING:
             cursor.skip(3)
             return Ping(cursor.u32())
@@ -381,10 +344,8 @@ class ServerMessageDecoder(_StreamDecoder):
                 x, y = cursor.u16(), cursor.u16()
                 w, h = cursor.u16(), cursor.u16()
                 encoding = cursor.s32()
-                rect = Rect(x, y, w, h)
-                if encoding == enc.DESKTOP_SIZE:
-                    payload: object = (w, h)
-                elif encoding in enc.STATEFUL_ENCODINGS:
+                payload: object
+                if encoding in enc.STATEFUL_ENCODINGS:
                     # The inflater is a persistent stream: it must only see
                     # each compressed byte once.  A partial message makes
                     # feed() retry this parse from the start, so inflation
@@ -395,15 +356,12 @@ class ServerMessageDecoder(_StreamDecoder):
                 else:
                     payload = enc.decode_rect(self.state, cursor, w, h,
                                               encoding)
-                rects.append(RectUpdate(rect, encoding, payload))
-            rects = [self._inflate(update) for update in rects]
-            return FramebufferUpdate(tuple(rects))
+                rects.append((Rect(x, y, w, h), encoding, payload))
+            return FramebufferUpdate(tuple(
+                RectUpdate(rect, encoding, self._inflate(rect, payload))
+                for rect, encoding, payload in rects))
         if msg_type == MSG_BELL:
             return Bell()
-        if msg_type == MSG_SERVER_CUT_TEXT:
-            cursor.skip(3)
-            length = cursor.u32()
-            return ServerCutText(cursor.take(length).decode("latin-1"))
         if msg_type == MSG_PONG:
             cursor.skip(3)
             return Pong(cursor.u32())
@@ -412,20 +370,17 @@ class ServerMessageDecoder(_StreamDecoder):
             return SessionGrant(cursor.u32())
         raise ProtocolError(f"unknown server message type {msg_type}")
 
-    def _inflate(self, update: RectUpdate) -> RectUpdate:
-        if not isinstance(update.payload, _DeferredStream):
-            return update
+    def _inflate(self, rect: Rect, payload) -> np.ndarray:
+        if not isinstance(payload, _DeferredStream):
+            return payload
         pf = self.state.pixel_format
-        data = self.state.inflate(update.payload.data)
-        if update.encoding == enc.ZRLE:
-            packed = enc.decode_zrle_tiles(
-                data, update.rect.w, update.rect.h, pf)
-            return RectUpdate(update.rect, update.encoding, packed)
-        expected = update.rect.w * update.rect.h * pf.bytes_per_pixel
+        data = self.state.inflate(payload.data)
+        if payload.encoding == enc.ZRLE:
+            return enc.decode_zrle_tiles(data, rect.w, rect.h, pf)
+        expected = rect.w * rect.h * pf.bytes_per_pixel
         if len(data) != expected:
             raise ProtocolError(
                 f"zlib rect inflated to {len(data)} bytes, expected {expected}"
             )
-        packed = np.frombuffer(data, dtype=pf.dtype).reshape(
-            update.rect.h, update.rect.w).copy()
-        return RectUpdate(update.rect, update.encoding, packed)
+        return np.frombuffer(data, dtype=pf.dtype).reshape(
+            rect.h, rect.w).copy()

@@ -8,7 +8,6 @@ from repro.graphics.bitmap import Bitmap
 from repro.graphics.region import Region
 from repro.toolkit.events import Pointer, PointerKind
 from repro.toolkit.window import UIWindow
-from repro.util.errors import ToolkitError
 
 #: Fragmentation cap for the coalesced damage a composite reports.
 _DAMAGE_CAP = 32
@@ -28,8 +27,8 @@ class DisplayServer:
 
     def __init__(self, window: UIWindow) -> None:
         self.window = window
-        #: Monotonic content version: bumps whenever the framebuffer pixels
-        #: change (composite with damage, resize).  Consumers caching
+        #: Monotonic content version: bumps whenever a composite changes
+        #: the framebuffer pixels.  Consumers caching
         #: derived data (the UniInt server's pack/encode caches) compare
         #: against it to invalidate.
         self.frame_version = 0
@@ -62,14 +61,6 @@ class DisplayServer:
         damage = self.window.render()
         self.frame_version += 1
         return Region.from_disjoint(damage.coalesced(_DAMAGE_CAP))
-
-    def resize(self, width: int, height: int) -> None:
-        """Resize the window to a new screen size (relayout, full damage)."""
-        if width <= 0 or height <= 0:
-            raise ToolkitError(f"display size must be positive: "
-                               f"{width}x{height}")
-        self.window.resize(width, height)
-        self.frame_version += 1
 
     # -- input injection -----------------------------------------------------------
 

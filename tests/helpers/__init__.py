@@ -11,7 +11,12 @@ from tests.helpers.hostile import (
     split_points,
 )
 from tests.helpers.screens import ScreenReplay
-from tests.helpers.wire import received_encodings
+from tests.helpers.wire import (
+    MALFORMED_CLIENT_MESSAGES,
+    OPEN_HANDSHAKE,
+    received_encodings,
+)
 
-__all__ = ["HostileSocket", "ScreenReplay", "partition",
-           "received_encodings", "socket_pair_on_reactor", "split_points"]
+__all__ = ["HostileSocket", "MALFORMED_CLIENT_MESSAGES", "OPEN_HANDSHAKE",
+           "ScreenReplay", "partition", "received_encodings",
+           "socket_pair_on_reactor", "split_points"]

@@ -1,6 +1,26 @@
-"""What a UIP client received, seen from the test side."""
+"""What a UIP client received, and what a misbehaving one sends, seen
+from the test side."""
 
+import struct
 from collections import Counter
+
+from repro.uip import PROTOCOL_VERSION
+from repro.uip.handshake import SECURITY_NONE
+from repro.uip.wire import Writer
+
+#: What a client sends to finish the handshake with an open server: its
+#: version, security type NONE and a shared ClientInit.
+OPEN_HANDSHAKE = PROTOCOL_VERSION + bytes([SECURITY_NONE, 1])
+
+#: Client messages the server's decoder rejects, by name.
+MALFORMED_CLIENT_MESSAGES = {
+    "unknown-type": b"\xEE",
+    # RFB's ClientCutText: UIP carries no clipboard
+    "client-cut-text": Writer().u8(6).pad(3).u32(4).raw(b"clip").getvalue(),
+    # a SetPixelFormat of 12 bits per pixel
+    "bad-pixel-format": Writer().u8(0).pad(3).raw(struct.pack(
+        ">BBBBHHHBBB3x", 12, 12, 0, 1, 15, 15, 15, 8, 4, 0)).getvalue(),
+}
 
 
 def received_encodings(client) -> Counter:

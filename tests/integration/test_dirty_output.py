@@ -97,24 +97,6 @@ class TestDirtyContract:
         assert dirties and all(d.area < frame.bounds.area for d in dirties)
         assert_device_shows_mirror(session, phone)
 
-    def test_desktop_size_resize(self):
-        scheduler, display, window, labels, proxy, session, _, pda = \
-            panel_stack(480, 360)
-        proxy.select_output("pda")
-        scheduler.run_until_idle()
-        before = session.upstream.framebuffer
-        # 960x720 fits the PDA at 320x240 too: only the frame object
-        # tells the plug-in its cached bitmap is stale
-        display.resize(960, 720)
-        scheduler.run_until_idle()
-        assert session.upstream.framebuffer is not before
-        assert session.upstream.framebuffer.size == (960, 720)
-        assert_device_shows_mirror(session, pda)
-        check_every_push(session, pda)
-        churn(scheduler, labels, ticks=3)
-        scheduler.run_until_idle()
-        assert_device_shows_mirror(session, pda)
-
     def test_warm_resume_adopts_a_new_mirror(self):
         home = Home(resilience=True)
         tv = home.add_appliance(Television("tv"))

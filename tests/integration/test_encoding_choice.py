@@ -12,7 +12,7 @@ from repro.net import CELLULAR_PDC, make_pipe
 from repro.proxy.upstream import DEFAULT_ENCODINGS, UniIntClient
 from repro.server import UniIntServer
 from repro.toolkit import Column, Label, UIWindow
-from repro.uip import DESKTOP_SIZE, HEXTILE, RAW, ZRLE
+from repro.uip import HEXTILE, RAW, ZRLE
 from repro.util import Scheduler
 from repro.windows import DisplayServer
 from tests.helpers import received_encodings
@@ -67,7 +67,7 @@ def assert_mirror_exact(session, client):
 class TestClientOrderOnThePhoneBearer:
     def test_zrle_first_client_gets_zrle_and_an_exact_mirror(self):
         scheduler, labels, session, client, seen = churn_stack(
-            (ZRLE, HEXTILE, RAW, DESKTOP_SIZE))
+            (ZRLE, HEXTILE, RAW))
         drive_churn(scheduler, labels, client)
         assert session.updates_coalesced > 0  # the link really fell behind
         assert set(seen) == {ZRLE}

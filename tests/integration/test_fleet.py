@@ -13,6 +13,7 @@ from repro.appliances import DimmableLight, MicrowaveOven, Television
 from repro.devices import Pda
 from repro.havi import FcmType
 from repro.util.errors import ProxyError
+from tests.helpers import MALFORMED_CLIENT_MESSAGES, OPEN_HANDSHAKE
 
 
 def populate(home, tag):
@@ -213,6 +214,39 @@ class TestFleet:
         after = [s.endpoint.stats.bytes_sent for s in survivor_sessions]
         assert all(a > b for a, b in zip(after, before)), \
             "all surviving sessions kept receiving the broadcast"
+        fleet.close()
+
+    @pytest.mark.parametrize("name", ["unknown-type", "bad-pixel-format"])
+    def test_a_malformed_client_message_closes_only_its_session(self, name):
+        # a raw TCP client finishes the handshake, then sends bytes the
+        # server's decoder rejects: the server closes that session alone
+        # instead of letting the error quarantine the home
+        fleet = HomeFleet()
+        home = populate(fleet.add_home("h0"), 0)
+        fleet.settle()
+        rogue = socket.create_connection(home.listener.address)
+        try:
+            rogue.sendall(OPEN_HANDSHAKE + MALFORMED_CLIENT_MESSAGES[name])
+            rogue.setblocking(False)
+
+            def rogue_sees_eof():
+                try:
+                    while rogue.recv(65536):
+                        pass
+                except BlockingIOError:
+                    return False
+                return True
+
+            assert fleet.run_until(rogue_sees_eof)
+            assert fleet.failed_homes == ()
+            assert home.uniint_server.sessions == [home.server_session]
+            pda = home.devices["pda-0"]
+            frames = pda.frames_received
+            lamp = home.appliances["lamp-0"].dcm.fcm_by_type(FcmType.LIGHT)
+            lamp.invoke_local("power.toggle")
+            assert fleet.run_until(lambda: pda.frames_received > frames)
+        finally:
+            rogue.close()
         fleet.close()
 
     def test_turn_reports_whether_any_work_happened(self):

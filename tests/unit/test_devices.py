@@ -1,6 +1,7 @@
 """Unit tests for device plug-ins: keypad maps, voice model, gestures."""
 
 import math
+import random
 
 import numpy as np
 
@@ -201,8 +202,9 @@ class TestGestureClassification:
         assert len(out) == 4
 
     def test_jitter_does_not_break_swipe(self):
-        pad = GesturePad("g", Scheduler(), seed=3, jitter=2.0)
-        noisy = pad._noisy([(50 + 10 * i, 50) for i in range(9)])
+        rng = random.Random(3)
+        noisy = [(50 + 10 * i + rng.uniform(-2.0, 2.0),
+                  50 + rng.uniform(-2.0, 2.0)) for i in range(9)]
         assert classify_stroke(noisy) == "swipe-right"
 
 

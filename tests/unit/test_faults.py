@@ -172,6 +172,23 @@ class TestFaultyTransport:
         assert not faulty.is_open
         assert seen == ["closed"]
 
+    def test_callbacks_and_counters_live_in_the_inner_transport(self):
+        faulty, pair, sched, got = faulty_pair(FaultPlan())
+        assert faulty.credit_limit == pair.a.credit_limit
+        assert faulty.stats is pair.a.stats
+        on_receive, on_writable = got.append, lambda: None
+        faulty.on_receive = on_receive
+        faulty.on_writable = on_writable
+        assert pair.a.on_receive is on_receive is faulty.on_receive
+        assert pair.a.on_writable is on_writable is faulty.on_writable
+        faulty.on_close = on_writable
+        assert faulty.on_close is pair.a.on_close is on_writable
+        faulty.send(b"in flight")
+        faulty.abort()
+        sched.run_until_idle()
+        assert got == []  # an abort loses what was in flight
+        assert not pair.a.is_open and not faulty.is_open
+
 
 class TestBusFaults:
     @pytest.mark.parametrize("rates, copies", [

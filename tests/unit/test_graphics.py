@@ -86,41 +86,6 @@ class TestBitmap:
         with pytest.raises(GraphicsError):
             Bitmap(5, 5).crop(Rect(10, 10, 2, 2))
 
-    def test_copy_rect(self):
-        bmp = Bitmap(10, 10)
-        bmp.fill_rect(Rect(0, 0, 2, 2), (7, 7, 7))
-        bmp.copy_rect(Rect(0, 0, 2, 2), 5, 5)
-        assert bmp.get_pixel(5, 5) == (7, 7, 7)
-        assert bmp.get_pixel(0, 0) == (7, 7, 7)
-
-    def test_copy_rect_overlapping(self):
-        bmp = Bitmap(10, 1)
-        for x in range(10):
-            bmp.fill_rect(Rect(x, 0, 1, 1), (x * 10, 0, 0))
-        bmp.copy_rect(Rect(0, 0, 5, 1), 2, 0)  # overlapping shift right
-        assert bmp.get_pixel(2, 0) == (0, 0, 0)
-        assert bmp.get_pixel(6, 0) == (40, 0, 0)
-
-    def test_copy_rect_clipped_source_keeps_alignment(self):
-        """Regression: a source clipped at the bitmap edge must shift the
-        destination by the clip offset, not paste at the raw (dst_x, dst_y)."""
-        bmp = Bitmap(10, 4)
-        bmp.fill_rect(Rect(0, 0, 1, 4), (255, 0, 0))  # red column at x=0
-        dirty = bmp.copy_rect(Rect(-2, 0, 4, 4), 5, 0)
-        # src clips to x in [0, 2); those pixels sat 2 to the right of the
-        # src origin, so they must land 2 to the right of dst_x as well
-        assert dirty == Rect(7, 0, 2, 4)
-        assert bmp.get_pixel(7, 0) == (255, 0, 0)
-        assert bmp.get_pixel(5, 0) == (0, 0, 0)
-
-    def test_copy_rect_clipped_source_top(self):
-        bmp = Bitmap(4, 10)
-        bmp.fill_rect(Rect(0, 0, 4, 1), (0, 255, 0))  # green row at y=0
-        dirty = bmp.copy_rect(Rect(0, -3, 4, 4), 0, 5)
-        assert dirty == Rect(0, 8, 4, 1)
-        assert bmp.get_pixel(0, 8) == (0, 255, 0)
-        assert bmp.get_pixel(0, 5) == (0, 0, 0)
-
     def test_equality(self):
         a = Bitmap(3, 3, fill=(1, 2, 3))
         b = Bitmap(3, 3, fill=(1, 2, 3))

@@ -29,6 +29,10 @@ class TestSeid:
         s = SEID("deadbeef", 3)
         assert SEID.parse(str(s)) == s
 
+    def test_text_without_a_guid_is_rejected(self):
+        with pytest.raises(ValueError, match="malformed SEID"):
+            SEID.parse("7")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SEID("", 0)
@@ -157,6 +161,16 @@ class TestRegistryQueries:
 
     def test_query_none_returns_all(self):
         assert len(self.registry.query()) == 3
+
+    @pytest.mark.parametrize("query", [QueryAnd, QueryOr])
+    def test_a_boolean_query_needs_a_child(self, query):
+        with pytest.raises(RegistryError, match="at least one child"):
+            query([])
+
+    def test_attributes_of_an_unknown_seid_are_refused(self):
+        assert self.registry.get_attributes(seid(2)) == {"fcm.type": "vcr"}
+        with pytest.raises(RegistryError, match="not in registry"):
+            self.registry.get_attributes(seid(9))
 
     def test_type_mismatch_is_false_not_error(self):
         query = Comparison("fcm.type", ">", 5)  # str > int

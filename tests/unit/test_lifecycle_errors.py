@@ -117,6 +117,32 @@ class TestHomeFacade:
         with pytest.raises(HaviError, match="no appliance 'ghost'"):
             home.remove_appliance("ghost")
 
+    def test_a_device_is_shared_or_owned_not_both(self):
+        from repro.devices import Pda
+        from repro.util.errors import ProxyError
+        home = Home()
+        pda = Pda("pda", home.scheduler)
+        with pytest.raises(ProxyError, match="not both"):
+            home.add_device(pda, user="resident", shared=True)
+        assert "pda" not in home.devices
+
+    def test_unknown_user_raises(self):
+        from repro.util.errors import ProxyError
+        home = Home()
+        assert home.user().user_id == "resident"
+        with pytest.raises(ProxyError, match="no user 'ghost'"):
+            home.user("ghost")
+
+    def test_unknown_fleet_home_raises(self):
+        from repro import HomeFleet
+        from repro.util.errors import ProxyError
+        fleet = HomeFleet()
+        try:
+            with pytest.raises(ProxyError, match="no home 'ghost'"):
+                fleet.home("ghost")
+        finally:
+            fleet.close()
+
     def test_remove_unknown_device_raises(self):
         from repro.util.errors import ProxyError
         home = Home()

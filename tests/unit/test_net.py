@@ -20,6 +20,10 @@ class TestLinkProfile:
         link = LinkProfile("t", latency_s=0.0, bandwidth_bps=8000)
         assert link.transmission_time(1000) == pytest.approx(1.0)
 
+    def test_rejects_negative_jitter(self):
+        with pytest.raises(ValueError, match="jitter"):
+            LinkProfile("bad", latency_s=0, bandwidth_bps=1, jitter_s=-0.1)
+
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError):
             LinkProfile("bad", latency_s=-1, bandwidth_bps=1)

@@ -22,7 +22,6 @@ class TestScreenSpec:
     def test_bits_per_pixel(self):
         assert ScreenSpec(10, 10, "mono1").bits_per_pixel == 1
         assert ScreenSpec(10, 10, "gray4").bits_per_pixel == 2
-        assert ScreenSpec(10, 10, "rgb565").bits_per_pixel == 16
         assert ScreenSpec(10, 10, "rgb888").bits_per_pixel == 24
 
     def test_validation(self):
@@ -30,6 +29,8 @@ class TestScreenSpec:
             ScreenSpec(0, 10, "mono1")
         with pytest.raises(ProxyError):
             ScreenSpec(10, 10, "cmyk")
+        with pytest.raises(ProxyError):  # no device shows it
+            ScreenSpec(10, 10, "rgb565")
 
 
 class TestDeviceDescriptor:
@@ -53,8 +54,7 @@ class TestDeviceDescriptor:
 
 #: A screen size per format for the wire tests; the widths leave mono1
 #: and gray4 rows a padded last byte.
-WIRE_SCREENS = {"mono1": (13, 5), "gray4": (10, 4), "rgb565": (3, 4),
-                "rgb888": (4, 3)}
+WIRE_SCREENS = {"mono1": (13, 5), "gray4": (10, 4), "rgb888": (4, 3)}
 
 
 def wire(image):
@@ -130,6 +130,17 @@ class TestDeviceImage:
     def test_unknown_format_rejected(self):
         with pytest.raises(PluginError):
             DeviceImage(1, 1, "hdr", b"").encode()
+
+    def test_format_codes(self):
+        """The header's fifth byte names the format; code 3 (once
+        rgb565, which no device shows) is refused."""
+        assert {fmt: wire(DeviceImage(1, 1, fmt, b""))[4]
+                for fmt in WIRE_SCREENS} == {"mono1": 1, "gray4": 2,
+                                             "rgb888": 4}
+        blob = bytearray(wire(DeviceImage(1, 1, "gray4", b"\x00")))
+        blob[4] = 3
+        with pytest.raises(PluginError, match="format code 3"):
+            DeviceImage.decode(bytes(blob))
 
     def test_truncated_rejected(self):
         image = DeviceImage(4, 3, "mono1", b"\xFF" * 3)

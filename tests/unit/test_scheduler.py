@@ -90,6 +90,25 @@ class TestScheduler:
         with pytest.raises(SchedulerError):
             Scheduler().call_later(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("run", [
+        lambda sched: sched.run_ready(),
+        lambda sched: sched.run_until_idle(),
+        lambda sched: sched.run_until(sched.now() + 1.0),
+    ], ids=["run_ready", "run_until_idle", "run_until"])
+    def test_an_event_cannot_run_its_own_scheduler(self, run):
+        sched = Scheduler()
+        errors = []
+
+        def reenter():
+            try:
+                run(sched)
+            except SchedulerError as error:
+                errors.append(str(error))
+
+        sched.call_soon(reenter)
+        sched.run_until_idle()
+        assert errors == ["scheduler is not reentrant"]
+
     def test_events_can_schedule_events(self):
         sched = Scheduler()
         seen = []

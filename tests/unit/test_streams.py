@@ -4,6 +4,7 @@ import pytest
 
 from repro.appliances import Amplifier, DvdPlayer, Television, VideoRecorder
 from repro.havi import FcmType, HomeNetwork
+from repro.havi.streams import Plug
 from repro.util.errors import HaviError
 
 
@@ -43,6 +44,19 @@ class TestConnect:
         with pytest.raises(HaviError):
             self.network.streams.connect(
                 self.display.seid, "video-in", self.deck.seid, "video-out")
+
+    def test_sink_must_be_an_input(self):
+        dvd = DvdPlayer("DVD")
+        self.network.attach_device(dvd)
+        self.network.settle()
+        disc = dvd.dcm.fcm_by_type(FcmType.AV_DISC)
+        with pytest.raises(HaviError, match="not an input"):
+            self.network.streams.connect(
+                self.deck.seid, "video-out", disc.seid, "av-out")
+
+    def test_plug_direction_must_be_in_or_out(self):
+        with pytest.raises(HaviError, match="in/out"):
+            Plug("video", "both")
 
     def test_unknown_plug_rejected(self):
         with pytest.raises(HaviError):

@@ -195,14 +195,6 @@ class TestRendering:
         window.render()
         assert window.bitmap != before
 
-    def test_resize_recreates_bitmap(self):
-        window = make_window(100, 100)
-        window.set_root(Column())
-        window.render()
-        window.resize(150, 80)
-        assert window.bitmap.size == (150, 80)
-        assert window.render().bounds() == window.bitmap.bounds
-
     def test_painting_stays_inside_widget(self):
         window = make_window(100, 100)
         col = Column(padding=0, spacing=0)
@@ -574,6 +566,16 @@ class TestTabPanelReplacePages:
 
 
 class TestFocusTraversal:
+    def test_a_widget_of_another_window_cannot_take_focus(self):
+        window, other = make_window(), make_window()
+        window.set_root(Column())
+        col = Column()
+        foreign = col.add(Button("elsewhere"))
+        other.set_root(col)
+        with pytest.raises(ToolkitError, match="another window"):
+            window.set_focus(foreign)
+        assert window.focus is None
+
     def test_tab_cycles_focus(self):
         window = make_window()
         col = Column()

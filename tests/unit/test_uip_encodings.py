@@ -5,7 +5,6 @@ import pytest
 
 from repro.graphics import RGB332, RGB565, RGB888, Bitmap, Rect, draw
 from repro.uip import (
-    COPYRECT,
     HEXTILE,
     RAW,
     RRE,
@@ -18,7 +17,6 @@ from repro.uip import (
 )
 from repro.uip.encodings import (
     decode_zrle_tiles,
-    encode_copyrect,
     encode_zrle_tiles,
 )
 from repro.uip.wire import Cursor
@@ -163,14 +161,6 @@ class TestCompression:
         out2 = decode_rect(dec_state, Cursor(second), 48, 48, ZLIB)
         assert np.array_equal(out1, packed)
         assert np.array_equal(out2, packed)
-
-
-
-class TestCopyRect:
-    def test_roundtrip(self):
-        payload = encode_copyrect(12, 34)
-        assert decode_rect(DecoderState(RGB888), Cursor(payload),
-                           10, 10, COPYRECT) == (12, 34)
 
 
 class TestEncodeCache:

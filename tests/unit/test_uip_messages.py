@@ -6,10 +6,8 @@ import pytest
 from repro.graphics import RGB565, RGB888, Bitmap, PixelFormat, Rect
 from repro.uip import (
     Bell,
-    ClientCutText,
     ClientHandshake,
     ClientMessageDecoder,
-    DESKTOP_SIZE,
     DecoderState,
     EncoderState,
     FramebufferUpdate,
@@ -21,7 +19,6 @@ from repro.uip import (
     RAW,
     RRE,
     RectUpdate,
-    ServerCutText,
     ServerHandshake,
     ServerMessageDecoder,
     SetEncodings,
@@ -29,6 +26,7 @@ from repro.uip import (
     ZLIB,
     keysyms,
 )
+from repro.uip.wire import Writer
 from repro.util.errors import ProtocolError
 
 
@@ -45,7 +43,8 @@ class TestClientMessages:
         assert self.decode_one(msg.encode()) == msg
 
     def test_set_encodings(self):
-        msg = SetEncodings((HEXTILE, RRE, RAW, DESKTOP_SIZE))
+        # encodings are signed on the wire
+        msg = SetEncodings((HEXTILE, RRE, RAW, -1))
         assert self.decode_one(msg.encode()) == msg
 
     def test_framebuffer_update_request(self):
@@ -60,9 +59,11 @@ class TestClientMessages:
         msg = PointerEvent(keysyms.BUTTON_LEFT, 123, 456)
         assert self.decode_one(msg.encode()) == msg
 
-    def test_client_cut_text(self):
-        msg = ClientCutText("hello appliances")
-        assert self.decode_one(msg.encode()) == msg
+    def test_clipboard_type_is_refused(self):
+        # type 6 was RFB's ClientCutText; UIP carries no clipboard
+        data = Writer().u8(6).pad(3).u32(9).raw(b"clipboard").getvalue()
+        with pytest.raises(ProtocolError, match="client message type 6"):
+            ClientMessageDecoder().feed(data)
 
     def test_stream_reassembly_byte_by_byte(self):
         messages = [KeyEvent(True, ord("a")), PointerEvent(0, 1, 2),
@@ -84,6 +85,18 @@ class TestClientMessages:
         with pytest.raises(ProtocolError):
             ClientMessageDecoder().feed(b"\xEE")
 
+    def test_a_stalled_message_survives_buffer_compaction(self):
+        # more than 16 KiB of whole messages, then half of one: the
+        # decoder drops the parsed prefix while it waits, and must still
+        # parse the message once its other half arrives
+        key = KeyEvent(True, 0x41).encode()
+        decoder = ClientMessageDecoder()
+        first = decoder.feed(key * 2100 + key[:4])
+        assert len(first) == 2100
+        assert decoder.buffered_bytes == 4
+        assert decoder.feed(key[4:]) == [KeyEvent(True, 0x41)]
+        assert decoder.buffered_bytes == 0
+
 
 class TestServerMessages:
     def _roundtrip(self, update, fmt=RGB888):
@@ -94,11 +107,16 @@ class TestServerMessages:
         assert len(messages) == 1
         return messages[0]
 
-    def test_bell_and_cut_text(self):
-        enc_state = EncoderState(RGB888)
-        stream = Bell().encode() + ServerCutText("clip").encode()
+    def test_bells(self):
+        stream = Bell().encode() + Bell().encode()
         out = ServerMessageDecoder(DecoderState(RGB888)).feed(stream)
-        assert out == [Bell(), ServerCutText("clip")]
+        assert out == [Bell(), Bell()]
+
+    def test_clipboard_type_is_refused(self):
+        # type 3 was RFB's ServerCutText; UIP carries no clipboard
+        data = Writer().u8(3).pad(3).u32(4).raw(b"clip").getvalue()
+        with pytest.raises(ProtocolError, match="server message type 3"):
+            ServerMessageDecoder(DecoderState(RGB888)).feed(data)
 
     def test_framebuffer_update_raw(self):
         bmp = Bitmap(8, 6, fill=(10, 20, 30))
@@ -120,18 +138,17 @@ class TestServerMessages:
         assert np.array_equal(out.rects[0].payload, a)
         assert np.array_equal(out.rects[1].payload, b)
 
-    def test_copyrect_update(self):
-        from repro.uip import COPYRECT
-        update = FramebufferUpdate(
-            (RectUpdate(Rect(5, 5, 10, 10), COPYRECT, (1, 2)),))
-        out = self._roundtrip(update)
-        assert out.rects[0].payload == (1, 2)
-
-    def test_desktop_size_update(self):
-        update = FramebufferUpdate(
-            (RectUpdate(Rect(0, 0, 320, 240), DESKTOP_SIZE),))
-        out = self._roundtrip(update)
-        assert out.rects[0].payload == (320, 240)
+    @pytest.mark.parametrize("encoding, payload", [
+        (1, Writer().u16(1).u16(2).getvalue()),
+        (-223, b""),
+    ], ids=["rfb-copyrect", "rfb-desktop-size"])
+    def test_rect_encodings_uip_lacks_are_refused(self, encoding, payload):
+        data = (Writer().u8(0).pad(1).u16(1)
+                .u16(5).u16(5).u16(10).u16(10).s32(encoding)
+                .raw(payload).getvalue())
+        decoder = ServerMessageDecoder(DecoderState(RGB888))
+        with pytest.raises(ProtocolError, match=f"encoding {encoding}"):
+            decoder.feed(data)
 
     def test_zlib_update_survives_fragmentation(self):
         """Persistent zlib stream must not be corrupted by partial reads."""
@@ -266,30 +283,26 @@ class TestHandshake:
 
 
 class TestVersionNegotiation:
-    def test_both_new_agree_on_1_1(self):
-        from repro.uip.handshake import VERSION_1_1
-        server = ServerHandshake(100, 100, RGB888, "x")
-        client = ClientHandshake()
-        run_handshake(server, client)
-        assert server.result.version == VERSION_1_1
-        assert client.result.version == VERSION_1_1
+    """Both ends speak PROTOCOL_VERSION and refuse any other."""
 
-    def test_client_negotiates_down_to_old_server(self):
-        """Against a 001.000 server the client clamps its reply and both
-        ends record the old dialect (so neither offers ZRLE)."""
-        from repro.uip.handshake import VERSION_1_0
+    def test_client_replies_with_the_protocol_version(self):
+        client = ClientHandshake()
+        client.feed(PROTOCOL_VERSION)
+        assert client.failed is None
+        assert client.outgoing() == PROTOCOL_VERSION
+
+    def test_client_refuses_a_001_000_server(self):
         client = ClientHandshake()
         client.feed(b"UIP 001.000\n")
-        assert client.outgoing() == b"UIP 001.000\n"
-        assert client.version == VERSION_1_0
+        assert "unsupported" in client.failed
+        assert client.outgoing() == b""  # never replied with a version
 
-    def test_server_accepts_old_client_reply(self):
-        from repro.uip.handshake import VERSION_1_0
+    def test_server_refuses_a_001_000_client(self):
         server = ServerHandshake(100, 100, RGB888, "x")
         server.outgoing()
         server.feed(b"UIP 001.000\n")
-        assert server.failed is None
-        assert server.version == VERSION_1_0
+        assert "unsupported" in server.failed
+        assert server.outgoing() == b""  # no security outcome went out
 
     def test_server_rejects_newer_client_reply(self):
         # a reply above the server's own version violates the clamp rule

@@ -8,11 +8,11 @@ from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
 from repro.server.uniint_server import MAX_UPDATE_RECTS
 from repro.toolkit import Button, Column, Label, UIWindow
-from repro.uip import DESKTOP_SIZE, HEXTILE, RAW, RRE, ZLIB, ZRLE
-from repro.uip.messages import SetEncodings
+from repro.uip import HEXTILE, RAW, RRE, ZLIB, ZRLE
+from repro.uip.handshake import SECURITY_NONE
 from repro.util import Scheduler
 from repro.windows import DisplayServer
-from tests.helpers import received_encodings
+from tests.helpers import MALFORMED_CLIENT_MESSAGES, received_encodings
 
 
 class SpotColumn(Column):
@@ -152,7 +152,7 @@ class TestEncodingsNegotiation:
         ((ZRLE, RAW), ZRLE),
         ((RRE, HEXTILE, RAW), RRE),
         ((777, ZLIB, ZRLE), ZLIB),
-        ((DESKTOP_SIZE,), RAW),
+        ((-223,), RAW),  # RFB's DesktopSize is no UIP encoding
     ])
     def test_server_encodes_with_first_supported_offer(self, offer, sent):
         scheduler, display, window, server = make_server()
@@ -166,53 +166,45 @@ class TestEncodingsNegotiation:
         assert set(seen) == {sent}
 
 
-class TestOldPeersNeverSeeZrle:
-    """ZRLE needs protocol 001.001; both ends strip it from a 001.000
-    session on their own."""
-
-    def test_server_strips_zrle_from_an_old_client_offer(self):
-        from repro.uip.handshake import SECURITY_NONE
+class TestOneVersion:
+    def test_a_001_000_client_fails_the_handshake_and_is_closed(self):
         scheduler, display, window, server = make_server()
         pipe = make_pipe(scheduler, ETHERNET_100, name="old")
         session = server.accept(pipe.a)
-        pipe.b.send(b"UIP 001.000\n" + bytes([SECURITY_NONE, 1])
-                    + SetEncodings((ZRLE, HEXTILE, RAW)).encode())
+        closed = []
+        pipe.b.on_close = lambda: closed.append(True)
+        pipe.b.send(b"UIP 001.000\n" + bytes([SECURITY_NONE, 1]))
         scheduler.run_until_idle()
-        assert session.ready
-        assert session.encodings == (HEXTILE, RAW)
+        assert "unsupported" in session._handshake.failed
+        assert session.closed and not session.ready
+        assert server.sessions == []
+        assert closed == [True]
 
-    def test_client_offers_no_zrle_to_an_old_server(self, monkeypatch):
-        from repro.uip import handshake
-        monkeypatch.setattr(handshake, "PROTOCOL_VERSION",
-                            b"UIP 001.000\n")
-        scheduler, display, window, server = make_server()
-        client = connect(scheduler, server, encodings=(ZRLE, HEXTILE, RAW))
-        session = server.sessions[0]
-        offers = []
-        handle = session._handle
 
-        def recording(message):
-            if isinstance(message, SetEncodings):
-                offers.append(message.encodings)
-            handle(message)
+class TestMalformedClientMessages:
+    """A message the decoder rejects closes its own session, as a
+    deliberate close, and no other."""
 
-        session._handle = recording
+    @pytest.mark.parametrize("name", MALFORMED_CLIENT_MESSAGES)
+    def test_only_the_sender_is_closed(self, name):
+        scheduler, display, window, server = make_server(resume_grace_s=5.0)
+        bad = connect(scheduler, server)
+        good = connect(scheduler, server)
         scheduler.run_until_idle()
-        assert offers == [(HEXTILE, RAW)]
-        assert client.framebuffer == display.framebuffer
+        bad_session, good_session = server.sessions
+        received = good.updates_received
+        bad.endpoint.send(MALFORMED_CLIENT_MESSAGES[name])
+        window.root.find("label").text = "still serving"
+        scheduler.run_until_idle()
+        assert bad_session.closed and bad.closed
+        assert server.sessions == [good_session]
+        assert server.parked_count == 0  # nothing to resume
+        assert bad_session.resume_token not in server._tokens
+        assert good.updates_received > received
+        assert good.framebuffer == display.framebuffer
 
 
 class TestServerEdges:
-    def test_client_cut_text_is_accepted_and_ignored(self):
-        from repro.uip.messages import ClientCutText
-        scheduler, display, window, server = make_server()
-        client = connect(scheduler, server)
-        scheduler.run_until_idle()
-        client.endpoint.send(ClientCutText("clipboard").encode())
-        window.root.find("label").text = "after the paste"
-        scheduler.run_until_idle()
-        assert server.sessions[0].ready
-        assert client.framebuffer == display.framebuffer
 
     def test_a_display_gets_one_surface(self):
         from repro.util.errors import ProtocolError
@@ -387,37 +379,3 @@ class TestTileDiffIntegration:
         scheduler.run_until_idle()
         assert client.framebuffer == display.framebuffer
         assert client.framebuffer.get_pixel(104, 84) == (9, 200, 30)
-
-    def test_resize_with_differ_still_mirrors(self):
-        scheduler, display, window, server = make_server()
-        client = connect(scheduler, server,
-                         encodings=(HEXTILE, RAW, DESKTOP_SIZE))
-        scheduler.run_until_idle()
-        display.resize(208, 144)
-        scheduler.run_until_idle()
-        assert client.framebuffer.size == (208, 144)
-        assert client.framebuffer == display.framebuffer
-
-
-class TestDesktopResize:
-    def test_resize_propagates_when_negotiated(self):
-        scheduler, display, window, server = make_server()
-        client = connect(scheduler, server,
-                         encodings=(HEXTILE, RAW, DESKTOP_SIZE))
-        scheduler.run_until_idle()
-        sizes = []
-        client.on_resize = lambda w, h: sizes.append((w, h))
-        display.resize(200, 160)
-        scheduler.run_until_idle()
-        assert sizes == [(200, 160)]
-        assert client.framebuffer.size == (200, 160)
-        assert client.framebuffer == display.framebuffer
-
-    def test_resize_without_negotiation_sends_full_frames(self):
-        scheduler, display, window, server = make_server()
-        client = connect(scheduler, server, encodings=(RAW,))
-        scheduler.run_until_idle()
-        display.resize(200, 160)
-        scheduler.run_until_idle()
-        # client was never told about the resize; it keeps the old geometry
-        assert client.framebuffer.size == (160, 120)

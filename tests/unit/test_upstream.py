@@ -7,7 +7,6 @@ from repro.graphics import RGB888, Bitmap, Rect
 from repro.net import make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.uip import (
-    COPYRECT,
     EncoderState,
     FramebufferUpdate,
     RAW,
@@ -65,18 +64,6 @@ class TestApplyUpdates:
         assert client.framebuffer.get_pixel(0, 0) == (0, 0, 0)
         assert rects[-1] == Rect(4, 4, 8, 8)
 
-    def test_copyrect_moves_pixels(self):
-        scheduler, server, client = connected_pair()
-        patch = Bitmap(8, 8, fill=(1, 2, 3))
-        server.push(FramebufferUpdate((RectUpdate(
-            Rect(0, 0, 8, 8), RAW, RGB888.pack_array(patch.pixels)),)))
-        scheduler.run_until_idle()
-        server.push(FramebufferUpdate((RectUpdate(
-            Rect(20, 20, 8, 8), COPYRECT, (0, 0)),)))
-        scheduler.run_until_idle()
-        assert client.framebuffer.get_pixel(20, 20) == (1, 2, 3)
-        assert client.framebuffer.get_pixel(27, 27) == (1, 2, 3)
-
     def test_each_update_triggers_next_request(self):
         scheduler, server, client = connected_pair()
         base = server.requests
@@ -96,12 +83,6 @@ class TestApplyUpdates:
         server.endpoint.send(Bell().encode())
         scheduler.run_until_idle()
         assert bells == [1]
-
-    def test_server_cut_text_ignored(self):
-        from repro.uip import ServerCutText
-        scheduler, server, client = connected_pair()
-        server.endpoint.send(ServerCutText("clipboard").encode())
-        scheduler.run_until_idle()  # no exception
 
     def test_close_is_idempotent(self):
         scheduler, server, client = connected_pair()

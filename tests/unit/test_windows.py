@@ -1,12 +1,9 @@
 """Unit tests for the display server: one full-screen window per display."""
 
-import pytest
-
 from repro.graphics import Rect
 from repro.toolkit import Button, Column, Label, UIWindow
 from repro.uip import keysyms
 from repro.windows import DisplayServer
-from repro.util.errors import ToolkitError
 
 
 def simple_window(width=100, height=80, label="win"):
@@ -23,21 +20,11 @@ class TestMapping:
         window = simple_window()
         server = DisplayServer(window)
         assert server.framebuffer is window.bitmap
-        server.resize(200, 150)
-        assert server.framebuffer is window.bitmap
-        assert server.framebuffer.size == (200, 150)
 
     def test_initial_composite_covers_screen(self):
         server = DisplayServer(simple_window(320, 240))
         region = server.composite()
         assert region.bounds() == server.framebuffer.bounds
-
-    def test_fullscreen_resizes_window(self):
-        window = simple_window(50, 50)
-        server = DisplayServer(window)
-        server.resize(320, 240)
-        assert window.bitmap.size == (320, 240)
-        assert window.root.rect == window.bitmap.bounds
 
     def test_composite_idempotent(self):
         server = DisplayServer(simple_window())
@@ -143,20 +130,3 @@ class TestInput:
         server.inject_pointer(250, 50, 0)
         kinds = [k.value for k in events]
         assert kinds == ["down", "move", "up"]
-
-    def test_resize_damages_everything(self):
-        window = simple_window()
-        server = DisplayServer(window)
-        server.composite()
-        version = server.frame_version
-        server.resize(200, 150)
-        assert server.frame_version > version
-        assert server.framebuffer.size == (200, 150)
-        region = server.composite()
-        assert region.bounds() == server.framebuffer.bounds
-
-    def test_bad_display_size(self):
-        server = DisplayServer(simple_window())
-        with pytest.raises(ToolkitError):
-            server.resize(0, 100)
-        assert server.framebuffer.size == (100, 80)
