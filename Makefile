@@ -7,10 +7,17 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-backpressure bench-broadcast bench-commands \
 	bench-encodings bench-encode-core bench-fleet \
 	bench-home-scale bench-multiuser bench-resilience bench-surfaces \
-	bench-smoke
+	bench-smoke frame-parity
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Device screens after every frame and UIP bytes of every interaction,
+# working tree against BASE (a git revision), on the closed-loop e2e
+# workloads: exits 1 on any difference.
+BASE ?= HEAD
+frame-parity:
+	$(PYTHON) benchmarks/frame_parity.py $(BASE)
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-json=BENCH_RESULTS.json

@@ -3,12 +3,13 @@
 The universal interaction protocol negotiates a *true-colour* pixel format
 per client (the paper's output devices range from 32-bit TV panels to 8-bit
 PDA screens).  A :class:`PixelFormat` describes how an RGB triple packs into
-a little/big-endian integer of ``bits_per_pixel`` bits; :meth:`pack` and
-:meth:`unpack` convert whole numpy image arrays at once.
+a little/big-endian integer of ``bits_per_pixel`` bits;
+:meth:`pack_array` and :meth:`unpack` convert whole numpy image arrays at
+once.
 
 Pack/unpack are exact inverses up to channel quantisation, which the
-property tests pin down: ``unpack(pack(x))`` is idempotent and stays
-within one quantisation step of ``x``.
+property tests pin down: ``unpack(pack_array(x))`` is idempotent and
+stays within one quantisation step of ``x``.
 """
 
 from __future__ import annotations
@@ -62,43 +63,49 @@ class PixelFormat:
 
     # -- conversion -------------------------------------------------------------
 
+    def _channels(self) -> tuple[tuple[int, int, int], ...]:
+        """``(index in RGB, max, shift)`` of each channel."""
+        return ((0, self.red_max, self.red_shift),
+                (1, self.green_max, self.green_shift),
+                (2, self.blue_max, self.blue_shift))
+
     def pack_array(self, rgb: np.ndarray) -> np.ndarray:
         """Pack an (H, W, 3) uint8 RGB array into a fresh (H, W) wire array.
 
         ``rgb`` may be any view, contiguous or not (framebuffer sub-rects
-        pack without an intermediate crop).
+        pack without an intermediate crop).  An 8-bit channel skips the
+        ``(v * max + 127) // 255`` rescale, which is the identity there.
         """
         if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
             raise GraphicsError(f"expected (H, W, 3) uint8, got {rgb.shape} "
                                 f"{rgb.dtype}")
-        wide = rgb.astype(np.uint32)
-        r = (wide[..., 0] * self.red_max + 127) // 255
-        g = (wide[..., 1] * self.green_max + 127) // 255
-        b = (wide[..., 2] * self.blue_max + 127) // 255
-        packed = ((r << self.red_shift) | (g << self.green_shift)
-                  | (b << self.blue_shift))
+        packed = 0
+        for index, top, shift in self._channels():
+            value = rgb[..., index].astype(np.uint32)
+            if top != 255:
+                value = (value * top + 127) // 255
+            value <<= shift
+            value |= packed
+            packed = value
         return packed.astype(self.dtype)
 
     def pack(self, rgb: np.ndarray) -> bytes:
         """Pack an (H, W, 3) uint8 RGB array into wire bytes, row-major."""
         return self.pack_array(rgb).tobytes()
 
-    def unpack(self, data: bytes, width: int, height: int) -> np.ndarray:
-        """Unpack wire bytes into an (H, W, 3) uint8 RGB array."""
-        expected = width * height * self.bytes_per_pixel
-        if len(data) != expected:
-            raise GraphicsError(
-                f"pixel data is {len(data)} bytes, expected {expected}"
-            )
-        flat = np.frombuffer(data, dtype=self.dtype)
-        packed = flat.reshape(height, width).astype(np.uint32)
-        r = (packed >> self.red_shift) & self.red_max
-        g = (packed >> self.green_shift) & self.green_max
-        b = (packed >> self.blue_shift) & self.blue_max
-        rgb = np.empty((height, width, 3), dtype=np.uint8)
-        rgb[..., 0] = (r * 255 + self.red_max // 2) // self.red_max
-        rgb[..., 1] = (g * 255 + self.green_max // 2) // self.green_max
-        rgb[..., 2] = (b * 255 + self.blue_max // 2) // self.blue_max
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Unpack an (H, W) wire array into a fresh (H, W, 3) uint8 RGB
+        array; an 8-bit channel skips the rescale, as in :meth:`pack_array`."""
+        if packed.ndim != 2 or packed.dtype != self.dtype:
+            raise GraphicsError(f"expected (H, W) {self.dtype}, got "
+                                f"{packed.shape} {packed.dtype}")
+        wide = packed.astype(np.uint32)
+        rgb = np.empty(packed.shape + (3,), dtype=np.uint8)
+        for index, top, shift in self._channels():
+            value = (wide >> shift) & top
+            if top != 255:
+                value = (value * 255 + top // 2) // top
+            rgb[..., index] = value
         return rgb
 
     # -- wire form ---------------------------------------------------------------

@@ -172,10 +172,8 @@ class Transport:
         the channel and all charged credit returns immediately, so an
         upstream backpressure-honouring sender is never wedged on bytes
         that can no longer drain.  The fault injector's ``rst`` rides this.
-        Subclasses with a real reset path override it; the base class falls
-        back to :meth:`close`.
         """
-        self.close()
+        raise NotImplementedError
 
     def _write(self, chunks: list[bytes], total: int) -> None:
         raise NotImplementedError

@@ -103,10 +103,8 @@ class DeviceImage:
     def encode(self) -> tuple[bytes, bytes]:
         """Wire form for the proxy -> device link: the header and the
         pixels as two chunks, for a vectored send that never joins them."""
-        code = _FORMAT_CODES.get(self.format)
-        if code is None:
-            raise PluginError(f"unknown image format {self.format!r}")
-        return (_IMAGE_HEADER.pack(self.width, self.height, code, self.x,
+        return (_IMAGE_HEADER.pack(self.width, self.height,
+                                   _FORMAT_CODES[self.format], self.x,
                                    self.span, self.y, len(self.data)),
                 self.data)
 

@@ -35,7 +35,7 @@ from repro.uip.messages import (
     SetEncodings,
     SetPixelFormat,
 )
-from repro.util.errors import ProtocolError
+from repro.util.errors import GraphicsError, ProtocolError
 
 #: Default encodings offered, best first.  The server encodes with the
 #: first one it supports, so HEXTILE leads: cheap to encode, and bytes are
@@ -139,8 +139,22 @@ class UniIntClient:
             if not data:
                 return
         assert self._decoder is not None
-        for message in self._decoder.feed(data):
-            self._handle(message)
+        try:
+            messages = self._decoder.feed(data)
+        except (ProtocolError, GraphicsError):
+            return self._abort_session()
+        for message in messages:
+            if not self.closed:
+                self._handle(message)
+
+    def _abort_session(self) -> None:
+        """A malformed server message ends this session as a reset would
+        (a resilient session redials), not by escaping into the transport."""
+        self._decoder = None  # and the partial update it holds
+        self.closed = True
+        self.endpoint.abort()
+        if self.on_session_close is not None:
+            self.on_session_close()
 
     def _session_start(self) -> None:
         result = self._handshake.result
@@ -200,7 +214,10 @@ class UniIntClient:
 
     def _handle(self, message) -> None:
         if isinstance(message, FramebufferUpdate):
-            dirty = self._apply_update(message)
+            try:
+                dirty = self._apply_update(message)
+            except (ProtocolError, GraphicsError):
+                return self._abort_session()
             self.updates_received += 1
             if self.on_update is not None and not dirty.is_empty:
                 self.on_update(dirty)
@@ -217,14 +234,16 @@ class UniIntClient:
             raise AssertionError(f"unexpected message {message!r}")
 
     def _apply_update(self, update: FramebufferUpdate) -> Rect:
-        """Apply ``update`` to the mirror; returns the changed bounds."""
-        assert self.framebuffer is not None
+        """Write ``update`` into the mirror; returns the changed bounds."""
+        mirror = self.framebuffer
+        assert mirror is not None
         dirty = Rect(0, 0, 0, 0)
         for rect_update in update.rects:
             rect = rect_update.rect
-            rgb = self.pixel_format.unpack(
-                rect_update.payload.tobytes(), rect.w, rect.h)
-            patch = Bitmap.from_array(rgb)
-            dirty = dirty.union_bounds(
-                self.framebuffer.blit(patch, rect.x, rect.y))
+            if rect.x2 > mirror.width or rect.y2 > mirror.height:
+                raise ProtocolError(f"update rect {rect} leaves the "
+                                    f"{mirror.width}x{mirror.height} mirror")
+            mirror.pixels[rect.y:rect.y2, rect.x:rect.x2] = (
+                self.pixel_format.unpack(rect_update.payload))
+            dirty = dirty.union_bounds(rect)
         return dirty

@@ -28,6 +28,7 @@ Implemented encodings (numbered as in RFB for familiarity):
 from __future__ import annotations
 
 import hashlib
+import re
 import zlib
 from collections import OrderedDict
 
@@ -60,6 +61,9 @@ _HEX_BG = 2
 _HEX_FG = 4
 _HEX_SUBRECTS = 8
 _HEX_COLOURED = 16
+
+#: A run of HEXTILE tiles that keep the background (subencoding 0).
+_KEEP_BACKGROUND = re.compile(rb"\x00+")
 
 
 class EncodeCache:
@@ -531,95 +535,110 @@ def encode_hextile(packed: np.ndarray, pf: PixelFormat) -> bytes:
 
 def decode_hextile(cursor: Cursor, width: int, height: int,
                    pf: PixelFormat) -> np.ndarray:
-    """Parse the whole payload, then paint it.
+    """Walk every tile of the payload, then paint them all.
 
-    Parsing reads through a local offset into ``cursor.data`` and moves
-    ``cursor.pos`` only once every tile has parsed.  Painting expands the
-    tile backgrounds as one grid, then lays raw tiles and subrects over it
-    in stream order; each stays inside its own tile, so this equals
-    painting tile by tile.
+    The walk reads through a local offset into ``cursor.data`` (one regex
+    match per run of tiles that keep the background) and collects the
+    subrect records; ``cursor.pos`` moves only once all is painted.
+    Painting expands the tile backgrounds as one grid, lays the raw tiles
+    over it, then writes every subrect pixel in one assignment.
     """
     data, pos, end = cursor.data, cursor.pos, len(cursor.data)
     ps = pf.bytes_per_pixel
     order = "big" if pf.big_endian else "little"
-    backgrounds: list[int] = []
-    patches: list[tuple] = []  # (y, x, h, w, value or raw pixels)
+    columns = -(-width // _TILE)
+    tiles = columns * -(-height // _TILE)
+    backgrounds: list[int] = []  # one per tile, in scan order
+    raws: list[tuple] = []  # (y, x, h, w, pixels)
+    blocks: list[bytes] = []  # subrect records, as (value, xy, wh)
+    owners: list[tuple] = []  # per block: (count, tile offset, tile w, h)
     background = 0
-    foreground = 0
-    for ty in range(0, height, _TILE):
+    foreground = bytes(ps)
+    while len(backgrounds) < tiles:
+        if pos >= end:
+            raise NeedMore(pos + 1)
+        subenc = data[pos]
+        if not subenc:
+            run = _KEEP_BACKGROUND.match(
+                data, pos, pos + tiles - len(backgrounds)).end() - pos
+            backgrounds += [background] * run
+            pos += run
+            continue
+        pos += 1
+        ty, tx = divmod(len(backgrounds), columns)
+        ty *= _TILE
+        tx *= _TILE
         th = min(_TILE, height - ty)
-        for tx in range(0, width, _TILE):
-            tw = min(_TILE, width - tx)
-            if pos >= end:
-                raise NeedMore(pos + 1)
-            subenc = data[pos]
-            pos += 1
-            if subenc & _HEX_RAW:
-                n = tw * th * ps
-                if pos + n > end:
-                    raise NeedMore(pos + n)
-                patches.append((ty, tx, th, tw, np.frombuffer(
-                    data[pos:pos + n], dtype=pf.dtype).reshape(th, tw)))
-                backgrounds.append(0)
-                pos += n
-                continue
-            if subenc & _HEX_BG:
-                if pos + ps > end:
-                    raise NeedMore(pos + ps)
-                background = int.from_bytes(data[pos:pos + ps], order)
-                pos += ps
-            if subenc & _HEX_FG:
-                if pos + ps > end:
-                    raise NeedMore(pos + ps)
-                foreground = int.from_bytes(data[pos:pos + ps], order)
-                pos += ps
-            backgrounds.append(background)
-            if not subenc & _HEX_SUBRECTS:
-                continue
-            if pos >= end:
-                raise NeedMore(pos + 1)
-            size = ps + 2 if subenc & _HEX_COLOURED else 2
-            block_end = pos + 1 + data[pos] * size
-            if block_end > end:
-                raise NeedMore(block_end)
-            block = data[pos + 1:block_end]
-            pos = block_end
-            value = foreground
-            for i in range(size - 2, len(block), size):
-                if size > 2:
-                    value = int.from_bytes(block[i - ps:i], order)
-                xy, wh = block[i], block[i + 1]
-                sx, sy = xy >> 4, xy & 0x0F
-                sw, sh = (wh >> 4) + 1, (wh & 0x0F) + 1
-                if sx + sw > tw or sy + sh > th:
-                    raise ProtocolError(
-                        f"hextile subrect {(sx, sy, sw, sh)} exceeds "
-                        f"tile {tw}x{th}"
-                    )
-                patches.append((ty + sy, tx + sx, sh, sw, value))
-    cursor.pos = pos
+        tw = min(_TILE, width - tx)
+        if subenc & _HEX_RAW:
+            n = tw * th * ps
+            if pos + n > end:
+                raise NeedMore(pos + n)
+            raws.append((ty, tx, th, tw, data[pos:pos + n]))
+            backgrounds.append(0)
+            pos += n
+            continue
+        if subenc & _HEX_BG:
+            if pos + ps > end:
+                raise NeedMore(pos + ps)
+            background = int.from_bytes(data[pos:pos + ps], order)
+            pos += ps
+        if subenc & _HEX_FG:
+            if pos + ps > end:
+                raise NeedMore(pos + ps)
+            foreground = data[pos:pos + ps]
+            pos += ps
+        backgrounds.append(background)
+        if not subenc & _HEX_SUBRECTS:
+            continue
+        if pos >= end:
+            raise NeedMore(pos + 1)
+        size = ps + 2 if subenc & _HEX_COLOURED else 2
+        block_end = pos + 1 + data[pos] * size
+        if block_end > end:
+            raise NeedMore(block_end)
+        block = data[pos + 1:block_end]
+        blocks.append(block if size > 2 else b"".join(
+            foreground + block[i:i + 2] for i in range(0, len(block), 2)))
+        owners.append((data[pos], ty * width + tx, tw, th))
+        pos = block_end
     grid = np.array(backgrounds, dtype=pf.dtype).reshape(
-        -(-height // _TILE), -(-width // _TILE))
+        -(-height // _TILE), columns)
     out = np.ascontiguousarray(np.repeat(np.repeat(
         grid, _TILE, axis=0), _TILE, axis=1)[:height, :width])
-    for y, x, h, w, value in patches:
-        out[y:y + h, x:x + w] = value
+    for y, x, h, w, pixels in raws:
+        out[y:y + h, x:x + w] = np.frombuffer(
+            pixels, dtype=pf.dtype).reshape(h, w)
+    if owners:
+        records = np.frombuffer(b"".join(blocks), dtype=[
+            ("v", pf.dtype.str), ("xy", "u1"), ("wh", "u1")])
+        counts, offsets, tws, ths = np.array(owners).T
+        offset, tw, th = (np.repeat(a, counts) for a in (offsets, tws, ths))
+        sx, sy = np.divmod(records["xy"].astype(np.intp), _TILE)
+        sw, sh = np.divmod(records["wh"].astype(np.intp), _TILE)
+        sw += 1
+        sh += 1
+        bad = np.flatnonzero((sx + sw > tw) | (sy + sh > th))
+        if bad.size:
+            i = bad[0]
+            raise ProtocolError(
+                f"hextile subrect {tuple(int(a[i]) for a in (sx, sy, sw, sh))}"
+                f" exceeds tile {tw[i]}x{th[i]}"
+            )
+        area = sw * sh
+        rid = np.repeat(np.arange(area.size), area)  # record of each pixel
+        row, column = np.divmod(np.arange(rid.size) - np.repeat(
+            np.cumsum(area) - area, area), sw[rid])
+        flat = (offset + sy * width + sx)[rid] + row * width + column
+        if np.bincount(flat).max(initial=0) > 1:
+            # a peer overlapped subrects: the later one wins, and numpy
+            # leaves unspecified which write to a repeated index lands
+            last = flat.size - 1 - np.unique(flat[::-1],
+                                             return_index=True)[1]
+            flat, rid = flat[last], rid[last]
+        out.reshape(-1)[flat] = records["v"][rid]
+    cursor.pos = pos
     return out
-
-
-# -- ZLIB --------------------------------------------------------------------------
-
-
-def decode_zlib(state: DecoderState, cursor: Cursor, width: int,
-                height: int, pf: PixelFormat) -> np.ndarray:
-    length = cursor.u32()
-    data = state.inflate(cursor.take(length))
-    expected = width * height * pf.bytes_per_pixel
-    if len(data) != expected:
-        raise ProtocolError(
-            f"zlib rect inflated to {len(data)} bytes, expected {expected}"
-        )
-    return np.frombuffer(data, dtype=pf.dtype).reshape(height, width).copy()
 
 
 # -- ZRLE --------------------------------------------------------------------------
@@ -871,13 +890,6 @@ def decode_zrle_tiles(data: bytes, width: int, height: int,
     return out
 
 
-def decode_zrle(state: DecoderState, cursor: Cursor, width: int,
-                height: int, pf: PixelFormat) -> np.ndarray:
-    length = cursor.u32()
-    data = state.inflate(cursor.take(length))
-    return decode_zrle_tiles(data, width, height, pf)
-
-
 # -- top level ------------------------------------------------------------------------
 
 
@@ -930,7 +942,10 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
     """Decode one rectangle payload into a packed (height, width) array.
 
     Raises :class:`~repro.uip.wire.NeedMore` if the cursor runs out of
-    bytes (the caller retries with a fuller buffer).
+    bytes (the caller tries again with a fuller buffer).  A ZLIB or ZRLE
+    rect is inflated once it is whole, so the persistent inflater sees
+    each compressed byte once as long as a completed rect is never
+    decoded again (:class:`~repro.uip.messages.ServerMessageDecoder`).
     """
     pf = state.pixel_format
     if encoding == RAW:
@@ -939,8 +954,13 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
         return decode_rre(cursor, width, height, pf)
     if encoding == HEXTILE:
         return decode_hextile(cursor, width, height, pf)
-    if encoding == ZLIB:
-        return decode_zlib(state, cursor, width, height, pf)
+    if encoding not in STATEFUL_ENCODINGS:
+        raise ProtocolError(f"cannot decode encoding {encoding}")
+    data = state.inflate(cursor.take(cursor.u32()))
     if encoding == ZRLE:
-        return decode_zrle(state, cursor, width, height, pf)
-    raise ProtocolError(f"cannot decode encoding {encoding}")
+        return decode_zrle_tiles(data, width, height, pf)
+    expected = width * height * pf.bytes_per_pixel
+    if len(data) != expected:
+        raise ProtocolError(
+            f"zlib rect inflated to {len(data)} bytes, expected {expected}")
+    return decode_raw(Cursor(data), width, height, pf)

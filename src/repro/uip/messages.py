@@ -30,8 +30,9 @@ server-side state (surface binding, pixel format, encodings) after a
 transport fault — see :mod:`repro.server.uniint_server` parking.
 
 Messages arrive as an undelimited byte stream; :class:`ClientMessageDecoder`
-and :class:`ServerMessageDecoder` parse incrementally, retrying a partially
-received message once more bytes arrive.
+and :class:`ServerMessageDecoder` parse incrementally.  A partially
+received message is parsed again once more bytes arrive, except that a
+FramebufferUpdate resumes at the first rect it has not yet decoded.
 """
 
 from __future__ import annotations
@@ -45,18 +46,6 @@ from repro.graphics.region import Rect
 from repro.uip import encodings as enc
 from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
-
-@dataclass(frozen=True)
-class _DeferredStream:
-    """Compressed rect bytes awaiting post-parse inflation.
-
-    Covers every encoding that rides the persistent per-session zlib
-    stream (ZLIB, ZRLE): the inflater must see each compressed byte
-    exactly once, so inflation waits until the whole message parsed.
-    """
-
-    encoding: int
-    data: bytes
 
 
 # Client message types.
@@ -240,9 +229,12 @@ _COMPACT_THRESHOLD = 16 * 1024
 
 
 class _StreamDecoder:
-    """Shared retry-from-message-start incremental parsing machinery.
+    """Shared incremental parsing machinery.
 
-    The buffer keeps a persistent read offset: each parsed message advances
+    Each attempt hands :meth:`_parse_one` a cursor at the start of the
+    first unconsumed message; a parser that can resume inside a message
+    keeps its own progress (:class:`ServerMessageDecoder` does).  The
+    buffer keeps a persistent read offset: each parsed message advances
     the offset instead of rebuilding ``bytes(self._buffer)`` and
     del-compacting per message (which made a burst of n messages cost
     O(n²) in rebuffering).  The consumed prefix is trimmed only once it
@@ -254,8 +246,8 @@ class _StreamDecoder:
         self._pos = 0
         # Minimum buffer length before re-attempting a stalled parse
         # (from NeedMore.needed): a message trickling in chunk by chunk
-        # costs one length check per chunk, not a re-parse from the
-        # message start each time.
+        # costs one length check per chunk, not a parse attempt each
+        # time.
         self._need = 0
 
     def feed(self, data: bytes) -> list:
@@ -328,38 +320,39 @@ class ServerMessageDecoder(_StreamDecoder):
 
     Needs the negotiated pixel format (and zlib state) to know rectangle
     payload sizes, hence it owns a :class:`~repro.uip.encodings.DecoderState`.
+
+    Each rect is decoded once.  A FramebufferUpdate split over chunks
+    keeps the rects decoded so far and the offset of the next rect header,
+    counted from the message start (so buffer compaction leaves it
+    valid), and the next attempt resumes there.  Since a completed rect
+    is never parsed again, ZLIB and ZRLE rects inflate as each completes.
     """
 
     def __init__(self, state: enc.DecoderState) -> None:
         super().__init__()
         self.state = state
+        self._rects: list[RectUpdate] = []
+        self._resume = 0
 
     def _parse_one(self, cursor: Cursor):
+        start = cursor.pos
         msg_type = cursor.u8()
         if msg_type == MSG_FRAMEBUFFER_UPDATE:
             cursor.skip(1)
             count = cursor.u16()
-            rects = []
-            for _ in range(count):
+            rects = self._rects
+            if rects:
+                cursor.pos = start + self._resume
+            while len(rects) < count:
                 x, y = cursor.u16(), cursor.u16()
                 w, h = cursor.u16(), cursor.u16()
                 encoding = cursor.s32()
-                payload: object
-                if encoding in enc.STATEFUL_ENCODINGS:
-                    # The inflater is a persistent stream: it must only see
-                    # each compressed byte once.  A partial message makes
-                    # feed() retry this parse from the start, so inflation
-                    # is deferred until the whole message is structurally
-                    # complete (below).
-                    length = cursor.u32()
-                    payload = _DeferredStream(encoding, cursor.take(length))
-                else:
-                    payload = enc.decode_rect(self.state, cursor, w, h,
-                                              encoding)
-                rects.append((Rect(x, y, w, h), encoding, payload))
-            return FramebufferUpdate(tuple(
-                RectUpdate(rect, encoding, self._inflate(rect, payload))
-                for rect, encoding, payload in rects))
+                rects.append(RectUpdate(Rect(x, y, w, h), encoding,
+                                        enc.decode_rect(self.state, cursor,
+                                                        w, h, encoding)))
+                self._resume = cursor.pos - start
+            self._rects = []
+            return FramebufferUpdate(tuple(rects))
         if msg_type == MSG_BELL:
             return Bell()
         if msg_type == MSG_PONG:
@@ -369,18 +362,3 @@ class ServerMessageDecoder(_StreamDecoder):
             cursor.skip(3)
             return SessionGrant(cursor.u32())
         raise ProtocolError(f"unknown server message type {msg_type}")
-
-    def _inflate(self, rect: Rect, payload) -> np.ndarray:
-        if not isinstance(payload, _DeferredStream):
-            return payload
-        pf = self.state.pixel_format
-        data = self.state.inflate(payload.data)
-        if payload.encoding == enc.ZRLE:
-            return enc.decode_zrle_tiles(data, rect.w, rect.h, pf)
-        expected = rect.w * rect.h * pf.bytes_per_pixel
-        if len(data) != expected:
-            raise ProtocolError(
-                f"zlib rect inflated to {len(data)} bytes, expected {expected}"
-            )
-        return np.frombuffer(data, dtype=pf.dtype).reshape(
-            rect.h, rect.w).copy()

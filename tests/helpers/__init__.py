@@ -13,10 +13,12 @@ from tests.helpers.hostile import (
 from tests.helpers.screens import ScreenReplay
 from tests.helpers.wire import (
     MALFORMED_CLIENT_MESSAGES,
+    MALFORMED_SERVER_MESSAGE,
     OPEN_HANDSHAKE,
     received_encodings,
 )
 
-__all__ = ["HostileSocket", "MALFORMED_CLIENT_MESSAGES", "OPEN_HANDSHAKE",
-           "ScreenReplay", "partition", "received_encodings",
-           "socket_pair_on_reactor", "split_points"]
+__all__ = ["HostileSocket", "MALFORMED_CLIENT_MESSAGES",
+           "MALFORMED_SERVER_MESSAGE", "OPEN_HANDSHAKE", "ScreenReplay",
+           "partition", "received_encodings", "socket_pair_on_reactor",
+           "split_points"]

@@ -22,6 +22,10 @@ MALFORMED_CLIENT_MESSAGES = {
         ">BBBBHHHBBB3x", 12, 12, 0, 1, 15, 15, 15, 8, 4, 0)).getvalue(),
 }
 
+#: A server message the proxy's decoder rejects: RFB's 12-byte
+#: ServerCutText (type 3), since UIP carries no clipboard.
+MALFORMED_SERVER_MESSAGE = Writer().u8(3).pad(3).u32(4).raw(b"clip").getvalue()
+
 
 def received_encodings(client) -> Counter:
     """Count the rect encodings of every update ``client`` applies from now

@@ -13,7 +13,11 @@ from repro.appliances import DimmableLight, MicrowaveOven, Television
 from repro.devices import Pda
 from repro.havi import FcmType
 from repro.util.errors import ProxyError
-from tests.helpers import MALFORMED_CLIENT_MESSAGES, OPEN_HANDSHAKE
+from tests.helpers import (
+    MALFORMED_CLIENT_MESSAGES,
+    MALFORMED_SERVER_MESSAGE,
+    OPEN_HANDSHAKE,
+)
 
 
 def populate(home, tag):
@@ -247,6 +251,27 @@ class TestFleet:
             assert fleet.run_until(lambda: pda.frames_received > frames)
         finally:
             rogue.close()
+        fleet.close()
+
+    def test_a_malformed_server_message_closes_only_the_upstream(self):
+        # the proxy's decoder rejects a server message: its upstream
+        # session closes and redials instead of the error quarantining
+        # the home
+        fleet = HomeFleet()
+        home = populate(fleet.add_home("h0", resilience=True), 0)
+        fleet.settle()
+        home.server_session.endpoint.send(MALFORMED_SERVER_MESSAGE)
+        resilience = home.session.resilience
+        assert fleet.run_until(lambda: resilience.reconnect_count == 1)
+        fleet.settle()
+        assert fleet.failed_homes == ()
+        assert home.session.upstream.ready
+        assert home.session.upstream.framebuffer == home.display.framebuffer
+        pda = home.devices["pda-0"]
+        frames = pda.frames_received
+        lamp = home.appliances["lamp-0"].dcm.fcm_by_type(FcmType.LIGHT)
+        lamp.invoke_local("power.toggle")
+        assert fleet.run_until(lambda: pda.frames_received > frames)
         fleet.close()
 
     def test_turn_reports_whether_any_work_happened(self):

@@ -155,20 +155,19 @@ class TestPixelFormatProperties:
     @given(rgb_arrays)
     @settings(max_examples=40)
     def test_rgb888_roundtrip_exact(self, rgb):
-        out = RGB888.unpack(RGB888.pack(rgb), rgb.shape[1], rgb.shape[0])
+        out = RGB888.unpack(RGB888.pack_array(rgb))
         assert np.array_equal(out, rgb)
 
     @given(rgb_arrays, st.sampled_from([RGB565, RGB332]))
     @settings(max_examples=40)
     def test_quantise_idempotent(self, rgb, fmt):
-        h, w = rgb.shape[:2]
-        once = fmt.unpack(fmt.pack(rgb), w, h)
-        assert np.array_equal(fmt.unpack(fmt.pack(once), w, h), once)
+        once = fmt.unpack(fmt.pack_array(rgb))
+        assert np.array_equal(fmt.unpack(fmt.pack_array(once)), once)
 
     @given(rgb_arrays, st.sampled_from([RGB888, RGB565, RGB332]))
     @settings(max_examples=40)
     def test_quantise_error_bounded(self, rgb, fmt):
-        out = fmt.unpack(fmt.pack(rgb), rgb.shape[1], rgb.shape[0])
+        out = fmt.unpack(fmt.pack_array(rgb))
         max_err = np.abs(out.astype(int) - rgb.astype(int)).max()
         # worst channel step: 255 / min_channel_max, half-step rounding
         step = 255 / min(fmt.red_max, fmt.green_max, fmt.blue_max)

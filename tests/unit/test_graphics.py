@@ -166,23 +166,23 @@ class TestPixelFormat:
     def test_rgb888_lossless(self):
         rng = np.random.default_rng(1)
         rgb = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-        out = RGB888.unpack(RGB888.pack(rgb), 7, 5)
+        out = RGB888.unpack(RGB888.pack_array(rgb))
         assert np.array_equal(out, rgb)
 
     @pytest.mark.parametrize("fmt", [RGB565, RGB332])
     def test_lossy_roundtrip_is_idempotent(self, fmt):
         rng = np.random.default_rng(2)
         rgb = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-        once = fmt.unpack(fmt.pack(rgb), 6, 6)
-        twice = fmt.unpack(fmt.pack(once), 6, 6)
+        once = fmt.unpack(fmt.pack_array(rgb))
+        twice = fmt.unpack(fmt.pack_array(once))
         assert np.array_equal(once, twice)
 
     def test_extremes_preserved(self):
         black = np.zeros((1, 1, 3), dtype=np.uint8)
         white = np.full((1, 1, 3), 255, dtype=np.uint8)
         for fmt in (RGB888, RGB565, RGB332):
-            assert np.array_equal(fmt.unpack(fmt.pack(black), 1, 1), black)
-            assert np.array_equal(fmt.unpack(fmt.pack(white), 1, 1), white)
+            assert np.array_equal(fmt.unpack(fmt.pack_array(black)), black)
+            assert np.array_equal(fmt.unpack(fmt.pack_array(white)), white)
 
     def test_wire_encode_decode(self):
         for fmt in (RGB888, RGB565, RGB332):
@@ -202,7 +202,9 @@ class TestPixelFormat:
 
     def test_unpack_wrong_size(self):
         with pytest.raises(GraphicsError):
-            RGB888.unpack(b"\x00" * 10, 2, 2)
+            RGB888.unpack(np.zeros(10, dtype=RGB888.dtype))
+        with pytest.raises(GraphicsError):  # another format's wire array
+            RGB888.unpack(np.zeros((2, 2), dtype=RGB565.dtype))
 
     @pytest.mark.parametrize("fmt", [RGB888, RGB565, RGB332])
     def test_pack_array_accepts_non_contiguous_view(self, fmt):

@@ -11,6 +11,8 @@ errors.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import Pda
 from repro.graphics import (
@@ -491,6 +493,151 @@ class TestHextileDecodeParity:
         payload = head + bytes([1]) + record(0x03, 0x06)
         with pytest.raises(ProtocolError):
             decode_hextile(Cursor(payload), 10, 6, pf)
+
+
+@st.composite
+def hextile_payloads(draw):
+    """``(payload, width, height, pf)``: any tile mix a peer may send.
+
+    Raw tiles, solid tiles that keep the background, background and
+    foreground changes that persist into later tiles, edge tiles of any
+    size, and mono or coloured subrects placed freely inside their tile,
+    so they overlap (the encoder never overlaps them).
+    """
+    pf = draw(st.sampled_from(ALL_FORMATS))
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    ps = pf.bytes_per_pixel
+    order = "big" if pf.big_endian else "little"
+
+    def pixel():
+        return draw(st.integers(0, 2 ** pf.bits_per_pixel - 1)).to_bytes(
+            ps, order)
+
+    parts = []
+    for ty in range(0, height, 16):
+        for tx in range(0, width, 16):
+            tw, th = min(16, width - tx), min(16, height - ty)
+            kind = draw(st.sampled_from(
+                ["keep", "raw", "solid", "mono", "coloured"]))
+            if kind == "keep":
+                parts.append(b"\x00")
+                continue
+            if kind == "raw":
+                parts.append(b"\x01" + b"".join(
+                    pixel() for _ in range(tw * th)))
+                continue
+            subenc = 0
+            head = b""
+            if draw(st.booleans()):
+                subenc |= 2
+                head += pixel()
+            if kind == "mono" and draw(st.booleans()):
+                subenc |= 4
+                head += pixel()
+            if kind == "solid":
+                parts.append(bytes([subenc]) + head)
+                continue
+            subenc |= 8 | (16 if kind == "coloured" else 0)
+            records = []
+            for _ in range(draw(st.integers(0, 6))):
+                sx, sy = draw(st.integers(0, tw - 1)), draw(
+                    st.integers(0, th - 1))
+                sw, sh = draw(st.integers(1, tw - sx)), draw(
+                    st.integers(1, th - sy))
+                records.append((pixel() if kind == "coloured" else b"")
+                               + bytes([sx << 4 | sy,
+                                        (sw - 1) << 4 | (sh - 1)]))
+            parts.append(bytes([subenc]) + head + bytes([len(records)])
+                         + b"".join(records))
+    return b"".join(parts), width, height, pf
+
+
+class TestHextileDecodeProperties:
+    @given(hextile_payloads())
+    @settings(max_examples=150, deadline=None)
+    def test_any_payload_decodes_as_the_oracle_does(self, case):
+        payload, width, height, pf = case
+        fast, slow, fast_pos, slow_pos = _both(
+            bytearray(payload + b"\x05"), width, height, pf)
+        assert fast.dtype == slow.dtype
+        assert np.array_equal(fast, slow)
+        assert fast_pos == slow_pos == len(payload)
+
+    @given(hextile_payloads())
+    @settings(max_examples=40, deadline=None)
+    def test_every_proper_prefix_needs_more(self, case):
+        payload, width, height, pf = case
+        for cut in range(len(payload)):
+            cursor = Cursor(bytearray(payload[:cut]), 0)
+            with pytest.raises(NeedMore) as stall:
+                decode_hextile(cursor, width, height, pf)
+            assert cut < stall.value.needed <= len(payload)
+            assert cursor.pos == 0
+
+    def test_overlapping_subrects_paint_in_stream_order(self):
+        pf = RGB888
+        px = [v.to_bytes(4, "little") for v in (0x10, 0x20, 0x30, 0x40)]
+        payload = b"".join([
+            # coloured: a 4x4 square, a 2x2 inside it, then the square
+            # again over both, then a 1x1 over that
+            bytes([2 | 8 | 16]), px[0], bytes([4]),
+            px[1], bytes([0x11, 0x33]), px[2], bytes([0x22, 0x11]),
+            px[3], bytes([0x11, 0x33]), px[2], bytes([0x44, 0x00]),
+        ])
+        fast, slow, _, _ = _both(payload, 8, 8, pf)
+        assert np.array_equal(fast, slow)
+        assert fast[2, 2] == 0x40 and fast[4, 4] == 0x30
+        assert fast[0, 0] == 0x10
+
+
+# -- pixel format pack and unpack -------------------------------------------
+
+
+def scaled_pack_array(pf, rgb):
+    """The ``PixelFormat.pack_array`` that rescaled every channel."""
+    wide = rgb.astype(np.uint32)
+    r = (wide[..., 0] * pf.red_max + 127) // 255
+    g = (wide[..., 1] * pf.green_max + 127) // 255
+    b = (wide[..., 2] * pf.blue_max + 127) // 255
+    packed = ((r << pf.red_shift) | (g << pf.green_shift)
+              | (b << pf.blue_shift))
+    return packed.astype(pf.dtype)
+
+
+def scaled_unpack(pf, data, width, height):
+    """The ``PixelFormat.unpack`` that took wire bytes and rescaled every
+    channel."""
+    packed = np.frombuffer(data, dtype=pf.dtype).reshape(
+        height, width).astype(np.uint32)
+    r = (packed >> pf.red_shift) & pf.red_max
+    g = (packed >> pf.green_shift) & pf.green_max
+    b = (packed >> pf.blue_shift) & pf.blue_max
+    rgb = np.empty((height, width, 3), dtype=np.uint8)
+    rgb[..., 0] = (r * 255 + pf.red_max // 2) // pf.red_max
+    rgb[..., 1] = (g * 255 + pf.green_max // 2) // pf.green_max
+    rgb[..., 2] = (b * 255 + pf.blue_max // 2) // pf.blue_max
+    return rgb
+
+
+class TestPixelFormatParity:
+    @pytest.mark.parametrize("pf", [RGB888, RGB565, RGB332, BE888],
+                             ids=["rgb888", "rgb565", "rgb332", "be888"])
+    def test_pack_and_unpack_match_the_scaled_arithmetic(self, pf):
+        rng = np.random.default_rng(50 + pf.bits_per_pixel)
+        for _ in range(30):
+            height, width = (int(v) for v in rng.integers(1, 40, 2))
+            rgb = rng.integers(0, 256, (height + 4, width + 3, 3),
+                               dtype=np.uint8)
+            view = rgb[2:2 + height, 1:1 + width]  # not contiguous
+            packed = pf.pack_array(view)
+            assert packed.dtype == pf.dtype
+            assert np.array_equal(packed, scaled_pack_array(pf, view))
+            # every wire value, including bits outside the channels
+            wire = rng.integers(0, 2 ** pf.bits_per_pixel, (height, width),
+                                dtype=np.uint64).astype(pf.dtype)
+            assert np.array_equal(
+                pf.unpack(wire),
+                scaled_unpack(pf, wire.tobytes(), width, height))
 
 
 def _subencodings(payload, width, height, pf):

@@ -19,6 +19,7 @@ from repro.uip.handshake import MAX_NAME_LEN
 from repro.util import Scheduler
 from repro.windows import DisplayServer
 from repro.appliances import Television
+from tests.helpers import MALFORMED_SERVER_MESSAGE
 
 
 def make_server(width=160, height=120, **server_kwargs):
@@ -204,6 +205,19 @@ class TestSessionSelfHealing:
         assert home.uniint_server.sessions_resumed == 1
         assert pda.frames_received == frames_before + 1
         assert user.current_output == "pda-1"
+
+    def test_malformed_server_message_redials_to_a_true_mirror(self):
+        home, pda = resilient_home()
+        user = home.default_user
+        frames_before = pda.frames_received
+        user.server_session.endpoint.send(MALFORMED_SERVER_MESSAGE)
+        home.scheduler.run_until_idle()  # must not raise
+        res = user.session.resilience
+        assert res.reconnect_count == 1
+        assert res.death_reasons == ["transport closed"]
+        assert user.session.upstream.ready
+        assert user.session.upstream.framebuffer == home.display.framebuffer
+        assert pda.frames_received == frames_before + 1
 
     def test_heartbeat_detects_silent_death(self):
         home, pda = resilient_home()

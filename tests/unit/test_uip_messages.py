@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graphics import RGB565, RGB888, Bitmap, PixelFormat, Rect
+from repro.graphics.font import Font
+from repro.uip import encodings as enc
 from repro.uip import (
     Bell,
     ClientHandshake,
@@ -24,6 +26,7 @@ from repro.uip import (
     SetEncodings,
     SetPixelFormat,
     ZLIB,
+    ZRLE,
     keysyms,
 )
 from repro.uip.wire import Writer
@@ -372,3 +375,89 @@ class TestMalformedServerStream:
         decoder = ServerMessageDecoder(DecoderState(RGB888))
         with pytest.raises(ProtocolError, match="inflated to"):
             decoder.feed(lying.encode(EncoderState(RGB888)))
+
+
+def _panel_pixels(width, height, seed):
+    """Flat fills under lines of text: HEXTILE tiles full of subrects."""
+    rng = np.random.default_rng(seed)
+    bmp = Bitmap(width, height, fill=(20, 20, 60))
+    font = Font(scale=1)
+    for y in range(0, height, 8):
+        text = "".join(chr(c) for c in rng.integers(33, 127, width // 6))
+        font.draw(bmp, 1, y, text, tuple(int(c) for c in rng.integers(
+            100, 256, 3)))
+    return bmp.pixels
+
+
+class TestDecodeOnce:
+    """An update split over chunks resumes at the rect where it stopped:
+    each rect is decoded once, and the result equals a one-shot parse."""
+
+    @pytest.fixture
+    def update(self):
+        fmt = RGB888
+        rects = [
+            (Rect(0, 0, 96, 40), HEXTILE, _panel_pixels(96, 40, 1)),
+            (Rect(0, 40, 96, 40), HEXTILE, _panel_pixels(96, 40, 2)),
+            (Rect(100, 0, 6, 5), RAW, _panel_pixels(6, 5, 3)),
+            (Rect(0, 80, 40, 20), ZRLE, _panel_pixels(40, 20, 4)),
+            (Rect(40, 80, 24, 16), ZLIB, _panel_pixels(24, 16, 5)),
+        ]
+        return FramebufferUpdate(tuple(
+            RectUpdate(rect, encoding, fmt.pack_array(pixels))
+            for rect, encoding, pixels in rects))
+
+    @staticmethod
+    def decoded(monkeypatch):
+        """Every rect ``decode_rect`` completes, as (w, h, encoding)."""
+        done = []
+        original = enc.decode_rect
+
+        def counting(state, cursor, width, height, encoding):
+            out = original(state, cursor, width, height, encoding)
+            done.append((width, height, encoding))
+            return out
+
+        monkeypatch.setattr(enc, "decode_rect", counting)
+        return done
+
+    @staticmethod
+    def assert_same(messages, update):
+        assert len(messages) == 1
+        assert len(messages[0].rects) == len(update.rects)
+        for got, sent in zip(messages[0].rects, update.rects):
+            assert (got.rect, got.encoding) == (sent.rect, sent.encoding)
+            assert got.payload.dtype == sent.payload.dtype
+            assert np.array_equal(got.payload, sent.payload)
+
+    def test_the_update_spans_several_chunks(self, update):
+        chunks = update.encode_chunks(EncoderState(RGB888))
+        big = [len(c) for c in chunks if len(c) >= Writer.COALESCE_BELOW]
+        # the two HEXTILE payloads ride alone, as the pipe delivers them
+        assert len(big) == 2 and len(chunks) == 5
+
+    def test_chunk_by_chunk_decodes_each_rect_once(self, update,
+                                                   monkeypatch):
+        chunks = update.encode_chunks(EncoderState(RGB888))
+        done = self.decoded(monkeypatch)
+        decoder = ServerMessageDecoder(DecoderState(RGB888))
+        messages = []
+        for chunk in chunks:
+            messages.extend(decoder.feed(chunk))
+        self.assert_same(messages, update)
+        assert done == [(r.rect.w, r.rect.h, r.encoding)
+                        for r in update.rects]
+        assert decoder.buffered_bytes == 0
+
+    def test_every_byte_split_decodes_each_rect_once(self, update,
+                                                     monkeypatch):
+        data = update.encode(EncoderState(RGB888))
+        done = self.decoded(monkeypatch)
+        once = [(r.rect.w, r.rect.h, r.encoding) for r in update.rects]
+        for split in range(1, len(data)):
+            done.clear()
+            decoder = ServerMessageDecoder(DecoderState(RGB888))
+            messages = decoder.feed(data[:split]) + decoder.feed(
+                data[split:])
+            self.assert_same(messages, update)
+            assert done == once, split

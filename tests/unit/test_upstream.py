@@ -13,7 +13,9 @@ from repro.uip import (
     RectUpdate,
 )
 from repro.uip.handshake import ServerHandshake
+from repro.uip.wire import Writer
 from repro.util import Scheduler
+from tests.helpers import MALFORMED_SERVER_MESSAGE
 
 
 class FakeServer:
@@ -107,3 +109,50 @@ class TestApplyUpdates:
         assert messages == [
             KeyEvent(True, 0x41), KeyEvent(False, 0x41),
             PointerEvent(1, 10, 20), PointerEvent(0, 10, 20)]
+
+
+class TestMalformedServerMessages:
+    """A server message the client rejects closes the upstream session
+    alone, as a reset would; the error never escapes into the
+    transport."""
+
+    def watch(self, client):
+        closes = []
+        client.on_session_close = lambda: closes.append(client.closed)
+        return closes
+
+    def test_unknown_message_type_closes_the_session(self):
+        scheduler, server, client = connected_pair()
+        closes = self.watch(client)
+        server.endpoint.send(MALFORMED_SERVER_MESSAGE)
+        scheduler.run_until_idle()  # must not raise
+        assert closes == [True]
+        assert not client.ready
+        assert not server.endpoint.is_open  # aborted, as a reset
+
+    def test_a_bad_rect_drops_the_partial_update(self):
+        scheduler, server, client = connected_pair()
+        closes = self.watch(client)
+        pixels = RGB888.pack_array(Bitmap(8, 8, fill=(200, 10, 10)).pixels)
+        # a whole RAW rect, then a rect in an encoding UIP lacks
+        server.endpoint.send(
+            Writer().u8(0).pad(1).u16(2)
+            .u16(0).u16(0).u16(8).u16(8).s32(RAW).raw(pixels.tobytes())
+            .u16(0).u16(0).u16(8).u16(8).s32(99).getvalue())
+        scheduler.run_until_idle()
+        assert closes == [True]
+        # the first rect was decoded but never reached the mirror
+        assert client.framebuffer.get_pixel(0, 0) == (0, 0, 0)
+        assert client.updates_received == 0
+
+    def test_a_rect_outside_the_mirror_closes_the_session(self):
+        scheduler, server, client = connected_pair()  # a 64x48 mirror
+        closes = self.watch(client)
+        updates = []
+        client.on_update = updates.append
+        patch = Bitmap(8, 8, fill=(200, 10, 10))
+        server.push(FramebufferUpdate((RectUpdate(
+            Rect(60, 4, 8, 8), RAW, RGB888.pack_array(patch.pixels)),)))
+        scheduler.run_until_idle()
+        assert closes == [True]
+        assert updates == [] and client.updates_received == 0
