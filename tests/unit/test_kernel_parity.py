@@ -1,12 +1,12 @@
 """Parity of the frame-path kernels with the implementations they replaced.
 
 Each kernel that every frame crosses (colour fills, the tile change mask,
-text drawing, HEXTILE decoding, Floyd–Steinberg and the PDA output
-plug-in's conversion) was rewritten to work on whole byte rows or plain
-locals.  The implementation each rewrite replaced is kept here as its
-oracle, and the rewrite must reproduce it exactly: same pixels, same
-rects and counters, same decoded arrays, same device bytes and the same
-errors.
+text drawing, HEXTILE decoding, pixel-format packing, Floyd–Steinberg and
+the PDA output plug-in's conversion) was rewritten to work on whole byte
+rows, whole arrays or plain locals.  The implementation each rewrite
+replaced is kept here as its oracle, and the rewrite must reproduce it
+exactly: same pixels, same rects and counters, same decoded arrays, same
+device bytes and the same errors.
 """
 
 import numpy as np
