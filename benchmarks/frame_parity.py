@@ -3,15 +3,16 @@
 A rendering or codec change must leave every device screen as it was.
 This script extracts a base revision with ``git archive`` into a
 temporary directory and runs the same seeded closed-loop workloads of
-``benchmarks/e2e`` (pda-tap, remote-browse, phone-tap, hotplug) in that
-tree and in the working tree.  For each it compares:
+``benchmarks/e2e`` (pda-tap, remote-browse, phone-tap, hotplug; seeds 1-3,
+60 interactions each) in that tree and in the working tree.  For each it
+compares:
 
 * the digest of the output device's whole screen after every frame, and
 * the digest of the bytes the UIP server sent during every interaction.
 
 Usage::
 
-    python3 benchmarks/frame_parity.py BASE [--seeds 1 2 3] [--interactions 60]
+    python3 benchmarks/frame_parity.py BASE
     make frame-parity BASE=<rev>
 
 It prints one line per workload and seed, and exits 1 on any difference
@@ -33,13 +34,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("PdaTap", "RemoteBrowse", "PhoneTap", "Hotplug")
+SEEDS = (1, 2, 3)
+INTERACTIONS = 60
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def collect(root: str, seeds: list[int], interactions: int) -> dict:
+def collect(root: str) -> dict:
     """Screens after every frame and UIP bytes per interaction, by
     ``workload/seed``, for the tree at ``root``."""
     sys.dont_write_bytecode = True
@@ -48,7 +51,7 @@ def collect(root: str, seeds: list[int], interactions: int) -> dict:
 
     runs = {}
     for name in WORKLOADS:
-        for seed in seeds:
+        for seed in SEEDS:
             workload = getattr(workloads, name)(seed, 0)
             workload.build()
             output = workload.output
@@ -67,7 +70,7 @@ def collect(root: str, seeds: list[int], interactions: int) -> dict:
             endpoint.send = send
             uip = []
             inputs = workload.inputs()
-            for _ in range(interactions):
+            for _ in range(INTERACTIONS):
                 sent.clear()
                 workload.act(next(inputs))
                 workload.home.settle()
@@ -77,13 +80,12 @@ def collect(root: str, seeds: list[int], interactions: int) -> dict:
     return runs
 
 
-def _run_child(root: Path, seeds: list[int], interactions: int) -> dict:
+def _run_child(root: Path) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--collect",
-         str(root), "--seeds", *map(str, seeds),
-         "--interactions", str(interactions)],
+         str(root)],
         cwd=tempfile.gettempdir(), env=env, check=True,
         capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -118,13 +120,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base", nargs="?", help="git revision to compare "
                         "the working tree against")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--interactions", type=int, default=60)
     parser.add_argument("--collect", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
-        print(json.dumps(collect(args.collect, args.seeds,
-                                 args.interactions)))
+        print(json.dumps(collect(args.collect)))
         return 0
     if not args.base:
         parser.error("name the base revision, e.g. HEAD~1")
@@ -132,8 +131,8 @@ def main(argv: list[str] | None = None) -> int:
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        base = _run_child(Path(tmp), args.seeds, args.interactions)
-    head = _run_child(ROOT, args.seeds, args.interactions)
+        base = _run_child(Path(tmp))
+    head = _run_child(ROOT)
     differing = compare(base, head)
     print(f"{differing} of {len(head)} runs differ from {args.base}")
     return 1 if differing else 0

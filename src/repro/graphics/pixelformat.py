@@ -89,10 +89,6 @@ class PixelFormat:
             packed = value
         return packed.astype(self.dtype)
 
-    def pack(self, rgb: np.ndarray) -> bytes:
-        """Pack an (H, W, 3) uint8 RGB array into wire bytes, row-major."""
-        return self.pack_array(rgb).tobytes()
-
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Unpack an (H, W) wire array into a fresh (H, W, 3) uint8 RGB
         array; an 8-bit channel skips the rescale, as in :meth:`pack_array`."""

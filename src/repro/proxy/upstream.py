@@ -151,10 +151,8 @@ class UniIntClient:
         """A malformed server message ends this session as a reset would
         (a resilient session redials), not by escaping into the transport."""
         self._decoder = None  # and the partial update it holds
-        self.closed = True
         self.endpoint.abort()
-        if self.on_session_close is not None:
-            self.on_session_close()
+        self._on_close()
 
     def _session_start(self) -> None:
         result = self._handshake.result

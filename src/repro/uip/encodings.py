@@ -165,7 +165,10 @@ class DecoderState:
         self._inflater = zlib.decompressobj()
 
     def inflate(self, data: bytes) -> bytes:
-        return self._inflater.decompress(data)
+        try:
+            return self._inflater.decompress(data)
+        except zlib.error as exc:
+            raise ProtocolError(f"corrupt deflate stream: {exc}") from exc
 
 
 # -- pixel helpers ---------------------------------------------------------

@@ -161,7 +161,8 @@ class TestPixelFormat:
     @pytest.mark.parametrize("fmt", [RGB888, RGB565, RGB332])
     def test_pack_size(self, fmt):
         bmp = Bitmap(8, 4, fill=(100, 150, 200))
-        assert len(fmt.pack(bmp.pixels)) == 8 * 4 * fmt.bytes_per_pixel
+        assert fmt.pack_array(bmp.pixels).nbytes == (
+            8 * 4 * fmt.bytes_per_pixel)
 
     def test_rgb888_lossless(self):
         rng = np.random.default_rng(1)

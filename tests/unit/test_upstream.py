@@ -10,6 +10,8 @@ from repro.uip import (
     EncoderState,
     FramebufferUpdate,
     RAW,
+    ZLIB,
+    ZRLE,
     RectUpdate,
 )
 from repro.uip.handshake import ServerHandshake
@@ -143,6 +145,18 @@ class TestMalformedServerMessages:
         assert closes == [True]
         # the first rect was decoded but never reached the mirror
         assert client.framebuffer.get_pixel(0, 0) == (0, 0, 0)
+        assert client.updates_received == 0
+
+    @pytest.mark.parametrize("encoding", [ZLIB, ZRLE], ids=["zlib", "zrle"])
+    def test_a_corrupt_deflate_stream_closes_the_session(self, encoding):
+        scheduler, server, client = connected_pair()
+        closes = self.watch(client)
+        server.endpoint.send(
+            Writer().u8(0).pad(1).u16(1)
+            .u16(0).u16(0).u16(8).u16(8).s32(encoding)
+            .u32(4).raw(b"junk").getvalue())
+        scheduler.run_until_idle()  # must not raise
+        assert closes == [True]
         assert client.updates_received == 0
 
     def test_a_rect_outside_the_mirror_closes_the_session(self):
