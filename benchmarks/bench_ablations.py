@@ -1,7 +1,7 @@
 """Ablations — quantifying the design choices of the README's pipeline.
 
 A1  incremental damage-tracked updates   vs full-frame refreshes
-A2  fixed HEXTILE                        vs fixed RRE
+A2  fixed HEXTILE                        vs fixed ZRLE
 A3  Floyd-Steinberg vs ordered vs hard threshold on 1-bit screens
 A4  wire pixel format depth (RGB888/565/332) on session bytes
 """
@@ -17,7 +17,7 @@ from repro.net import ETHERNET_100, make_pipe
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
 from repro.toolkit import Column, Label, ToggleButton, UIWindow
-from repro.uip import HEXTILE, RRE
+from repro.uip import HEXTILE, ZRLE
 from repro.util import Scheduler
 from repro.windows import DisplayServer
 
@@ -108,11 +108,14 @@ class TestA1IncrementalVsFullFrame:
 
 
 class TestA2FixedEncoding:
-    @pytest.mark.parametrize("mode", ["fixed-hextile", "fixed-rre"])
+    """The two encodings a client leads with: HEXTILE on the home LAN,
+    ZRLE on a slow bearer."""
+
+    @pytest.mark.parametrize("mode", ["fixed-hextile", "fixed-zrle"])
     def test_encoding_mode_bytes(self, benchmark, mode):
         encodings = {
             "fixed-hextile": (HEXTILE,),
-            "fixed-rre": (RRE,),
+            "fixed-zrle": (ZRLE,),
         }[mode]
 
         def run():

@@ -132,7 +132,7 @@ class UniIntProxy:
         """Open a session to a UniInt server over the given endpoint.
 
         The wire pixel format is fixed per session (a mid-stream format
-        change would desynchronise the persistent ZLIB streams); the proxy
+        change would desynchronise the persistent ZRLE streams); the proxy
         picks it for the expected device mix and adapts per device with
         output plug-ins.
         """

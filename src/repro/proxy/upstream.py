@@ -41,7 +41,7 @@ from repro.util.errors import GraphicsError, ProtocolError
 #: first one it supports, so HEXTILE leads: cheap to encode, and bytes are
 #: cheap on the home LAN the UIP leg rides.  A client on a slow bearer
 #: offers ZRLE first instead.
-DEFAULT_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW)
+DEFAULT_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.RAW)
 
 
 class UniIntClient:
@@ -160,7 +160,7 @@ class UniIntClient:
         self.server_name = result.name
         self.framebuffer = Bitmap(result.width, result.height)
         self._decoder = ServerMessageDecoder(
-            enc.DecoderState(self.pixel_format))
+            enc.DecoderState(self.pixel_format), result.width, result.height)
         if self.resume_from is not None:
             # warm resume: the parked server state already holds our pixel
             # format and encodings — present the token and ask for the one
@@ -212,10 +212,7 @@ class UniIntClient:
 
     def _handle(self, message) -> None:
         if isinstance(message, FramebufferUpdate):
-            try:
-                dirty = self._apply_update(message)
-            except (ProtocolError, GraphicsError):
-                return self._abort_session()
+            dirty = self._apply_update(message)
             self.updates_received += 1
             if self.on_update is not None and not dirty.is_empty:
                 self.on_update(dirty)
@@ -232,15 +229,15 @@ class UniIntClient:
             raise AssertionError(f"unexpected message {message!r}")
 
     def _apply_update(self, update: FramebufferUpdate) -> Rect:
-        """Write ``update`` into the mirror; returns the changed bounds."""
+        """Write ``update`` into the mirror; returns the changed bounds.
+
+        The decoder already refused any rect that leaves the mirror.
+        """
         mirror = self.framebuffer
         assert mirror is not None
         dirty = Rect(0, 0, 0, 0)
         for rect_update in update.rects:
             rect = rect_update.rect
-            if rect.x2 > mirror.width or rect.y2 > mirror.height:
-                raise ProtocolError(f"update rect {rect} leaves the "
-                                    f"{mirror.width}x{mirror.height} mirror")
             mirror.pixels[rect.y:rect.y2, rect.x:rect.x2] = (
                 self.pixel_format.unpack(rect_update.payload))
             dirty = dirty.union_bounds(rect)

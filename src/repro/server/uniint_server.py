@@ -11,13 +11,14 @@ Update pipeline (the damage-tracking fast path):
    pending damage and packs pixels via a per-surface pack cache, so N
    sessions sharing a (surface, pixel format) pack each damaged rect once
    per frame.
-3. Whole ``FramebufferUpdate`` payloads for stateless encodings are encoded
+3. Whole RAW and HEXTILE ``FramebufferUpdate`` payloads are encoded
    once per (surface, pixel format, rect list) per frame and the encoded
    *chunk list* fanned out to every session with that configuration
    (*shared-encode broadcast*) — transports take the list vectored, so the
    update is never concatenated.  Sessions on different surfaces never
-   share (or pay for) each other's frames; ZLIB sessions keep per-session
-   streams and skip the shared path.
+   share (or pay for) each other's frames; ZRLE sessions keep per-session
+   deflate streams and skip the shared path, sharing only the tile
+   streams in the surface's encode cache.
 4. Each session encodes every rect with the first encoding its client
    offered (``SetEncodings``) that the server supports — RFB's own
    negotiation.  The client knows its leg: one on a slow bearer offers
@@ -68,15 +69,7 @@ from repro.windows.server import DisplayServer
 
 #: Encodings the server can produce.  A session encodes with the first of
 #: its client's offered encodings that appears here.
-SUPPORTED_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.ZLIB, enc.RRE, enc.RAW)
-
-#: Encodings whose payload depends only on (pixel format, pixels) — safe to
-#: encode once and broadcast to every session with the same configuration.
-#: ZLIB/ZRLE final payloads ride per-session streams and stay out; ZRLE
-#: still shares its tile-stream analysis through the surface's
-#: :class:`~repro.uip.encodings.EncodeCache`, so only the deflate is paid
-#: per session.
-SHAREABLE_ENCODINGS = frozenset((enc.RAW, enc.RRE, enc.HEXTILE))
+SUPPORTED_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.RAW)
 
 #: Fragmentation cap applied when coalescing damage into one update.
 MAX_UPDATE_RECTS = 16
@@ -91,9 +84,9 @@ class ParkedSession:
     survives: the surface binding and the negotiated wire configuration.
     A reconnecting client presenting the matching token gets all of it
     back and pays exactly one non-incremental update (its own resync
-    request) instead of a cold renegotiation.  The ZLIB stream does *not*
-    survive — both ends restart their streams on the fresh connection,
-    which is why parking stores no encoder state.
+    request) instead of a cold renegotiation.  The ZRLE deflate stream
+    does *not* survive — both ends restart their streams on the fresh
+    connection, which is why parking stores no encoder state.
     """
 
     token: int
@@ -197,12 +190,13 @@ class ServerSurface:
         encodings and pixel format all match share one encode — the same
         cached chunk list is handed to every such session's transport, so
         a broadcast frame is materialised zero times per extra session.
-        Any ZLIB rect forces the per-session path (its persistent stream
-        makes the payload session-specific), as does disabling
+        A ZRLE rect forces the per-session path (its persistent deflate
+        stream makes the payload session-specific; the surface's encode
+        cache still shares its tile stream), as does disabling
         :attr:`UniIntServer.shared_encode`.
         """
         shareable = self.server.shared_encode and all(
-            r.encoding in SHAREABLE_ENCODINGS for r in update.rects)
+            r.encoding != enc.ZRLE for r in update.rects)
         if not shareable:
             return update.encode_chunks(session._encoder)
         self._sync_caches()
@@ -338,7 +332,7 @@ class ServerSession:
             self.pixel_format = message.pixel_format
             # Keep the encoder (and its content-keyed cache: keys include
             # the pixel format, so nothing stale can hit); only the
-            # position-dependent zlib stream must restart.
+            # position-dependent ZRLE deflate stream must restart.
             self._encoder.renegotiate(message.pixel_format)
             self._pending.add(self.surface.display.framebuffer.bounds)
         elif isinstance(message, SetEncodings):

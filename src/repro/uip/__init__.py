@@ -9,7 +9,7 @@ what the program sends:
 * a one-version handshake with optional shared-secret authentication
   (:mod:`repro.uip.handshake`),
 * pixel-format negotiation (:mod:`repro.graphics.pixelformat`),
-* framebuffer-update encodings RAW / RRE / HEXTILE / ZLIB / ZRLE
+* framebuffer-update encodings RAW / HEXTILE / ZRLE
   (:mod:`repro.uip.encodings`),
 * the client and server message vocabularies with incremental byte-stream
   decoders (:mod:`repro.uip.messages`),
@@ -24,9 +24,6 @@ from repro.uip import keysyms
 from repro.uip.encodings import (
     HEXTILE,
     RAW,
-    RRE,
-    STATEFUL_ENCODINGS,
-    ZLIB,
     ZRLE,
     DecoderState,
     EncodeCache,
@@ -76,16 +73,13 @@ __all__ = [
     "PointerEvent",
     "Pong",
     "RAW",
-    "RRE",
     "RectUpdate",
     "ResumeSession",
-    "STATEFUL_ENCODINGS",
     "ServerHandshake",
     "ServerMessageDecoder",
     "SessionGrant",
     "SetEncodings",
     "SetPixelFormat",
-    "ZLIB",
     "ZRLE",
     "decode_rect",
     "decode_zrle_tiles",

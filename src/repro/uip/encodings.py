@@ -3,8 +3,7 @@
 These are the compression schemes that make "bitmap images as universal
 output events" viable on 2002-era device links (paper §2.1): a phone on a
 9600 bps cellular link cannot take raw pixels, but control-panel GUIs are
-flat-colour rectangles, which RRE and HEXTILE represent in a few dozen
-bytes.
+flat-colour rectangles, which HEXTILE represents in a few dozen bytes.
 
 All encoders/decoders operate on *packed* pixel arrays — 2-D numpy arrays
 whose dtype matches the negotiated :class:`~repro.graphics.PixelFormat`
@@ -13,16 +12,15 @@ whose dtype matches the negotiated :class:`~repro.graphics.PixelFormat`
 Implemented encodings (numbered as in RFB for familiarity):
 
 * ``RAW`` (0)      — pixels, row-major.
-* ``RRE`` (2)      — background + coloured subrectangles (vertically merged
-  row runs).
 * ``HEXTILE`` (5)  — 16x16 tiles, persistent background/foreground,
   nibble-packed subrectangles; falls back to raw per tile.
-* ``ZLIB`` (6)     — raw pixels through a per-session persistent zlib
-  stream.
 * ``ZRLE`` (16)    — 64x64 tiles, each choosing the cheapest of solid /
   packed palette (1/2/4 bpp) / plain RLE / palette RLE / raw, the whole
   tile stream then deflated through the per-session persistent zlib
   stream.  The workhorse for the paper's 9600 bps phone leg.
+
+A peer that offers or sends any other encoding meets the refusals of
+unknown encodings.
 """
 
 from __future__ import annotations
@@ -39,18 +37,11 @@ from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
 
 RAW = 0
-RRE = 2
 HEXTILE = 5
-ZLIB = 6
 ZRLE = 16
 
-#: Encodings whose wire payload rides a persistent per-session zlib
-#: stream: position-dependent, so the final payload is never cacheable
-#: and every encode advances the stream.
-STATEFUL_ENCODINGS = frozenset((ZLIB, ZRLE))
-
-#: The deflate level of every session's persistent zlib stream.
-ZLIB_LEVEL = 6
+#: The deflate level of every session's persistent ZRLE stream.
+DEFLATE_LEVEL = 6
 
 _TILE = 16
 _ZRLE_TILE = 64
@@ -72,13 +63,13 @@ class EncodeCache:
     Keys are ``(encoding, pixel_format, shape, digest-of-pixels)``, so a
     hit is only possible when the exact same pixels are re-encoded with
     the same parameters: re-damaged-but-unchanged tiles (blinking widgets,
-    toggling panels) skip the whole encode.  ZLIB payloads are never
-    cached (the persistent deflate stream makes each encode
-    position-dependent); ZRLE caches its position-*independent* tile
-    stream and pays only the per-session deflate on a hit.
+    toggling panels) skip the whole encode.  A ZRLE payload rides the
+    persistent deflate stream, so it is never cached; ZRLE caches its
+    position-*independent* tile stream and pays only the per-session
+    deflate on a hit.
 
     Bounded both by entry count and by total payload bytes so one huge RAW
-    frame cannot evict an entire panel's worth of small RRE payloads.
+    frame cannot evict an entire panel's worth of small HEXTILE payloads.
     """
 
     def __init__(self, max_entries: int = 256,
@@ -123,28 +114,26 @@ class EncodeCache:
 
 
 class EncoderState:
-    """Per-session encoder state: pixel format, persistent zlib stream,
-    and the content-keyed encode cache."""
+    """Per-session encoder state: pixel format, persistent ZRLE deflate
+    stream, and the content-keyed encode cache (``None``: no cache)."""
 
     def __init__(self, pixel_format: PixelFormat,
-                 cache: EncodeCache | None = None,
-                 use_cache: bool = True) -> None:
+                 cache: EncodeCache | None = None) -> None:
         self.pixel_format = pixel_format
-        self._deflater = zlib.compressobj(ZLIB_LEVEL)
+        self._deflater = zlib.compressobj(DEFLATE_LEVEL)
         # Hextile background/foreground persist across tiles of one rect
         # only (reset per encode call) to keep rects independently decodable.
-        self.cache = cache if cache is not None else (
-            EncodeCache() if use_cache else None)
+        self.cache = cache
 
     def renegotiate(self, pixel_format: PixelFormat) -> None:
         """Adopt a renegotiated wire pixel format, keeping the encode cache.
 
         Cache keys include the pixel format, so payloads cached under the
         old format stay valid (and become live again if the client switches
-        back); only the position-dependent zlib stream must restart.
+        back); only the position-dependent deflate stream must restart.
         """
         self.pixel_format = pixel_format
-        self._deflater = zlib.compressobj(ZLIB_LEVEL)
+        self._deflater = zlib.compressobj(DEFLATE_LEVEL)
 
     def deflate(self, data: bytes) -> bytes:
         return (self._deflater.compress(data)
@@ -164,11 +153,16 @@ class DecoderState:
         self.pixel_format = pixel_format
         self._inflater = zlib.decompressobj()
 
-    def inflate(self, data: bytes) -> bytes:
+    def inflate(self, data: bytes, limit: int) -> bytes:
+        """The next ``data`` of the persistent stream, inflated; a stream
+        that inflates past ``limit`` bytes is refused before it does."""
         try:
-            return self._inflater.decompress(data)
+            out = self._inflater.decompress(data, limit + 1)
         except zlib.error as exc:
             raise ProtocolError(f"corrupt deflate stream: {exc}") from exc
+        if len(out) > limit:
+            raise ProtocolError(f"deflate stream inflates past {limit} bytes")
+        return out
 
 
 # -- pixel helpers ---------------------------------------------------------
@@ -185,80 +179,10 @@ def _read_pixel(cursor: Cursor, pf: PixelFormat) -> int:
 
 
 def _native(values: np.ndarray) -> np.ndarray:
-    """``values`` with native byte order (bincount/lexsort need it)."""
+    """``values`` with native byte order (lexsort needs it)."""
     if values.dtype.isnative:
         return values
     return values.astype(values.dtype.newbyteorder("="))
-
-
-def _most_common(values: np.ndarray) -> int:
-    """The most frequent pixel value in a packed array.
-
-    8/16-bit formats take the O(n) ``bincount`` path (the bin table fits in
-    cache); 32-bit values fall back to sorting via ``np.unique``.  Ties
-    resolve to the smallest value either way.
-    """
-    flat = values.reshape(-1)
-    if flat.dtype.itemsize == 1 or (flat.dtype.itemsize == 2
-                                    and flat.size >= 2048):
-        return int(np.argmax(np.bincount(_native(flat))))
-    uniques, counts = np.unique(flat, return_counts=True)
-    return int(uniques[np.argmax(counts)])
-
-
-def _row_runs(packed: np.ndarray):
-    """Every horizontal same-value run of a 2-D array in one pass.
-
-    Returns ``(ys, x0s, x1s, values)`` arrays.  A single comparison over the
-    flattened array finds all value changes; forcing a break at each row
-    start keeps runs from spanning rows — no per-row Python loop.
-    """
-    height, width = packed.shape
-    flat = packed.reshape(-1)
-    breaks = np.empty(flat.size, dtype=bool)
-    breaks[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=breaks[1:])
-    breaks[::width] = True
-    starts = np.flatnonzero(breaks)
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1] = flat.size
-    ys, x0s = np.divmod(starts, width)
-    return ys, x0s, ends - ys * width, flat[starts]
-
-
-def _empty_subrects(dtype) -> tuple:
-    zero = np.zeros(0, dtype=np.intp)
-    return (zero, zero, zero, zero, np.zeros(0, dtype=dtype))
-
-
-def _merged_subrect_arrays(packed: np.ndarray, background: int):
-    """Vertically merge identical row runs of non-background pixels.
-
-    Returns ``(x0s, ys, ws, hs, values)`` arrays, subrects ordered by
-    (y, x).  Sorting runs by (column span, value, row) makes vertical
-    neighbours adjacent, so merge boundaries fall out of one vectorised
-    comparison instead of the per-row dict walk this replaces.
-    """
-    if packed.size == 0:
-        return _empty_subrects(packed.dtype)
-    ys, x0s, x1s, values = _row_runs(packed)
-    keep = values != background
-    ys, x0s, x1s, values = ys[keep], x0s[keep], x1s[keep], values[keep]
-    if ys.size == 0:
-        return _empty_subrects(packed.dtype)
-    order = np.lexsort((ys, _native(values), x1s, x0s))
-    ys, x0s, x1s, values = ys[order], x0s[order], x1s[order], values[order]
-    heads = np.empty(ys.size, dtype=bool)
-    heads[0] = True
-    heads[1:] = ((x0s[1:] != x0s[:-1]) | (x1s[1:] != x1s[:-1])
-                 | (values[1:] != values[:-1]) | (ys[1:] != ys[:-1] + 1))
-    head_idx = np.flatnonzero(heads)
-    spans = np.diff(np.append(head_idx, ys.size))
-    out_order = np.lexsort((x0s[head_idx], ys[head_idx]))
-    head_idx = head_idx[out_order]
-    return (x0s[head_idx], ys[head_idx], x1s[head_idx] - x0s[head_idx],
-            spans[out_order], values[head_idx])
 
 
 # -- RAW ------------------------------------------------------------------------
@@ -272,47 +196,6 @@ def decode_raw(cursor: Cursor, width: int, height: int,
                pf: PixelFormat) -> np.ndarray:
     data = cursor.take(width * height * pf.bytes_per_pixel)
     return np.frombuffer(data, dtype=pf.dtype).reshape(height, width).copy()
-
-
-# -- RRE ---------------------------------------------------------------------------
-
-
-def _rre_subrect_block(x0s, ys, ws, hs, values, pf: PixelFormat) -> bytes:
-    """All RRE subrect records serialised in one structured-array pass."""
-    block = np.empty(len(x0s), dtype=np.dtype(
-        [("v", pf.dtype.str), ("x", ">u2"), ("y", ">u2"),
-         ("w", ">u2"), ("h", ">u2")]))
-    block["v"] = values
-    block["x"] = x0s
-    block["y"] = ys
-    block["w"] = ws
-    block["h"] = hs
-    return block.tobytes()
-
-
-def encode_rre(packed: np.ndarray, pf: PixelFormat) -> bytes:
-    background = _most_common(packed)
-    x0s, ys, ws, hs, values = _merged_subrect_arrays(packed, background)
-    writer = Writer()
-    writer.u32(len(x0s))
-    writer.raw(_pixel_bytes(background, pf))
-    writer.raw(_rre_subrect_block(x0s, ys, ws, hs, values, pf))
-    return writer.getvalue()
-
-
-def decode_rre(cursor: Cursor, width: int, height: int,
-               pf: PixelFormat) -> np.ndarray:
-    count = cursor.u32()
-    background = _read_pixel(cursor, pf)
-    out = np.full((height, width), background, dtype=pf.dtype)
-    for _ in range(count):
-        value = _read_pixel(cursor, pf)
-        x, y, w, h = cursor.u16(), cursor.u16(), cursor.u16(), cursor.u16()
-        if x + w > width or y + h > height:
-            raise ProtocolError(f"RRE subrect {(x, y, w, h)} exceeds "
-                                f"{width}x{height}")
-        out[y:y + h, x:x + w] = value
-    return out
 
 
 # -- HEXTILE -----------------------------------------------------------------------
@@ -339,48 +222,33 @@ def _tile_extrema(packed: np.ndarray,
     return blocks.min(axis=(1, 3)), blocks.max(axis=(1, 3))
 
 
-def _hextile_subrect_block(x0s, ys, ws, hs, values, pf: PixelFormat,
-                           coloured: bool) -> bytes:
-    """One tile's nibble-packed subrect records, serialised in one pass."""
-    if coloured:
-        block = np.empty(len(x0s), dtype=np.dtype(
-            [("v", pf.dtype.str), ("xy", "u1"), ("wh", "u1")]))
-        block["v"] = values
-    else:
-        block = np.empty(len(x0s), dtype=np.dtype(
-            [("xy", "u1"), ("wh", "u1")]))
-    block["xy"] = (x0s << 4) | ys
-    block["wh"] = ((ws - 1) << 4) | (hs - 1)
-    return block.tobytes()
-
-
 class _HextileBatch:
-    """Every full 16x16 *mixed* tile's hextile ingredients, precomputed.
+    """Every *mixed* tile of one shape, with its hextile ingredients
+    precomputed.
 
-    One global sort finds each tile's most-common (background) value, one
-    global run pass extracts every tile's merged subrects, and one
-    structured-array pass serialises all subrect records — the serial
-    emission loop then only slices.  Tie-breaks (smallest value wins the
-    background; first subrect in (y, x) order donates the foreground)
-    match the scalar path, so batch and fallback tiles are interchangeable.
+    ``stack`` holds the tiles, (n, th, tw), in scan order.  One sort of
+    every tile's pixels finds each background (the most common value,
+    the smallest on ties), one run pass over the whole stack extracts
+    every tile's vertically merged subrects, and one structured-array
+    pass serialises all subrect records, so :meth:`emit` only slices.
+    The first subrect in (y, x) order donates the foreground.
     """
 
-    __slots__ = ("stack", "backgrounds", "foregrounds", "coloured",
-                 "counts", "offsets", "cblock", "mblock")
+    __slots__ = ("stack", "pf", "raw_size", "backgrounds", "foregrounds",
+                 "coloured", "offsets", "cblock", "mblock", "emitted")
 
-    def __init__(self, packed: np.ndarray, mixed_full: np.ndarray,
-                 pf: PixelFormat) -> None:
-        full_y, full_x = mixed_full.shape
-        area = _TILE * _TILE
-        blocks = packed[:full_y * _TILE, :full_x * _TILE].reshape(
-            full_y, _TILE, full_x, _TILE).transpose(0, 2, 1, 3)
-        self.stack = blocks[mixed_full]  # (n, 16, 16), scan order
-        n = self.stack.shape[0]
+    def __init__(self, stack: np.ndarray, pf: PixelFormat) -> None:
+        n, th, tw = stack.shape
+        area = th * tw
+        self.stack = stack
+        self.pf = pf
+        self.raw_size = 1 + area * pf.bytes_per_pixel
+        self.emitted = 0
 
         # background = per-tile most-common value: sort each tile's pixels,
         # then one run pass over the sorted block; stable lexsort by
         # (tile, length desc) leaves the smallest value first among ties.
-        sflat = np.sort(self.stack.reshape(n, area), axis=1).reshape(-1)
+        sflat = np.sort(stack.reshape(n, area), axis=1).reshape(-1)
         breaks = np.empty(n * area, dtype=bool)
         breaks[0] = True
         np.not_equal(sflat[1:], sflat[:-1], out=breaks[1:])
@@ -393,24 +261,25 @@ class _HextileBatch:
         first = np.empty(order.size, dtype=bool)
         first[0] = True
         first[1:] = rt[1:] != rt[:-1]
-        self.backgrounds = sflat[rstarts[order[first]]]
+        backgrounds = sflat[rstarts[order[first]]]
+        self.backgrounds = backgrounds.tolist()
 
-        # merged subrects of every tile in one run-extraction pass
-        flat = self.stack.reshape(-1)
+        # merged subrects of every tile in one run-extraction pass; a run
+        # breaks at every tile row start
+        flat = stack.reshape(-1)
         breaks = np.empty(flat.size, dtype=bool)
         breaks[0] = True
         np.not_equal(flat[1:], flat[:-1], out=breaks[1:])
-        breaks[::_TILE] = True
+        breaks[::tw] = True
         starts = np.flatnonzero(breaks)
-        ends = np.append(starts[1:], flat.size)
+        lengths = np.diff(np.append(starts, flat.size))
         values = flat[starts]
-        tiles = starts // area
-        keep = values != self.backgrounds[tiles]
-        starts, ends, values, tiles = (starts[keep], ends[keep],
-                                       values[keep], tiles[keep])
-        x0s = starts & (_TILE - 1)
-        x1s = ends - (starts - x0s)
-        ys = (starts >> 4) & (_TILE - 1)
+        tiles, within = np.divmod(starts, area)
+        keep = values != backgrounds[tiles]
+        lengths, values, tiles, within = (lengths[keep], values[keep],
+                                          tiles[keep], within[keep])
+        ys, x0s = np.divmod(within, tw)
+        x1s = x0s + lengths
         order = np.lexsort((ys, _native(values), x1s, x0s, tiles))
         tiles, ys, x0s, x1s, values = (a[order] for a in
                                        (tiles, ys, x0s, x1s, values))
@@ -428,13 +297,14 @@ class _HextileBatch:
                                          (tiles, ys, x0s, values, spans))
         ws = x1s[out_order] - x0s
 
-        self.counts = np.bincount(tiles, minlength=n)
-        self.offsets = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(self.counts, out=self.offsets[1:])
-        first_vals = values[self.offsets[:-1]]
-        differs = values != np.repeat(first_vals, self.counts)
-        self.coloured = np.add.reduceat(differs, self.offsets[:-1]) > 0
-        self.foregrounds = first_vals
+        counts = np.bincount(tiles, minlength=n)
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        first_vals = values[offsets[:-1]]
+        differs = values != np.repeat(first_vals, counts)
+        self.coloured = (np.add.reduceat(differs, offsets[:-1]) > 0).tolist()
+        self.foregrounds = first_vals.tolist()
+        self.offsets = offsets.tolist()
 
         xy = ((x0s << 4) | ys).astype(np.uint8)
         wh = (((ws - 1) << 4) | (spans - 1)).astype(np.uint8)
@@ -448,91 +318,74 @@ class _HextileBatch:
         self.mblock["xy"] = xy
         self.mblock["wh"] = wh
 
-
-def _hextile_emit(writer: Writer, pf: PixelFormat, raw_size: int,
-                  background: int, foreground: int | None, count: int,
-                  body: bytes, raw_bytes, prev_bg: int | None,
-                  prev_fg: int | None) -> tuple[int | None, int | None]:
-    """Emit one mixed tile (shared by the batch and fallback paths).
-
-    Returns the updated (prev_bg, prev_fg) persistence pair.  ``raw_bytes``
-    is called lazily — raw fallback is the rare case on panel content.
-    """
-    subenc = _HEX_SUBRECTS
-    head = b""
-    if background != prev_bg:
-        subenc |= _HEX_BG
-        head += _pixel_bytes(background, pf)
-    if foreground is None:
-        subenc |= _HEX_COLOURED
-    elif foreground != prev_fg:
-        subenc |= _HEX_FG
-        head += _pixel_bytes(foreground, pf)
-    if 2 + len(head) + len(body) >= raw_size or count > 255:
-        writer.u8(_HEX_RAW)
-        writer.raw(raw_bytes())
-        return (None, None)  # raw tiles invalidate persistence
-    writer.u8(subenc)
-    writer.raw(head)
-    writer.u8(count)
-    writer.raw(body)
-    return (background, foreground if foreground is not None else prev_fg)
+    def emit(self, writer: Writer, prev_bg: int | None,
+             prev_fg: int | None) -> tuple[int | None, int | None]:
+        """Write the next tile of the stack; returns the updated
+        (prev_bg, prev_fg) persistence pair."""
+        i = self.emitted
+        self.emitted += 1
+        s, e = self.offsets[i], self.offsets[i + 1]
+        background = self.backgrounds[i]
+        subenc = _HEX_SUBRECTS
+        head = b""
+        if background != prev_bg:
+            subenc |= _HEX_BG
+            head += _pixel_bytes(background, self.pf)
+        if self.coloured[i]:
+            subenc |= _HEX_COLOURED
+            foreground = prev_fg
+            body = self.cblock[s:e].tobytes()
+        else:
+            foreground = self.foregrounds[i]
+            if foreground != prev_fg:
+                subenc |= _HEX_FG
+                head += _pixel_bytes(foreground, self.pf)
+            body = self.mblock[s:e].tobytes()
+        if 2 + len(head) + len(body) >= self.raw_size or e - s > 255:
+            writer.u8(_HEX_RAW).raw(self.stack[i].tobytes())
+            return None, None  # raw tiles invalidate persistence
+        writer.u8(subenc).raw(head).u8(e - s).raw(body)
+        return background, foreground
 
 
 def encode_hextile(packed: np.ndarray, pf: PixelFormat) -> bytes:
     height, width = packed.shape
     if packed.size == 0:
         return b""
-    ps = pf.bytes_per_pixel
     # Batch-classify solid tiles up front: on panel workloads most tiles
-    # are flat, and each costs O(1) here instead of an np.unique call.
+    # are flat, and each costs O(1) here.
     tile_min, tile_max = _tile_extrema(packed)
-    solid = tile_min == tile_max
+    mixed = tile_min != tile_max
+    tiles_y, tiles_x = mixed.shape
     full_y, full_x = height // _TILE, width // _TILE
-    mixed_full = ~solid[:full_y, :full_x]
-    batch = (_HextileBatch(packed, mixed_full, pf) if mixed_full.any()
-             else None)
+    # The mixed tiles come from at most four batches, one per tile shape:
+    # full tiles, the right edge column, the bottom edge row, the corner.
+    batches = {}
+    for edge_y, ty0, ty1 in ((False, 0, full_y), (True, full_y, tiles_y)):
+        for edge_x, tx0, tx1 in ((False, 0, full_x), (True, full_x, tiles_x)):
+            grid = mixed[ty0:ty1, tx0:tx1]
+            if grid.any():
+                region = packed[ty0 * _TILE:ty1 * _TILE,
+                                tx0 * _TILE:tx1 * _TILE]
+                ny, nx = grid.shape
+                th, tw = region.shape[0] // ny, region.shape[1] // nx
+                stack = region.reshape(ny, th, nx, tw).transpose(0, 2, 1, 3)
+                batches[edge_y, edge_x] = _HextileBatch(stack[grid], pf)
     writer = Writer()
     prev_bg: int | None = None
     prev_fg: int | None = None
-    bi = 0  # batch cursor; the scan order below matches the batch gather
-    for tyi, ty in enumerate(range(0, height, _TILE)):
-        for txi, tx in enumerate(range(0, width, _TILE)):
-            if solid[tyi, txi]:
-                value = int(tile_min[tyi, txi])
-                if value == prev_bg:
-                    writer.u8(0)
-                else:
-                    writer.u8(_HEX_BG).raw(_pixel_bytes(value, pf))
-                    prev_bg = value
+    for tyi in range(tiles_y):
+        for txi in range(tiles_x):
+            if mixed[tyi, txi]:
+                prev_bg, prev_fg = batches[tyi >= full_y, txi >= full_x].emit(
+                    writer, prev_bg, prev_fg)
                 continue
-            if tyi < full_y and txi < full_x:
-                s, e = batch.offsets[bi], batch.offsets[bi + 1]
-                coloured = bool(batch.coloured[bi])
-                body = (batch.cblock if coloured
-                        else batch.mblock)[s:e].tobytes()
-                stack_tile = batch.stack[bi]
-                prev_bg, prev_fg = _hextile_emit(
-                    writer, pf, 1 + _TILE * _TILE * ps,
-                    int(batch.backgrounds[bi]),
-                    None if coloured else int(batch.foregrounds[bi]),
-                    int(batch.counts[bi]), body, stack_tile.tobytes,
-                    prev_bg, prev_fg)
-                bi += 1
-                continue
-            # edge tile (non-multiple-of-16 rect): scalar fallback
-            tile = packed[ty:ty + _TILE, tx:tx + _TILE]
-            th, tw = tile.shape
-            background = _most_common(tile)
-            x0s, ys, ws, hs, values = _merged_subrect_arrays(tile, background)
-            coloured = bool((values != values[0]).any())
-            body = _hextile_subrect_block(x0s, ys, ws, hs, values, pf,
-                                          coloured)
-            prev_bg, prev_fg = _hextile_emit(
-                writer, pf, 1 + th * tw * ps, background,
-                None if coloured else int(values[0]), len(x0s), body,
-                lambda t=tile: np.ascontiguousarray(t).tobytes(),
-                prev_bg, prev_fg)
+            value = int(tile_min[tyi, txi])
+            if value == prev_bg:
+                writer.u8(0)
+            else:
+                writer.u8(_HEX_BG).raw(_pixel_bytes(value, pf))
+                prev_bg = value
     return writer.getvalue()
 
 
@@ -674,8 +527,8 @@ def _read_run_length(cursor: Cursor) -> int:
 def _flat_runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, lengths) of every same-value run in raster order.
 
-    Unlike :func:`_row_runs`, runs cross row boundaries — ZRLE RLE is
-    defined over the tile's flattened pixel sequence.
+    Runs cross row boundaries — ZRLE RLE is defined over the tile's
+    flattened pixel sequence.
     """
     breaks = np.empty(flat.size, dtype=bool)
     breaks[0] = True
@@ -900,44 +753,41 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
                 encoding: int) -> bytes:
     """Encode one rectangle's packed pixels as the given encoding's payload.
 
-    For the stateless encodings (everything but ZLIB) the result is served
-    from ``state.cache`` when the same pixels were encoded before — damage
-    that re-exposes unchanged content costs one hash instead of a full
-    encode.
+    The result (for ZRLE, its tile stream) is served from ``state.cache``
+    when the same pixels were encoded before — damage that re-exposes
+    unchanged content costs one hash instead of a full encode.
     """
     if packed.ndim != 2:
         raise ProtocolError(f"packed array must be 2-D, got {packed.shape}")
-    if encoding == ZLIB:
-        # position-dependent persistent stream: the payload is never cached
-        compressed = state.deflate(packed.tobytes())
-        return Writer().u32(len(compressed)).raw(compressed).getvalue()
     cache = state.cache
     key = state.cache_key(packed, encoding) if cache is not None else None
+    payload = cache.get(key) if cache is not None else None
+    if payload is None:
+        if encoding == RAW:
+            payload = encode_raw(packed)
+        elif encoding == HEXTILE:
+            payload = encode_hextile(packed, state.pixel_format)
+        elif encoding == ZRLE:
+            payload = encode_zrle_tiles(packed, state.pixel_format)
+        else:
+            raise ProtocolError(
+                f"cannot encode pixels as encoding {encoding}")
+        if cache is not None:
+            cache.put(key, payload)
     if encoding == ZRLE:
-        # The tile stream is position-independent and cached; only the
-        # final deflate is per-session and per-position.
-        tiles = cache.get(key) if cache is not None else None
-        if tiles is None:
-            tiles = encode_zrle_tiles(packed, state.pixel_format)
-            if cache is not None:
-                cache.put(key, tiles)
-        compressed = state.deflate(tiles)
+        # only the deflate is per-session and per-position
+        compressed = state.deflate(payload)
         return Writer().u32(len(compressed)).raw(compressed).getvalue()
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    if encoding == RAW:
-        payload = encode_raw(packed)
-    elif encoding == RRE:
-        payload = encode_rre(packed, state.pixel_format)
-    elif encoding == HEXTILE:
-        payload = encode_hextile(packed, state.pixel_format)
-    else:
-        raise ProtocolError(f"cannot encode pixels as encoding {encoding}")
-    if cache is not None:
-        cache.put(key, payload)
     return payload
+
+
+def _zrle_limit(width: int, height: int, pf: PixelFormat) -> int:
+    """The longest tile stream a valid width x height ZRLE rect carries:
+    every pixel a plain-RLE run of its own, plus each tile's subencoding
+    byte and largest palette."""
+    ps = pf.bytes_per_pixel
+    tiles = -(-width // _ZRLE_TILE) * -(-height // _ZRLE_TILE)
+    return width * height * (ps + 1) + tiles * (1 + 127 * ps)
 
 
 def decode_rect(state: DecoderState, cursor: Cursor, width: int,
@@ -945,25 +795,18 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
     """Decode one rectangle payload into a packed (height, width) array.
 
     Raises :class:`~repro.uip.wire.NeedMore` if the cursor runs out of
-    bytes (the caller tries again with a fuller buffer).  A ZLIB or ZRLE
-    rect is inflated once it is whole, so the persistent inflater sees
-    each compressed byte once as long as a completed rect is never
-    decoded again (:class:`~repro.uip.messages.ServerMessageDecoder`).
+    bytes (the caller tries again with a fuller buffer).  A ZRLE rect is
+    inflated once it is whole, so the persistent inflater sees each
+    compressed byte once as long as a completed rect is never decoded
+    again (:class:`~repro.uip.messages.ServerMessageDecoder`).
     """
     pf = state.pixel_format
     if encoding == RAW:
         return decode_raw(cursor, width, height, pf)
-    if encoding == RRE:
-        return decode_rre(cursor, width, height, pf)
     if encoding == HEXTILE:
         return decode_hextile(cursor, width, height, pf)
-    if encoding not in STATEFUL_ENCODINGS:
-        raise ProtocolError(f"cannot decode encoding {encoding}")
-    data = state.inflate(cursor.take(cursor.u32()))
     if encoding == ZRLE:
+        data = state.inflate(cursor.take(cursor.u32()),
+                             _zrle_limit(width, height, pf))
         return decode_zrle_tiles(data, width, height, pf)
-    expected = width * height * pf.bytes_per_pixel
-    if len(data) != expected:
-        raise ProtocolError(
-            f"zlib rect inflated to {len(data)} bytes, expected {expected}")
-    return decode_raw(Cursor(data), width, height, pf)
+    raise ProtocolError(f"cannot decode encoding {encoding}")

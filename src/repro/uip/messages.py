@@ -318,19 +318,25 @@ class ClientMessageDecoder(_StreamDecoder):
 class ServerMessageDecoder(_StreamDecoder):
     """Parses the server->client stream (runs inside the UniInt proxy).
 
-    Needs the negotiated pixel format (and zlib state) to know rectangle
-    payload sizes, hence it owns a :class:`~repro.uip.encodings.DecoderState`.
+    Needs the negotiated pixel format (and the ZRLE inflater) to know
+    rectangle payload sizes, hence it owns a
+    :class:`~repro.uip.encodings.DecoderState`.  It also knows the size
+    of the mirror the rects land in, and refuses a rect that leaves it
+    at its header, before a byte of its payload is decoded or awaited.
 
     Each rect is decoded once.  A FramebufferUpdate split over chunks
     keeps the rects decoded so far and the offset of the next rect header,
     counted from the message start (so buffer compaction leaves it
     valid), and the next attempt resumes there.  Since a completed rect
-    is never parsed again, ZLIB and ZRLE rects inflate as each completes.
+    is never parsed again, ZRLE rects inflate as each completes.
     """
 
-    def __init__(self, state: enc.DecoderState) -> None:
+    def __init__(self, state: enc.DecoderState, width: int,
+                 height: int) -> None:
         super().__init__()
         self.state = state
+        self.width = width
+        self.height = height
         self._rects: list[RectUpdate] = []
         self._resume = 0
 
@@ -347,9 +353,13 @@ class ServerMessageDecoder(_StreamDecoder):
                 x, y = cursor.u16(), cursor.u16()
                 w, h = cursor.u16(), cursor.u16()
                 encoding = cursor.s32()
-                rects.append(RectUpdate(Rect(x, y, w, h), encoding,
-                                        enc.decode_rect(self.state, cursor,
-                                                        w, h, encoding)))
+                rect = Rect(x, y, w, h)
+                if rect.x2 > self.width or rect.y2 > self.height:
+                    raise ProtocolError(
+                        f"update rect {rect} leaves the "
+                        f"{self.width}x{self.height} mirror")
+                rects.append(RectUpdate(rect, encoding, enc.decode_rect(
+                    self.state, cursor, w, h, encoding)))
                 self._resume = cursor.pos - start
             self._rects = []
             return FramebufferUpdate(tuple(rects))

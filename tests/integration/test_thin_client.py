@@ -133,12 +133,12 @@ class TestMultiSessionBroadcast:
         return scheduler, display, window, server, sessions
 
     def test_mixed_formats_and_encodings_all_track(self):
-        from repro.uip import HEXTILE, RAW, RRE, ZLIB
+        from repro.uip import HEXTILE, RAW, ZRLE
         configs = [
             {},                                        # RGB888, default
             {"pixel_format": RGB565},
-            {"encodings": (RRE, RAW)},
-            {"encodings": (ZLIB, RAW)},
+            {"encodings": (ZRLE, RAW)},
+            {"pixel_format": RGB565, "encodings": (ZRLE, RAW)},
             {"pixel_format": RGB565, "encodings": (HEXTILE, RAW)},
         ]
         scheduler, display, window, server, sessions = self._build_multi(

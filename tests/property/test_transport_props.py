@@ -35,10 +35,9 @@ from repro.uip import (
     PointerEvent,
     Pong,
     RAW,
-    RRE,
     ServerMessageDecoder,
     SetEncodings,
-    ZLIB,
+    ZRLE,
 )
 from repro.uip.messages import FramebufferUpdate, RectUpdate
 from repro.util.errors import TransportError
@@ -113,7 +112,7 @@ client_messages = st.lists(
             st.builds(Rect, st.integers(0, 100), st.integers(0, 100),
                       st.integers(1, 100), st.integers(1, 100))),
         st.builds(SetEncodings,
-                  st.lists(st.sampled_from([RAW, RRE, HEXTILE, ZLIB]),
+                  st.lists(st.sampled_from([RAW, HEXTILE, ZRLE]),
                            min_size=1, max_size=4).map(tuple)),
     ),
     min_size=1, max_size=10,
@@ -166,7 +165,7 @@ def server_streams(draw):
                 w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
                 x, y = draw(st.integers(0, 40)), draw(st.integers(0, 40))
                 packed = rng.integers(0, 4, size=(h, w)).astype(fmt.dtype)
-                encoding = draw(st.sampled_from([RAW, RRE, HEXTILE, ZLIB]))
+                encoding = draw(st.sampled_from([RAW, HEXTILE, ZRLE]))
                 rects.append(RectUpdate(Rect(x, y, w, h), encoding, packed))
             messages.append(FramebufferUpdate(tuple(rects)))
     return fmt, messages
@@ -186,7 +185,7 @@ def test_server_decoder_split_point_invariant(stream, data):
     wire = b"".join(m.encode(encoder) if isinstance(m, FramebufferUpdate)
                     else m.encode() for m in messages)
     cuts = data.draw(split_points(len(wire)))
-    decoder = ServerMessageDecoder(DecoderState(fmt))
+    decoder = ServerMessageDecoder(DecoderState(fmt), 52, 52)
     decoded = []
     for chunk in partition(wire, cuts):
         decoded.extend(decoder.feed(chunk))
@@ -257,8 +256,8 @@ def test_server_decoder_chunked_encode_matches_flat(stream):
     encode — wire compatibility of the vectored send path."""
     fmt, messages = stream
     flat_enc, chunk_enc = EncoderState(fmt), EncoderState(fmt)
-    flat_dec = ServerMessageDecoder(DecoderState(fmt))
-    chunk_dec = ServerMessageDecoder(DecoderState(fmt))
+    flat_dec = ServerMessageDecoder(DecoderState(fmt), 52, 52)
+    chunk_dec = ServerMessageDecoder(DecoderState(fmt), 52, 52)
     for message in messages:
         if isinstance(message, FramebufferUpdate):
             flat_wire = message.encode(flat_enc)

@@ -8,16 +8,14 @@ from repro.graphics import RGB332, RGB565, RGB888, PixelFormat, Rect
 from repro.uip import (
     ClientMessageDecoder,
     DecoderState,
+    EncodeCache,
     EncoderState,
     FramebufferUpdateRequest,
     HEXTILE,
     KeyEvent,
     PointerEvent,
     RAW,
-    RRE,
-    STATEFUL_ENCODINGS,
     SetEncodings,
-    ZLIB,
     ZRLE,
     decode_rect,
     encode_rect,
@@ -35,7 +33,7 @@ BE565 = PixelFormat(16, 16, True, 31, 63, 31, 11, 5, 0)
 BE888 = PixelFormat(32, 24, True, 255, 255, 255, 16, 8, 0)
 
 formats = st.sampled_from([RGB888, RGB565, RGB332, BE565])
-codecs = st.sampled_from([RAW, RRE, HEXTILE, ZLIB, ZRLE])
+codecs = st.sampled_from([RAW, HEXTILE, ZRLE])
 
 
 @st.composite
@@ -102,13 +100,11 @@ class TestEncodingRoundTrip:
 
     @given(st.data(),
            st.sampled_from([RGB888, RGB565, RGB332, BE565, BE888]),
-           st.sampled_from([RRE, HEXTILE]),
            st.sampled_from([15, 16, 17, 31, 32, 33, 47, 48]),
            st.sampled_from([15, 16, 17, 31, 32, 33]))
     @settings(max_examples=80, deadline=None)
-    def test_roundtrip_at_tile_boundaries(self, data, fmt, encoding,
-                                          width, height):
-        """The batched tile pipeline must be exact on edge tiles, in both
+    def test_roundtrip_at_tile_boundaries(self, data, fmt, width, height):
+        """The batched HEXTILE tiles must be exact on edge tiles, in both
         byte orders, at every size straddling the 16-pixel grid."""
         seed = data.draw(st.integers(0, 2**31))
         palette_size = data.draw(st.integers(1, 5))
@@ -117,9 +113,9 @@ class TestEncodingRoundTrip:
                                dtype=np.uint8)
         rgb = palette[rng.integers(0, palette_size, size=(height, width))]
         packed = fmt.pack_array(rgb)
-        payload = encode_rect(EncoderState(fmt), packed, encoding)
+        payload = encode_rect(EncoderState(fmt), packed, HEXTILE)
         out = decode_rect(DecoderState(fmt), Cursor(payload), width, height,
-                          encoding)
+                          HEXTILE)
         assert out.dtype == packed.dtype
         assert np.array_equal(out, packed)
 
@@ -139,8 +135,7 @@ class TestEncodingRoundTrip:
         which subencoding)."""
         packed = zrle_pixels(fmt, width, height, palette_size, mean_run,
                              seed)
-        state = EncoderState(fmt, use_cache=False)
-        payload = encode_rect(state, packed, ZRLE)
+        payload = encode_rect(EncoderState(fmt), packed, ZRLE)
         out = decode_rect(DecoderState(fmt), Cursor(payload), width, height,
                           ZRLE)
         assert out.dtype == packed.dtype
@@ -175,13 +170,13 @@ class TestEncodeCacheRoundTrip:
     def test_cached_and_fresh_payloads_decode_identically(self, data, fmt,
                                                           encoding):
         packed = data.draw(packed_arrays(fmt))
-        cached_state = EncoderState(fmt)
-        fresh_state = EncoderState(fmt, use_cache=False)
+        cached_state = EncoderState(fmt, cache=EncodeCache())
+        fresh_state = EncoderState(fmt)
         assert fresh_state.cache is None
         first = encode_rect(cached_state, packed, encoding)
         second = encode_rect(cached_state, packed.copy(), encoding)
         fresh = encode_rect(fresh_state, packed, encoding)
-        if encoding not in STATEFUL_ENCODINGS:
+        if encoding != ZRLE:  # a ZRLE payload rides the session's stream
             # second encode is a cache hit and byte-identical to both
             assert cached_state.cache.hits >= 1
             assert second == first == fresh
@@ -195,11 +190,11 @@ class TestEncodeCacheRoundTrip:
                                 height, encoding)
         assert np.array_equal(fresh_out, packed)
 
-    @given(st.data(), formats, st.sampled_from([RAW, RRE, HEXTILE]))
+    @given(st.data(), formats, st.sampled_from([RAW, HEXTILE]))
     @settings(max_examples=30, deadline=None)
     def test_cache_distinguishes_content(self, data, fmt, encoding):
         packed = data.draw(packed_arrays(fmt))
-        state = EncoderState(fmt)
+        state = EncoderState(fmt, cache=EncodeCache())
         encode_rect(state, packed, encoding)
         flipped = packed.copy()
         flipped[0, 0] = flipped[0, 0] ^ 1  # one-pixel change
@@ -208,12 +203,12 @@ class TestEncodeCacheRoundTrip:
                           packed.shape[1], packed.shape[0], encoding)
         assert np.array_equal(out, flipped)
 
-    @given(st.data(), st.sampled_from([RAW, RRE, HEXTILE]))
+    @given(st.data(), st.sampled_from([RAW, HEXTILE]))
     @settings(max_examples=20, deadline=None)
     def test_cache_distinguishes_pixel_formats(self, data, encoding):
         # same pixel *bytes* under two formats must not share cache entries
         packed = data.draw(packed_arrays(RGB565))
-        state = EncoderState(RGB565)
+        state = EncoderState(RGB565, cache=EncodeCache())
         first = encode_rect(state, packed, encoding)
         state.renegotiate(RGB332)
         key_565 = (encoding, RGB565, packed.shape)
@@ -236,7 +231,7 @@ client_messages = st.one_of(
                        w=st.integers(0, 2000), h=st.integers(0, 2000)),
     ),
     st.builds(SetEncodings,
-              encodings=st.tuples(st.sampled_from([RAW, RRE, HEXTILE, ZLIB]))),
+              encodings=st.tuples(st.sampled_from([RAW, HEXTILE, ZRLE]))),
 )
 
 
@@ -249,7 +244,7 @@ class TestStreamDecoding:
         inflater sees each compressed byte exactly once even when the
         message parser retries on NeedMore."""
         fmt = RGB888
-        enc_state = EncoderState(fmt, use_cache=False)
+        enc_state = EncoderState(fmt)
         frames = []
         stream = bytearray()
         for _ in range(data.draw(st.integers(1, 4))):
@@ -259,7 +254,7 @@ class TestStreamDecoding:
                 (RectUpdate(Rect(0, 0, w, h), ZRLE, packed),))
             stream.extend(update.encode(enc_state))
             frames.append(packed)
-        decoder = ServerMessageDecoder(DecoderState(fmt))
+        decoder = ServerMessageDecoder(DecoderState(fmt), 40, 40)
         decoded = []
         for i in range(0, len(stream), chunk):
             for message in decoder.feed(bytes(stream[i:i + chunk])):

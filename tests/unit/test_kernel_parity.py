@@ -1,9 +1,9 @@
 """Parity of the frame-path kernels with the implementations they replaced.
 
 Each kernel that every frame crosses (colour fills, the tile change mask,
-text drawing, HEXTILE decoding, pixel-format packing, Floyd–Steinberg and
-the PDA output plug-in's conversion) was rewritten to work on whole byte
-rows, whole arrays or plain locals.  The implementation each rewrite
+text drawing, HEXTILE encoding and decoding, pixel-format packing,
+Floyd–Steinberg and the PDA output plug-in's conversion) was rewritten to
+work on whole byte rows, whole arrays or plain locals.  The implementation each rewrite
 replaced is kept here as its oracle, and the rewrite must reproduce it
 exactly: same pixels, same rects and counters, same decoded arrays, same
 device bytes and the same errors.
@@ -31,8 +31,9 @@ from repro.graphics.font import Font
 from repro.proxy import DeviceImage, SessionContext
 from repro.proxy.plugins import OutputPlugin
 from repro.toolkit.canvas import Canvas
-from repro.uip.encodings import decode_hextile, encode_hextile
-from repro.uip.wire import Cursor, NeedMore
+from repro.uip import encodings as enc
+from repro.uip.encodings import _pixel_bytes, decode_hextile, encode_hextile
+from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util import Scheduler
 from repro.util.errors import GraphicsError, ProtocolError
 from tests.helpers import ScreenReplay
@@ -588,6 +589,160 @@ class TestHextileDecodeProperties:
         assert np.array_equal(fast, slow)
         assert fast[2, 2] == 0x40 and fast[4, 4] == 0x30
         assert fast[0, 0] == 0x10
+
+
+# -- HEXTILE encode ---------------------------------------------------------
+
+
+def _per_tile_most_common(values):
+    uniques, counts = np.unique(values, return_counts=True)
+    return int(uniques[np.argmax(counts)])
+
+
+def _per_tile_value_runs(row, background):
+    change = np.flatnonzero(row[1:] != row[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [len(row)]))
+    for start, end in zip(starts, ends):
+        value = int(row[start])
+        if value != background:
+            yield (int(start), int(end), value)
+
+
+def _per_tile_merged_subrects(tile, background):
+    active = {}
+    out = []
+    for y in range(tile.shape[0]):
+        current = {}
+        for start, end, value in _per_tile_value_runs(tile[y], background):
+            current[(start, end, value)] = True
+        for key in list(active):
+            if key not in current:
+                y0, span = active.pop(key)
+                out.append((key[0], y0, key[1] - key[0], span, key[2]))
+        for key in current:
+            if key in active:
+                active[key][1] += 1
+            else:
+                active[key] = [y, 1]
+    for key, (y0, span) in active.items():
+        out.append((key[0], y0, key[1] - key[0], span, key[2]))
+    out.sort(key=lambda r: (r[1], r[0]))
+    return out
+
+
+def per_tile_encode_hextile(packed, pf):
+    """The seed's scalar ``encode_hextile``: one ``np.unique`` and one
+    row-run walk per tile, edge tiles like any other."""
+    height, width = packed.shape
+    ps = pf.bytes_per_pixel
+    writer = Writer()
+    prev_bg = None
+    prev_fg = None
+    for ty in range(0, height, 16):
+        for tx in range(0, width, 16):
+            tile = packed[ty:ty + 16, tx:tx + 16]
+            th, tw = tile.shape
+            raw_size = 1 + th * tw * ps
+            uniques = np.unique(tile)
+            if len(uniques) == 1:
+                value = int(uniques[0])
+                if value == prev_bg:
+                    writer.u8(0)
+                else:
+                    writer.u8(2).raw(_pixel_bytes(value, pf))
+                    prev_bg = value
+                continue
+            background = _per_tile_most_common(tile)
+            subrects = _per_tile_merged_subrects(tile, background)
+            coloured = len(uniques) > 2
+            subenc = 8
+            body = Writer()
+            if background != prev_bg:
+                subenc |= 2
+                body.raw(_pixel_bytes(background, pf))
+            if coloured:
+                subenc |= 16
+            else:
+                foreground = int(uniques[uniques != background][0])
+                if foreground != prev_fg:
+                    subenc |= 4
+                    body.raw(_pixel_bytes(foreground, pf))
+            body.u8(len(subrects))
+            for x, y, w, h, value in subrects:
+                if coloured:
+                    body.raw(_pixel_bytes(value, pf))
+                body.u8((x << 4) | y)
+                body.u8(((w - 1) << 4) | (h - 1))
+            encoded = body.getvalue()
+            if 1 + len(encoded) >= raw_size or len(subrects) > 255:
+                writer.u8(1)
+                writer.raw(np.ascontiguousarray(tile).tobytes())
+                prev_bg = None
+                prev_fg = None
+            else:
+                writer.u8(subenc)
+                writer.raw(encoded)
+                prev_bg = background
+                if not coloured:
+                    prev_fg = foreground
+    return writer.getvalue()
+
+
+@st.composite
+def hextile_rects(draw):
+    """``(packed, pf)``: 1-80 px a side of few colours, noise, or runs of
+    a palette in raster order (flat tiles beside mixed ones), so a rect
+    has full, right-edge, bottom-edge and corner tiles of every size."""
+    pf = draw(st.sampled_from(ALL_FORMATS))
+    width, height = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    content = draw(st.sampled_from(["few-colour", "noise", "runs"]))
+    if content == "noise":
+        rgb = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+    elif content == "few-colour":
+        palette = rng.integers(0, 256, (draw(st.integers(1, 4)), 3),
+                               dtype=np.uint8)
+        rgb = palette[rng.integers(0, len(palette), (height, width))]
+    else:
+        palette = rng.integers(0, 256, (draw(st.integers(2, 40)), 3),
+                               dtype=np.uint8)
+        mean_run = draw(st.sampled_from([2, 8, 60, 400]))
+        lengths = rng.integers(1, 2 * mean_run, 2 * width * height
+                               // mean_run + 2)
+        indices = np.repeat(rng.integers(0, len(palette), lengths.size),
+                            lengths)
+        rgb = palette[np.resize(indices, (height, width))]
+    return pf.pack_array(rgb), pf
+
+
+class TestHextileEncodeParity:
+    @given(hextile_rects())
+    @settings(max_examples=120, deadline=None)
+    def test_any_rect_encodes_as_the_per_tile_oracle_does(self, case):
+        packed, pf = case
+        assert encode_hextile(packed, pf) == per_tile_encode_hextile(
+            packed, pf)
+
+    def test_a_rect_off_the_grid_batches_four_tile_shapes(self,
+                                                          monkeypatch):
+        shapes = []
+
+        class Recording(enc._HextileBatch):
+            __slots__ = ()
+
+            def __init__(self, stack, pf):
+                shapes.append(stack.shape[1:])
+                super().__init__(stack, pf)
+
+        monkeypatch.setattr(enc, "_HextileBatch", Recording)
+        rng = np.random.default_rng(8)
+        packed = RGB888.pack_array(
+            rng.integers(0, 4, (36, 40, 3), dtype=np.uint8) * 60)
+        assert encode_hextile(packed, RGB888) == per_tile_encode_hextile(
+            packed, RGB888)
+        # full tiles, the right edge column, the bottom row, the corner
+        assert shapes == [(16, 16), (16, 8), (4, 16), (4, 8)]
 
 
 # -- pixel format pack and unpack -------------------------------------------

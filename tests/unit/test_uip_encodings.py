@@ -1,5 +1,8 @@
 """Unit tests for the framebuffer-update encodings."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,9 @@ from repro.graphics import RGB332, RGB565, RGB888, Bitmap, Rect, draw
 from repro.uip import (
     HEXTILE,
     RAW,
-    RRE,
-    ZLIB,
     ZRLE,
     DecoderState,
+    EncodeCache,
     EncoderState,
     decode_rect,
     encode_rect,
@@ -19,7 +21,7 @@ from repro.uip.encodings import (
     decode_zrle_tiles,
     encode_zrle_tiles,
 )
-from repro.uip.wire import Cursor
+from repro.uip.wire import Cursor, Writer
 from repro.util.errors import ProtocolError
 
 from repro.graphics import PixelFormat
@@ -28,7 +30,10 @@ from repro.graphics import PixelFormat
 BE565 = PixelFormat(16, 16, True, 31, 63, 31, 11, 5, 0)
 
 ALL_FORMATS = [RGB888, RGB565, RGB332, BE565]
-PIXEL_CODECS = [RAW, RRE, HEXTILE, ZLIB, ZRLE]
+PIXEL_CODECS = [RAW, HEXTILE, ZRLE]
+
+#: Encodings UIP once carried (RFB's RRE and ZLIB) and no longer does.
+RETIRED_ENCODINGS = [2, 6]
 
 
 def panel_bitmap(width=96, height=64):
@@ -95,30 +100,30 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("size", [(15, 15), (16, 16), (17, 17),
                                       (33, 16), (16, 33), (48, 31)])
-    @pytest.mark.parametrize("encoding", [RRE, HEXTILE])
-    def test_edge_tile_sizes(self, size, encoding):
-        """Widths/heights straddling the 16-pixel tile grid."""
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_edge_tile_sizes(self, size, fmt):
+        """HEXTILE widths/heights straddling the 16-pixel tile grid."""
         width, height = size
         bmp = checkerboard(width, height, 5, (32, 32, 32), (220, 80, 10))
         bmp.fill_rect(Rect(width // 3, height // 3, width // 2, 3),
                       (0, 255, 0))
-        packed, _, out = roundtrip(bmp, RGB888, encoding)
+        packed, _, out = roundtrip(bmp, fmt, HEXTILE)
         assert np.array_equal(out, packed)
 
-    @pytest.mark.parametrize("encoding", [RRE, HEXTILE])
-    def test_big_endian_wire_format(self, encoding):
+    def test_big_endian_wire_format(self):
         packed, payload, out = roundtrip(panel_bitmap(50, 40), BE565,
-                                         encoding)
+                                         HEXTILE)
         assert out.dtype == packed.dtype
         assert np.array_equal(out, packed)
         # also identical to what the same image costs in little endian
-        _, le_payload, _ = roundtrip(panel_bitmap(50, 40), RGB565, encoding)
+        _, le_payload, _ = roundtrip(panel_bitmap(50, 40), RGB565, HEXTILE)
         assert len(payload) == len(le_payload)
 
-    def test_flat_bitmap_rre_is_tiny(self):
+    def test_flat_bitmap_hextile_is_tiny(self):
         bmp = Bitmap(128, 128, fill=(5, 5, 5))
-        _, payload, _ = roundtrip(bmp, RGB888, RRE)
-        assert len(payload) == 4 + 4  # count + background pixel
+        _, payload, _ = roundtrip(bmp, RGB888, HEXTILE)
+        # the first tile sets the background, the other 63 keep it
+        assert len(payload) == (1 + 4) + 63
 
     def test_checkerboard_roundtrip_hextile(self):
         bmp = checkerboard(64, 64, 1, (0, 0, 0), (255, 255, 255))
@@ -127,14 +132,12 @@ class TestRoundTrips:
 
 
 class TestCompression:
-    def test_panel_rre_beats_raw(self):
+    def test_panel_hextile_beats_raw(self):
         bmp = panel_bitmap(256, 192)
         packed = RGB888.pack_array(bmp.pixels)
         state = EncoderState(RGB888)
         raw = encode_rect(state, packed, RAW)
-        rre = encode_rect(state, packed, RRE)
         hextile = encode_rect(state, packed, HEXTILE)
-        assert len(rre) < len(raw) / 5
         assert len(hextile) < len(raw) / 5
 
     def test_noise_hextile_falls_back_to_raw_size(self):
@@ -146,65 +149,67 @@ class TestCompression:
         # per-tile 1-byte header overhead only
         assert len(hextile) <= len(raw) + (64 // 16) ** 2
 
-    def test_zlib_persistent_stream_improves(self):
-        # Incompressible noise: the first frame stays near raw size, but the
-        # identical second frame hits the persistent dictionary window.
+    def test_zrle_persistent_stream_improves(self):
+        # Incompressible noise: the first frame's raw tile stays near raw
+        # size, but the identical second frame hits the persistent
+        # dictionary window.
         bmp = noise_bitmap(48, 48)
         packed = RGB888.pack_array(bmp.pixels)
         enc_state = EncoderState(RGB888)
-        first = encode_rect(enc_state, packed, ZLIB)
-        second = encode_rect(enc_state, packed, ZLIB)
+        first = encode_rect(enc_state, packed, ZRLE)
+        second = encode_rect(enc_state, packed, ZRLE)
         assert len(second) < len(first) / 10
         # and both decode correctly through one persistent inflater
         dec_state = DecoderState(RGB888)
-        out1 = decode_rect(dec_state, Cursor(first), 48, 48, ZLIB)
-        out2 = decode_rect(dec_state, Cursor(second), 48, 48, ZLIB)
+        out1 = decode_rect(dec_state, Cursor(first), 48, 48, ZRLE)
+        out2 = decode_rect(dec_state, Cursor(second), 48, 48, ZRLE)
         assert np.array_equal(out1, packed)
         assert np.array_equal(out2, packed)
 
 
 class TestEncodeCache:
     def test_repeat_encode_hits(self):
-        from repro.uip import EncodeCache
         packed = RGB888.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888)
+        state = EncoderState(RGB888, cache=EncodeCache())
         first = encode_rect(state, packed, HEXTILE)
         second = encode_rect(state, packed.copy(), HEXTILE)
         assert first == second
         assert state.cache.hits == 1
         assert state.cache.misses == 1
-        assert isinstance(state.cache, EncodeCache)
 
-    def test_zlib_never_cached(self):
+    def test_zrle_payload_never_served_from_the_cache(self):
+        """The deflated payload rides the session's stream, so the same
+        pixels encode to different bytes; only the tile stream is
+        cached."""
         packed = RGB888.pack_array(panel_bitmap().pixels)
+        state = EncoderState(RGB888, cache=EncodeCache())
+        first = encode_rect(state, packed, ZRLE)
+        second = encode_rect(state, packed, ZRLE)
+        assert first != second
+        assert state.cache.hits == 1 and len(state.cache) == 1
+        assert state.cache.get(state.cache_key(packed, ZRLE)) == (
+            encode_zrle_tiles(packed, RGB888))
+
+    def test_no_cache(self):
         state = EncoderState(RGB888)
-        encode_rect(state, packed, ZLIB)
-        encode_rect(state, packed, ZLIB)
-        assert len(state.cache) == 0
-        assert state.cache.hits == 0
-
-    def test_disable_cache(self):
-        state = EncoderState(RGB888, use_cache=False)
         packed = RGB888.pack_array(panel_bitmap().pixels)
-        assert encode_rect(state, packed, RRE) == encode_rect(
-            state, packed, RRE)
+        assert encode_rect(state, packed, HEXTILE) == encode_rect(
+            state, packed, HEXTILE)
         assert state.cache is None
 
     def test_entry_count_eviction(self):
-        from repro.uip import EncodeCache
         state = EncoderState(RGB888, cache=EncodeCache(max_entries=2))
         frames = [RGB888.pack_array(Bitmap(8, 8, fill=(i, 0, 0)).pixels)
                   for i in range(3)]
         for packed in frames:
-            encode_rect(state, packed, RRE)
+            encode_rect(state, packed, HEXTILE)
         assert len(state.cache) == 2
         # oldest entry evicted: re-encoding frame 0 misses again
         misses = state.cache.misses
-        encode_rect(state, frames[0], RRE)
+        encode_rect(state, frames[0], HEXTILE)
         assert state.cache.misses == misses + 1
 
     def test_byte_budget_eviction(self):
-        from repro.uip import EncodeCache
         cache = EncodeCache(max_entries=100, max_bytes=64)
         cache.put(("a",), b"x" * 40)
         cache.put(("b",), b"y" * 40)
@@ -212,13 +217,11 @@ class TestEncodeCache:
         assert cache.stored_bytes == 40
 
     def test_oversized_payload_not_stored(self):
-        from repro.uip import EncodeCache
         cache = EncodeCache(max_entries=4, max_bytes=16)
         cache.put(("big",), b"z" * 100)
         assert len(cache) == 0
 
     def test_shared_cache_across_states(self):
-        from repro.uip import EncodeCache
         shared = EncodeCache()
         a = EncoderState(RGB888, cache=shared)
         b = EncoderState(RGB888, cache=shared)
@@ -230,14 +233,14 @@ class TestEncodeCache:
     def test_cache_respects_pixel_format(self):
         state = EncoderState(RGB565)
         packed = RGB565.pack_array(panel_bitmap().pixels)
-        k565 = state.cache_key(packed, RRE)
+        k565 = state.cache_key(packed, HEXTILE)
         state.renegotiate(RGB332)
-        assert state.cache_key(packed, RRE) != k565
+        assert state.cache_key(packed, HEXTILE) != k565
 
     def test_renegotiate_preserves_cache(self):
         packed888 = RGB888.pack_array(panel_bitmap().pixels)
         packed332 = RGB332.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888)
+        state = EncoderState(RGB888, cache=EncodeCache())
         first = encode_rect(state, packed888, HEXTILE)
         state.renegotiate(RGB332)
         encode_rect(state, packed332, HEXTILE)
@@ -246,16 +249,16 @@ class TestEncodeCache:
         assert encode_rect(state, packed888, HEXTILE) == first
         assert state.cache.hits == hits + 1  # payload survived the switch
 
-    def test_renegotiate_resets_zlib_stream(self):
+    def test_renegotiate_resets_zrle_stream(self):
         packed = RGB888.pack_array(panel_bitmap().pixels)
         state = EncoderState(RGB888)
-        encode_rect(state, packed, ZLIB)
+        encode_rect(state, packed, ZRLE)
         state.renegotiate(RGB888)
         # a fresh decoder can parse the first post-renegotiation rect,
         # which only works if the deflate stream restarted
-        payload = encode_rect(state, packed, ZLIB)
+        payload = encode_rect(state, packed, ZRLE)
         out = decode_rect(DecoderState(RGB888), Cursor(payload),
-                          packed.shape[1], packed.shape[0], ZLIB)
+                          packed.shape[1], packed.shape[0], ZRLE)
         assert np.array_equal(out, packed)
 
     @pytest.mark.parametrize("encoding", PIXEL_CODECS)
@@ -269,10 +272,9 @@ class TestEncodeCache:
 
 class TestZrle:
     def test_zrle_caches_tile_stream_not_payload(self):
-        """Unlike ZLIB (never cached), ZRLE caches the position-independent
-        tile stream: a second session on the same cache reuses it even
-        though its deflate output differs."""
-        from repro.uip.encodings import EncodeCache
+        """ZRLE caches the position-independent tile stream: a second
+        session on the same cache reuses it even though its deflate
+        output differs."""
         cache = EncodeCache()
         packed = RGB888.pack_array(panel_bitmap().pixels)
         first = EncoderState(RGB888, cache=cache)
@@ -288,7 +290,7 @@ class TestZrle:
 
     def test_renegotiate_preserves_zrle_tile_stream(self):
         packed = RGB888.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888)
+        state = EncoderState(RGB888, cache=EncodeCache())
         encode_rect(state, packed, ZRLE)
         state.renegotiate(RGB888)
         hits = state.cache.hits
@@ -300,10 +302,8 @@ class TestZrle:
 
     def test_zrle_panel_much_smaller_than_hextile(self):
         packed = RGB888.pack_array(panel_bitmap(192, 192).pixels)
-        state = EncoderState(RGB888, use_cache=False)
-        zrle = encode_rect(state, packed, ZRLE)
-        hextile = encode_rect(EncoderState(RGB888, use_cache=False),
-                              packed, HEXTILE)
+        zrle = encode_rect(EncoderState(RGB888), packed, ZRLE)
+        hextile = encode_rect(EncoderState(RGB888), packed, HEXTILE)
         assert len(zrle) * 3 < len(hextile)
 
     def test_zrle_run_longer_than_255(self):
@@ -312,8 +312,7 @@ class TestZrle:
         packed = RGB888.pack_array(bitmap.pixels)
         packed[0, 0] = 0xFFFFFF  # break the solid-tile shortcut
         stream = encode_zrle_tiles(packed, RGB888)
-        state = EncoderState(RGB888, use_cache=False)
-        payload = encode_rect(state, packed, ZRLE)
+        payload = encode_rect(EncoderState(RGB888), packed, ZRLE)
         out = decode_rect(DecoderState(RGB888), Cursor(payload), 64, 10, ZRLE)
         assert np.array_equal(out, packed)
         assert len(stream) < 64 * 10 * 3  # the long run actually compressed
@@ -329,12 +328,18 @@ class TestErrors:
         with pytest.raises(ProtocolError):
             decode_rect(DecoderState(RGB888), Cursor(b""), 2, 2, 99)
 
-    def test_rre_subrect_out_of_bounds(self):
-        from repro.uip.wire import Writer
-        bad = (Writer().u32(1).raw(b"\x00" * 4)  # one subrect, bg
-               .raw(b"\x01" * 4).u16(5).u16(5).u16(10).u16(10).getvalue())
-        with pytest.raises(ProtocolError):
-            decode_rect(DecoderState(RGB888), Cursor(bad), 8, 8, RRE)
+    @pytest.mark.parametrize("encoding", RETIRED_ENCODINGS,
+                             ids=["rre", "zlib"])
+    def test_retired_encodings_are_refused(self, encoding):
+        packed = RGB888.pack_array(Bitmap(8, 8).pixels)
+        with pytest.raises(ProtocolError, match=f"encoding {encoding}"):
+            encode_rect(EncoderState(RGB888), packed, encoding)
+        # what each carried: a subrect count and a background, or a
+        # deflated length and stream
+        payload = Writer().u32(0).raw(bytes(4)).getvalue()
+        with pytest.raises(ProtocolError, match=f"encoding {encoding}"):
+            decode_rect(DecoderState(RGB888), Cursor(payload), 8, 8,
+                        encoding)
 
     def test_non_2d_array_rejected(self):
         state = EncoderState(RGB888)
@@ -394,15 +399,55 @@ class TestMalformedZrleStreams:
             self.decode(bytes([1]) + self.PX + b"\xff")
 
 
+class TestZrleInflateBound:
+    """The inflater stops at the longest tile stream a rect of the
+    header's size can carry, so a short stream cannot claim memory it
+    never pays for on the wire."""
+
+    @staticmethod
+    def payload(chunks):
+        """A ZRLE rect payload: ``chunks`` through a fresh deflate stream."""
+        deflater = zlib.compressobj()
+        stream = b"".join(deflater.compress(c) for c in chunks)
+        stream += deflater.flush(zlib.Z_SYNC_FLUSH)
+        return Writer().u32(len(stream)).raw(stream).getvalue()
+
+    def test_a_stream_inflating_past_the_bound_is_refused_early(self):
+        # 16 MB of zeros deflates to about 16 KB; a 1x1 RGB888 rect's tile
+        # stream holds at most 1 * (4 + 1) + (1 + 127 * 4) = 514 bytes
+        payload = self.payload([bytes(1 << 20)] * 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError,
+                               match="inflates past 514 bytes"):
+                decode_rect(DecoderState(RGB888), Cursor(payload), 1, 1,
+                            ZRLE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_longest_valid_stream_decodes(self):
+        """One 64x64 RGB332 tile in 127-colour palette RLE, every pixel a
+        run of its own written in two bytes: exactly the bound."""
+        indices = np.random.default_rng(5).integers(0, 127, 64 * 64)
+        palette = np.arange(127, dtype=np.uint8)
+        runs = np.zeros((64 * 64, 2), dtype=np.uint8)
+        runs[:, 0] = indices | 0x80  # a run flag, then length byte 0: 1
+        tiles = bytes([128 + 127]) + palette.tobytes() + runs.tobytes()
+        assert len(tiles) == 64 * 64 * (1 + 1) + (1 + 127 * 1)
+        out = decode_rect(DecoderState(RGB332), Cursor(self.payload(
+            [tiles])), 64, 64, ZRLE)
+        assert np.array_equal(out.reshape(-1), palette[indices])
+
+
 class TestEncodeCacheLimits:
     @pytest.mark.parametrize("limits", [(0, 1), (1, 0), (-1, 5)])
     def test_non_positive_limits_rejected(self, limits):
-        from repro.uip import EncodeCache
         with pytest.raises(ValueError):
             EncodeCache(*limits)
 
     def test_replacing_an_entry_counts_its_bytes_once(self):
-        from repro.uip import EncodeCache
         cache = EncodeCache(max_entries=4, max_bytes=100)
         cache.put(("k",), b"a" * 60)
         cache.put(("k",), b"b" * 30)

@@ -19,13 +19,11 @@ from repro.uip import (
     PointerEvent,
     PROTOCOL_VERSION,
     RAW,
-    RRE,
     RectUpdate,
     ServerHandshake,
     ServerMessageDecoder,
     SetEncodings,
     SetPixelFormat,
-    ZLIB,
     ZRLE,
     keysyms,
 )
@@ -47,7 +45,7 @@ class TestClientMessages:
 
     def test_set_encodings(self):
         # encodings are signed on the wire
-        msg = SetEncodings((HEXTILE, RRE, RAW, -1))
+        msg = SetEncodings((HEXTILE, ZRLE, RAW, -1))
         assert self.decode_one(msg.encode()) == msg
 
     def test_framebuffer_update_request(self):
@@ -101,25 +99,28 @@ class TestClientMessages:
         assert decoder.buffered_bytes == 0
 
 
+def server_decoder(fmt=RGB888, width=128, height=128):
+    """A server-stream decoder for a ``width`` x ``height`` mirror."""
+    return ServerMessageDecoder(DecoderState(fmt), width, height)
+
+
 class TestServerMessages:
     def _roundtrip(self, update, fmt=RGB888):
-        enc_state = EncoderState(fmt)
-        dec_state = DecoderState(fmt)
-        data = update.encode(enc_state)
-        messages = ServerMessageDecoder(dec_state).feed(data)
+        data = update.encode(EncoderState(fmt))
+        messages = server_decoder(fmt).feed(data)
         assert len(messages) == 1
         return messages[0]
 
     def test_bells(self):
         stream = Bell().encode() + Bell().encode()
-        out = ServerMessageDecoder(DecoderState(RGB888)).feed(stream)
+        out = server_decoder().feed(stream)
         assert out == [Bell(), Bell()]
 
     def test_clipboard_type_is_refused(self):
         # type 3 was RFB's ServerCutText; UIP carries no clipboard
         data = Writer().u8(3).pad(3).u32(4).raw(b"clip").getvalue()
         with pytest.raises(ProtocolError, match="server message type 3"):
-            ServerMessageDecoder(DecoderState(RGB888)).feed(data)
+            server_decoder().feed(data)
 
     def test_framebuffer_update_raw(self):
         bmp = Bitmap(8, 6, fill=(10, 20, 30))
@@ -134,7 +135,7 @@ class TestServerMessages:
         a = RGB888.pack_array(Bitmap(4, 4, fill=(1, 1, 1)).pixels)
         b = RGB888.pack_array(Bitmap(8, 2, fill=(2, 2, 2)).pixels)
         update = FramebufferUpdate((
-            RectUpdate(Rect(0, 0, 4, 4), RRE, a),
+            RectUpdate(Rect(0, 0, 4, 4), ZRLE, a),
             RectUpdate(Rect(10, 10, 8, 2), HEXTILE, b),
         ))
         out = self._roundtrip(update)
@@ -143,28 +144,29 @@ class TestServerMessages:
 
     @pytest.mark.parametrize("encoding, payload", [
         (1, Writer().u16(1).u16(2).getvalue()),
+        (2, Writer().u32(0).raw(bytes(4)).getvalue()),
+        (6, Writer().u32(0).getvalue()),
         (-223, b""),
-    ], ids=["rfb-copyrect", "rfb-desktop-size"])
+    ], ids=["rfb-copyrect", "retired-rre", "retired-zlib",
+            "rfb-desktop-size"])
     def test_rect_encodings_uip_lacks_are_refused(self, encoding, payload):
         data = (Writer().u8(0).pad(1).u16(1)
                 .u16(5).u16(5).u16(10).u16(10).s32(encoding)
                 .raw(payload).getvalue())
-        decoder = ServerMessageDecoder(DecoderState(RGB888))
         with pytest.raises(ProtocolError, match=f"encoding {encoding}"):
-            decoder.feed(data)
+            server_decoder().feed(data)
 
-    def test_zlib_update_survives_fragmentation(self):
-        """Persistent zlib stream must not be corrupted by partial reads."""
+    def test_zrle_update_survives_fragmentation(self):
+        """The persistent deflate stream must not be corrupted by partial
+        reads."""
         fmt = RGB888
         enc_state = EncoderState(fmt)
-        dec_state = DecoderState(fmt)
-        decoder = ServerMessageDecoder(dec_state)
+        decoder = server_decoder(fmt)
         frames = []
-        for fill in ((1, 2, 3), (4, 5, 6), (7, 8, 9)):
-            bmp = Bitmap(32, 32, fill=fill)
-            packed = fmt.pack_array(bmp.pixels)
+        for seed in (1, 2, 3):
+            packed = fmt.pack_array(_panel_pixels(32, 32, seed))
             frames.append((packed, FramebufferUpdate(
-                (RectUpdate(Rect(0, 0, 32, 32), ZLIB, packed),))))
+                (RectUpdate(Rect(0, 0, 32, 32), ZRLE, packed),))))
         stream = b"".join(u.encode(enc_state) for _, u in frames)
         out = []
         step = 7  # force many partial parses
@@ -176,7 +178,7 @@ class TestServerMessages:
 
     def test_unknown_type_raises(self):
         with pytest.raises(ProtocolError):
-            ServerMessageDecoder(DecoderState(RGB888)).feed(b"\x77")
+            server_decoder().feed(b"\x77")
 
 
 class TestKeysyms:
@@ -366,15 +368,38 @@ class TestHandshakeRefusals:
 
 
 class TestMalformedServerStream:
-    def test_zlib_rect_inflating_to_the_wrong_size(self):
-        """A ZLIB rect whose header promises 8x4 pixels but whose stream
-        holds 8x8 must not be reshaped into the mirror."""
-        packed = RGB888.pack_array(Bitmap(8, 8, fill=(9, 8, 7)).pixels)
-        lying = FramebufferUpdate(
-            (RectUpdate(Rect(0, 0, 8, 4), ZLIB, packed),))
-        decoder = ServerMessageDecoder(DecoderState(RGB888))
-        with pytest.raises(ProtocolError, match="inflated to"):
-            decoder.feed(lying.encode(EncoderState(RGB888)))
+    @pytest.mark.parametrize("size, refusal", [
+        (8, "trailing bytes"),
+        (64, "inflates past"),
+    ], ids=["longer-than-its-tiles", "past-the-bound"])
+    def test_zrle_rect_inflating_to_the_wrong_size(self, size, refusal):
+        """A ZRLE rect whose header promises 8x4 pixels but whose stream
+        holds the tiles of a larger rect must not reach the mirror."""
+        noise = np.random.default_rng(size).integers(
+            0, 1 << 24, (size, size), dtype=np.uint32)
+        lying = Writer().u8(0).pad(1).u16(1).u16(0).u16(0).u16(8).u16(4)
+        payload = enc.encode_rect(EncoderState(RGB888), noise, ZRLE)
+        decoder = server_decoder()
+        with pytest.raises(ProtocolError, match=refusal):
+            decoder.feed(lying.s32(ZRLE).raw(payload).getvalue())
+
+    @pytest.mark.parametrize("rect", [
+        Rect(120, 0, 9, 1), Rect(0, 127, 1, 2), Rect(65535, 0, 1, 1),
+        Rect(0, 0, 60000, 60000)])
+    def test_a_rect_outside_the_mirror_is_refused_at_its_header(self, rect):
+        """Only the header has arrived; the payload it claims is never
+        awaited."""
+        header = (Writer().u8(0).pad(1).u16(1).u16(rect.x).u16(rect.y)
+                  .u16(rect.w).u16(rect.h).s32(RAW).getvalue())
+        with pytest.raises(ProtocolError, match="leaves the 128x128 mirror"):
+            server_decoder().feed(header)
+
+    def test_a_rect_filling_the_mirror_is_accepted(self):
+        packed = RGB888.pack_array(Bitmap(128, 128, fill=(1, 2, 3)).pixels)
+        update = FramebufferUpdate((RectUpdate(Rect(0, 0, 128, 128), RAW,
+                                               packed),))
+        [message] = server_decoder().feed(update.encode(EncoderState(RGB888)))
+        assert np.array_equal(message.rects[0].payload, packed)
 
 
 def _panel_pixels(width, height, seed):
@@ -401,7 +426,7 @@ class TestDecodeOnce:
             (Rect(0, 40, 96, 40), HEXTILE, _panel_pixels(96, 40, 2)),
             (Rect(100, 0, 6, 5), RAW, _panel_pixels(6, 5, 3)),
             (Rect(0, 80, 40, 20), ZRLE, _panel_pixels(40, 20, 4)),
-            (Rect(40, 80, 24, 16), ZLIB, _panel_pixels(24, 16, 5)),
+            (Rect(40, 80, 24, 16), ZRLE, _panel_pixels(24, 16, 5)),
         ]
         return FramebufferUpdate(tuple(
             RectUpdate(rect, encoding, fmt.pack_array(pixels))
@@ -440,7 +465,7 @@ class TestDecodeOnce:
                                                    monkeypatch):
         chunks = update.encode_chunks(EncoderState(RGB888))
         done = self.decoded(monkeypatch)
-        decoder = ServerMessageDecoder(DecoderState(RGB888))
+        decoder = server_decoder()
         messages = []
         for chunk in chunks:
             messages.extend(decoder.feed(chunk))
@@ -456,7 +481,7 @@ class TestDecodeOnce:
         once = [(r.rect.w, r.rect.h, r.encoding) for r in update.rects]
         for split in range(1, len(data)):
             done.clear()
-            decoder = ServerMessageDecoder(DecoderState(RGB888))
+            decoder = server_decoder()
             messages = decoder.feed(data[:split]) + decoder.feed(
                 data[split:])
             self.assert_same(messages, update)

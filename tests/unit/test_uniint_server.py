@@ -8,7 +8,7 @@ from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
 from repro.server.uniint_server import MAX_UPDATE_RECTS
 from repro.toolkit import Button, Column, Label, UIWindow
-from repro.uip import HEXTILE, RAW, RRE, ZLIB, ZRLE
+from repro.uip import HEXTILE, RAW, ZRLE
 from repro.uip.handshake import SECURITY_NONE
 from repro.util import Scheduler
 from repro.windows import DisplayServer
@@ -120,7 +120,7 @@ class TestSessions:
 
 class TestEncodingsNegotiation:
     @pytest.mark.parametrize("encodings", [
-        (RAW,), (RRE, RAW), (HEXTILE, RAW), (ZLIB, RAW)])
+        (RAW,), (HEXTILE, RAW), (ZRLE, RAW)])
     def test_each_encoding_produces_identical_mirror(self, encodings):
         scheduler, display, window, server = make_server()
         client = connect(scheduler, server, encodings=encodings)
@@ -150,9 +150,13 @@ class TestEncodingsNegotiation:
 
     @pytest.mark.parametrize("offer, sent", [
         ((ZRLE, RAW), ZRLE),
-        ((RRE, HEXTILE, RAW), RRE),
-        ((777, ZLIB, ZRLE), ZLIB),
+        ((2, HEXTILE, RAW), HEXTILE),
+        ((777, 6, ZRLE), ZRLE),
         ((-223,), RAW),  # RFB's DesktopSize is no UIP encoding
+        # RFB's RRE (2) and ZLIB (6) are no UIP encodings either
+        ((2,), RAW),
+        ((6,), RAW),
+        ((2, 6), RAW),
     ])
     def test_server_encodes_with_first_supported_offer(self, offer, sent):
         scheduler, display, window, server = make_server()
@@ -271,10 +275,10 @@ class TestSharedEncodeBroadcast:
                      - display.framebuffer.pixels.astype(int))
         assert err.max() <= 40  # RGB332 is lossy but must track content
 
-    def test_zlib_sessions_bypass_shared_path(self):
+    def test_zrle_sessions_bypass_shared_path(self):
         scheduler, display, window, server = make_server()
-        a = connect(scheduler, server, encodings=(ZLIB, RAW))
-        b = connect(scheduler, server, encodings=(ZLIB, RAW))
+        a = connect(scheduler, server, encodings=(ZRLE, RAW))
+        b = connect(scheduler, server, encodings=(ZRLE, RAW))
         scheduler.run_until_idle()
         hits_initial = server.shared_encode_hits
         window.root.find("label").text = "private streams"

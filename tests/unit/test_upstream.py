@@ -1,5 +1,8 @@
 """Unit tests for the UniIntClient (the proxy's upstream face)."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,8 @@ from repro.proxy.upstream import UniIntClient
 from repro.uip import (
     EncoderState,
     FramebufferUpdate,
+    HEXTILE,
     RAW,
-    ZLIB,
     ZRLE,
     RectUpdate,
 )
@@ -147,14 +150,35 @@ class TestMalformedServerMessages:
         assert client.framebuffer.get_pixel(0, 0) == (0, 0, 0)
         assert client.updates_received == 0
 
-    @pytest.mark.parametrize("encoding", [ZLIB, ZRLE], ids=["zlib", "zrle"])
-    def test_a_corrupt_deflate_stream_closes_the_session(self, encoding):
+    def test_a_corrupt_deflate_stream_closes_the_session(self):
         scheduler, server, client = connected_pair()
         closes = self.watch(client)
         server.endpoint.send(
             Writer().u8(0).pad(1).u16(1)
-            .u16(0).u16(0).u16(8).u16(8).s32(encoding)
+            .u16(0).u16(0).u16(8).u16(8).s32(ZRLE)
             .u32(4).raw(b"junk").getvalue())
+        scheduler.run_until_idle()  # must not raise
+        assert closes == [True]
+        assert client.updates_received == 0
+
+    @pytest.mark.parametrize("encoding", [2, 6], ids=["rre", "zlib"])
+    def test_a_retired_encoding_closes_the_session(self, encoding):
+        """RFB's RRE and ZLIB are no UIP encodings: a well-formed black
+        8x8 rect in either is refused like any encoding UIP lacks."""
+        scheduler, server, client = connected_pair()
+        closes = self.watch(client)
+        black = bytes(8 * 8 * 4)
+        if encoding == 2:  # no subrects over a background pixel
+            payload = Writer().u32(0).raw(black[:4]).getvalue()
+        else:  # the pixels through a fresh deflate stream
+            deflater = zlib.compressobj()
+            stream = (deflater.compress(black)
+                      + deflater.flush(zlib.Z_SYNC_FLUSH))
+            payload = Writer().u32(len(stream)).raw(stream).getvalue()
+        server.endpoint.send(
+            Writer().u8(0).pad(1).u16(1)
+            .u16(0).u16(0).u16(8).u16(8).s32(encoding)
+            .raw(payload).getvalue())
         scheduler.run_until_idle()  # must not raise
         assert closes == [True]
         assert client.updates_received == 0
@@ -170,3 +194,34 @@ class TestMalformedServerMessages:
         scheduler.run_until_idle()
         assert closes == [True]
         assert updates == [] and client.updates_received == 0
+
+    def test_the_header_alone_of_a_rect_outside_the_mirror_closes_it(self):
+        """A RAW header claiming 60000x60000 pixels (13 GB) is refused as
+        it arrives, not waited on."""
+        scheduler, server, client = connected_pair()
+        closes = self.watch(client)
+        server.endpoint.send(
+            Writer().u8(0).pad(1).u16(1)
+            .u16(0).u16(0).u16(60000).u16(60000).s32(RAW).getvalue())
+        scheduler.run_until_idle()
+        assert closes == [True]
+        assert not server.endpoint.is_open
+
+    def test_an_oversized_hextile_update_is_refused_in_little_memory(self):
+        """4,116 bytes of HEXTILE claiming 1024x1024: one tile sets the
+        background and 4,095 keep it.  Decoded, that is a 4 MB array."""
+        scheduler, server, client = connected_pair()  # a 64x48 mirror
+        closes = self.watch(client)
+        data = (Writer().u8(0).pad(1).u16(1)
+                .u16(0).u16(0).u16(1024).u16(1024).s32(HEXTILE)
+                .u8(2).raw(bytes(4)).raw(bytes(64 * 64 - 1)).getvalue())
+        assert len(data) == 4116
+        server.endpoint.send(data)
+        tracemalloc.start()
+        try:
+            scheduler.run_until_idle()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert closes == [True]
+        assert peak < 1 << 20
