@@ -26,6 +26,7 @@ from repro.proxy.plugins import (
     UniversalEvent,
 )
 from repro.uip import keysyms
+from repro.uip.encodings import EncodeCache, content_digest
 from repro.uip.messages import KeyEvent
 from repro.util.errors import PluginError
 
@@ -77,9 +78,12 @@ class PhoneOutputPlugin(OutputPlugin):
 
     Error diffusion wins on this tiny static screen: panel text stays far
     more legible than with ordered dithering at 1 bit.  It also spreads
-    every change down and across the screen, so the plug-in dithers the
-    whole fitted frame, keeps the packed rows it last sent and ships the
-    box of bytes that differ from them.
+    every change down and across the screen, so the plug-in makes the
+    whole screen of a fitted frame, keeps the packed rows it last sent
+    and ships the box of bytes that differ from them.  A panel shows few
+    distinct frames as the focus steps through it, so the screen made of
+    each fitted frame is kept in :attr:`screens`: each distinct fitted
+    frame is dithered once.
     """
 
     def __init__(self, descriptor: DeviceDescriptor,
@@ -87,15 +91,23 @@ class PhoneOutputPlugin(OutputPlugin):
         super().__init__(descriptor, context)
         #: The packed 1-bit screen rows the device was last sent.
         self._sent: Optional[np.ndarray] = None
+        #: Packed screens by fitted frame: its shape and pixel digest (the
+        #: letterbox offsets follow from the shape).
+        self.screens = EncodeCache()
 
     def transform(self, frame: Bitmap, dirty: Rect) -> DeviceImage:
         view, scaled, box = self.fit_frame(frame, dirty)
-        gray = ops.to_grayscale(scaled)
-        dithered = ops.floyd_steinberg(gray, levels=2)
-        canvas = np.zeros((self.screen.height, self.screen.width))
-        canvas[view.offset_y:view.offset_y + scaled.height,
-               view.offset_x:view.offset_x + scaled.width] = dithered
-        rows = np.frombuffer(ops.pack_mono(canvas), dtype=np.uint8).reshape(
+        key = (scaled.pixels.shape, content_digest(scaled.pixels))
+        packed = self.screens.get(key)
+        if packed is None:
+            gray = ops.to_grayscale(scaled)
+            dithered = ops.floyd_steinberg(gray, levels=2)
+            canvas = np.zeros((self.screen.height, self.screen.width))
+            canvas[view.offset_y:view.offset_y + scaled.height,
+                   view.offset_x:view.offset_x + scaled.width] = dithered
+            packed = ops.pack_mono(canvas)
+            self.screens.put(key, packed)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(
             self.screen.height, -1)
         sent, self._sent = self._sent, rows
         if box is None:

@@ -57,16 +57,24 @@ _HEX_COLOURED = 16
 _KEEP_BACKGROUND = re.compile(rb"\x00+")
 
 
-class EncodeCache:
-    """Content-keyed LRU of encoded rect payloads.
+def content_digest(pixels: np.ndarray) -> bytes:
+    """The blake2b digest of ``pixels`` that content keys carry."""
+    return hashlib.blake2b(np.ascontiguousarray(pixels).data,
+                           digest_size=16).digest()
 
-    Keys are ``(encoding, pixel_format, shape, digest-of-pixels)``, so a
-    hit is only possible when the exact same pixels are re-encoded with
-    the same parameters: re-damaged-but-unchanged tiles (blinking widgets,
-    toggling panels) skip the whole encode.  A ZRLE payload rides the
-    persistent deflate stream, so it is never cached; ZRLE caches its
-    position-*independent* tile stream and pays only the per-session
-    deflate on a hit.
+
+class EncodeCache:
+    """Content-keyed LRU of encoded payloads.
+
+    Rect payloads are keyed by ``(encoding, pixel_format, shape,
+    digest-of-pixels)``, so a hit is only possible when the exact same
+    pixels are re-encoded with the same parameters: re-damaged-but-
+    unchanged tiles (blinking widgets, toggling panels) skip the whole
+    encode.  A ZRLE payload rides the persistent deflate stream, so it is
+    never cached; ZRLE caches its position-*independent* tile stream and
+    pays only the per-session deflate on a hit.  The phone's output
+    plug-in is the second user: it keeps the packed 1-bit screen it made
+    of each fitted frame.
 
     Bounded both by entry count and by total payload bytes so one huge RAW
     frame cannot evict an entire panel's worth of small HEXTILE payloads.
@@ -141,9 +149,8 @@ class EncoderState:
 
     def cache_key(self, packed: np.ndarray, encoding: int) -> tuple:
         """The content key ``encode_rect`` caches payloads under."""
-        digest = hashlib.blake2b(
-            np.ascontiguousarray(packed).data, digest_size=16).digest()
-        return (encoding, self.pixel_format, packed.shape, digest)
+        return (encoding, self.pixel_format, packed.shape,
+                content_digest(packed))
 
 
 class DecoderState:
@@ -806,7 +813,14 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
     if encoding == HEXTILE:
         return decode_hextile(cursor, width, height, pf)
     if encoding == ZRLE:
-        data = state.inflate(cursor.take(cursor.u32()),
-                             _zrle_limit(width, height, pf))
+        limit = _zrle_limit(width, height, pf)
+        # zlib's compressBound: at zlib's default memLevel, as EncoderState
+        # deflates, no sync-flushed deflate of limit bytes is longer
+        bound = limit + (limit >> 12) + (limit >> 14) + (limit >> 25) + 13
+        length = cursor.u32()
+        if length > bound:
+            raise ProtocolError(f"ZRLE rect of {length} bytes is longer "
+                                f"than any deflate of {limit} bytes")
+        data = state.inflate(cursor.take(length), limit)
         return decode_zrle_tiles(data, width, height, pf)
     raise ProtocolError(f"cannot decode encoding {encoding}")

@@ -1,13 +1,16 @@
 """Property: a dirty-rect output plug-in matches a full transform.
 
 Each plug-in keeps its last scaled bitmap and rescales only the ``dirty``
-footprint of a push, and ships a box of the screen.  Whatever the frame
-size (scaled down, or shown 1:1) and whatever in-place damage happens
-between pushes, as long as ``dirty`` covers it, the screen the pushed
-images build must be byte-identical after every push to what a fresh
-plug-in makes of the whole frame, and every box must lie inside the
-screen — and a new frame object must be rescaled whole and sent as a
-full frame, whatever ``dirty`` says.
+footprint of a push, and ships a box of the screen; the phone also keeps
+the screen it made of each fitted frame, and reuses it when that frame
+comes back.  Whatever the frame size (scaled down, or shown 1:1) and
+whatever in-place damage happens between pushes — new pixels, or the
+pixels of an earlier push restored, as they were or one pixel off — as
+long as ``dirty`` covers it, the screen the pushed images build must be
+byte-identical after every push to what a fresh plug-in makes of the
+whole frame, and every box must lie inside the screen — and a new frame
+object must be rescaled whole and sent as a full frame, whatever
+``dirty`` says.
 """
 
 import numpy as np
@@ -58,22 +61,34 @@ def frame_size(draw, screen):
 def scenarios(draw, screen):
     """A frame size and damage steps, plus a seed for the pixels.
 
-    A step is the rects changed in place before one push, and the
-    ``dirty`` passed with it: their bounds, grown by a random margin.
+    A step, before one push, either paints random rects in place
+    (``("paint", rects, grow)``) or restores the pixels of push ``back``
+    (0 is the first), with pixel ``poke`` then changed unless it is
+    ``None`` (``("revisit", back, poke, grow)``).  The push's ``dirty``
+    is the bounds of what changed, grown by ``grow`` on every side.
     """
     width, height = frame_size(draw, screen)
     steps = []
-    for _ in range(draw(st.integers(1, 4))):
-        changed = draw(st.lists(sub_rect(width, height),
-                                min_size=1, max_size=3))
-        bounds = changed[0]
-        for rect in changed[1:]:
-            bounds = bounds.union_bounds(rect)
+    for pushed in range(1, draw(st.integers(1, 5)) + 1):
         grow = draw(st.integers(0, 6))
-        dirty = Rect(bounds.x - grow, bounds.y - grow,
-                     bounds.w + 2 * grow, bounds.h + 2 * grow)
-        steps.append((changed, dirty))
+        if draw(st.booleans()):
+            poke = draw(st.none() | st.tuples(st.integers(0, width - 1),
+                                               st.integers(0, height - 1)))
+            steps.append(("revisit", draw(st.integers(0, pushed - 1)),
+                          poke, grow))
+        else:
+            steps.append(("paint", draw(st.lists(
+                sub_rect(width, height), min_size=1, max_size=3)), grow))
     return width, height, steps, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def changed_bounds(before, after):
+    """The bounds of the pixels that differ between two pixel arrays."""
+    ys, xs = np.nonzero((before != after).any(axis=2))
+    if not len(ys):
+        return Rect(0, 0, 0, 0)
+    return Rect(int(xs.min()), int(ys.min()), int(xs.max() - xs.min()) + 1,
+                int(ys.max() - ys.min()) + 1)
 
 
 @pytest.mark.parametrize("kind", DEVICES, ids=lambda kind: kind.kind)
@@ -90,10 +105,25 @@ def test_every_push_equals_a_full_transform(kind, data):
     screen = ScreenReplay()
     assert screen.show(plugin.process(frame, frame.bounds)) == full_image(
         device, frame)
-    for changed, dirty in steps:
-        for rect in changed:
-            frame.view(rect)[:] = rng.integers(
-                0, 256, (rect.h, rect.w, 3), dtype=np.uint8)
+    pushed = [frame.pixels.copy()]
+    for step in steps:
+        before = frame.pixels.copy()
+        if step[0] == "paint":
+            _, rects, grow = step
+            for rect in rects:
+                frame.view(rect)[:] = rng.integers(
+                    0, 256, (rect.h, rect.w, 3), dtype=np.uint8)
+        else:
+            _, back, poke, grow = step
+            frame.pixels[:] = pushed[back]
+            if poke is not None:
+                x, y = poke
+                frame.pixels[y, x] = 255 - frame.pixels[y, x]
+        bounds = changed_bounds(before, frame.pixels)
+        dirty = bounds if bounds.is_empty else Rect(
+            bounds.x - grow, bounds.y - grow,
+            bounds.w + 2 * grow, bounds.h + 2 * grow)
+        pushed.append(frame.pixels.copy())
         assert screen.show(plugin.process(frame, dirty)) == full_image(
             device, frame)
     # a new frame object is rescaled whole, whatever ``dirty`` says

@@ -16,6 +16,7 @@ from repro.devices import (
     WallDisplay,
 )
 from repro.devices.gesture import classify_stroke
+from repro.graphics import Bitmap, Rect, ops
 from repro.net import frame_chunks
 from repro.proxy import DeviceImage, UniIntProxy
 from repro.proxy.plugins import LINK_TAG_IMAGE, SessionContext, ViewTransform
@@ -23,6 +24,7 @@ from repro.uip import keysyms
 from repro.uip.messages import KeyEvent, PointerEvent
 from repro.util import Scheduler
 from repro.util.errors import PluginError, ProxyError
+from tests.helpers import ScreenReplay
 
 
 def plugin_for(device, view=True):
@@ -92,6 +94,116 @@ class TestPhoneKeypadPlugin:
     def test_unknown_key_rejected(self):
         with pytest.raises(PluginError):
             self._plugin().translate({"type": "key", "key": "A"})
+
+
+def phone_output_plugin():
+    phone = CellPhone("k", Scheduler())
+    return phone.output_plugin_factory(phone.descriptor, SessionContext())
+
+
+def full_phone_image(pixels):
+    """What a fresh phone plug-in makes of a frame of ``pixels``."""
+    frame = Bitmap.from_array(pixels)
+    return phone_output_plugin().transform(frame, frame.bounds)
+
+
+class TestPhoneScreenCache:
+    """The phone's output plug-in dithers each distinct fitted frame once:
+    a frame that comes back reuses the packed screen made of it."""
+
+    DAMAGE = Rect(96, 72, 48, 24)
+
+    @pytest.fixture
+    def dithers(self, monkeypatch):
+        """The luma shapes ``ops.floyd_steinberg`` is called on."""
+        calls = []
+        dither = ops.floyd_steinberg
+
+        def counted(gray, levels=2):
+            calls.append(gray.shape)
+            return dither(gray, levels)
+
+        monkeypatch.setattr(ops, "floyd_steinberg", counted)
+        return calls
+
+    def frames(self):
+        """Panel-like pixels A of a 240x180 frame (fitted to 128x96 and
+        letterboxed), and B: A with :attr:`DAMAGE` repainted."""
+        a = np.full((180, 240, 3), 206, dtype=np.uint8)
+        a[20:60, 16:224] = (40, 80, 160)
+        a[100:150:7, 30:200] = 0
+        b = a.copy()
+        b[self.DAMAGE.y:self.DAMAGE.y2, self.DAMAGE.x:self.DAMAGE.x2] = (
+            250, 200, 0)
+        return a, b
+
+    def test_a_revisited_frame_is_dithered_once(self, dithers):
+        a, b = self.frames()
+        expected = {"A": full_phone_image(a), "B": full_phone_image(b)}
+        dithers.clear()
+        plugin, screen = phone_output_plugin(), ScreenReplay()
+        frame = Bitmap.from_array(a)
+        assert screen.show(plugin.process(frame, frame.bounds)) == \
+            expected["A"]
+        for name, pixels in [("B", b), ("A", a), ("B", b), ("A", a)]:
+            frame.pixels[:] = pixels
+            image = plugin.process(frame, self.DAMAGE)
+            assert not image.is_full
+            assert screen.show(image) == expected[name]
+        assert dithers == [(96, 128)] * 2
+        assert (plugin.screens.hits, plugin.screens.misses) == (3, 2)
+
+    def test_one_pixel_off_a_revisited_frame_is_dithered_again(
+            self, dithers):
+        a, b = self.frames()
+        plugin, screen = phone_output_plugin(), ScreenReplay()
+        frame = Bitmap.from_array(a)
+        screen.show(plugin.process(frame, frame.bounds))
+        for pixels in (b, a):
+            frame.pixels[:] = pixels
+            screen.show(plugin.process(frame, self.DAMAGE))
+        assert len(dithers) == 2
+        frame.pixels[100, 100] = (206, 206, 206)  # one pixel of a rule
+        image = plugin.process(frame, Rect(100, 100, 1, 1))
+        assert len(dithers) == 3
+        assert screen.show(image) == full_phone_image(frame.pixels)
+
+    def test_a_new_frame_object_is_a_full_frame_without_a_dither(
+            self, dithers):
+        a, b = self.frames()
+        plugin = phone_output_plugin()
+        frame = Bitmap.from_array(a)
+        plugin.process(frame, frame.bounds)
+        frame.pixels[:] = b
+        plugin.process(frame, self.DAMAGE)
+        expected = full_phone_image(a)
+        dithers.clear()
+        image = plugin.process(Bitmap.from_array(a), Rect(0, 0, 1, 1))
+        assert image.is_full and image == expected
+        assert dithers == []
+
+    def test_the_same_bytes_in_another_shape_are_dithered_anew(
+            self, dithers):
+        """A black 6x4 and a black 4x6 frame have the same pixel bytes,
+        but not the same letterbox."""
+        plugin = phone_output_plugin()
+        for shape in [(4, 6, 3), (6, 4, 3)]:
+            pixels = np.zeros(shape, dtype=np.uint8)
+            frame = Bitmap.from_array(pixels)
+            image = plugin.process(frame, frame.bounds)
+            assert image == full_phone_image(pixels)
+        assert len(dithers) == 4  # two for the plug-in, two fresh ones
+
+    def test_distinct_frames_past_the_cap_keep_it_at_the_cap(self, dithers):
+        """Tiny frames are fitted 1:1, so each push is cheap."""
+        plugin = phone_output_plugin()
+        frame = Bitmap(2, 2)
+        cap = plugin.screens.max_entries
+        for n in range(cap + 8):
+            frame.pixels[0, 0] = (n & 255, n >> 8, 0)
+            plugin.process(frame, Rect(0, 0, 1, 1))
+        assert len(dithers) == cap + 8
+        assert len(plugin.screens) == cap
 
 
 class TestVoice:

@@ -18,10 +18,11 @@ from repro.uip import (
     encode_rect,
 )
 from repro.uip.encodings import (
+    DEFLATE_LEVEL,
     decode_zrle_tiles,
     encode_zrle_tiles,
 )
-from repro.uip.wire import Cursor, Writer
+from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
 
 from repro.graphics import PixelFormat
@@ -402,43 +403,62 @@ class TestMalformedZrleStreams:
 class TestZrleInflateBound:
     """The inflater stops at the longest tile stream a rect of the
     header's size can carry, so a short stream cannot claim memory it
-    never pays for on the wire."""
+    never pays for on the wire; and a length field longer than zlib
+    deflates that stream to is refused before its bytes are awaited."""
 
     @staticmethod
-    def payload(chunks):
+    def payload(chunks, level=DEFLATE_LEVEL):
         """A ZRLE rect payload: ``chunks`` through a fresh deflate stream."""
-        deflater = zlib.compressobj()
+        deflater = zlib.compressobj(level)
         stream = b"".join(deflater.compress(c) for c in chunks)
         stream += deflater.flush(zlib.Z_SYNC_FLUSH)
         return Writer().u32(len(stream)).raw(stream).getvalue()
 
     def test_a_stream_inflating_past_the_bound_is_refused_early(self):
-        # 16 MB of zeros deflates to about 16 KB; a 1x1 RGB888 rect's tile
-        # stream holds at most 1 * (4 + 1) + (1 + 127 * 4) = 514 bytes
+        # 16 MB of zeros deflates to about 16 KB, a length a 64x64 RGB888
+        # rect may carry; its tile stream holds at most
+        # 64 * 64 * (4 + 1) + (1 + 127 * 4) = 20989 bytes
         payload = self.payload([bytes(1 << 20)] * 16)
         tracemalloc.start()
         try:
             with pytest.raises(ProtocolError,
-                               match="inflates past 514 bytes"):
-                decode_rect(DecoderState(RGB888), Cursor(payload), 1, 1,
+                               match="inflates past 20989 bytes"):
+                decode_rect(DecoderState(RGB888), Cursor(payload), 64, 64,
                             ZRLE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_a_length_past_any_deflate_of_the_bound_is_refused_unread(self):
+        """A 1x1 RGB888 tile stream holds at most 1 * (4 + 1) +
+        (1 + 127 * 4) = 514 bytes, which zlib deflates to at most
+        compressBound(514) = 527."""
+        with pytest.raises(NeedMore):  # 527 bytes may follow: wait on them
+            decode_rect(DecoderState(RGB888),
+                        Cursor(Writer().u32(527).getvalue()), 1, 1, ZRLE)
+        for length in (528, 0xFFFFFFFF):
+            with pytest.raises(ProtocolError,
+                               match=f"{length} bytes is longer than any "
+                                     f"deflate of 514 bytes"):
+                decode_rect(DecoderState(RGB888),
+                            Cursor(Writer().u32(length).getvalue()), 1, 1,
+                            ZRLE)
+
     def test_the_longest_valid_stream_decodes(self):
         """One 64x64 RGB332 tile in 127-colour palette RLE, every pixel a
-        run of its own written in two bytes: exactly the bound."""
+        run of its own written in two bytes: exactly the bound, deflated
+        at the lowest, the sessions' and the highest level."""
         indices = np.random.default_rng(5).integers(0, 127, 64 * 64)
         palette = np.arange(127, dtype=np.uint8)
         runs = np.zeros((64 * 64, 2), dtype=np.uint8)
         runs[:, 0] = indices | 0x80  # a run flag, then length byte 0: 1
         tiles = bytes([128 + 127]) + palette.tobytes() + runs.tobytes()
         assert len(tiles) == 64 * 64 * (1 + 1) + (1 + 127 * 1)
-        out = decode_rect(DecoderState(RGB332), Cursor(self.payload(
-            [tiles])), 64, 64, ZRLE)
-        assert np.array_equal(out.reshape(-1), palette[indices])
+        for level in (0, DEFLATE_LEVEL, 9):
+            out = decode_rect(DecoderState(RGB332), Cursor(self.payload(
+                [tiles], level)), 64, 64, ZRLE)
+            assert np.array_equal(out.reshape(-1), palette[indices])
 
 
 class TestEncodeCacheLimits:

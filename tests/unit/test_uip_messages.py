@@ -368,17 +368,26 @@ class TestHandshakeRefusals:
 
 
 class TestMalformedServerStream:
-    @pytest.mark.parametrize("size, refusal", [
-        (8, "trailing bytes"),
-        (64, "inflates past"),
-    ], ids=["longer-than-its-tiles", "past-the-bound"])
-    def test_zrle_rect_inflating_to_the_wrong_size(self, size, refusal):
+    @pytest.mark.parametrize("size, noise, refusal", [
+        (8, True, "trailing bytes"),
+        (64, False, "inflates past"),
+        (64, True, "longer than any deflate"),
+    ], ids=["longer-than-its-tiles", "past-the-bound", "past-any-deflate"])
+    def test_zrle_rect_inflating_to_the_wrong_size(self, size, noise,
+                                                   refusal):
         """A ZRLE rect whose header promises 8x4 pixels but whose stream
-        holds the tiles of a larger rect must not reach the mirror."""
-        noise = np.random.default_rng(size).integers(
-            0, 1 << 24, (size, size), dtype=np.uint32)
+        holds the tiles of a larger rect must not reach the mirror.  The
+        16-colour diagonals of a 64x64 rect pack to 2,113 bytes of tiles
+        that deflate to 152, a length an 8x4 rect may carry; its noise
+        deflates to more than any 8x4 rect's tiles can."""
+        if noise:
+            pixels = np.random.default_rng(size).integers(
+                0, 1 << 24, (size, size), dtype=np.uint32)
+        else:
+            ys, xs = np.indices((size, size))
+            pixels = ((xs + ys) % 16 * 0x0F0F0F).astype(np.uint32)
         lying = Writer().u8(0).pad(1).u16(1).u16(0).u16(0).u16(8).u16(4)
-        payload = enc.encode_rect(EncoderState(RGB888), noise, ZRLE)
+        payload = enc.encode_rect(EncoderState(RGB888), pixels, ZRLE)
         decoder = server_decoder()
         with pytest.raises(ProtocolError, match=refusal):
             decoder.feed(lying.s32(ZRLE).raw(payload).getvalue())

@@ -207,6 +207,20 @@ class TestMalformedServerMessages:
         assert closes == [True]
         assert not server.endpoint.is_open
 
+    def test_the_header_alone_of_an_oversized_zrle_rect_closes_it(self):
+        """A 1x1 ZRLE rect whose length field claims 0xFFFFFFFF bytes of
+        deflate stream (at most 527 can be valid) is refused as it
+        arrives, not waited on."""
+        scheduler, server, client = connected_pair()
+        closes = self.watch(client)
+        server.endpoint.send(
+            Writer().u8(0).pad(1).u16(1)
+            .u16(0).u16(0).u16(1).u16(1).s32(ZRLE)
+            .u32(0xFFFFFFFF).getvalue())
+        scheduler.run_until_idle()
+        assert closes == [True]
+        assert not server.endpoint.is_open
+
     def test_an_oversized_hextile_update_is_refused_in_little_memory(self):
         """4,116 bytes of HEXTILE claiming 1024x1024: one tile sets the
         background and 4,095 keep it.  Decoded, that is a 4 MB array."""
