@@ -3,7 +3,6 @@
 A1  incremental damage-tracked updates   vs full-frame refreshes
 A2  fixed HEXTILE                        vs fixed ZRLE
 A3  Floyd-Steinberg vs ordered vs hard threshold on 1-bit screens
-A4  wire pixel format depth (RGB888/565/332) on session bytes
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import panel_frame
-from repro.graphics import RGB332, RGB565, RGB888, ops
+from repro.graphics import ops
 from repro.net import ETHERNET_100, make_pipe
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
@@ -22,7 +21,7 @@ from repro.util import Scheduler
 from repro.windows import DisplayServer
 
 
-def _stack(pixel_format=RGB888, encodings=None, tile_diff=True):
+def _stack(encodings=None, tile_diff=True):
     scheduler = Scheduler()
     window = UIWindow(480, 360)
     col = Column()
@@ -36,9 +35,7 @@ def _stack(pixel_format=RGB888, encodings=None, tile_diff=True):
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100)
     server.accept(pipe.a)
-    kwargs = {"pixel_format": pixel_format}
-    if encodings is not None:
-        kwargs["encodings"] = encodings
+    kwargs = {} if encodings is None else {"encodings": encodings}
     session = proxy.connect(pipe.b, **kwargs)
     scheduler.run_until_idle()
     return scheduler, window, session
@@ -157,15 +154,3 @@ class TestA3DitherChoice:
         d = dithered[:hb, :wb].reshape(hb // 8, 8, wb // 8, 8).mean((1, 3))
         return float(np.abs(s - d).mean())
 
-
-class TestA4WireDepth:
-    @pytest.mark.parametrize("fmt_name,fmt", [
-        ("rgb888", RGB888), ("rgb565", RGB565), ("rgb332", RGB332)])
-    def test_wire_format_bytes(self, benchmark, fmt_name, fmt):
-        def run():
-            scheduler, window, session = _stack(pixel_format=fmt)
-            return _label_workload(scheduler, window, session)
-
-        bytes_used = benchmark.pedantic(run, rounds=3, iterations=1)
-        benchmark.extra_info["upstream_bytes"] = bytes_used
-        benchmark.extra_info["bytes_per_pixel"] = fmt.bytes_per_pixel

@@ -95,9 +95,9 @@ def _legacy_merged_subrects(packed, background):
     return out
 
 
-def _legacy_encode_hextile(packed, pf):
+def _legacy_encode_hextile(packed):
     height, width = packed.shape
-    ps = pf.bytes_per_pixel
+    ps = RGB888.bytes_per_pixel
     writer = Writer()
     prev_bg = None
     prev_fg = None
@@ -112,7 +112,7 @@ def _legacy_encode_hextile(packed, pf):
                 if value == prev_bg:
                     writer.u8(0)
                 else:
-                    writer.u8(_HEX_BG).raw(_pixel_bytes(value, pf))
+                    writer.u8(_HEX_BG).raw(_pixel_bytes(value))
                     prev_bg = value
                 continue
             background = _legacy_most_common(tile)
@@ -122,18 +122,18 @@ def _legacy_encode_hextile(packed, pf):
             body = Writer()
             if background != prev_bg:
                 subenc |= _HEX_BG
-                body.raw(_pixel_bytes(background, pf))
+                body.raw(_pixel_bytes(background))
             if coloured:
                 subenc |= _HEX_COLOURED
             else:
                 foreground = int(uniques[uniques != background][0])
                 if foreground != prev_fg:
                     subenc |= _HEX_FG
-                    body.raw(_pixel_bytes(foreground, pf))
+                    body.raw(_pixel_bytes(foreground))
             body.u8(len(subrects))
             for x, y, w, h, value in subrects:
                 if coloured:
-                    body.raw(_pixel_bytes(value, pf))
+                    body.raw(_pixel_bytes(value))
                 body.u8((x << 4) | y)
                 body.u8(((w - 1) << 4) | (h - 1))
             encoded = body.getvalue()
@@ -190,7 +190,7 @@ def test_encode_core(benchmark, size, workload, codec):
     encoding = {"hextile": HEXTILE, "zrle": ZRLE}[codec]
 
     payload = benchmark(lambda: encode_rect(
-        EncoderState(RGB888), packed, encoding))
+        EncoderState(), packed, encoding))
     benchmark.extra_info["payload_bytes"] = len(payload)
     benchmark.extra_info["raw_bytes"] = packed.nbytes
 
@@ -223,7 +223,7 @@ def _sequence_cost(frames, encoding) -> tuple[int, float]:
     total = 0
     best = None
     for _ in range(3):
-        state = EncoderState(RGB888)
+        state = EncoderState()
         run_total = 0
         start = time.perf_counter()
         for packed in frames:
@@ -271,13 +271,11 @@ def test_encode_core_speedup_and_records(smoke, record_dir):
     for size_name, (width, height) in sizes.items():
         for workload in ("solid", "panel-churn", "noise"):
             packed = _workload(workload, width, height)
-            before_payload = _legacy_encode_hextile(packed, RGB888)
-            after_payload = encode_rect(EncoderState(RGB888), packed,
-                                        HEXTILE)
-            before_s = _best_of(lambda: _legacy_encode_hextile(packed,
-                                                               RGB888))
+            before_payload = _legacy_encode_hextile(packed)
+            after_payload = encode_rect(EncoderState(), packed, HEXTILE)
+            before_s = _best_of(lambda: _legacy_encode_hextile(packed))
             after_s = _best_of(lambda: encode_rect(
-                EncoderState(RGB888), packed, HEXTILE))
+                EncoderState(), packed, HEXTILE))
             key = f"{workload}/{size_name}/hextile"
             results["encoders"][key] = {
                 "before_s": before_s,

@@ -48,7 +48,7 @@ def test_encode_panel(benchmark, screen, codec):
 
     def run():
         # fresh state per iteration so ZRLE's stream history is identical
-        return encode_rect(EncoderState(RGB888), packed, encoding)
+        return encode_rect(EncoderState(), packed, encoding)
 
     payload = benchmark(run)
     benchmark.extra_info["payload_bytes"] = len(payload)
@@ -61,10 +61,10 @@ def test_decode_panel(benchmark, codec):
     width, height = SCREENS["pda-320x240"]
     packed = RGB888.pack_array(panel_frame(width, height).pixels)
     encoding = ENCODINGS[codec]
-    payload = encode_rect(EncoderState(RGB888), packed, encoding)
+    payload = encode_rect(EncoderState(), packed, encoding)
 
     def run():
-        out = decode_rect(DecoderState(RGB888), Cursor(payload), width,
+        out = decode_rect(DecoderState(), Cursor(payload), width,
                           height, encoding)
         return out
 
@@ -81,7 +81,7 @@ def test_encode_noise_worst_case(benchmark):
     packed = RGB888.pack_array(noise.pixels)
 
     payload = benchmark(
-        lambda: encode_rect(EncoderState(RGB888), packed, HEXTILE))
+        lambda: encode_rect(EncoderState(), packed, HEXTILE))
     n_tiles = ((240 + 15) // 16) * ((320 + 15) // 16)
     assert len(payload) <= packed.nbytes + n_tiles
     benchmark.extra_info["overhead_bytes"] = len(payload) - packed.nbytes
@@ -92,7 +92,7 @@ def test_encode_cache_warm_hit(benchmark, codec):
     """Re-encoding unchanged content costs one hash, not a full encode."""
     packed = RGB888.pack_array(panel_frame(320, 240).pixels)
     encoding = ENCODINGS[codec]
-    state = EncoderState(RGB888, cache=EncodeCache())
+    state = EncoderState(cache=EncodeCache())
     cold = encode_rect(state, packed, encoding)
 
     payload = benchmark(lambda: encode_rect(state, packed, encoding))
@@ -115,7 +115,7 @@ def test_multi_session_encode_fanout(benchmark, sessions, mode):
 
     def run():
         cache = EncodeCache() if mode == "shared-cache" else None
-        states = [EncoderState(RGB888, cache=cache) for _ in range(sessions)]
+        states = [EncoderState(cache=cache) for _ in range(sessions)]
         return [encode_rect(state, packed, HEXTILE) for state in states]
 
     payloads = benchmark(run)
@@ -130,7 +130,7 @@ def test_zrle_second_frame_dictionary_gain(benchmark):
     packed = RGB888.pack_array(panel_frame(320, 240).pixels)
 
     def run():
-        state = EncoderState(RGB888)
+        state = EncoderState()
         first = encode_rect(state, packed, ZRLE)
         second = encode_rect(state, packed, ZRLE)
         return first, second

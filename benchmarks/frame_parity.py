@@ -4,7 +4,10 @@ A rendering or codec change must leave every device screen as it was.
 This script extracts a base revision with ``git archive`` into a
 temporary directory and runs the same seeded closed-loop workloads of
 ``benchmarks/e2e`` (pda-tap, remote-browse, phone-tap, hotplug; seeds 1-3,
-60 interactions each) in that tree and in the working tree.  For each it
+60 interactions each) in that tree and in the working tree.  Every home
+offers HEXTILE first, so each workload also runs once more at seed 1
+with its session switched to ZRLE: after ``build()`` the proxy's
+upstream sends ``SetEncodings((ZRLE, RAW))``.  For each run it
 compares:
 
 * the digest of the output device's whole screen after every frame, and
@@ -15,7 +18,7 @@ Usage::
     python3 benchmarks/frame_parity.py BASE
     make frame-parity BASE=<rev>
 
-It prints one line per workload and seed, and exits 1 on any difference
+It prints one line per run, and exits 1 on any difference
 (0 when every frame and interaction matches).  It writes nothing inside
 the repository: the base tree lives in a temporary directory, and the
 children run with bytecode writing off.
@@ -35,6 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("PdaTap", "RemoteBrowse", "PhoneTap", "Hotplug")
 SEEDS = (1, 2, 3)
+#: Each workload's runs as ``(seed, zrle)``: every seed in the program's
+#: default encoding, HEXTILE, then seed 1 switched to ZRLE.
+RUNS = tuple((seed, False) for seed in SEEDS) + ((1, True),)
 INTERACTIONS = 60
 
 
@@ -44,16 +50,24 @@ def _digest(data: bytes) -> str:
 
 def collect(root: str) -> dict:
     """Screens after every frame and UIP bytes per interaction, by
-    ``workload/seed``, for the tree at ``root``."""
+    ``workload/seed`` (``workload/seed/zrle`` for a ZRLE run), for the
+    tree at ``root``."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [f"{root}/src", f"{root}/benchmarks/e2e"]
     import workloads
+    from repro.uip import RAW, ZRLE, SetEncodings
 
     runs = {}
     for name in WORKLOADS:
-        for seed in SEEDS:
+        for seed, zrle in RUNS:
             workload = getattr(workloads, name)(seed, 0)
             workload.build()
+            if zrle:
+                workload.home.session.upstream.endpoint.send(
+                    SetEncodings((ZRLE, RAW)).encode())
+                workload.home.settle()
+                if workload.home.server_session.encodings[0] != ZRLE:
+                    raise RuntimeError(f"{name}: no switch to ZRLE")
             output = workload.output
             screens = [_digest(output.screen_image.data)]
             output.on_frame = lambda image, o=output: screens.append(
@@ -76,7 +90,8 @@ def collect(root: str) -> dict:
                 workload.home.settle()
                 uip.append(_digest(b"".join(sent)))
             workload.close()
-            runs[f"{name}/{seed}"] = {"screens": screens, "uip": uip}
+            key = f"{name}/{seed}" + ("/zrle" if zrle else "")
+            runs[key] = {"screens": screens, "uip": uip}
     return runs
 
 

@@ -23,7 +23,7 @@ Layered architecture (each layer importable on its own):
 ========================  ====================================================
 ``repro.util``            virtual clock + deterministic event scheduler
 ``repro.net``             link profiles, scheduled byte pipes, framing
-``repro.graphics``        bitmaps, pixel formats, regions, dithering, fonts
+``repro.graphics``        bitmaps, wire pixel format, regions, dithering, fonts
 ``repro.uip``             the universal interaction protocol (RFB-class)
 ``repro.toolkit``         the widget toolkit (AWT/GTK+ stand-in)
 ``repro.windows``         the window system (X stand-in)

@@ -259,20 +259,19 @@ class CommandSpine:
     def submit(self, seid: SEID, opcode: str, payload: dict | None = None,
                *, origin: str = "api",
                on_reply: Optional[Callable[[HaviMessage], None]] = None,
-               timeout_s: Optional[float] = None,
-               coalesce: Optional[bool] = None) -> Command:
+               timeout_s: Optional[float] = None) -> Command:
         """Mint a :class:`Command` and dispatch (or coalesce) it.
 
-        ``coalesce=None`` auto-detects from the opcode (see
-        :func:`coalescible`); pass True/False to force.  ``on_reply``
-        fires with the raw RESPONSE for DONE/FAILED/TIMED_OUT commands —
-        never for SUPERSEDED ones, which are never sent.
+        Whether it coalesces follows from the opcode (see
+        :func:`coalescible`).  ``on_reply`` fires with the raw RESPONSE
+        for DONE/FAILED/TIMED_OUT commands — never for SUPERSEDED ones,
+        which are never sent.
         """
         now = self._scheduler.now()
         command = Command(self.log.allocate_id(), seid, opcode,
                           dict(payload) if payload else {}, origin, now)
         self.log.record(command)
-        wants_lane = coalescible(opcode) if coalesce is None else coalesce
+        wants_lane = coalescible(opcode)
         if wants_lane:
             lane = self._lanes.get((seid, opcode))
             if lane is not None:

@@ -2,7 +2,7 @@
 
 The universal interaction protocol ships *bitmap images* as its output
 events, so the reproduction needs a real raster stack: a canonical RGB
-:class:`Bitmap`, wire pixel formats (:class:`PixelFormat`), rectangle/region
+:class:`Bitmap`, the wire pixel format (:data:`RGB888`), rectangle/region
 algebra for damage tracking, drawing primitives and a bitmap font for the
 toolkit, and the resampling/quantisation/dithering operators the output
 plug-ins use to adapt images to weak displays.
@@ -10,12 +10,7 @@ plug-ins use to adapt images to weak displays.
 
 from repro.graphics.bitmap import Bitmap
 from repro.graphics.differ import TileDiffer
-from repro.graphics.pixelformat import (
-    RGB332,
-    RGB565,
-    RGB888,
-    PixelFormat,
-)
+from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.graphics.region import Rect, Region
 from repro.graphics import draw, ops
 from repro.graphics.font import Font, default_font
@@ -24,8 +19,6 @@ __all__ = [
     "Bitmap",
     "Font",
     "PixelFormat",
-    "RGB332",
-    "RGB565",
     "RGB888",
     "Rect",
     "Region",

@@ -46,7 +46,6 @@ from repro.context.model import UserSituation
 from repro.context.policy import SelectionPolicy
 from repro.context.preferences import PreferenceStore
 from repro.devices.base import InteractionDevice
-from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.havi.manager import HomeNetwork
 from repro.net import make_pipe
 from repro.net.link import ETHERNET_100
@@ -192,7 +191,6 @@ class Home:
     def __init__(self, width: int = 480, height: int = 360,
                  scheduler: Optional[Scheduler] = None,
                  secret: Optional[str] = None,
-                 pixel_format: PixelFormat = RGB888,
                  preferences: Optional[PreferenceStore] = None,
                  transport: str = "pipe",
                  shared_encode: bool = True,
@@ -225,7 +223,6 @@ class Home:
                                                           if resilience
                                                           else 0.0))
         self._secret = secret
-        self._pixel_format = pixel_format
         self._transport = transport
         #: TCP mode: the I/O reactor, this home's membership in it, and
         #: the real listening socket UIP clients dial.  Device legs ride
@@ -304,7 +301,6 @@ class Home:
     def add_user(self, user_id: str,
                  situation: Optional[UserSituation] = None,
                  preferences: Optional[PreferenceStore] = None,
-                 pixel_format: Optional[PixelFormat] = None,
                  view_of: Optional[str] = None) -> HomeUser:
         """Provision one resident: view + proxy + server session + context.
 
@@ -335,10 +331,7 @@ class Home:
                 server_session = self.uniint_server.accept(
                     link.a, surface=view.surface)
                 client_endpoint = link.b
-            session = proxy.connect(
-                client_endpoint, secret=self._secret,
-                pixel_format=(pixel_format if pixel_format is not None
-                              else self._pixel_format))
+            session = proxy.connect(client_endpoint, secret=self._secret)
             if self._transport == "tcp":
                 server_session = self._await_accept(user_id)
             prefs = (preferences if preferences is not None
@@ -386,7 +379,7 @@ class Home:
 
         The dial closure reopens the upstream leg to this home's server;
         the resuming client's token transplants the parked server state
-        (surface binding, pixel format, encodings), so a TCP reconnect
+        (surface binding, encodings), so a TCP reconnect
         landing on the default surface still ends up on the user's view.
         """
         view = user.view

@@ -14,7 +14,7 @@ touch coordinates back into server framebuffer coordinates.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -174,8 +174,6 @@ class SessionContext:
     input_descriptor: Optional[DeviceDescriptor] = None
     output_descriptor: Optional[DeviceDescriptor] = None
     view: Optional[ViewTransform] = None
-    #: Sticky modifier state for plug-ins that synthesise Shift, etc.
-    modifiers: set = field(default_factory=set)
 
 
 class InputPlugin:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.graphics.pixelformat import RGB888, PixelFormat
 from repro.net.framing import FrameAssembler
 from repro.net.transport import Transport
 from repro.proxy.descriptors import DeviceDescriptor
@@ -125,21 +124,18 @@ class UniIntProxy:
 
     def connect(self, server_endpoint: Transport,
                 secret: Optional[str] = None,
-                pixel_format: PixelFormat = RGB888,
                 encodings: tuple[int, ...] = DEFAULT_ENCODINGS,
                 input_device: Optional[str] = None,
                 output_device: Optional[str] = None) -> ProxySession:
         """Open a session to a UniInt server over the given endpoint.
 
-        The wire pixel format is fixed per session (a mid-stream format
-        change would desynchronise the persistent ZRLE streams); the proxy
-        picks it for the expected device mix and adapts per device with
-        output plug-ins.
+        The session mirrors the server in UIP's one wire pixel format,
+        RGB888; each output device's plug-in converts that mirror for
+        its screen.
         """
         if self.session is not None:
             raise ProxyError("proxy already has an active session")
         upstream = UniIntClient(server_endpoint, secret=secret,
-                                pixel_format=pixel_format,
                                 encodings=encodings)
         self.session = ProxySession(self, upstream)
         if input_device is not None:

@@ -199,8 +199,8 @@ class SessionResilience:
             self._retry_later(f"dial failed: {error}")
             return
         upstream = UniIntClient(
-            endpoint, secret=old.secret, pixel_format=old.pixel_format,
-            encodings=old.encodings, resume_from=old.resume_token)
+            endpoint, secret=old.secret, encodings=old.encodings,
+            resume_from=old.resume_token)
         upstream.on_error = self._on_attempt_error
         upstream.on_session_close = self._on_attempt_close
         upstream.on_ready = self._on_reconnected

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.graphics.bitmap import Bitmap
-from repro.graphics.pixelformat import RGB888, PixelFormat
+from repro.graphics.pixelformat import RGB888
 from repro.graphics.region import Rect
 from repro.net.transport import Transport
 from repro.uip import encodings as enc
@@ -33,7 +33,6 @@ from repro.uip.messages import (
     ServerMessageDecoder,
     SessionGrant,
     SetEncodings,
-    SetPixelFormat,
 )
 from repro.util.errors import GraphicsError, ProtocolError
 
@@ -48,12 +47,10 @@ class UniIntClient:
     """Maintains the framebuffer mirror; forwards universal input events."""
 
     def __init__(self, endpoint: Transport, secret: Optional[str] = None,
-                 pixel_format: PixelFormat = RGB888,
                  encodings: tuple[int, ...] = DEFAULT_ENCODINGS,
                  resume_from: Optional[int] = None) -> None:
         self.endpoint = endpoint
         self.secret = secret
-        self.pixel_format = pixel_format
         self.encodings = encodings
         self._handshake = ClientHandshake(secret=secret)
         self._decoder: Optional[ServerMessageDecoder] = None
@@ -64,7 +61,7 @@ class UniIntClient:
         #: Resume a parked server session instead of renegotiating: after
         #: the handshake this client sends ResumeSession(resume_from) and
         #: one non-incremental update request (the single full-frame
-        #: resync) in place of SetPixelFormat/SetEncodings.
+        #: resync) in place of SetEncodings.
         self.resume_from = resume_from
         #: The token the server granted *this* connection (SessionGrant);
         #: what a future reconnect should present.
@@ -160,15 +157,13 @@ class UniIntClient:
         self.server_name = result.name
         self.framebuffer = Bitmap(result.width, result.height)
         self._decoder = ServerMessageDecoder(
-            enc.DecoderState(self.pixel_format), result.width, result.height)
+            enc.DecoderState(), result.width, result.height)
         if self.resume_from is not None:
-            # warm resume: the parked server state already holds our pixel
-            # format and encodings — present the token and ask for the one
+            # warm resume: the parked server state already holds our
+            # encodings — present the token and ask for the one
             # full-frame resync instead of renegotiating from scratch
             self._send(ResumeSession(self.resume_from).encode())
         else:
-            if self.pixel_format != result.pixel_format:
-                self._send(SetPixelFormat(self.pixel_format).encode())
             self._send(SetEncodings(self.encodings).encode())
         self.request_update(incremental=False)
         if self.on_ready is not None:
@@ -239,6 +234,6 @@ class UniIntClient:
         for rect_update in update.rects:
             rect = rect_update.rect
             mirror.pixels[rect.y:rect.y2, rect.x:rect.x2] = (
-                self.pixel_format.unpack(rect_update.payload))
+                RGB888.unpack(rect_update.payload))
             dirty = dirty.union_bounds(rect)
         return dirty

@@ -9,8 +9,8 @@ window system."
 :class:`~repro.windows.DisplayServer` instances (one
 :class:`ServerSurface` each — per-user views in a multi-user home) and
 accepts any number of UIP connections; each :class:`ServerSession` binds
-to one surface and carries its own handshake, pixel format, encoding
-preferences and incremental update state — the applications above the
+to one surface and carries its own handshake, encoding preferences and
+incremental update state — the applications above the
 window system are untouched, which is the paper's transparency property.
 """
 

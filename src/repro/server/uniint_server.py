@@ -9,10 +9,9 @@ Update pipeline (the damage-tracking fast path):
    how many sessions watch it.
 2. Each session binds to exactly one surface.  It clips + coalesces its
    pending damage and packs pixels via a per-surface pack cache, so N
-   sessions sharing a (surface, pixel format) pack each damaged rect once
-   per frame.
+   sessions sharing a surface pack each damaged rect once per frame.
 3. Whole RAW and HEXTILE ``FramebufferUpdate`` payloads are encoded
-   once per (surface, pixel format, rect list) per frame and the encoded
+   once per (surface, rect list) per frame and the encoded
    *chunk list* fanned out to every session with that configuration
    (*shared-encode broadcast*) — transports take the list vectored, so the
    update is never concatenated.  Sessions on different surfaces never
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.graphics.differ import TileDiffer
-from repro.graphics.pixelformat import RGB888, PixelFormat
+from repro.graphics.pixelformat import RGB888
 from repro.graphics.region import Rect, Region
 from repro.net.transport import Transport
 from repro.uip import encodings as enc
@@ -61,7 +60,6 @@ from repro.uip.messages import (
     ResumeSession,
     SessionGrant,
     SetEncodings,
-    SetPixelFormat,
 )
 from repro.util.errors import GraphicsError, ProtocolError
 from repro.util.scheduler import Scheduler
@@ -81,17 +79,16 @@ class ParkedSession:
 
     When a session's transport dies unexpectedly (RST, partition, crashed
     proxy) while the server has ``resume_grace_s > 0``, this is what
-    survives: the surface binding and the negotiated wire configuration.
-    A reconnecting client presenting the matching token gets all of it
-    back and pays exactly one non-incremental update (its own resync
-    request) instead of a cold renegotiation.  The ZRLE deflate stream
+    survives: the surface binding and the negotiated encodings.  A
+    reconnecting client presenting the matching token gets both back and
+    pays exactly one non-incremental update (its own resync request)
+    instead of a cold renegotiation.  The ZRLE deflate stream
     does *not* survive — both ends restart their streams on the fresh
     connection, which is why parking stores no encoder state.
     """
 
     token: int
     surface: "ServerSurface"
-    pixel_format: PixelFormat
     encodings: tuple[int, ...]
     parked_at: float
 
@@ -117,12 +114,11 @@ class ServerSurface:
         # display owns the content version (anyone may call composite()
         # directly, e.g. Home.screenshot), so validity is checked lazily.
         self._cached_version = display.frame_version
-        self._pack_cache: dict[tuple, object] = {}
+        self._pack_cache: dict[Rect, object] = {}
         self._update_cache: dict[tuple, list[bytes]] = {}
         # One content-keyed encode cache shared by every session on this
-        # surface: stateless payloads and ZRLE tile streams (keys include
-        # the pixel format) are encoded once per surface, however many
-        # sessions watch it.
+        # surface: stateless payloads and ZRLE tile streams are encoded
+        # once per surface, however many sessions watch it.
         self.encode_cache = enc.EncodeCache()
         display.on_damage = self._on_display_damage
 
@@ -162,19 +158,17 @@ class ServerSurface:
             self._pack_cache.clear()
             self._update_cache.clear()
 
-    def _packed_for(self, rect: Rect, pixel_format) -> object:
+    def _packed_for(self, rect: Rect) -> object:
         """The packed pixels of ``rect``, shared across this surface.
 
-        Every session with the same negotiated pixel format reuses one
-        ``pack_array`` result per damaged rect per frame.
+        Every session reuses one ``pack_array`` result per damaged rect
+        per frame.
         """
         self._sync_caches()
-        key = (pixel_format, rect)
-        packed = self._pack_cache.get(key)
+        packed = self._pack_cache.get(rect)
         if packed is None:
-            packed = pixel_format.pack_array(
-                self.display.framebuffer.view(rect))
-            self._pack_cache[key] = packed
+            packed = RGB888.pack_array(self.display.framebuffer.view(rect))
+            self._pack_cache[rect] = packed
             self.server.pack_misses += 1
         else:
             self.server.pack_hits += 1
@@ -186,8 +180,8 @@ class ServerSurface:
 
         Returns a scatter-gather chunk list (see
         :meth:`FramebufferUpdate.encode_chunks`): the update is never
-        concatenated server-side, and sessions whose surface, rect list,
-        encodings and pixel format all match share one encode — the same
+        concatenated server-side, and sessions whose surface, rect list
+        and encodings all match share one encode — the same
         cached chunk list is handed to every such session's transport, so
         a broadcast frame is materialised zero times per extra session.
         A ZRLE rect forces the per-session path (its persistent deflate
@@ -200,8 +194,7 @@ class ServerSurface:
         if not shareable:
             return update.encode_chunks(session._encoder)
         self._sync_caches()
-        key = (session.pixel_format,
-               tuple((r.rect, r.encoding) for r in update.rects))
+        key = tuple((r.rect, r.encoding) for r in update.rects)
         chunks = self._update_cache.get(key)
         if chunks is None:
             chunks = update.encode_chunks(session._encoder)
@@ -231,9 +224,8 @@ class ServerSession:
         display = surface.display
         self._handshake = ServerHandshake(
             display.framebuffer.width, display.framebuffer.height,
-            RGB888, server.name, secret=server.secret)
-        self.pixel_format: PixelFormat = RGB888
-        self._encoder = enc.EncoderState(RGB888, cache=surface.encode_cache)
+            server.name, secret=server.secret)
+        self._encoder = enc.EncoderState(cache=surface.encode_cache)
         #: The client's offer, in its order, less what the server cannot
         #: produce (RAW if nothing is left); every rect goes out in the
         #: first.
@@ -328,14 +320,7 @@ class ServerSession:
     # -- client messages -----------------------------------------------------------
 
     def _handle(self, message) -> None:
-        if isinstance(message, SetPixelFormat):
-            self.pixel_format = message.pixel_format
-            # Keep the encoder (and its content-keyed cache: keys include
-            # the pixel format, so nothing stale can hit); only the
-            # position-dependent ZRLE deflate stream must restart.
-            self._encoder.renegotiate(message.pixel_format)
-            self._pending.add(self.surface.display.framebuffer.bounds)
-        elif isinstance(message, SetEncodings):
+        if isinstance(message, SetEncodings):
             wanted = [e for e in message.encodings if e in SUPPORTED_ENCODINGS]
             self.encodings = tuple(wanted) if wanted else (enc.RAW,)
         elif isinstance(message, FramebufferUpdateRequest):
@@ -378,10 +363,10 @@ class ServerSession:
         """Raw-equivalent wire bytes of the currently withheld damage.
 
         An estimate (the real update would be encoded and smaller): the
-        pixel area of the pending region at the negotiated depth, i.e.
-        what one more queued stale update would roughly have cost.
+        pixel area of the pending region at the wire depth, i.e. what one
+        more queued stale update would roughly have cost.
         """
-        return self._pending.area * self.pixel_format.bytes_per_pixel
+        return self._pending.area * RGB888.bytes_per_pixel
 
     def _try_send(self) -> None:
         if (not self.ready or not self._update_requested
@@ -404,7 +389,7 @@ class ServerSession:
             clipped = rect.intersect(bounds)
             if clipped.is_empty:
                 continue
-            packed = self.surface._packed_for(clipped, self.pixel_format)
+            packed = self.surface._packed_for(clipped)
             rects.append(RectUpdate(clipped, encoding, packed))
         self._pending = Region()
         self._update_requested = False
@@ -454,9 +439,9 @@ class UniIntServer:
         self.sessions_resumed = 0
         self.sessions_expired = 0
         self.resume_misses = 0
-        #: Encode each update once per (surface, pixel format, rect list)
-        #: and fan the bytes out to every session sharing that config
-        #: (ablation toggle).
+        #: Encode each update once per (surface, rect list) and fan the
+        #: bytes out to every session sharing that config (ablation
+        #: toggle).
         self.shared_encode = shared_encode
         #: Refine composite damage to the 16x16 tiles whose pixels actually
         #: changed before distributing it (ablation toggle): geometric
@@ -598,7 +583,6 @@ class UniIntServer:
         self._parked[token] = ParkedSession(
             token=token,
             surface=session.surface,
-            pixel_format=session.pixel_format,
             encodings=session.encodings,
             parked_at=self.scheduler.now())
         self.sessions_parked += 1
@@ -630,8 +614,6 @@ class UniIntServer:
             self.sessions_expired += 1
             self.resume_misses += 1
             return
-        session.pixel_format = parked.pixel_format
-        session._encoder.renegotiate(parked.pixel_format)
         session.encodings = parked.encodings
         target = parked.surface
         if target is not session.surface and target in self.surfaces:

@@ -30,7 +30,7 @@ EXPERIMENT_TITLES = {
     "bench_home_scale": "E6 - uniform control at scale",
     "bench_bandwidth": "E7 - session bandwidth per device class",
     "bench_ddi_vs_uip": "E9 - DDI (semantic) vs universal (pixels)",
-    "bench_ablations": "Ablations A1-A4 - design choices",
+    "bench_ablations": "Ablations A1-A3 - design choices",
 }
 
 

@@ -8,7 +8,7 @@ what the program sends:
 
 * a one-version handshake with optional shared-secret authentication
   (:mod:`repro.uip.handshake`),
-* pixel-format negotiation (:mod:`repro.graphics.pixelformat`),
+* one wire pixel format, RGB888 (:mod:`repro.graphics.pixelformat`),
 * framebuffer-update encodings RAW / HEXTILE / ZRLE
   (:mod:`repro.uip.encodings`),
 * the client and server message vocabularies with incremental byte-stream
@@ -53,7 +53,6 @@ from repro.uip.messages import (
     ServerMessageDecoder,
     SessionGrant,
     SetEncodings,
-    SetPixelFormat,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "ServerMessageDecoder",
     "SessionGrant",
     "SetEncodings",
-    "SetPixelFormat",
     "ZRLE",
     "decode_rect",
     "decode_zrle_tiles",

@@ -6,8 +6,9 @@ output events" viable on 2002-era device links (paper §2.1): a phone on a
 flat-colour rectangles, which HEXTILE represents in a few dozen bytes.
 
 All encoders/decoders operate on *packed* pixel arrays — 2-D numpy arrays
-whose dtype matches the negotiated :class:`~repro.graphics.PixelFormat`
-(``pf.pack_array`` produces them).  Conversion to RGB happens at the edges.
+of UIP's one wire pixel, RGB888's little-endian ``uint32``
+(``RGB888.pack_array`` produces them).  Conversion to RGB happens at the
+edges.
 
 Implemented encodings (numbered as in RFB for familiarity):
 
@@ -32,7 +33,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.graphics.pixelformat import PixelFormat
+from repro.graphics.pixelformat import RGB888
 from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
 
@@ -45,6 +46,10 @@ DEFLATE_LEVEL = 6
 
 _TILE = 16
 _ZRLE_TILE = 64
+
+#: One wire pixel: 4 bytes, little-endian (:data:`RGB888`).
+_PIXEL = RGB888.dtype
+_PS = RGB888.bytes_per_pixel
 
 # Hextile subencoding bits.
 _HEX_RAW = 1
@@ -66,13 +71,13 @@ def content_digest(pixels: np.ndarray) -> bytes:
 class EncodeCache:
     """Content-keyed LRU of encoded payloads.
 
-    Rect payloads are keyed by ``(encoding, pixel_format, shape,
-    digest-of-pixels)``, so a hit is only possible when the exact same
-    pixels are re-encoded with the same parameters: re-damaged-but-
-    unchanged tiles (blinking widgets, toggling panels) skip the whole
-    encode.  A ZRLE payload rides the persistent deflate stream, so it is
-    never cached; ZRLE caches its position-*independent* tile stream and
-    pays only the per-session deflate on a hit.  The phone's output
+    Rect payloads are keyed by ``(encoding, shape, digest-of-pixels)``,
+    so a hit is only possible when the exact same pixels are re-encoded
+    with the same encoding: re-damaged-but-unchanged tiles (blinking
+    widgets, toggling panels) skip the whole encode.  A ZRLE payload
+    rides the persistent deflate stream, so it is never cached; ZRLE
+    caches its position-*independent* tile stream and pays only the
+    per-session deflate on a hit.  The phone's output
     plug-in is the second user: it keeps the packed 1-bit screen it made
     of each fitted frame.
 
@@ -122,26 +127,14 @@ class EncodeCache:
 
 
 class EncoderState:
-    """Per-session encoder state: pixel format, persistent ZRLE deflate
-    stream, and the content-keyed encode cache (``None``: no cache)."""
+    """Per-session encoder state: the persistent ZRLE deflate stream and
+    the content-keyed encode cache (``None``: no cache)."""
 
-    def __init__(self, pixel_format: PixelFormat,
-                 cache: EncodeCache | None = None) -> None:
-        self.pixel_format = pixel_format
+    def __init__(self, cache: EncodeCache | None = None) -> None:
         self._deflater = zlib.compressobj(DEFLATE_LEVEL)
         # Hextile background/foreground persist across tiles of one rect
         # only (reset per encode call) to keep rects independently decodable.
         self.cache = cache
-
-    def renegotiate(self, pixel_format: PixelFormat) -> None:
-        """Adopt a renegotiated wire pixel format, keeping the encode cache.
-
-        Cache keys include the pixel format, so payloads cached under the
-        old format stay valid (and become live again if the client switches
-        back); only the position-dependent deflate stream must restart.
-        """
-        self.pixel_format = pixel_format
-        self._deflater = zlib.compressobj(DEFLATE_LEVEL)
 
     def deflate(self, data: bytes) -> bytes:
         return (self._deflater.compress(data)
@@ -149,15 +142,13 @@ class EncoderState:
 
     def cache_key(self, packed: np.ndarray, encoding: int) -> tuple:
         """The content key ``encode_rect`` caches payloads under."""
-        return (encoding, self.pixel_format, packed.shape,
-                content_digest(packed))
+        return (encoding, packed.shape, content_digest(packed))
 
 
 class DecoderState:
     """Per-session decoder state mirroring :class:`EncoderState`."""
 
-    def __init__(self, pixel_format: PixelFormat) -> None:
-        self.pixel_format = pixel_format
+    def __init__(self) -> None:
         self._inflater = zlib.decompressobj()
 
     def inflate(self, data: bytes, limit: int) -> bytes:
@@ -175,21 +166,12 @@ class DecoderState:
 # -- pixel helpers ---------------------------------------------------------
 
 
-def _pixel_bytes(value: int, pf: PixelFormat) -> bytes:
-    order = "big" if pf.big_endian else "little"
-    return int(value).to_bytes(pf.bytes_per_pixel, order)
+def _pixel_bytes(value: int) -> bytes:
+    return int(value).to_bytes(_PS, "little")
 
 
-def _read_pixel(cursor: Cursor, pf: PixelFormat) -> int:
-    order = "big" if pf.big_endian else "little"
-    return int.from_bytes(cursor.take(pf.bytes_per_pixel), order)
-
-
-def _native(values: np.ndarray) -> np.ndarray:
-    """``values`` with native byte order (lexsort needs it)."""
-    if values.dtype.isnative:
-        return values
-    return values.astype(values.dtype.newbyteorder("="))
+def _read_pixel(cursor: Cursor) -> int:
+    return int.from_bytes(cursor.take(_PS), "little")
 
 
 # -- RAW ------------------------------------------------------------------------
@@ -199,10 +181,9 @@ def encode_raw(packed: np.ndarray) -> bytes:
     return np.ascontiguousarray(packed).tobytes()
 
 
-def decode_raw(cursor: Cursor, width: int, height: int,
-               pf: PixelFormat) -> np.ndarray:
-    data = cursor.take(width * height * pf.bytes_per_pixel)
-    return np.frombuffer(data, dtype=pf.dtype).reshape(height, width).copy()
+def decode_raw(cursor: Cursor, width: int, height: int) -> np.ndarray:
+    data = cursor.take(width * height * _PS)
+    return np.frombuffer(data, dtype=_PIXEL).reshape(height, width).copy()
 
 
 # -- HEXTILE -----------------------------------------------------------------------
@@ -241,15 +222,14 @@ class _HextileBatch:
     The first subrect in (y, x) order donates the foreground.
     """
 
-    __slots__ = ("stack", "pf", "raw_size", "backgrounds", "foregrounds",
+    __slots__ = ("stack", "raw_size", "backgrounds", "foregrounds",
                  "coloured", "offsets", "cblock", "mblock", "emitted")
 
-    def __init__(self, stack: np.ndarray, pf: PixelFormat) -> None:
+    def __init__(self, stack: np.ndarray) -> None:
         n, th, tw = stack.shape
         area = th * tw
         self.stack = stack
-        self.pf = pf
-        self.raw_size = 1 + area * pf.bytes_per_pixel
+        self.raw_size = 1 + area * _PS
         self.emitted = 0
 
         # background = per-tile most-common value: sort each tile's pixels,
@@ -287,7 +267,9 @@ class _HextileBatch:
                                           tiles[keep], within[keep])
         ys, x0s = np.divmod(within, tw)
         x1s = x0s + lengths
-        order = np.lexsort((ys, _native(values), x1s, x0s, tiles))
+        # lexsort needs native byte order
+        order = np.lexsort((ys, values.astype(np.uint32, copy=False), x1s,
+                            x0s, tiles))
         tiles, ys, x0s, x1s, values = (a[order] for a in
                                        (tiles, ys, x0s, x1s, values))
         heads = np.empty(tiles.size, dtype=bool)
@@ -316,7 +298,7 @@ class _HextileBatch:
         xy = ((x0s << 4) | ys).astype(np.uint8)
         wh = (((ws - 1) << 4) | (spans - 1)).astype(np.uint8)
         self.cblock = np.empty(values.size, dtype=np.dtype(
-            [("v", pf.dtype.str), ("xy", "u1"), ("wh", "u1")]))
+            [("v", _PIXEL.str), ("xy", "u1"), ("wh", "u1")]))
         self.cblock["v"] = values
         self.cblock["xy"] = xy
         self.cblock["wh"] = wh
@@ -337,7 +319,7 @@ class _HextileBatch:
         head = b""
         if background != prev_bg:
             subenc |= _HEX_BG
-            head += _pixel_bytes(background, self.pf)
+            head += _pixel_bytes(background)
         if self.coloured[i]:
             subenc |= _HEX_COLOURED
             foreground = prev_fg
@@ -346,7 +328,7 @@ class _HextileBatch:
             foreground = self.foregrounds[i]
             if foreground != prev_fg:
                 subenc |= _HEX_FG
-                head += _pixel_bytes(foreground, self.pf)
+                head += _pixel_bytes(foreground)
             body = self.mblock[s:e].tobytes()
         if 2 + len(head) + len(body) >= self.raw_size or e - s > 255:
             writer.u8(_HEX_RAW).raw(self.stack[i].tobytes())
@@ -355,7 +337,7 @@ class _HextileBatch:
         return background, foreground
 
 
-def encode_hextile(packed: np.ndarray, pf: PixelFormat) -> bytes:
+def encode_hextile(packed: np.ndarray) -> bytes:
     height, width = packed.shape
     if packed.size == 0:
         return b""
@@ -377,7 +359,7 @@ def encode_hextile(packed: np.ndarray, pf: PixelFormat) -> bytes:
                 ny, nx = grid.shape
                 th, tw = region.shape[0] // ny, region.shape[1] // nx
                 stack = region.reshape(ny, th, nx, tw).transpose(0, 2, 1, 3)
-                batches[edge_y, edge_x] = _HextileBatch(stack[grid], pf)
+                batches[edge_y, edge_x] = _HextileBatch(stack[grid])
     writer = Writer()
     prev_bg: int | None = None
     prev_fg: int | None = None
@@ -391,13 +373,12 @@ def encode_hextile(packed: np.ndarray, pf: PixelFormat) -> bytes:
             if value == prev_bg:
                 writer.u8(0)
             else:
-                writer.u8(_HEX_BG).raw(_pixel_bytes(value, pf))
+                writer.u8(_HEX_BG).raw(_pixel_bytes(value))
                 prev_bg = value
     return writer.getvalue()
 
 
-def decode_hextile(cursor: Cursor, width: int, height: int,
-                   pf: PixelFormat) -> np.ndarray:
+def decode_hextile(cursor: Cursor, width: int, height: int) -> np.ndarray:
     """Walk every tile of the payload, then paint them all.
 
     The walk reads through a local offset into ``cursor.data`` (one regex
@@ -407,8 +388,7 @@ def decode_hextile(cursor: Cursor, width: int, height: int,
     over it, then writes every subrect pixel in one assignment.
     """
     data, pos, end = cursor.data, cursor.pos, len(cursor.data)
-    ps = pf.bytes_per_pixel
-    order = "big" if pf.big_endian else "little"
+    ps = _PS
     columns = -(-width // _TILE)
     tiles = columns * -(-height // _TILE)
     backgrounds: list[int] = []  # one per tile, in scan order
@@ -444,7 +424,7 @@ def decode_hextile(cursor: Cursor, width: int, height: int,
         if subenc & _HEX_BG:
             if pos + ps > end:
                 raise NeedMore(pos + ps)
-            background = int.from_bytes(data[pos:pos + ps], order)
+            background = int.from_bytes(data[pos:pos + ps], "little")
             pos += ps
         if subenc & _HEX_FG:
             if pos + ps > end:
@@ -465,16 +445,16 @@ def decode_hextile(cursor: Cursor, width: int, height: int,
             foreground + block[i:i + 2] for i in range(0, len(block), 2)))
         owners.append((data[pos], ty * width + tx, tw, th))
         pos = block_end
-    grid = np.array(backgrounds, dtype=pf.dtype).reshape(
+    grid = np.array(backgrounds, dtype=_PIXEL).reshape(
         -(-height // _TILE), columns)
     out = np.ascontiguousarray(np.repeat(np.repeat(
         grid, _TILE, axis=0), _TILE, axis=1)[:height, :width])
     for y, x, h, w, pixels in raws:
         out[y:y + h, x:x + w] = np.frombuffer(
-            pixels, dtype=pf.dtype).reshape(h, w)
+            pixels, dtype=_PIXEL).reshape(h, w)
     if owners:
         records = np.frombuffer(b"".join(blocks), dtype=[
-            ("v", pf.dtype.str), ("xy", "u1"), ("wh", "u1")])
+            ("v", _PIXEL.str), ("xy", "u1"), ("wh", "u1")])
         counts, offsets, tws, ths = np.array(owners).T
         offset, tw, th = (np.repeat(a, counts) for a in (offsets, tws, ths))
         sx, sy = np.divmod(records["xy"].astype(np.intp), _TILE)
@@ -583,8 +563,7 @@ def _zrle_unpack_indices(cursor: Cursor, height: int, width: int,
     return idx[:, :width]
 
 
-def _zrle_encode_tile(out: bytearray, tile: np.ndarray,
-                      pf: PixelFormat) -> None:
+def _zrle_encode_tile(out: bytearray, tile: np.ndarray) -> None:
     """Append one non-solid tile's cheapest subencoding to the stream.
 
     Candidate sizes are computed arithmetically *before* any body is
@@ -594,7 +573,7 @@ def _zrle_encode_tile(out: bytearray, tile: np.ndarray,
     from its min/max pass.
     """
     th, tw = tile.shape
-    ps = pf.bytes_per_pixel
+    ps = _PS
     area = th * tw
     flat = tile.reshape(-1)
     # The run decomposition doubles as cheap palette extraction: every
@@ -658,28 +637,27 @@ def _zrle_encode_tile(out: bytearray, tile: np.ndarray,
         out += buf.tobytes()
 
 
-def _zrle_decode_tile(cursor: Cursor, th: int, tw: int,
-                      pf: PixelFormat) -> np.ndarray:
-    ps = pf.bytes_per_pixel
+def _zrle_decode_tile(cursor: Cursor, th: int, tw: int) -> np.ndarray:
+    ps = _PS
     area = th * tw
     subenc = cursor.u8()
     if subenc == _ZRLE_RAW:
         return np.frombuffer(cursor.take(area * ps),
-                             dtype=pf.dtype).reshape(th, tw)
+                             dtype=_PIXEL).reshape(th, tw)
     if subenc == _ZRLE_SOLID:
-        return np.full((th, tw), _read_pixel(cursor, pf), dtype=pf.dtype)
+        return np.full((th, tw), _read_pixel(cursor), dtype=_PIXEL)
     if 2 <= subenc <= 16:
-        palette = np.frombuffer(cursor.take(subenc * ps), dtype=pf.dtype)
+        palette = np.frombuffer(cursor.take(subenc * ps), dtype=_PIXEL)
         idx = _zrle_unpack_indices(cursor, th, tw, subenc)
         if int(idx.max(initial=0)) >= subenc:
             raise ProtocolError(f"ZRLE palette index out of range "
                                 f"(palette size {subenc})")
         return palette[idx]
     if subenc == _ZRLE_PLAIN_RLE:
-        flat = np.empty(area, dtype=pf.dtype)
+        flat = np.empty(area, dtype=_PIXEL)
         filled = 0
         while filled < area:
-            value = _read_pixel(cursor, pf)
+            value = _read_pixel(cursor)
             length = _read_run_length(cursor)
             if filled + length > area:
                 raise ProtocolError("ZRLE run exceeds tile")
@@ -689,8 +667,8 @@ def _zrle_decode_tile(cursor: Cursor, th: int, tw: int,
     if subenc >= _ZRLE_PLAIN_RLE + 2:
         palette_size = subenc - _ZRLE_PLAIN_RLE
         palette = np.frombuffer(cursor.take(palette_size * ps),
-                                dtype=pf.dtype)
-        flat = np.empty(area, dtype=pf.dtype)
+                                dtype=_PIXEL)
+        flat = np.empty(area, dtype=_PIXEL)
         filled = 0
         while filled < area:
             byte = cursor.u8()
@@ -707,11 +685,11 @@ def _zrle_decode_tile(cursor: Cursor, th: int, tw: int,
     raise ProtocolError(f"invalid ZRLE subencoding {subenc}")
 
 
-def encode_zrle_tiles(packed: np.ndarray, pf: PixelFormat) -> bytes:
+def encode_zrle_tiles(packed: np.ndarray) -> bytes:
     """The position-independent ZRLE tile stream (pre-deflate).
 
     This is the expensive, *cacheable* half of a ZRLE encode: it depends
-    only on (pixels, pixel format), so sessions sharing an
+    only on the pixels, so sessions sharing an
     :class:`EncodeCache` share it and pay only their own deflate.
     """
     height, width = packed.shape
@@ -726,17 +704,16 @@ def encode_zrle_tiles(packed: np.ndarray, pf: PixelFormat) -> bytes:
         for txi, tx in enumerate(range(0, width, _ZRLE_TILE)):
             if solid[tyi, txi]:
                 out.append(_ZRLE_SOLID)
-                out += _pixel_bytes(int(tile_min[tyi, txi]), pf)
+                out += _pixel_bytes(int(tile_min[tyi, txi]))
                 continue
             _zrle_encode_tile(
-                out, packed[ty:ty + _ZRLE_TILE, tx:tx + _ZRLE_TILE], pf)
+                out, packed[ty:ty + _ZRLE_TILE, tx:tx + _ZRLE_TILE])
     return bytes(out)
 
 
-def decode_zrle_tiles(data: bytes, width: int, height: int,
-                      pf: PixelFormat) -> np.ndarray:
+def decode_zrle_tiles(data: bytes, width: int, height: int) -> np.ndarray:
     """Decode a fully *inflated* ZRLE tile stream back to packed pixels."""
-    out = np.zeros((height, width), dtype=pf.dtype)
+    out = np.zeros((height, width), dtype=_PIXEL)
     cursor = Cursor(data)
     try:
         for ty in range(0, height, _ZRLE_TILE):
@@ -744,7 +721,7 @@ def decode_zrle_tiles(data: bytes, width: int, height: int,
                 th = min(_ZRLE_TILE, height - ty)
                 tw = min(_ZRLE_TILE, width - tx)
                 out[ty:ty + th, tx:tx + tw] = _zrle_decode_tile(
-                    cursor, th, tw, pf)
+                    cursor, th, tw)
     except NeedMore as exc:
         raise ProtocolError("truncated ZRLE tile stream") from exc
     if cursor.pos != len(data):
@@ -773,9 +750,9 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
         if encoding == RAW:
             payload = encode_raw(packed)
         elif encoding == HEXTILE:
-            payload = encode_hextile(packed, state.pixel_format)
+            payload = encode_hextile(packed)
         elif encoding == ZRLE:
-            payload = encode_zrle_tiles(packed, state.pixel_format)
+            payload = encode_zrle_tiles(packed)
         else:
             raise ProtocolError(
                 f"cannot encode pixels as encoding {encoding}")
@@ -788,13 +765,12 @@ def encode_rect(state: EncoderState, packed: np.ndarray,
     return payload
 
 
-def _zrle_limit(width: int, height: int, pf: PixelFormat) -> int:
+def _zrle_limit(width: int, height: int) -> int:
     """The longest tile stream a valid width x height ZRLE rect carries:
     every pixel a plain-RLE run of its own, plus each tile's subencoding
     byte and largest palette."""
-    ps = pf.bytes_per_pixel
     tiles = -(-width // _ZRLE_TILE) * -(-height // _ZRLE_TILE)
-    return width * height * (ps + 1) + tiles * (1 + 127 * ps)
+    return width * height * (_PS + 1) + tiles * (1 + 127 * _PS)
 
 
 def decode_rect(state: DecoderState, cursor: Cursor, width: int,
@@ -807,13 +783,12 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
     compressed byte once as long as a completed rect is never decoded
     again (:class:`~repro.uip.messages.ServerMessageDecoder`).
     """
-    pf = state.pixel_format
     if encoding == RAW:
-        return decode_raw(cursor, width, height, pf)
+        return decode_raw(cursor, width, height)
     if encoding == HEXTILE:
-        return decode_hextile(cursor, width, height, pf)
+        return decode_hextile(cursor, width, height)
     if encoding == ZRLE:
-        limit = _zrle_limit(width, height, pf)
+        limit = _zrle_limit(width, height)
         # zlib's compressBound: at zlib's default memLevel, as EncoderState
         # deflates, no sync-flushed deflate of limit bytes is longer
         bound = limit + (limit >> 12) + (limit >> 14) + (limit >> 25) + 13
@@ -822,5 +797,5 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
             raise ProtocolError(f"ZRLE rect of {length} bytes is longer "
                                 f"than any deflate of {limit} bytes")
         data = state.inflate(cursor.take(length), limit)
-        return decode_zrle_tiles(data, width, height, pf)
+        return decode_zrle_tiles(data, width, height)
     raise ProtocolError(f"cannot decode encoding {encoding}")

@@ -8,8 +8,10 @@ Mirrors the RFB opening sequence the paper's thin-client systems use:
 2. Server offers security types; client picks one.  ``NONE`` or a
    shared-secret challenge (server sends a 16-byte nonce, client answers
    with SHA-256(secret || nonce)).
-3. Client sends ClientInit (``shared`` flag); server answers ServerInit:
-   framebuffer width, height, native pixel format and the desktop name.
+3. Client sends ClientInit (RFB's ``shared`` byte, always 1); server
+   answers ServerInit: framebuffer width, height, pixel format and the
+   desktop name.  UIP has one pixel format, :data:`RGB888`: the client
+   fails the handshake on any other 16 format bytes.
 
 Both ends are implemented as sans-io state machines: feed received bytes
 in, collect bytes to send out.  That keeps them independent of transport
@@ -22,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.graphics.pixelformat import PixelFormat
+from repro.graphics.pixelformat import RGB888
 from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
 
@@ -56,9 +58,7 @@ class HandshakeResult:
 
     width: int
     height: int
-    pixel_format: PixelFormat
     name: str
-    shared: bool
 
 
 class _HandshakeBase:
@@ -113,13 +113,12 @@ class _HandshakeBase:
 class ServerHandshake(_HandshakeBase):
     """Server side: owns the framebuffer geometry and optional secret."""
 
-    def __init__(self, width: int, height: int, pixel_format: PixelFormat,
-                 name: str, secret: Optional[str] = None,
+    def __init__(self, width: int, height: int, name: str,
+                 secret: Optional[str] = None,
                  challenge: bytes = b"\xA5" * _CHALLENGE_LEN) -> None:
         super().__init__()
         self.width = width
         self.height = height
-        self.pixel_format = pixel_format
         self.name = name
         self._secret = secret
         if len(challenge) != _CHALLENGE_LEN:
@@ -163,26 +162,22 @@ class ServerHandshake(_HandshakeBase):
         return True
 
     def _client_init(self, cursor: Cursor) -> bool:
-        shared = bool(cursor.u8())
+        cursor.u8()  # ClientInit's shared flag: other sessions stay on
         name_bytes = self.name.encode("latin-1")
         self._out.extend(
-            Writer().u16(self.width).u16(self.height)
-            .raw(self.pixel_format.encode())
+            Writer().u16(self.width).u16(self.height).raw(RGB888.wire)
             .u32(len(name_bytes)).raw(name_bytes).getvalue()
         )
-        self.result = HandshakeResult(self.width, self.height,
-                                      self.pixel_format, self.name, shared)
+        self.result = HandshakeResult(self.width, self.height, self.name)
         return False
 
 
 class ClientHandshake(_HandshakeBase):
     """Client side (lives in the UniInt proxy)."""
 
-    def __init__(self, secret: Optional[str] = None,
-                 shared: bool = True) -> None:
+    def __init__(self, secret: Optional[str] = None) -> None:
         super().__init__()
         self._secret = secret
-        self._shared = shared
 
     def _start(self, cursor: Cursor) -> bool:
         raw = cursor.take(_VERSION_LEN)
@@ -219,19 +214,21 @@ class ClientHandshake(_HandshakeBase):
         status = cursor.u32()
         if status != _STATUS_OK:
             return self._fail("server rejected authentication")
-        self._out.extend(Writer().u8(int(self._shared)).getvalue())
+        self._out.extend(Writer().u8(1).getvalue())  # ClientInit: shared
         self._state = self._server_init
         return True
 
     def _server_init(self, cursor: Cursor) -> bool:
         width = cursor.u16()
         height = cursor.u16()
-        pixel_format = PixelFormat.decode(cursor.take(16))
+        fmt = cursor.take(len(RGB888.wire))
+        if fmt != RGB888.wire:
+            return self._fail(f"server pixel format {fmt.hex()} is not "
+                              f"RGB888")
         name_len = cursor.u32()
         if name_len > MAX_NAME_LEN:
             return self._fail(f"server name length {name_len} exceeds "
                               f"{MAX_NAME_LEN} (corrupt ServerInit?)")
         name = cursor.take(name_len).decode("latin-1")
-        self.result = HandshakeResult(width, height, pixel_format, name,
-                                      self._shared)
+        self.result = HandshakeResult(width, height, name)
         return False

@@ -5,7 +5,6 @@ Client -> server (the *universal input events* plus session control):
 ====  ==========================  =======================================
 type  message                     payload
 ====  ==========================  =======================================
-0     SetPixelFormat              3 pad, 16-byte pixel format
 2     SetEncodings                1 pad, u16 count, s32 encodings
 3     FramebufferUpdateRequest    u8 incremental, u16 x, y, w, h
 4     KeyEvent                    u8 down, 2 pad, u32 keysym
@@ -26,8 +25,8 @@ Server -> client (the *universal output events*):
 Ping/Pong carry the session liveness heartbeat (miss-based death
 detection in the proxy); SessionGrant hands a freshly handshaken client
 the token with which a later connection may ResumeSession into the same
-server-side state (surface binding, pixel format, encodings) after a
-transport fault — see :mod:`repro.server.uniint_server` parking.
+server-side state (surface binding, encodings) after a transport fault —
+see :mod:`repro.server.uniint_server` parking.
 
 Messages arrive as an undelimited byte stream; :class:`ClientMessageDecoder`
 and :class:`ServerMessageDecoder` parse incrementally.  A partially
@@ -41,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphics.pixelformat import PixelFormat
 from repro.graphics.region import Rect
 from repro.uip import encodings as enc
 from repro.uip.wire import Cursor, NeedMore, Writer
@@ -49,7 +47,6 @@ from repro.util.errors import ProtocolError
 
 
 # Client message types.
-MSG_SET_PIXEL_FORMAT = 0
 MSG_SET_ENCODINGS = 2
 MSG_FRAMEBUFFER_UPDATE_REQUEST = 3
 MSG_KEY_EVENT = 4
@@ -65,15 +62,6 @@ MSG_SESSION_GRANT = 5
 
 
 # -- client -> server -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SetPixelFormat:
-    pixel_format: PixelFormat
-
-    def encode(self) -> bytes:
-        return (Writer().u8(MSG_SET_PIXEL_FORMAT).pad(3)
-                .raw(self.pixel_format.encode()).getvalue())
 
 
 @dataclass(frozen=True)
@@ -140,10 +128,10 @@ class ResumeSession:
     """Reclaim a parked server-side session after a transport fault.
 
     Sent as the first message of a fresh connection (instead of the cold
-    SetPixelFormat/SetEncodings renegotiation) with the token a previous
-    :class:`SessionGrant` issued; the server restores the parked surface
-    binding, pixel format and encodings, and the client follows up with
-    one non-incremental update request — the single full-frame resync.
+    SetEncodings) with the token a previous :class:`SessionGrant` issued;
+    the server restores the parked surface binding and encodings, and
+    the client follows up with one non-incremental update request — the
+    single full-frame resync.
     """
 
     token: int
@@ -158,8 +146,8 @@ class ResumeSession:
 
 @dataclass(frozen=True)
 class RectUpdate:
-    """One rectangle of a framebuffer update: its packed pixels, in the
-    negotiated pixel format, and the encoding they travel in."""
+    """One rectangle of a framebuffer update: its packed RGB888 pixels
+    and the encoding they travel in."""
 
     rect: Rect
     encoding: int
@@ -287,9 +275,6 @@ class ClientMessageDecoder(_StreamDecoder):
 
     def _parse_one(self, cursor: Cursor):
         msg_type = cursor.u8()
-        if msg_type == MSG_SET_PIXEL_FORMAT:
-            cursor.skip(3)
-            return SetPixelFormat(PixelFormat.decode(cursor.take(16)))
         if msg_type == MSG_SET_ENCODINGS:
             cursor.skip(1)
             count = cursor.u16()
@@ -318,8 +303,7 @@ class ClientMessageDecoder(_StreamDecoder):
 class ServerMessageDecoder(_StreamDecoder):
     """Parses the server->client stream (runs inside the UniInt proxy).
 
-    Needs the negotiated pixel format (and the ZRLE inflater) to know
-    rectangle payload sizes, hence it owns a
+    Needs the ZRLE inflater to decode ZRLE rects, hence it owns a
     :class:`~repro.uip.encodings.DecoderState`.  It also knows the size
     of the mirror the rects land in, and refuses a rect that leaves it
     at its header, before a byte of its payload is decoded or awaited.

@@ -17,9 +17,12 @@ MALFORMED_CLIENT_MESSAGES = {
     "unknown-type": b"\xEE",
     # RFB's ClientCutText: UIP carries no clipboard
     "client-cut-text": Writer().u8(6).pad(3).u32(4).raw(b"clip").getvalue(),
-    # a SetPixelFormat of 12 bits per pixel
+    # RFB's SetPixelFormat (type 0): UIP has one pixel format and no
+    # message to pick one, whether it names 12 bits per pixel or RGB888
     "bad-pixel-format": Writer().u8(0).pad(3).raw(struct.pack(
         ">BBBBHHHBBB3x", 12, 12, 0, 1, 15, 15, 15, 8, 4, 0)).getvalue(),
+    "set-pixel-format": Writer().u8(0).pad(3).raw(struct.pack(
+        ">BBBBHHHBBB3x", 32, 24, 0, 1, 255, 255, 255, 16, 8, 0)).getvalue(),
 }
 
 #: A server message the proxy's decoder rejects: RFB's 12-byte

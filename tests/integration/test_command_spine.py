@@ -101,6 +101,18 @@ class TestSubmitCommand:
         assert f"{ok.command_id:>5}" in text
 
 
+class TestJournalRendering:
+    def test_a_long_journal_shows_the_latest_rows_and_counts_the_rest(self):
+        home = make_home(Television("TV"))
+        for channel in range(5):
+            home.submit_command("TV", "channel.set", {"channel": channel + 1})
+            home.settle()
+        text = render_command_journal(home.command_log, limit=2)
+        assert text.count("channel.set") == 2
+        assert f"... {len(home.command_log) - 2} older in ring, 0 rotated out" \
+            in text
+
+
 class TestOriginCoverage:
     def test_every_origin_reaches_the_home_journal(self):
         """Widget click, DDI action and the programmatic API all surface

@@ -135,6 +135,15 @@ class TestFleet:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts fds through /proc")
+    def test_an_unsupervised_fleet_restarts_nothing(self):
+        fleet = HomeFleet()
+        try:
+            populate(fleet.add_home("h0"), 0)
+            fleet.settle()
+            assert fleet.supervise() == []
+        finally:
+            fleet.close()
+
     def test_supervised_restarts_leave_no_fd_after_close(self):
         def open_fds():
             return len(os.listdir("/proc/self/fd"))
@@ -220,7 +229,8 @@ class TestFleet:
             "all surviving sessions kept receiving the broadcast"
         fleet.close()
 
-    @pytest.mark.parametrize("name", ["unknown-type", "bad-pixel-format"])
+    @pytest.mark.parametrize("name", ["unknown-type", "bad-pixel-format",
+                                      "set-pixel-format"])
     def test_a_malformed_client_message_closes_only_its_session(self, name):
         # a raw TCP client finishes the handshake, then sends bytes the
         # server's decoder rejects: the server closes that session alone
@@ -244,6 +254,7 @@ class TestFleet:
             assert fleet.run_until(rogue_sees_eof)
             assert fleet.failed_homes == ()
             assert home.uniint_server.sessions == [home.server_session]
+            assert home.uniint_server.parked_count == 0
             pda = home.devices["pda-0"]
             frames = pda.frames_received
             lamp = home.appliances["lamp-0"].dcm.fcm_by_type(FcmType.LIGHT)

@@ -22,7 +22,8 @@ from repro.devices import (
     WallDisplay,
 )
 from repro.graphics import Rect
-from repro.havi import FcmType
+from repro.havi import SEID, FcmType
+from repro.havi.events import HaviEvent
 from repro.toolkit import (
     Column,
     Label,
@@ -33,6 +34,8 @@ from repro.toolkit import (
 )
 from repro.net import ETHERNET_100, make_pipe
 from repro.uip import keysyms
+from repro.util.errors import ProxyError
+from repro.util.ids import guid_from_seed
 from tests.helpers import MALFORMED_CLIENT_MESSAGES, OPEN_HANDSHAKE
 
 
@@ -56,6 +59,48 @@ class TestApplicationUI:
         # tuner panel widgets exist
         guid8 = home.app.appliances[0].guid[:8]
         assert home.window.root.find(f"{guid8}.tuner.power") is not None
+
+    def test_a_single_panel_shows_only_its_own_appliance(self):
+        home = make_home(Television("TV"))
+        assert home.app.show_appliance("TV") is True
+        assert home.app.show_appliance("VCR") is False
+
+    def test_unknown_appliances_have_no_tab_and_no_handle(self):
+        home = make_home(Television("TV"), VideoRecorder("VCR"))
+        assert home.app.show_appliance("Fridge") is False
+        assert home.app.handle_for("Fridge", "tuner") is None
+        assert home.app.handle_for("TV", "tuner") is not None
+
+    def test_a_state_event_without_a_seid_is_ignored(self):
+        home = make_home(Television("TV"))
+        state = dict(home.app.handle_for("TV", "tuner").state)
+        home.network.events.post(HaviEvent(
+            SEID(guid_from_seed("stranger"), 1), "fcm.state.power",
+            {"power": not state["power"]}))
+        home.settle()
+        assert home.app.handle_for("TV", "tuner").state == state
+
+    def test_closing_an_application_twice_is_harmless(self):
+        home = make_home(Television("TV"))
+        home.app.close()
+        home.app.close()
+        assert home.app.closed
+
+    def test_a_device_joins_a_home_once(self):
+        home = make_home()
+        pda = home.add_device(Pda("pda", home.scheduler))
+        with pytest.raises(ProxyError, match="already in this home"):
+            home.add_device(Pda("pda", home.scheduler))
+        with pytest.raises(ProxyError, match="shared or owned"):
+            home.add_device(Pda("pda-2", home.scheduler), user="resident",
+                            shared=True)
+        assert home.devices == {"pda": pda}
+
+    def test_closing_a_pipe_home_is_a_no_op(self):
+        home = make_home(Television("TV"))
+        home.close()
+        home.close()
+        assert home.server_session.ready
 
     def test_two_appliances_compose_tabs(self):
         """Paper §2.2: composed GUI for TV and VCR."""
@@ -354,7 +399,8 @@ class TestMalformedPeer:
     """A second session on the home's surface sends a message the
     server's decoder rejects: it alone is closed, and the home goes on."""
 
-    @pytest.mark.parametrize("name", ["unknown-type", "bad-pixel-format"])
+    @pytest.mark.parametrize("name", ["unknown-type", "bad-pixel-format",
+                                      "set-pixel-format"])
     def test_settle_survives_and_the_pda_keeps_painting(self, name):
         lamp = DimmableLight("lamp")
         home = make_home(lamp)
@@ -367,6 +413,7 @@ class TestMalformedPeer:
         home.settle()
         assert rogue.closed
         assert home.uniint_server.sessions == [home.server_session]
+        assert home.uniint_server.parked_count == 0
         frames = pda.frames_received
         lamp.dcm.fcm_by_type(FcmType.LIGHT).invoke_local("power.toggle")
         home.settle()

@@ -12,7 +12,6 @@ import pytest
 from repro import Home
 from repro.appliances import Television
 from repro.devices import RemoteControl
-from repro.graphics import RGB565, RGB888
 from repro.net import make_socket_transport_pair
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
@@ -27,7 +26,7 @@ def build_stack(reactor, closing):
     """``build_stack(...)``: the test_thin_client stack, but over a
     socketpair transport on ``reactor``, both halves closed at teardown."""
 
-    def build(width=400, height=300, pixel_format=RGB888):
+    def build(width=400, height=300):
         scheduler = Scheduler()
         member = reactor.add_scheduler(scheduler)
         window = UIWindow(width, height)
@@ -48,7 +47,7 @@ def build_stack(reactor, closing):
         closing(pair.a)
         closing(pair.b)
         server.accept(pair.a)
-        session = proxy.connect(pair.b, pixel_format=pixel_format)
+        session = proxy.connect(pair.b)
         return reactor, display, window, server, proxy, session
 
     return build
@@ -76,16 +75,6 @@ class TestSocketSession:
         reactor.run_until_idle()
         assert window.root.find("status").text == "ON"
         assert session.upstream.framebuffer == display.framebuffer
-
-    def test_rgb565_wire_format(self, build_stack):
-        reactor, display, window, server, proxy, session = build_stack(
-            pixel_format=RGB565)
-        reactor.run_until_idle()
-        window.root.find("status").text = "565 WIRE"
-        reactor.run_until_idle()
-        # RGB565 is lossy; compare through the wire format's round trip
-        mirror = session.upstream.framebuffer
-        assert mirror is not None and mirror.size == display.framebuffer.size
 
     def test_close_propagates_to_server(self, build_stack):
         reactor, display, window, server, proxy, session = build_stack()

@@ -1,10 +1,9 @@
 """Integration tests: UniInt server <-> proxy <-> devices pipeline."""
 
-import numpy as np
 import pytest
 
 from repro.devices import CellPhone, Pda, RemoteControl, TvDisplay, VoiceInput
-from repro.graphics import RGB565, RGB888
+from repro.graphics import RGB888
 from repro.net import ETHERNET_100, make_pipe
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
@@ -14,7 +13,7 @@ from repro.util import Scheduler
 from repro.windows import DisplayServer
 
 
-def build_stack(width=400, height=300, pixel_format=RGB888):
+def build_stack(width=400, height=300):
     """A display server with one window, a UniInt server, and a proxy."""
     scheduler = Scheduler()
     window = UIWindow(width, height)
@@ -33,7 +32,7 @@ def build_stack(width=400, height=300, pixel_format=RGB888):
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100, name="server-link")
     server.accept(pipe.a)
-    session = proxy.connect(pipe.b, pixel_format=pixel_format)
+    session = proxy.connect(pipe.b)
     return scheduler, display, window, server, proxy, session
 
 
@@ -76,16 +75,6 @@ class TestUpstreamMirror:
         scheduler.run_until_idle()
         assert toggle.value is True
 
-    def test_lossy_wire_format_still_tracks_geometry(self):
-        scheduler, display, window, server, proxy, session = build_stack(
-            pixel_format=RGB565)
-        scheduler.run_until_idle()
-        mirror = session.upstream.framebuffer
-        # RGB565 is lossy but close: every pixel within the quantisation step
-        err = np.abs(mirror.pixels.astype(int)
-                     - display.framebuffer.pixels.astype(int))
-        assert err.max() <= 8
-
     def test_updates_are_incremental_not_full(self):
         scheduler, display, window, server, proxy, session = build_stack()
         scheduler.run_until_idle()
@@ -96,7 +85,7 @@ class TestUpstreamMirror:
         # a label change must not resend the whole screen
         assert server_session.rects_sent > sent_before
         label_rect = window.root.find("status").abs_rect()
-        bytes_per_px = session.upstream.pixel_format.bytes_per_pixel
+        bytes_per_px = RGB888.bytes_per_pixel
         full_frame = 400 * 300 * bytes_per_px
         # (generous bound: hextile of the label area is far below full frame)
         assert session.upstream.endpoint.stats.bytes_received < full_frame
@@ -132,14 +121,13 @@ class TestMultiSessionBroadcast:
             sessions.append(proxy.connect(pipe.b, **kwargs))
         return scheduler, display, window, server, sessions
 
-    def test_mixed_formats_and_encodings_all_track(self):
+    def test_mixed_encodings_all_track(self):
         from repro.uip import HEXTILE, RAW, ZRLE
         configs = [
-            {},                                        # RGB888, default
-            {"pixel_format": RGB565},
+            {},                                        # HEXTILE, default
             {"encodings": (ZRLE, RAW)},
-            {"pixel_format": RGB565, "encodings": (ZRLE, RAW)},
-            {"pixel_format": RGB565, "encodings": (HEXTILE, RAW)},
+            {"encodings": (HEXTILE, RAW)},
+            {"encodings": (RAW,)},
         ]
         scheduler, display, window, server, sessions = self._build_multi(
             configs)
@@ -149,13 +137,7 @@ class TestMultiSessionBroadcast:
             window.root.find("status").text = f"round {rounds}"
             scheduler.run_until_idle()
         for session in sessions:
-            mirror = session.upstream.framebuffer
-            assert mirror is not None
-            err = np.abs(mirror.pixels.astype(int)
-                         - display.framebuffer.pixels.astype(int))
-            # exact for RGB888 sessions, quantisation-bounded for RGB565
-            limit = 0 if session.upstream.pixel_format == RGB888 else 8
-            assert err.max() <= limit
+            assert session.upstream.framebuffer == display.framebuffer
 
     def test_shared_encode_fans_out_fewer_encodes(self):
         configs = [{} for _ in range(5)]
@@ -171,7 +153,8 @@ class TestMultiSessionBroadcast:
         assert new_hits >= 4 * new_misses  # 1 encode feeds 5 sessions
 
     def test_input_from_one_session_updates_all_mirrors(self):
-        configs = [{}, {}, {"pixel_format": RGB565}]
+        from repro.uip import RAW, ZRLE
+        configs = [{}, {}, {"encodings": (ZRLE, RAW)}]
         scheduler, display, window, server, sessions = self._build_multi(
             configs)
         scheduler.run_until_idle()
@@ -180,7 +163,7 @@ class TestMultiSessionBroadcast:
         sessions[0].upstream.click(cx, cy)
         scheduler.run_until_idle()
         assert toggle.value is True
-        for session in sessions[:2]:
+        for session in sessions:
             assert session.upstream.framebuffer == display.framebuffer
 
 

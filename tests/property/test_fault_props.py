@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphics import RGB565, RGB888, Rect
+from repro.graphics import RGB888, Rect
 from repro.net import (
     FaultPlan,
     FaultyTransport,
@@ -83,8 +83,7 @@ def test_framed_stream_survives_stacked_kernel_faults(payloads, seed,
 
 @st.composite
 def update_streams(draw):
-    """(pixel format, [FramebufferUpdate]) small pixel-rect updates."""
-    fmt = draw(st.sampled_from([RGB888, RGB565]))
+    """[FramebufferUpdate] of small pixel rects."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     messages = []
     for _ in range(draw(st.integers(1, 4))):
@@ -92,11 +91,11 @@ def update_streams(draw):
         for _ in range(draw(st.integers(1, 3))):
             w, h = draw(st.integers(1, 10)), draw(st.integers(1, 10))
             x, y = draw(st.integers(0, 30)), draw(st.integers(0, 30))
-            packed = rng.integers(0, 4, size=(h, w)).astype(fmt.dtype)
+            packed = rng.integers(0, 4, size=(h, w)).astype(RGB888.dtype)
             encoding = draw(st.sampled_from([RAW, HEXTILE, ZRLE]))
             rects.append(RectUpdate(Rect(x, y, w, h), encoding, packed))
         messages.append(FramebufferUpdate(tuple(rects)))
-    return fmt, messages
+    return messages
 
 
 def _rects_equal(a, b):
@@ -113,9 +112,9 @@ def test_uip_stream_decodes_identically_under_kernel_faults(stream, seed,
                                                             offsets):
     """Kernel faults are just another re-segmentation of the UIP byte
     stream: the server decoder must yield exactly the sent updates."""
-    fmt, messages = stream
-    encoder = EncoderState(fmt)
-    decoder = ServerMessageDecoder(DecoderState(fmt), 40, 40)
+    messages = stream
+    encoder = EncoderState()
+    decoder = ServerMessageDecoder(DecoderState(), 40, 40)
     decoded = []
     with hostile_faulted_pair(seed, offsets) as (reactor, pair):
         pair.b.on_receive = lambda data: decoded.extend(

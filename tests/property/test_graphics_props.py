@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphics import RGB332, RGB565, RGB888, Rect, Region
+from repro.graphics import RGB888, Rect, Region
 from repro.graphics import ops
 
 rect_strategy = st.builds(
@@ -157,21 +157,6 @@ class TestPixelFormatProperties:
     def test_rgb888_roundtrip_exact(self, rgb):
         out = RGB888.unpack(RGB888.pack_array(rgb))
         assert np.array_equal(out, rgb)
-
-    @given(rgb_arrays, st.sampled_from([RGB565, RGB332]))
-    @settings(max_examples=40)
-    def test_quantise_idempotent(self, rgb, fmt):
-        once = fmt.unpack(fmt.pack_array(rgb))
-        assert np.array_equal(fmt.unpack(fmt.pack_array(once)), once)
-
-    @given(rgb_arrays, st.sampled_from([RGB888, RGB565, RGB332]))
-    @settings(max_examples=40)
-    def test_quantise_error_bounded(self, rgb, fmt):
-        out = fmt.unpack(fmt.pack_array(rgb))
-        max_err = np.abs(out.astype(int) - rgb.astype(int)).max()
-        # worst channel step: 255 / min_channel_max, half-step rounding
-        step = 255 / min(fmt.red_max, fmt.green_max, fmt.blue_max)
-        assert max_err <= step / 2 + 1
 
 
 gray_arrays = st.integers(1, 16).flatmap(

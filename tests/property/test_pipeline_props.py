@@ -9,7 +9,6 @@ framebuffer (with a lossless wire format).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphics import RGB888
 from repro.net import ETHERNET_100, make_pipe
 from repro.proxy import UniIntProxy
 from repro.server import UniIntServer
@@ -43,8 +42,7 @@ def build(encodings):
     proxy = UniIntProxy(scheduler)
     pipe = make_pipe(scheduler, ETHERNET_100)
     server.accept(pipe.a)
-    session = proxy.connect(pipe.b, pixel_format=RGB888,
-                            encodings=encodings)
+    session = proxy.connect(pipe.b, encodings=encodings)
     scheduler.run_until_idle()
     return scheduler, display, window, session
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.graphics import RGB565, RGB888, Rect
+from repro.graphics import RGB888, Rect
 from repro.net.framing import MAX_FRAME_SIZE, FrameAssembler, encode_frame
 from repro.uip import (
     Bell,
@@ -149,8 +149,7 @@ def test_client_decoder_byte_at_a_time_matches_whole_feed(messages):
 
 @st.composite
 def server_streams(draw):
-    """(pixel format, [messages]) with pixel-rect framebuffer updates."""
-    fmt = draw(st.sampled_from([RGB888, RGB565]))
+    """[messages] with pixel-rect framebuffer updates."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     messages = []
     for _ in range(draw(st.integers(1, 5))):
@@ -164,11 +163,12 @@ def server_streams(draw):
             for _ in range(draw(st.integers(1, 3))):
                 w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
                 x, y = draw(st.integers(0, 40)), draw(st.integers(0, 40))
-                packed = rng.integers(0, 4, size=(h, w)).astype(fmt.dtype)
+                packed = rng.integers(0, 4, size=(h, w)).astype(
+                    RGB888.dtype)
                 encoding = draw(st.sampled_from([RAW, HEXTILE, ZRLE]))
                 rects.append(RectUpdate(Rect(x, y, w, h), encoding, packed))
             messages.append(FramebufferUpdate(tuple(rects)))
-    return fmt, messages
+    return messages
 
 
 def _rects_equal(a, b):
@@ -180,12 +180,12 @@ def _rects_equal(a, b):
 @given(stream=server_streams(), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_server_decoder_split_point_invariant(stream, data):
-    fmt, messages = stream
-    encoder = EncoderState(fmt)
+    messages = stream
+    encoder = EncoderState()
     wire = b"".join(m.encode(encoder) if isinstance(m, FramebufferUpdate)
                     else m.encode() for m in messages)
     cuts = data.draw(split_points(len(wire)))
-    decoder = ServerMessageDecoder(DecoderState(fmt), 52, 52)
+    decoder = ServerMessageDecoder(DecoderState(), 52, 52)
     decoded = []
     for chunk in partition(wire, cuts):
         decoded.extend(decoder.feed(chunk))
@@ -254,10 +254,10 @@ def test_hostile_kernel_duplex_big_transfer(seed):
 def test_server_decoder_chunked_encode_matches_flat(stream):
     """The scatter-gather chunk list decodes identically to the flat
     encode — wire compatibility of the vectored send path."""
-    fmt, messages = stream
-    flat_enc, chunk_enc = EncoderState(fmt), EncoderState(fmt)
-    flat_dec = ServerMessageDecoder(DecoderState(fmt), 52, 52)
-    chunk_dec = ServerMessageDecoder(DecoderState(fmt), 52, 52)
+    messages = stream
+    flat_enc, chunk_enc = EncoderState(), EncoderState()
+    flat_dec = ServerMessageDecoder(DecoderState(), 52, 52)
+    chunk_dec = ServerMessageDecoder(DecoderState(), 52, 52)
     for message in messages:
         if isinstance(message, FramebufferUpdate):
             flat_wire = message.encode(flat_enc)

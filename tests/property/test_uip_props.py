@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphics import RGB332, RGB565, RGB888, PixelFormat, Rect
+from repro.graphics import RGB888, Rect
 from repro.uip import (
     ClientMessageDecoder,
     DecoderState,
@@ -28,16 +28,11 @@ from repro.uip.messages import (
 )
 from repro.uip.wire import Cursor
 
-#: Big-endian variants — the vectorised encoders must respect wire order.
-BE565 = PixelFormat(16, 16, True, 31, 63, 31, 11, 5, 0)
-BE888 = PixelFormat(32, 24, True, 255, 255, 255, 16, 8, 0)
-
-formats = st.sampled_from([RGB888, RGB565, RGB332, BE565])
 codecs = st.sampled_from([RAW, HEXTILE, ZRLE])
 
 
 @st.composite
-def packed_arrays(draw, fmt):
+def packed_arrays(draw):
     """Random packed pixel arrays biased toward flat regions (GUI-like)."""
     width = draw(st.integers(1, 40))
     height = draw(st.integers(1, 40))
@@ -47,7 +42,7 @@ def packed_arrays(draw, fmt):
     palette = rng.integers(0, 256, size=(palette_size, 3), dtype=np.uint8)
     indices = rng.integers(0, palette_size, size=(height, width))
     rgb = palette[indices]
-    return fmt.pack_array(rgb)
+    return RGB888.pack_array(rgb)
 
 
 #: Palette and mean run sizes the ZRLE round-trip samples.
@@ -55,7 +50,7 @@ ZRLE_PALETTES = [1, 2, 3, 5, 17, 64, 200]
 ZRLE_RUNS = [1, 8, 400]
 
 
-def zrle_pixels(fmt, width, height, palette_size, mean_run, seed):
+def zrle_pixels(width, height, palette_size, mean_run, seed):
     """Packed pixels laid out as runs of palette colours in raster order.
 
     One colour gives solid tiles.  Single-pixel runs give packed
@@ -69,7 +64,7 @@ def zrle_pixels(fmt, width, height, palette_size, mean_run, seed):
     lengths = rng.integers(1, 2 * mean_run, size=runs)
     colours = rng.integers(0, palette_size, size=runs)
     indices = np.resize(np.repeat(colours, lengths), area)
-    return fmt.pack_array(palette[indices.reshape(height, width)])
+    return RGB888.pack_array(palette[indices.reshape(height, width)])
 
 
 def zrle_kind(subencoding):
@@ -86,12 +81,12 @@ def zrle_kind(subencoding):
 
 
 class TestEncodingRoundTrip:
-    @given(st.data(), formats, codecs)
+    @given(st.data(), codecs)
     @settings(max_examples=60, deadline=None)
-    def test_roundtrip_exact(self, data, fmt, encoding):
-        packed = data.draw(packed_arrays(fmt))
-        enc_state = EncoderState(fmt)
-        dec_state = DecoderState(fmt)
+    def test_roundtrip_exact(self, data, encoding):
+        packed = data.draw(packed_arrays())
+        enc_state = EncoderState()
+        dec_state = DecoderState()
         payload = encode_rect(enc_state, packed, encoding)
         out = decode_rect(dec_state, Cursor(payload), packed.shape[1],
                           packed.shape[0], encoding)
@@ -99,44 +94,40 @@ class TestEncodingRoundTrip:
         assert np.array_equal(out, packed)
 
     @given(st.data(),
-           st.sampled_from([RGB888, RGB565, RGB332, BE565, BE888]),
            st.sampled_from([15, 16, 17, 31, 32, 33, 47, 48]),
            st.sampled_from([15, 16, 17, 31, 32, 33]))
     @settings(max_examples=80, deadline=None)
-    def test_roundtrip_at_tile_boundaries(self, data, fmt, width, height):
-        """The batched HEXTILE tiles must be exact on edge tiles, in both
-        byte orders, at every size straddling the 16-pixel grid."""
+    def test_roundtrip_at_tile_boundaries(self, data, width, height):
+        """The batched HEXTILE tiles must be exact on edge tiles, at every
+        size straddling the 16-pixel grid."""
         seed = data.draw(st.integers(0, 2**31))
         palette_size = data.draw(st.integers(1, 5))
         rng = np.random.default_rng(seed)
         palette = rng.integers(0, 256, size=(palette_size, 3),
                                dtype=np.uint8)
         rgb = palette[rng.integers(0, palette_size, size=(height, width))]
-        packed = fmt.pack_array(rgb)
-        payload = encode_rect(EncoderState(fmt), packed, HEXTILE)
-        out = decode_rect(DecoderState(fmt), Cursor(payload), width, height,
+        packed = RGB888.pack_array(rgb)
+        payload = encode_rect(EncoderState(), packed, HEXTILE)
+        out = decode_rect(DecoderState(), Cursor(payload), width, height,
                           HEXTILE)
         assert out.dtype == packed.dtype
         assert np.array_equal(out, packed)
 
     @given(st.data(),
-           st.sampled_from([RGB888, RGB565, RGB332, BE565, BE888]),
            st.sampled_from([1, 7, 63, 64, 65, 127, 128, 130]),
            st.sampled_from([1, 63, 64, 65, 129]),
            st.sampled_from(ZRLE_PALETTES),
            st.sampled_from(ZRLE_RUNS),
            st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
-    def test_zrle_roundtrip_at_tile_boundaries(self, data, fmt, width,
-                                               height, palette_size,
-                                               mean_run, seed):
-        """Every ZRLE subencoding, at sizes straddling the 64-pixel grid,
-        in both byte orders (see ``zrle_pixels`` for which draw favours
-        which subencoding)."""
-        packed = zrle_pixels(fmt, width, height, palette_size, mean_run,
-                             seed)
-        payload = encode_rect(EncoderState(fmt), packed, ZRLE)
-        out = decode_rect(DecoderState(fmt), Cursor(payload), width, height,
+    def test_zrle_roundtrip_at_tile_boundaries(self, data, width, height,
+                                               palette_size, mean_run,
+                                               seed):
+        """Every ZRLE subencoding, at sizes straddling the 64-pixel grid
+        (see ``zrle_pixels`` for which draw favours which subencoding)."""
+        packed = zrle_pixels(width, height, palette_size, mean_run, seed)
+        payload = encode_rect(EncoderState(), packed, ZRLE)
+        out = decode_rect(DecoderState(), Cursor(payload), width, height,
                           ZRLE)
         assert out.dtype == packed.dtype
         assert np.array_equal(out, packed)
@@ -145,17 +136,16 @@ class TestEncodingRoundTrip:
         """The round-trip above draws all five tile kinds: on one 64x64
         tile the palette and run sizes it samples pick each of them."""
         kinds = {zrle_kind(encode_zrle_tiles(
-                     zrle_pixels(RGB888, 64, 64, palette_size, mean_run, 7),
-                     RGB888)[0])
+                     zrle_pixels(64, 64, palette_size, mean_run, 7))[0])
                  for palette_size in ZRLE_PALETTES for mean_run in ZRLE_RUNS}
         assert kinds == {"solid", "packed-palette", "plain-rle",
                          "palette-rle", "raw"}
 
-    @given(st.data(), formats)
+    @given(st.data())
     @settings(max_examples=30, deadline=None)
-    def test_hextile_never_catastrophically_larger(self, data, fmt):
-        packed = data.draw(packed_arrays(fmt))
-        state = EncoderState(fmt)
+    def test_hextile_never_catastrophically_larger(self, data):
+        packed = data.draw(packed_arrays())
+        state = EncoderState()
         raw = encode_rect(state, packed, RAW)
         hextile = encode_rect(state, packed, HEXTILE)
         n_tiles = ((packed.shape[0] + 15) // 16) * ((packed.shape[1] + 15) // 16)
@@ -165,13 +155,13 @@ class TestEncodingRoundTrip:
 class TestEncodeCacheRoundTrip:
     """The content-keyed encode cache must be invisible on the wire."""
 
-    @given(st.data(), formats, codecs)
+    @given(st.data(), codecs)
     @settings(max_examples=60, deadline=None)
-    def test_cached_and_fresh_payloads_decode_identically(self, data, fmt,
+    def test_cached_and_fresh_payloads_decode_identically(self, data,
                                                           encoding):
-        packed = data.draw(packed_arrays(fmt))
-        cached_state = EncoderState(fmt, cache=EncodeCache())
-        fresh_state = EncoderState(fmt)
+        packed = data.draw(packed_arrays())
+        cached_state = EncoderState(cache=EncodeCache())
+        fresh_state = EncoderState()
         assert fresh_state.cache is None
         first = encode_rect(cached_state, packed, encoding)
         second = encode_rect(cached_state, packed.copy(), encoding)
@@ -181,42 +171,27 @@ class TestEncodeCacheRoundTrip:
             assert cached_state.cache.hits >= 1
             assert second == first == fresh
         height, width = packed.shape
-        dec_state = DecoderState(fmt)
+        dec_state = DecoderState()
         for payload in (first, second):
             out = decode_rect(dec_state, Cursor(payload), width, height,
                               encoding)
             assert np.array_equal(out, packed)
-        fresh_out = decode_rect(DecoderState(fmt), Cursor(fresh), width,
+        fresh_out = decode_rect(DecoderState(), Cursor(fresh), width,
                                 height, encoding)
         assert np.array_equal(fresh_out, packed)
 
-    @given(st.data(), formats, st.sampled_from([RAW, HEXTILE]))
+    @given(st.data(), st.sampled_from([RAW, HEXTILE]))
     @settings(max_examples=30, deadline=None)
-    def test_cache_distinguishes_content(self, data, fmt, encoding):
-        packed = data.draw(packed_arrays(fmt))
-        state = EncoderState(fmt, cache=EncodeCache())
+    def test_cache_distinguishes_content(self, data, encoding):
+        packed = data.draw(packed_arrays())
+        state = EncoderState(cache=EncodeCache())
         encode_rect(state, packed, encoding)
         flipped = packed.copy()
         flipped[0, 0] = flipped[0, 0] ^ 1  # one-pixel change
         payload = encode_rect(state, flipped, encoding)
-        out = decode_rect(DecoderState(fmt), Cursor(payload),
+        out = decode_rect(DecoderState(), Cursor(payload),
                           packed.shape[1], packed.shape[0], encoding)
         assert np.array_equal(out, flipped)
-
-    @given(st.data(), st.sampled_from([RAW, HEXTILE]))
-    @settings(max_examples=20, deadline=None)
-    def test_cache_distinguishes_pixel_formats(self, data, encoding):
-        # same pixel *bytes* under two formats must not share cache entries
-        packed = data.draw(packed_arrays(RGB565))
-        state = EncoderState(RGB565, cache=EncodeCache())
-        first = encode_rect(state, packed, encoding)
-        state.renegotiate(RGB332)
-        key_565 = (encoding, RGB565, packed.shape)
-        key_332 = (encoding, RGB332, packed.shape)
-        assert state.cache_key(packed, encoding)[:3] == key_332 != key_565
-        out = decode_rect(DecoderState(RGB565), Cursor(first),
-                          packed.shape[1], packed.shape[0], encoding)
-        assert np.array_equal(out, packed)
 
 
 client_messages = st.one_of(
@@ -243,18 +218,17 @@ class TestStreamDecoding:
         where the transport fragments the byte stream: the persistent
         inflater sees each compressed byte exactly once even when the
         message parser retries on NeedMore."""
-        fmt = RGB888
-        enc_state = EncoderState(fmt)
+        enc_state = EncoderState()
         frames = []
         stream = bytearray()
         for _ in range(data.draw(st.integers(1, 4))):
-            packed = data.draw(packed_arrays(fmt))
+            packed = data.draw(packed_arrays())
             h, w = packed.shape
             update = FramebufferUpdate(
                 (RectUpdate(Rect(0, 0, w, h), ZRLE, packed),))
             stream.extend(update.encode(enc_state))
             frames.append(packed)
-        decoder = ServerMessageDecoder(DecoderState(fmt), 40, 40)
+        decoder = ServerMessageDecoder(DecoderState(), 40, 40)
         decoded = []
         for i in range(0, len(stream), chunk):
             for message in decoder.feed(bytes(stream[i:i + chunk])):

@@ -35,7 +35,7 @@ def connect():
     """A handshaken client whose server end only speaks when told to."""
     scheduler = Scheduler()
     pipe = make_pipe(scheduler)
-    handshake = ServerHandshake(WIDTH, HEIGHT, RGB888, "props")
+    handshake = ServerHandshake(WIDTH, HEIGHT, "props")
 
     def on_bytes(data):
         if not handshake.done:
@@ -74,7 +74,7 @@ def draw_update(data, rng):
 def test_dirty_rect_covers_every_changed_pixel(data, seed):
     rng = np.random.default_rng(seed)
     scheduler, server_end, client = connect()
-    encoder = EncoderState(RGB888)
+    encoder = EncoderState()
     # paint the whole frame first, so a rect of palette pixels may
     # leave some of them unchanged
     paint = PALETTE[rng.integers(0, len(PALETTE), (HEIGHT, WIDTH))]

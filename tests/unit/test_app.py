@@ -109,6 +109,14 @@ class TestPanelBuilders:
                                  f".teleporter.state")
         assert "charge=3" in state_label.text
 
+    def test_a_generic_panel_follows_state(self):
+        network, handle = make_handle("teleporter", state={"charge": 3})
+        panel = build_fcm_panel(handle)
+        state_label = panel.find(f"{handle.device_guid[:8]}"
+                                 f".teleporter.state")
+        handle._set("charge", 4)
+        assert state_label.text == "charge=4"
+
     def test_panel_widgets_follow_state(self):
         network, handle = make_handle("tuner", state={"volume": 10},
                                       described=True)

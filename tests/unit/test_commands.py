@@ -100,6 +100,32 @@ class TestCommandLifecycle:
         with pytest.raises(CommandError):
             command._finish(CommandState.DONE, 0.0)
 
+    def test_latency_needs_a_send_and_a_terminal_state(self):
+        scheduler, _, _, responder, spine = rig()
+        first = spine.submit(responder.seid, "volume.set", {"volume": 1})
+        second = spine.submit(responder.seid, "volume.set", {"volume": 2})
+        third = spine.submit(responder.seid, "volume.set", {"volume": 3})
+        assert first.latency_s is None  # sent, not yet answered
+        scheduler.run_until_idle()
+        assert first.latency_s is not None and first.latency_s >= 0
+        # superseded while queued: never sent, so no latency
+        assert second.state is CommandState.SUPERSEDED
+        assert second.latency_s is None
+        assert third.ok
+
+    def test_a_command_is_sent_once(self):
+        scheduler, _, _, responder, spine = rig()
+        command = spine.submit(responder.seid, "power.set", {"on": True})
+        with pytest.raises(CommandError, match="sent twice"):
+            command._mark_inflight(0.0, 99)
+
+    def test_a_command_finishes_only_in_a_terminal_state(self):
+        scheduler, _, _, responder, spine = rig()
+        command = spine.submit(responder.seid, "power.set", {"on": True})
+        with pytest.raises(CommandError, match="not a terminal state"):
+            command._finish(CommandState.INFLIGHT, 0.0)
+        assert command.state is CommandState.INFLIGHT
+
     def test_on_done_fires_late_subscriber_immediately(self):
         scheduler, _, _, responder, spine = rig()
         command = spine.submit(responder.seid, "power.set", {"on": True})
@@ -148,6 +174,14 @@ class TestCoalescing:
         assert len(responder.received) == 3
         assert spine.dispatched == 3
         assert spine.coalesced == 0
+
+    def test_inflight_for_lists_each_lane_and_its_waiter(self):
+        scheduler, _, _, responder, spine = rig(mode="silent")
+        first = spine.submit(responder.seid, "volume.set", {"volume": 1})
+        waiting = spine.submit(responder.seid, "volume.set", {"volume": 2})
+        power = spine.submit(responder.seid, "power.set", {"on": True})
+        assert spine.inflight_for(responder.seid) == [first, waiting, power]
+        assert spine.inflight_for(SEID(guid_from_seed("other"), 9)) == []
 
     def test_lanes_drain(self):
         scheduler, _, _, responder, spine = rig()
@@ -230,6 +264,27 @@ class TestMessagingGuards:
         assert messaging.replies_synthesized == 1
         assert not messaging._pending  # regression: no strand
 
+    def test_only_requests_to_the_vanished_element_fail(self):
+        scheduler = Scheduler()
+        messaging = MessageSystem(scheduler)
+        requester = SoftwareElement(SEID(guid_from_seed("r"), 0), messaging)
+        requester.attach()
+        gone, stays = (Responder(SEID(guid_from_seed(name), 1), messaging,
+                                 mode="silent") for name in ("g", "s"))
+        gone.attach()
+        stays.attach()
+        replies = []
+        for target in (stays, gone):
+            requester.send_request(target.seid, "power.set", {"on": True},
+                                   on_reply=replies.append,
+                                   timeout_s=None)
+        scheduler.run_until_idle()
+        gone.detach()
+        scheduler.run_until_idle()
+        assert [(m.source, m.status) for m in replies] == [
+            (gone.seid, "EGONE")]
+        assert len(messaging._pending) == 1  # the request to ``stays``
+
     def test_egone_reply_reaches_spine_as_failed(self):
         scheduler, _, _, responder, spine = rig(mode="silent")
         command = spine.submit(responder.seid, "power.set", {"on": True})
@@ -279,6 +334,28 @@ class TestFcmHandleErrors:
         assert len(handle.errors) == ERRORS_KEPT
         assert handle.errors_total == ERRORS_KEPT + 8
         assert handle.commands_sent == ERRORS_KEPT + 8
+
+    def test_stats_count_the_handles_inflight_commands(self):
+        scheduler, handle = self.make_handle(mode="silent")
+        handle.command("volume.set", {"volume": 1})
+        handle.command("volume.set", {"volume": 2})
+        assert handle.command_stats()["inflight"] == 2
+        assert [c.payload for c in handle.inflight] == [{"volume": 1},
+                                                        {"volume": 2}]
+
+    def test_a_failed_refresh_leaves_the_state_alone(self):
+        scheduler, handle = self.make_handle(mode="fail")
+        handle.refresh()
+        scheduler.run_until_idle()
+        assert handle.state == {}
+        assert handle.errors_total == 1
+
+    def test_unsubscribing_twice_is_harmless(self):
+        scheduler, handle = self.make_handle(mode="ok")
+        listener = handle.subscribe(lambda key, value: None)
+        handle.unsubscribe(listener)
+        handle.unsubscribe(listener)
+        assert handle.listeners == []
 
     def test_command_returns_tracked_command(self):
         scheduler, handle = self.make_handle(mode="ok")

@@ -249,6 +249,15 @@ class TestVoice:
         voice = VoiceInput("v", Scheduler(), accuracy=1.0)
         assert all(voice._recognise("ok") == "ok" for _ in range(100))
 
+    def test_say_counts_every_misrecognition(self):
+        scheduler = Scheduler()
+        voice = VoiceInput("v", scheduler, seed=3, accuracy=0.0)
+        voice.connect(UniIntProxy(scheduler))
+        for _ in range(20):
+            voice.say("up")  # dropped or confused, never heard right
+        scheduler.run_until_idle()
+        assert voice.utterances == voice.misrecognitions == 20
+
     def test_accuracy_validation(self):
         with pytest.raises(ValueError):
             VoiceInput("v", Scheduler(), accuracy=1.5)
@@ -262,6 +271,17 @@ class TestRemotePlugin:
         assert out[0].keysym == keysyms.RETURN
         out = plugin.translate({"type": "button", "button": "7"})
         assert out[0].keysym == ord("7")
+
+    def test_prev_is_a_reverse_focus_chord(self):
+        plugin = plugin_for(RemoteControl("r", Scheduler()))[0]
+        out = plugin.translate({"type": "button", "button": "prev"})
+        assert [(e.keysym, e.down) for e in out] == [
+            (keysyms.SHIFT_L, True), (keysyms.TAB, True),
+            (keysyms.TAB, False), (keysyms.SHIFT_L, False)]
+
+    def test_events_other_than_buttons_are_ignored(self):
+        plugin = plugin_for(RemoteControl("r", Scheduler()))[0]
+        assert plugin.translate({"type": "voice", "word": "up"}) == []
 
     def test_unknown_button_rejected(self):
         remote = RemoteControl("r", Scheduler())
@@ -289,6 +309,13 @@ class TestGestureClassification:
                   for i in range(17)]
         assert classify_stroke(points) == "circle"
 
+    def test_repeated_points_do_not_bend_a_circle(self):
+        points = [(50 + 20 * math.cos(i / 16 * 2 * math.pi),
+                   50 + 20 * math.sin(i / 16 * 2 * math.pi))
+                  for i in range(17)]
+        assert classify_stroke([p for p in points for _ in (0, 1)]) \
+            == "circle"
+
     def test_ambiguous_returns_none(self):
         # medium displacement, no rotation: between tap and swipe
         points = [(50 + 2 * i, 50) for i in range(9)]
@@ -304,6 +331,13 @@ class TestGestureClassification:
             "type": "stroke",
             "points": [[50 + 10 * i, 50] for i in range(9)]})
         assert out[0].keysym == keysyms.TAB
+
+    def test_the_plugin_drops_other_events_and_unclassified_strokes(self):
+        plugin = plugin_for(GesturePad("g", Scheduler()))[0]
+        assert plugin.translate({"type": "button", "button": "ok"}) == []
+        ambiguous = [[50 + 2 * i, 50] for i in range(9)]
+        assert plugin.translate({"type": "stroke",
+                                 "points": ambiguous}) == []
 
     def test_swipe_left_is_chord(self):
         pad = GesturePad("g", Scheduler())
@@ -326,6 +360,13 @@ class TestDeviceBase:
         pda = Pda("p", Scheduler())
         with pytest.raises(ProxyError):
             pda.send_event({"type": "touch"})
+
+    def test_link_views_require_a_connection(self):
+        pda = Pda("p", Scheduler())
+        with pytest.raises(ProxyError, match="not connected"):
+            pda.link_stats
+        with pytest.raises(ProxyError, match="not connected to proxy"):
+            pda.endpoint_for("uniint-proxy")
 
     def test_screen_luma_requires_frame(self):
         from repro.util.errors import ProxyError

@@ -139,6 +139,14 @@ class TestFaultyTransport:
         assert run(3) == run(3)
         assert run(3)[:2] != run(4)[:2]
 
+    def test_unstalling_a_live_link_changes_nothing(self):
+        faulty, pair, sched, got = faulty_pair(FaultPlan())
+        faulty.unstall()
+        faulty.send(b"one")
+        sched.run_until_idle()
+        assert got == [b"one"]
+        assert faulty.frames_stalled == 0
+
     def test_stall_buffers_then_flushes_in_order(self):
         faulty, pair, sched, got = faulty_pair(FaultPlan())
         faulty.stall()

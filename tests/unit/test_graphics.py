@@ -1,14 +1,14 @@
-"""Unit tests for bitmaps, pixel formats, drawing, fonts and image ops."""
+"""Unit tests for bitmaps, the wire pixel format, drawing, fonts and image
+ops."""
+
+import struct
 
 import numpy as np
 import pytest
 
 from repro.graphics import (
-    RGB332,
-    RGB565,
     RGB888,
     Bitmap,
-    PixelFormat,
     Rect,
     default_font,
     draw,
@@ -149,6 +149,11 @@ class TestBitmapView:
         src[0, 0] = 99
         assert bmp.get_pixel(0, 0) == (0, 0, 0)
 
+    def test_equality_is_by_pixels_and_hashing_by_identity(self):
+        a, b = Bitmap(4, 4, fill=(1, 2, 3)), Bitmap(4, 4, fill=(1, 2, 3))
+        assert a == b and a != "not a bitmap"
+        assert len({a, b}) == 2  # mutable: each hashes as itself
+
     def test_from_array_copies_contiguous_view(self):
         base = np.zeros((8, 8, 3), dtype=np.uint8)
         view = base[2:6, :]  # contiguous but shares base storage
@@ -158,11 +163,10 @@ class TestBitmapView:
 
 
 class TestPixelFormat:
-    @pytest.mark.parametrize("fmt", [RGB888, RGB565, RGB332])
-    def test_pack_size(self, fmt):
+    def test_pack_size(self):
         bmp = Bitmap(8, 4, fill=(100, 150, 200))
-        assert fmt.pack_array(bmp.pixels).nbytes == (
-            8 * 4 * fmt.bytes_per_pixel)
+        assert RGB888.pack_array(bmp.pixels).nbytes == (
+            8 * 4 * RGB888.bytes_per_pixel)
 
     def test_rgb888_lossless(self):
         rng = np.random.default_rng(1)
@@ -170,51 +174,51 @@ class TestPixelFormat:
         out = RGB888.unpack(RGB888.pack_array(rgb))
         assert np.array_equal(out, rgb)
 
-    @pytest.mark.parametrize("fmt", [RGB565, RGB332])
-    def test_lossy_roundtrip_is_idempotent(self, fmt):
-        rng = np.random.default_rng(2)
-        rgb = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-        once = fmt.unpack(fmt.pack_array(rgb))
-        twice = fmt.unpack(fmt.pack_array(once))
-        assert np.array_equal(once, twice)
-
     def test_extremes_preserved(self):
         black = np.zeros((1, 1, 3), dtype=np.uint8)
         white = np.full((1, 1, 3), 255, dtype=np.uint8)
-        for fmt in (RGB888, RGB565, RGB332):
-            assert np.array_equal(fmt.unpack(fmt.pack_array(black)), black)
-            assert np.array_equal(fmt.unpack(fmt.pack_array(white)), white)
+        assert np.array_equal(RGB888.unpack(RGB888.pack_array(black)), black)
+        assert np.array_equal(RGB888.unpack(RGB888.pack_array(white)), white)
 
-    def test_wire_encode_decode(self):
-        for fmt in (RGB888, RGB565, RGB332):
-            assert PixelFormat.decode(fmt.encode()) == fmt
+    def test_wire_form(self):
+        # ServerInit's 16 bytes, in RFB's layout, and the 4 little-endian
+        # bytes of each packed pixel
+        assert RGB888.wire == struct.pack(
+            ">BBBBHHHBBB3x", 32, 24, 0, 1, 255, 255, 255, 16, 8, 0)
+        pixel = np.array([[[0x12, 0x34, 0x56]]], dtype=np.uint8)
+        assert RGB888.pack_array(pixel).tobytes() == b"\x56\x34\x12\x00"
 
-    def test_decode_wrong_length(self):
+    def test_unpack_ignores_the_top_byte(self):
+        packed = np.array([[0xFF123456]], dtype=RGB888.dtype)
+        assert RGB888.unpack(packed).tolist() == [[[0x12, 0x34, 0x56]]]
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((4, 4), dtype=np.uint8),          # no channel axis
+        np.zeros((4, 4, 4), dtype=np.uint8),       # RGBA
+        np.zeros((4, 4, 3), dtype=np.float64),
+        np.zeros((4, 4, 3), dtype=np.uint16),
+    ], ids=["2d", "rgba", "float", "uint16"])
+    def test_pack_array_refuses_anything_but_rgb_bytes(self, array):
+        with pytest.raises(GraphicsError, match="expected"):
+            RGB888.pack_array(array)
+
+    def test_unpack_refuses_big_endian_pixels(self):
         with pytest.raises(GraphicsError):
-            PixelFormat.decode(b"short")
-
-    def test_invalid_max_rejected(self):
-        with pytest.raises(GraphicsError):
-            PixelFormat(16, 16, False, 30, 63, 31, 11, 5, 0)
-
-    def test_invalid_bpp_rejected(self):
-        with pytest.raises(GraphicsError):
-            PixelFormat(24, 24, False, 255, 255, 255, 16, 8, 0)
+            RGB888.unpack(np.zeros((2, 2), dtype=">u4"))
 
     def test_unpack_wrong_size(self):
         with pytest.raises(GraphicsError):
             RGB888.unpack(np.zeros(10, dtype=RGB888.dtype))
-        with pytest.raises(GraphicsError):  # another format's wire array
-            RGB888.unpack(np.zeros((2, 2), dtype=RGB565.dtype))
+        with pytest.raises(GraphicsError):  # 16-bit pixels
+            RGB888.unpack(np.zeros((2, 2), dtype=np.uint16))
 
-    @pytest.mark.parametrize("fmt", [RGB888, RGB565, RGB332])
-    def test_pack_array_accepts_non_contiguous_view(self, fmt):
+    def test_pack_array_accepts_non_contiguous_view(self):
         rng = np.random.default_rng(5)
         rgb = rng.integers(0, 256, size=(12, 12, 3), dtype=np.uint8)
         view = rgb[2:9, 3:11]
         assert not view.flags.c_contiguous
-        assert np.array_equal(fmt.pack_array(view),
-                              fmt.pack_array(view.copy()))
+        assert np.array_equal(RGB888.pack_array(view),
+                              RGB888.pack_array(view.copy()))
 
 
 class TestDraw:
@@ -304,6 +308,11 @@ class TestFont:
         with pytest.raises(GraphicsError):
             Font(scale=0)
 
+    def test_negative_tracking(self):
+        from repro.graphics.font import Font
+        with pytest.raises(GraphicsError, match="tracking"):
+            Font(tracking=-1)
+
 
 class TestOps:
     def _gradient(self, w=16, h=12):
@@ -388,6 +397,10 @@ class TestOps:
         assert len(packed) == 2 * 2  # ceil(5/4)=2 bytes per row
         out = ops.unpack_gray4(packed, 5, 2)
         assert np.array_equal(out, gray)
+
+    def test_unpack_gray4_wrong_size(self):
+        with pytest.raises(GraphicsError, match="gray4 buffer"):
+            ops.unpack_gray4(b"\x00", 5, 2)
 
     def test_unpack_mono_wrong_size(self):
         with pytest.raises(GraphicsError):

@@ -141,6 +141,18 @@ class TestRegistryQueries:
         assert self.registry.query(Comparison("volume", "<=", 10)) == [
             seid(1)]
 
+    @pytest.mark.parametrize("op, value, matched", [
+        ("!=", "tuner", [2]),
+        ("<", 50, [1]),
+        (">=", 90, [3]),
+        ("contains", "tun", [1, 3]),
+    ])
+    def test_other_comparisons(self, op, value, matched):
+        attribute = "fcm.type" if isinstance(value, str) else "volume"
+        seids = {1: seid(1), 2: seid(2), 3: seid(3, "ffff000011112222")}
+        assert self.registry.query(Comparison(attribute, op, value)) == [
+            seids[n] for n in matched]
+
     def test_exists(self):
         assert len(self.registry.query(Comparison("volume", "exists"))) == 2
 

@@ -16,11 +16,8 @@ from hypothesis import strategies as st
 
 from repro.devices import Pda
 from repro.graphics import (
-    RGB332,
-    RGB565,
     RGB888,
     Bitmap,
-    PixelFormat,
     Rect,
     TileDiffer,
     font5x7,
@@ -37,11 +34,6 @@ from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util import Scheduler
 from repro.util.errors import GraphicsError, ProtocolError
 from tests.helpers import ScreenReplay
-
-BE565 = PixelFormat(16, 16, True, 31, 63, 31, 11, 5, 0)
-BE888 = PixelFormat(32, 24, True, 255, 255, 255, 16, 8, 0)
-ALL_FORMATS = [RGB888, RGB565, RGB332, BE565, BE888]
-
 
 def _noise(rng, width, height):
     return Bitmap.from_array(
@@ -347,14 +339,13 @@ class TestFontParity:
 # -- HEXTILE decode ---------------------------------------------------------
 
 
-def cursor_decode_hextile(cursor, width, height, pf):
+def cursor_decode_hextile(cursor, width, height):
     """The byte-at-a-time ``decode_hextile`` the offset parser replaced."""
-    order = "big" if pf.big_endian else "little"
 
     def pixel():
-        return int.from_bytes(cursor.take(pf.bytes_per_pixel), order)
+        return int.from_bytes(cursor.take(4), "little")
 
-    out = np.zeros((height, width), dtype=pf.dtype)
+    out = np.zeros((height, width), dtype=RGB888.dtype)
     background = 0
     foreground = 0
     for ty in range(0, height, 16):
@@ -363,9 +354,9 @@ def cursor_decode_hextile(cursor, width, height, pf):
             th = min(16, height - ty)
             subenc = cursor.u8()
             if subenc & 1:
-                data = cursor.take(tw * th * pf.bytes_per_pixel)
+                data = cursor.take(tw * th * 4)
                 out[ty:ty + th, tx:tx + tw] = np.frombuffer(
-                    data, dtype=pf.dtype).reshape(th, tw)
+                    data, dtype=RGB888.dtype).reshape(th, tw)
                 continue
             if subenc & 2:
                 background = pixel()
@@ -389,7 +380,7 @@ def cursor_decode_hextile(cursor, width, height, pf):
     return out
 
 
-def _panel_packed(rng, pf, width, height):
+def _panel_packed(rng, width, height):
     """Flat fills, two-colour glyph tiles and a noisy patch (raw tiles)."""
     bmp = Bitmap(width, height, fill=_color(rng))
     font = Font(scale=int(rng.integers(1, 3)))
@@ -402,32 +393,28 @@ def _panel_packed(rng, pf, width, height):
     if not clipped.is_empty and rng.random() < 0.5:
         bmp.pixels[clipped.y:clipped.y2, clipped.x:clipped.x2] = (
             rng.integers(0, 256, (clipped.h, clipped.w, 3), dtype=np.uint8))
-    return pf.pack_array(bmp.pixels)
+    return RGB888.pack_array(bmp.pixels)
 
 
-def _both(payload, width, height, pf, pos=0):
+def _both(payload, width, height, pos=0):
     fast_cursor, slow_cursor = Cursor(payload, pos), Cursor(payload, pos)
-    fast = decode_hextile(fast_cursor, width, height, pf)
-    slow = cursor_decode_hextile(slow_cursor, width, height, pf)
+    fast = decode_hextile(fast_cursor, width, height)
+    slow = cursor_decode_hextile(slow_cursor, width, height)
     return fast, slow, fast_cursor.pos, slow_cursor.pos
 
 
 class TestHextileDecodeParity:
-    @pytest.mark.parametrize("pf", ALL_FORMATS,
-                             ids=["rgb888", "rgb565", "rgb332", "be565",
-                                  "be888"])
-    def test_encoded_panels_decode_identically(self, pf):
-        rng = np.random.default_rng(30 + pf.bits_per_pixel
-                                    + int(pf.big_endian))
+    def test_encoded_panels_decode_identically(self):
+        rng = np.random.default_rng(62)
         kinds = set()
         for _ in range(25):
             width, height = (int(v) for v in rng.integers(1, 70, 2))
-            packed = _panel_packed(rng, pf, width, height)
-            payload = encode_hextile(packed, pf)
-            kinds.update(_subencodings(payload, width, height, pf))
+            packed = _panel_packed(rng, width, height)
+            payload = encode_hextile(packed)
+            kinds.update(_subencodings(payload, width, height))
             framed = b"\x07\x07" + payload + b"\x09"
             fast, slow, fast_pos, slow_pos = _both(
-                bytearray(framed), width, height, pf, pos=2)
+                bytearray(framed), width, height, pos=2)
             assert fast.dtype == slow.dtype
             assert np.array_equal(fast, slow)
             assert np.array_equal(fast, packed)
@@ -435,84 +422,77 @@ class TestHextileDecodeParity:
         # the panels exercised every kind of tile
         assert {"raw", "coloured", "mono", "solid"} <= kinds
 
-    @pytest.mark.parametrize("pf", ALL_FORMATS,
-                             ids=["rgb888", "rgb565", "rgb332", "be565",
-                                  "be888"])
-    def test_every_strict_prefix_needs_more(self, pf):
-        rng = np.random.default_rng(40 + pf.bits_per_pixel)
+    def test_every_strict_prefix_needs_more(self):
+        rng = np.random.default_rng(72)
         width, height = 37, 21
-        packed = _panel_packed(rng, pf, width, height)
-        packed[:16, 16:32] = rng.integers(0, 256, (16, 16)).astype(pf.dtype)
-        payload = encode_hextile(packed, pf) + b"\xff"
-        assert "raw" in _subencodings(payload, width, height, pf)
+        packed = _panel_packed(rng, width, height)
+        packed[:16, 16:32] = rng.integers(0, 256, (16, 16)).astype(
+            RGB888.dtype)
+        payload = encode_hextile(packed) + b"\xff"
+        assert "raw" in _subencodings(payload, width, height)
         full = len(payload) - 1
         for cut in range(full):
             buffer = bytearray(payload[:cut])
             cursor = Cursor(buffer, 0)
             with pytest.raises(NeedMore) as stall:
-                decode_hextile(cursor, width, height, pf)
+                decode_hextile(cursor, width, height)
             assert cut < stall.value.needed <= full
             assert cursor.pos == 0
             # no live view over the buffer survives: it can still grow
             buffer.extend(b"\x00")
-        out = decode_hextile(Cursor(payload, 0), width, height, pf)
+        out = decode_hextile(Cursor(payload, 0), width, height)
         assert np.array_equal(out, packed)
 
     def test_handcrafted_tiles_decode_identically(self):
-        pf = RGB565
-        px = [v.to_bytes(2, "little") for v in (0x1111, 0x2222, 0x3333)]
+        px = [v.to_bytes(4, "little") for v in (0x1111, 0x2222, 0x3333)]
         payload = b"".join([
             # 16x5 tile: bg + fg, three mono subrects, two overlapping
             bytes([2 | 4 | 8]), px[0], px[1],
             bytes([3, 0x00, 0x42, 0x21, 0x11, 0xA0, 0x54]),
             # 16x5 tile: raw
-            bytes([1]), np.arange(16 * 5, dtype="<u2").tobytes(),
+            bytes([1]), np.arange(16 * 5, dtype="<u4").tobytes(),
             # 5x5 tile: background persists across the raw tile;
             # coloured subrects, the second inside the first
             bytes([8 | 16, 2]), px[2], bytes([0x00, 0x33]),
             px[1], bytes([0x11, 0x00]),
         ])
-        fast, slow, fast_pos, slow_pos = _both(payload, 37, 5, pf)
+        fast, slow, fast_pos, slow_pos = _both(payload, 37, 5)
         assert np.array_equal(fast, slow)
         assert fast_pos == slow_pos == len(payload)
         assert fast[0, 36] == 0x1111 and fast[1, 33] == 0x2222
 
     @pytest.mark.parametrize("coloured", [False, True])
     def test_overrunning_subrect_is_a_protocol_error(self, coloured):
-        pf = RGB332
+        px = [v.to_bytes(4, "little") for v in (1, 2, 5)]
         # a 10x7 edge tile; the second subrect is 3 wide at x=8
-        record = (lambda xy, wh: (b"\x05" if coloured else b"") +
+        record = (lambda xy, wh: (px[2] if coloured else b"") +
                   bytes([xy, wh]))
         subenc = 2 | 8 | (16 if coloured else 4)
-        head = bytes([subenc, 0x01]) + (b"" if coloured else b"\x02")
+        head = bytes([subenc]) + px[0] + (b"" if coloured else px[1])
         payload = head + bytes([2]) + record(0x00, 0x00) + record(
             0x80, 0x20)
         for decode in (decode_hextile, cursor_decode_hextile):
             with pytest.raises(ProtocolError, match="exceeds tile 10x7"):
-                decode(Cursor(payload), 10, 7, pf)
+                decode(Cursor(payload), 10, 7)
         # too tall for the tile
         payload = head + bytes([1]) + record(0x03, 0x06)
         with pytest.raises(ProtocolError):
-            decode_hextile(Cursor(payload), 10, 6, pf)
+            decode_hextile(Cursor(payload), 10, 6)
 
 
 @st.composite
 def hextile_payloads(draw):
-    """``(payload, width, height, pf)``: any tile mix a peer may send.
+    """``(payload, width, height)``: any tile mix a peer may send.
 
     Raw tiles, solid tiles that keep the background, background and
     foreground changes that persist into later tiles, edge tiles of any
     size, and mono or coloured subrects placed freely inside their tile,
     so they overlap (the encoder never overlaps them).
     """
-    pf = draw(st.sampled_from(ALL_FORMATS))
     width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    ps = pf.bytes_per_pixel
-    order = "big" if pf.big_endian else "little"
 
     def pixel():
-        return draw(st.integers(0, 2 ** pf.bits_per_pixel - 1)).to_bytes(
-            ps, order)
+        return draw(st.integers(0, 2 ** 32 - 1)).to_bytes(4, "little")
 
     parts = []
     for ty in range(0, height, 16):
@@ -550,16 +530,16 @@ def hextile_payloads(draw):
                                         (sw - 1) << 4 | (sh - 1)]))
             parts.append(bytes([subenc]) + head + bytes([len(records)])
                          + b"".join(records))
-    return b"".join(parts), width, height, pf
+    return b"".join(parts), width, height
 
 
 class TestHextileDecodeProperties:
     @given(hextile_payloads())
     @settings(max_examples=150, deadline=None)
     def test_any_payload_decodes_as_the_oracle_does(self, case):
-        payload, width, height, pf = case
+        payload, width, height = case
         fast, slow, fast_pos, slow_pos = _both(
-            bytearray(payload + b"\x05"), width, height, pf)
+            bytearray(payload + b"\x05"), width, height)
         assert fast.dtype == slow.dtype
         assert np.array_equal(fast, slow)
         assert fast_pos == slow_pos == len(payload)
@@ -567,16 +547,15 @@ class TestHextileDecodeProperties:
     @given(hextile_payloads())
     @settings(max_examples=40, deadline=None)
     def test_every_proper_prefix_needs_more(self, case):
-        payload, width, height, pf = case
+        payload, width, height = case
         for cut in range(len(payload)):
             cursor = Cursor(bytearray(payload[:cut]), 0)
             with pytest.raises(NeedMore) as stall:
-                decode_hextile(cursor, width, height, pf)
+                decode_hextile(cursor, width, height)
             assert cut < stall.value.needed <= len(payload)
             assert cursor.pos == 0
 
     def test_overlapping_subrects_paint_in_stream_order(self):
-        pf = RGB888
         px = [v.to_bytes(4, "little") for v in (0x10, 0x20, 0x30, 0x40)]
         payload = b"".join([
             # coloured: a 4x4 square, a 2x2 inside it, then the square
@@ -585,7 +564,7 @@ class TestHextileDecodeProperties:
             px[1], bytes([0x11, 0x33]), px[2], bytes([0x22, 0x11]),
             px[3], bytes([0x11, 0x33]), px[2], bytes([0x44, 0x00]),
         ])
-        fast, slow, _, _ = _both(payload, 8, 8, pf)
+        fast, slow, _, _ = _both(payload, 8, 8)
         assert np.array_equal(fast, slow)
         assert fast[2, 2] == 0x40 and fast[4, 4] == 0x30
         assert fast[0, 0] == 0x10
@@ -631,11 +610,11 @@ def _per_tile_merged_subrects(tile, background):
     return out
 
 
-def per_tile_encode_hextile(packed, pf):
+def per_tile_encode_hextile(packed):
     """The seed's scalar ``encode_hextile``: one ``np.unique`` and one
     row-run walk per tile, edge tiles like any other."""
     height, width = packed.shape
-    ps = pf.bytes_per_pixel
+    ps = RGB888.bytes_per_pixel
     writer = Writer()
     prev_bg = None
     prev_fg = None
@@ -650,7 +629,7 @@ def per_tile_encode_hextile(packed, pf):
                 if value == prev_bg:
                     writer.u8(0)
                 else:
-                    writer.u8(2).raw(_pixel_bytes(value, pf))
+                    writer.u8(2).raw(_pixel_bytes(value))
                     prev_bg = value
                 continue
             background = _per_tile_most_common(tile)
@@ -660,18 +639,18 @@ def per_tile_encode_hextile(packed, pf):
             body = Writer()
             if background != prev_bg:
                 subenc |= 2
-                body.raw(_pixel_bytes(background, pf))
+                body.raw(_pixel_bytes(background))
             if coloured:
                 subenc |= 16
             else:
                 foreground = int(uniques[uniques != background][0])
                 if foreground != prev_fg:
                     subenc |= 4
-                    body.raw(_pixel_bytes(foreground, pf))
+                    body.raw(_pixel_bytes(foreground))
             body.u8(len(subrects))
             for x, y, w, h, value in subrects:
                 if coloured:
-                    body.raw(_pixel_bytes(value, pf))
+                    body.raw(_pixel_bytes(value))
                 body.u8((x << 4) | y)
                 body.u8(((w - 1) << 4) | (h - 1))
             encoded = body.getvalue()
@@ -691,10 +670,9 @@ def per_tile_encode_hextile(packed, pf):
 
 @st.composite
 def hextile_rects(draw):
-    """``(packed, pf)``: 1-80 px a side of few colours, noise, or runs of
+    """Packed pixels, 1-80 px a side, of few colours, noise, or runs of
     a palette in raster order (flat tiles beside mixed ones), so a rect
     has full, right-edge, bottom-edge and corner tiles of every size."""
-    pf = draw(st.sampled_from(ALL_FORMATS))
     width, height = draw(st.integers(1, 80)), draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     content = draw(st.sampled_from(["few-colour", "noise", "runs"]))
@@ -713,16 +691,14 @@ def hextile_rects(draw):
         indices = np.repeat(rng.integers(0, len(palette), lengths.size),
                             lengths)
         rgb = palette[np.resize(indices, (height, width))]
-    return pf.pack_array(rgb), pf
+    return RGB888.pack_array(rgb)
 
 
 class TestHextileEncodeParity:
     @given(hextile_rects())
     @settings(max_examples=120, deadline=None)
-    def test_any_rect_encodes_as_the_per_tile_oracle_does(self, case):
-        packed, pf = case
-        assert encode_hextile(packed, pf) == per_tile_encode_hextile(
-            packed, pf)
+    def test_any_rect_encodes_as_the_per_tile_oracle_does(self, packed):
+        assert encode_hextile(packed) == per_tile_encode_hextile(packed)
 
     def test_a_rect_off_the_grid_batches_four_tile_shapes(self,
                                                           monkeypatch):
@@ -731,16 +707,15 @@ class TestHextileEncodeParity:
         class Recording(enc._HextileBatch):
             __slots__ = ()
 
-            def __init__(self, stack, pf):
+            def __init__(self, stack):
                 shapes.append(stack.shape[1:])
-                super().__init__(stack, pf)
+                super().__init__(stack)
 
         monkeypatch.setattr(enc, "_HextileBatch", Recording)
         rng = np.random.default_rng(8)
         packed = RGB888.pack_array(
             rng.integers(0, 4, (36, 40, 3), dtype=np.uint8) * 60)
-        assert encode_hextile(packed, RGB888) == per_tile_encode_hextile(
-            packed, RGB888)
+        assert encode_hextile(packed) == per_tile_encode_hextile(packed)
         # full tiles, the right edge column, the bottom row, the corner
         assert shapes == [(16, 16), (16, 8), (4, 16), (4, 8)]
 
@@ -748,59 +723,57 @@ class TestHextileEncodeParity:
 # -- pixel format pack and unpack -------------------------------------------
 
 
-def scaled_pack_array(pf, rgb):
+#: RGB888's channel maximum and its red, green and blue shifts, which
+#: the oracles below rescale and shift by.
+CHANNEL_MAX = 255
+SHIFTS = (16, 8, 0)
+
+
+def scaled_pack_array(rgb):
     """The ``PixelFormat.pack_array`` that rescaled every channel."""
     wide = rgb.astype(np.uint32)
-    r = (wide[..., 0] * pf.red_max + 127) // 255
-    g = (wide[..., 1] * pf.green_max + 127) // 255
-    b = (wide[..., 2] * pf.blue_max + 127) // 255
-    packed = ((r << pf.red_shift) | (g << pf.green_shift)
-              | (b << pf.blue_shift))
-    return packed.astype(pf.dtype)
+    r, g, b = ((wide[..., i] * CHANNEL_MAX + 127) // 255 for i in range(3))
+    packed = (r << SHIFTS[0]) | (g << SHIFTS[1]) | (b << SHIFTS[2])
+    return packed.astype("<u4")
 
 
-def scaled_unpack(pf, data, width, height):
+def scaled_unpack(data, width, height):
     """The ``PixelFormat.unpack`` that took wire bytes and rescaled every
     channel."""
-    packed = np.frombuffer(data, dtype=pf.dtype).reshape(
+    packed = np.frombuffer(data, dtype="<u4").reshape(
         height, width).astype(np.uint32)
-    r = (packed >> pf.red_shift) & pf.red_max
-    g = (packed >> pf.green_shift) & pf.green_max
-    b = (packed >> pf.blue_shift) & pf.blue_max
     rgb = np.empty((height, width, 3), dtype=np.uint8)
-    rgb[..., 0] = (r * 255 + pf.red_max // 2) // pf.red_max
-    rgb[..., 1] = (g * 255 + pf.green_max // 2) // pf.green_max
-    rgb[..., 2] = (b * 255 + pf.blue_max // 2) // pf.blue_max
+    for i, shift in enumerate(SHIFTS):
+        channel = (packed >> shift) & CHANNEL_MAX
+        rgb[..., i] = (channel * 255 + CHANNEL_MAX // 2) // CHANNEL_MAX
     return rgb
 
 
 class TestPixelFormatParity:
-    @pytest.mark.parametrize("pf", [RGB888, RGB565, RGB332, BE888],
-                             ids=["rgb888", "rgb565", "rgb332", "be888"])
-    def test_pack_and_unpack_match_the_scaled_arithmetic(self, pf):
-        rng = np.random.default_rng(50 + pf.bits_per_pixel)
+    def test_pack_and_unpack_match_the_scaled_arithmetic(self):
+        rng = np.random.default_rng(82)
         for _ in range(30):
             height, width = (int(v) for v in rng.integers(1, 40, 2))
             rgb = rng.integers(0, 256, (height + 4, width + 3, 3),
                                dtype=np.uint8)
             view = rgb[2:2 + height, 1:1 + width]  # not contiguous
-            packed = pf.pack_array(view)
-            assert packed.dtype == pf.dtype
-            assert np.array_equal(packed, scaled_pack_array(pf, view))
+            packed = RGB888.pack_array(view)
+            assert packed.dtype == RGB888.dtype
+            assert np.array_equal(packed, scaled_pack_array(view))
             # every wire value, including bits outside the channels
-            wire = rng.integers(0, 2 ** pf.bits_per_pixel, (height, width),
-                                dtype=np.uint64).astype(pf.dtype)
+            wire = rng.integers(0, 2 ** 32, (height, width),
+                                dtype=np.uint64).astype(RGB888.dtype)
             assert np.array_equal(
-                pf.unpack(wire),
-                scaled_unpack(pf, wire.tobytes(), width, height))
+                RGB888.unpack(wire),
+                scaled_unpack(wire.tobytes(), width, height))
 
 
-def _subencodings(payload, width, height, pf):
+def _subencodings(payload, width, height):
     """The kinds of tile in a HEXTILE payload (walked by the oracle's
     layout): raw, solid, coloured or mono subrects."""
     kinds = set()
     cursor = Cursor(payload)
-    ps = pf.bytes_per_pixel
+    ps = RGB888.bytes_per_pixel
     for ty in range(0, height, 16):
         for tx in range(0, width, 16):
             tw, th = min(16, width - tx), min(16, height - ty)

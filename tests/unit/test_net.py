@@ -135,6 +135,19 @@ class TestPipe:
         sched.run_until_idle()
         assert closed == [True]
 
+    def test_a_second_close_or_abort_notifies_no_one(self):
+        sched = Scheduler()
+        pipe = make_pipe(sched)
+        closed = []
+        pipe.a.on_close = lambda: closed.append("a")
+        pipe.b.on_close = lambda: closed.append("b")
+        pipe.a.abort()
+        sched.run_until_idle()
+        pipe.a.abort()
+        pipe.a.close()
+        sched.run_until_idle()
+        assert sorted(closed) == ["a", "b"]
+
     def test_data_buffered_until_callback_set(self):
         sched = Scheduler()
         pipe = make_pipe(sched)

@@ -342,6 +342,22 @@ class TestProxyRegistration:
         assert proxy.current_output is None
         assert "pda" not in proxy.devices
 
+    def test_connect_can_select_both_devices(self):
+        from repro.net import ETHERNET_100
+        from repro.server import UniIntServer
+        from repro.toolkit import Column, UIWindow
+        from repro.windows import DisplayServer
+        proxy = self._proxy()
+        window = UIWindow(100, 100)
+        window.set_root(Column())
+        server = UniIntServer(DisplayServer(window), proxy.scheduler)
+        pipe = make_pipe(proxy.scheduler, ETHERNET_100)
+        server.accept(pipe.a)
+        Pda("pda", proxy.scheduler).connect(proxy)
+        proxy.connect(pipe.b, input_device="pda", output_device="pda")
+        proxy.scheduler.run_until_idle()
+        assert proxy.current_input == proxy.current_output == "pda"
+
     def test_input_role_validation(self):
         proxy = self._proxy()
         from repro.net import ETHERNET_100

@@ -91,6 +91,29 @@ class TestMembership:
 
 
 class TestTurn:
+    def test_a_closed_reactor_does_not_turn(self):
+        reactor = Reactor()
+        reactor.close()
+        with pytest.raises(ReactorError, match="closed"):
+            reactor.turn()
+
+    def test_a_member_that_never_idles_is_reported(self):
+        reactor = Reactor()
+        sched = Scheduler()
+        reactor.add_scheduler(sched)
+
+        def forever():
+            sched.call_soon(forever)
+
+        sched.call_soon(forever)
+        try:
+            with pytest.raises(ReactorError, match="exceeded 5 turns"):
+                reactor.run_until_idle(max_turns=5)
+            with pytest.raises(ReactorError, match="exceeded 3 turns"):
+                reactor.run_until(lambda: False, timeout_s=None, max_turns=3)
+        finally:
+            reactor.close()
+
     def test_budget_caps_a_storming_member_per_turn(self):
         reactor = Reactor()
         stormy, meek = Scheduler(), Scheduler()

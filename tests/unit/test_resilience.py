@@ -8,13 +8,12 @@ import socket
 import pytest
 
 from repro.devices import Pda
-from repro.graphics import RGB565
 from repro.home import Home
 from repro.net import ETHERNET_100, Reactor, TcpListener, make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
 from repro.toolkit import Button, Column, Label, UIWindow
-from repro.uip import ClientHandshake, ServerHandshake
+from repro.uip import RAW, ZRLE, ClientHandshake, ServerHandshake
 from repro.uip.handshake import MAX_NAME_LEN
 from repro.util import Scheduler
 from repro.windows import DisplayServer
@@ -71,13 +70,13 @@ class TestSessionParking:
 
     def test_resume_transplants_state_with_one_full_resync(self):
         scheduler, display, window, server = make_server(resume_grace_s=30.0)
-        client = connect(scheduler, server, pixel_format=RGB565)
+        client = connect(scheduler, server, encodings=(ZRLE, RAW))
         scheduler.run_until_idle()
         token = client.resume_token
         client.endpoint.abort()
         scheduler.run_until_idle()
 
-        revived = connect(scheduler, server, pixel_format=RGB565,
+        revived = connect(scheduler, server, encodings=(ZRLE, RAW),
                           resume_from=token)
         scheduler.run_until_idle()
         assert server.sessions_resumed == 1
@@ -85,13 +84,13 @@ class TestSessionParking:
         assert len(server.sessions) == 1
         session = server.sessions[0]
         assert session.resumed
-        assert session.pixel_format == RGB565
+        # a resuming client sends no SetEncodings: the parked offer
+        # came back with the token
+        assert session.encodings == (ZRLE, RAW)
         # exactly one full-frame resync: the resuming client's single
         # non-incremental request
         assert revived.updates_received == 1
-        # the RGB565 wire is lossy, so compare against the dead client's
-        # mirror (same format, same display content)
-        assert revived.framebuffer == client.framebuffer
+        assert revived.framebuffer == display.framebuffer
         # a fresh token was granted to the new connection
         assert revived.resume_token is not None
         assert revived.resume_token != token
@@ -469,10 +468,7 @@ class TestSatelliteFixes:
     def test_handshake_rejects_absurd_name_length(self):
         # hand-drive the client against a hostile ServerInit whose name
         # length claims ~4 GiB: must fail, not buffer forever
-        server = ServerHandshake(160, 120,
-                                 __import__("repro.graphics",
-                                            fromlist=["RGB888"]).RGB888,
-                                 "x" * 10)
+        server = ServerHandshake(160, 120, "x" * 10)
         client = ClientHandshake()
         client.feed(server.outgoing())
         server.feed(client.outgoing())
@@ -486,8 +482,7 @@ class TestSatelliteFixes:
         assert "exceeds" in client.failed
 
     def test_handshake_accepts_max_name_length(self):
-        from repro.graphics import RGB888
-        server = ServerHandshake(160, 120, RGB888, "n" * MAX_NAME_LEN)
+        server = ServerHandshake(160, 120, "n" * MAX_NAME_LEN)
         client = ClientHandshake()
         client.feed(server.outgoing())
         server.feed(client.outgoing())

@@ -153,6 +153,16 @@ class TestScheduler:
         with pytest.raises(SchedulerError):
             sched.run_until(1.0)
 
+    def test_runaway_loop_before_a_deadline_detected(self):
+        sched = Scheduler()
+
+        def forever():
+            sched.call_soon(forever)
+
+        sched.call_soon(forever)
+        with pytest.raises(SchedulerError, match="before 1.0"):
+            sched.run_until(1.0, max_events=100)
+
     def test_runaway_loop_detected(self):
         sched = Scheduler()
 

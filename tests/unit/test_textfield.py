@@ -23,6 +23,16 @@ def type_text(window, text):
 
 
 class TestTextField:
+    def test_right_arrow_moves_the_cursor_up_to_the_end(self):
+        window, field = field_window()
+        type_text(window, "ab")
+        window.press_key(keysyms.HOME)
+        window.press_key(keysyms.RIGHT)
+        assert field.cursor == 1
+        for _ in range(3):
+            window.press_key(keysyms.RIGHT)
+        assert field.cursor == 2
+
     def test_typing_inserts(self):
         window, field = field_window()
         type_text(window, "hello")

@@ -1,8 +1,9 @@
 """Unit tests for the widget toolkit."""
 
+import numpy as np
 import pytest
 
-from repro.graphics import Rect
+from repro.graphics import Bitmap, Rect
 from repro.toolkit import (
     Button,
     Column,
@@ -21,6 +22,7 @@ from repro.toolkit import (
     UIWindow,
     Widget,
 )
+from repro.toolkit.canvas import Canvas
 from repro.uip import keysyms
 from repro.util.errors import ToolkitError
 
@@ -94,6 +96,19 @@ class TestWidgetTree:
 
 
 class TestLayout:
+    @pytest.mark.parametrize("stretches, heights", [
+        ((1, 1, 1), [51, 50, 50]),
+        ((0, 1, 1), [10, 71, 70]),
+    ])
+    def test_rounding_remainder_goes_to_the_first_stretchy_child(
+            self, stretches, heights):
+        # three 10 px fillers in 151 px leave 121 px to share
+        window = make_window(200, 151)
+        col = Column(padding=0, spacing=0)
+        children = [col.add(filler(stretch)) for stretch in stretches]
+        window.set_root(col)
+        assert [child.rect.h for child in children] == heights
+
     def test_column_stacks_vertically(self):
         window = make_window()
         col = Column(padding=0, spacing=0)
@@ -207,6 +222,38 @@ class TestRendering:
 
 
 class TestButton:
+    def test_text_change_repaints_only_when_the_text_differs(self):
+        window = make_window()
+        col = Column(padding=0, spacing=0)
+        button = col.add(Button("Go"))
+        window.set_root(col)
+        window.render()
+        button.text = "Go"
+        assert window.render().is_empty
+        button.text = "Stop"
+        assert button.text == "Stop"
+        assert window.render().bounds() == button.abs_rect()
+
+    def test_a_disabled_button_does_not_activate(self):
+        clicks = []
+        button = Button("Go", on_click=clicks.append)
+        button.enabled = False
+        button.activate()
+        assert clicks == []
+
+    def test_a_removed_button_loses_the_pointer_grab(self):
+        window = make_window()
+        clicks = []
+        col = Column(padding=0, spacing=0)
+        button = col.add(Button("Go", on_click=clicks.append))
+        col.add(filler())
+        window.set_root(col)
+        cx, cy = button.abs_rect().center
+        window.dispatch_pointer(Pointer(PointerKind.DOWN, cx, cy, 1))
+        col.remove(button)
+        window.dispatch_pointer(Pointer(PointerKind.UP, cx, cy, 0))
+        assert clicks == []
+
     def test_click_activates(self):
         window = make_window()
         clicks = []
@@ -252,6 +299,29 @@ class TestButton:
 
 
 class TestToggle:
+    def test_a_disabled_toggle_keeps_its_value(self):
+        changes = []
+        toggle = ToggleButton("Power", on_change=changes.append)
+        toggle.enabled = False
+        toggle.toggle()
+        assert toggle.value is False and changes == []
+
+    def test_a_disabled_toggle_paints_the_disabled_face(self):
+        faces = []
+        for enabled in (True, False):
+            window = make_window()
+            col = Column(padding=0, spacing=0)
+            toggle = col.add(ToggleButton("Power"))
+            toggle.enabled = enabled
+            window.set_root(col)
+            window.render()
+            r = toggle.abs_rect()
+            pixels = window.bitmap.pixels[r.y:r.y2, r.x:r.x2]
+            faces.append({tuple(p) for p in pixels.reshape(-1, 3).tolist()})
+        disabled_face = tuple(DEFAULT_THEME.face_disabled)
+        assert disabled_face not in faces[0]
+        assert disabled_face in faces[1]
+
     def test_click_toggles(self):
         window = make_window()
         changes = []
@@ -281,6 +351,11 @@ class TestToggle:
 
 
 class TestSlider:
+    def test_other_keys_are_left_to_the_parent(self):
+        slider = Slider(0, 10)
+        assert slider.handle_key(KeyPress(keysyms.RETURN)) is False
+        assert slider.value == 0
+
     def test_range_validation(self):
         with pytest.raises(ToolkitError):
             Slider(minimum=5, maximum=5)
@@ -403,6 +478,24 @@ class TestListBox:
 
 
 class TestTabPanel:
+    def test_a_panel_without_pages_has_no_active_tab(self):
+        tabs = TabPanel()
+        tabs.set_active(0)
+        assert tabs.active == -1 and tabs.titles == []
+        assert tabs.preferred_size(DEFAULT_THEME)[0] >= 1
+
+    def test_a_click_past_the_last_tab_switches_nothing(self):
+        window, tabs = self._tabbed_window()
+        x, y = tabs.abs_rect().x + 290, tabs.abs_rect().y + 4
+        window.click(x, y)
+        assert tabs.active == 0
+
+    def test_up_and_down_keys_are_left_to_the_parent(self):
+        window, tabs = self._tabbed_window()
+        for keysym in (keysyms.UP, keysyms.DOWN):
+            assert tabs.handle_key(KeyPress(keysym)) is False
+        assert tabs.active == 0
+
     def _tabbed_window(self):
         window = make_window(300, 200)
         tabs = TabPanel()
@@ -631,3 +724,46 @@ class TestFocusTraversal:
         window.set_root(col)
         window.click(*b.abs_rect().center)
         assert window.focus is b
+
+
+class TestWindowWithoutRoot:
+    def test_an_empty_window_ignores_input(self):
+        window = make_window()
+        window.render()
+        window.layout()
+        assert window.damage.is_empty
+        assert window.dispatch_pointer(Pointer(PointerKind.DOWN, 5, 5, 1)) \
+            is False
+        window.focus_next()
+        assert window.focus is None
+
+
+class TestFocusRequests:
+    def test_a_label_cannot_take_focus(self):
+        window = make_window()
+        col = Column()
+        label = col.add(Label("status"))
+        button = col.add(Button("Go"))
+        window.set_root(col)
+        assert label.request_focus() is False
+        assert window.focus is button
+
+    def test_a_key_press_names_its_keysym(self):
+        assert KeyPress(keysyms.RETURN).name == "Return"
+        assert KeyPress(ord("a")).name == "a"
+
+
+class TestCanvasEdges:
+    def test_a_bevel_too_small_for_edges_is_all_face(self):
+        bitmap = Bitmap(10, 10)
+        canvas = Canvas(bitmap, 0, 0, bitmap.bounds)
+        canvas.bevel(Rect(2, 2, 1, 5), (9, 9, 9), (255, 255, 255), (1, 1, 1))
+        assert np.all(bitmap.pixels[2:7, 2] == 9)
+        assert bitmap.pixels.sum() == 5 * 3 * 9
+
+    def test_a_clipped_outline_thicker_than_its_rect_fills_it(self):
+        bitmap = Bitmap(10, 10)
+        canvas = Canvas(bitmap, 0, 0, Rect(0, 0, 3, 3))
+        canvas.outline(Rect(0, 0, 4, 4), (7, 7, 7), thickness=5)
+        assert np.all(bitmap.pixels[:3, :3] == 7)
+        assert bitmap.pixels.sum() == 9 * 3 * 7

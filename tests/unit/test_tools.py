@@ -69,6 +69,13 @@ class TestEventTrace:
         assert switches
         assert switches[-1].detail["location"] == "kitchen"
 
+    def test_detaching_twice_or_unattached_is_harmless(self):
+        EventTrace().detach()
+        home, trace = self._home()
+        trace.detach()
+        trace.detach()
+        assert len(trace) > 0
+
     def test_detach_stops_recording(self):
         home, trace = self._home()
         count = len(trace)

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.graphics import RGB332, RGB565, RGB888, Bitmap, Rect, draw
+from repro.graphics import RGB888, Bitmap, Rect, draw
 from repro.uip import (
     HEXTILE,
     RAW,
@@ -25,12 +25,6 @@ from repro.uip.encodings import (
 from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util.errors import ProtocolError
 
-from repro.graphics import PixelFormat
-
-#: A big-endian wire format (e.g. a network-order embedded panel).
-BE565 = PixelFormat(16, 16, True, 31, 63, 31, 11, 5, 0)
-
-ALL_FORMATS = [RGB888, RGB565, RGB332, BE565]
 PIXEL_CODECS = [RAW, HEXTILE, ZRLE]
 
 #: Encodings UIP once carried (RFB's RRE and ZLIB) and no longer does.
@@ -64,10 +58,10 @@ def checkerboard(width, height, cell, a, b):
     return Bitmap.from_array(np.where(odd[..., None], b, a))
 
 
-def roundtrip(bitmap, fmt, encoding):
-    packed = fmt.pack_array(bitmap.pixels)
-    enc_state = EncoderState(fmt)
-    dec_state = DecoderState(fmt)
+def roundtrip(bitmap, encoding):
+    packed = RGB888.pack_array(bitmap.pixels)
+    enc_state = EncoderState()
+    dec_state = DecoderState()
     payload = encode_rect(enc_state, packed, encoding)
     out = decode_rect(dec_state, Cursor(payload), bitmap.width,
                       bitmap.height, encoding)
@@ -75,60 +69,55 @@ def roundtrip(bitmap, fmt, encoding):
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("fmt", ALL_FORMATS)
     @pytest.mark.parametrize("encoding", PIXEL_CODECS)
-    def test_panel_roundtrip(self, fmt, encoding):
-        packed, _, out = roundtrip(panel_bitmap(), fmt, encoding)
+    def test_panel_roundtrip(self, encoding):
+        packed, _, out = roundtrip(panel_bitmap(), encoding)
         assert np.array_equal(out, packed)
 
-    @pytest.mark.parametrize("fmt", ALL_FORMATS)
     @pytest.mark.parametrize("encoding", PIXEL_CODECS)
-    def test_noise_roundtrip(self, fmt, encoding):
-        packed, _, out = roundtrip(noise_bitmap(), fmt, encoding)
+    def test_noise_roundtrip(self, encoding):
+        packed, _, out = roundtrip(noise_bitmap(), encoding)
         assert np.array_equal(out, packed)
 
     @pytest.mark.parametrize("encoding", PIXEL_CODECS)
     def test_single_pixel(self, encoding):
         bmp = Bitmap(1, 1, fill=(13, 57, 201))
-        packed, _, out = roundtrip(bmp, RGB888, encoding)
+        packed, _, out = roundtrip(bmp, encoding)
         assert np.array_equal(out, packed)
+
+    @pytest.mark.parametrize("encoding", PIXEL_CODECS)
+    def test_an_empty_rect_round_trips(self, encoding):
+        packed = np.zeros((0, 5), dtype=RGB888.dtype)
+        payload = encode_rect(EncoderState(), packed, encoding)
+        out = decode_rect(DecoderState(), Cursor(payload), 5, 0, encoding)
+        assert out.shape == (0, 5) and out.dtype == RGB888.dtype
 
     @pytest.mark.parametrize("encoding", PIXEL_CODECS)
     def test_non_tile_aligned_sizes(self, encoding):
         bmp = panel_bitmap(37, 23)
-        packed, _, out = roundtrip(bmp, RGB565, encoding)
+        packed, _, out = roundtrip(bmp, encoding)
         assert np.array_equal(out, packed)
 
     @pytest.mark.parametrize("size", [(15, 15), (16, 16), (17, 17),
                                       (33, 16), (16, 33), (48, 31)])
-    @pytest.mark.parametrize("fmt", ALL_FORMATS)
-    def test_edge_tile_sizes(self, size, fmt):
+    def test_edge_tile_sizes(self, size):
         """HEXTILE widths/heights straddling the 16-pixel tile grid."""
         width, height = size
         bmp = checkerboard(width, height, 5, (32, 32, 32), (220, 80, 10))
         bmp.fill_rect(Rect(width // 3, height // 3, width // 2, 3),
                       (0, 255, 0))
-        packed, _, out = roundtrip(bmp, fmt, HEXTILE)
+        packed, _, out = roundtrip(bmp, HEXTILE)
         assert np.array_equal(out, packed)
-
-    def test_big_endian_wire_format(self):
-        packed, payload, out = roundtrip(panel_bitmap(50, 40), BE565,
-                                         HEXTILE)
-        assert out.dtype == packed.dtype
-        assert np.array_equal(out, packed)
-        # also identical to what the same image costs in little endian
-        _, le_payload, _ = roundtrip(panel_bitmap(50, 40), RGB565, HEXTILE)
-        assert len(payload) == len(le_payload)
 
     def test_flat_bitmap_hextile_is_tiny(self):
         bmp = Bitmap(128, 128, fill=(5, 5, 5))
-        _, payload, _ = roundtrip(bmp, RGB888, HEXTILE)
+        _, payload, _ = roundtrip(bmp, HEXTILE)
         # the first tile sets the background, the other 63 keep it
         assert len(payload) == (1 + 4) + 63
 
     def test_checkerboard_roundtrip_hextile(self):
         bmp = checkerboard(64, 64, 1, (0, 0, 0), (255, 255, 255))
-        packed, _, out = roundtrip(bmp, RGB888, HEXTILE)
+        packed, _, out = roundtrip(bmp, HEXTILE)
         assert np.array_equal(out, packed)
 
 
@@ -136,7 +125,7 @@ class TestCompression:
     def test_panel_hextile_beats_raw(self):
         bmp = panel_bitmap(256, 192)
         packed = RGB888.pack_array(bmp.pixels)
-        state = EncoderState(RGB888)
+        state = EncoderState()
         raw = encode_rect(state, packed, RAW)
         hextile = encode_rect(state, packed, HEXTILE)
         assert len(hextile) < len(raw) / 5
@@ -144,7 +133,7 @@ class TestCompression:
     def test_noise_hextile_falls_back_to_raw_size(self):
         bmp = noise_bitmap(64, 64)
         packed = RGB888.pack_array(bmp.pixels)
-        state = EncoderState(RGB888)
+        state = EncoderState()
         raw = encode_rect(state, packed, RAW)
         hextile = encode_rect(state, packed, HEXTILE)
         # per-tile 1-byte header overhead only
@@ -156,12 +145,12 @@ class TestCompression:
         # dictionary window.
         bmp = noise_bitmap(48, 48)
         packed = RGB888.pack_array(bmp.pixels)
-        enc_state = EncoderState(RGB888)
+        enc_state = EncoderState()
         first = encode_rect(enc_state, packed, ZRLE)
         second = encode_rect(enc_state, packed, ZRLE)
         assert len(second) < len(first) / 10
         # and both decode correctly through one persistent inflater
-        dec_state = DecoderState(RGB888)
+        dec_state = DecoderState()
         out1 = decode_rect(dec_state, Cursor(first), 48, 48, ZRLE)
         out2 = decode_rect(dec_state, Cursor(second), 48, 48, ZRLE)
         assert np.array_equal(out1, packed)
@@ -171,7 +160,7 @@ class TestCompression:
 class TestEncodeCache:
     def test_repeat_encode_hits(self):
         packed = RGB888.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888, cache=EncodeCache())
+        state = EncoderState(cache=EncodeCache())
         first = encode_rect(state, packed, HEXTILE)
         second = encode_rect(state, packed.copy(), HEXTILE)
         assert first == second
@@ -183,23 +172,23 @@ class TestEncodeCache:
         pixels encode to different bytes; only the tile stream is
         cached."""
         packed = RGB888.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888, cache=EncodeCache())
+        state = EncoderState(cache=EncodeCache())
         first = encode_rect(state, packed, ZRLE)
         second = encode_rect(state, packed, ZRLE)
         assert first != second
         assert state.cache.hits == 1 and len(state.cache) == 1
         assert state.cache.get(state.cache_key(packed, ZRLE)) == (
-            encode_zrle_tiles(packed, RGB888))
+            encode_zrle_tiles(packed))
 
     def test_no_cache(self):
-        state = EncoderState(RGB888)
+        state = EncoderState()
         packed = RGB888.pack_array(panel_bitmap().pixels)
         assert encode_rect(state, packed, HEXTILE) == encode_rect(
             state, packed, HEXTILE)
         assert state.cache is None
 
     def test_entry_count_eviction(self):
-        state = EncoderState(RGB888, cache=EncodeCache(max_entries=2))
+        state = EncoderState(cache=EncodeCache(max_entries=2))
         frames = [RGB888.pack_array(Bitmap(8, 8, fill=(i, 0, 0)).pixels)
                   for i in range(3)]
         for packed in frames:
@@ -224,51 +213,20 @@ class TestEncodeCache:
 
     def test_shared_cache_across_states(self):
         shared = EncodeCache()
-        a = EncoderState(RGB888, cache=shared)
-        b = EncoderState(RGB888, cache=shared)
+        a = EncoderState(cache=shared)
+        b = EncoderState(cache=shared)
         packed = RGB888.pack_array(panel_bitmap().pixels)
         encode_rect(a, packed, HEXTILE)
         encode_rect(b, packed, HEXTILE)
         assert shared.hits == 1 and shared.misses == 1
-
-    def test_cache_respects_pixel_format(self):
-        state = EncoderState(RGB565)
-        packed = RGB565.pack_array(panel_bitmap().pixels)
-        k565 = state.cache_key(packed, HEXTILE)
-        state.renegotiate(RGB332)
-        assert state.cache_key(packed, HEXTILE) != k565
-
-    def test_renegotiate_preserves_cache(self):
-        packed888 = RGB888.pack_array(panel_bitmap().pixels)
-        packed332 = RGB332.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888, cache=EncodeCache())
-        first = encode_rect(state, packed888, HEXTILE)
-        state.renegotiate(RGB332)
-        encode_rect(state, packed332, HEXTILE)
-        state.renegotiate(RGB888)
-        hits = state.cache.hits
-        assert encode_rect(state, packed888, HEXTILE) == first
-        assert state.cache.hits == hits + 1  # payload survived the switch
-
-    def test_renegotiate_resets_zrle_stream(self):
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888)
-        encode_rect(state, packed, ZRLE)
-        state.renegotiate(RGB888)
-        # a fresh decoder can parse the first post-renegotiation rect,
-        # which only works if the deflate stream restarted
-        payload = encode_rect(state, packed, ZRLE)
-        out = decode_rect(DecoderState(RGB888), Cursor(payload),
-                          packed.shape[1], packed.shape[0], ZRLE)
-        assert np.array_equal(out, packed)
 
     @pytest.mark.parametrize("encoding", PIXEL_CODECS)
     def test_non_contiguous_view_encodes_like_a_copy(self, encoding):
         base = RGB888.pack_array(panel_bitmap(64, 64).pixels)
         view = base[::, 1:33]  # non-contiguous slice
         assert not view.flags.c_contiguous
-        assert (encode_rect(EncoderState(RGB888), view, encoding)
-                == encode_rect(EncoderState(RGB888), view.copy(), encoding))
+        assert (encode_rect(EncoderState(), view, encoding)
+                == encode_rect(EncoderState(), view.copy(), encoding))
 
 
 class TestZrle:
@@ -278,33 +236,21 @@ class TestZrle:
         output differs."""
         cache = EncodeCache()
         packed = RGB888.pack_array(panel_bitmap().pixels)
-        first = EncoderState(RGB888, cache=cache)
+        first = EncoderState(cache=cache)
         encode_rect(first, packed, ZRLE)
         assert len(cache) == 1
         hits = cache.hits
-        second = EncoderState(RGB888, cache=cache)
+        second = EncoderState(cache=cache)
         payload = encode_rect(second, packed, ZRLE)
         assert cache.hits == hits + 1
-        out = decode_rect(DecoderState(RGB888), Cursor(payload),
-                          packed.shape[1], packed.shape[0], ZRLE)
-        assert np.array_equal(out, packed)
-
-    def test_renegotiate_preserves_zrle_tile_stream(self):
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        state = EncoderState(RGB888, cache=EncodeCache())
-        encode_rect(state, packed, ZRLE)
-        state.renegotiate(RGB888)
-        hits = state.cache.hits
-        payload = encode_rect(state, packed, ZRLE)
-        assert state.cache.hits == hits + 1  # tile stream survived
-        out = decode_rect(DecoderState(RGB888), Cursor(payload),
+        out = decode_rect(DecoderState(), Cursor(payload),
                           packed.shape[1], packed.shape[0], ZRLE)
         assert np.array_equal(out, packed)
 
     def test_zrle_panel_much_smaller_than_hextile(self):
         packed = RGB888.pack_array(panel_bitmap(192, 192).pixels)
-        zrle = encode_rect(EncoderState(RGB888), packed, ZRLE)
-        hextile = encode_rect(EncoderState(RGB888), packed, HEXTILE)
+        zrle = encode_rect(EncoderState(), packed, ZRLE)
+        hextile = encode_rect(EncoderState(), packed, HEXTILE)
         assert len(zrle) * 3 < len(hextile)
 
     def test_zrle_run_longer_than_255(self):
@@ -312,38 +258,38 @@ class TestZrle:
         bitmap.fill((10, 20, 30))
         packed = RGB888.pack_array(bitmap.pixels)
         packed[0, 0] = 0xFFFFFF  # break the solid-tile shortcut
-        stream = encode_zrle_tiles(packed, RGB888)
-        payload = encode_rect(EncoderState(RGB888), packed, ZRLE)
-        out = decode_rect(DecoderState(RGB888), Cursor(payload), 64, 10, ZRLE)
+        stream = encode_zrle_tiles(packed)
+        payload = encode_rect(EncoderState(), packed, ZRLE)
+        out = decode_rect(DecoderState(), Cursor(payload), 64, 10, ZRLE)
         assert np.array_equal(out, packed)
         assert len(stream) < 64 * 10 * 3  # the long run actually compressed
 
 
 class TestErrors:
     def test_unknown_encoding_encode(self):
-        state = EncoderState(RGB888)
+        state = EncoderState()
         with pytest.raises(ProtocolError):
             encode_rect(state, RGB888.pack_array(Bitmap(2, 2).pixels), 99)
 
     def test_unknown_encoding_decode(self):
         with pytest.raises(ProtocolError):
-            decode_rect(DecoderState(RGB888), Cursor(b""), 2, 2, 99)
+            decode_rect(DecoderState(), Cursor(b""), 2, 2, 99)
 
     @pytest.mark.parametrize("encoding", RETIRED_ENCODINGS,
                              ids=["rre", "zlib"])
     def test_retired_encodings_are_refused(self, encoding):
         packed = RGB888.pack_array(Bitmap(8, 8).pixels)
         with pytest.raises(ProtocolError, match=f"encoding {encoding}"):
-            encode_rect(EncoderState(RGB888), packed, encoding)
+            encode_rect(EncoderState(), packed, encoding)
         # what each carried: a subrect count and a background, or a
         # deflated length and stream
         payload = Writer().u32(0).raw(bytes(4)).getvalue()
         with pytest.raises(ProtocolError, match=f"encoding {encoding}"):
-            decode_rect(DecoderState(RGB888), Cursor(payload), 8, 8,
+            decode_rect(DecoderState(), Cursor(payload), 8, 8,
                         encoding)
 
     def test_non_2d_array_rejected(self):
-        state = EncoderState(RGB888)
+        state = EncoderState()
         with pytest.raises(ProtocolError):
             encode_rect(state, np.zeros((2, 2, 3)), RAW)
 
@@ -355,7 +301,7 @@ class TestMalformedZrleStreams:
     PX = b"\x10\x20\x30\x00"  # one RGB888 pixel (4 bytes)
 
     def decode(self, stream, width=4, height=4):
-        return decode_zrle_tiles(stream, width, height, RGB888)
+        return decode_zrle_tiles(stream, width, height)
 
     def test_well_formed_tile_decodes(self):
         # palette RLE, 2 colours: a run of 15 of colour 1, then colour 0
@@ -423,7 +369,7 @@ class TestZrleInflateBound:
         try:
             with pytest.raises(ProtocolError,
                                match="inflates past 20989 bytes"):
-                decode_rect(DecoderState(RGB888), Cursor(payload), 64, 64,
+                decode_rect(DecoderState(), Cursor(payload), 64, 64,
                             ZRLE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -435,30 +381,31 @@ class TestZrleInflateBound:
         (1 + 127 * 4) = 514 bytes, which zlib deflates to at most
         compressBound(514) = 527."""
         with pytest.raises(NeedMore):  # 527 bytes may follow: wait on them
-            decode_rect(DecoderState(RGB888),
+            decode_rect(DecoderState(),
                         Cursor(Writer().u32(527).getvalue()), 1, 1, ZRLE)
         for length in (528, 0xFFFFFFFF):
             with pytest.raises(ProtocolError,
                                match=f"{length} bytes is longer than any "
                                      f"deflate of 514 bytes"):
-                decode_rect(DecoderState(RGB888),
+                decode_rect(DecoderState(),
                             Cursor(Writer().u32(length).getvalue()), 1, 1,
                             ZRLE)
 
     def test_the_longest_valid_stream_decodes(self):
-        """One 64x64 RGB332 tile in 127-colour palette RLE, every pixel a
-        run of its own written in two bytes: exactly the bound, deflated
-        at the lowest, the sessions' and the highest level."""
-        indices = np.random.default_rng(5).integers(0, 127, 64 * 64)
-        palette = np.arange(127, dtype=np.uint8)
-        runs = np.zeros((64 * 64, 2), dtype=np.uint8)
-        runs[:, 0] = indices | 0x80  # a run flag, then length byte 0: 1
-        tiles = bytes([128 + 127]) + palette.tobytes() + runs.tobytes()
-        assert len(tiles) == 64 * 64 * (1 + 1) + (1 + 127 * 1)
+        """One 64x64 tile in plain RLE, every pixel a run of its own
+        written in five bytes: the longest tile stream a 64x64 rect can
+        carry, deflated at the lowest, the sessions' and the highest
+        level."""
+        pixels = np.random.default_rng(5).integers(
+            0, 1 << 24, 64 * 64).astype(RGB888.dtype)
+        runs = np.zeros((64 * 64, 5), dtype=np.uint8)
+        runs[:, :4] = pixels.view(np.uint8).reshape(-1, 4)
+        tiles = bytes([128]) + runs.tobytes()  # length byte 0: a run of 1
+        assert len(tiles) == 1 + 64 * 64 * (4 + 1)
         for level in (0, DEFLATE_LEVEL, 9):
-            out = decode_rect(DecoderState(RGB332), Cursor(self.payload(
+            out = decode_rect(DecoderState(), Cursor(self.payload(
                 [tiles], level)), 64, 64, ZRLE)
-            assert np.array_equal(out.reshape(-1), palette[indices])
+            assert np.array_equal(out.reshape(-1), pixels)
 
 
 class TestEncodeCacheLimits:

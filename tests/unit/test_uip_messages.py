@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphics import RGB565, RGB888, Bitmap, PixelFormat, Rect
+from repro.graphics import RGB888, Bitmap, Rect
 from repro.graphics.font import Font
 from repro.uip import encodings as enc
 from repro.uip import (
@@ -23,12 +23,13 @@ from repro.uip import (
     ServerHandshake,
     ServerMessageDecoder,
     SetEncodings,
-    SetPixelFormat,
     ZRLE,
     keysyms,
 )
+from repro.uip.handshake import SECURITY_NONE
 from repro.uip.wire import Writer
 from repro.util.errors import ProtocolError
+from tests.helpers import OPEN_HANDSHAKE
 
 
 class TestClientMessages:
@@ -39,9 +40,11 @@ class TestClientMessages:
         assert decoder.buffered_bytes == 0
         return messages[0]
 
-    def test_set_pixel_format(self):
-        msg = SetPixelFormat(RGB565)
-        assert self.decode_one(msg.encode()) == msg
+    def test_pixel_format_type_is_refused(self):
+        # type 0 was RFB's SetPixelFormat; UIP has one pixel format
+        data = Writer().u8(0).pad(3).raw(RGB888.wire).getvalue()
+        with pytest.raises(ProtocolError, match="client message type 0"):
+            ClientMessageDecoder().feed(data)
 
     def test_set_encodings(self):
         # encodings are signed on the wire
@@ -99,15 +102,15 @@ class TestClientMessages:
         assert decoder.buffered_bytes == 0
 
 
-def server_decoder(fmt=RGB888, width=128, height=128):
+def server_decoder(width=128, height=128):
     """A server-stream decoder for a ``width`` x ``height`` mirror."""
-    return ServerMessageDecoder(DecoderState(fmt), width, height)
+    return ServerMessageDecoder(DecoderState(), width, height)
 
 
 class TestServerMessages:
-    def _roundtrip(self, update, fmt=RGB888):
-        data = update.encode(EncoderState(fmt))
-        messages = server_decoder(fmt).feed(data)
+    def _roundtrip(self, update):
+        data = update.encode(EncoderState())
+        messages = server_decoder().feed(data)
         assert len(messages) == 1
         return messages[0]
 
@@ -159,12 +162,11 @@ class TestServerMessages:
     def test_zrle_update_survives_fragmentation(self):
         """The persistent deflate stream must not be corrupted by partial
         reads."""
-        fmt = RGB888
-        enc_state = EncoderState(fmt)
-        decoder = server_decoder(fmt)
+        enc_state = EncoderState()
+        decoder = server_decoder()
         frames = []
         for seed in (1, 2, 3):
-            packed = fmt.pack_array(_panel_pixels(32, 32, seed))
+            packed = RGB888.pack_array(_panel_pixels(32, 32, seed))
             frames.append((packed, FramebufferUpdate(
                 (RectUpdate(Rect(0, 0, 32, 32), ZRLE, packed),))))
         stream = b"".join(u.encode(enc_state) for _, u in frames)
@@ -221,42 +223,41 @@ def run_handshake(server, client, chunk=5):
 
 class TestHandshake:
     def test_plain_handshake(self):
-        server = ServerHandshake(640, 480, RGB888, "home-panel")
+        server = ServerHandshake(640, 480, "home-panel")
         client = ClientHandshake()
         run_handshake(server, client)
         assert server.done and client.done
         assert client.result.width == 640
         assert client.result.height == 480
-        assert client.result.pixel_format == RGB888
         assert client.result.name == "home-panel"
 
     def test_shared_secret_success(self):
-        server = ServerHandshake(320, 240, RGB565, "tv", secret="s3cret")
+        server = ServerHandshake(320, 240, "tv", secret="s3cret")
         client = ClientHandshake(secret="s3cret")
         run_handshake(server, client)
         assert server.done and client.done
 
     def test_shared_secret_mismatch(self):
-        server = ServerHandshake(320, 240, RGB565, "tv", secret="right")
+        server = ServerHandshake(320, 240, "tv", secret="right")
         client = ClientHandshake(secret="wrong")
         run_handshake(server, client)
         assert server.failed is not None
         assert client.failed is not None
 
     def test_client_without_secret_fails_against_secured_server(self):
-        server = ServerHandshake(320, 240, RGB565, "tv", secret="s")
+        server = ServerHandshake(320, 240, "tv", secret="s")
         client = ClientHandshake()
         run_handshake(server, client)
         assert client.failed is not None
 
     def test_byte_at_a_time(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         client = ClientHandshake()
         run_handshake(server, client, chunk=1)
         assert server.done and client.done
 
     def test_leftover_bytes_preserved(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         client = ClientHandshake()
         # client completes after ServerInit; append message bytes after
         run_handshake(server, client)
@@ -269,19 +270,19 @@ class TestHandshake:
         assert PROTOCOL_VERSION.endswith(b"\n")
         assert len(PROTOCOL_VERSION) == 12
 
-    def test_shared_flag_transmitted(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
-        client = ClientHandshake(shared=False)
-        run_handshake(server, client)
-        assert server.result.shared is False
+    def test_client_sends_a_shared_client_init(self):
+        # ClientInit keeps RFB's shared byte, always 1
+        client = ClientHandshake()
+        client.feed(PROTOCOL_VERSION + bytes([1, SECURITY_NONE]) + bytes(4))
+        assert client.outgoing() == OPEN_HANDSHAKE
 
     def test_bad_version_fails(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         server.feed(b"RFB 003.008\n")
         assert server.failed is not None
 
     def test_feed_after_failure_raises(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         server.feed(b"RFB 003.008\n")
         with pytest.raises(ProtocolError):
             server.feed(b"more")
@@ -303,7 +304,7 @@ class TestVersionNegotiation:
         assert client.outgoing() == b""  # never replied with a version
 
     def test_server_refuses_a_001_000_client(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         server.outgoing()
         server.feed(b"UIP 001.000\n")
         assert "unsupported" in server.failed
@@ -311,13 +312,13 @@ class TestVersionNegotiation:
 
     def test_server_rejects_newer_client_reply(self):
         # a reply above the server's own version violates the clamp rule
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         server.outgoing()
         server.feed(b"UIP 001.002\n")
         assert server.failed is not None
 
     def test_server_rejects_prehistoric_client(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         server.outgoing()
         server.feed(b"UIP 000.009\n")
         assert server.failed is not None
@@ -333,15 +334,14 @@ class TestHandshakeRefusals:
     says why."""
 
     def test_secured_server_refuses_a_client_choosing_no_security(self):
-        from repro.uip.handshake import SECURITY_NONE
-        server = ServerHandshake(100, 100, RGB888, "x", secret="s")
+        server = ServerHandshake(100, 100, "x", secret="s")
         server.outgoing()
         server.feed(PROTOCOL_VERSION + bytes([SECURITY_NONE]))
         assert "requires shared secret" in server.failed
         assert server.outgoing() == b""  # no challenge went out
 
     def test_open_server_refuses_an_unknown_security_type(self):
-        server = ServerHandshake(100, 100, RGB888, "x")
+        server = ServerHandshake(100, 100, "x")
         server.outgoing()
         server.feed(PROTOCOL_VERSION + bytes([9]))
         assert "unknown security 9" in server.failed
@@ -362,9 +362,24 @@ class TestHandshakeRefusals:
         client.feed(PROTOCOL_VERSION + bytes([1, 9]))
         assert client.failed == "no mutual security type in [9]"
 
+    @pytest.mark.parametrize("fmt", [
+        # 24 bits per pixel, which RFB does not allow
+        "18180001 00ff00ff00ff 100800 000000",
+        "10100001 001f003f001f 0b0500 000000",  # RGB565
+        "20180101 00ff00ff00ff 100800 000000",  # big-endian RGB888
+    ], ids=["bpp-24", "rgb565", "big-endian"])
+    def test_client_refuses_a_server_init_of_another_pixel_format(self, fmt):
+        client = ClientHandshake()
+        client.feed(PROTOCOL_VERSION + bytes([1, SECURITY_NONE]) + bytes(4)
+                    + Writer().u16(100).u16(80).raw(bytes.fromhex(fmt))
+                    .u32(1).raw(b"x").getvalue())
+        assert not client.done
+        assert client.failed == (f"server pixel format "
+                                 f"{fmt.replace(' ', '')} is not RGB888")
+
     def test_server_challenge_must_be_sixteen_bytes(self):
         with pytest.raises(ProtocolError, match="challenge"):
-            ServerHandshake(100, 100, RGB888, "x", challenge=b"short")
+            ServerHandshake(100, 100, "x", challenge=b"short")
 
 
 class TestMalformedServerStream:
@@ -387,7 +402,7 @@ class TestMalformedServerStream:
             ys, xs = np.indices((size, size))
             pixels = ((xs + ys) % 16 * 0x0F0F0F).astype(np.uint32)
         lying = Writer().u8(0).pad(1).u16(1).u16(0).u16(0).u16(8).u16(4)
-        payload = enc.encode_rect(EncoderState(RGB888), pixels, ZRLE)
+        payload = enc.encode_rect(EncoderState(), pixels, ZRLE)
         decoder = server_decoder()
         with pytest.raises(ProtocolError, match=refusal):
             decoder.feed(lying.s32(ZRLE).raw(payload).getvalue())
@@ -407,7 +422,7 @@ class TestMalformedServerStream:
         packed = RGB888.pack_array(Bitmap(128, 128, fill=(1, 2, 3)).pixels)
         update = FramebufferUpdate((RectUpdate(Rect(0, 0, 128, 128), RAW,
                                                packed),))
-        [message] = server_decoder().feed(update.encode(EncoderState(RGB888)))
+        [message] = server_decoder().feed(update.encode(EncoderState()))
         assert np.array_equal(message.rects[0].payload, packed)
 
 
@@ -429,7 +444,6 @@ class TestDecodeOnce:
 
     @pytest.fixture
     def update(self):
-        fmt = RGB888
         rects = [
             (Rect(0, 0, 96, 40), HEXTILE, _panel_pixels(96, 40, 1)),
             (Rect(0, 40, 96, 40), HEXTILE, _panel_pixels(96, 40, 2)),
@@ -438,7 +452,7 @@ class TestDecodeOnce:
             (Rect(40, 80, 24, 16), ZRLE, _panel_pixels(24, 16, 5)),
         ]
         return FramebufferUpdate(tuple(
-            RectUpdate(rect, encoding, fmt.pack_array(pixels))
+            RectUpdate(rect, encoding, RGB888.pack_array(pixels))
             for rect, encoding, pixels in rects))
 
     @staticmethod
@@ -465,14 +479,14 @@ class TestDecodeOnce:
             assert np.array_equal(got.payload, sent.payload)
 
     def test_the_update_spans_several_chunks(self, update):
-        chunks = update.encode_chunks(EncoderState(RGB888))
+        chunks = update.encode_chunks(EncoderState())
         big = [len(c) for c in chunks if len(c) >= Writer.COALESCE_BELOW]
         # the two HEXTILE payloads ride alone, as the pipe delivers them
         assert len(big) == 2 and len(chunks) == 5
 
     def test_chunk_by_chunk_decodes_each_rect_once(self, update,
                                                    monkeypatch):
-        chunks = update.encode_chunks(EncoderState(RGB888))
+        chunks = update.encode_chunks(EncoderState())
         done = self.decoded(monkeypatch)
         decoder = server_decoder()
         messages = []
@@ -485,7 +499,7 @@ class TestDecodeOnce:
 
     def test_every_byte_split_decodes_each_rect_once(self, update,
                                                      monkeypatch):
-        data = update.encode(EncoderState(RGB888))
+        data = update.encode(EncoderState())
         done = self.decoded(monkeypatch)
         once = [(r.rect.w, r.rect.h, r.encoding) for r in update.rects]
         for split in range(1, len(data)):

@@ -17,7 +17,11 @@ from repro.uip import (
     ZRLE,
     RectUpdate,
 )
-from repro.uip.handshake import ServerHandshake
+from repro.uip.handshake import (
+    PROTOCOL_VERSION,
+    SECURITY_NONE,
+    ServerHandshake,
+)
 from repro.uip.wire import Writer
 from repro.util import Scheduler
 from tests.helpers import MALFORMED_SERVER_MESSAGE
@@ -28,8 +32,8 @@ class FakeServer:
 
     def __init__(self, scheduler, endpoint, width=64, height=48):
         self.endpoint = endpoint
-        self.handshake = ServerHandshake(width, height, RGB888, "fake")
-        self.encoder = EncoderState(RGB888)
+        self.handshake = ServerHandshake(width, height, "fake")
+        self.encoder = EncoderState()
         self.requests = 0
         endpoint.on_receive = self._on_bytes
         endpoint.send(self.handshake.outgoing())
@@ -114,6 +118,27 @@ class TestApplyUpdates:
         assert messages == [
             KeyEvent(True, 0x41), KeyEvent(False, 0x41),
             PointerEvent(1, 10, 20), PointerEvent(0, 10, 20)]
+
+
+class TestServerInitPixelFormat:
+    """UIP has one pixel format: a ServerInit naming another fails the
+    handshake, and a client with ``on_error`` set hears it there."""
+
+    def test_another_pixel_format_fires_on_error(self):
+        scheduler = Scheduler()
+        pipe = make_pipe(scheduler)
+        pipe.a.on_receive = lambda data: None
+        client = UniIntClient(pipe.b)
+        errors = []
+        client.on_error = errors.append
+        # 24 bits per pixel, which RFB does not allow
+        fmt = "1818000100ff00ff00ff100800000000"
+        pipe.a.send(PROTOCOL_VERSION + bytes([1, SECURITY_NONE]) + bytes(4)
+                    + Writer().u16(64).u16(48).raw(bytes.fromhex(fmt))
+                    .u32(4).raw(b"fake").getvalue())
+        scheduler.run_until_idle()  # must not raise
+        assert errors == [f"server pixel format {fmt} is not RGB888"]
+        assert client.closed and not client.ready
 
 
 class TestMalformedServerMessages:
