@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-backpressure bench-broadcast bench-commands \
+.PHONY: test bench bench-backpressure bench-commands \
 	bench-encodings bench-encode-core bench-fleet \
 	bench-home-scale bench-multiuser bench-resilience bench-surfaces \
 	bench-smoke frame-parity
@@ -22,12 +22,6 @@ frame-parity:
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-json=BENCH_RESULTS.json
 
-# The shared-encode broadcast experiment: writes BENCH_BROADCAST.json with
-# per-session-count timings for shared vs per-session encoding.
-bench-broadcast:
-	$(PYTHON) -m pytest benchmarks/bench_home_scale.py -q -k broadcast \
-		--benchmark-json=BENCH_HOME_SCALE.json
-
 bench-encodings:
 	$(PYTHON) -m pytest benchmarks/bench_encodings.py -q \
 		--benchmark-json=BENCH_ENCODINGS.json
@@ -42,15 +36,15 @@ bench-home-scale:
 	$(PYTHON) -m pytest benchmarks/bench_home_scale.py -q \
 		--benchmark-json=BENCH_HOME_SCALE.json
 
-# Multi-user homes: 1/2/4/8 residents x 3 devices each under panel churn,
-# server-side broadcast cost vs per-session encoding: writes
-# BENCH_MULTIUSER.json (before/after + workload + timing method).  Also
-# runs in the CI bench-smoke job at tiny workload like every benchmark.
+# Multi-user homes: 1/2/4/8 residents x 3 devices each on one surface
+# under panel churn, server-side broadcast cost per user count: writes
+# BENCH_MULTIUSER.json (workload + timing method).  Also runs in the CI
+# bench-smoke job at tiny workload like every benchmark.
 bench-multiuser:
 	$(PYTHON) -m pytest benchmarks/bench_home_scale.py -q -k multiuser \
 		--benchmark-json=BENCH_MULTIUSER_ROWS.json
 
-# Per-user UI surfaces: 1 surface x 8 sessions (the PR 4 broadcast shape)
+# Per-user UI surfaces: 1 surface x 8 sessions (the BENCH_MULTIUSER shape)
 # vs 8 surfaces x 1 session vs mixed, plus isolated single-view churn:
 # proves surface multiplexing keeps the same-surface fast path (~1.1x of
 # BENCH_MULTIUSER) while cross-surface churn is wire-silent.  Writes

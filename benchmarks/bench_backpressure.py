@@ -166,7 +166,7 @@ def test_backpressure_bounds_queue_and_freshness_and_records(smoke,
             "screen": "480x360, 12-label panel churn every 100 ms",
             "slow_bearer": "cellular-pdc 9600 bps, eager 50 ms polling "
                            "viewer, 30 virtual seconds",
-            "fast_path": "ethernet-100, 8-session shared-encode broadcast",
+            "fast_path": "ethernet-100, 8-session broadcast",
         },
         "timing_method": "virtual-time metrics from transport stats; "
                          "fast path wall-clock best-of-"

@@ -87,12 +87,9 @@ def test_composed_ui_build(benchmark, count):
 #
 # The damage-tracking pipeline exists so that many viewers of one screen
 # (wall display + PDA + phone all mirroring the same appliance panel) cost
-# one encode, not one per session.  These benchmarks drive a churning GUI
-# with N connected UIP sessions, with shared-encode broadcast on vs off.
-
-
-def _broadcast_stack(sessions: int, shared: bool):
-    return churn_panel_stack([ETHERNET_100] * sessions, shared=shared)
+# one encode, not one per session: every session's encoder shares the
+# surface's content-keyed encode cache.  This benchmark drives a churning
+# GUI with N connected UIP sessions.
 
 
 def _churn_round(scheduler, labels, round_no: int) -> None:
@@ -103,68 +100,19 @@ def _churn_round(scheduler, labels, round_no: int) -> None:
 
 
 @pytest.mark.parametrize("sessions", [1, 4, 8])
-@pytest.mark.parametrize("mode", ["shared", "per-session"])
-def test_framebuffer_broadcast(benchmark, sessions, mode):
-    scheduler, display, labels, server, clients = _broadcast_stack(
-        sessions, shared=(mode == "shared"))
+def test_framebuffer_broadcast(benchmark, sessions):
+    scheduler, display, labels, server, clients = churn_panel_stack(
+        [ETHERNET_100] * sessions)
     rounds = itertools.count()
 
     benchmark(lambda: _churn_round(scheduler, labels, next(rounds)))
 
     for client in clients:
         assert client.framebuffer == display.framebuffer
+    cache = server.default_surface.encode_cache
     benchmark.extra_info["sessions"] = sessions
-    benchmark.extra_info["mode"] = mode
-    benchmark.extra_info["shared_encode_hits"] = server.shared_encode_hits
-    benchmark.extra_info["shared_encode_misses"] = server.shared_encode_misses
-    benchmark.extra_info["pack_hits"] = server.pack_hits
-
-
-def test_broadcast_beats_per_session_and_records(smoke, record_dir):
-    """Shared-encode broadcast must win at >= 4 sessions; results land in
-    BENCH_BROADCAST.json for the trajectory record."""
-    session_counts = (1, 4) if smoke else (1, 2, 4, 8)
-    repeats = 1 if smoke else 3
-    rounds_per_repeat = 2 if smoke else 3
-    results = {}
-    for sessions in session_counts:
-        timings = {}
-        for mode in ("shared", "per-session"):
-            scheduler, display, labels, server, clients = _broadcast_stack(
-                sessions, shared=(mode == "shared"))
-            counter = itertools.count()
-            _churn_round(scheduler, labels, next(counter))  # warm-up
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for _ in range(rounds_per_repeat):
-                    _churn_round(scheduler, labels, next(counter))
-                elapsed = (time.perf_counter() - start) / rounds_per_repeat
-                best = elapsed if best is None else min(best, elapsed)
-            for client in clients:
-                assert client.framebuffer == display.framebuffer
-            timings[mode] = best
-            if mode == "shared" and sessions > 1:
-                assert server.shared_encode_hits > 0
-        results[sessions] = {
-            "shared_s": timings["shared"],
-            "per_session_s": timings["per-session"],
-            "speedup": timings["per-session"] / timings["shared"],
-        }
-    if smoke:  # harness validation only: no perf assertion, no record
-        return
-    for sessions in (4, 8):
-        assert results[sessions]["shared_s"] < results[sessions][
-            "per_session_s"], (
-            f"shared encode not faster at {sessions} sessions: {results}")
-    out_path = record_dir / "BENCH_BROADCAST.json"
-    out_path.write_text(json.dumps({
-        "experiment": "shared-encode broadcast vs per-session encoding",
-        "screen": "480x360, 12-label panel churn per round",
-        "rounds_per_repeat": rounds_per_repeat,
-        "repeats": repeats,
-        "sessions": results,
-    }, indent=2) + "\n")
+    benchmark.extra_info["encode_cache_hits"] = cache.hits
+    benchmark.extra_info["encode_cache_misses"] = cache.misses
 
 
 # -- E9 rider: one slow bearer among fast ones -------------------------------
@@ -207,10 +155,11 @@ def test_slow_bearer_does_not_inflate_other_sessions(smoke):
 # The paper's headline scenario: one home serving several residents at
 # once, each with their own proxy + server session + device fleet.  The
 # cost that must stay sublinear is the *server-side broadcast cost* per
-# frame: with shared-encode, adding a user adds one (cheap) transport send
-# per update, not another encode.  Per-user work (their proxy's mirror
-# decode, their output device's transform) is inherently linear and is
-# reported separately as end-to-end time.
+# frame: with the surface's shared encode cache, adding a user adds one
+# pack, one cache hit per rect and one transport send per update, not
+# another encode.  Per-user work (their proxy's mirror decode, their
+# output device's transform) is inherently linear and is reported
+# separately as end-to-end time.
 
 USER_COUNTS = [1, 2, 4, 8]
 
@@ -254,18 +203,18 @@ class ServerCostMeter:
         setattr(obj, name, timed)
 
 
-def _multiuser_home(users: int, shared: bool = True):
+def _multiuser_home(users: int):
     """A Home with N residents x 3 devices and a churn-ready label panel.
 
     All residents share the default user's *view* (``view_of=...``): this
     is the PR 4 workload — one screen, N mirrors — kept as the
-    shared-encode broadcast baseline.  Per-user independent views are
-    measured by bench_surfaces.py.
+    same-surface baseline.  Per-user independent views are measured by
+    bench_surfaces.py.
     """
     from repro.devices import RemoteControl, TvDisplay, VoiceInput
     from repro.toolkit import Column, Label
 
-    home = Home(width=480, height=360, shared_encode=shared)
+    home = Home(width=480, height=360)
     column = Column()
     labels = [column.add(Label(f"row {i}")) for i in range(12)]
     home.window.set_root(column)
@@ -292,9 +241,8 @@ def _multiuser_round(home, labels, round_no: int) -> None:
 
 
 @pytest.mark.parametrize("users", USER_COUNTS)
-@pytest.mark.parametrize("mode", ["shared", "per-session"])
-def test_multiuser_churn(benchmark, users, mode):
-    home, labels = _multiuser_home(users, shared=(mode == "shared"))
+def test_multiuser_churn(benchmark, users):
+    home, labels = _multiuser_home(users)
     meter = ServerCostMeter(home.uniint_server)
     rounds = itertools.count()
 
@@ -304,63 +252,59 @@ def test_multiuser_churn(benchmark, users, mode):
         assert user.session.upstream.framebuffer == home.display.framebuffer
     benchmark.extra_info["users"] = users
     benchmark.extra_info["devices"] = users * DEVICES_PER_USER
-    benchmark.extra_info["mode"] = mode
     benchmark.extra_info["server_cost_s"] = meter.seconds
-    benchmark.extra_info["shared_encode_hits"] = (
-        home.uniint_server.shared_encode_hits)
+    benchmark.extra_info["encode_cache_hits"] = (
+        home.default_user.surface.encode_cache.hits)
 
 
 def test_multiuser_broadcast_scales_and_records(smoke, record_dir):
-    """8-user broadcast must cost < 2x the 1-user cost per frame with
-    shared-encode; results land in BENCH_MULTIUSER.json."""
+    """8-user broadcast must cost < 2x the 1-user cost per frame; results
+    land in BENCH_MULTIUSER.json."""
     user_counts = (1, 2) if smoke else USER_COUNTS
     repeats = 1 if smoke else 3
     rounds_per_repeat = 1 if smoke else 3
     results = {}
     for users in user_counts:
-        row = {}
-        for mode in ("shared", "per-session"):
-            home, labels = _multiuser_home(users, shared=(mode == "shared"))
-            counter = itertools.count()
-            _multiuser_round(home, labels, next(counter))  # warm-up
-            meter = ServerCostMeter(home.uniint_server)
-            best_total = best_server = None
-            for _ in range(repeats):
-                meter.seconds = 0.0  # one meter; re-wrapping would stack
-                start = time.perf_counter()
-                for _ in range(rounds_per_repeat):
-                    _multiuser_round(home, labels, next(counter))
-                total = (time.perf_counter() - start) / rounds_per_repeat
-                server = meter.seconds / rounds_per_repeat
-                best_total = (total if best_total is None
-                              else min(best_total, total))
-                best_server = (server if best_server is None
-                               else min(best_server, server))
-            for user in home.users.values():
-                assert (user.session.upstream.framebuffer
-                        == home.display.framebuffer)
-                assert home.devices[
-                    user.current_output].frames_received > 0
-            row[mode] = {"server_cost_s": best_server,
-                         "end_to_end_s": best_total}
+        home, labels = _multiuser_home(users)
+        counter = itertools.count()
+        _multiuser_round(home, labels, next(counter))  # warm-up
+        meter = ServerCostMeter(home.uniint_server)
+        cache = home.default_user.surface.encode_cache
+        hits, misses = cache.hits, cache.misses
+        best_total = best_server = None
+        for _ in range(repeats):
+            meter.seconds = 0.0  # one meter; re-wrapping would stack
+            start = time.perf_counter()
+            for _ in range(rounds_per_repeat):
+                _multiuser_round(home, labels, next(counter))
+            total = (time.perf_counter() - start) / rounds_per_repeat
+            server = meter.seconds / rounds_per_repeat
+            best_total = (total if best_total is None
+                          else min(best_total, total))
+            best_server = (server if best_server is None
+                           else min(best_server, server))
+        for user in home.users.values():
+            assert (user.session.upstream.framebuffer
+                    == home.display.framebuffer)
+            assert home.devices[user.current_output].frames_received > 0
         results[users] = {
-            "server_cost_shared_s": row["shared"]["server_cost_s"],
-            "server_cost_per_session_s": row["per-session"]["server_cost_s"],
-            "end_to_end_shared_s": row["shared"]["end_to_end_s"],
-            "end_to_end_per_session_s": row["per-session"]["end_to_end_s"],
+            "server_cost_s": best_server,
+            "end_to_end_s": best_total,
+            "encode_cache_hits": cache.hits - hits,
+            "encode_cache_misses": cache.misses - misses,
         }
     if smoke:  # harness validation only: no perf assertion, no record
         return
     max_users = max(user_counts)
-    scaling = (results[max_users]["server_cost_shared_s"]
-               / results[1]["server_cost_shared_s"])
+    scaling = (results[max_users]["server_cost_s"]
+               / results[1]["server_cost_s"])
     assert scaling < 2.0, (
-        f"{max_users}-user shared-encode broadcast cost {scaling:.2f}x "
-        f"the 1-user cost per frame (must be < 2x): {results}")
+        f"{max_users}-user broadcast cost {scaling:.2f}x the 1-user cost "
+        f"per frame (must be < 2x): {results}")
     out_path = record_dir / "BENCH_MULTIUSER.json"
     out_path.write_text(json.dumps({
-        "experiment": "multi-user home: per-user proxy fleet, "
-                      "shared-encode broadcast",
+        "experiment": "multi-user home: per-user proxy fleet on one "
+                      "surface, encodes shared through its encode cache",
         "workload": {
             "screen": "480x360, 12-label panel churn per round",
             "users": list(user_counts),
@@ -372,13 +316,9 @@ def test_multiuser_broadcast_scales_and_records(smoke, record_dir):
                          "(time.perf_counter); server-side broadcast cost "
                          "via reentrancy-guarded timers around "
                          "_flush/_composite_and_distribute/_try_send",
-        "before_per_session_encode": {
-            str(u): results[u]["server_cost_per_session_s"]
-            for u in user_counts},
-        "after_shared_encode": {
-            str(u): results[u]["server_cost_shared_s"]
-            for u in user_counts},
-        "server_cost_scaling_8_vs_1_shared": scaling,
+        "server_cost_s": {
+            str(u): results[u]["server_cost_s"] for u in user_counts},
+        "server_cost_scaling_8_vs_1": scaling,
         "users": results,
     }, indent=2) + "\n")
 

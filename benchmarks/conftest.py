@@ -54,8 +54,7 @@ def panel_frame(width: int, height: int) -> Bitmap:
     return bmp
 
 
-def churn_panel_stack(profiles, *, shared: bool = True,
-                      backpressure: bool = True):
+def churn_panel_stack(profiles, *, backpressure: bool = True):
     """A churn-ready 480x360 12-label panel with one session per profile.
 
     The shared workload of the broadcast/backpressure experiments:
@@ -68,8 +67,7 @@ def churn_panel_stack(profiles, *, shared: bool = True,
     labels = [column.add(Label(f"row {i}")) for i in range(12)]
     window.set_root(column)
     display = DisplayServer(window)
-    server = UniIntServer(display, scheduler, shared_encode=shared,
-                          backpressure=backpressure)
+    server = UniIntServer(display, scheduler, backpressure=backpressure)
     clients = []
     for i, profile in enumerate(profiles):
         pipe = make_pipe(scheduler, profile, name=f"viewer-{i}")

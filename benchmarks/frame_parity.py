@@ -7,11 +7,15 @@ temporary directory and runs the same seeded closed-loop workloads of
 60 interactions each) in that tree and in the working tree.  Every home
 offers HEXTILE first, so each workload also runs once more at seed 1
 with its session switched to ZRLE: after ``build()`` the proxy's
-upstream sends ``SetEncodings((ZRLE, RAW))``.  For each run it
-compares:
+upstream sends ``SetEncodings((ZRLE, RAW))``.  And since every workload
+has one session per surface, each also runs once more at seed 1 with a
+guest seated at the resident's view (``add_user("guest",
+view_of="resident")``), so two sessions share the surface's encodes.
+For each run it compares:
 
 * the digest of the output device's whole screen after every frame, and
-* the digest of the bytes the UIP server sent during every interaction.
+* the digest of the bytes the UIP server sent during every interaction
+  (in a shared run, to each of the two sessions).
 
 Usage::
 
@@ -38,9 +42,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("PdaTap", "RemoteBrowse", "PhoneTap", "Hotplug")
 SEEDS = (1, 2, 3)
-#: Each workload's runs as ``(seed, zrle)``: every seed in the program's
-#: default encoding, HEXTILE, then seed 1 switched to ZRLE.
-RUNS = tuple((seed, False) for seed in SEEDS) + ((1, True),)
+#: Each workload's runs as ``(seed, variant)``: every seed as the
+#: workload builds it (variant ""), then seed 1 switched to ZRLE and seed
+#: 1 with a guest on the resident's surface.
+RUNS = tuple((seed, "") for seed in SEEDS) + ((1, "zrle"), (1, "shared"))
 INTERACTIONS = 60
 
 
@@ -50,8 +55,8 @@ def _digest(data: bytes) -> str:
 
 def collect(root: str) -> dict:
     """Screens after every frame and UIP bytes per interaction, by
-    ``workload/seed`` (``workload/seed/zrle`` for a ZRLE run), for the
-    tree at ``root``."""
+    ``workload/seed`` (``workload/seed/<variant>`` for a ZRLE or shared
+    run), for the tree at ``root``."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [f"{root}/src", f"{root}/benchmarks/e2e"]
     import workloads
@@ -59,40 +64,51 @@ def collect(root: str) -> dict:
 
     runs = {}
     for name in WORKLOADS:
-        for seed, zrle in RUNS:
+        for seed, variant in RUNS:
             workload = getattr(workloads, name)(seed, 0)
             workload.build()
-            if zrle:
-                workload.home.session.upstream.endpoint.send(
+            home = workload.home
+            sessions = [home.server_session]
+            if variant == "zrle":
+                home.session.upstream.endpoint.send(
                     SetEncodings((ZRLE, RAW)).encode())
-                workload.home.settle()
-                if workload.home.server_session.encodings[0] != ZRLE:
+                home.settle()
+                if home.server_session.encodings[0] != ZRLE:
                     raise RuntimeError(f"{name}: no switch to ZRLE")
+            elif variant == "shared":
+                guest = home.add_user("guest", view_of="resident")
+                home.settle()
+                sessions.append(guest.server_session)
             output = workload.output
             screens = [_digest(output.screen_image.data)]
             output.on_frame = lambda image, o=output: screens.append(
                 _digest(o.screen_image.data))
-            endpoint = workload.home.server_session.endpoint
-            sent: list[bytes] = []
-
-            def send(data, original=endpoint.send, sent=sent):
-                chunks = [data] if isinstance(data, (bytes, bytearray,
-                                                     memoryview)) else data
-                sent.extend(bytes(chunk) for chunk in chunks)
-                return original(data)
-
-            endpoint.send = send
+            sent: list[list[bytes]] = [[] for _ in sessions]
+            for session, out in zip(sessions, sent):
+                session.endpoint.send = _recording(session.endpoint.send,
+                                                   out)
             uip = []
             inputs = workload.inputs()
             for _ in range(INTERACTIONS):
-                sent.clear()
+                for out in sent:
+                    out.clear()
                 workload.act(next(inputs))
-                workload.home.settle()
-                uip.append(_digest(b"".join(sent)))
+                home.settle()
+                uip.append("/".join(_digest(b"".join(out)) for out in sent))
             workload.close()
-            key = f"{name}/{seed}" + ("/zrle" if zrle else "")
+            key = f"{name}/{seed}" + (f"/{variant}" if variant else "")
             runs[key] = {"screens": screens, "uip": uip}
     return runs
+
+
+def _recording(send, out: list[bytes]):
+    """``send``, also appending every chunk it is given to ``out``."""
+    def recording_send(data):
+        chunks = [data] if isinstance(data, (bytes, bytearray,
+                                             memoryview)) else data
+        out.extend(bytes(chunk) for chunk in chunks)
+        return send(data)
+    return recording_send
 
 
 def _run_child(root: Path) -> dict:

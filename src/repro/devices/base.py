@@ -51,6 +51,7 @@ from repro.net.transport import Transport, TransportStats
 from repro.proxy.descriptors import DeviceDescriptor
 from repro.proxy.plugins import DeviceImage
 from repro.proxy.plugins import LINK_TAG_BELL, LINK_TAG_IMAGE
+from repro.proxy.session import REDIAL_ATTEMPTS, redial_delay
 from repro.util.errors import ProxyError
 from repro.util.scheduler import Scheduler
 
@@ -132,13 +133,11 @@ class InteractionDevice:
         #: Test/demo hook fired when the proxy forwards a bell (beep!).
         self.on_bell: Optional[Callable[[], None]] = None
         #: Self-healing: when set, a leg dropped by a transport failure is
-        #: redialed with exponential backoff + jitter.  Deliberate
+        #: redialed with the session's backoff and jitter
+        #: (:func:`~repro.proxy.session.redial_delay`).  Deliberate
         #: :meth:`disconnect` calls are never retried.
         #: ``Home(resilience=True)`` enables this on every device it adds.
         self.auto_reconnect = False
-        self.reconnect_base_s = 0.2
-        self.reconnect_cap_s = 5.0
-        self.reconnect_max_attempts = 8
         self.link_reconnects = 0
         self.link_reconnects_failed = 0
         #: Proxies we should redial (by proxy id), and the reactor member
@@ -229,14 +228,12 @@ class InteractionDevice:
             self._schedule_redial(proxy, attempt=0)
 
     def _schedule_redial(self, proxy: "UniIntProxy", attempt: int) -> None:
-        if attempt >= self.reconnect_max_attempts:
+        if attempt >= REDIAL_ATTEMPTS:
             self.link_reconnects_failed += 1
             return
-        delay = min(self.reconnect_cap_s,
-                    self.reconnect_base_s * (2 ** attempt))
-        delay *= self._reconnect_rng.uniform(0.5, 1.5)
         self.scheduler.call_later(
-            delay, lambda: self._redial(proxy, attempt))
+            redial_delay(self._reconnect_rng, attempt),
+            lambda: self._redial(proxy, attempt))
 
     def _redial(self, proxy: "UniIntProxy", attempt: int) -> None:
         pid = proxy.proxy_id

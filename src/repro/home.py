@@ -25,8 +25,8 @@ tabs their view to the TV while another drives the microwave — each
 through whichever devices suit their current situation, with *follow-me*
 migration as they move between rooms.  ``add_user(..., view_of=...)``
 instead seats a resident in front of an existing view (the family around
-the living-room panel), preserving the shared-encode broadcast win for
-same-surface sessions.
+the living-room panel), whose sessions share one encode of each frame
+through the surface's encode cache.
 
 Examples and experiments build on this facade; the pieces remain
 individually constructible for tests.
@@ -83,7 +83,7 @@ class HomeView:
     shared middleware, so residents keep independent active tabs, focus
     and input state while one discovery/event fan-out feeds them all.
     Several users may share one view (``add_user(..., view_of=...)``) —
-    their sessions then hit the same shared-encode cache domain.
+    their sessions then share the surface's encode cache.
     """
 
     def __init__(self, home: "Home", display: DisplayServer,
@@ -193,7 +193,6 @@ class Home:
                  secret: Optional[str] = None,
                  preferences: Optional[PreferenceStore] = None,
                  transport: str = "pipe",
-                 shared_encode: bool = True,
                  reactor: Optional[Reactor] = None,
                  name: str = "home",
                  event_budget: int = DEFAULT_EVENT_BUDGET,
@@ -218,7 +217,6 @@ class Home:
         self._heartbeat_s = heartbeat_s
         self.uniint_server = UniIntServer(None, self.scheduler,
                                           secret=secret,
-                                          shared_encode=shared_encode,
                                           resume_grace_s=(resume_grace_s
                                                           if resilience
                                                           else 0.0))
@@ -308,8 +306,8 @@ class Home:
         independent appliance application with its own active tab, focus
         and input routing, fed by the same discovery fan-out.  With
         ``view_of`` the user instead sits down in front of an existing
-        resident's view (sharing its surface *and* its shared-encode
-        broadcast domain), which is how a family watches one wall panel.
+        resident's view (sharing its surface *and* its encode cache),
+        which is how a family watches one wall panel.
 
         Either way the newcomer immediately sees every *shared* device in
         the home (their proxy gets its own transport leg to each) plus

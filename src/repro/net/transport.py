@@ -76,8 +76,8 @@ def as_chunks(data: Payload) -> tuple[list[bytes], int]:
 
     Mutable buffers (``bytearray``/``memoryview``) are copied once here:
     delivery is deferred, so the sender must be free to reuse them.
-    ``bytes`` chunks pass through untouched — the zero-copy broadcast path
-    hands the same cached chunk list to every session's transport.
+    ``bytes`` chunks pass through untouched, so payloads served from an
+    encode cache are never copied.
     """
     if isinstance(data, bytes):
         return [data], len(data)

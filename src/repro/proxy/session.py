@@ -33,7 +33,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: How many recent rejected-event strings a session keeps.
 PLUGIN_ERRORS_KEPT = 32
 
+#: How a dead leg redials, a session's upstream and a device's alike: the
+#: wait doubles from ``REDIAL_BASE_S`` up to ``REDIAL_CAP_S``, for at most
+#: ``REDIAL_ATTEMPTS`` attempts.
+REDIAL_BASE_S = 0.2
+REDIAL_CAP_S = 5.0
+REDIAL_ATTEMPTS = 8
+#: Unanswered pings that declare the upstream leg dead.
+MAX_MISSED_PINGS = 3
+#: Virtual seconds one redial may take to complete its handshake.
+ATTEMPT_TIMEOUT_S = 2.0
+#: Idle heartbeats after which a healthy session stops probing.
+DORMANT_AFTER_BEATS = 2
+
 _NO_DAMAGE = Rect(0, 0, 0, 0)
+
+
+def redial_delay(rng: random.Random, retry: int) -> float:
+    """Seconds before redial ``retry`` (0 for the first), jittered by
+    U(0.5, 1.5) drawn from ``rng`` to de-sync a redialing fleet."""
+    return (min(REDIAL_CAP_S, REDIAL_BASE_S * (2 ** retry))
+            * rng.uniform(0.5, 1.5))
 
 
 class SessionResilience:
@@ -41,41 +61,34 @@ class SessionResilience:
 
     Two death signals feed one recovery path:
 
-    * the transport closes under the session (RST, EOF) — immediate;
-    * an activity-gated heartbeat finds ``max_misses`` pings unanswered
-      (a stalled or partitioned link that never delivered a FIN).
+    * the transport closes under the session (RST, EOF) or the client
+      aborts it (a failed handshake) — immediate;
+    * an activity-gated heartbeat finds :data:`MAX_MISSED_PINGS` pings
+      unanswered (a stalled or partitioned link that never delivered a
+      FIN).
 
-    Recovery redials with exponential backoff, jitter and a cap, presents
-    the server's resume token, and adopts the fresh
-    :class:`~repro.proxy.upstream.UniIntClient` in place — plug-ins,
-    device bindings and selection survive; the cost is exactly one
-    full-frame resync (the non-incremental request a resuming client
-    sends).
+    Recovery redials with exponential backoff, jitter and a cap
+    (:func:`redial_delay`), presents the server's resume token, and
+    adopts the fresh :class:`~repro.proxy.upstream.UniIntClient` in
+    place — plug-ins, device bindings and selection survive; the cost is
+    exactly one full-frame resync (the non-incremental request a
+    resuming client sends).
 
     Heartbeats are *dormant-by-default*: a session that is idle for
-    ``dormant_after`` consecutive beats stops probing until device events
-    or updates wake it.  Every timer here is one-shot, so
+    :data:`DORMANT_AFTER_BEATS` consecutive beats stops probing until
+    device events or updates wake it.  Every timer here is one-shot, so
     ``run_until_idle``/``settle`` still terminate — an idle healthy home
     goes quiet instead of beating forever.
     """
 
     def __init__(self, session: "ProxySession", scheduler: Scheduler,
                  dial: Callable[[], Transport], *,
-                 heartbeat_s: float = 0.5, max_misses: int = 3,
-                 backoff_base_s: float = 0.2, backoff_cap_s: float = 5.0,
-                 max_attempts: int = 8, attempt_timeout_s: float = 2.0,
-                 dormant_after: int = 2, seed: int = 0) -> None:
+                 heartbeat_s: float = 0.5) -> None:
         self.session = session
         self.scheduler = scheduler
         self.dial = dial
         self.heartbeat_s = heartbeat_s
-        self.max_misses = max_misses
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.max_attempts = max_attempts
-        self.attempt_timeout_s = attempt_timeout_s
-        self.dormant_after = dormant_after
-        self._rng = random.Random(repr(("resilience", seed)))
+        self._rng = random.Random(repr(("resilience", 0)))
         self.enabled = True
         self.reconnecting = False
         self.failed_permanently = False
@@ -128,7 +141,7 @@ class SessionResilience:
         up = self.session.upstream
         if up.closed:
             return  # the close handler drives recovery
-        if up.outstanding_pings >= self.max_misses:
+        if up.outstanding_pings >= MAX_MISSED_PINGS:
             self._declare_dead(
                 f"{up.outstanding_pings} unanswered pings")
             return
@@ -138,7 +151,7 @@ class SessionResilience:
             self._idle_beats = 0
         else:
             self._idle_beats += 1
-            if (self._idle_beats > self.dormant_after
+            if (self._idle_beats > DORMANT_AFTER_BEATS
                     and up.outstanding_pings == 0):
                 return  # healthy and idle: go dormant until woken
         if up.ready:
@@ -184,11 +197,11 @@ class SessionResilience:
         self._retry_event = None
         if not self.enabled:
             return
-        if self._attempt >= self.max_attempts:
+        if self._attempt >= REDIAL_ATTEMPTS:
             self.failed_permanently = True
             self.reconnecting = False
             self.give_up_reason = (
-                f"gave up after {self.max_attempts} attempts: "
+                f"gave up after {REDIAL_ATTEMPTS} attempts: "
                 f"{self.death_reasons[-1] if self.death_reasons else '?'}")
             return
         self._attempt += 1
@@ -201,25 +214,21 @@ class SessionResilience:
         upstream = UniIntClient(
             endpoint, secret=old.secret, encodings=old.encodings,
             resume_from=old.resume_token)
-        upstream.on_error = self._on_attempt_error
         upstream.on_session_close = self._on_attempt_close
         upstream.on_ready = self._on_reconnected
         self._pending_upstream = upstream
         self._attempt_timer = self.scheduler.call_later(
-            self.attempt_timeout_s, self._on_attempt_timeout)
+            ATTEMPT_TIMEOUT_S, self._on_attempt_timeout)
 
     def _retry_later(self, reason: str) -> None:
         self.attempt_failures.append(f"attempt {self._attempt}: {reason}")
-        backoff = min(self.backoff_cap_s,
-                      self.backoff_base_s * (2 ** (self._attempt - 1)))
-        backoff *= self._rng.uniform(0.5, 1.5)  # de-sync a redialing fleet
-        self._schedule_attempt(backoff)
+        self._schedule_attempt(redial_delay(self._rng, self._attempt - 1))
 
     def _abandon_attempt(self) -> None:
         self._cancel(("_attempt_timer",))
         up, self._pending_upstream = self._pending_upstream, None
         if up is not None:
-            up.on_ready = up.on_error = up.on_session_close = None
+            up.on_ready = up.on_session_close = None
             up.closed = True
             if up.endpoint.is_open:
                 up.endpoint.abort()
@@ -231,13 +240,10 @@ class SessionResilience:
 
     def _on_attempt_close(self) -> None:
         self._cancel(("_attempt_timer",))
-        self._pending_upstream = None
-        self._retry_later("connection died mid-handshake")
-
-    def _on_attempt_error(self, reason: str) -> None:
-        self._cancel(("_attempt_timer",))
-        self._pending_upstream = None
-        self._retry_later(f"handshake failed: {reason}")
+        up, self._pending_upstream = self._pending_upstream, None
+        self._retry_later(f"handshake failed: {up.handshake_failure}"
+                          if up.handshake_failure is not None
+                          else "connection died mid-handshake")
 
     def _on_reconnected(self) -> None:
         upstream, self._pending_upstream = self._pending_upstream, None

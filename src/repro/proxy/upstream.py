@@ -79,15 +79,11 @@ class UniIntClient:
         self.on_update: Optional[Callable[[Rect], None]] = None
         #: Fired on a server bell (e.g. microwave ding surfaced by an app).
         self.on_bell: Optional[Callable[[], None]] = None
-        #: Fired when the transport closes under the session (the
-        #: reconnect machinery listens here; distinct from the deliberate
-        #: :meth:`close`, which never fires it).
+        #: Fired when the session ends under us: the transport closed, or
+        #: the client aborted it over a failed handshake or a malformed
+        #: server message (the reconnect machinery listens here; distinct
+        #: from the deliberate :meth:`close`, which never fires it).
         self.on_session_close: Optional[Callable[[], None]] = None
-        #: Fired with the reason when the handshake fails.  When unset the
-        #: failure raises (legacy behaviour); a reconnect loop sets it so
-        #: a garbled redial is one more retry, not an escaped exception
-        #: quarantining the whole home.
-        self.on_error: Optional[Callable[[str], None]] = None
         endpoint.on_receive = self._on_bytes
         endpoint.on_close = self._on_close
 
@@ -96,6 +92,11 @@ class UniIntClient:
     @property
     def ready(self) -> bool:
         return self._handshake.done and not self.closed
+
+    @property
+    def handshake_failure(self) -> Optional[str]:
+        """Why the handshake failed, or None if it has not."""
+        return self._handshake.failed
 
     def _on_close(self) -> None:
         if self.closed:
@@ -122,13 +123,7 @@ class UniIntClient:
             if out:
                 self._send(out)
             if self._handshake.failed is not None:
-                if self.on_error is not None:
-                    reason = self._handshake.failed
-                    self.close()
-                    self.on_error(reason)
-                    return
-                raise ProtocolError(
-                    f"UIP handshake failed: {self._handshake.failed}")
+                return self._abort_session()
             if not self._handshake.done:
                 return
             self._session_start()
@@ -145,8 +140,9 @@ class UniIntClient:
                 self._handle(message)
 
     def _abort_session(self) -> None:
-        """A malformed server message ends this session as a reset would
-        (a resilient session redials), not by escaping into the transport."""
+        """A failed handshake or a malformed server message ends this
+        session as a reset would (a resilient session redials), not by
+        escaping into the transport."""
         self._decoder = None  # and the partial update it holds
         self.endpoint.abort()
         self._on_close()

@@ -8,21 +8,19 @@ Update pipeline (the damage-tracking fast path):
    fused, fragmentation capped — **once per surface per frame**, no matter
    how many sessions watch it.
 2. Each session binds to exactly one surface.  It clips + coalesces its
-   pending damage and packs pixels via a per-surface pack cache, so N
-   sessions sharing a surface pack each damaged rect once per frame.
-3. Whole RAW and HEXTILE ``FramebufferUpdate`` payloads are encoded
-   once per (surface, rect list) per frame and the encoded
-   *chunk list* fanned out to every session with that configuration
-   (*shared-encode broadcast*) — transports take the list vectored, so the
-   update is never concatenated.  Sessions on different surfaces never
-   share (or pay for) each other's frames; ZRLE sessions keep per-session
-   deflate streams and skip the shared path, sharing only the tile
-   streams in the surface's encode cache.
-4. Each session encodes every rect with the first encoding its client
+   pending damage, packs each rect and encodes it through the surface's
+   content-keyed :class:`~repro.uip.encodings.EncodeCache`, which every
+   session on that surface shares: N sessions watching one surface
+   encode each distinct rect once per frame (a ZRLE rect, its tile
+   stream once; each session still deflates it through its own
+   persistent stream), and sessions on different surfaces never share
+   (or pay for) each other's entries.  The update goes out as a chunk
+   list that transports send vectored, never concatenated.
+3. Each session encodes every rect with the first encoding its client
    offered (``SetEncodings``) that the server supports — RFB's own
    negotiation.  The client knows its leg: one on a slow bearer offers
    ZRLE first, one on the home LAN offers HEXTILE first.
-5. Sessions honour transport credit (*backpressure*): while a slow link
+4. Sessions honour transport credit (*backpressure*): while a slow link
    is saturated past its bandwidth-delay-derived watermark, new damage is
    folded back into the session's pending region instead of queueing a
    stale update, and one merged freshest update goes out when the link
@@ -97,10 +95,10 @@ class ServerSurface:
     """One display the server multiplexes, with everything scoped to it.
 
     Sessions bind to a surface; its damage is composited and tile-refined
-    once per frame and distributed only to those sessions, and the
-    per-frame pack/update caches backing the shared-encode broadcast live
-    here — so sessions on *different* surfaces never share cache keys and
-    never pay for each other's frames.
+    once per frame and distributed only to those sessions, whose encoders
+    share the surface's :attr:`encode_cache` — so sessions on *different*
+    surfaces never share cache entries and never pay for each other's
+    frames.
     """
 
     def __init__(self, server: "UniIntServer", display: DisplayServer,
@@ -110,15 +108,9 @@ class ServerSurface:
         self.surface_id = surface_id
         self.sessions: list["ServerSession"] = []
         self._differ = TileDiffer()
-        # Per-frame caches, valid only for one display.frame_version: the
-        # display owns the content version (anyone may call composite()
-        # directly, e.g. Home.screenshot), so validity is checked lazily.
-        self._cached_version = display.frame_version
-        self._pack_cache: dict[Rect, object] = {}
-        self._update_cache: dict[tuple, list[bytes]] = {}
-        # One content-keyed encode cache shared by every session on this
-        # surface: stateless payloads and ZRLE tile streams are encoded
-        # once per surface, however many sessions watch it.
+        #: Shared by every session on this surface: RAW and HEXTILE
+        #: payloads and ZRLE tile streams are encoded once per surface,
+        #: however many sessions watch it.
         self.encode_cache = enc.EncodeCache()
         display.on_damage = self._on_display_damage
 
@@ -148,61 +140,6 @@ class ServerSurface:
                 rects = Region(rects).coalesced(MAX_UPDATE_RECTS)
         for session in self.sessions:
             session._note_damage(rects)
-
-    # -- shared-encode broadcast ----------------------------------------------
-
-    def _sync_caches(self) -> None:
-        """Drop the per-frame caches if the framebuffer content moved on."""
-        if self._cached_version != self.display.frame_version:
-            self._cached_version = self.display.frame_version
-            self._pack_cache.clear()
-            self._update_cache.clear()
-
-    def _packed_for(self, rect: Rect) -> object:
-        """The packed pixels of ``rect``, shared across this surface.
-
-        Every session reuses one ``pack_array`` result per damaged rect
-        per frame.
-        """
-        self._sync_caches()
-        packed = self._pack_cache.get(rect)
-        if packed is None:
-            packed = RGB888.pack_array(self.display.framebuffer.view(rect))
-            self._pack_cache[rect] = packed
-            self.server.pack_misses += 1
-        else:
-            self.server.pack_hits += 1
-        return packed
-
-    def _encode_update(self, session: "ServerSession",
-                       update: FramebufferUpdate) -> list[bytes]:
-        """Wire chunks for ``update``, encoded once per session config.
-
-        Returns a scatter-gather chunk list (see
-        :meth:`FramebufferUpdate.encode_chunks`): the update is never
-        concatenated server-side, and sessions whose surface, rect list
-        and encodings all match share one encode — the same
-        cached chunk list is handed to every such session's transport, so
-        a broadcast frame is materialised zero times per extra session.
-        A ZRLE rect forces the per-session path (its persistent deflate
-        stream makes the payload session-specific; the surface's encode
-        cache still shares its tile stream), as does disabling
-        :attr:`UniIntServer.shared_encode`.
-        """
-        shareable = self.server.shared_encode and all(
-            r.encoding != enc.ZRLE for r in update.rects)
-        if not shareable:
-            return update.encode_chunks(session._encoder)
-        self._sync_caches()
-        key = tuple((r.rect, r.encoding) for r in update.rects)
-        chunks = self._update_cache.get(key)
-        if chunks is None:
-            chunks = update.encode_chunks(session._encoder)
-            self._update_cache[key] = chunks
-            self.server.shared_encode_misses += 1
-        else:
-            self.server.shared_encode_hits += 1
-        return chunks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ServerSurface #{self.surface_id} "
@@ -383,20 +320,20 @@ class ServerSession:
             self.bytes_suppressed += self._suppressed_estimate()
             return
         rects: list[RectUpdate] = []
-        bounds = self.surface.display.framebuffer.bounds
+        framebuffer = self.surface.display.framebuffer
+        bounds = framebuffer.bounds
         encoding = self.encodings[0]
         for rect in self._pending.coalesced(MAX_UPDATE_RECTS):
             clipped = rect.intersect(bounds)
             if clipped.is_empty:
                 continue
-            packed = self.surface._packed_for(clipped)
+            packed = RGB888.pack_array(framebuffer.view(clipped))
             rects.append(RectUpdate(clipped, encoding, packed))
         self._pending = Region()
         self._update_requested = False
         if not rects:
             return
-        update = FramebufferUpdate(tuple(rects))
-        chunks = self.surface._encode_update(self, update)
+        chunks = FramebufferUpdate(tuple(rects)).encode_chunks(self._encoder)
         if self.endpoint.is_open:
             self.endpoint.send(chunks)
             self.updates_sent += 1
@@ -409,14 +346,13 @@ class UniIntServer:
     The classic construction ``UniIntServer(display, scheduler)`` wraps
     the display in a default surface; :meth:`add_surface` attaches further
     displays (per-user views in a multi-user home), each with independent
-    sessions, damage coalescing and shared-encode cache domain.
+    sessions, damage coalescing and encode cache.
     """
 
     def __init__(self, display: Optional[DisplayServer],
                  scheduler: Scheduler,
                  name: str = "home-appliances",
                  secret: Optional[str] = None,
-                 shared_encode: bool = True,
                  tile_diff: bool = True,
                  backpressure: bool = True,
                  resume_grace_s: float = 0.0) -> None:
@@ -439,10 +375,6 @@ class UniIntServer:
         self.sessions_resumed = 0
         self.sessions_expired = 0
         self.resume_misses = 0
-        #: Encode each update once per (surface, rect list) and fan the
-        #: bytes out to every session sharing that config (ablation
-        #: toggle).
-        self.shared_encode = shared_encode
         #: Refine composite damage to the 16x16 tiles whose pixels actually
         #: changed before distributing it (ablation toggle): geometric
         #: damage from unchanged redraws never reaches the encoders.
@@ -456,12 +388,6 @@ class UniIntServer:
         self.surfaces: list[ServerSurface] = []
         self._next_surface = 1
         self._flush_scheduled = False
-        # statistics for the scale experiments (bench_home_scale);
-        # aggregated across surfaces so ablation benches read one number
-        self.pack_hits = 0
-        self.pack_misses = 0
-        self.shared_encode_hits = 0
-        self.shared_encode_misses = 0
         if display is not None:
             self.add_surface(display)
 

@@ -77,7 +77,10 @@ class EncodeCache:
     widgets, toggling panels) skip the whole encode.  A ZRLE payload
     rides the persistent deflate stream, so it is never cached; ZRLE
     caches its position-*independent* tile stream and pays only the
-    per-session deflate on a hit.  The phone's output
+    per-session deflate on a hit.  Each UniInt server surface keeps one,
+    shared by the encoder of every session watching it, so sessions on
+    one surface encode each distinct rect once: the first session to
+    send it misses, every other one hits.  The phone's output
     plug-in is the second user: it keeps the packed 1-bit screen it made
     of each fitted frame.
 

@@ -163,8 +163,7 @@ class FramebufferUpdate:
 
         Rect payloads (the bulk of the bytes) ride as their own chunks, so
         the full message is never concatenated here — transports send the
-        list vectored, and the server's shared-encode broadcast hands one
-        cached list to every session.
+        list vectored.
         """
         writer = Writer().u8(MSG_FRAMEBUFFER_UPDATE).pad(1)
         writer.u16(len(self.rects))

@@ -27,11 +27,6 @@ class DisplayServer:
 
     def __init__(self, window: UIWindow) -> None:
         self.window = window
-        #: Monotonic content version: bumps whenever a composite changes
-        #: the framebuffer pixels.  Consumers caching
-        #: derived data (the UniInt server's pack/encode caches) compare
-        #: against it to invalidate.
-        self.frame_version = 0
         self._pointer_buttons = 0
         #: Fired when the window is damaged; the UniInt server hooks this
         #: to schedule update pushes.
@@ -59,7 +54,6 @@ class DisplayServer:
         if self.window.damage.is_empty:
             return Region()
         damage = self.window.render()
-        self.frame_version += 1
         return Region.from_disjoint(damage.coalesced(_DAMAGE_CAP))
 
     # -- input injection -----------------------------------------------------------

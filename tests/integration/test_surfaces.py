@@ -152,30 +152,38 @@ class TestSharedViews:
         assert carol.session.upstream.framebuffer == alice.display.framebuffer
 
     def test_same_surface_sessions_share_encodes(self):
-        """The PR 4 broadcast win must survive surface multiplexing: a
-        same-surface family still hits the shared-encode cache, while
-        single-session surfaces never produce (or need) shared hits."""
+        """A same-surface family shares one encode per rect through the
+        surface's encode cache, while single-session surfaces never hit
+        each other's entries."""
         home = Home()
         home.add_appliance(Television("TV"))
         home.add_user("alice", view_of="resident")
         home.add_user("bob", view_of="resident")
         home.settle()
-        hits_before = home.uniint_server.shared_encode_hits
+        cache = home.default_user.surface.encode_cache
+        hits, misses = cache.hits, cache.misses
         tuner = home.appliances["TV"].dcm.fcm_by_type(FcmType.TUNER)
         tuner.invoke_local("power.set", {"on": True})
         home.settle()
-        # 3 sessions, 1 surface: one encode, two cache hits per update
-        assert home.uniint_server.shared_encode_hits >= hits_before + 2
+        # 3 sessions, 1 surface: one encode, two cache hits per rect
+        assert cache.misses > misses
+        assert cache.hits - hits >= 2 * (cache.misses - misses)
+        for user in home.users.values():
+            assert (user.session.upstream.framebuffer
+                    == home.display.framebuffer)
 
     def test_separate_surfaces_do_not_share_encodes(self):
         home, alice, bob = two_view_home()
-        assert home.uniint_server.shared_encode_hits == 0
+        caches = [view.surface.encode_cache for view in home.views]
+        assert len({id(cache) for cache in caches}) == 3
+        assert [cache.hits for cache in caches] == [0, 0, 0]
         tuner = home.appliances["TV"].dcm.fcm_by_type(FcmType.TUNER)
         tuner.invoke_local("power.set", {"on": True})
         home.settle()
-        # every surface has exactly one session: nothing to share, and
-        # (crucially) no cross-surface hits that would mix frames up
-        assert home.uniint_server.shared_encode_hits == 0
+        # every surface has exactly one session and its own cache: the
+        # same new pixels are encoded once per surface, and no surface
+        # hits another's entries (which would mix frames up)
+        assert [cache.hits for cache in caches] == [0, 0, 0]
         for user in (alice, bob):
             assert (user.session.upstream.framebuffer
                     == user.display.framebuffer)

@@ -144,13 +144,16 @@ class TestMultiSessionBroadcast:
         scheduler, display, window, server, sessions = self._build_multi(
             configs)
         scheduler.run_until_idle()
-        misses_before = server.shared_encode_misses
-        hits_before = server.shared_encode_hits
+        cache = server.default_surface.encode_cache
+        misses_before, hits_before = cache.misses, cache.hits
         window.root.find("status").text = "fan out"
         scheduler.run_until_idle()
-        new_misses = server.shared_encode_misses - misses_before
-        new_hits = server.shared_encode_hits - hits_before
+        new_misses = cache.misses - misses_before
+        new_hits = cache.hits - hits_before
+        assert new_misses > 0
         assert new_hits >= 4 * new_misses  # 1 encode feeds 5 sessions
+        for session in sessions:
+            assert session.upstream.framebuffer == display.framebuffer
 
     def test_input_from_one_session_updates_all_mirrors(self):
         from repro.uip import RAW, ZRLE

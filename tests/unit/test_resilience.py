@@ -10,6 +10,7 @@ import pytest
 from repro.devices import Pda
 from repro.home import Home
 from repro.net import ETHERNET_100, Reactor, TcpListener, make_pipe
+from repro.proxy.session import REDIAL_ATTEMPTS, REDIAL_CAP_S
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
 from repro.toolkit import Button, Column, Label, UIWindow
@@ -260,7 +261,7 @@ class TestSessionSelfHealing:
         assert res.failed_permanently
         assert not res.reconnecting
         assert res.reconnect_count == 0
-        assert len(res.attempt_failures) == res.max_attempts
+        assert len(res.attempt_failures) == REDIAL_ATTEMPTS
         assert "gave up after" in res.give_up_reason
         # permanent failure is quiescent: no timers left spinning
         assert home.scheduler.pending_count() == 0
@@ -268,7 +269,6 @@ class TestSessionSelfHealing:
     def test_backoff_grows_and_caps(self):
         home, pda = resilient_home()
         res = home.default_user.session.resilience
-        res.max_attempts = 12
         from repro.util.errors import TransportError
 
         times = []
@@ -284,7 +284,8 @@ class TestSessionSelfHealing:
         gaps = [b - a for a, b in zip(times, times[1:])]
         # exponential up to the cap with +/-50% jitter
         assert gaps[0] < 1.0
-        assert all(gap <= res.backoff_cap_s * 1.5 + 1e-9 for gap in gaps)
+        assert len(gaps) == REDIAL_ATTEMPTS - 1
+        assert all(gap <= REDIAL_CAP_S * 1.5 + 1e-9 for gap in gaps)
         assert max(gaps) > gaps[0]
 
     def _redial_once_via(self, home, make_endpoint):
@@ -394,17 +395,18 @@ class TestDeviceLegSelfHealing:
     def test_gives_up_after_budget(self):
         home, pda = resilient_home()
         user = home.default_user
-        pda.reconnect_max_attempts = 2
         # make every redial fail: the proxy claims the id is taken
-        import repro.proxy.proxy as proxy_mod
         from repro.util.errors import ProxyError
+        redials = []
 
         def reject(device, endpoint):
+            redials.append(home.scheduler.now())
             raise ProxyError("no room at the inn")
 
         user.proxy.register_device = reject
         pda.endpoint_for(user.proxy.proxy_id).abort()
-        home.scheduler.run_until_idle()
+        home.scheduler.run_until_idle()  # waits out every backoff
+        assert len(redials) == REDIAL_ATTEMPTS
         assert pda.link_reconnects == 0
         assert pda.link_reconnects_failed == 1
         assert not pda.connected

@@ -61,6 +61,20 @@ class TestSessionEdges:
         with pytest.raises(ProxyError):
             proxy.connect(pipe.b)
 
+    def test_wrong_secret_closes_the_session(self):
+        scheduler = Scheduler()
+        window = UIWindow(200, 150)
+        window.set_root(Column())
+        server = UniIntServer(DisplayServer(window), scheduler,
+                              secret="right")
+        proxy = UniIntProxy(scheduler)
+        pipe = make_pipe(scheduler)
+        server.accept(pipe.a)
+        session = proxy.connect(pipe.b, secret="wrong")
+        scheduler.run_until_idle()  # must not raise
+        assert session.upstream.closed and not session.upstream.ready
+        assert server.sessions == []
+
     def test_unknown_device_selection_rejected(self):
         scheduler, display, window, proxy, session = stack()
         with pytest.raises(ProxyError):

@@ -35,15 +35,20 @@ class SpotColumn(Column):
             canvas.fill(rect, color)
 
 
-def make_server(width=160, height=120, secret=None, root_type=Column,
-                **server_kwargs):
-    scheduler = Scheduler()
+def make_window(width=160, height=120, root_type=Column):
     window = UIWindow(width, height)
     col = root_type()
     label = col.add(Label("hello"))
     label.widget_id = "label"
     col.add(Button("Go"))
     window.set_root(col)
+    return window
+
+
+def make_server(width=160, height=120, secret=None, root_type=Column,
+                **server_kwargs):
+    scheduler = Scheduler()
+    window = make_window(width, height, root_type)
     display = DisplayServer(window)
     server = UniIntServer(display, scheduler, name="test-home",
                           secret=secret, **server_kwargs)
@@ -99,11 +104,15 @@ class TestSessions:
         assert good.ready
 
     def test_wrong_secret_rejected(self):
-        from repro.util.errors import ProtocolError
         scheduler, display, window, server = make_server(secret="hunter2")
         bad = connect(scheduler, server, secret="wrong")
-        with pytest.raises(ProtocolError):
-            scheduler.run_until_idle()
+        closes = []
+        bad.on_session_close = lambda: closes.append(bad.closed)
+        scheduler.run_until_idle()  # must not raise
+        assert closes == [True]
+        assert not bad.ready
+        assert bad.handshake_failure == "server rejected authentication"
+        assert server.sessions == []
 
     def test_stats_track_events(self):
         scheduler, display, window, server = make_server()
@@ -238,51 +247,90 @@ class TestServerEdges:
 
 
 class TestSharedEncodeBroadcast:
+    """Sessions on one surface share its encode cache: the first session
+    to send a rect misses, every other one hits."""
+
+    @staticmethod
+    def _frame(scheduler, window, server, text):
+        """Show ``text`` on the label; returns (rects each session got,
+        new cache hits, new cache misses) for the default surface."""
+        cache = server.default_surface.encode_cache
+        hits, misses = cache.hits, cache.misses
+        sent = [session.rects_sent for session in server.sessions]
+        window.root.find("label").text = text
+        scheduler.run_until_idle()
+        rects = {session.rects_sent - before
+                 for session, before in zip(server.sessions, sent)}
+        assert len(rects) == 1  # every session got the same update
+        return rects.pop(), cache.hits - hits, cache.misses - misses
+
     def test_same_config_sessions_share_one_encode(self):
         scheduler, display, window, server = make_server()
         clients = [connect(scheduler, server) for _ in range(4)]
         scheduler.run_until_idle()
-        window.root.find("label").text = "broadcast!"
-        hits_before = server.shared_encode_hits
-        scheduler.run_until_idle()
+        rects, hits, misses = self._frame(scheduler, window, server,
+                                          "broadcast!")
         for client in clients:
             assert client.framebuffer == display.framebuffer
-        # one session encoded, the other three got the same bytes
-        assert server.shared_encode_hits >= hits_before + 3
+        # each session looked every rect up once: one session encoded
+        # each rect, the other three got its bytes from the cache
+        assert hits + misses == 4 * rects
+        assert 0 < misses <= rects
 
-    def test_pack_shared_across_sessions(self):
+    def test_each_rect_misses_once_per_frame(self):
         scheduler, display, window, server = make_server()
-        for _ in range(3):
-            connect(scheduler, server)
-        scheduler.run_until_idle()
-        window.root.find("label").text = "pack once"
-        packs_before = server.pack_misses
-        scheduler.run_until_idle()
-        assert server.pack_hits >= 2
-        # the damaged rects were packed once, not once per session
-        assert server.pack_misses - packs_before <= MAX_UPDATE_RECTS
-
-    def test_zrle_sessions_bypass_shared_path(self):
-        scheduler, display, window, server = make_server()
-        a = connect(scheduler, server, encodings=(ZRLE, RAW))
-        b = connect(scheduler, server, encodings=(ZRLE, RAW))
-        scheduler.run_until_idle()
-        hits_initial = server.shared_encode_hits
-        window.root.find("label").text = "private streams"
-        scheduler.run_until_idle()
-        assert server.shared_encode_hits == hits_initial
-        assert a.framebuffer == b.framebuffer == display.framebuffer
-
-    def test_shared_encode_disabled_still_correct(self):
-        scheduler, display, window, server = make_server(shared_encode=False)
         clients = [connect(scheduler, server) for _ in range(3)]
         scheduler.run_until_idle()
-        window.root.find("label").text = "per-session"
+        for text in ("frame one", "frame two", "frame three"):
+            rects, hits, misses = self._frame(scheduler, window, server,
+                                              text)
+            assert 0 < misses <= rects <= MAX_UPDATE_RECTS
+            assert hits + misses == 3 * rects
+            for client in clients:
+                assert client.framebuffer == display.framebuffer
+
+    def test_zrle_sessions_share_tile_streams_not_deflate(self):
+        scheduler, display, window, server = make_server()
+        a = connect(scheduler, server, encodings=(ZRLE, RAW))
         scheduler.run_until_idle()
-        assert server.shared_encode_hits == 0
-        assert server.shared_encode_misses == 0
-        for client in clients:
-            assert client.framebuffer == display.framebuffer
+        window.root.find("label").text = "history"
+        scheduler.run_until_idle()
+        # b's deflate stream starts after a's has carried two updates
+        b = connect(scheduler, server, encodings=(ZRLE, RAW))
+        scheduler.run_until_idle()
+        a_before = a.endpoint.stats.bytes_received
+        b_before = b.endpoint.stats.bytes_received
+        rects, hits, misses = self._frame(scheduler, window, server,
+                                          "private streams")
+        # one tile stream per rect, shared ...
+        assert 0 < misses <= rects
+        assert hits + misses == 2 * rects
+        # ... but deflated through each session's own stream: the same
+        # update costs the two sessions different bytes, and both decode
+        assert (a.endpoint.stats.bytes_received - a_before
+                != b.endpoint.stats.bytes_received - b_before)
+        assert a.framebuffer == b.framebuffer == display.framebuffer
+
+    def test_surfaces_never_share_cache_entries(self):
+        scheduler, display, window, server = make_server()
+        twin = make_window()
+        twin_display = DisplayServer(twin)
+        surfaces = (server.default_surface, server.add_surface(twin_display))
+        clients = []
+        for surface in surfaces:
+            pipe = make_pipe(scheduler, ETHERNET_100, name="c")
+            server.accept(pipe.a, surface=surface)
+            clients.append(UniIntClient(pipe.b))
+        scheduler.run_until_idle()
+        for win in (window, twin):
+            win.root.find("label").text = "same pixels"
+        scheduler.run_until_idle()
+        # both surfaces encoded the same pixels, each in its own cache
+        assert display.framebuffer == twin_display.framebuffer
+        assert [s.encode_cache.hits for s in surfaces] == [0, 0]
+        assert all(s.encode_cache.misses > 0 for s in surfaces)
+        assert clients[0].framebuffer == display.framebuffer
+        assert clients[1].framebuffer == twin_display.framebuffer
 
     def test_broadcast_bytes_identical_on_the_wire(self):
         scheduler, display, window, server = make_server()
@@ -298,7 +346,7 @@ class TestSharedEncodeBroadcast:
 
     def test_direct_composite_invalidates_caches(self):
         """Regression: composite() called outside the server's flush path
-        (Home.screenshot) must not leave stale pack/encode cache entries."""
+        (Home.screenshot) must not leave the client's mirror stale."""
         scheduler, display, window, server = make_server()
         client = connect(scheduler, server)
         scheduler.run_until_idle()

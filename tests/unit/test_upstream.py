@@ -122,23 +122,26 @@ class TestApplyUpdates:
 
 class TestServerInitPixelFormat:
     """UIP has one pixel format: a ServerInit naming another fails the
-    handshake, and a client with ``on_error`` set hears it there."""
+    handshake, which closes the session as a reset would."""
 
-    def test_another_pixel_format_fires_on_error(self):
+    def test_another_pixel_format_closes_the_session(self):
         scheduler = Scheduler()
         pipe = make_pipe(scheduler)
         pipe.a.on_receive = lambda data: None
         client = UniIntClient(pipe.b)
-        errors = []
-        client.on_error = errors.append
+        closes = []
+        client.on_session_close = lambda: closes.append(client.closed)
         # 24 bits per pixel, which RFB does not allow
         fmt = "1818000100ff00ff00ff100800000000"
         pipe.a.send(PROTOCOL_VERSION + bytes([1, SECURITY_NONE]) + bytes(4)
                     + Writer().u16(64).u16(48).raw(bytes.fromhex(fmt))
                     .u32(4).raw(b"fake").getvalue())
         scheduler.run_until_idle()  # must not raise
-        assert errors == [f"server pixel format {fmt} is not RGB888"]
-        assert client.closed and not client.ready
+        assert closes == [True]
+        assert not client.ready
+        assert (client.handshake_failure
+                == f"server pixel format {fmt} is not RGB888")
+        assert not pipe.a.is_open  # aborted, as a reset
 
 
 class TestMalformedServerMessages:
