@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-backpressure bench-commands \
 	bench-encodings bench-encode-core bench-fleet \
 	bench-home-scale bench-multiuser bench-resilience bench-surfaces \
-	bench-smoke frame-parity
+	bench-smoke e2e-pairs frame-parity
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -18,6 +18,19 @@ test:
 BASE ?= HEAD
 frame-parity:
 	$(PYTHON) benchmarks/frame_parity.py $(BASE)
+
+# Alternating pairs of benchmarks/e2e/run.py, BASE against the working
+# tree, one process at a time: per workload and end-to-end metric, each
+# side's median and quartiles, the change's wins and the ratio.  Pair i
+# runs seed SEED+i; WORKLOAD may name several workloads.  Writes nothing
+# inside the repository; exits 1 if a run fails or reports incorrect
+# outputs.  `python3 benchmarks/pairs.py --help` lists the other options.
+WORKLOAD ?= remote-browse
+PAIRS ?= 10
+SEED ?= 1
+e2e-pairs:
+	$(PYTHON) benchmarks/pairs.py $(BASE) --pairs $(PAIRS) --seed $(SEED) \
+		$(foreach w,$(WORKLOAD),--workload $(w))
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-json=BENCH_RESULTS.json

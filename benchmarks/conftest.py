@@ -16,11 +16,11 @@ import pytest
 
 from repro import Home
 from repro.appliances import Television, VideoRecorder
-from repro.graphics import Bitmap, Rect, default_font, draw
+from repro.graphics import Bitmap, Rect, default_font
 from repro.net import make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
-from repro.toolkit import Column, Label, UIWindow
+from repro.toolkit import Canvas, Column, Label, UIWindow
 from repro.util import Scheduler
 from repro.windows import DisplayServer
 
@@ -37,15 +37,16 @@ def panel_frame(width: int, height: int) -> Bitmap:
     for; the examples' real app frames have the same statistics.
     """
     bmp = Bitmap(width, height, fill=(206, 206, 206))
+    canvas = Canvas(bmp, 0, 0, bmp.bounds)
     font = default_font(1)
     row_h = max(20, height // 8)
     y = 6
     captions = ["POWER", "CH-", "CH+", "VOLUME", "MUTE", "SOURCE"]
     while y + row_h < height - 6:
         caption = captions[(y // row_h) % len(captions)]
-        draw.bevel_box(bmp, Rect(8, y, width - 16, row_h - 4),
-                       face=(192, 192, 192), light=(250, 250, 250),
-                       shadow=(96, 96, 96))
+        canvas.bevel(Rect(8, y, width - 16, row_h - 4),
+                     face=(192, 192, 192), light=(250, 250, 250),
+                     shadow=(96, 96, 96))
         font.draw(bmp, 14, y + (row_h - 11) // 2, caption, (10, 10, 10))
         if (y // row_h) % 2 == 1:  # alternate rows carry an accent bar
             bmp.fill_rect(Rect(width // 2, y + 4, width // 3, row_h - 12),

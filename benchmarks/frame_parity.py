@@ -111,6 +111,13 @@ def _recording(send, out: list[bytes]):
     return recording_send
 
 
+def extract(rev: str, dest: str) -> None:
+    """Write the tree of git revision ``rev`` into directory ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
 def _run_child(root: Path) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
@@ -159,9 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.base:
         parser.error("name the base revision, e.g. HEAD~1")
     with tempfile.TemporaryDirectory(prefix="frame-parity-") as tmp:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        extract(args.base, tmp)
         base = _run_child(Path(tmp))
     head = _run_child(ROOT)
     differing = compare(base, head)

@@ -116,10 +116,12 @@ class Bitmap:
         _fill(self.pixels, color)
 
     def fill_rect(self, rect: Rect, color: Color) -> None:
-        clipped = rect.intersect(self.bounds)
-        if clipped.is_empty:
-            return
-        _fill(self.pixels[clipped.y:clipped.y2, clipped.x:clipped.x2], color)
+        x, y, w, h = rect
+        height, width = self.pixels.shape[:2]
+        x2, y2 = min(x + w, width), min(y + h, height)
+        x, y = max(x, 0), max(y, 0)
+        if x < x2 and y < y2:
+            _fill(self.pixels[y:y2, x:x2], color)
 
     def crop(self, rect: Rect) -> "Bitmap":
         """A copy of the given sub-rectangle (clipped to bounds)."""

@@ -9,22 +9,24 @@ overlapping damage must not be encoded twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
-class Rect:
-    """Axis-aligned rectangle; ``w``/``h`` may be zero (empty)."""
+class Rect(namedtuple("Rect", "x y w h")):
+    """Axis-aligned rectangle; ``w``/``h`` may be zero (empty).
 
-    x: int
-    y: int
-    w: int
-    h: int
+    A tuple underneath, so it costs what a tuple costs to build, hash and
+    compare: rects are immutable, equal rects hash equal, and they sort
+    as ``(x, y, w, h)``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"negative rect size: {self.w}x{self.h}")
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, w: int, h: int) -> "Rect":
+        if w < 0 or h < 0:
+            raise ValueError(f"negative rect size: {w}x{h}")
+        return tuple.__new__(cls, (x, y, w, h))
 
     # -- basic properties ---------------------------------------------------
 
@@ -67,10 +69,12 @@ class Rect:
     # -- combination ----------------------------------------------------------
 
     def intersect(self, other: "Rect") -> "Rect":
-        x1 = max(self.x, other.x)
-        y1 = max(self.y, other.y)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
+        x, y, w, h = self
+        ox, oy, ow, oh = other
+        x1 = max(x, ox)
+        y1 = max(y, oy)
+        x2 = min(x + w, ox + ow)
+        y2 = min(y + h, oy + oh)
         if x2 <= x1 or y2 <= y1:
             return Rect(0, 0, 0, 0)
         return Rect(x1, y1, x2 - x1, y2 - y1)

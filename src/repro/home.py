@@ -393,7 +393,8 @@ class Home:
                 self.uniint_server.accept(link.a, surface=view.surface)
                 return link.b
         user.session.enable_resilience(self.scheduler, dial,
-                                       heartbeat_s=self._heartbeat_s)
+                                       heartbeat_s=self._heartbeat_s,
+                                       seed=(self.name, user.user_id))
         # a bounced device leg re-registers with a *new* binding: re-run
         # selection so the session points at it again
         user.proxy.on_device_registered = (

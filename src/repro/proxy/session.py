@@ -68,7 +68,9 @@ class SessionResilience:
       FIN).
 
     Recovery redials with exponential backoff, jitter and a cap
-    (:func:`redial_delay`), presents the server's resume token, and
+    (:func:`redial_delay`; the jitter RNG is seeded with ``seed``, which a
+    home makes its name and the user id, so sessions that die together
+    redial apart), presents the server's resume token, and
     adopts the fresh :class:`~repro.proxy.upstream.UniIntClient` in
     place — plug-ins, device bindings and selection survive; the cost is
     exactly one full-frame resync (the non-incremental request a
@@ -82,13 +84,13 @@ class SessionResilience:
     """
 
     def __init__(self, session: "ProxySession", scheduler: Scheduler,
-                 dial: Callable[[], Transport], *,
+                 dial: Callable[[], Transport], *, seed: object,
                  heartbeat_s: float = 0.5) -> None:
         self.session = session
         self.scheduler = scheduler
         self.dial = dial
         self.heartbeat_s = heartbeat_s
-        self._rng = random.Random(repr(("resilience", 0)))
+        self._rng = random.Random(repr(("resilience", seed)))
         self.enabled = True
         self.reconnecting = False
         self.failed_permanently = False

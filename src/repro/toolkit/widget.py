@@ -158,7 +158,7 @@ class Widget:
         self.paint(canvas, theme)
         for child in self.children:
             sub = canvas.offset(child.rect)
-            if not sub.clip.is_empty:
+            if not sub.is_empty:
                 child.paint_tree(sub, theme)
 
     # -- input -------------------------------------------------------------------

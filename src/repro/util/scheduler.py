@@ -15,18 +15,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.util.clock import VirtualClock
 from repro.util.errors import SchedulerError
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: float
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -83,7 +75,9 @@ class Scheduler:
 
     def __init__(self, clock: VirtualClock | None = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self._queue: list[_QueueEntry] = []
+        #: ``(time, seq, event)`` heap: the unique ``seq`` breaks time
+        #: ties in scheduling order, so two events are never compared.
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._fired_count = 0
@@ -114,10 +108,10 @@ class Scheduler:
         peeks stay cheap.  A reactor uses this to size its ``select()``
         timeout: block for I/O only until the scheduler has work again.
         """
-        while self._queue and self._queue[0].event.cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
             self._cancelled_in_heap -= 1
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def has_ready(self) -> bool:
         """True if an event is due at (or before) the current instant."""
@@ -134,9 +128,7 @@ class Scheduler:
             )
         event = Event(max(when, self.clock.now()), callback, args)
         event._scheduler = self
-        heapq.heappush(
-            self._queue, _QueueEntry(event.time, next(self._seq), event)
-        )
+        heapq.heappush(self._queue, (event.time, next(self._seq), event))
         return event
 
     def call_later(self, delay: float, callback: Callable, *args: Any) -> Event:
@@ -166,7 +158,7 @@ class Scheduler:
             self._compact()
 
     def _compact(self) -> None:
-        self._queue = [e for e in self._queue if not e.event.cancelled]
+        self._queue = [e for e in self._queue if not e[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_heap = 0
         self._compactions += 1
@@ -175,9 +167,9 @@ class Scheduler:
 
     def _pop_next(self) -> Event | None:
         while self._queue:
-            entry = heapq.heappop(self._queue)
-            if not entry.event.cancelled:
-                return entry.event
+            event = heapq.heappop(self._queue)[2]
+            if not event.cancelled:
+                return event
             self._cancelled_in_heap -= 1
         return None
 
@@ -254,10 +246,10 @@ class Scheduler:
         fired = 0
         try:
             while fired < max_events:
-                while self._queue and self._queue[0].event.cancelled:
+                while self._queue and self._queue[0][2].cancelled:
                     heapq.heappop(self._queue)
                     self._cancelled_in_heap -= 1
-                if not self._queue or self._queue[0].time > deadline:
+                if not self._queue or self._queue[0][0] > deadline:
                     break
                 self.step()
                 fired += 1

@@ -1,5 +1,4 @@
-"""Unit tests for bitmaps, the wire pixel format, drawing, fonts and image
-ops."""
+"""Unit tests for bitmaps, the wire pixel format, fonts and image ops."""
 
 import struct
 
@@ -11,7 +10,6 @@ from repro.graphics import (
     Bitmap,
     Rect,
     default_font,
-    draw,
     ops,
 )
 from repro.util.errors import GraphicsError
@@ -219,50 +217,6 @@ class TestPixelFormat:
         assert not view.flags.c_contiguous
         assert np.array_equal(RGB888.pack_array(view),
                               RGB888.pack_array(view.copy()))
-
-
-class TestDraw:
-    def test_hline_vline(self):
-        bmp = Bitmap(10, 10)
-        draw.hline(bmp, 1, 2, 5, (255, 0, 0))
-        draw.vline(bmp, 3, 0, 4, (0, 255, 0))
-        assert bmp.get_pixel(5, 2) == (255, 0, 0)
-        assert bmp.get_pixel(3, 3) == (0, 255, 0)
-
-    def test_line_diagonal(self):
-        bmp = Bitmap(10, 10)
-        draw.line(bmp, 0, 0, 9, 9, (9, 9, 9))
-        for i in range(10):
-            assert bmp.get_pixel(i, i) == (9, 9, 9)
-
-    def test_line_clips(self):
-        bmp = Bitmap(5, 5)
-        draw.line(bmp, -5, 2, 10, 2, (1, 1, 1))  # no exception
-        assert bmp.get_pixel(0, 2) == (1, 1, 1)
-        assert bmp.get_pixel(4, 2) == (1, 1, 1)
-
-    def test_rect_outline(self):
-        bmp = Bitmap(10, 10)
-        draw.rect_outline(bmp, Rect(1, 1, 5, 5), (2, 2, 2))
-        assert bmp.get_pixel(1, 1) == (2, 2, 2)
-        assert bmp.get_pixel(5, 5) == (2, 2, 2)
-        assert bmp.get_pixel(3, 3) == (0, 0, 0)
-
-    def test_bevel_box(self):
-        bmp = Bitmap(10, 10)
-        draw.bevel_box(bmp, Rect(0, 0, 10, 10), face=(128, 128, 128),
-                       light=(255, 255, 255), shadow=(64, 64, 64))
-        assert bmp.get_pixel(0, 0) == (255, 255, 255)
-        assert bmp.get_pixel(9, 9) == (64, 64, 64)
-        assert bmp.get_pixel(5, 5) == (128, 128, 128)
-
-    def test_bevel_box_sunken_swaps_edges(self):
-        bmp = Bitmap(10, 10)
-        draw.bevel_box(bmp, Rect(0, 0, 10, 10), face=(128, 128, 128),
-                       light=(255, 255, 255), shadow=(64, 64, 64),
-                       sunken=True)
-        assert bmp.get_pixel(0, 0) == (64, 64, 64)
-        assert bmp.get_pixel(9, 9) == (255, 255, 255)
 
 
 class TestFont:

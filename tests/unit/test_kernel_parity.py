@@ -1,12 +1,13 @@
 """Parity of the frame-path kernels with the implementations they replaced.
 
 Each kernel that every frame crosses (colour fills, the tile change mask,
-text drawing, HEXTILE encoding and decoding, pixel-format packing,
-Floyd–Steinberg and the PDA output plug-in's conversion) was rewritten to
-work on whole byte rows, whole arrays or plain locals.  The implementation each rewrite
-replaced is kept here as its oracle, and the rewrite must reproduce it
-exactly: same pixels, same rects and counters, same decoded arrays, same
-device bytes and the same errors.
+text drawing, the canvas's clipping, HEXTILE encoding and decoding,
+pixel-format packing, Floyd–Steinberg and the PDA output plug-in's
+conversion) was rewritten to work on whole byte rows, whole arrays,
+plain ints or plain locals.  The implementation each rewrite replaced
+is kept here as its oracle, and the rewrite must reproduce it exactly:
+same pixels, same rects and counters, same decoded arrays, same device
+bytes and the same errors.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Home
+from repro.appliances import AirConditioner, Television, VideoRecorder
 from repro.devices import Pda
 from repro.graphics import (
     RGB888,
@@ -28,6 +31,7 @@ from repro.graphics.font import Font
 from repro.proxy import DeviceImage, SessionContext
 from repro.proxy.plugins import OutputPlugin
 from repro.toolkit.canvas import Canvas
+from repro.toolkit.widget import Widget
 from repro.uip import encodings as enc
 from repro.uip.encodings import _pixel_bytes, decode_hextile, encode_hextile
 from repro.uip.wire import Cursor, NeedMore, Writer
@@ -334,6 +338,232 @@ class TestFontParity:
             Canvas(fast, ox, oy, clip).text(x, y, text, color, font)
             scratch_canvas_text(slow, ox, oy, clip, x, y, text, color, font)
             assert fast == slow, (width, height, clip, text, x, y, ox, oy)
+
+
+# -- canvas clipping --------------------------------------------------------
+
+
+def rect_outline(bitmap, rect, color, thickness=1):
+    """The deleted ``draw.rect_outline``: four edge lines per ring, each
+    clipped to the bitmap."""
+    for i in range(min(thickness, (min(rect.w, rect.h) + 1) // 2)):
+        inner = rect.inset(i)
+        broadcast_fill_rect(bitmap, Rect(inner.x, inner.y, inner.w, 1), color)
+        broadcast_fill_rect(bitmap, Rect(inner.x, inner.y2 - 1, inner.w, 1),
+                            color)
+        broadcast_fill_rect(bitmap, Rect(inner.x, inner.y, 1, inner.h), color)
+        broadcast_fill_rect(bitmap, Rect(inner.x2 - 1, inner.y, 1, inner.h),
+                            color)
+
+
+class RectCanvas:
+    """The ``Canvas`` the integer-clip one replaced: the clip is a Rect,
+    and every primitive translates and intersects Rects before it
+    fills."""
+
+    def __init__(self, bitmap, origin_x, origin_y, clip):
+        self._bitmap = bitmap
+        self._ox = origin_x
+        self._oy = origin_y
+        self._clip = clip.intersect(bitmap.bounds)
+
+    def offset(self, rect):
+        absolute = rect.translate(self._ox, self._oy)
+        return RectCanvas(self._bitmap, absolute.x, absolute.y,
+                          absolute.intersect(self._clip))
+
+    @property
+    def clip(self):
+        return self._clip
+
+    def _abs(self, rect):
+        return rect.translate(self._ox, self._oy).intersect(self._clip)
+
+    def fill(self, rect, color):
+        clipped = self._abs(rect)
+        if not clipped.is_empty:
+            broadcast_fill_rect(self._bitmap, clipped, color)
+
+    def outline(self, rect, color, thickness=1):
+        absolute = rect.translate(self._ox, self._oy)
+        if self._clip.contains_rect(absolute):
+            rect_outline(self._bitmap, absolute, color, thickness)
+            return
+        for i in range(thickness):
+            inner = rect.inset(i)
+            if inner.is_empty:
+                return
+            self.fill(Rect(inner.x, inner.y, inner.w, 1), color)
+            self.fill(Rect(inner.x, inner.y2 - 1, inner.w, 1), color)
+            self.fill(Rect(inner.x, inner.y, 1, inner.h), color)
+            self.fill(Rect(inner.x2 - 1, inner.y, 1, inner.h), color)
+
+    def bevel(self, rect, face, light, shadow, sunken=False):
+        self.fill(rect, face)
+        if rect.w < 2 or rect.h < 2:
+            return
+        top_left = shadow if sunken else light
+        bottom_right = light if sunken else shadow
+        self.fill(Rect(rect.x, rect.y, rect.w, 1), top_left)
+        self.fill(Rect(rect.x, rect.y, 1, rect.h), top_left)
+        self.fill(Rect(rect.x, rect.y2 - 1, rect.w, 1), bottom_right)
+        self.fill(Rect(rect.x2 - 1, rect.y, 1, rect.h), bottom_right)
+
+    def text(self, x, y, string, color, font):
+        font.draw(self._bitmap, x + self._ox, y + self._oy, string, color,
+                  clip=self._clip)
+
+    def text_centered(self, rect, string, color, font):
+        w, h = font.measure(string)
+        self.text(rect.x + (rect.w - w) // 2, rect.y + (rect.h - h) // 2,
+                  string, color, font)
+
+
+def rect_paint_tree(widget, canvas, theme, painted):
+    """The old ``Widget.paint_tree`` over a ``RectCanvas``: a child whose
+    clipped sub-canvas is empty is skipped.  Appends every widget it
+    paints to ``painted``."""
+    if not widget.visible:
+        return
+    painted.append(widget)
+    widget.paint(canvas, theme)
+    for child in widget.children:
+        sub = canvas.offset(child.rect)
+        if not sub.clip.is_empty:
+            rect_paint_tree(child, sub, theme, painted)
+
+
+def _nested(rng, fast, slow, width, height):
+    """Both canvases taken through the same 0-3 random offsets."""
+    for _ in range(int(rng.integers(0, 4))):
+        rect = _rect(rng, width, height, margin=20)
+        fast, slow = fast.offset(rect), slow.offset(rect)
+        assert fast.clip == slow.clip, rect
+        assert fast.is_empty == slow.clip.is_empty
+    return fast, slow
+
+
+def _paint_both(rng, fast, slow, width, height):
+    """One random primitive, the same on both canvases: half of them in
+    a rect under 8 pixels a side at or across the clip's edges, where
+    outline rings meet and the clip cuts them."""
+    rect = _rect(rng, width, height, margin=20)
+    if rng.integers(0, 2):
+        clip = slow.clip
+        rect = Rect(clip.x - slow._ox + int(rng.integers(-6, clip.w + 6)),
+                    clip.y - slow._oy + int(rng.integers(-6, clip.h + 6)),
+                    *(int(v) for v in rng.integers(0, 8, 2)))
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        color = _color(rng)
+        fast.fill(rect, color)
+        slow.fill(rect, color)
+    elif kind == 1:
+        color, thickness = _color(rng), int(rng.integers(0, 5))
+        fast.outline(rect, color, thickness)
+        slow.outline(rect, color, thickness)
+    elif kind == 2:
+        colors = [_color(rng) for _ in range(3)]
+        sunken = bool(rng.integers(0, 2))
+        fast.bevel(rect, *colors, sunken=sunken)
+        slow.bevel(rect, *colors, sunken=sunken)
+    else:
+        font = Font(scale=int(rng.integers(1, 3)))
+        text, color = _text(rng), _color(rng)
+        if kind == 3:
+            x, y = rect.x, rect.y
+            fast.text(x, y, text, color, font)
+            slow.text(x, y, text, color, font)
+        else:
+            fast.text_centered(rect, text, color, font)
+            slow.text_centered(rect, text, color, font)
+    return rect
+
+
+class TestCanvasParity:
+    def test_random_primitives_under_nested_offsets(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            width, height = (int(v) for v in rng.integers(1, 70, 2))
+            fast_bmp = _noise(rng, width, height)
+            slow_bmp = fast_bmp.copy()
+            ox, oy = (int(v) for v in rng.integers(-20, 40, 2))
+            clip = _rect(rng, width, height, margin=20)
+            fast = Canvas(fast_bmp, ox, oy, clip)
+            slow = RectCanvas(slow_bmp, ox, oy, clip)
+            assert fast.clip == slow.clip, clip
+            fast, slow = _nested(rng, fast, slow, width, height)
+            for _ in range(6):
+                rect = _paint_both(rng, fast, slow, width, height)
+                assert fast_bmp == slow_bmp, (width, height, clip, rect)
+
+    def test_empty_rects_and_clips_paint_nothing(self):
+        rng = np.random.default_rng(32)
+        empty = [Rect(0, 0, 0, 0), Rect(5, 5, 0, 7), Rect(-3, 4, 9, 0),
+                 Rect(40, 40, 3, 3), Rect(-9, -9, 4, 4)]
+        for clip in empty + [Rect(2, 2, 10, 10)]:
+            for rect in empty:
+                fast_bmp = _noise(rng, 20, 20)
+                before = fast_bmp.copy()
+                fast = Canvas(fast_bmp, 0, 0, clip)
+                fast.fill(rect, (1, 2, 3))
+                fast.outline(rect, (1, 2, 3), 3)
+                fast.bevel(rect, (1, 2, 3), (4, 5, 6), (7, 8, 9))
+                assert fast_bmp == before, (clip, rect)
+
+    @pytest.mark.parametrize("tab", [0, 1, 2])
+    def test_paint_tree_culls_and_paints_as_before(self, tab):
+        rng = np.random.default_rng(41 + tab)
+        window = _control_window(tab)
+        root = window.root
+        width, height = window.bitmap.size
+        for _ in range(25):
+            clip = _rect(rng, width, height, margin=40)
+            fast_bmp = Bitmap(width, height, fill=window.theme.background)
+            slow_bmp = fast_bmp.copy()
+            fast_painted, slow_painted = [], []
+            recording = _record_paints(fast_painted)
+            try:
+                root.paint_tree(Canvas(fast_bmp, root.rect.x, root.rect.y,
+                                       clip), window.theme)
+            finally:
+                recording.undo()
+            rect_paint_tree(root, RectCanvas(slow_bmp, root.rect.x,
+                                             root.rect.y, clip),
+                            window.theme, slow_painted)
+            assert fast_painted == slow_painted, clip
+            assert fast_bmp == slow_bmp, clip
+
+
+def _control_window(tab):
+    """A settled TV+VCR+aircon home's window showing page ``tab``:
+    buttons, toggles, sliders, labels, lists, text fields and a progress
+    bar, with the focus on a control so its outline paints too."""
+    home = Home(width=320, height=240)
+    for appliance in (Television("TV"), VideoRecorder("VCR"),
+                      AirConditioner("Aircon")):
+        home.add_appliance(appliance)
+    home.settle()
+    window = home.window
+    window.root.set_active(tab)
+    window.focus_next()
+    window.render()
+    home.close()
+    return window
+
+
+def _record_paints(painted):
+    """Make every ``Widget.paint_tree`` call append its widget."""
+    patch = pytest.MonkeyPatch()
+    paint_tree = Widget.paint_tree
+
+    def recording(self, canvas, theme):
+        if self.visible:
+            painted.append(self)
+        paint_tree(self, canvas, theme)
+
+    patch.setattr(Widget, "paint_tree", recording)
+    return patch
 
 
 # -- HEXTILE decode ---------------------------------------------------------

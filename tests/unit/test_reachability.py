@@ -93,6 +93,8 @@ ALLOWED_OUTSIDE_TESTS: dict[str, str] = {
                                    "handlers",
     "Reactor.failed_members": "probe: 1 test call site; private members",
     "Reactor.handle_count": "probe: 8 test call sites; private handles",
+    "Rect.contains_rect": "probe: 15 test call sites; the containment "
+                          "oracle of the clipping and damage tests",
     "UIWindow.press_key": "probe: 39 press_key test call sites, each "
                           "one call for a down and an up event",
     "UniIntClient.press_key": "probe: 39 press_key test call sites, each "

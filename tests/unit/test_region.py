@@ -78,6 +78,43 @@ class TestRect:
     def test_center(self):
         assert Rect(0, 0, 10, 10).center == (5, 5)
 
+    # -- the value-type behaviour callers rely on ---------------------------
+
+    @pytest.mark.parametrize("w,h", [(-1, 5), (5, -1), (-2, -2)])
+    def test_any_negative_size_raises_value_error(self, w, h):
+        with pytest.raises(ValueError, match="negative rect size"):
+            Rect(0, 0, w, h)
+
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    def test_fields_cannot_be_assigned(self, field):
+        rect = Rect(1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            setattr(rect, field, 9)
+        with pytest.raises(AttributeError):
+            rect.color = (1, 2, 3)
+        assert rect == Rect(1, 2, 3, 4)
+
+    def test_equal_rects_hash_equal(self):
+        a, b = Rect(1, 2, 3, 4), Rect(1, 2, 3, 4)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: "damage"}[b] == "damage"
+        assert len({a, b, Rect(1, 2, 3, 5)}) == 2
+        assert Rect(1, 2, 3, 4) != Rect(2, 1, 3, 4)
+
+    def test_rects_sort_by_x_then_y_then_w_then_h(self):
+        rects = [Rect(2, 0, 1, 1), Rect(1, 5, 1, 1), Rect(1, 2, 9, 1),
+                 Rect(1, 2, 3, 7), Rect(1, 2, 3, 4)]
+        assert sorted(rects) == [Rect(1, 2, 3, 4), Rect(1, 2, 3, 7),
+                                 Rect(1, 2, 9, 1), Rect(1, 5, 1, 1),
+                                 Rect(2, 0, 1, 1)]
+        assert Rect(1, 2, 3, 4) < Rect(1, 2, 3, 5)
+        assert max(rects) == Rect(2, 0, 1, 1)
+
+    def test_repr_names_every_field(self):
+        assert repr(Rect(1, -2, 3, 0)) == "Rect(x=1, y=-2, w=3, h=0)"
+        assert str(Rect(0, 0, 0, 0)) == "Rect(x=0, y=0, w=0, h=0)"
+
 
 class TestRegion:
     def test_empty_region(self):

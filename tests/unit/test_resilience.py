@@ -41,8 +41,8 @@ def connect(scheduler, server, **kwargs):
     return UniIntClient(pipe.b, **kwargs)
 
 
-def resilient_home():
-    home = Home(resilience=True)
+def resilient_home(name="home"):
+    home = Home(name=name, resilience=True)
     home.add_appliance(Television("tv"))
     pda = Pda("pda-1", home.scheduler)
     home.add_device(pda)
@@ -287,6 +287,29 @@ class TestSessionSelfHealing:
         assert len(gaps) == REDIAL_ATTEMPTS - 1
         assert all(gap <= REDIAL_CAP_S * 1.5 + 1e-9 for gap in gaps)
         assert max(gaps) > gaps[0]
+
+    def test_homes_that_die_together_redial_apart(self):
+        """Each session seeds its jitter from its home's name and its
+        user, so sessions that lose their server at one instant spread
+        their redials instead of retrying in lockstep."""
+        from repro.util.errors import TransportError
+
+        first_gaps = []
+        for name in ("home-0", "home-1", "home-2"):
+            home, pda = resilient_home(name)
+            res = home.default_user.session.resilience
+            times = []
+
+            def failing_dial(times=times, home=home):
+                times.append(home.scheduler.now())
+                raise TransportError("nope")
+
+            res.dial = failing_dial
+            home.default_user.session.upstream.endpoint.abort()
+            home.scheduler.run_until_idle()
+            first_gaps.append(times[1] - times[0])
+            home.close()
+        assert len(set(first_gaps)) == 3, first_gaps
 
     def _redial_once_via(self, home, make_endpoint):
         """Arm the next redial to dial ``make_endpoint`` once, then the

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.util import Scheduler, SchedulerError, VirtualClock
+from repro.util.scheduler import Event
 
 
 class TestVirtualClock:
@@ -211,6 +212,40 @@ class TestScheduler:
         assert sched._compactions > 0
         sched.run_until_idle()
         assert order == survivors
+
+    def test_same_time_events_stay_fifo_across_a_large_compaction(self):
+        sched = Scheduler()
+        order = []
+        survivors = []
+        for i in range(3000):
+            when = 1.0 if i % 3 else 2.0
+            event = sched.call_at(when, order.append, i)
+            if i % 5 == 0:
+                survivors.append((when, i))
+            else:
+                event.cancel()
+        assert sched._compactions > 0
+        assert len(sched._queue) < 2 * len(survivors)
+        sched.run_until_idle()
+        assert order == [i for _, i in sorted(survivors)]
+
+    def test_events_are_never_compared(self, monkeypatch):
+        """Heap order comes from ``(time, seq)`` alone: two events at one
+        instant are ordered by their scheduling sequence number."""
+        def refuse(self, other):
+            raise AssertionError("two Events were compared")
+
+        for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__",
+                     "__ge__"):
+            monkeypatch.setattr(Event, name, refuse)
+        sched = Scheduler()
+        order = []
+        events = [sched.call_at(1.0, order.append, i) for i in range(500)]
+        for event in events[::2]:
+            event.cancel()
+        sched.call_soon(order.append, "now")
+        sched.run_until(1.0)
+        assert order == ["now"] + list(range(1, 500, 2))
 
     def test_cancel_after_fire_does_not_corrupt_accounting(self):
         sched = Scheduler()

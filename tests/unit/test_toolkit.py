@@ -754,6 +754,30 @@ class TestFocusRequests:
 
 
 class TestCanvasEdges:
+    def test_an_outline_is_drawn_inside_its_rect(self):
+        bitmap = Bitmap(10, 10)
+        canvas = Canvas(bitmap, 0, 0, bitmap.bounds)
+        canvas.outline(Rect(1, 1, 5, 5), (2, 2, 2))
+        assert bitmap.get_pixel(1, 1) == (2, 2, 2)
+        assert bitmap.get_pixel(5, 5) == (2, 2, 2)
+        assert bitmap.get_pixel(3, 3) == (0, 0, 0)
+        assert bitmap.get_pixel(6, 6) == (0, 0, 0)
+
+    @pytest.mark.parametrize("sunken,top_left,bottom_right", [
+        (False, (255, 255, 255), (64, 64, 64)),
+        (True, (64, 64, 64), (255, 255, 255)),
+    ], ids=["raised", "sunken"])
+    def test_a_bevel_lights_one_corner_and_shades_the_other(
+            self, sunken, top_left, bottom_right):
+        bitmap = Bitmap(10, 10)
+        canvas = Canvas(bitmap, 0, 0, bitmap.bounds)
+        canvas.bevel(Rect(0, 0, 10, 10), face=(128, 128, 128),
+                     light=(255, 255, 255), shadow=(64, 64, 64),
+                     sunken=sunken)
+        assert bitmap.get_pixel(0, 0) == top_left
+        assert bitmap.get_pixel(9, 9) == bottom_right
+        assert bitmap.get_pixel(5, 5) == (128, 128, 128)
+
     def test_a_bevel_too_small_for_edges_is_all_face(self):
         bitmap = Bitmap(10, 10)
         canvas = Canvas(bitmap, 0, 0, bitmap.bounds)

@@ -6,7 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.graphics import RGB888, Bitmap, Rect, draw
+from repro.graphics import RGB888, Bitmap, Rect, default_font
+from repro.toolkit import Canvas
 from repro.uip import (
     HEXTILE,
     RAW,
@@ -34,12 +35,12 @@ RETIRED_ENCODINGS = [2, 6]
 def panel_bitmap(width=96, height=64):
     """A control-panel-like image: flat fills, bevels and text."""
     bmp = Bitmap(width, height, fill=(192, 192, 192))
-    draw.bevel_box(bmp, Rect(8, 8, width - 16, 20), face=(160, 160, 200),
-                   light=(255, 255, 255), shadow=(80, 80, 80))
-    draw.bevel_box(bmp, Rect(8, 34, (width - 16) // 2, 20),
-                   face=(200, 120, 120), light=(255, 255, 255),
-                   shadow=(80, 80, 80))
-    from repro.graphics import default_font
+    canvas = Canvas(bmp, 0, 0, bmp.bounds)
+    canvas.bevel(Rect(8, 8, width - 16, 20), face=(160, 160, 200),
+                 light=(255, 255, 255), shadow=(80, 80, 80))
+    canvas.bevel(Rect(8, 34, (width - 16) // 2, 20),
+                 face=(200, 120, 120), light=(255, 255, 255),
+                 shadow=(80, 80, 80))
     default_font(1).draw(bmp, 12, 14, "POWER", (0, 0, 0))
     return bmp
 
