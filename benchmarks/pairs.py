@@ -9,16 +9,18 @@ and the side that runs first flips from pair to pair.
 Usage::
 
     python3 benchmarks/pairs.py BASE [--workload W ...] [--pairs N]
-        [--seed S] [--seconds T | --interactions N] [--fixed-mmap]
+        [--seed S] [--interactions N] [--fixed-mmap]
     make e2e-pairs BASE=<rev> WORKLOAD=<w> PAIRS=<n> SEED=<s>
 
 BASE is extracted with ``git archive`` into a temporary directory.  Pair
 ``i`` runs seed ``S + i`` for every workload, the base first in even
-pairs and the working tree first in odd ones.  ``--fixed-mmap`` runs both
-sides under ``MALLOC_MMAP_THRESHOLD_=33554432``, which fixes where glibc
-puts the large frame arrays.  Every record goes into the temporary
-directory, and the children write no bytecode, so nothing is written
-inside the repository.
+pairs and the working tree first in odd ones.  Each run lasts the
+``run_seconds`` of ``BENCHMARK.json``, or ``--interactions N`` for a
+quick check.  ``--fixed-mmap`` runs both sides under
+``MALLOC_MMAP_THRESHOLD_=33554432``, which fixes where glibc puts the
+large frame arrays.  Every record goes into the temporary directory, and
+neither this process nor its children write bytecode, so nothing is
+written inside the repository.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` it prints
 each side's median and quartiles, how many pairs the change won, the
@@ -40,6 +42,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.dont_write_bytecode = True  # importing frame_parity writes no .pyc
 from frame_parity import ROOT, extract
 
 #: The fixed threshold of ``--fixed-mmap`` (32 MiB), in bytes.
@@ -107,7 +110,8 @@ def report(workload: str, runs: dict[str, list[dict]],
 
 def main(argv: list[str] | None = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(
+        description=" ".join(__doc__.split("\n\n")[0].split()))
     parser.add_argument("base", help="git revision to time the working "
                         "tree against, e.g. HEAD~1")
     parser.add_argument("--workload", action="append",
@@ -117,10 +121,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair; pair i runs seed+i")
-    budget = parser.add_mutually_exclusive_group()
-    budget.add_argument("--seconds", type=float,
-                        default=declared["run_seconds"])
-    budget.add_argument("--interactions", type=int)
+    parser.add_argument("--interactions", type=int,
+                        help="run N interactions instead of the declared "
+                             "run_seconds")
     parser.add_argument("--fixed-mmap", action="store_true",
                         help="run both sides under MALLOC_MMAP_THRESHOLD_="
                              + MMAP_THRESHOLD)
@@ -128,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or ["remote-browse"]
     budget = (["--interactions", str(args.interactions)]
               if args.interactions is not None
-              else ["--seconds", str(args.seconds)])
+              else ["--seconds", str(declared["run_seconds"])])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     if args.fixed_mmap:

@@ -118,10 +118,15 @@ class Bitmap:
     def fill_rect(self, rect: Rect, color: Color) -> None:
         x, y, w, h = rect
         height, width = self.pixels.shape[:2]
-        x2, y2 = min(x + w, width), min(y + h, height)
-        x, y = max(x, 0), max(y, 0)
-        if x < x2 and y < y2:
-            _fill(self.pixels[y:y2, x:x2], color)
+        self.fill_box(max(x, 0), max(y, 0), min(x + w, width),
+                      min(y + h, height), color)
+
+    def fill_box(self, x1: int, y1: int, x2: int, y2: int,
+                 color: Color) -> None:
+        """Fill ``x1 <= x < x2, y1 <= y < y2``, a box the caller has
+        clipped to the bitmap; an empty box fills nothing."""
+        if x1 < x2 and y1 < y2:
+            _fill(self.pixels[y1:y2, x1:x2], color)
 
     def crop(self, rect: Rect) -> "Bitmap":
         """A copy of the given sub-rectangle (clipped to bounds)."""

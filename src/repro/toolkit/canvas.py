@@ -9,7 +9,7 @@ arithmetic and fills its slice of the bitmap without building a rect.
 
 from __future__ import annotations
 
-from repro.graphics.bitmap import Bitmap, Color, _fill
+from repro.graphics.bitmap import Bitmap, Color
 from repro.graphics.font import Font
 from repro.graphics.region import Rect
 
@@ -17,6 +17,8 @@ from repro.graphics.region import Rect
 class Canvas:
     """Drawing adapter: local coordinates -> clipped bitmap operations."""
 
+    # offset() builds each child with __new__ and sets every slot itself:
+    # a new slot must be set there too
     __slots__ = ("_bitmap", "_ox", "_oy", "_x1", "_y1", "_x2", "_y2")
 
     def __init__(self, bitmap: Bitmap, origin_x: int, origin_y: int,
@@ -61,14 +63,10 @@ class Canvas:
         """Fill the local rect ``(x, y, w, h)``, clipped."""
         x += self._ox
         y += self._oy
-        x2 = x + w if x + w < self._x2 else self._x2
-        y2 = y + h if y + h < self._y2 else self._y2
-        if x < self._x1:
-            x = self._x1
-        if y < self._y1:
-            y = self._y1
-        if x < x2 and y < y2:
-            _fill(self._bitmap.pixels[y:y2, x:x2], color)
+        self._bitmap.fill_box(x if x > self._x1 else self._x1,
+                              y if y > self._y1 else self._y1,
+                              x + w if x + w < self._x2 else self._x2,
+                              y + h if y + h < self._y2 else self._y2, color)
 
     # -- primitives -----------------------------------------------------------
 

@@ -52,6 +52,19 @@ class TestBitmap:
         assert bmp.get_pixel(3, 3) == (255, 0, 0)
         assert bmp.get_pixel(1, 1) == (0, 0, 0)
 
+    def test_fill_box_fills_the_half_open_box(self):
+        bmp = Bitmap(4, 4, fill=(0, 0, 0))
+        bmp.fill_box(1, 2, 3, 4, (9, 8, 7))
+        painted = {(x, y) for y in range(4) for x in range(4)
+                   if bmp.get_pixel(x, y) == (9, 8, 7)}
+        assert painted == {(1, 2), (2, 2), (1, 3), (2, 3)}
+
+    def test_fill_box_empty_fills_nothing(self):
+        bmp = Bitmap(4, 4, fill=(0, 0, 0))
+        for box in [(2, 1, 2, 3), (1, 3, 3, 3), (3, 1, 1, 3)]:
+            bmp.fill_box(*box, (9, 8, 7))
+        assert bmp == Bitmap(4, 4, fill=(0, 0, 0))
+
     def test_blit_returns_dirty_rect(self):
         dst = Bitmap(10, 10)
         src = Bitmap(4, 4, fill=(9, 9, 9))
