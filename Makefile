@@ -77,10 +77,11 @@ bench-fleet:
 
 # Self-healing under the seeded fault storm: a 32-home resilient TCP
 # fleet absorbs RSTs, 2 s partitions, device-leg frame drops and one
-# crashed home, then repeated RST rounds measure the warm-resume
-# reconnect distribution.  Writes BENCH_RESILIENCE.json (smoke mode, 8
-# homes, writes benchmarks/.smoke/BENCH_RESILIENCE.json instead, where
-# the CI chaos-smoke job checks it).
+# crashed home, then repeated RST rounds measure the distribution of
+# reconnects, each a fresh redial with one full-frame resync.  Writes
+# BENCH_RESILIENCE.json (smoke mode, 8 homes, writes
+# benchmarks/.smoke/BENCH_RESILIENCE.json instead, where the CI
+# chaos-smoke job checks it).
 bench-resilience:
 	$(PYTHON) -m pytest benchmarks/bench_resilience.py -q \
 		--benchmark-disable

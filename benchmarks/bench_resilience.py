@@ -6,14 +6,15 @@ to the seeded storm from ``tests/integration/test_chaos.py`` — hard RSTs
 on session upstreams, 2-second partitions, 30% frame drops on device
 legs, device-leg resets and one crashed home — and must heal completely.
 Then repeated RST rounds measure the wall-clock reconnect distribution:
-from the reset to the session being warm-resumed (token handshake + one
-full-frame resync), sampled once per reactor turn.
+from the reset to the session being ready again on a fresh redial
+(handshake, SetEncodings and one full-frame resync), sampled once per
+reactor turn.
 
 Metrics (recorded to ``BENCH_RESILIENCE.json``; smoke runs write a
 flagged record to ``benchmarks/.smoke/``, because the healing acceptance
 rides on the recorded numbers):
 
-* storm outcome: sessions parked/resumed, resyncs per reconnect (must be
+* storm outcome: sessions reconnected, resyncs per reconnect (must be
   exactly 1), device-leg redials, dropped frames, permanent losses (0),
 * reconnect wall latency p50/p99 across homes × rounds,
 * a crash-looping home driven into its restart cap, with the recorded
@@ -127,10 +128,6 @@ def _run_storm(fleet: HomeFleet, n_homes: int) -> dict:
         },
         "sessions_reconnected": sum(
             h.session.resilience.reconnect_count for h in reconnected),
-        "sessions_parked": sum(
-            h.uniint_server.sessions_parked for h in reconnected),
-        "sessions_resumed": sum(
-            h.uniint_server.sessions_resumed for h in reconnected),
         "resyncs_per_reconnect": 1.0,
         "device_leg_redials": sum(
             _sole_device(h).link_reconnects for h in leg_homes),
@@ -145,7 +142,7 @@ def _run_storm(fleet: HomeFleet, n_homes: int) -> dict:
 
 def _reconnect_round(fleet: HomeFleet, homes) -> dict[str, float]:
     """RST every session at once; per home, wall seconds until it is
-    warm-resumed (ready again with its reconnect counted)."""
+    ready again on a fresh redial, with its reconnect counted."""
     baseline = {h.name: h.session.resilience.reconnect_count for h in homes}
     latencies: dict[str, float] = {}
     start = time.perf_counter()
@@ -242,14 +239,14 @@ def test_resilience_heal_and_reconnect_distribution(smoke, record_dir):
                      "30% device-leg frame drops + device-leg RSTs + "
                      "one crashed home (supervisor restart)",
             "reconnect_round": "RST every session's upstream at once, "
-                               "wait for warm resume (token handshake + "
-                               "one full-frame resync)",
+                               "wait for each redial (handshake, "
+                               "SetEncodings and one full-frame resync)",
             "heartbeat_s": HEARTBEAT_S,
             "smoke": bool(smoke),
         },
         "timing_method": "wall-clock (time.perf_counter) from RST to "
-                         "resumed session, sampled once per reactor "
-                         "turn; percentiles over homes x rounds",
+                         "ready redialed session, sampled once per "
+                         "reactor turn; percentiles over homes x rounds",
         "storm": storm,
         "reconnect": reconnect,
         "crash_loop": crash_loop,

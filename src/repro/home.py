@@ -34,7 +34,6 @@ individually constructible for tests.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from repro.app.application import HomeApplianceApplication
@@ -47,7 +46,7 @@ from repro.context.policy import SelectionPolicy
 from repro.context.preferences import PreferenceStore
 from repro.devices.base import InteractionDevice
 from repro.havi.manager import HomeNetwork
-from repro.net import make_pipe
+from repro.net import Transport, make_pipe
 from repro.net.link import ETHERNET_100
 from repro.net.reactor import (
     DEFAULT_EVENT_BUDGET,
@@ -112,14 +111,16 @@ class HomeUser:
     """
 
     def __init__(self, home: "Home", user_id: str, proxy: UniIntProxy,
-                 session: ProxySession, server_session: ServerSession,
                  preferences: PreferenceStore,
                  context: ContextManager, view: HomeView) -> None:
         self.home = home
         self.user_id = user_id
         self.proxy = proxy
-        self.session = session
-        self.server_session = server_session
+        #: The proxy's session, set once it connects.
+        self.session: Optional[ProxySession] = None
+        #: The server's end of that session; a redial replaces it where
+        #: the new connection is accepted.
+        self.server_session: Optional[ServerSession] = None
         self.preferences = preferences
         self.context = context
         #: The UI surface this user watches (possibly shared with others).
@@ -197,7 +198,6 @@ class Home:
                  name: str = "home",
                  event_budget: int = DEFAULT_EVENT_BUDGET,
                  resilience: bool = False,
-                 resume_grace_s: float = 30.0,
                  heartbeat_s: float = 0.5) -> None:
         if transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r} "
@@ -209,17 +209,13 @@ class Home:
         self.network = HomeNetwork(self.scheduler)
         self._width = width
         self._height = height
-        #: Self-healing mode: server parks dead sessions for warm resume,
-        #: every user session gets heartbeats + reconnect, device legs
+        #: Self-healing mode: every user session gets heartbeats and
+        #: redials a fresh session when its upstream dies, device legs
         #: redial on failure (see ``SessionResilience``).
         self._resilience = resilience
-        self._resume_grace_s = resume_grace_s
         self._heartbeat_s = heartbeat_s
         self.uniint_server = UniIntServer(None, self.scheduler,
-                                          secret=secret,
-                                          resume_grace_s=(resume_grace_s
-                                                          if resilience
-                                                          else 0.0))
+                                          secret=secret)
         self._secret = secret
         self._transport = transport
         #: TCP mode: the I/O reactor, this home's membership in it, and
@@ -230,7 +226,11 @@ class Home:
         self.reactor_member: Optional[ReactorMember] = None
         self.listener = None
         self._owns_reactor = False
-        self._pending_surfaces: deque = deque()
+        #: TCP mode: the user each dialed, not yet accepted connection
+        #: belongs to, by the dialing socket's local port (the peer port
+        #: the listener's accept sees).  First connects and redials both
+        #: fill it.
+        self._dialers: dict[int, HomeUser] = {}
         if transport == "tcp":
             self.reactor = reactor if reactor is not None else Reactor()
             self._owns_reactor = reactor is None
@@ -238,7 +238,7 @@ class Home:
                 self.scheduler, name=name, budget=event_budget)
             self.listener = self.uniint_server.listen(
                 self.reactor, member=self.reactor_member,
-                surface_for=self._surface_for_accept)
+                on_accept=self._accept_tcp)
         self.arbiter = DeviceArbiter(self.scheduler)
         #: The home's command journal: every actuation from every view,
         #: device and API call lands here as a tracked Command.
@@ -270,12 +270,16 @@ class Home:
         ding, so exactly its view's sessions get the UIP Bell."""
         self.uniint_server.ring_bell(view.surface)
 
-    def _surface_for_accept(self, conn, addr):
-        """Bind the next accepted TCP session to the surface its user's
-        ``add_user`` queued (connects are driven one at a time, so the
-        queue never holds more than one surface)."""
-        return (self._pending_surfaces.popleft()
-                if self._pending_surfaces else None)
+    def _accept_tcp(self, transport: Transport, addr) -> None:
+        """Seat an accepted TCP connection on the surface of the user who
+        dialed it, and make it their server session; a connection no
+        user here dialed lands on the default surface."""
+        user = self._dialers.pop(addr[1], None)
+        if user is None:
+            self.uniint_server.accept(transport)
+        else:
+            user.server_session = self.uniint_server.accept(
+                transport, surface=user.surface)
 
     # -- users ------------------------------------------------------------------
 
@@ -318,29 +322,25 @@ class Home:
         view = (self._make_view(user_id) if view_of is None
                 else self.user(view_of).view)
         view.users.add(user_id)
-        proxy = server_session = None
+        proxy = user = None
         try:
             proxy = UniIntProxy(self.scheduler,
                                 proxy_id=f"uniint-proxy-{user_id}")
-            if self._transport == "tcp":
-                client_endpoint = self._dial(user_id, view)
-            else:
-                link = self._make_link(f"uniint-link-{user_id}")
-                server_session = self.uniint_server.accept(
-                    link.a, surface=view.surface)
-                client_endpoint = link.b
-            session = proxy.connect(client_endpoint, secret=self._secret)
-            if self._transport == "tcp":
-                server_session = self._await_accept(user_id)
             prefs = (preferences if preferences is not None
                      else PreferenceStore(user=user_id))
             context = ContextManager(proxy, SelectionPolicy(prefs),
                                      situation, user_id=user_id,
                                      arbiter=self.arbiter)
             context.on_switch = self._note_switch
+            user = HomeUser(self, user_id, proxy, prefs, context, view)
+            user.session = proxy.connect(self._dial(user),
+                                         secret=self._secret)
+            if self._transport == "tcp" and not self.reactor.run_until(
+                    lambda: user.server_session is not None):
+                raise TransportError(
+                    f"timed out waiting for {self.name!r} to accept "
+                    f"user {user_id!r}'s TCP connection")
             self.arbiter.register(context)
-            user = HomeUser(self, user_id, proxy, session, server_session,
-                            prefs, context, view)
             self.users[user_id] = user
             for device in self._shared_devices.values():
                 device.connect(proxy, member=self.reactor_member)
@@ -353,7 +353,8 @@ class Home:
         except BaseException:
             # a mid-provisioning failure (e.g. a shared device rejecting
             # the proxy) must not leak a ghost resident, session or view
-            self._pending_surfaces.clear()
+            if user is not None:
+                self._forget_dials(user)
             self.users.pop(user_id, None)
             self.arbiter.unregister(user_id)
             if proxy is not None:
@@ -362,8 +363,8 @@ class Home:
                 for device in self._shared_devices.values():
                     device.disconnect(proxy.proxy_id)
                 proxy.disconnect()
-            if server_session is not None:
-                server_session.close()
+            if user is not None and user.server_session is not None:
+                user.server_session.close()
             view.users.discard(user_id)
             if not view.users:
                 view.app.close()
@@ -375,26 +376,13 @@ class Home:
     def _enable_user_resilience(self, user: HomeUser) -> None:
         """Arm heartbeats + self-healing reconnect for one resident.
 
-        The dial closure reopens the upstream leg to this home's server;
-        the resuming client's token transplants the parked server state
-        (surface binding, encodings), so a TCP reconnect
-        landing on the default surface still ends up on the user's view.
+        Each redial opens a fresh session to this home's server, through
+        :meth:`_dial` like the user's first connection, so it lands on
+        the user's own surface.
         """
-        view = user.view
-        if self._transport == "tcp":
-            def dial(user_id=user.user_id):
-                return connect_tcp(self.reactor, self.scheduler,
-                                   self.listener.address,
-                                   name=f"uniint-tcp-{user_id}-re",
-                                   member=self.reactor_member)
-        else:
-            def dial(user_id=user.user_id, view=view):
-                link = self._make_link(f"uniint-link-{user_id}-re")
-                self.uniint_server.accept(link.a, surface=view.surface)
-                return link.b
-        user.session.enable_resilience(self.scheduler, dial,
-                                       heartbeat_s=self._heartbeat_s,
-                                       seed=(self.name, user.user_id))
+        user.session.enable_resilience(
+            self.scheduler, lambda: self._dial(user),
+            heartbeat_s=self._heartbeat_s, seed=(self.name, user.user_id))
         # a bounced device leg re-registers with a *new* binding: re-run
         # selection so the session points at it again
         user.proxy.on_device_registered = (
@@ -410,6 +398,7 @@ class Home:
         """
         user = self.user(user_id)
         del self.users[user_id]
+        self._forget_dials(user)
         self._last_outputs.pop(user_id, None)
         self.arbiter.unregister(user_id)
         for device_id in list(user.devices):
@@ -435,39 +424,33 @@ class Home:
             raise ProxyError(f"no user {user_id!r} in this home")
         return found
 
-    def _make_link(self, name: str):
-        # the simulated Ethernet backbone between the UniInt server and
-        # one user's proxy
-        return make_pipe(self.scheduler, ETHERNET_100, name=name)
+    def _dial(self, user: HomeUser) -> Transport:
+        """Open a UIP connection from ``user``'s proxy to this home's
+        server, their first or a redial; returns the proxy's end.
 
-    def _dial(self, user_id: str, view: HomeView):
-        """TCP mode: open the user's client leg to this home's listener.
-
-        The view's surface is queued for :meth:`_surface_for_accept`;
-        :meth:`_await_accept` then drives the reactor until the matching
-        server-side session exists, so connects stay serialized and each
-        accept binds to the right surface.
+        The server's end of a pipe (the simulated Ethernet backbone) is
+        accepted onto the user's surface at once.  A TCP connection is
+        accepted when the reactor turns; its local port tells
+        :meth:`_accept_tcp` whose it is.
         """
-        self._known_sessions = {id(s) for s in self.uniint_server.sessions}
-        self._pending_surfaces.append(view.surface)
-        return connect_tcp(self.reactor, self.scheduler,
-                           self.listener.address,
-                           name=f"uniint-tcp-{user_id}",
-                           member=self.reactor_member)
+        if self._transport == "pipe":
+            link = make_pipe(self.scheduler, ETHERNET_100,
+                             name=f"uniint-link-{user.user_id}")
+            user.server_session = self.uniint_server.accept(
+                link.a, surface=user.surface)
+            return link.b
+        endpoint = connect_tcp(self.reactor, self.scheduler,
+                               self.listener.address,
+                               name=f"uniint-tcp-{user.user_id}",
+                               member=self.reactor_member)
+        self._dialers[endpoint.local_port] = user
+        return endpoint
 
-    def _await_accept(self, user_id: str):
-        known = self._known_sessions
-
-        def accepted():
-            return any(id(s) not in known
-                       for s in self.uniint_server.sessions)
-
-        if not self.reactor.run_until(accepted):
-            raise TransportError(
-                f"timed out waiting for {self.name!r} to accept "
-                f"user {user_id!r}'s TCP connection")
-        return next(s for s in self.uniint_server.sessions
-                    if id(s) not in known)
+    def _forget_dials(self, user: HomeUser) -> None:
+        """Drop ``user``'s connections no accept has bound yet."""
+        for port in [port for port, dialer in self._dialers.items()
+                     if dialer is user]:
+            del self._dialers[port]
 
     def _note_switch(self, record: SwitchRecord) -> None:
         """Arm follow-me latency measurement for an output handoff."""

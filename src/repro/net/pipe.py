@@ -103,7 +103,7 @@ class Endpoint(Transport):
         lost in both directions, and all charged credit comes back.
 
         This is the simulated-link equivalent of a TCP RST — the recovery
-        machinery (session parking, reconnect backoff) sees the same
+        machinery (session and device-leg redial) sees the same
         abrupt ``on_close`` a kernel reset would produce.
         """
         for half in (self, self._peer):

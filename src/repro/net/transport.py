@@ -297,6 +297,12 @@ class SocketTransport(Transport):
     def _attach(self, peer: "SocketTransport") -> None:
         self._peer = peer
 
+    @property
+    def local_port(self) -> int:
+        """The port this end's TCP socket is bound to: for a client leg,
+        the peer port its listener's accept reports."""
+        return self._sock.getsockname()[1]
+
     def _release(self) -> None:
         """Leave the reactor and close the fd (idempotent)."""
         self._handle.unregister()

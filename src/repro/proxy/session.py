@@ -70,11 +70,12 @@ class SessionResilience:
     Recovery redials with exponential backoff, jitter and a cap
     (:func:`redial_delay`; the jitter RNG is seeded with ``seed``, which a
     home makes its name and the user id, so sessions that die together
-    redial apart), presents the server's resume token, and
-    adopts the fresh :class:`~repro.proxy.upstream.UniIntClient` in
-    place — plug-ins, device bindings and selection survive; the cost is
-    exactly one full-frame resync (the non-incremental request a
-    resuming client sends).
+    redial apart), and adopts the fresh
+    :class:`~repro.proxy.upstream.UniIntClient` in place — plug-ins,
+    device bindings and selection survive.  Each redial is a fresh UIP
+    session offering the same encodings; the cost is exactly one
+    full-frame resync (the non-incremental request every new client
+    sends).
 
     Heartbeats are *dormant-by-default*: a session that is idle for
     :data:`DORMANT_AFTER_BEATS` consecutive beats stops probing until
@@ -165,8 +166,8 @@ class SessionResilience:
         up = self.session.upstream
         self.death_reasons.append(reason)
         self._death_at = self.scheduler.now()
-        # Hard-kill the zombie leg (RST) so the server parks the session
-        # now instead of holding a half-open peer through the grace window.
+        # Hard-kill the zombie leg (RST) so the server closes its session
+        # now instead of holding a half-open peer.
         up.on_session_close = None
         up.closed = True
         if up.endpoint.is_open:
@@ -213,9 +214,8 @@ class SessionResilience:
         except (TransportError, OSError) as error:
             self._retry_later(f"dial failed: {error}")
             return
-        upstream = UniIntClient(
-            endpoint, secret=old.secret, encodings=old.encodings,
-            resume_from=old.resume_token)
+        upstream = UniIntClient(endpoint, secret=old.secret,
+                                encodings=old.encodings)
         upstream.on_session_close = self._on_attempt_close
         upstream.on_ready = self._on_reconnected
         self._pending_upstream = upstream
@@ -332,7 +332,7 @@ class ProxySession:
         """Swap in a reconnected upstream client, keeping session state.
 
         Plug-ins, bindings and selection are untouched; the frame content
-        arrives via the resuming client's single non-incremental update,
+        arrives via the new client's single non-incremental update,
         which flows through :meth:`_on_update` like any other damage.
         """
         old = self.upstream

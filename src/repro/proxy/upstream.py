@@ -29,9 +29,7 @@ from repro.uip.messages import (
     Ping,
     PointerEvent,
     Pong,
-    ResumeSession,
     ServerMessageDecoder,
-    SessionGrant,
     SetEncodings,
 )
 from repro.util.errors import GraphicsError, ProtocolError
@@ -47,8 +45,7 @@ class UniIntClient:
     """Maintains the framebuffer mirror; forwards universal input events."""
 
     def __init__(self, endpoint: Transport, secret: Optional[str] = None,
-                 encodings: tuple[int, ...] = DEFAULT_ENCODINGS,
-                 resume_from: Optional[int] = None) -> None:
+                 encodings: tuple[int, ...] = DEFAULT_ENCODINGS) -> None:
         self.endpoint = endpoint
         self.secret = secret
         self.encodings = encodings
@@ -58,14 +55,6 @@ class UniIntClient:
         self.server_name: Optional[str] = None
         self.closed = False
         self.updates_received = 0
-        #: Resume a parked server session instead of renegotiating: after
-        #: the handshake this client sends ResumeSession(resume_from) and
-        #: one non-incremental update request (the single full-frame
-        #: resync) in place of SetEncodings.
-        self.resume_from = resume_from
-        #: The token the server granted *this* connection (SessionGrant);
-        #: what a future reconnect should present.
-        self.resume_token: Optional[int] = None
         # liveness accounting: pings awaiting a pong.  Any pong clears the
         # whole debt (sequence numbers are monotonic, a later answer
         # proves the link end-to-end).
@@ -154,13 +143,7 @@ class UniIntClient:
         self.framebuffer = Bitmap(result.width, result.height)
         self._decoder = ServerMessageDecoder(
             enc.DecoderState(), result.width, result.height)
-        if self.resume_from is not None:
-            # warm resume: the parked server state already holds our
-            # encodings — present the token and ask for the one
-            # full-frame resync instead of renegotiating from scratch
-            self._send(ResumeSession(self.resume_from).encode())
-        else:
-            self._send(SetEncodings(self.encodings).encode())
+        self._send(SetEncodings(self.encodings).encode())
         self.request_update(incremental=False)
         if self.on_ready is not None:
             self.on_ready()
@@ -214,8 +197,6 @@ class UniIntClient:
                 self.on_bell()
         elif isinstance(message, Pong):
             self.outstanding_pings = 0
-        elif isinstance(message, SessionGrant):
-            self.resume_token = message.token
         else:  # pragma: no cover - decoder only yields the types above
             raise AssertionError(f"unexpected message {message!r}")
 

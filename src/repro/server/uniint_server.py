@@ -36,7 +36,6 @@ frames stay isolated per user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.graphics.differ import TileDiffer
@@ -55,8 +54,6 @@ from repro.uip.messages import (
     PointerEvent,
     Pong,
     RectUpdate,
-    ResumeSession,
-    SessionGrant,
     SetEncodings,
 )
 from repro.util.errors import GraphicsError, ProtocolError
@@ -69,26 +66,6 @@ SUPPORTED_ENCODINGS = (enc.HEXTILE, enc.ZRLE, enc.RAW)
 
 #: Fragmentation cap applied when coalescing damage into one update.
 MAX_UPDATE_RECTS = 16
-
-
-@dataclass
-class ParkedSession:
-    """Negotiated state held for a dead session's grace window.
-
-    When a session's transport dies unexpectedly (RST, partition, crashed
-    proxy) while the server has ``resume_grace_s > 0``, this is what
-    survives: the surface binding and the negotiated encodings.  A
-    reconnecting client presenting the matching token gets both back and
-    pays exactly one non-incremental update (its own resync request)
-    instead of a cold renegotiation.  The ZRLE deflate stream
-    does *not* survive — both ends restart their streams on the fresh
-    connection, which is why parking stores no encoder state.
-    """
-
-    token: int
-    surface: "ServerSurface"
-    encodings: tuple[int, ...]
-    parked_at: float
 
 
 class ServerSurface:
@@ -171,11 +148,6 @@ class ServerSession:
         self._pending = Region()
         self._update_requested = False
         self.closed = False
-        #: Token under which this session's state may be resumed after a
-        #: transport fault (granted post-handshake when parking is on).
-        self.resume_token: Optional[int] = None
-        #: True once this session took over a parked predecessor's state.
-        self.resumed = False
         # statistics for the bandwidth experiments (E7)
         self.updates_sent = 0
         self.rects_sent = 0
@@ -187,7 +159,7 @@ class ServerSession:
         self.updates_coalesced = 0
         self.bytes_suppressed = 0
         endpoint.on_receive = self._on_bytes
-        endpoint.on_close = self._on_close
+        endpoint.on_close = self.close
         endpoint.on_writable = self._on_writable
         self._flush_handshake()
 
@@ -210,10 +182,6 @@ class ServerSession:
             if self._handshake.done:
                 # everything changed is dirty for a new client
                 self._pending.add(self.surface.display.framebuffer.bounds)
-                if self.server.resume_grace_s > 0:
-                    self.resume_token = self.server._grant_token(self)
-                    self.endpoint.send(
-                        SessionGrant(self.resume_token).encode())
                 data = self._handshake.leftover()
                 if not data:
                     return
@@ -230,24 +198,14 @@ class ServerSession:
         for message in messages:
             self._handle(message)
 
-    def _on_close(self) -> None:
-        """The transport died under us (peer close, RST, partition).
-
-        Unlike :meth:`close` (deliberate teardown) this is where parking
-        hooks in: a handshaken session whose server keeps a grace window
-        leaves its negotiated state behind for a resuming successor.
-        """
-        if self.closed:
-            return
-        self.closed = True
-        self.server._lost_session(self)
-
     def close(self) -> None:
+        """End this session, deliberately or because its transport died
+        under it (peer close, RST, partition): a client that comes back
+        dials a fresh session."""
         if self.closed:
             return
         self.closed = True
         self.endpoint.close()
-        self.server._discard_token(self)
         self.server._drop_session(self)
 
     @property
@@ -281,8 +239,6 @@ class ServerSession:
         elif isinstance(message, Ping):
             if self.endpoint.is_open:
                 self.endpoint.send(Pong(message.seq).encode())
-        elif isinstance(message, ResumeSession):
-            self.server._resume_session(self, message.token)
         else:  # pragma: no cover - decoder only yields the types above
             raise AssertionError(f"unexpected message {message!r}")
 
@@ -354,27 +310,10 @@ class UniIntServer:
                  name: str = "home-appliances",
                  secret: Optional[str] = None,
                  tile_diff: bool = True,
-                 backpressure: bool = True,
-                 resume_grace_s: float = 0.0) -> None:
+                 backpressure: bool = True) -> None:
         self.scheduler = scheduler
         self.name = name
         self.secret = secret
-        #: Seconds (virtual) a dead session's state is parked awaiting a
-        #: ResumeSession.  0 disables parking entirely (the default): a
-        #: lost transport is then a lost session, exactly the pre-PR-7
-        #: behaviour.  There is no free-running expiry sweep — entries are
-        #: validated lazily on resume and reaped opportunistically on each
-        #: park (or explicitly via :meth:`reap_stale_sessions`), so an
-        #: idle server stays idle.
-        self.resume_grace_s = resume_grace_s
-        self._parked: dict[int, ParkedSession] = {}
-        self._tokens: dict[int, "ServerSession"] = {}
-        self._next_token = 1
-        # resilience statistics (bench_resilience reads these)
-        self.sessions_parked = 0
-        self.sessions_resumed = 0
-        self.sessions_expired = 0
-        self.resume_misses = 0
         #: Refine composite damage to the 16x16 tiles whose pixels actually
         #: changed before distributing it (ablation toggle): geometric
         #: damage from unchanged redraws never reaches the encoders.
@@ -448,14 +387,15 @@ class UniIntServer:
         surface.sessions.append(session)
         return session
 
-    def listen(self, reactor, member=None, surface_for=None,
+    def listen(self, reactor, member=None, on_accept=None,
                host: str = "127.0.0.1", port: int = 0):
         """Accept UIP clients over a real TCP listening socket.
 
         Each accepted connection becomes a reactor-registered
-        :class:`~repro.net.transport.SocketTransport` handed straight to
-        :meth:`accept`; ``surface_for(conn, addr)`` (optional) picks the
-        surface the new session binds to.  Returns the
+        :class:`~repro.net.transport.SocketTransport`, handed to
+        ``on_accept(transport, addr)`` (optional), which passes it on to
+        :meth:`accept` with the surface of its choice, or else straight
+        to :meth:`accept` onto the default surface.  Returns the
         :class:`~repro.net.reactor.TcpListener` (its ``.address`` is the
         dial target for :func:`~repro.net.reactor.connect_tcp`).
         """
@@ -463,111 +403,22 @@ class UniIntServer:
         from repro.net.reactor import TcpListener
         from repro.net.transport import SocketTransport
 
-        def on_accept(conn, addr):
+        def on_connection(conn, addr):
             transport = SocketTransport(
                 self.scheduler, conn, ETHERNET_100,
                 name=f"{self.name}-tcp-{addr[1]}",
                 reactor=reactor, member=member)
-            surface = (surface_for(conn, addr)
-                       if surface_for is not None else None)
-            self.accept(transport, surface=surface)
+            if on_accept is None:
+                self.accept(transport)
+            else:
+                on_accept(transport, addr)
 
-        return TcpListener(reactor, on_accept, host=host, port=port,
+        return TcpListener(reactor, on_connection, host=host, port=port,
                            member=member)
 
     def _drop_session(self, session: ServerSession) -> None:
         if session in session.surface.sessions:
             session.surface.sessions.remove(session)
-
-    # -- session parking & resumption ----------------------------------------
-
-    def _grant_token(self, session: ServerSession) -> int:
-        token = self._next_token
-        self._next_token += 1
-        self._tokens[token] = session
-        return token
-
-    def _discard_token(self, session: ServerSession) -> None:
-        """Deliberate close: nothing to come back to."""
-        if session.resume_token is not None:
-            self._tokens.pop(session.resume_token, None)
-            self._parked.pop(session.resume_token, None)
-
-    def _lost_session(self, session: ServerSession) -> None:
-        """A session's transport died unexpectedly: park or drop."""
-        self._drop_session(session)
-        if (self.resume_grace_s > 0 and session._handshake.done
-                and session.resume_token is not None):
-            self._park_session(session)
-        else:
-            self._discard_token(session)
-
-    def _park_session(self, session: ServerSession) -> None:
-        token = session.resume_token
-        assert token is not None
-        self._tokens.pop(token, None)
-        self._parked[token] = ParkedSession(
-            token=token,
-            surface=session.surface,
-            encodings=session.encodings,
-            parked_at=self.scheduler.now())
-        self.sessions_parked += 1
-        self.reap_stale_sessions()
-
-    def _resume_session(self, session: ServerSession, token: int) -> None:
-        """A fresh session presented a resume token: restore its past.
-
-        Three cases: the token's old session still *looks* live (its
-        reset hasn't dispatched yet) — the new connection wins, taking
-        over the state directly; the token is parked within the grace
-        window — restore it; anything else (expired, bogus, already
-        resumed) — the session simply continues as the cold fresh session
-        it already is.
-        """
-        live = self._tokens.get(token)
-        if live is not None and live is not session and not live.closed:
-            # takeover: park the zombie's state, then kill it silently
-            self._park_session(live)
-            live.closed = True
-            self._drop_session(live)
-            if live.endpoint.is_open:
-                live.endpoint.close()
-        parked = self._parked.pop(token, None)
-        if parked is None:
-            self.resume_misses += 1
-            return
-        if self.scheduler.now() - parked.parked_at > self.resume_grace_s:
-            self.sessions_expired += 1
-            self.resume_misses += 1
-            return
-        session.encodings = parked.encodings
-        target = parked.surface
-        if target is not session.surface and target in self.surfaces:
-            session.surface.sessions.remove(session)
-            session.surface = target
-            target.sessions.append(session)
-            # share the adopted surface's encode cache, not the old one's
-            session._encoder.cache = target.encode_cache
-        session.resumed = True
-        self.sessions_resumed += 1
-
-    def reap_stale_sessions(self,
-                            grace_s: Optional[float] = None) -> int:
-        """Drop parked sessions older than the grace window; returns the
-        number reaped.  Called opportunistically on every park — call it
-        explicitly to bound memory on a server that stopped parking."""
-        grace = grace_s if grace_s is not None else self.resume_grace_s
-        now = self.scheduler.now()
-        stale = [token for token, parked in self._parked.items()
-                 if now - parked.parked_at > grace]
-        for token in stale:
-            del self._parked[token]
-            self.sessions_expired += 1
-        return len(stale)
-
-    @property
-    def parked_count(self) -> int:
-        return len(self._parked)
 
     @property
     def sessions(self) -> list[ServerSession]:

@@ -49,9 +49,7 @@ from repro.uip.messages import (
     PointerEvent,
     Pong,
     RectUpdate,
-    ResumeSession,
     ServerMessageDecoder,
-    SessionGrant,
     SetEncodings,
 )
 
@@ -73,10 +71,8 @@ __all__ = [
     "Pong",
     "RAW",
     "RectUpdate",
-    "ResumeSession",
     "ServerHandshake",
     "ServerMessageDecoder",
-    "SessionGrant",
     "SetEncodings",
     "ZRLE",
     "decode_rect",

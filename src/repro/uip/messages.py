@@ -10,7 +10,6 @@ type  message                     payload
 4     KeyEvent                    u8 down, 2 pad, u32 keysym
 5     PointerEvent                u8 button mask, u16 x, u16 y
 7     Ping                        3 pad, u32 sequence (liveness probe)
-8     ResumeSession               3 pad, u32 resume token
 ====  ==========================  =======================================
 
 Server -> client (the *universal output events*):
@@ -19,14 +18,12 @@ Server -> client (the *universal output events*):
 0     FramebufferUpdate           1 pad, u16 nrects, rect headers+payloads
 2     Bell                        —
 4     Pong                        3 pad, u32 sequence (liveness answer)
-5     SessionGrant                3 pad, u32 resume token
 ====  ==========================  =======================================
 
 Ping/Pong carry the session liveness heartbeat (miss-based death
-detection in the proxy); SessionGrant hands a freshly handshaken client
-the token with which a later connection may ResumeSession into the same
-server-side state (surface binding, encodings) after a transport fault —
-see :mod:`repro.server.uniint_server` parking.
+detection in the proxy).  A client that loses its connection dials a
+fresh session, as an RFB viewer does: the handshake, SetEncodings and
+one non-incremental update request.  Any other type is refused.
 
 Messages arrive as an undelimited byte stream; :class:`ClientMessageDecoder`
 and :class:`ServerMessageDecoder` parse incrementally.  A partially
@@ -52,13 +49,11 @@ MSG_FRAMEBUFFER_UPDATE_REQUEST = 3
 MSG_KEY_EVENT = 4
 MSG_POINTER_EVENT = 5
 MSG_PING = 7
-MSG_RESUME_SESSION = 8
 
 # Server message types.
 MSG_FRAMEBUFFER_UPDATE = 0
 MSG_BELL = 2
 MSG_PONG = 4
-MSG_SESSION_GRANT = 5
 
 
 # -- client -> server -----------------------------------------------------------
@@ -123,24 +118,6 @@ class Ping:
         return Writer().u8(MSG_PING).pad(3).u32(self.seq).getvalue()
 
 
-@dataclass(frozen=True)
-class ResumeSession:
-    """Reclaim a parked server-side session after a transport fault.
-
-    Sent as the first message of a fresh connection (instead of the cold
-    SetEncodings) with the token a previous :class:`SessionGrant` issued;
-    the server restores the parked surface binding and encodings, and
-    the client follows up with one non-incremental update request — the
-    single full-frame resync.
-    """
-
-    token: int
-
-    def encode(self) -> bytes:
-        return (Writer().u8(MSG_RESUME_SESSION).pad(3)
-                .u32(self.token).getvalue())
-
-
 # -- server -> client ------------------------------------------------------------
 
 
@@ -193,18 +170,6 @@ class Pong:
 
     def encode(self) -> bytes:
         return Writer().u8(MSG_PONG).pad(3).u32(self.seq).getvalue()
-
-
-@dataclass(frozen=True)
-class SessionGrant:
-    """The resume token for this session (sent once after the handshake
-    when the server has parking enabled)."""
-
-    token: int
-
-    def encode(self) -> bytes:
-        return (Writer().u8(MSG_SESSION_GRANT).pad(3)
-                .u32(self.token).getvalue())
 
 
 # -- stream decoders ------------------------------------------------------------------
@@ -293,9 +258,6 @@ class ClientMessageDecoder(_StreamDecoder):
         if msg_type == MSG_PING:
             cursor.skip(3)
             return Ping(cursor.u32())
-        if msg_type == MSG_RESUME_SESSION:
-            cursor.skip(3)
-            return ResumeSession(cursor.u32())
         raise ProtocolError(f"unknown client message type {msg_type}")
 
 
@@ -351,7 +313,4 @@ class ServerMessageDecoder(_StreamDecoder):
         if msg_type == MSG_PONG:
             cursor.skip(3)
             return Pong(cursor.u32())
-        if msg_type == MSG_SESSION_GRANT:
-            cursor.skip(3)
-            return SessionGrant(cursor.u32())
         raise ProtocolError(f"unknown server message type {msg_type}")

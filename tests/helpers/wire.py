@@ -23,11 +23,21 @@ MALFORMED_CLIENT_MESSAGES = {
         ">BBBBHHHBBB3x", 12, 12, 0, 1, 15, 15, 15, 8, 4, 0)).getvalue(),
     "set-pixel-format": Writer().u8(0).pad(3).raw(struct.pack(
         ">BBBBHHHBBB3x", 32, 24, 0, 1, 255, 255, 255, 16, 8, 0)).getvalue(),
+    # type 8 with a u32 token: UIP resumes no session, a client that
+    # comes back dials a fresh one
+    "resume-session": Writer().u8(8).pad(3).u32(1).getvalue(),
 }
 
-#: A server message the proxy's decoder rejects: RFB's 12-byte
-#: ServerCutText (type 3), since UIP carries no clipboard.
-MALFORMED_SERVER_MESSAGE = Writer().u8(3).pad(3).u32(4).raw(b"clip").getvalue()
+#: Server messages the proxy's decoder rejects, by name.
+MALFORMED_SERVER_MESSAGES = {
+    # RFB's 12-byte ServerCutText (type 3): UIP carries no clipboard
+    "server-cut-text": Writer().u8(3).pad(3).u32(4).raw(b"clip").getvalue(),
+    # type 5 with a u32 token: UIP grants no session tokens
+    "session-grant": Writer().u8(5).pad(3).u32(1).getvalue(),
+}
+
+#: The rejected server message a test sends when any one will do.
+MALFORMED_SERVER_MESSAGE = MALFORMED_SERVER_MESSAGES["server-cut-text"]
 
 
 def received_encodings(client) -> Counter:

@@ -4,10 +4,10 @@ The acceptance scenario of the self-healing work: 32 TCP homes, one
 reactor, and a reproducible storm — device-leg frame drops, hard RSTs on
 session upstreams, 2-second partitions ("stalls"), device-leg resets and
 one crashed home.  Every session and device leg must come back on its
-own: sessions warm-resume their parked server state with exactly one
-full-frame resync, device legs redial and re-enter selection, the
-crashed home is restarted by the fleet supervisor, and no session is
-ever permanently lost.
+own: sessions redial a fresh server session on their user's surface
+with exactly one full-frame resync, device legs redial and re-enter
+selection, the crashed home is restarted by the fleet supervisor, and no
+session is ever permanently lost.
 """
 
 import random
@@ -18,6 +18,7 @@ from repro import HomeFleet
 from repro.appliances import DimmableLight, Television
 from repro.devices import Pda
 from repro.net import FaultInjector, FaultPlan, FaultyTransport
+from tests.helpers import assert_one_session_per_user
 
 SEED = 20020  # ICDCS 2002
 
@@ -106,12 +107,11 @@ class TestSeededFaultSchedule:
             assert not resilience.failed_permanently, home.name
             upstream = home.session.upstream
             assert upstream.ready and upstream.endpoint.is_open
-            # exactly one full-frame resync per reconnect: the revived
-            # session saw the parked state transplanted, then one update
+            # exactly one full-frame resync per reconnect: the fresh
+            # session's one non-incremental update
             assert upstream.updates_received == 1, home.name
-            assert home.uniint_server.sessions_parked == 1
-            assert home.uniint_server.sessions_resumed == 1
-            assert home.uniint_server.resume_misses == 0
+            # the dead session is gone; the redial is the user's session
+            assert_one_session_per_user(home)
             assert home.user().current_output == sole_device(home).device_id, \
                 "device selection survived the reconnect"
         # reconnect latency is a measured quantity, not a guess

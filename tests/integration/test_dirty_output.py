@@ -97,7 +97,7 @@ class TestDirtyContract:
         assert dirties and all(d.area < frame.bounds.area for d in dirties)
         assert_device_shows_mirror(session, phone)
 
-    def test_warm_resume_adopts_a_new_mirror(self):
+    def test_redial_adopts_a_new_mirror(self):
         home = Home(resilience=True)
         tv = home.add_appliance(Television("tv"))
         pda = Pda("pda-1", home.scheduler)

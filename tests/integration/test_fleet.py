@@ -230,7 +230,7 @@ class TestFleet:
         fleet.close()
 
     @pytest.mark.parametrize("name", ["unknown-type", "bad-pixel-format",
-                                      "set-pixel-format"])
+                                      "set-pixel-format", "resume-session"])
     def test_a_malformed_client_message_closes_only_its_session(self, name):
         # a raw TCP client finishes the handshake, then sends bytes the
         # server's decoder rejects: the server closes that session alone
@@ -254,7 +254,6 @@ class TestFleet:
             assert fleet.run_until(rogue_sees_eof)
             assert fleet.failed_homes == ()
             assert home.uniint_server.sessions == [home.server_session]
-            assert home.uniint_server.parked_count == 0
             pda = home.devices["pda-0"]
             frames = pda.frames_received
             lamp = home.appliances["lamp-0"].dcm.fcm_by_type(FcmType.LIGHT)

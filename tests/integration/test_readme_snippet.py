@@ -128,7 +128,7 @@ def test_readme_fault_injection_snippet():
     """The 'Fault injection & self-healing' snippet, verbatim."""
     from repro.net import FaultInjector
 
-    home = Home(transport="tcp", resilience=True)  # heartbeats + warm resume
+    home = Home(transport="tcp", resilience=True)  # heartbeats + redial
     home.add_appliance(Television("TV"))
     from repro.devices import Pda
     home.add_device(Pda("pda", home.scheduler))
@@ -136,10 +136,9 @@ def test_readme_fault_injection_snippet():
 
     chaos = FaultInjector(seed=7)
     chaos.rst(home.session.upstream.endpoint)   # yank the session's cable
-    home.settle()                               # detect, redial, resume
+    home.settle()                               # detect, redial
 
     assert home.session.resilience.reconnect_count == 1
-    assert home.uniint_server.sessions_resumed == 1   # warm resume, no re-login
     assert home.session.upstream.updates_received == 1  # one full-frame resync
     home.close()
 

@@ -99,8 +99,6 @@ ALLOWED_OUTSIDE_TESTS: dict[str, str] = {
                           "one call for a down and an up event",
     "UniIntClient.press_key": "probe: 39 press_key test call sites, each "
                               "one call for a down and an up event",
-    "UniIntServer.parked_count": "probe: 6 test call sites; private "
-                                 "parking lot",
     "_StreamDecoder.buffered_bytes": "probe: 5 test call sites; private "
                                      "buffer",
 }

@@ -1,191 +1,154 @@
-"""Unit tests for self-healing sessions: liveness heartbeats, server-side
-session parking + warm resume, proxy reconnect with backoff, device-leg
-redial, and the satellite robustness fixes that rode along (listener
-accept-path leak, quarantine diagnostics, handshake name-length cap)."""
+"""Unit tests for self-healing sessions: liveness heartbeats, proxy
+reconnect with backoff (each redial a fresh UIP session on its user's
+surface), device-leg redial, and the satellite robustness fixes that
+rode along (listener accept-path leak, quarantine diagnostics, handshake
+name-length cap)."""
 
 import socket
 
 import pytest
 
-from repro.devices import Pda
-from repro.home import Home
-from repro.net import ETHERNET_100, Reactor, TcpListener, make_pipe
+from repro.devices import Pda, WallDisplay
+from repro.home import TRANSPORTS, Home
+from repro.net import (
+    ETHERNET_100,
+    FaultInjector,
+    Reactor,
+    TcpListener,
+    make_pipe,
+)
+from repro.proxy import UniIntProxy
 from repro.proxy.session import REDIAL_ATTEMPTS, REDIAL_CAP_S
-from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
-from repro.toolkit import Button, Column, Label, UIWindow
+from repro.toolkit import Label, UIWindow
 from repro.uip import RAW, ZRLE, ClientHandshake, ServerHandshake
 from repro.uip.handshake import MAX_NAME_LEN
 from repro.util import Scheduler
+from repro.util.errors import ProxyError
 from repro.windows import DisplayServer
-from repro.appliances import Television
-from tests.helpers import MALFORMED_SERVER_MESSAGE
+from repro.appliances import DimmableLight, MicrowaveOven, Television
+from tests.helpers import (
+    MALFORMED_SERVER_MESSAGES,
+    assert_one_session_per_user,
+    received_encodings,
+)
 
 
-def make_server(width=160, height=120, **server_kwargs):
-    scheduler = Scheduler()
-    window = UIWindow(width, height)
-    col = Column()
-    col.add(Label("hello"))
-    col.add(Button("Go"))
-    window.set_root(col)
-    display = DisplayServer(window)
-    server = UniIntServer(display, scheduler, name="test-home",
-                          **server_kwargs)
-    return scheduler, display, window, server
-
-
-def connect(scheduler, server, **kwargs):
-    pipe = make_pipe(scheduler, ETHERNET_100, name="c")
-    server.accept(pipe.a)
-    return UniIntClient(pipe.b, **kwargs)
-
-
-def resilient_home(name="home"):
-    home = Home(name=name, resilience=True)
+def resilient_home(name="home", transport="pipe"):
+    home = Home(name=name, resilience=True, transport=transport)
     home.add_appliance(Television("tv"))
     pda = Pda("pda-1", home.scheduler)
     home.add_device(pda)
-    home.scheduler.run_until_idle()
+    home.settle()
     return home, pda
 
 
-class TestSessionParking:
-    def test_no_grant_without_resume_grace(self):
-        scheduler, display, window, server = make_server()
-        client = connect(scheduler, server)
-        scheduler.run_until_idle()
-        assert client.resume_token is None
-        assert server.parked_count == 0
+class TestRedialIsAFreshSession:
+    """A redial carries no token: it is a fresh UIP session, which the
+    home binds to the user who dialed it."""
 
-    def test_grant_and_park_on_abrupt_loss(self):
-        scheduler, *_, server = make_server(resume_grace_s=30.0)
-        client = connect(scheduler, server)
-        scheduler.run_until_idle()
-        assert client.resume_token is not None
-        client.endpoint.abort()
-        scheduler.run_until_idle()
-        assert server.sessions == []
-        assert server.sessions_parked == 1
-        assert server.parked_count == 1
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_the_user_names_the_redialed_server_session(self, transport):
+        home, pda = resilient_home(transport=transport)
+        try:
+            lost = home.server_session
+            FaultInjector(seed=7).rst(home.session.upstream.endpoint)
+            home.settle()
+            assert home.session.resilience.reconnect_count == 1
+            assert lost.closed
+            assert not home.server_session.closed
+            assert home.uniint_server.sessions == [home.server_session]
+        finally:
+            home.close()
 
-    def test_resume_transplants_state_with_one_full_resync(self):
-        scheduler, display, window, server = make_server(resume_grace_s=30.0)
-        client = connect(scheduler, server, encodings=(ZRLE, RAW))
-        scheduler.run_until_idle()
-        token = client.resume_token
-        client.endpoint.abort()
-        scheduler.run_until_idle()
+    def test_concurrent_tcp_redials_land_on_their_own_surfaces(self):
+        """Redials that race each other to one listener are each bound
+        by their local port, not by the order they are accepted in."""
+        home = Home(transport="tcp", resilience=True)
+        try:
+            for appliance in (Television("tv"), MicrowaveOven("oven"),
+                              DimmableLight("lamp")):
+                home.add_appliance(appliance)
+            alice = home.add_user("alice")
+            bob = home.add_user("bob")
+            guest = home.add_user("guest", view_of="bob")
+            home.settle()
+            alice.show_appliance("oven")
+            bob.show_appliance("tv")  # the resident's view shows the lamp
+            home.settle()
+            screens = [user.display.framebuffer
+                       for user in (home.default_user, alice, bob)]
+            assert all(a != b for i, a in enumerate(screens)
+                       for b in screens[i + 1:])
+            chaos = FaultInjector(seed=7)
+            for user in (alice, bob, guest):
+                chaos.rst(user.session.upstream.endpoint)
+            home.settle()
+            for user in (alice, bob, guest):
+                upstream = user.session.upstream
+                assert user.session.resilience.reconnect_count == 1
+                assert upstream.updates_received == 1, user.user_id
+                assert upstream.framebuffer == user.display.framebuffer, \
+                    user.user_id
+            assert_one_session_per_user(home)
+        finally:
+            home.close()
 
-        revived = connect(scheduler, server, encodings=(ZRLE, RAW),
-                          resume_from=token)
-        scheduler.run_until_idle()
-        assert server.sessions_resumed == 1
-        assert server.parked_count == 0
-        assert len(server.sessions) == 1
-        session = server.sessions[0]
-        assert session.resumed
-        # a resuming client sends no SetEncodings: the parked offer
-        # came back with the token
-        assert session.encodings == (ZRLE, RAW)
-        # exactly one full-frame resync: the resuming client's single
-        # non-incremental request
-        assert revived.updates_received == 1
-        assert revived.framebuffer == display.framebuffer
-        # a fresh token was granted to the new connection
-        assert revived.resume_token is not None
-        assert revived.resume_token != token
+    def test_a_failed_add_user_keeps_other_users_redials(self):
+        """A newcomer whose provisioning fails forgets only their own
+        dials: a redial in flight at that moment still lands on its
+        user's surface."""
+        home = Home(transport="tcp", resilience=True)
+        try:
+            home.add_appliance(Television("tv"))
+            alice = home.add_user("alice")
+            wall = home.add_device(WallDisplay("wall", home.scheduler),
+                                   shared=True)
+            home.settle()
 
-    def test_expired_token_degrades_to_fresh_session(self):
-        scheduler, display, window, server = make_server(resume_grace_s=2.0)
-        client = connect(scheduler, server)
-        scheduler.run_until_idle()
-        token = client.resume_token
-        client.endpoint.abort()
-        scheduler.run_until_idle()
-        scheduler.run_for(10.0)  # grace window sails past
+            def refuse(proxy, member=None):
+                # alice's upstream dies and she redials; the refusal
+                # comes before the listener accepts her connection
+                FaultInjector(seed=7).rst(alice.session.upstream.endpoint)
+                home.scheduler.run_ready()
+                raise ProxyError("wall refuses new proxies")
 
-        revived = connect(scheduler, server, resume_from=token)
-        scheduler.run_until_idle()
-        assert server.sessions_resumed == 0
-        assert server.resume_misses == 1
-        assert server.sessions_expired == 1
-        # the session still works, just without the parked state
-        assert revived.updates_received == 1
-        assert revived.framebuffer == display.framebuffer
+            wall.connect = refuse
+            with pytest.raises(ProxyError, match="refuses"):
+                home.add_user("carol")
+            home.settle()
+            assert alice.session.resilience.reconnect_count == 1
+            assert (alice.session.upstream.framebuffer
+                    == alice.display.framebuffer)
+            assert_one_session_per_user(home)
+        finally:
+            home.close()
 
-    def test_reap_stale_sessions(self):
-        scheduler, *_, server = make_server(resume_grace_s=1.0)
-        client = connect(scheduler, server)
-        scheduler.run_until_idle()
-        client.endpoint.abort()
-        scheduler.run_until_idle()
-        assert server.parked_count == 1
-        assert server.reap_stale_sessions() == 0  # still inside the grace
-        scheduler.run_for(5.0)
-        assert server.reap_stale_sessions() == 1
-        assert server.parked_count == 0
-        assert server.sessions_expired == 1
+    def test_a_redial_offers_the_same_encodings(self):
+        scheduler = Scheduler()
+        window = UIWindow(160, 120)
+        label = Label("hello")
+        window.set_root(label)
+        server = UniIntServer(DisplayServer(window), scheduler)
 
-    def test_takeover_presenting_a_live_token(self):
-        scheduler, *_, server = make_server(resume_grace_s=30.0)
-        first = connect(scheduler, server)
-        scheduler.run_until_idle()
-        token = first.resume_token
-        # the old leg is still "live" from the server's point of view when
-        # the new connection presents its token: takeover must park the
-        # zombie first, then resume into the newcomer
-        second = connect(scheduler, server, resume_from=token)
-        scheduler.run_until_idle()
-        assert server.sessions_resumed == 1
-        assert len(server.sessions) == 1
-        assert server.sessions[0].resumed
-        assert second.updates_received >= 1
+        def dial():
+            pipe = make_pipe(scheduler, ETHERNET_100, name="c")
+            server.accept(pipe.a)
+            return pipe.b
 
-    def test_deliberate_close_discards_token(self):
-        scheduler, *_, server = make_server(resume_grace_s=30.0)
-        client = connect(scheduler, server)
+        session = UniIntProxy(scheduler).connect(dial(),
+                                                 encodings=(ZRLE, RAW))
+        session.enable_resilience(scheduler, dial, seed="zrle")
         scheduler.run_until_idle()
-        server.sessions[0].close()
+        session.upstream.endpoint.abort()
         scheduler.run_until_idle()
-        assert server.parked_count == 0
-        assert server.sessions_parked == 0
-
-    def test_unknown_token_is_a_miss_and_a_cold_session(self):
-        scheduler, display, window, server = make_server(resume_grace_s=30.0)
-        client = connect(scheduler, server, resume_from=4242)
+        assert session.resilience.reconnect_count == 1
+        assert [s.encodings for s in server.sessions] == [(ZRLE, RAW)]
+        seen = received_encodings(session.upstream)
+        label.text = "redialed"
         scheduler.run_until_idle()
-        assert server.resume_misses == 1
-        assert server.sessions_resumed == 0
-        assert not server.sessions[0].resumed
-        assert client.framebuffer == display.framebuffer
-
-    def test_resume_returns_the_session_to_its_parked_surface(self):
-        """A reconnect lands on the default surface; its token moves it
-        back to the surface (and encode cache) it was parked from."""
-        scheduler, display, window, server = make_server(resume_grace_s=30.0)
-        other = UIWindow(160, 120)
-        other.set_root(Label("second view"))
-        second_display = DisplayServer(other)
-        second = server.add_surface(second_display)
-        pipe = make_pipe(scheduler, ETHERNET_100, name="c2")
-        server.accept(pipe.a, surface=second)
-        client = UniIntClient(pipe.b)
-        scheduler.run_until_idle()
-        token = client.resume_token
-        client.endpoint.abort()
-        scheduler.run_until_idle()
-
-        revived = connect(scheduler, server, resume_from=token)
-        scheduler.run_until_idle()
-        session = server.sessions[0]
-        assert session.resumed
-        assert session.surface is second
-        assert second.sessions == [session]
-        assert server.default_surface.sessions == []
-        assert session._encoder.cache is second.encode_cache
-        assert revived.framebuffer == second_display.framebuffer
-        assert revived.framebuffer != display.framebuffer
+        assert seen and set(seen) == {ZRLE}
+        assert session.upstream.framebuffer == server.display.framebuffer
 
 
 class TestSessionSelfHealing:
@@ -202,15 +165,16 @@ class TestSessionSelfHealing:
         assert user.session.upstream.ready
         # exactly one full-frame resync flowed to the new upstream
         assert user.session.upstream.updates_received == 1
-        assert home.uniint_server.sessions_resumed == 1
+        assert_one_session_per_user(home)
         assert pda.frames_received == frames_before + 1
         assert user.current_output == "pda-1"
 
-    def test_malformed_server_message_redials_to_a_true_mirror(self):
+    @pytest.mark.parametrize("name", MALFORMED_SERVER_MESSAGES)
+    def test_malformed_server_message_redials_to_a_true_mirror(self, name):
         home, pda = resilient_home()
         user = home.default_user
         frames_before = pda.frames_received
-        user.server_session.endpoint.send(MALFORMED_SERVER_MESSAGE)
+        user.server_session.endpoint.send(MALFORMED_SERVER_MESSAGES[name])
         home.scheduler.run_until_idle()  # must not raise
         res = user.session.resilience
         assert res.reconnect_count == 1
@@ -342,7 +306,7 @@ class TestSessionSelfHealing:
         assert user.session.upstream.ready
         # the abandoned attempt was torn down, not left half-open
         assert not silent[0].b.is_open
-        assert home.uniint_server.sessions_resumed == 1
+        assert_one_session_per_user(home)
 
     def test_redial_dropped_mid_handshake_retries(self):
         home, pda = resilient_home()

@@ -189,7 +189,7 @@ class TestMalformedClientMessages:
 
     @pytest.mark.parametrize("name", MALFORMED_CLIENT_MESSAGES)
     def test_only_the_sender_is_closed(self, name):
-        scheduler, display, window, server = make_server(resume_grace_s=5.0)
+        scheduler, display, window, server = make_server()
         bad = connect(scheduler, server)
         good = connect(scheduler, server)
         scheduler.run_until_idle()
@@ -200,8 +200,6 @@ class TestMalformedClientMessages:
         scheduler.run_until_idle()
         assert bad_session.closed and bad.closed
         assert server.sessions == [good_session]
-        assert server.parked_count == 0  # nothing to resume
-        assert bad_session.resume_token not in server._tokens
         assert good.updates_received > received
         assert good.framebuffer == display.framebuffer
 

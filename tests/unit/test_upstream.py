@@ -24,7 +24,7 @@ from repro.uip.handshake import (
 )
 from repro.uip.wire import Writer
 from repro.util import Scheduler
-from tests.helpers import MALFORMED_SERVER_MESSAGE
+from tests.helpers import MALFORMED_SERVER_MESSAGES
 
 
 class FakeServer:
@@ -154,10 +154,11 @@ class TestMalformedServerMessages:
         client.on_session_close = lambda: closes.append(client.closed)
         return closes
 
-    def test_unknown_message_type_closes_the_session(self):
+    @pytest.mark.parametrize("name", MALFORMED_SERVER_MESSAGES)
+    def test_unknown_message_type_closes_the_session(self, name):
         scheduler, server, client = connected_pair()
         closes = self.watch(client)
-        server.endpoint.send(MALFORMED_SERVER_MESSAGE)
+        server.endpoint.send(MALFORMED_SERVER_MESSAGES[name])
         scheduler.run_until_idle()  # must not raise
         assert closes == [True]
         assert not client.ready
