@@ -16,10 +16,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Home
+from repro.app import DdiController
 from repro.appliances import Television
 from repro.devices import CellPhone
 from repro.havi import SEID
-from repro.havi.ddi import DdiController
 from repro.util.ids import guid_from_seed
 
 
@@ -43,8 +43,7 @@ def _ddi_setup():
         SEID(guid_from_seed("bench-ddi"), 0),
         home.network.messaging, home.network.events)
     controller.attach()
-    server = home.network.dcm_manager.ddi_server_for(tv.guid)
-    controller.open(server.seid)
+    controller.open(tv.dcm.seid)
     home.settle()
     return home, tv, controller
 

@@ -67,7 +67,7 @@ def _percentile(values, q: float) -> float:
 def _run_storm(fleet: HomeFleet, n_homes: int) -> dict:
     """The standard fault schedule; returns the healing scorecard."""
     rng = random.Random(SEED)
-    chaos = FaultInjector(seed=SEED)
+    chaos = FaultInjector()
     homes = [fleet.home(f"h{i:02d}") for i in range(n_homes)]
     rng.shuffle(homes)
     n_rst = max(2, n_homes // 5)
@@ -187,7 +187,7 @@ def _run_crash_loop() -> dict:
     """A home that re-crashes on every resurrection until the budget."""
     fleet = HomeFleet()
     _populate(fleet.add_home("flaky", resilience=True), "flaky")
-    chaos = FaultInjector(seed=SEED)
+    chaos = FaultInjector()
     fleet.settle()
 
     def rebuild(f, name, home):

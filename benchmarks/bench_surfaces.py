@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -43,6 +44,9 @@ SMOKE_CONFIGS = {
     "per_surface": (1, 1),
     "mixed": (2, 1),
 }
+
+#: Alternating same-surface / PR 4 workload pairs behind the 1.1x gate.
+GATE_PAIRS = 9
 
 
 def _surface_home(groups):
@@ -212,28 +216,47 @@ def test_surface_multiplexing_scales_and_records(smoke, record_dir):
     # than the 8-session broadcast of the same content (nobody else pays)
     assert (results["isolated_churn"]["server_cost_s"]
             < results["same_surface"]["server_cost_s"]), results
-    # the hard gate is machine-independent: measure the PR 4 multiuser
+    # the hard gate is machine-independent: run the PR 4 multiuser
     # workload (8 residents sharing one view, bench_home_scale E10) in
-    # *this* run and require same-surface multiplexing to stay within
-    # ~1.1x of it on the same hardware
+    # *this* process and require same-surface multiplexing to stay within
+    # ~1.1x of it.  The two homes have the same shape, so they are timed
+    # in alternating pairs (each pair flips which runs first) and the
+    # median per-pair ratio is gated: two timings one after the other
+    # drift apart on a shared host by more than the 1.1 bound
     control_home, control_labels = _multiuser_home(8)
     control_counter = itertools.count()
     _multiuser_round(control_home, control_labels,
                      next(control_counter))  # warm-up
     control_meter = ServerCostMeter(control_home.uniint_server)
-    control_cost = None
-    for _ in range(repeats):
-        control_meter.seconds = 0.0
-        for _ in range(rounds_per_repeat):
-            _multiuser_round(control_home, control_labels,
-                             next(control_counter))
-        cost = control_meter.seconds / rounds_per_repeat
-        control_cost = cost if control_cost is None else min(
-            control_cost, cost)
-    in_run_ratio = results["same_surface"]["server_cost_s"] / control_cost
+    same_home, same_labels, same_meter = homes["same_surface"]
+    same_counter = itertools.count(1000)
+    sides = {
+        "same_surface": (same_meter, lambda: _churn_round(
+            same_home, same_labels, next(same_counter))),
+        "pr4_workload": (control_meter, lambda: _multiuser_round(
+            control_home, control_labels, next(control_counter))),
+    }
+    order = list(sides)
+    pair_costs = []
+    for _ in range(GATE_PAIRS):
+        costs = {}
+        for side in order:
+            meter, churn = sides[side]
+            meter.seconds = 0.0
+            for _ in range(rounds_per_repeat):
+                churn()
+            costs[side] = meter.seconds / rounds_per_repeat
+        pair_costs.append(costs)
+        order.reverse()
+    pair_ratios = [costs["same_surface"] / costs["pr4_workload"]
+                   for costs in pair_costs]
+    in_run_ratio = statistics.median(pair_ratios)
+    control_cost = statistics.median(
+        costs["pr4_workload"] for costs in pair_costs)
     assert in_run_ratio < 1.1, (
         f"same-surface broadcast regressed vs the PR 4 multiuser "
-        f"workload measured in this run: {in_run_ratio:.2f}x")
+        f"workload measured in this run: median pair ratio "
+        f"{in_run_ratio:.2f}x of {[round(r, 2) for r in pair_ratios]}")
     # the cross-run ratio against the committed PR 4 record is evidence,
     # not a gate (absolute timings are machine-dependent)
     baseline_path = (Path(__file__).resolve().parents[1]
@@ -262,12 +285,18 @@ def test_surface_multiplexing_scales_and_records(smoke, record_dir):
                          "(time.perf_counter); server-side broadcast cost "
                          "via reentrancy-guarded timers around "
                          "_flush/surface._composite_and_distribute/"
-                         "session._try_send",
+                         "session._try_send; the same-run ratio is the "
+                         f"median of {GATE_PAIRS} alternating pairs of 3 "
+                         "rounds each (same-surface home vs the PR 4 "
+                         "workload, first side flipped every pair, after "
+                         "one warm-up round each), and the PR 4 cost is "
+                         "its median over those pairs",
         "before": "PR 4: one shared UIWindow for every resident — "
                   "see BENCH_MULTIUSER.json (all sessions pay for every "
                   "frame; no per-user tabs/input)",
         "after": results,
         "pr4_workload_server_cost_s_same_run": control_cost,
         "same_surface_vs_pr4_workload_same_run_ratio": in_run_ratio,
+        "same_surface_vs_pr4_workload_pair_ratios": pair_ratios,
         "same_surface_vs_multiuser_baseline_ratio": baseline_ratio,
     }, indent=2) + "\n")

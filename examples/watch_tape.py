@@ -16,11 +16,12 @@ Run:  python examples/watch_tape.py
 """
 
 from repro import Home
+from repro.app import DdiController
 from repro.appliances import Television, VideoRecorder
 from repro.context import UserSituation
 from repro.devices import RemoteControl, TvDisplay
 from repro.havi import FcmType, SEID
-from repro.havi.ddi import DdiController, render_text, build_tree
+from repro.havi.ddi import render_text, build_tree
 from repro.tools import EventTrace, bitmap_to_ascii
 from repro.util.ids import guid_from_seed
 
@@ -73,8 +74,7 @@ def main() -> None:
     controller = DdiController(SEID(guid_from_seed("vendor-app"), 0),
                                home.network.messaging, home.network.events)
     controller.attach()
-    server = home.network.dcm_manager.ddi_server_for(vcr.guid)
-    controller.open(server.seid)
+    controller.open(vcr.dcm.seid)
     changes = []
     controller.on_changed = lambda eid, value: changes.append((eid, value))
     home.run_for(30.0)          # half a minute of tape rolls by

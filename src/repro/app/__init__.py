@@ -22,7 +22,7 @@ from repro.app.commands import (
     CommandSpine,
     CommandState,
 )
-from repro.app.handles import ApplianceHandle, FcmHandle
+from repro.app.handles import ApplianceHandle, DdiController, FcmHandle
 from repro.app.panels import build_capability_panel, build_fcm_panel
 from repro.app.composer import assign_guid_prefixes, compose_ui
 from repro.app.application import HomeApplianceApplication
@@ -34,6 +34,7 @@ __all__ = [
     "CommandLog",
     "CommandSpine",
     "CommandState",
+    "DdiController",
     "FcmHandle",
     "HomeApplianceApplication",
     "assign_guid_prefixes",

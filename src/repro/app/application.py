@@ -31,7 +31,6 @@ class HomeApplianceApplication:
                  command_log: Optional[CommandLog] = None) -> None:
         self.network = network
         self.window = window
-        self.app_name = app_name
         self.element = SoftwareElement(
             SEID(guid_from_seed(f"app/{app_name}"), 0), network.messaging)
         self.element.attach()

@@ -4,19 +4,24 @@ A :class:`FcmHandle` wraps one FCM's SEID: it holds the capability
 descriptor from the FCM's registry entry, caches the FCM's state (read
 once via ``fcm.get_state`` and kept live by ``fcm.state.*`` events) and
 issues commands through the message system.  An
-:class:`ApplianceHandle` groups the FCM handles of one device.
+:class:`ApplianceHandle` groups the FCM handles of one device.  A
+:class:`DdiController` is HAVi's native alternative: it holds one
+appliance's DDI tree instead of a panel.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Optional
 
-from repro.app.commands import Command, CommandSpine
+from repro.app.commands import Command, CommandLog, CommandSpine
 from repro.havi.capabilities import CapabilityDescriptor
+from repro.havi.ddi import DdiPanel, element_from_dict
 from repro.havi.element import SoftwareElement
-from repro.havi.events import HaviEvent
-from repro.havi.messaging import HaviMessage
+from repro.havi.events import EventManager, HaviEvent
+from repro.havi.messaging import HaviMessage, MessageSystem
 from repro.havi.seid import SEID
+from repro.util.errors import HaviError
 
 StateListener = Callable[[str, object], None]
 
@@ -157,3 +162,105 @@ class ApplianceHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ApplianceHandle {self.name!r} "
                 f"fcms={[h.fcm_type for h in self.fcms]}>")
+
+
+class DdiController(SoftwareElement):
+    """A native DDI client of one appliance's DCM.
+
+    ``open`` fetches the DCM's tree and, while open, applies the
+    appliance's ``fcm.state.*`` events to it; ``action`` sends semantic
+    actions.  Both ride the command spine, so the home journal sees DDI
+    actions alongside widget clicks.
+    """
+
+    def __init__(self, seid: SEID, messaging: MessageSystem,
+                 events: EventManager,
+                 command_log: Optional[CommandLog] = None) -> None:
+        super().__init__(seid, messaging)
+        self.events = events
+        self.spine = CommandSpine(self, command_log)
+        self.tree: Optional[DdiPanel] = None
+        self.target: Optional[SEID] = None
+        self._subscription: Optional[int] = None
+        #: Demo/test hook: fired with (element_id, value) on remote change.
+        self.on_changed: Optional[Callable[[str, object], None]] = None
+        #: Modelled wire bytes, for the DDI-vs-UIP experiment.
+        self.bytes_moved = 0
+
+    def open(self, target: SEID,
+             on_tree: Optional[Callable[[DdiPanel], None]] = None) -> None:
+        """Fetch the tree from a DCM and follow its appliance's state."""
+        self.target = target
+
+        def absorb(message: HaviMessage) -> None:
+            self.bytes_moved += _wire_size(message.opcode, message.payload)
+            tree_data = message.payload.get("tree")
+            if tree_data is None:
+                raise HaviError(f"DDI target replied {message.status}")
+            tree = element_from_dict(tree_data)
+            if not isinstance(tree, DdiPanel):
+                raise HaviError("DDI tree root must be a panel")
+            self.tree = tree
+            if on_tree is not None:
+                on_tree(tree)
+
+        self._subscription = self.events.subscribe("fcm.state.",
+                                                   self._on_state)
+        self.bytes_moved += _wire_size("ddi.get_tree", {})
+        self.spine.submit(target, "ddi.get_tree", origin="ddi",
+                          on_reply=absorb)
+
+    def close(self) -> None:
+        if self._subscription is not None:
+            self.events.unsubscribe(self._subscription)
+            self._subscription = None
+        self.tree = None
+        self.target = None
+
+    def action(self, element_id: str, verb: str = "press",
+               value=None,
+               on_reply: Optional[Callable[[HaviMessage], None]] = None,
+               origin: str = "ddi") -> Command:
+        if self.target is None:
+            raise HaviError("controller is not open")
+        payload = {"element": element_id, "verb": verb}
+        if value is not None:
+            payload["value"] = value
+        self.bytes_moved += _wire_size("ddi.action", payload)
+
+        def count_reply(message: HaviMessage) -> None:
+            self.bytes_moved += _wire_size(message.opcode, message.payload)
+            if on_reply is not None:
+                on_reply(message)
+
+        return self.spine.submit(self.target, "ddi.action", payload,
+                                 origin=origin, on_reply=count_reply)
+
+    def _on_state(self, event: HaviEvent) -> None:
+        """Apply a target's state change to the first element of the
+        cached tree bound to that FCM and key; the byte count models
+        the ``ddi.changed`` notice a DCM would send."""
+        if (self.tree is None
+                or event.payload.get("device_guid") != self.target.guid):
+            return
+        prefix = f"{event.source.handle}:"
+        key = event.payload.get("key")
+        for element in self.tree.walk():
+            if (element.element_id.startswith(prefix)
+                    and getattr(element, "key", None) == key):
+                value = event.payload.get("value")
+                element.value = value
+                self.bytes_moved += _wire_size("ddi.changed", {
+                    "element": element.element_id, "value": value})
+                if self.on_changed is not None:
+                    self.on_changed(element.element_id, value)
+                return
+
+
+_WIRE_HEADER = 24  # SEIDs, type, transaction, status
+
+
+def _wire_size(opcode: str, payload: dict) -> int:
+    """Estimated serialised size of a HAVi message."""
+    return _WIRE_HEADER + len(opcode) + len(
+        json.dumps(payload, sort_keys=True, default=str))

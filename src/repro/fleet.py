@@ -80,13 +80,10 @@ class HomeFleet:
 
     def add_home(self, name: str,
                  width: int = 160, height: int = 120,
-                 event_budget: Optional[int] = None,
                  **home_kwargs) -> Home:
-        """Provision one tenant home on the shared reactor.
-
-        ``event_budget`` overrides the fleet default for this home (a
-        premium tenant can buy a bigger slice).  Remaining keyword
-        arguments pass through to :class:`~repro.home.Home`.
+        """Provision one tenant home on the shared reactor, with the
+        fleet's event budget.  Remaining keyword arguments pass through
+        to :class:`~repro.home.Home`.
         """
         if name in self.homes:
             raise ProxyError(f"home {name!r} is already in this fleet")
@@ -95,12 +92,10 @@ class HomeFleet:
                     transport="tcp",
                     reactor=self.reactor,
                     name=name,
-                    event_budget=(event_budget if event_budget is not None
-                                  else self.event_budget),
+                    event_budget=self.event_budget,
                     **home_kwargs)
         self.homes[name] = home
         self._home_specs[name] = dict(width=width, height=height,
-                                      event_budget=event_budget,
                                       **home_kwargs)
         return home
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.havi import ddi
 from repro.havi.element import SoftwareElement
 from repro.havi.events import EventManager
 from repro.havi.fcm import Fcm
@@ -18,7 +19,8 @@ class Dcm(SoftwareElement):
 
     Owns the appliance's FCMs; installing a DCM attaches and registers the
     DCM and every FCM, uninstalling reverses it — this is what happens when
-    a device hotplugs on/off the home bus.
+    a device hotplugs on/off the home bus.  The DCM is also the
+    appliance's DDI target (:mod:`repro.havi.ddi`).
     """
 
     element_type = "dcm"
@@ -101,6 +103,12 @@ class Dcm(SoftwareElement):
                 "name": self.name,
                 "fcm_seids": [str(fcm.seid) for fcm in self.fcms],
             })
+            return
+        if message.opcode == "ddi.get_tree":
+            self.reply(message, {"tree": ddi.build_tree(self).to_dict()})
+            return
+        if message.opcode == "ddi.action":
+            ddi.handle_action(self, message)
             return
         super().handle_request(message)
 

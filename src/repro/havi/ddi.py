@@ -20,30 +20,28 @@ Components:
 * tree builders (:func:`build_tree`), which derive every FCM's elements
   from its capability descriptor — the same metadata the GUI panels come
   from — with a plain state dump for FCMs that declare none,
-* :class:`DdiServer` — one per DCM, answers ``ddi.get_tree`` /
-  ``ddi.action``, posts ``ddi.changed`` events when FCM state moves,
-* :class:`DdiController` — client-side cache + action sender,
+* the DCM as DDI target: each :class:`~repro.havi.dcm.Dcm` answers
+  ``ddi.get_tree`` with :func:`build_tree` and ``ddi.action`` with
+  :func:`handle_action` on its own SEID, so a home with no DDI
+  controller does no DDI work,
 * :func:`render_text` — a 2002-phone-style text renderer.
+
+The controller side (``repro.app.handles.DdiController``) caches the
+tree, follows the appliance's ``fcm.state.*`` events into it and sends
+actions through the command spine.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.app.commands import Command, CommandLog, CommandSpine
-from repro.havi.dcm import Dcm
-from repro.havi.element import SoftwareElement
-from repro.havi.events import EventManager, HaviEvent
 from repro.havi.fcm import Fcm, FcmCommandError
-from repro.havi.messaging import HaviMessage, MessageSystem
-from repro.havi.registry import Registry
-from repro.havi.seid import SEID
+from repro.havi.messaging import HaviMessage
 from repro.util.errors import HaviError
 
-#: Handle offset for DDI servers on a device (FCMs use 1..; DCM uses 0).
-DDI_HANDLE = 200
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.havi.dcm import Dcm
 
 
 # -- element model -----------------------------------------------------------
@@ -292,212 +290,45 @@ def build_tree(dcm: Dcm) -> DdiPanel:
     return root
 
 
-# -- server side ------------------------------------------------------------------
+# -- the DCM's DDI face -------------------------------------------------------
 
 
-class DdiServer(SoftwareElement):
-    """The DDI face of one DCM: tree export + semantic action handling."""
-
-    element_type = "ddi"
-
-    def __init__(self, dcm: Dcm, messaging: MessageSystem,
-                 events: EventManager, registry: Registry) -> None:
-        super().__init__(SEID(dcm.guid, DDI_HANDLE), messaging)
-        self.dcm = dcm
-        self.events = events
-        self.registry = registry
-        self._fcm_by_handle = {fcm.seid.handle: fcm for fcm in dcm.fcms}
-        self._subscription: Optional[int] = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def install(self) -> None:
-        self.attach()
-        self.registry.register(self.seid, {
-            "element.type": "ddi",
-            "device.guid": self.dcm.guid,
-            "device.name": self.dcm.name,
-        })
-        self._subscription = self.events.subscribe(
-            "fcm.state.", self._on_fcm_state)
-
-    def uninstall(self) -> None:
-        if self._subscription is not None:
-            self.events.unsubscribe(self._subscription)
-            self._subscription = None
-        self.registry.unregister(self.seid)
-        self.detach()
-
-    # -- requests -------------------------------------------------------------------
-
-    def handle_request(self, message: HaviMessage) -> None:
-        if message.opcode == "ddi.get_tree":
-            self.reply(message, {"tree": build_tree(self.dcm).to_dict()})
-            return
-        if message.opcode == "ddi.action":
-            self._handle_action(message)
-            return
-        super().handle_request(message)
-
-    def _handle_action(self, message: HaviMessage) -> None:
-        element_id = str(message.payload.get("element", ""))
-        verb = str(message.payload.get("verb", "press"))
-        tree = build_tree(self.dcm)
-        element = tree.find(element_id)
-        if element is None:
-            self.reply(message, {"detail": f"no element {element_id!r}"},
-                       status="EUNKNOWN_ELEMENT")
-            return
-        handle = int(element_id.split(":", 1)[0])
-        fcm = self._fcm_by_handle.get(handle)
-        if fcm is None:
-            self.reply(message, status="EUNKNOWN_ELEMENT")
-            return
-        try:
-            result = self._dispatch(fcm, element, verb,
-                                    message.payload.get("value"))
-        except FcmCommandError as error:
-            self.reply(message, {"detail": str(error)}, status=error.status)
-            return
-        self.reply(message, result)
-
-    def _dispatch(self, fcm: Fcm, element: DdiElement, verb: str,
-                  value) -> dict:
-        if isinstance(element, DdiButton) and verb == "press":
-            return fcm.invoke_local(element.command, dict(element.args))
-        if isinstance(element, DdiToggle) and verb in ("toggle", "set"):
-            target = (not bool(fcm.get_state(element.key))
-                      if verb == "toggle" else bool(value))
-            return fcm.invoke_local(element.command,
-                                    {element.arg_name: target})
-        if isinstance(element, DdiRange) and verb == "set":
-            return fcm.invoke_local(element.command,
-                                    {element.arg_name: int(value)})
-        if isinstance(element, DdiChoice) and verb == "set":
-            return fcm.invoke_local(element.command,
-                                    {element.arg_name: str(value)})
-        raise FcmCommandError(
-            "EINVALID_ARG",
-            f"verb {verb!r} invalid for {element.kind} element")
-
-    # -- change propagation ------------------------------------------------------------
-
-    def _on_fcm_state(self, event: HaviEvent) -> None:
-        if event.payload.get("device_guid") != self.dcm.guid:
-            return
-        seid = SEID.parse(str(event.payload["seid"]))
-        key = str(event.payload["key"])
-        prefix = f"{seid.handle}:"
-        tree = build_tree(self.dcm)
-        for element in tree.walk():
-            if (element.element_id.startswith(prefix)
-                    and getattr(element, "key", None) == key):
-                self.events.post(HaviEvent(
-                    source=self.seid,
-                    opcode="ddi.changed",
-                    payload={"element": element.element_id,
-                             "value": event.payload.get("value")},
-                ))
-                return
+def handle_action(dcm: Dcm, message: HaviMessage) -> None:
+    """Answer a ``ddi.action`` request: run its verb on the named
+    element of ``dcm``'s tree, through the FCM that element belongs to."""
+    element_id = str(message.payload.get("element", ""))
+    verb = str(message.payload.get("verb", "press"))
+    for fcm, panel in zip(dcm.fcms, build_tree(dcm).children):
+        element = panel.find(element_id)
+        if element is not None:
+            break
+    else:
+        dcm.reply(message, {"detail": f"no element {element_id!r}"},
+                  status="EUNKNOWN_ELEMENT")
+        return
+    try:
+        result = _dispatch(fcm, element, verb, message.payload.get("value"))
+    except FcmCommandError as error:
+        dcm.reply(message, {"detail": str(error)}, status=error.status)
+        return
+    dcm.reply(message, result)
 
 
-# -- controller side -----------------------------------------------------------------
-
-
-class DdiController(SoftwareElement):
-    """A native DDI client: caches the tree, sends semantic actions."""
-
-    element_type = "ddi_controller"
-
-    def __init__(self, seid: SEID, messaging: MessageSystem,
-                 events: EventManager,
-                 command_log: Optional[CommandLog] = None) -> None:
-        super().__init__(seid, messaging)
-        self.events = events
-        #: DDI actions are actuations too: they ride the command spine so
-        #: the home journal sees them alongside widget clicks.
-        self.spine = CommandSpine(self, command_log)
-        self.tree: Optional[DdiPanel] = None
-        self.target: Optional[SEID] = None
-        self._subscription: Optional[int] = None
-        #: Demo/test hook: fired with (element_id, value) on remote change.
-        self.on_changed: Optional[Callable[[str, object], None]] = None
-        #: Byte accounting for the DDI-vs-UIP experiment.
-        self.bytes_moved = 0
-
-    def open(self, target: SEID,
-             on_tree: Optional[Callable[[DdiPanel], None]] = None) -> None:
-        """Fetch the tree from a DDI server and follow its changes."""
-        self.target = target
-
-        def absorb(message: HaviMessage) -> None:
-            self.bytes_moved += _wire_size(message)
-            tree_data = message.payload.get("tree")
-            if tree_data is None:
-                raise HaviError(f"DDI server replied {message.status}")
-            tree = element_from_dict(tree_data)
-            if not isinstance(tree, DdiPanel):
-                raise HaviError("DDI tree root must be a panel")
-            self.tree = tree
-            if on_tree is not None:
-                on_tree(tree)
-
-        self._subscription = self.events.subscribe(
-            "ddi.changed", self._on_changed, source=target)
-        request_size = _estimate_request("ddi.get_tree", {})
-        self.bytes_moved += request_size
-        self.spine.submit(target, "ddi.get_tree", origin="ddi",
-                          on_reply=absorb)
-
-    def close(self) -> None:
-        if self._subscription is not None:
-            self.events.unsubscribe(self._subscription)
-            self._subscription = None
-        self.tree = None
-        self.target = None
-
-    def action(self, element_id: str, verb: str = "press",
-               value=None,
-               on_reply: Optional[Callable[[HaviMessage], None]] = None,
-               origin: str = "ddi") -> Command:
-        if self.target is None:
-            raise HaviError("controller is not open")
-        payload = {"element": element_id, "verb": verb}
-        if value is not None:
-            payload["value"] = value
-        self.bytes_moved += _estimate_request("ddi.action", payload)
-
-        def count_reply(message: HaviMessage) -> None:
-            self.bytes_moved += _wire_size(message)
-            if on_reply is not None:
-                on_reply(message)
-
-        return self.spine.submit(self.target, "ddi.action", payload,
-                                 origin=origin, on_reply=count_reply)
-
-    def _on_changed(self, event: HaviEvent) -> None:
-        self.bytes_moved += _estimate_request("ddi.changed", event.payload)
-        if self.tree is not None:
-            element = self.tree.find(str(event.payload.get("element")))
-            if element is not None and hasattr(element, "value"):
-                element.value = event.payload.get("value")
-        if self.on_changed is not None:
-            self.on_changed(str(event.payload.get("element")),
-                            event.payload.get("value"))
-
-
-_WIRE_HEADER = 24  # SEIDs, type, transaction, status
-
-
-def _wire_size(message: HaviMessage) -> int:
-    """Estimated serialised size of a HAVi message."""
-    return _WIRE_HEADER + len(message.opcode) + len(
-        json.dumps(message.payload, sort_keys=True, default=str))
-
-
-def _estimate_request(opcode: str, payload: dict) -> int:
-    return _WIRE_HEADER + len(opcode) + len(
-        json.dumps(payload, sort_keys=True, default=str))
+def _dispatch(fcm: Fcm, element: DdiElement, verb: str, value) -> dict:
+    if isinstance(element, DdiButton) and verb == "press":
+        return fcm.invoke_local(element.command, dict(element.args))
+    if isinstance(element, DdiToggle) and verb in ("toggle", "set"):
+        target = (not bool(fcm.get_state(element.key))
+                  if verb == "toggle" else bool(value))
+        return fcm.invoke_local(element.command, {element.arg_name: target})
+    if isinstance(element, DdiRange) and verb == "set":
+        return fcm.invoke_local(element.command,
+                                {element.arg_name: int(value)})
+    if isinstance(element, DdiChoice) and verb == "set":
+        return fcm.invoke_local(element.command,
+                                {element.arg_name: str(value)})
+    raise FcmCommandError(
+        "EINVALID_ARG", f"verb {verb!r} invalid for {element.kind} element")
 
 
 # -- text rendering ---------------------------------------------------------------------

@@ -17,9 +17,8 @@ from repro.util.errors import MessagingError
 class SoftwareElement:
     """An addressable element: owns a SEID, speaks via the message system.
 
-    Subclasses override :meth:`handle_request` (and optionally
-    :meth:`handle_event`); responses are routed to ``send_request``
-    callbacks automatically by the message system.
+    Subclasses override :meth:`handle_request`; responses are routed to
+    ``send_request`` callbacks automatically by the message system.
     """
 
     element_type = "software_element"
@@ -53,17 +52,12 @@ class SoftwareElement:
     def _on_message(self, message: HaviMessage) -> None:
         if message.msg_type is MessageType.REQUEST:
             self.handle_request(message)
-        elif message.msg_type is MessageType.EVENT:
-            self.handle_event(message)
         else:  # RESPONSE without a pending callback
             self.handle_orphan_response(message)
 
     def handle_request(self, message: HaviMessage) -> None:
         """Default: reject unknown requests."""
         self.messaging.send(message.reply(status="EUNSUPPORTED"))
-
-    def handle_event(self, message: HaviMessage) -> None:
-        """Default: ignore events."""
 
     def handle_orphan_response(self, message: HaviMessage) -> None:
         """Default: ignore responses nobody is waiting for."""

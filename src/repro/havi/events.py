@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.havi.seid import SEID
 from repro.util.scheduler import Scheduler
@@ -34,7 +34,6 @@ class _Subscription:
     ident: int
     prefix: str
     callback: Subscriber
-    source: Optional[SEID]
 
 
 class EventManager:
@@ -46,15 +45,13 @@ class EventManager:
         self._subs: dict[int, _Subscription] = {}
         self._ids = itertools.count(1)
 
-    def subscribe(self, prefix: str, callback: Subscriber,
-                  source: Optional[SEID] = None) -> int:
+    def subscribe(self, prefix: str, callback: Subscriber) -> int:
         """Subscribe to events whose opcode starts with ``prefix``.
 
-        ``source`` optionally restricts to one emitting SEID.  Returns a
-        subscription id for :meth:`unsubscribe`.
+        Returns a subscription id for :meth:`unsubscribe`.
         """
         ident = next(self._ids)
-        self._subs[ident] = _Subscription(ident, prefix, callback, source)
+        self._subs[ident] = _Subscription(ident, prefix, callback)
         return ident
 
     def unsubscribe(self, ident: int) -> None:
@@ -64,8 +61,6 @@ class EventManager:
         """Deliver the event to every matching subscriber, asynchronously."""
         for sub in list(self._subs.values()):
             if not event.opcode.startswith(sub.prefix):
-                continue
-            if sub.source is not None and event.source != sub.source:
                 continue
             self.scheduler.call_later(self.latency, self._dispatch,
                                       sub.ident, event)

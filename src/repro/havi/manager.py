@@ -30,17 +30,12 @@ class DcmManager:
     def __init__(self, network: "HomeNetwork") -> None:
         self.network = network
         self._dcms: dict[str, Dcm] = {}
-        self._ddi_servers: dict[str, object] = {}
         # guid -> the bus device each installed DCM was manufactured by,
         # so a *new* device reusing a departed guid (detach + attach
         # coalesced into one reset) is detected and re-installed instead
         # of keeping a DCM wired to the dead instance
         self._dcm_devices: dict[str, BusDevice] = {}
         network.bus.observe_resets(self._on_bus_reset)
-
-    def ddi_server_for(self, guid: str):
-        """The installed DDI server of a device (None if absent)."""
-        return self._ddi_servers.get(guid)
 
     @property
     def dcms(self) -> dict[str, Dcm]:
@@ -49,9 +44,6 @@ class DcmManager:
     def _uninstall(self, guid: str) -> None:
         dcm = self._dcms.pop(guid)
         self._dcm_devices.pop(guid, None)
-        ddi = self._ddi_servers.pop(guid, None)
-        if ddi is not None:
-            ddi.uninstall()
         dcm.uninstall()
         self.network.events.post(HaviEvent(
             source=INFRA_SEID,
@@ -86,11 +78,6 @@ class DcmManager:
             # recorded only after a successful install, so the two dicts
             # can never disagree about which device a guid belongs to
             self._dcm_devices[info.guid] = device
-            from repro.havi.ddi import DdiServer
-            ddi = DdiServer(dcm, self.network.messaging,
-                            self.network.events, self.network.registry)
-            ddi.install()
-            self._ddi_servers[info.guid] = ddi
             self.network.events.post(HaviEvent(
                 source=INFRA_SEID,
                 opcode="dcm.installed",

@@ -25,7 +25,6 @@ DEFAULT_LATENCY = 0.0002
 class MessageType(enum.Enum):
     REQUEST = "request"
     RESPONSE = "response"
-    EVENT = "event"
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,6 @@ class MessageSystem:
             payload={"detail": "no reply before deadline"},
             transaction=key[1],
             status="ETIMEOUT",
-        ))
-
-    def send_event(self, source: SEID, destination: SEID, opcode: str,
-                   payload: dict | None = None) -> None:
-        self.send(HaviMessage(
-            source=source,
-            destination=destination,
-            msg_type=MessageType.EVENT,
-            opcode=opcode,
-            payload=payload if payload is not None else {},
         ))
 
     # -- delivery -------------------------------------------------------------

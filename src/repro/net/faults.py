@@ -375,9 +375,7 @@ class FaultInjector:
     time and never keep an idle reactor spinning.
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self.rng = random.Random(repr(("fault-injector", seed)))
+    def __init__(self) -> None:
         #: (action, target name) trail, in injection order.
         self.log: list[Tuple[str, str]] = []
 
@@ -434,4 +432,4 @@ class FaultInjector:
         self.crash(home.scheduler, reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FaultInjector seed={self.seed} actions={len(self.log)}>"
+        return f"<FaultInjector actions={len(self.log)}>"

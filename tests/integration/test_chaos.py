@@ -55,7 +55,7 @@ class TestSeededFaultSchedule:
     def test_fleet_heals_from_the_full_storm(self):
         fleet = build_fleet()
         rng = random.Random(SEED)
-        chaos = FaultInjector(seed=SEED)
+        chaos = FaultInjector()
         homes = [fleet.home(f"h{i:02d}") for i in range(N_HOMES)]
         rng.shuffle(homes)
         # carve disjoint victim groups out of the shuffled fleet
@@ -187,7 +187,7 @@ class TestCrashLoopSupervision:
         populate(fleet.add_home("stable", resilience=True), "stable")
         populate(fleet.add_home("flaky", resilience=True), "flaky")
         fleet.settle()
-        chaos = FaultInjector(seed=SEED)
+        chaos = FaultInjector()
 
         # the rebuild hook plants the next crash: every resurrection
         # detonates again, which is what a genuine crash loop looks like

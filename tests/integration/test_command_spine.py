@@ -10,11 +10,10 @@ import pytest
 
 from repro import Home
 from repro.app.commands import CommandState
-from repro.app.handles import FcmHandle
+from repro.app.handles import DdiController, FcmHandle
 from repro.appliances import MicrowaveOven, Television
 from repro.devices import Pda
 from repro.havi import FcmType, SEID
-from repro.havi.ddi import DdiController
 from repro.net.faults import FaultPlan
 from repro.toolkit import Slider, ToggleButton
 from repro.tools.report import render_command_journal
@@ -133,8 +132,7 @@ class TestOriginCoverage:
             SEID(guid_from_seed("spine-ddi"), 0), home.network.messaging,
             home.network.events, command_log=home.command_log)
         controller.attach()
-        server = home.network.dcm_manager.ddi_server_for(tv.guid)
-        controller.open(server.seid)
+        controller.open(tv.dcm.seid)
         home.settle()
         ddi_cmd = controller.action("1:volume", "set", 25)
         home.settle()

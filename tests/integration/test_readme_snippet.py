@@ -134,7 +134,7 @@ def test_readme_fault_injection_snippet():
     home.add_device(Pda("pda", home.scheduler))
     home.settle()
 
-    chaos = FaultInjector(seed=7)
+    chaos = FaultInjector()
     chaos.rst(home.session.upstream.endpoint)   # yank the session's cable
     home.settle()                               # detect, redial
 

@@ -212,7 +212,7 @@ class TestBusFaults:
         bus.register(target, got.append)
         bus.inject_faults(FaultPlan(seed=1, **rates))
         for _ in range(3):
-            bus.send_event(SEID("remote", 1), target, "ping")
+            bus.send_request(SEID("remote", 1), target, "ping")
         sched.run_until_idle()
         assert len(got) == 3 * copies
 

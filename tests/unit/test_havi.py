@@ -54,7 +54,8 @@ class TestMessageSystem:
     def test_delivery_is_asynchronous(self):
         got = []
         self.ms.register(seid(1), got.append)
-        self.ms.send(HaviMessage(seid(2), seid(1), MessageType.EVENT, "ping"))
+        self.ms.send(HaviMessage(seid(2), seid(1), MessageType.REQUEST,
+                                 "ping"))
         assert got == []  # not yet delivered
         self.sched.run_until_idle()
         assert len(got) == 1
@@ -93,15 +94,15 @@ class TestMessageSystem:
             self.ms.unregister(seid(9))
 
     def test_reply_to_non_request_rejected(self):
-        event = HaviMessage(seid(1), seid(2), MessageType.EVENT, "x")
+        response = HaviMessage(seid(1), seid(2), MessageType.RESPONSE, "x")
         with pytest.raises(MessagingError):
-            event.reply()
+            response.reply()
 
     def test_latency_applied(self):
         ms = MessageSystem(self.sched, latency=0.5)
         times = []
         ms.register(seid(1), lambda m: times.append(self.sched.now()))
-        ms.send(HaviMessage(seid(2), seid(1), MessageType.EVENT, "x"))
+        ms.send(HaviMessage(seid(2), seid(1), MessageType.REQUEST, "x"))
         self.sched.run_until_idle()
         assert times == [0.5]
 
@@ -223,17 +224,6 @@ class TestEventManager:
         em.post(HaviEvent(seid(1), "dcm.installed", {}))
         sched.run_until_idle()
         assert [e.opcode for e in got] == ["fcm.state.power"]
-
-    def test_source_filtering(self):
-        sched = Scheduler()
-        from repro.havi.events import EventManager
-        em = EventManager(sched)
-        got = []
-        em.subscribe("", got.append, source=seid(1))
-        em.post(HaviEvent(seid(1), "a"))
-        em.post(HaviEvent(seid(2), "b"))
-        sched.run_until_idle()
-        assert [e.opcode for e in got] == ["a"]
 
     def test_unsubscribe(self):
         sched = Scheduler()

@@ -52,7 +52,7 @@ class TestRedialIsAFreshSession:
         home, pda = resilient_home(transport=transport)
         try:
             lost = home.server_session
-            FaultInjector(seed=7).rst(home.session.upstream.endpoint)
+            FaultInjector().rst(home.session.upstream.endpoint)
             home.settle()
             assert home.session.resilience.reconnect_count == 1
             assert lost.closed
@@ -80,7 +80,7 @@ class TestRedialIsAFreshSession:
                        for user in (home.default_user, alice, bob)]
             assert all(a != b for i, a in enumerate(screens)
                        for b in screens[i + 1:])
-            chaos = FaultInjector(seed=7)
+            chaos = FaultInjector()
             for user in (alice, bob, guest):
                 chaos.rst(user.session.upstream.endpoint)
             home.settle()
@@ -109,7 +109,7 @@ class TestRedialIsAFreshSession:
             def refuse(proxy, member=None):
                 # alice's upstream dies and she redials; the refusal
                 # comes before the listener accepts her connection
-                FaultInjector(seed=7).rst(alice.session.upstream.endpoint)
+                FaultInjector().rst(alice.session.upstream.endpoint)
                 home.scheduler.run_ready()
                 raise ProxyError("wall refuses new proxies")
 
