@@ -17,6 +17,12 @@ For each run it compares:
 * the digest of the bytes the UIP server sent during every interaction
   (in a shared run, to each of the two sessions).
 
+Each run's line also gives, per tree, the HEXTILE rects the proxies
+received and the ``decode_hextile`` calls they made (counted through the
+module attributes, over the whole run), so a tree whose decoder serves
+repeat rects from a cache shows how many of the compared frames it did
+not decode.  The counts are printed, not compared.
+
 Usage::
 
     python3 benchmarks/frame_parity.py BASE
@@ -60,11 +66,28 @@ def collect(root: str) -> dict:
     sys.dont_write_bytecode = True
     sys.path[:0] = [f"{root}/src", f"{root}/benchmarks/e2e"]
     import workloads
-    from repro.uip import RAW, ZRLE, SetEncodings
+    from repro.uip import HEXTILE, RAW, ZRLE, SetEncodings
+    from repro.uip import encodings
 
+    counts = {"rects": 0, "decodes": 0}
+    decode_rect, decode_hextile = (encodings.decode_rect,
+                                   encodings.decode_hextile)
+
+    def counting_decode_rect(state, cursor, width, height, encoding):
+        out = decode_rect(state, cursor, width, height, encoding)
+        counts["rects"] += encoding == HEXTILE
+        return out
+
+    def counting_decode_hextile(cursor, width, height):
+        counts["decodes"] += 1
+        return decode_hextile(cursor, width, height)
+
+    encodings.decode_rect = counting_decode_rect
+    encodings.decode_hextile = counting_decode_hextile
     runs = {}
     for name in WORKLOADS:
         for seed, variant in RUNS:
+            counts.update(rects=0, decodes=0)
             workload = getattr(workloads, name)(seed, 0)
             workload.build()
             home = workload.home
@@ -97,7 +120,8 @@ def collect(root: str) -> dict:
                 uip.append("/".join(_digest(b"".join(out)) for out in sent))
             workload.close()
             key = f"{name}/{seed}" + (f"/{variant}" if variant else "")
-            runs[key] = {"screens": screens, "uip": uip}
+            runs[key] = {"screens": screens, "uip": uip,
+                         "hextile": dict(counts)}
     return runs
 
 
@@ -149,8 +173,12 @@ def compare(base: dict, head: dict) -> int:
                 problems.append(f"{what}: first difference at {first}")
         if problems:
             differing += 1
+        base_counts, head_counts = old["hextile"], new["hextile"]
         print(f"{key}: {len(new['screens'])} frames, {len(new['uip'])} "
-              f"interactions: " + ("; ".join(problems) or "identical"))
+              f"interactions: " + ("; ".join(problems) or "identical")
+              + f"; HEXTILE rects base/head {base_counts['rects']}/"
+              f"{head_counts['rects']}, decode_hextile calls "
+              f"{base_counts['decodes']}/{head_counts['decodes']}")
     return differing
 
 

@@ -23,8 +23,6 @@ class Dcm(SoftwareElement):
     appliance's DDI target (:mod:`repro.havi.ddi`).
     """
 
-    element_type = "dcm"
-
     def __init__(self, guid: str, messaging: MessageSystem,
                  events: EventManager, registry: Registry,
                  device_class: str, manufacturer: str, model: str,

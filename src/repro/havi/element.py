@@ -21,8 +21,6 @@ class SoftwareElement:
     ``send_request`` callbacks automatically by the message system.
     """
 
-    element_type = "software_element"
-
     def __init__(self, seid: SEID, messaging: MessageSystem) -> None:
         self.seid = seid
         self.messaging = messaging
@@ -50,17 +48,13 @@ class SoftwareElement:
     # -- message plumbing -------------------------------------------------------
 
     def _on_message(self, message: HaviMessage) -> None:
+        # a RESPONSE reaches here only when nobody awaits it: ignored
         if message.msg_type is MessageType.REQUEST:
             self.handle_request(message)
-        else:  # RESPONSE without a pending callback
-            self.handle_orphan_response(message)
 
     def handle_request(self, message: HaviMessage) -> None:
         """Default: reject unknown requests."""
         self.messaging.send(message.reply(status="EUNSUPPORTED"))
-
-    def handle_orphan_response(self, message: HaviMessage) -> None:
-        """Default: ignore responses nobody is waiting for."""
 
     # -- convenience ---------------------------------------------------------------
 

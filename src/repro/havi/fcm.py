@@ -65,7 +65,6 @@ class Fcm(SoftwareElement):
     (messaging, events, introspection) is inherited.
     """
 
-    element_type = "fcm"
     fcm_type: FcmType = FcmType.CLOCK
 
     def __init__(self, seid: SEID, messaging: MessageSystem,

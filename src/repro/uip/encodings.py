@@ -82,7 +82,10 @@ class EncodeCache:
     one surface encode each distinct rect once: the first session to
     send it misses, every other one hits.  The phone's output
     plug-in is the second user: it keeps the packed 1-bit screen it made
-    of each fitted frame.
+    of each fitted frame.  The proxy's UIP decoder is the third: each
+    session's :class:`DecoderState` keeps the pixels of each HEXTILE
+    payload it has met twice, keyed by ``(width, height, digest of the
+    payload)``.
 
     Bounded both by entry count and by total payload bytes so one huge RAW
     frame cannot evict an entire panel's worth of small HEXTILE payloads.
@@ -149,10 +152,13 @@ class EncoderState:
 
 
 class DecoderState:
-    """Per-session decoder state mirroring :class:`EncoderState`."""
+    """Per-session decoder state mirroring :class:`EncoderState`: the
+    persistent ZRLE inflate stream and the cache of decoded HEXTILE
+    rects that :func:`decode_rect` serves repeat payloads from."""
 
     def __init__(self) -> None:
         self._inflater = zlib.decompressobj()
+        self.cache = EncodeCache()
 
     def inflate(self, data: bytes, limit: int) -> bytes:
         """The next ``data`` of the persistent stream, inflated; a stream
@@ -487,6 +493,49 @@ def decode_hextile(cursor: Cursor, width: int, height: int) -> np.ndarray:
     return out
 
 
+def _hextile_end(cursor: Cursor, width: int, height: int) -> int:
+    """The offset just past the HEXTILE payload at the cursor.
+
+    :func:`decode_hextile`'s walk without its collection: it raises
+    :class:`NeedMore` wherever that walk stalls, and leaves the cursor
+    where it was.
+    """
+    data, pos, end = cursor.data, cursor.pos, len(cursor.data)
+    ps = _PS
+    columns = -(-width // _TILE)
+    tiles = columns * -(-height // _TILE)
+    tile = 0
+    while tile < tiles:
+        if pos >= end:
+            raise NeedMore(pos + 1)
+        subenc = data[pos]
+        if not subenc:
+            run = _KEEP_BACKGROUND.match(
+                data, pos, pos + tiles - tile).end() - pos
+            tile += run
+            pos += run
+            continue
+        pos += 1
+        if subenc & _HEX_RAW:
+            ty, tx = divmod(tile, columns)
+            pos += (min(_TILE, height - ty * _TILE)
+                    * min(_TILE, width - tx * _TILE) * ps)
+        else:
+            if subenc & _HEX_BG:
+                pos += ps
+            if subenc & _HEX_FG:
+                pos += ps
+            if subenc & _HEX_SUBRECTS:
+                if pos >= end:
+                    raise NeedMore(pos + 1)
+                pos += 1 + data[pos] * (
+                    ps + 2 if subenc & _HEX_COLOURED else 2)
+        if pos > end:
+            raise NeedMore(pos)
+        tile += 1
+    return pos
+
+
 # -- ZRLE --------------------------------------------------------------------------
 
 # ZRLE subencoding bytes (per 64x64 tile).  2..16 is a packed palette of
@@ -785,11 +834,28 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
     inflated once it is whole, so the persistent inflater sees each
     compressed byte once as long as a completed rect is never decoded
     again (:class:`~repro.uip.messages.ServerMessageDecoder`).
+
+    A HEXTILE rect's pixels depend on its size and payload alone (the
+    background and foreground reset per rect), so a payload met before
+    is served from ``state.cache`` as a read-only array, with no walk
+    for subrects and no paint.  Pixels are kept from a payload's second
+    sighting on (the first leaves an empty placeholder), so one-off
+    rects such as a session's full-frame resync hold none.
     """
     if encoding == RAW:
         return decode_raw(cursor, width, height)
     if encoding == HEXTILE:
-        return decode_hextile(cursor, width, height)
+        start, end = cursor.pos, _hextile_end(cursor, width, height)
+        # a copy: no view may pin the decoder's growing buffer
+        key = (width, height, hashlib.blake2b(
+            cursor.data[start:end], digest_size=16).digest())
+        pixels = state.cache.get(key)
+        if pixels:
+            cursor.pos = end
+            return np.frombuffer(pixels, dtype=_PIXEL).reshape(height, width)
+        out = decode_hextile(cursor, width, height)
+        state.cache.put(key, b"" if pixels is None else out.tobytes())
+        return out
     if encoding == ZRLE:
         limit = _zrle_limit(width, height)
         # zlib's compressBound: at zlib's default memLevel, as EncoderState

@@ -124,7 +124,9 @@ class Ping:
 @dataclass(frozen=True)
 class RectUpdate:
     """One rectangle of a framebuffer update: its packed RGB888 pixels
-    and the encoding they travel in."""
+    and the encoding they travel in.  A decoded payload may be a
+    read-only view of the decoder's cache
+    (:func:`~repro.uip.encodings.decode_rect`); copy it to write to it."""
 
     rect: Rect
     encoding: int

@@ -33,7 +33,12 @@ from repro.proxy.plugins import OutputPlugin
 from repro.toolkit.canvas import Canvas
 from repro.toolkit.widget import Widget
 from repro.uip import encodings as enc
-from repro.uip.encodings import _pixel_bytes, decode_hextile, encode_hextile
+from repro.uip.encodings import (
+    _hextile_end,
+    _pixel_bytes,
+    decode_hextile,
+    encode_hextile,
+)
 from repro.uip.wire import Cursor, NeedMore, Writer
 from repro.util import Scheduler
 from repro.util.errors import GraphicsError, ProtocolError
@@ -798,6 +803,55 @@ class TestHextileDecodeProperties:
         assert np.array_equal(fast, slow)
         assert fast[2, 2] == 0x40 and fast[4, 4] == 0x30
         assert fast[0, 0] == 0x10
+
+
+@st.composite
+def edge_tile_panels(draw):
+    """``(payload, width, height)``: the encoding of a random panel whose
+    right and bottom edge tiles are 1-15 px."""
+    width = 16 * draw(st.integers(0, 2)) + draw(st.integers(1, 15))
+    height = 16 * draw(st.integers(0, 2)) + draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return encode_hextile(_panel_packed(rng, width, height)), width, height
+
+
+def assert_skip_walks_as_decode(payload, width, height):
+    """The skip walk ends where ``decode_hextile`` leaves the cursor, and
+    stalls on every truncation of the payload, as the decoder does."""
+    framed = bytearray(b"\x07" + payload + b"\x09")
+    cursor = Cursor(framed, 1)
+    end = _hextile_end(cursor, width, height)
+    assert cursor.pos == 1
+    decode_hextile(cursor, width, height)
+    assert end == cursor.pos == 1 + len(payload)
+    for cut in range(len(payload)):
+        for walk in (_hextile_end, decode_hextile):
+            cursor = Cursor(bytearray(payload[:cut]), 0)
+            with pytest.raises(NeedMore) as stall:
+                walk(cursor, width, height)
+            assert cut < stall.value.needed <= len(payload)
+            assert cursor.pos == 0
+
+
+class TestHextileSkipWalk:
+    @given(st.one_of(edge_tile_panels(), hextile_payloads()))
+    @settings(max_examples=80, deadline=None)
+    def test_ends_and_stalls_where_the_decoder_does(self, case):
+        assert_skip_walks_as_decode(*case)
+
+    def test_handcrafted_raw_coloured_and_mono_tiles(self):
+        px = [v.to_bytes(4, "little") for v in (0x1111, 0x2222, 0x3333)]
+        payload = b"".join([
+            # 16x5 mono tile with bg and fg; a raw tile; two tiles that
+            # keep the background; a 3x5 coloured edge tile
+            bytes([2 | 4 | 8]), px[0], px[1], bytes([2, 0x00, 0x42, 0x21,
+                                                     0x11]),
+            bytes([1]), np.arange(16 * 5, dtype="<u4").tobytes(),
+            bytes([0, 0]),
+            bytes([8 | 16, 2]), px[2], bytes([0x00, 0x20]),
+            px[1], bytes([0x11, 0x00]),
+        ])
+        assert_skip_walks_as_decode(payload, 67, 5)
 
 
 # -- HEXTILE encode ---------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.uip import (
     decode_rect,
     encode_rect,
 )
+from repro.uip import encodings as enc
 from repro.uip.encodings import (
     DEFLATE_LEVEL,
     decode_zrle_tiles,
@@ -423,3 +424,110 @@ class TestEncodeCacheLimits:
         assert cache.stored_bytes == 30
         cache.put(("j",), b"c" * 60)  # fits only if "k" counts 30, not 90
         assert len(cache) == 2
+
+
+class TestHextileDecodeCache:
+    """A session's decoder serves a HEXTILE payload it has met twice from
+    ``DecoderState.cache``; pixels are kept from the second sighting on."""
+
+    @staticmethod
+    def hextile_decodes(monkeypatch):
+        """Every ``decode_hextile`` call, as (w, h)."""
+        calls = []
+        original = enc.decode_hextile
+
+        def counting(cursor, width, height):
+            calls.append((width, height))
+            return original(cursor, width, height)
+
+        monkeypatch.setattr(enc, "decode_hextile", counting)
+        return calls
+
+    @staticmethod
+    def sighting(state, payload, width, height):
+        """Decode ``payload`` framed by stray bytes, as a stream holds it;
+        the cursor must end just past the payload."""
+        cursor = Cursor(bytearray(b"\x01" + payload + b"\x02"), 1)
+        out = decode_rect(state, cursor, width, height, HEXTILE)
+        assert cursor.pos == 1 + len(payload)
+        return out
+
+    def test_the_third_sighting_is_served_from_the_cache(self, monkeypatch):
+        packed = RGB888.pack_array(panel_bitmap().pixels)
+        payload = encode_rect(EncoderState(), packed, HEXTILE)
+        calls = self.hextile_decodes(monkeypatch)
+        state = DecoderState()
+        first = self.sighting(state, payload, 96, 64)
+        # a one-off rect holds no pixels
+        assert len(state.cache) == 1 and state.cache.stored_bytes == 0
+        second = self.sighting(state, payload, 96, 64)
+        assert state.cache.stored_bytes == packed.nbytes
+        third = self.sighting(state, payload, 96, 64)
+        fourth = self.sighting(state, payload, 96, 64)
+        assert calls == [(96, 64), (96, 64)]
+        for out in (first, second, third, fourth):
+            assert out.dtype == packed.dtype
+            assert np.array_equal(out, packed)
+        assert not third.flags.writeable
+        with pytest.raises(ValueError):
+            third[0, 0] = 0
+        # the pixels handed out on a miss are the caller's own
+        second[0, 0] = 0
+        assert np.array_equal(self.sighting(state, payload, 96, 64), packed)
+
+    def test_the_key_holds_the_rect_size(self):
+        """A flat 32x16 rect and a flat 16x32 one send the same bytes."""
+        wide = RGB888.pack_array(Bitmap(32, 16, fill=(9, 8, 7)).pixels)
+        tall = wide.T.copy()
+        payload = encode_rect(EncoderState(), wide, HEXTILE)
+        assert encode_rect(EncoderState(), tall, HEXTILE) == payload
+        state = DecoderState()
+        for _ in range(3):
+            assert np.array_equal(
+                self.sighting(state, payload, 32, 16), wide)
+            assert np.array_equal(
+                self.sighting(state, payload, 16, 32), tall)
+        assert len(state.cache) == 2
+
+    def test_a_malformed_payload_raises_every_time_and_is_never_stored(
+            self, monkeypatch):
+        px = [v.to_bytes(4, "little") for v in (1, 2)]
+        # one 10x7 tile whose subrect, 3 wide at x=8, leaves it
+        payload = bytes([2 | 4 | 8]) + px[0] + px[1] + bytes([1, 0x80, 0x20])
+        calls = self.hextile_decodes(monkeypatch)
+        state = DecoderState()
+        for _ in range(3):
+            with pytest.raises(ProtocolError, match="exceeds tile 10x7"):
+                decode_rect(state, Cursor(payload), 10, 7, HEXTILE)
+        assert len(calls) == 3
+        assert len(state.cache) == 0
+
+    @pytest.mark.parametrize("encoding", [RAW, ZRLE])
+    def test_raw_and_zrle_rects_are_not_cached(self, encoding):
+        packed = RGB888.pack_array(panel_bitmap(40, 24).pixels)
+        enc_state, state = EncoderState(), DecoderState()
+        for _ in range(3):
+            payload = encode_rect(enc_state, packed, encoding)
+            out = decode_rect(state, Cursor(payload), 40, 24, encoding)
+            assert np.array_equal(out, packed)
+        assert len(state.cache) == 0
+
+    def test_a_hostile_servers_distinct_payloads_stay_inside_the_caps(self):
+        """1,000 distinct flat rects, each sent twice so its pixels are
+        kept: small ones fill the entry cap, large ones the byte cap."""
+        state = DecoderState()
+        cache = state.cache
+        for i in range(1000):
+            side = 16 if i < 500 else 128  # 1 KB or 64 KB of pixels
+            tiles = (side // 16) ** 2
+            payload = (bytes([2]) + (i + 1).to_bytes(4, "little")
+                       + bytes(tiles - 1))
+            for _ in range(2):
+                out = decode_rect(state, Cursor(payload), side, side,
+                                  HEXTILE)
+                assert out[-1, -1] == i + 1
+                assert len(cache) <= cache.max_entries
+                assert cache.stored_bytes <= cache.max_bytes
+            if i == 499:
+                assert len(cache) == cache.max_entries
+        assert cache.stored_bytes > cache.max_bytes - 128 * 128 * 4
