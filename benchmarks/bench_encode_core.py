@@ -11,11 +11,15 @@ comparison stays honest on any machine.  ``test_encode_core_speedup_and_
 records`` writes BENCH_ENCODE_CORE.json with before/after timings for the
 solid, panel-churn and noise workloads at 480x360 and 1280x720, the
 frame differ's bytes-on-wire ablation for the unchanged-redraw workload,
-and ZRLE against HEXTILE over a churn sequence on the phone bearer.
+ZRLE against HEXTILE over a churn sequence on the phone bearer, and the
+encode cache's content key: the old digest (blake2b of the packed rect)
+against the new (sha256 of the RGB view), with whether the CPU lists the
+SHA extensions that decide which is faster.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import time
@@ -44,6 +48,7 @@ from repro.uip.encodings import (
     _HEX_SUBRECTS,
     _TILE,
     _pixel_bytes,
+    content_digest,
 )
 from repro.uip.wire import Writer
 from repro.util import Scheduler
@@ -234,6 +239,62 @@ def _sequence_cost(frames, encoding) -> tuple[int, float]:
     return total, best
 
 
+# -- the content key -----------------------------------------------------------
+
+
+def _sha_ni() -> bool:
+    """Whether the CPU lists the SHA extensions (Linux only)."""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            return any(line.startswith("flags") and " sha_ni" in line
+                       for line in cpuinfo)
+    except OSError:
+        return False
+
+
+def _content_key_row(repeats: int = 20) -> dict:
+    """The encode cache's key over one 480x320 RGB rect of a panel frame:
+    the old digest (blake2b-128 of the packed rect, after its pack) and
+    the new one (``content_digest``, sha256 of the framebuffer view's own
+    RGB bytes, which a hit never packs).  The full-width rect is one
+    contiguous run of the frame, so sha256 reads it in place; ``strided``
+    keys a 448x320 view inset 16 px, as most damage rects are, which
+    ``content_digest`` first copies at 3 B/px."""
+    frame = panel_frame(480, 360).pixels
+    rgb, strided = frame[:320], frame[16:336, 16:464]
+    packed = RGB888.pack_array(rgb)
+
+    def old_digest():
+        hashlib.blake2b(packed.data, digest_size=16).digest()
+
+    def old_key(view):
+        hashlib.blake2b(RGB888.pack_array(view).data,
+                        digest_size=16).digest()
+
+    def best_us(fn, *args):
+        return min(_best_of(lambda: fn(*args))
+                   for _ in range(repeats)) * 1e6
+
+    row = {"rect": "480x320", "sha_ni": _sha_ni(),
+           "strided_rect": "448x320 view at (16, 16) of a 480x360 frame"}
+    for side, digest, key, data in (
+            ("old", old_digest, old_key, packed),
+            ("new", lambda: content_digest(rgb), content_digest, rgb)):
+        digest_s = min(_best_of(digest) for _ in range(repeats))
+        row[side] = {
+            "bytes_per_pixel": data.nbytes // (480 * 320),
+            "digest_mb_per_s": data.nbytes / digest_s / 1e6,
+            "key_us": best_us(key, rgb),
+            "strided_key_us": best_us(key, strided),
+        }
+    row["old"]["digest"] = "blake2b-128 of the packed rect"
+    row["new"]["digest"] = "sha256 of the RGB view (content_digest)"
+    for speedup, us in (("key_speedup", "key_us"),
+                        ("strided_key_speedup", "strided_key_us")):
+        row[speedup] = row["old"][us] / row["new"][us]
+    return row
+
+
 # -- the recorded before/after experiment ------------------------------------
 
 
@@ -339,18 +400,26 @@ def test_encode_core_speedup_and_records(smoke, record_dir):
     if not smoke:
         assert row["encode_cost_ratio"] <= 1.2, row
 
+    row = results["content_key"] = _content_key_row()
+    assert (row["old"]["bytes_per_pixel"],
+            row["new"]["bytes_per_pixel"]) == (4, 3), row
+    assert min(row[side]["digest_mb_per_s"]
+               for side in ("old", "new")) > 0, row
+
     # written in smoke mode too (tiny workloads, still every key, under
     # benchmarks/.smoke/): the bench-smoke CI job asserts the compression
-    # keys are present
+    # and content-key rows are present
     out_path = record_dir / "BENCH_ENCODE_CORE.json"
     out_path.write_text(json.dumps({
         "experiment": "vectorized encode core vs seed scalar encoders; "
                       "tile-grid frame differ ablation; zrle vs hextile "
-                      "wire bytes on the phone bearer",
+                      "wire bytes on the phone bearer; the encode cache's "
+                      "content key, old digest vs new",
         "pixel_format": "rgb888",
         "workloads": ["solid", "panel-churn", "noise",
                       "unchanged-redraw (480x360, 12-label panel)",
-                      "churn sequence (480x360, phone bearer)"],
+                      "churn sequence (480x360, phone bearer)",
+                      "content key (480x320 panel rect)"],
         "timing": "best of 3",
         "smoke": bool(smoke),
         **results,

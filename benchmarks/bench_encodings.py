@@ -24,6 +24,7 @@ from repro.uip import (
     EncodeCache,
     EncoderState,
     decode_rect,
+    encode_pixels,
     encode_rect,
 )
 from repro.uip.wire import Cursor
@@ -89,13 +90,14 @@ def test_encode_noise_worst_case(benchmark):
 
 @pytest.mark.parametrize("codec", ["raw", "hextile"])
 def test_encode_cache_warm_hit(benchmark, codec):
-    """Re-encoding unchanged content costs one hash, not a full encode."""
-    packed = RGB888.pack_array(panel_frame(320, 240).pixels)
+    """Re-encoding unchanged content costs one hash of its RGB bytes, not
+    a pack and a full encode."""
+    rgb = panel_frame(320, 240).pixels
     encoding = ENCODINGS[codec]
     state = EncoderState(cache=EncodeCache())
-    cold = encode_rect(state, packed, encoding)
+    cold = encode_pixels(state, rgb, encoding)
 
-    payload = benchmark(lambda: encode_rect(state, packed, encoding))
+    payload = benchmark(lambda: encode_pixels(state, rgb, encoding))
     assert payload == cold
     assert state.cache.hits >= 1
     benchmark.extra_info["payload_bytes"] = len(payload)
@@ -107,16 +109,16 @@ def test_encode_cache_warm_hit(benchmark, codec):
 def test_multi_session_encode_fanout(benchmark, sessions, mode):
     """N same-config sessions encoding one damaged frame.
 
-    With a shared cache the frame is hextile-encoded once and served to the
-    other N-1 sessions from content hash lookups; per-session states repeat
-    the full encode N times.
+    With a shared cache the frame is packed and hextile-encoded once and
+    served to the other N-1 sessions from content hash lookups;
+    per-session states repeat the pack and the full encode N times.
     """
-    packed = RGB888.pack_array(panel_frame(320, 240).pixels)
+    rgb = panel_frame(320, 240).pixels
 
     def run():
         cache = EncodeCache() if mode == "shared-cache" else None
         states = [EncoderState(cache=cache) for _ in range(sessions)]
-        return [encode_rect(state, packed, HEXTILE) for state in states]
+        return [encode_pixels(state, rgb, HEXTILE) for state in states]
 
     payloads = benchmark(run)
     assert all(p == payloads[0] for p in payloads)

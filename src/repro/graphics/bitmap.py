@@ -141,7 +141,7 @@ class Bitmap:
         """A zero-copy (h, w, 3) subarray of ``rect`` (clipped to bounds).
 
         The returned array shares storage with the bitmap: writes through
-        either are visible in both.  The encode hot path packs damaged
+        either are visible in both.  The UIP server keys and packs damaged
         rects through views to skip the :meth:`crop` copy.
         """
         clipped = rect.intersect(self.bounds)

@@ -9,8 +9,9 @@ each damaged rect against the shadow at 16x16-tile granularity.  The rect
 is compared as rows of bytes (an RGB pixel is 3 of them), and the change
 mask is reduced over 16-row bands, then over 48-byte tile columns, so no
 pass loops over the 3 bytes of one pixel.  Only tiles whose pixels truly
-changed survive; rows of surviving tiles are merged into rects and clipped
-back to the original damage.
+changed survive: one diff of the hot-tile grid finds every tile row's runs
+of them, runs with the same columns in consecutive rows merge into one
+rect, and each rect is clipped back to the original damage.
 
 The refinement is sound by construction: a pixel can only be dropped when
 it is byte-identical to the shadow, and the shadow is updated to the
@@ -37,7 +38,10 @@ class TileDiffer:
     One differ serves one framebuffer's distribution point (the UniInt
     server keeps one, shared by all sessions): the shadow models "what has
     been reported downstream so far", which is the same for every session
-    because sessions accumulate the refined region independently.
+    because sessions accumulate the refined region independently.  A
+    damaged rect costs a fixed number of array passes, whatever its tile
+    rows, plus one Python step per run of hot tiles: the runs' vertical
+    merge loops over runs, not rows.
     """
 
     def __init__(self) -> None:
@@ -96,30 +100,30 @@ class TileDiffer:
             return []
         if hot.all():
             return [rect]
-        # merge runs of hot tiles per tile-row, then identical vertical runs
+        # every tile row's runs of hot tiles in one diff of the grid:
+        # padded with a cold tile at each end, a row's changes alternate
+        # start, end
+        padded = np.zeros((tiles_y, tiles_x + 2), dtype=bool)
+        padded[:, 1:-1] = hot
+        rows, cols = np.nonzero(padded[:, 1:] != padded[:, :-1])
+        # a run extends the one with the same columns in the row above
+        chains: dict[tuple[int, int], tuple[int, int]] = {}
+        done: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        for tyi, run in zip(rows[::2].tolist(),
+                            zip(cols[::2].tolist(), cols[1::2].tolist())):
+            chain = chains.get(run)
+            if chain is not None and chain[1] == tyi - 1:
+                chains[run] = (chain[0], tyi)
+                continue
+            if chain is not None:
+                done.append((run, chain))
+            chains[run] = (tyi, tyi)
+        done.extend(chains.items())
         out: list[Rect] = []
-        active: dict[tuple[int, int], Rect] = {}
-        for tyi in range(tiles_y):
-            row = hot[tyi]
-            edges = np.flatnonzero(np.diff(np.concatenate(
-                ([False], row, [False])).astype(np.int8)))
-            current: dict[tuple[int, int], Rect] = {}
-            for x0t, x1t in zip(edges[::2], edges[1::2]):
-                run = Rect(gx0 + int(x0t) * tile, gy0 + tyi * tile,
-                           int(x1t - x0t) * tile, tile).intersect(rect)
-                key = (run.x, run.w)
-                prev = active.get(key)
-                if prev is not None and prev.y2 == run.y:
-                    current[key] = Rect(prev.x, prev.y, prev.w,
-                                        prev.h + run.h)
-                else:
-                    if prev is not None:
-                        out.append(prev)
-                    current[key] = run
-            for key, prev in active.items():
-                if key not in current:
-                    out.append(prev)
-            active = current
-        out.extend(active.values())
+        for (x0t, x1t), (ty0, ty1) in done:
+            x1 = max(gx0 + x0t * tile, rect.x)
+            y1 = max(gy0 + ty0 * tile, rect.y)
+            out.append(Rect(x1, y1, min(gx0 + x1t * tile, rect.x2) - x1,
+                            min(gy0 + (ty1 + 1) * tile, rect.y2) - y1))
         out.sort(key=lambda r: (r.y, r.x))
         return out

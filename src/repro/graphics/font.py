@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graphics import font5x7
-from repro.graphics.bitmap import Bitmap, Color
+from repro.graphics.bitmap import Bitmap, Color, _validate_color
 from repro.graphics.region import Rect
 from repro.util.errors import GraphicsError
 
@@ -54,22 +54,26 @@ class Font:
     # -- rendering -----------------------------------------------------------
 
     def draw(self, bitmap: Bitmap, x: int, y: int, text: str,
-             color: Color, clip: Optional[Rect] = None) -> Rect:
+             color: Color,
+             clip: Optional[tuple[int, int, int, int]] = None) -> Rect:
         """Draw ``text`` with its top-left corner at (x, y).
 
         Returns the dirty rect: the text's box clipped to the bitmap and,
-        when given, to ``clip``.  Pixels outside are clipped, not errors.
+        when given, to ``clip``, a canvas's ``(x1, y1, x2, y2)`` box in
+        bitmap coordinates.  Pixels outside are clipped, not errors.
         """
-        area = bitmap.bounds if clip is None else clip.intersect(
-            bitmap.bounds)
-        target = Rect(x, y, *self.measure(text)).intersect(area)
-        if not target.is_empty:
-            mask = _text_mask(text, self.scale, self.tracking)
-            visible = mask[target.y - y:target.y2 - y,
-                           target.x - x:target.x2 - x]
-            bitmap.pixels[target.y:target.y2, target.x:target.x2][visible] = (
-                np.asarray(color, dtype=np.uint8))
-        return target
+        pixels = bitmap.pixels
+        height, width = pixels.shape[:2]
+        w, h = self.measure(text)
+        cx1, cy1, cx2, cy2 = (0, 0, width, height) if clip is None else clip
+        x1, y1 = max(x, cx1, 0), max(y, cy1, 0)
+        x2, y2 = min(x + w, cx2, width), min(y + h, cy2, height)
+        if x2 <= x1 or y2 <= y1:
+            return Rect(0, 0, 0, 0)
+        mask = _text_mask(text, self.scale, self.tracking)
+        pixels[y1:y2, x1:x2][mask[y1 - y:y2 - y, x1 - x:x2 - x]] = (
+            _validate_color(color))
+        return Rect(x1, y1, x2 - x1, y2 - y1)
 
     def render(self, text: str, color: Color,
                background: Color = (0, 0, 0)) -> Bitmap:

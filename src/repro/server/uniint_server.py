@@ -8,14 +8,16 @@ Update pipeline (the damage-tracking fast path):
    fused, fragmentation capped — **once per surface per frame**, no matter
    how many sessions watch it.
 2. Each session binds to exactly one surface.  It clips + coalesces its
-   pending damage, packs each rect and encodes it through the surface's
-   content-keyed :class:`~repro.uip.encodings.EncodeCache`, which every
-   session on that surface shares: N sessions watching one surface
-   encode each distinct rect once per frame (a ZRLE rect, its tile
-   stream once; each session still deflates it through its own
-   persistent stream), and sessions on different surfaces never share
-   (or pay for) each other's entries.  The update goes out as a chunk
-   list that transports send vectored, never concatenated.
+   pending damage and hands each rect's framebuffer view to the update's
+   encoder, which keys the view's RGB bytes in the surface's
+   content-keyed :class:`~repro.uip.encodings.EncodeCache` and packs and
+   encodes the rect only on a miss.  Every session on that surface
+   shares the cache: N sessions watching one surface encode each
+   distinct rect once per frame (a ZRLE rect, its tile stream once; each
+   session still deflates it through its own persistent stream), and
+   sessions on different surfaces never share (or pay for) each other's
+   entries.  The update goes out as a chunk list that transports send
+   vectored, never concatenated.
 3. Each session encodes every rect with the first encoding its client
    offered (``SetEncodings``) that the server supports — RFB's own
    negotiation.  The client knows its leg: one on a slow bearer offers
@@ -245,6 +247,10 @@ class ServerSession:
     # -- update generation ------------------------------------------------------------
 
     def _note_damage(self, rects) -> None:
+        if self._pending.is_empty:
+            # a frame's rects are disjoint already: no re-splitting
+            self._pending = Region.from_disjoint(rects)
+            return
         for rect in rects:
             self._pending.add(rect)
 
@@ -283,8 +289,8 @@ class ServerSession:
             clipped = rect.intersect(bounds)
             if clipped.is_empty:
                 continue
-            packed = RGB888.pack_array(framebuffer.view(clipped))
-            rects.append(RectUpdate(clipped, encoding, packed))
+            rects.append(RectUpdate(clipped, encoding,
+                                    framebuffer.view(clipped)))
         self._pending = Region()
         self._update_requested = False
         if not rects:

@@ -100,7 +100,7 @@ class Canvas:
     def text(self, x: int, y: int, string: str, color: Color,
              font: Font) -> None:
         font.draw(self._bitmap, x + self._ox, y + self._oy, string, color,
-                  clip=self.clip)
+                  (self._x1, self._y1, self._x2, self._y2))
 
     def text_centered(self, rect: Rect, string: str, color: Color,
                       font: Font) -> None:

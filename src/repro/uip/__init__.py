@@ -30,6 +30,7 @@ from repro.uip.encodings import (
     EncoderState,
     decode_rect,
     decode_zrle_tiles,
+    encode_pixels,
     encode_rect,
     encode_zrle_tiles,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "ZRLE",
     "decode_rect",
     "decode_zrle_tiles",
+    "encode_pixels",
     "encode_rect",
     "encode_zrle_tiles",
     "keysyms",

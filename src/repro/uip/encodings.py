@@ -8,7 +8,8 @@ flat-colour rectangles, which HEXTILE represents in a few dozen bytes.
 All encoders/decoders operate on *packed* pixel arrays — 2-D numpy arrays
 of UIP's one wire pixel, RGB888's little-endian ``uint32``
 (``RGB888.pack_array`` produces them).  Conversion to RGB happens at the
-edges.
+edges: :func:`encode_pixels` keys a framebuffer's RGB view in the encode
+cache and packs it only on a miss.
 
 Implemented encodings (numbered as in RFB for familiarity):
 
@@ -62,19 +63,24 @@ _HEX_COLOURED = 16
 _KEEP_BACKGROUND = re.compile(rb"\x00+")
 
 
-def content_digest(pixels: np.ndarray) -> bytes:
-    """The blake2b digest of ``pixels`` that content keys carry."""
-    return hashlib.blake2b(np.ascontiguousarray(pixels).data,
-                           digest_size=16).digest()
+def content_digest(data: np.ndarray | bytes) -> bytes:
+    """The sha256 of ``data`` (an array's bytes in C order) that every
+    content key carries.  On an Intel Xeon with SHA extensions it hashed
+    RGB at 1.39 GB/s against blake2b's 0.79; a CPU without them favours
+    blake2b (``bench_encode_core`` records both)."""
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data)
+    return hashlib.sha256(data).digest()
 
 
 class EncodeCache:
     """Content-keyed LRU of encoded payloads.
 
-    Rect payloads are keyed by ``(encoding, shape, digest-of-pixels)``,
-    so a hit is only possible when the exact same pixels are re-encoded
-    with the same encoding: re-damaged-but-unchanged tiles (blinking
-    widgets, toggling panels) skip the whole encode.  A ZRLE payload
+    Rect payloads are keyed by ``(encoding, shape, digest-of-pixels)``
+    of a framebuffer view's own RGB bytes (:func:`encode_pixels`), so a
+    hit is only possible when the exact same pixels are re-encoded with
+    the same encoding: re-damaged-but-unchanged tiles (blinking widgets,
+    toggling panels) skip the pack and the whole encode.  A ZRLE payload
     rides the persistent deflate stream, so it is never cached; ZRLE
     caches its position-*independent* tile stream and pays only the
     per-session deflate on a hit.  Each UniInt server surface keeps one,
@@ -146,9 +152,11 @@ class EncoderState:
         return (self._deflater.compress(data)
                 + self._deflater.flush(zlib.Z_SYNC_FLUSH))
 
-    def cache_key(self, packed: np.ndarray, encoding: int) -> tuple:
-        """The content key ``encode_rect`` caches payloads under."""
-        return (encoding, packed.shape, content_digest(packed))
+    def zrle_payload(self, tiles: bytes) -> bytes:
+        """A ZRLE rect's payload: its tile stream deflated through this
+        session's stream, behind the compressed length."""
+        compressed = self.deflate(tiles)
+        return Writer().u32(len(compressed)).raw(compressed).getvalue()
 
 
 class DecoderState:
@@ -787,34 +795,36 @@ def decode_zrle_tiles(data: bytes, width: int, height: int) -> np.ndarray:
 
 def encode_rect(state: EncoderState, packed: np.ndarray,
                 encoding: int) -> bytes:
-    """Encode one rectangle's packed pixels as the given encoding's payload.
-
-    The result (for ZRLE, its tile stream) is served from ``state.cache``
-    when the same pixels were encoded before — damage that re-exposes
-    unchanged content costs one hash instead of a full encode.
-    """
+    """Encode one rectangle's packed pixels as the given encoding's payload
+    (uncached: :func:`encode_pixels` calls this on a cache miss)."""
     if packed.ndim != 2:
         raise ProtocolError(f"packed array must be 2-D, got {packed.shape}")
-    cache = state.cache
-    key = state.cache_key(packed, encoding) if cache is not None else None
-    payload = cache.get(key) if cache is not None else None
-    if payload is None:
-        if encoding == RAW:
-            payload = encode_raw(packed)
-        elif encoding == HEXTILE:
-            payload = encode_hextile(packed)
-        elif encoding == ZRLE:
-            payload = encode_zrle_tiles(packed)
-        else:
-            raise ProtocolError(
-                f"cannot encode pixels as encoding {encoding}")
-        if cache is not None:
-            cache.put(key, payload)
+    if encoding == RAW:
+        return encode_raw(packed)
+    if encoding == HEXTILE:
+        return encode_hextile(packed)
     if encoding == ZRLE:
-        # only the deflate is per-session and per-position
-        compressed = state.deflate(payload)
-        return Writer().u32(len(compressed)).raw(compressed).getvalue()
-    return payload
+        return state.zrle_payload(encode_zrle_tiles(packed))
+    raise ProtocolError(f"cannot encode pixels as encoding {encoding}")
+
+
+def encode_pixels(state: EncoderState, rgb: np.ndarray,
+                  encoding: int) -> bytes:
+    """The payload of one rect's (H, W, 3) RGB pixels, such as a
+    framebuffer view, keyed on those bytes in ``state.cache`` and packed
+    and encoded only on a miss (for ZRLE the cache keeps the tile
+    stream, deflated per session on every hit)."""
+    cache = state.cache
+    if cache is None:
+        return encode_rect(state, RGB888.pack_array(rgb), encoding)
+    key = (encoding, rgb.shape, content_digest(rgb))
+    payload = cache.get(key)
+    if payload is None:
+        packed = RGB888.pack_array(rgb)
+        payload = (encode_zrle_tiles(packed) if encoding == ZRLE
+                   else encode_rect(state, packed, encoding))
+        cache.put(key, payload)
+    return state.zrle_payload(payload) if encoding == ZRLE else payload
 
 
 def _zrle_limit(width: int, height: int) -> int:
@@ -847,8 +857,7 @@ def decode_rect(state: DecoderState, cursor: Cursor, width: int,
     if encoding == HEXTILE:
         start, end = cursor.pos, _hextile_end(cursor, width, height)
         # a copy: no view may pin the decoder's growing buffer
-        key = (width, height, hashlib.blake2b(
-            cursor.data[start:end], digest_size=16).digest())
+        key = (width, height, content_digest(cursor.data[start:end]))
         pixels = state.cache.get(key)
         if pixels:
             cursor.pos = end

@@ -123,10 +123,11 @@ class Ping:
 
 @dataclass(frozen=True)
 class RectUpdate:
-    """One rectangle of a framebuffer update: its packed RGB888 pixels
-    and the encoding they travel in.  A decoded payload may be a
-    read-only view of the decoder's cache
-    (:func:`~repro.uip.encodings.decode_rect`); copy it to write to it."""
+    """One rectangle of a framebuffer update: its pixels and the encoding
+    they travel in.  To encode, they are (H, W, 3) RGB, such as a
+    framebuffer view (:func:`~repro.uip.encodings.encode_pixels`);
+    decoded, they are packed RGB888 and may be a read-only view of the
+    decoder's cache (copy them to write to them)."""
 
     rect: Rect
     encoding: int
@@ -142,7 +143,8 @@ class FramebufferUpdate:
 
         Rect payloads (the bulk of the bytes) ride as their own chunks, so
         the full message is never concatenated here — transports send the
-        list vectored.
+        list vectored.  Each rect is keyed in ``state``'s cache before it
+        is packed or encoded (:func:`~repro.uip.encodings.encode_pixels`).
         """
         writer = Writer().u8(MSG_FRAMEBUFFER_UPDATE).pad(1)
         writer.u16(len(self.rects))
@@ -150,8 +152,8 @@ class FramebufferUpdate:
             rect = update.rect
             writer.u16(rect.x).u16(rect.y).u16(rect.w).u16(rect.h)
             writer.s32(update.encoding)
-            writer.raw(enc.encode_rect(state, update.payload,
-                                       update.encoding))
+            writer.raw(enc.encode_pixels(state, update.payload,
+                                         update.encoding))
         return writer.chunks()
 
     def encode(self, state: enc.EncoderState) -> bytes:

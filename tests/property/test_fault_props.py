@@ -91,17 +91,18 @@ def update_streams(draw):
         for _ in range(draw(st.integers(1, 3))):
             w, h = draw(st.integers(1, 10)), draw(st.integers(1, 10))
             x, y = draw(st.integers(0, 30)), draw(st.integers(0, 30))
-            packed = rng.integers(0, 4, size=(h, w)).astype(RGB888.dtype)
+            rgb = rng.integers(0, 4, size=(h, w, 3)).astype(np.uint8)
             encoding = draw(st.sampled_from([RAW, HEXTILE, ZRLE]))
-            rects.append(RectUpdate(Rect(x, y, w, h), encoding, packed))
+            rects.append(RectUpdate(Rect(x, y, w, h), encoding, rgb))
         messages.append(FramebufferUpdate(tuple(rects)))
     return messages
 
 
-def _rects_equal(a, b):
-    if a.rect != b.rect or a.encoding != b.encoding:
+def _rects_equal(got, sent):
+    """A decoded rect (packed) against the rect that was sent (RGB)."""
+    if got.rect != sent.rect or got.encoding != sent.encoding:
         return False
-    return np.array_equal(a.payload, b.payload)
+    return np.array_equal(got.payload, RGB888.pack_array(sent.payload))
 
 
 @given(stream=update_streams(),

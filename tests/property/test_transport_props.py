@@ -163,18 +163,18 @@ def server_streams(draw):
             for _ in range(draw(st.integers(1, 3))):
                 w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
                 x, y = draw(st.integers(0, 40)), draw(st.integers(0, 40))
-                packed = rng.integers(0, 4, size=(h, w)).astype(
-                    RGB888.dtype)
+                rgb = rng.integers(0, 4, size=(h, w, 3)).astype(np.uint8)
                 encoding = draw(st.sampled_from([RAW, HEXTILE, ZRLE]))
-                rects.append(RectUpdate(Rect(x, y, w, h), encoding, packed))
+                rects.append(RectUpdate(Rect(x, y, w, h), encoding, rgb))
             messages.append(FramebufferUpdate(tuple(rects)))
     return messages
 
 
-def _rects_equal(a, b):
-    if a.rect != b.rect or a.encoding != b.encoding:
+def _rects_equal(got, sent):
+    """A decoded rect (packed) against the rect that was sent (RGB)."""
+    if got.rect != sent.rect or got.encoding != sent.encoding:
         return False
-    return np.array_equal(a.payload, b.payload)
+    return np.array_equal(got.payload, RGB888.pack_array(sent.payload))
 
 
 @given(stream=server_streams(), data=st.data())
@@ -268,5 +268,7 @@ def test_server_decoder_chunked_encode_matches_flat(stream):
             for chunk in chunks:  # deliver chunk-by-chunk, as pipes do
                 chunk_out.extend(chunk_dec.feed(chunk))
             assert len(flat_out) == len(chunk_out) == 1
-            assert all(_rects_equal(g, w) for g, w in
-                       zip(chunk_out[0].rects, flat_out[0].rects))
+            assert all(_rects_equal(c, sent) and _rects_equal(f, sent)
+                       for c, f, sent in zip(chunk_out[0].rects,
+                                             flat_out[0].rects,
+                                             message.rects))

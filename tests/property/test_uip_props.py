@@ -18,6 +18,7 @@ from repro.uip import (
     SetEncodings,
     ZRLE,
     decode_rect,
+    encode_pixels,
     encode_rect,
 )
 from repro.uip.encodings import encode_zrle_tiles
@@ -160,11 +161,12 @@ class TestEncodeCacheRoundTrip:
     def test_cached_and_fresh_payloads_decode_identically(self, data,
                                                           encoding):
         packed = data.draw(packed_arrays())
+        rgb = RGB888.unpack(packed)
         cached_state = EncoderState(cache=EncodeCache())
         fresh_state = EncoderState()
         assert fresh_state.cache is None
-        first = encode_rect(cached_state, packed, encoding)
-        second = encode_rect(cached_state, packed.copy(), encoding)
+        first = encode_pixels(cached_state, rgb, encoding)
+        second = encode_pixels(cached_state, rgb.copy(), encoding)
         fresh = encode_rect(fresh_state, packed, encoding)
         if encoding != ZRLE:  # a ZRLE payload rides the session's stream
             # second encode is a cache hit and byte-identical to both
@@ -184,11 +186,12 @@ class TestEncodeCacheRoundTrip:
     @settings(max_examples=30, deadline=None)
     def test_cache_distinguishes_content(self, data, encoding):
         packed = data.draw(packed_arrays())
+        rgb = RGB888.unpack(packed)
         state = EncoderState(cache=EncodeCache())
-        encode_rect(state, packed, encoding)
+        encode_pixels(state, rgb, encoding)
         flipped = packed.copy()
         flipped[0, 0] = flipped[0, 0] ^ 1  # one-pixel change
-        payload = encode_rect(state, flipped, encoding)
+        payload = encode_pixels(state, RGB888.unpack(flipped), encoding)
         out = decode_rect(DecoderState(), Cursor(payload),
                           packed.shape[1], packed.shape[0], encoding)
         assert np.array_equal(out, flipped)
@@ -224,8 +227,8 @@ class TestStreamDecoding:
         for _ in range(data.draw(st.integers(1, 4))):
             packed = data.draw(packed_arrays())
             h, w = packed.shape
-            update = FramebufferUpdate(
-                (RectUpdate(Rect(0, 0, w, h), ZRLE, packed),))
+            update = FramebufferUpdate((RectUpdate(
+                Rect(0, 0, w, h), ZRLE, RGB888.unpack(packed)),))
             stream.extend(update.encode(enc_state))
             frames.append(packed)
         decoder = ServerMessageDecoder(DecoderState(), 40, 40)

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphics import RGB888, Rect
+from repro.graphics import Rect
 from repro.net import make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.uip import (
@@ -65,7 +65,7 @@ def draw_update(data, rng):
         kind = data.draw(st.sampled_from((RAW, HEXTILE)))
         rect = draw_rect(data)
         pixels = PALETTE[rng.integers(0, len(PALETTE), (rect.h, rect.w))]
-        rects.append(RectUpdate(rect, kind, RGB888.pack_array(pixels)))
+        rects.append(RectUpdate(rect, kind, pixels))
     return FramebufferUpdate(tuple(rects))
 
 
@@ -79,8 +79,7 @@ def test_dirty_rect_covers_every_changed_pixel(data, seed):
     # leave some of them unchanged
     paint = PALETTE[rng.integers(0, len(PALETTE), (HEIGHT, WIDTH))]
     server_end.send(FramebufferUpdate((RectUpdate(
-        client.framebuffer.bounds, RAW, RGB888.pack_array(paint)),)).encode(
-            encoder))
+        client.framebuffer.bounds, RAW, paint),)).encode(encoder))
     scheduler.run_until_idle()
     reported = []
     client.on_update = reported.append

@@ -223,6 +223,87 @@ class TestTileDifferParity:
                     slow.tiles_checked, slow.tiles_dropped)
                 assert np.array_equal(fast._shadow, slow._shadow)
 
+    @staticmethod
+    def _heat(frame, tiles, rng):
+        """Flip one byte of one pixel in each (tile row, tile column)."""
+        for ty, tx in tiles:
+            y = min(ty * 16 + int(rng.integers(0, 16)), frame.height - 1)
+            x = min(tx * 16 + int(rng.integers(0, 16)), frame.width - 1)
+            frame.pixels[y, x, int(rng.integers(0, 3))] ^= 0x40
+
+    @staticmethod
+    def _runs(rng, rows, cols, count):
+        """``count`` runs of hot tiles, as remote-browse's page switches
+        make them: 1-12 tiles wide over 1-4 rows, and some stop for a
+        row and restart in the same columns."""
+        tiles = set()
+        for _ in range(count):
+            top = int(rng.integers(0, rows))
+            left = int(rng.integers(0, cols))
+            width = int(rng.integers(1, 13))
+            span = range(top, min(top + int(rng.integers(1, 5)), rows))
+            gap = top + 1 if rng.random() < 0.4 else None
+            tiles |= {(ty, tx) for ty in span if ty != gap
+                      for tx in range(left, min(left + width, cols))}
+        return tiles
+
+    def _both(self, frame, damage, fast, slow):
+        out = fast.refine(frame, damage)
+        assert out == slow.refine(frame, damage), damage
+        assert (fast.tiles_checked, fast.tiles_dropped) == (
+            slow.tiles_checked, slow.tiles_dropped)
+        assert np.array_equal(fast._shadow, slow._shadow)
+        return out
+
+    def test_remote_browse_shaped_grids(self):
+        """About 12 runs on the 690-tile grid of a 480x360 frame, damaged
+        whole and through rects whose edges cut tiles."""
+        rng = np.random.default_rng(12)
+        frame = _noise(rng, 480, 360)
+        fast, slow = TileDiffer(), AnyAxis2Differ()
+        fast.refine(frame, [frame.bounds])
+        slow.refine(frame, [frame.bounds])
+        damages = [[frame.bounds], [Rect(5, 7, 470, 349)],
+                   [Rect(37, 3, 401, 250), Rect(0, 300, 479, 59)]]
+        for i in range(24):
+            self._heat(frame, self._runs(rng, 23, 30, 12), rng)
+            self._both(frame, damages[i % 3], fast, slow)
+
+    def test_runs_that_stop_and_restart_in_the_same_columns(self):
+        frame = Bitmap(480, 360, fill=(50, 60, 70))
+        fast, slow = TileDiffer(), AnyAxis2Differ()
+        fast.refine(frame, [frame.bounds])
+        slow.refine(frame, [frame.bounds])
+        rng = np.random.default_rng(13)
+        # columns 4-9 hot in tile rows 1-3 and 5-6, cold in row 4; a
+        # narrower run shares row 2, and column 29 is the right edge
+        tiles = {(ty, tx) for ty in (1, 2, 3, 5, 6) for tx in range(4, 10)}
+        tiles |= {(2, tx) for tx in range(12, 14)} | {(ty, 29)
+                                                      for ty in (1, 2)}
+        self._heat(frame, tiles, rng)
+        damage = [Rect(3, 9, 470, 350)]
+        assert self._both(frame, damage, fast, slow) == [
+            Rect(64, 16, 96, 48), Rect(464, 16, 9, 32),
+            Rect(192, 32, 32, 16), Rect(64, 80, 96, 32)]
+
+    def test_small_hotplug_grids(self):
+        """A swap's damage: a few rows of about 30 tiles, one run."""
+        rng = np.random.default_rng(14)
+        frame = _noise(rng, 480, 360)
+        fast, slow = TileDiffer(), AnyAxis2Differ()
+        fast.refine(frame, [frame.bounds])
+        slow.refine(frame, [frame.bounds])
+        for _ in range(30):
+            x = int(rng.integers(0, 40))
+            y = int(rng.integers(0, 300))
+            rect = Rect(x, y, int(rng.integers(200, 440 - x)),
+                        int(rng.integers(9, 48)))
+            row = (y + int(rng.integers(0, rect.h))) // 16
+            left = x // 16 + int(rng.integers(0, 4))
+            self._heat(frame, {(row, tx) for tx in range(
+                left, (rect.x2 - 1) // 16)}, rng)
+            self._both(frame, [rect], fast, slow)
+
     def test_full_window_change_of_one_byte_per_tile(self):
         frame = Bitmap(480, 360, fill=(50, 60, 70))
         fast, slow = TileDiffer(), AnyAxis2Differ()
@@ -415,8 +496,9 @@ class RectCanvas:
         self.fill(Rect(rect.x2 - 1, rect.y, 1, rect.h), bottom_right)
 
     def text(self, x, y, string, color, font):
+        clip = self._clip
         font.draw(self._bitmap, x + self._ox, y + self._oy, string, color,
-                  clip=self._clip)
+                  clip=(clip.x, clip.y, clip.x2, clip.y2))
 
     def text_centered(self, rect, string, color, font):
         w, h = font.measure(string)

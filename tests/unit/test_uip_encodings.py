@@ -1,5 +1,6 @@
 """Unit tests for the framebuffer-update encodings."""
 
+import hashlib
 import tracemalloc
 import zlib
 
@@ -16,16 +17,18 @@ from repro.uip import (
     EncodeCache,
     EncoderState,
     decode_rect,
+    encode_pixels,
     encode_rect,
 )
 from repro.uip import encodings as enc
 from repro.uip.encodings import (
     DEFLATE_LEVEL,
+    content_digest,
     decode_zrle_tiles,
     encode_zrle_tiles,
 )
 from repro.uip.wire import Cursor, NeedMore, Writer
-from repro.util.errors import ProtocolError
+from repro.util.errors import GraphicsError, ProtocolError
 
 PIXEL_CODECS = [RAW, HEXTILE, ZRLE]
 
@@ -160,45 +163,57 @@ class TestCompression:
 
 
 class TestEncodeCache:
+    """``encode_pixels`` keys a rect on its pixels' own bytes and packs
+    and encodes it only on a miss."""
+
     def test_repeat_encode_hits(self):
-        packed = RGB888.pack_array(panel_bitmap().pixels)
+        rgb = panel_bitmap().pixels
         state = EncoderState(cache=EncodeCache())
-        first = encode_rect(state, packed, HEXTILE)
-        second = encode_rect(state, packed.copy(), HEXTILE)
-        assert first == second
+        first = encode_pixels(state, rgb, HEXTILE)
+        second = encode_pixels(state, rgb.copy(), HEXTILE)
+        assert first == second == encode_rect(
+            EncoderState(), RGB888.pack_array(rgb), HEXTILE)
         assert state.cache.hits == 1
         assert state.cache.misses == 1
+
+    def test_packed_pixels_are_refused_and_stored_nowhere(self):
+        """RGB only: the same content packed would key a second entry."""
+        packed = RGB888.pack_array(panel_bitmap().pixels)
+        state = EncoderState(cache=EncodeCache())
+        for each in (state, EncoderState()):
+            with pytest.raises(GraphicsError, match="expected"):
+                encode_pixels(each, packed, HEXTILE)
+        assert len(state.cache) == 0
 
     def test_zrle_payload_never_served_from_the_cache(self):
         """The deflated payload rides the session's stream, so the same
         pixels encode to different bytes; only the tile stream is
         cached."""
-        packed = RGB888.pack_array(panel_bitmap().pixels)
+        rgb = panel_bitmap().pixels
         state = EncoderState(cache=EncodeCache())
-        first = encode_rect(state, packed, ZRLE)
-        second = encode_rect(state, packed, ZRLE)
+        first = encode_pixels(state, rgb, ZRLE)
+        second = encode_pixels(state, rgb, ZRLE)
         assert first != second
         assert state.cache.hits == 1 and len(state.cache) == 1
-        assert state.cache.get(state.cache_key(packed, ZRLE)) == (
-            encode_zrle_tiles(packed))
+        assert state.cache.get((ZRLE, rgb.shape, content_digest(rgb))) == (
+            encode_zrle_tiles(RGB888.pack_array(rgb)))
 
     def test_no_cache(self):
         state = EncoderState()
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        assert encode_rect(state, packed, HEXTILE) == encode_rect(
-            state, packed, HEXTILE)
+        rgb = panel_bitmap().pixels
+        assert encode_pixels(state, rgb, HEXTILE) == encode_pixels(
+            state, rgb, HEXTILE)
         assert state.cache is None
 
     def test_entry_count_eviction(self):
         state = EncoderState(cache=EncodeCache(max_entries=2))
-        frames = [RGB888.pack_array(Bitmap(8, 8, fill=(i, 0, 0)).pixels)
-                  for i in range(3)]
-        for packed in frames:
-            encode_rect(state, packed, HEXTILE)
+        frames = [Bitmap(8, 8, fill=(i, 0, 0)).pixels for i in range(3)]
+        for rgb in frames:
+            encode_pixels(state, rgb, HEXTILE)
         assert len(state.cache) == 2
         # oldest entry evicted: re-encoding frame 0 misses again
         misses = state.cache.misses
-        encode_rect(state, frames[0], HEXTILE)
+        encode_pixels(state, frames[0], HEXTILE)
         assert state.cache.misses == misses + 1
 
     def test_byte_budget_eviction(self):
@@ -217,9 +232,9 @@ class TestEncodeCache:
         shared = EncodeCache()
         a = EncoderState(cache=shared)
         b = EncoderState(cache=shared)
-        packed = RGB888.pack_array(panel_bitmap().pixels)
-        encode_rect(a, packed, HEXTILE)
-        encode_rect(b, packed, HEXTILE)
+        rgb = panel_bitmap().pixels
+        encode_pixels(a, rgb, HEXTILE)
+        encode_pixels(b, rgb, HEXTILE)
         assert shared.hits == 1 and shared.misses == 1
 
     @pytest.mark.parametrize("encoding", PIXEL_CODECS)
@@ -229,6 +244,26 @@ class TestEncodeCache:
         assert not view.flags.c_contiguous
         assert (encode_rect(EncoderState(), view, encoding)
                 == encode_rect(EncoderState(), view.copy(), encoding))
+        rgb = panel_bitmap(64, 64).pixels[3:40, 1:33]
+        assert not rgb.flags.c_contiguous
+        assert content_digest(rgb) == content_digest(rgb.copy())
+        assert (encode_pixels(EncoderState(), rgb, encoding)
+                == encode_pixels(EncoderState(), rgb.copy(), encoding))
+
+    def test_unknown_encoding_is_refused_and_not_stored(self):
+        state = EncoderState(cache=EncodeCache())
+        with pytest.raises(ProtocolError):
+            encode_pixels(state, panel_bitmap().pixels, 99)
+        assert len(state.cache) == 0
+
+    def test_content_digest_is_sha256_of_the_bytes(self):
+        """One digest for every content key: arrays in C order, and the
+        proxy decoder's payload bytes."""
+        rgb = panel_bitmap().pixels[2:9, 5:30]
+        assert content_digest(rgb) == hashlib.sha256(
+            rgb.tobytes()).digest()
+        assert content_digest(b"payload") == hashlib.sha256(
+            b"payload").digest()
 
 
 class TestZrle:
@@ -237,13 +272,14 @@ class TestZrle:
         session on the same cache reuses it even though its deflate
         output differs."""
         cache = EncodeCache()
-        packed = RGB888.pack_array(panel_bitmap().pixels)
+        rgb = panel_bitmap().pixels
+        packed = RGB888.pack_array(rgb)
         first = EncoderState(cache=cache)
-        encode_rect(first, packed, ZRLE)
+        encode_pixels(first, rgb, ZRLE)
         assert len(cache) == 1
         hits = cache.hits
         second = EncoderState(cache=cache)
-        payload = encode_rect(second, packed, ZRLE)
+        payload = encode_pixels(second, rgb, ZRLE)
         assert cache.hits == hits + 1
         out = decode_rect(DecoderState(), Cursor(payload),
                           packed.shape[1], packed.shape[0], ZRLE)

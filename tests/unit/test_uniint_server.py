@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.graphics import Rect
+from repro.graphics import RGB888, Rect
+from repro.graphics.pixelformat import PixelFormat
 from repro.net import ETHERNET_100, make_pipe
 from repro.proxy.upstream import UniIntClient
 from repro.server import UniIntServer
 from repro.server.uniint_server import MAX_UPDATE_RECTS
 from repro.toolkit import Button, Column, Label, UIWindow
-from repro.uip import HEXTILE, RAW, ZRLE
+from repro.uip import HEXTILE, RAW, ZRLE, EncoderState, encode_rect
+from repro.uip.encodings import content_digest
 from repro.uip.handshake import SECURITY_NONE
 from repro.util import Scheduler
 from repro.windows import DisplayServer
@@ -368,6 +370,110 @@ class TestSharedEncodeBroadcast:
         sent = server.sessions[0].rects_sent - rects_before
         assert 0 < sent <= MAX_UPDATE_RECTS
         assert client.framebuffer == display.framebuffer
+
+
+class TestRectKeys:
+    """A session keys each rect on its framebuffer view's own RGB bytes in
+    the surface's encode cache, and packs and encodes it only on a miss."""
+
+    SPOT = (10, 20, 30)
+
+    @staticmethod
+    def packs(monkeypatch):
+        """Every ``pack_array`` call, as the shape it packed."""
+        calls = []
+        original = PixelFormat.pack_array
+
+        def counting(self, rgb):
+            calls.append(rgb.shape)
+            return original(self, rgb)
+
+        monkeypatch.setattr(PixelFormat, "pack_array", counting)
+        return calls
+
+    @staticmethod
+    def frame(scheduler, server, paint):
+        """Run ``paint`` then the scheduler; returns the default surface's
+        new (hits, misses)."""
+        cache = server.default_surface.encode_cache
+        hits, misses = cache.hits, cache.misses
+        paint()
+        scheduler.run_until_idle()
+        return cache.hits - hits, cache.misses - misses
+
+    def spot_server(self, **connect_kwargs):
+        scheduler, display, window, server = make_server(
+            root_type=SpotColumn)
+        client = connect(scheduler, server, **connect_kwargs)
+        scheduler.run_until_idle()
+        return scheduler, display, window, server, client
+
+    def test_same_pixels_at_another_position_hit(self, monkeypatch):
+        scheduler, display, window, server, client = self.spot_server()
+        spot = window.root.paint_spot
+        assert self.frame(scheduler, server, lambda: spot(
+            Rect(16, 16, 16, 16), self.SPOT)) == (0, 1)
+        packs = self.packs(monkeypatch)
+        # a tile of the same pixels elsewhere: one hit, no pack
+        assert self.frame(scheduler, server, lambda: spot(
+            Rect(64, 48, 16, 16), self.SPOT)) == (1, 0)
+        assert packs == []
+        assert client.framebuffer == display.framebuffer
+
+    def test_one_byte_change_inside_the_rect_misses(self):
+        scheduler, display, window, server, client = self.spot_server()
+        tile = Rect(16, 16, 16, 16)
+        self.frame(scheduler, server,
+                   lambda: window.root.paint_spot(tile, self.SPOT))
+
+        def one_byte():
+            # the tile damaged again, with one pixel's blue byte now 31
+            window.root.spots.append((Rect(20, 21, 1, 1), (10, 20, 31)))
+            window.damage.add(tile)
+            window.on_damage()
+
+        assert self.frame(scheduler, server, one_byte) == (0, 1)
+        assert client.framebuffer.get_pixel(20, 21) == (10, 20, 31)
+        assert client.framebuffer == display.framebuffer
+
+    def test_a_non_contiguous_view_keys_like_its_copy(self):
+        scheduler, display, window, server, client = self.spot_server()
+        tile = Rect(16, 16, 16, 16)
+        self.frame(scheduler, server,
+                   lambda: window.root.paint_spot(tile, self.SPOT))
+        view = display.framebuffer.view(tile)
+        assert not view.flags.c_contiguous
+        key = (HEXTILE, view.shape, content_digest(view.copy()))
+        assert server.default_surface.encode_cache.get(key) == encode_rect(
+            EncoderState(), RGB888.pack_array(view), HEXTILE)
+
+    def test_a_hit_packs_nothing(self, monkeypatch):
+        scheduler, display, window, server = make_server()
+        clients = [connect(scheduler, server) for _ in range(3)]
+        scheduler.run_until_idle()
+        packs = self.packs(monkeypatch)
+        hits, misses = self.frame(scheduler, server, lambda: setattr(
+            window.root.find("label"), "text", "keyed once"))
+        # the first session packs each rect, the other two only hash it
+        assert 0 < misses == len(packs)
+        assert hits == 2 * misses
+        for client in clients:
+            assert client.framebuffer == display.framebuffer
+
+    def test_hextile_and_zrle_sessions_never_share_an_entry(self):
+        scheduler, display, window, server = make_server()
+        clients = [connect(scheduler, server, encodings=encodings)
+                   for encodings in ((HEXTILE,), (ZRLE,))]
+        seen = [received_encodings(client) for client in clients]
+        scheduler.run_until_idle()
+        cache = server.default_surface.encode_cache
+        assert cache.hits == 0  # the two resyncs encoded apart
+        hits, misses = self.frame(scheduler, server, lambda: setattr(
+            window.root.find("label"), "text", "two codecs"))
+        assert hits == 0 and misses > 0
+        assert [set(counts) for counts in seen] == [{HEXTILE}, {ZRLE}]
+        for client in clients:
+            assert client.framebuffer == display.framebuffer
 
 
 class TestTileDiffIntegration:

@@ -67,7 +67,7 @@ class TestApplyUpdates:
         scheduler, server, client = connected_pair()
         patch = Bitmap(8, 8, fill=(200, 10, 10))
         server.push(FramebufferUpdate((RectUpdate(
-            Rect(4, 4, 8, 8), RAW, RGB888.pack_array(patch.pixels)),)))
+            Rect(4, 4, 8, 8), RAW, patch.pixels),)))
         rects = []
         client.on_update = rects.append
         scheduler.run_until_idle()
@@ -81,7 +81,7 @@ class TestApplyUpdates:
         patch = Bitmap(4, 4)
         for _ in range(3):
             server.push(FramebufferUpdate((RectUpdate(
-                Rect(0, 0, 4, 4), RAW, RGB888.pack_array(patch.pixels)),)))
+                Rect(0, 0, 4, 4), RAW, patch.pixels),)))
             scheduler.run_until_idle()
         assert server.requests == base + 3
         assert client.updates_received == 3
@@ -219,7 +219,7 @@ class TestMalformedServerMessages:
         client.on_update = updates.append
         patch = Bitmap(8, 8, fill=(200, 10, 10))
         server.push(FramebufferUpdate((RectUpdate(
-            Rect(60, 4, 8, 8), RAW, RGB888.pack_array(patch.pixels)),)))
+            Rect(60, 4, 8, 8), RAW, patch.pixels),)))
         scheduler.run_until_idle()
         assert closes == [True]
         assert updates == [] and client.updates_received == 0
